@@ -7,9 +7,9 @@ CARGO ?= cargo
 # each fully reproducible (see README "Robustness").
 CHAOS_SEEDS ?= 101 202 303
 
-.PHONY: ci fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke
+.PHONY: ci fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke ledger-smoke
 
-ci: fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke
+ci: fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke ledger-smoke
 
 fmt:
 	$(CARGO) fmt --all --check
@@ -76,3 +76,12 @@ explore-smoke:
 # mode keeps the whole thing under ~5 s.
 conduit-smoke:
 	$(CARGO) test -q --release --test conduit_conformance smoke_
+
+# The benchmark gate: build the perf ledger the way the benchmark
+# pipeline does (its own package, BENCHMARK.json's command) and run
+# every workload once, short. Fails when an API the ledger uses has
+# drifted in `rupcxx-net`/`rupcxx-runtime`, or when a workload's output
+# check fails — here, rather than in the pipeline. `--quick` numbers are
+# never comparable; the file lands in target/ledger/.
+ledger-smoke:
+	$(CARGO) run --release --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- run --quick --out target/ledger/smoke.json

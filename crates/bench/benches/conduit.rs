@@ -14,7 +14,9 @@
 
 use rupcxx_bench::report;
 use rupcxx_net::conduit::wire;
-use rupcxx_net::{Conduit, ConduitEvent, LoopbackConduit, ShmConduit, SocketConduit};
+use rupcxx_net::{
+    Conduit, ConduitEvent, GlobalAddr, LoopbackConduit, RmaOp, ShmConduit, SocketConduit,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -191,18 +193,22 @@ fn inject(mesh: &[Box<dyn Conduit>], frame_bytes: usize, count: usize) -> (f64, 
 /// first growth).
 fn encode_alloc_delta(frames: usize, payload: usize) -> (f64, f64) {
     let data = vec![7u8; payload];
+    let put = RmaOp::Put {
+        addr: GlobalAddr::new(1, 0),
+        data: &data,
+    };
     let mut scratch = Vec::new();
-    wire::encode_put(&mut scratch, None, 0, 0, &data); // pre-grow once
+    wire::encode_rma(&mut scratch, None, 0, &put); // pre-grow once
     let a0 = allocated();
     for i in 0..frames {
-        wire::encode_put(&mut scratch, None, i as u64, 0, &data);
+        wire::encode_rma(&mut scratch, None, i as u64, &put);
         std::hint::black_box(scratch.len());
     }
     let scratch_bytes = (allocated() - a0) as f64 / frames as f64;
     let a1 = allocated();
     for i in 0..frames {
         let mut fresh = Vec::new();
-        wire::encode_put(&mut fresh, None, i as u64, 0, &data);
+        wire::encode_rma(&mut fresh, None, i as u64, &put);
         std::hint::black_box(fresh.len());
     }
     let fresh_bytes = (allocated() - a1) as f64 / frames as f64;

@@ -10,7 +10,8 @@
 //!
 //! * each rank keeps one small coalescing buffer **per destination** into
 //!   which buffered operations are packed as compact frames
-//!   ([`Frame`]: handler RPCs, `xor`/`add` word updates, small puts);
+//!   ([`Frame`]: handler RPCs, and `xor`/`add` word updates and small
+//!   puts as [`RmaOp`]s in the op's own wire encoding);
 //! * a buffer flushes as **one** [`AmPayload::Batch`] active message when
 //!   it crosses the configured byte or frame-count threshold
 //!   ([`AggConfig`]), or when the runtime force-flushes at a completion
@@ -33,8 +34,10 @@
 //! is unordered, exactly like unsynchronized conflicting accesses under
 //! the paper's relaxed memory model (§III-F).
 
+use crate::conduit::wire::{self, Cursor, WireError};
 use crate::fabric::{AmPayload, Fabric, GlobalAddr};
 use crate::inbox::{thread_shard, INBOX_SHARDS};
+use crate::rma::{RmaOp, RmwOp, Site};
 use crate::Rank;
 use rupcxx_trace::EventKind;
 use rupcxx_util::sync::SpinMutex;
@@ -139,7 +142,7 @@ const AGG_SLACK: usize = AGG_MAX_PUT + 64;
 struct AggBuf {
     /// Frames currently packed in `bytes`.
     count: u32,
-    /// Packed frame encoding (see the `TAG_*` constants).
+    /// Packed frames (see [`BatchReader`]).
     bytes: Vec<u8>,
 }
 
@@ -190,10 +193,9 @@ impl AggState {
     }
 }
 
+/// Tag of a handler frame in a batch; every other tag is an [`RmaOp`]
+/// op code (which start at 1).
 const TAG_HANDLER: u8 = 0;
-const TAG_XOR: u8 = 1;
-const TAG_ADD: u8 = 2;
-const TAG_PUT: u8 = 3;
 
 /// One unpacked frame of an [`AmPayload::Batch`].
 #[derive(Debug, PartialEq, Eq)]
@@ -206,125 +208,81 @@ pub enum Frame<'a> {
         /// Packed arguments.
         args: &'a [u8],
     },
-    /// An atomic xor on an aligned word of the destination's segment.
-    Xor {
-        /// Packed target address (rank = the destination itself).
-        addr: GlobalAddr,
-        /// Operand.
-        value: u64,
-    },
-    /// An atomic add on an aligned word of the destination's segment.
-    Add {
-        /// Packed target address (rank = the destination itself).
-        addr: GlobalAddr,
-        /// Operand.
-        value: u64,
-    },
-    /// A small contiguous write into the destination's segment.
-    Put {
-        /// Packed target address (rank = the destination itself).
-        addr: GlobalAddr,
-        /// Bytes to write.
-        data: &'a [u8],
-    },
+    /// A one-sided update of the destination's segment (the buffered
+    /// entry points pack xor/add word updates and small puts).
+    Rma(RmaOp<'a>),
 }
 
-fn encode_handler(buf: &mut Vec<u8>, id: u16, args: &[u8]) {
-    buf.push(TAG_HANDLER);
-    buf.extend_from_slice(&id.to_le_bytes());
-    buf.extend_from_slice(&(args.len() as u32).to_le_bytes());
-    buf.extend_from_slice(args);
-}
-
-// RMA frames carry the packed [`GlobalAddr`] word verbatim: the rank bits
-// double as an end-to-end integrity check (the receiver asserts the frame
-// was packed for it), and encode/decode are a single 8-byte move either
-// way.
-#[inline]
-fn encode_word(buf: &mut Vec<u8>, tag: u8, addr: GlobalAddr, value: u64) {
-    // Assemble the frame on the stack and append it with ONE
-    // `extend_from_slice`: a single length/capacity check instead of
-    // three, and the compiler lowers the copy to two unaligned 8-byte
-    // stores plus a byte.
-    let mut frame = [0u8; 17];
-    frame[0] = tag;
-    frame[1..9].copy_from_slice(&addr.packed().to_le_bytes());
-    frame[9..17].copy_from_slice(&value.to_le_bytes());
-    buf.extend_from_slice(&frame);
-}
-
-fn encode_put(buf: &mut Vec<u8>, addr: GlobalAddr, data: &[u8]) {
-    buf.push(TAG_PUT);
-    buf.extend_from_slice(&addr.packed().to_le_bytes());
-    buf.extend_from_slice(&(data.len() as u32).to_le_bytes());
-    buf.extend_from_slice(data);
+impl Frame<'_> {
+    /// Append the frame's packed form (what [`BatchReader`] reads back).
+    #[inline(always)]
+    fn encode(&self, buf: &mut Vec<u8>) {
+        match *self {
+            Frame::Handler { id, args } => {
+                buf.push(TAG_HANDLER);
+                buf.extend_from_slice(&id.to_le_bytes());
+                wire::put_bytes(buf, args);
+            }
+            Frame::Rma(op) => op.encode(buf),
+        }
+    }
 }
 
 /// In-order iterator over the frames packed in a batch payload.
 ///
-/// The encoding is produced and consumed inside this crate, so a
-/// malformed buffer is an internal invariant violation and panics.
+/// A batch built in this process is well-formed by construction, so the
+/// iterator panics on a malformed one; a batch that arrived over a
+/// conduit has been through [`validate_batch`] first.
 pub struct BatchReader<'a> {
-    buf: &'a [u8],
+    cur: Cursor<'a>,
 }
 
 impl<'a> BatchReader<'a> {
     /// Iterate the frames of `frames` (an [`AmPayload::Batch`] body).
     pub fn new(frames: &'a [u8]) -> Self {
-        BatchReader { buf: frames }
+        BatchReader {
+            cur: Cursor::new(frames),
+        }
     }
 
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        let (head, rest) = self.buf.split_at(n);
-        self.buf = rest;
-        head
-    }
-
-    fn take_u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().unwrap())
-    }
-
-    fn take_u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().unwrap())
+    #[inline]
+    fn try_next(&mut self) -> Result<Option<Frame<'a>>, WireError> {
+        if self.cur.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(match self.cur.u8()? {
+            TAG_HANDLER => Frame::Handler {
+                id: self.cur.u16()?,
+                args: self.cur.bytes()?,
+            },
+            code => Frame::Rma(RmaOp::decode(code, &mut self.cur)?),
+        }))
     }
 }
 
 impl<'a> Iterator for BatchReader<'a> {
     type Item = Frame<'a>;
 
+    #[inline]
     fn next(&mut self) -> Option<Frame<'a>> {
-        if self.buf.is_empty() {
-            return None;
-        }
-        let tag = self.take(1)[0];
-        Some(match tag {
-            TAG_HANDLER => {
-                let id = u16::from_le_bytes(self.take(2).try_into().unwrap());
-                let len = self.take_u32() as usize;
-                Frame::Handler {
-                    id,
-                    args: self.take(len),
-                }
-            }
-            TAG_XOR => Frame::Xor {
-                addr: GlobalAddr::from_packed(self.take_u64()),
-                value: self.take_u64(),
-            },
-            TAG_ADD => Frame::Add {
-                addr: GlobalAddr::from_packed(self.take_u64()),
-                value: self.take_u64(),
-            },
-            TAG_PUT => {
-                let addr = GlobalAddr::from_packed(self.take_u64());
-                let len = self.take_u32() as usize;
-                Frame::Put {
-                    addr,
-                    data: self.take(len),
-                }
-            }
-            other => panic!("batch frame with unknown tag {other}"),
-        })
+        self.try_next().expect("malformed batch payload")
     }
+}
+
+/// Check a batch that arrived from another process before it is queued
+/// for `me`'s progress engine: every frame decodes, and every RMA frame
+/// is an update (a get has no way to reply) that fits `me`'s segment.
+pub(crate) fn validate_batch(frames: &[u8], me: Rank, seg_bytes: usize) -> Result<(), WireError> {
+    let mut reader = BatchReader::new(frames);
+    while let Some(frame) = reader.try_next()? {
+        if let Frame::Rma(op) = frame {
+            op.validate(me, seg_bytes)?;
+            if op.is_get() {
+                return Err(WireError::OutOfRange);
+            }
+        }
+    }
+    Ok(())
 }
 
 impl Fabric {
@@ -340,7 +298,8 @@ impl Fabric {
     /// Hot-path cost: one uncontended shard-buffer lock, the
     /// `extend_from_slice` of the frame, and (rarely) a dirty-flag store —
     /// per-op stats are accounted at flush time, batched per batch.
-    fn agg_push(&self, initiator: Rank, dst: Rank, encode: impl FnOnce(&mut Vec<u8>)) {
+    #[inline(always)] // with `try_buffer` and `encode`: see `rma.rs`
+    fn agg_push(&self, initiator: Rank, dst: Rank, frame: Frame<'_>) {
         let ep = &self.endpoints[initiator];
         let agg = ep.agg.as_ref().expect("agg_push without aggregation");
         let shard = &agg.shards[thread_shard()];
@@ -349,7 +308,7 @@ impl Fabric {
             if buf.bytes.capacity() == 0 {
                 buf.bytes = agg.pool.take(agg.cfg.flush_bytes + AGG_SLACK);
             }
-            encode(&mut buf.bytes);
+            frame.encode(&mut buf.bytes);
             buf.count += 1;
             if buf.count == 1 {
                 shard.dirty.store(true, Ordering::Release);
@@ -441,7 +400,7 @@ impl Fabric {
     /// [`Fabric::send_am`].
     pub fn am_buffered(&self, initiator: Rank, dst: Rank, id: u16, args: &[u8]) {
         if self.endpoints[initiator].agg.is_some() && dst != initiator {
-            self.agg_push(initiator, dst, |b| encode_handler(b, id, args));
+            self.agg_push(initiator, dst, Frame::Handler { id, args });
         } else {
             self.send_am(
                 initiator,
@@ -454,27 +413,33 @@ impl Fabric {
         }
     }
 
+    /// Pack `op` for its target when the initiator aggregates, the target
+    /// is remote and the op is fine-grained; write-through invalidation
+    /// happens now, the update at delivery. False = not buffered.
+    #[inline(always)]
+    fn try_buffer(&self, initiator: Rank, op: &RmaOp<'_>) -> bool {
+        let dst = op.addr();
+        let buffer = self.endpoints[initiator].agg.is_some()
+            && dst.rank() != initiator
+            && op.bytes() <= AGG_MAX_PUT;
+        if buffer {
+            self.invalidate_own(initiator, dst, op.cover());
+            self.agg_push(initiator, dst.rank(), Frame::Rma(*op));
+        }
+        buffer
+    }
+
     /// Buffered remote xor (no fetched result — the update is applied by
     /// the destination's progress engine at delivery).
     pub fn xor_u64_buffered(&self, initiator: Rank, dst: GlobalAddr, value: u64) {
-        if self.endpoints[initiator].agg.is_some() && dst.rank() != initiator {
-            self.invalidate_own(initiator, dst, 8);
-            self.agg_push(initiator, dst.rank(), |b| {
-                encode_word(b, TAG_XOR, dst, value)
-            });
-        } else {
+        if !self.try_buffer(initiator, &RmaOp::rmw(dst, RmwOp::Xor, value, 0)) {
             let _ = self.xor_u64(initiator, dst, value);
         }
     }
 
     /// Buffered remote add (no fetched result).
     pub fn add_u64_buffered(&self, initiator: Rank, dst: GlobalAddr, value: u64) {
-        if self.endpoints[initiator].agg.is_some() && dst.rank() != initiator {
-            self.invalidate_own(initiator, dst, 8);
-            self.agg_push(initiator, dst.rank(), |b| {
-                encode_word(b, TAG_ADD, dst, value)
-            });
-        } else {
+        if !self.try_buffer(initiator, &RmaOp::rmw(dst, RmwOp::Add, value, 0)) {
             let _ = self.add_u64(initiator, dst, value);
         }
     }
@@ -482,13 +447,7 @@ impl Fabric {
     /// Buffered small put. Payloads over [`AGG_MAX_PUT`] bytes (or local
     /// / unaggregated ones) go out as a direct one-sided put.
     pub fn put_buffered(&self, initiator: Rank, dst: GlobalAddr, data: &[u8]) {
-        if self.endpoints[initiator].agg.is_some()
-            && dst.rank() != initiator
-            && data.len() <= AGG_MAX_PUT
-        {
-            self.invalidate_own(initiator, dst, data.len());
-            self.agg_push(initiator, dst.rank(), |b| encode_put(b, dst, data));
-        } else {
+        if !self.try_buffer(initiator, &RmaOp::Put { addr: dst, data }) {
             self.put(initiator, dst, data);
         }
     }
@@ -499,9 +458,7 @@ impl Fabric {
     ///
     /// `src`/`clock` identify the batch the frame arrived in: the checker
     /// records each applied frame as an access *by the sender* with the
-    /// batch's flush-time clock — not the receiving rank's current clock,
-    /// which would order the frame under everything the receiver has done
-    /// and hide races with the receiver's own unfenced accesses.
+    /// batch's flush-time clock (see [`Fabric::rma_arrived`]).
     pub fn apply_frame(
         &self,
         me: Rank,
@@ -509,62 +466,11 @@ impl Fabric {
         clock: Option<&rupcxx_check::Stamp>,
         frame: &Frame<'_>,
     ) -> bool {
-        if let (Some(ck), Some(stamp)) = (&self.check, clock) {
-            match frame {
-                Frame::Xor { addr, .. } => {
-                    ck.frame_access(
-                        src,
-                        me,
-                        addr.offset(),
-                        8,
-                        rupcxx_check::AccessKind::Atomic,
-                        stamp,
-                        "agg-xor",
-                    );
-                }
-                Frame::Add { addr, .. } => {
-                    ck.frame_access(
-                        src,
-                        me,
-                        addr.offset(),
-                        8,
-                        rupcxx_check::AccessKind::Atomic,
-                        stamp,
-                        "agg-add",
-                    );
-                }
-                Frame::Put { addr, data } => {
-                    ck.frame_access(
-                        src,
-                        me,
-                        addr.offset(),
-                        data.len(),
-                        rupcxx_check::AccessKind::Write,
-                        stamp,
-                        "agg-put",
-                    );
-                }
-                Frame::Handler { .. } => {}
-            }
-        }
+        let Frame::Rma(op) = frame else { return false };
         // The packed rank bits assert end-to-end that the frame was packed
         // for this rank's segment.
-        if let Frame::Xor { addr, .. } | Frame::Add { addr, .. } | Frame::Put { addr, .. } = frame {
-            debug_assert_eq!(addr.rank(), me, "batch frame addressed to the wrong rank");
-        }
-        let seg = &self.endpoints[me].segment;
-        match frame {
-            Frame::Xor { addr, value } => {
-                seg.fetch_xor_u64(addr.offset(), *value);
-            }
-            Frame::Add { addr, value } => {
-                seg.fetch_add_u64(addr.offset(), *value);
-            }
-            Frame::Put { addr, data } => {
-                seg.write_bytes(addr.offset(), data);
-            }
-            Frame::Handler { .. } => return false,
-        }
+        debug_assert_eq!(op.addr().rank(), me, "frame for another rank");
+        self.rma_arrived(me, src, clock, op, Site::Batch, &mut []);
         true
     }
 }
@@ -645,12 +551,23 @@ mod tests {
 
     #[test]
     fn frames_round_trip_in_order() {
+        let xor = RmaOp::rmw(GlobalAddr::new(1, 40), RmwOp::Xor, 0xDEAD, 0);
+        let add = RmaOp::rmw(GlobalAddr::new(1, 48), RmwOp::Add, 5, 0);
+        let put = RmaOp::Put {
+            addr: GlobalAddr::new(1, 64),
+            data: &[9; 16],
+        };
         let mut buf = Vec::new();
-        encode_handler(&mut buf, 7, &[1, 2, 3]);
-        encode_word(&mut buf, TAG_XOR, GlobalAddr::new(1, 40), 0xDEAD);
-        encode_word(&mut buf, TAG_ADD, GlobalAddr::new(1, 48), 5);
-        encode_put(&mut buf, GlobalAddr::new(1, 64), &[9; 16]);
-        encode_handler(&mut buf, 8, &[]);
+        Frame::Handler {
+            id: 7,
+            args: &[1, 2, 3],
+        }
+        .encode(&mut buf);
+        xor.encode(&mut buf);
+        assert_eq!(buf.len(), 10 + 17, "a word update packs into 17 bytes");
+        add.encode(&mut buf);
+        put.encode(&mut buf);
+        Frame::Handler { id: 8, args: &[] }.encode(&mut buf);
         let got: Vec<Frame<'_>> = BatchReader::new(&buf).collect();
         assert_eq!(
             got,
@@ -659,21 +576,35 @@ mod tests {
                     id: 7,
                     args: &[1, 2, 3]
                 },
-                Frame::Xor {
-                    addr: GlobalAddr::new(1, 40),
-                    value: 0xDEAD
-                },
-                Frame::Add {
-                    addr: GlobalAddr::new(1, 48),
-                    value: 5
-                },
-                Frame::Put {
-                    addr: GlobalAddr::new(1, 64),
-                    data: &[9; 16]
-                },
+                Frame::Rma(xor),
+                Frame::Rma(add),
+                Frame::Rma(put),
                 Frame::Handler { id: 8, args: &[] },
             ]
         );
+        assert_eq!(validate_batch(&buf, 1, 4096), Ok(()));
+        assert_eq!(
+            validate_batch(&buf, 0, 4096),
+            Err(WireError::OutOfRange),
+            "packed for rank 1, not rank 0"
+        );
+        assert_eq!(
+            validate_batch(&buf, 1, 72),
+            Err(WireError::OutOfRange),
+            "the put ends past a 72-byte segment"
+        );
+        assert_eq!(
+            validate_batch(&buf[..buf.len() - 1], 1, 4096),
+            Err(WireError::Truncated)
+        );
+        // A get has nowhere to send its data from inside a batch.
+        let mut get = Vec::new();
+        RmaOp::Get {
+            addr: GlobalAddr::new(1, 0),
+            len: 8,
+        }
+        .encode(&mut get);
+        assert_eq!(validate_batch(&get, 1, 4096), Err(WireError::OutOfRange));
     }
 
     #[test]

@@ -8,57 +8,59 @@
 //! fabric keeps one per link, so steady-state sends allocate nothing);
 //! the decoder borrows from the received frame.
 //!
-//! AM frames carry the optional checker clock stamp and profiler span so
-//! the happens-before checker and the causal profiler work unchanged
-//! across process boundaries. RMA *request* frames carry the initiator's
-//! stamp so the receiver can run the same `frame_access` race check that
-//! `apply_frame` runs for aggregated frames in-process.
+//! One-sided RMA is two frames: an [`WireFrame::Rma`] request carrying
+//! an [`RmaOp`] in the op's own encoding, answered by one
+//! [`WireFrame::Resp`] matched by token. AM frames carry the optional
+//! checker clock stamp and profiler span so the happens-before checker
+//! and the causal profiler work unchanged across process boundaries;
+//! `Rma` frames carry the initiator's stamp so the receiver can run the
+//! same `frame_access` race check it runs for aggregated frames.
+//!
+//! The bytes come from another process: [`decode`] never panics and
+//! never allocates more than the frame's own length, whatever it is fed.
 
+use crate::rma::RmaOp;
 use rupcxx_check::Stamp;
 use rupcxx_trace::ProfSpan;
 
 const TAG_AM_HANDLER: u8 = 1;
 const TAG_AM_BATCH: u8 = 2;
-const TAG_PUT: u8 = 3;
-const TAG_PUT_STRIDED: u8 = 4;
-const TAG_GET_REQ: u8 = 5;
-const TAG_GET_STRIDED_REQ: u8 = 6;
-const TAG_RMW_REQ: u8 = 7;
-const TAG_RESP_DATA: u8 = 8;
-const TAG_RESP_WORD: u8 = 9;
-const TAG_ACK: u8 = 10;
-const TAG_FIN: u8 = 11;
-const TAG_FIN_ACK: u8 = 12;
+const TAG_RMA: u8 = 3;
+const TAG_RESP: u8 = 4;
+const TAG_FIN: u8 = 5;
+const TAG_FIN_ACK: u8 = 6;
 
-/// Read-modify-write opcodes carried by [`WireFrame::RmwReq`].
+/// Why a received frame was refused. Any of these classifies the link
+/// it arrived on as failed (`PeerUnreachable`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RmwOp {
-    /// `fetch_xor(a)` — returns the previous value.
-    Xor,
-    /// `fetch_add(a)` — returns the previous value.
-    Add,
-    /// `compare_exchange(a, b)` — returns (ok, previous value).
-    Cas,
+pub enum WireError {
+    /// The frame ends before a field it announces.
+    Truncated,
+    /// Bytes remain after the last field.
+    Trailing,
+    /// No frame or RMA op has this tag.
+    UnknownTag(u8),
+    /// A well-formed op or reply that does not fit this rank's segment,
+    /// its own payload, or the buffer waiting for it.
+    OutOfRange,
+    /// The peer's FIN announces a data-frame count other than the
+    /// number received: the link lost or invented frames.
+    FinCount,
 }
 
-impl RmwOp {
-    fn code(self) -> u8 {
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RmwOp::Xor => 0,
-            RmwOp::Add => 1,
-            RmwOp::Cas => 2,
-        }
-    }
-
-    fn from_code(c: u8) -> RmwOp {
-        match c {
-            0 => RmwOp::Xor,
-            1 => RmwOp::Add,
-            2 => RmwOp::Cas,
-            _ => panic!("conduit wire: bad rmw opcode {c}"),
+            WireError::Truncated => f.write_str("truncated frame"),
+            WireError::Trailing => f.write_str("trailing bytes in frame"),
+            WireError::UnknownTag(t) => write!(f, "unknown frame tag {t}"),
+            WireError::OutOfRange => f.write_str("operation out of range"),
+            WireError::FinCount => f.write_str("FIN count differs from the data frames received"),
         }
     }
 }
+
+impl std::error::Error for WireError {}
 
 /// A decoded conduit frame; payload slices borrow from the raw frame.
 #[derive(Debug)]
@@ -85,96 +87,26 @@ pub enum WireFrame<'a> {
         /// The packed frames.
         frames: &'a [u8],
     },
-    /// One-sided put into the receiver's segment; acked by token.
-    Put {
+    /// A one-sided operation on the receiver's segment; answered with
+    /// one [`WireFrame::Resp`].
+    Rma {
         /// Initiator's clock stamp for the receiver-side race check.
         stamp: Option<Stamp>,
         /// Reply-matching token.
         token: u64,
-        /// Destination segment offset.
-        offset: u64,
-        /// Bytes to store.
-        data: &'a [u8],
+        /// The operation.
+        op: RmaOp<'a>,
     },
-    /// Strided put: `nblocks` blocks of `block` bytes, `stride` apart.
-    PutStrided {
-        /// Initiator's clock stamp for the receiver-side race check.
-        stamp: Option<Stamp>,
-        /// Reply-matching token.
-        token: u64,
-        /// Destination offset of block 0.
-        offset: u64,
-        /// Byte distance between consecutive block starts.
-        stride: u64,
-        /// Bytes per block.
-        block: u32,
-        /// Number of blocks.
-        nblocks: u32,
-        /// Packed block data (`block * nblocks` bytes).
-        data: &'a [u8],
-    },
-    /// One-sided get request; answered with [`WireFrame::RespData`].
-    GetReq {
-        /// Initiator's clock stamp for the receiver-side race check.
-        stamp: Option<Stamp>,
-        /// Reply-matching token.
-        token: u64,
-        /// Source segment offset.
-        offset: u64,
-        /// Bytes wanted.
-        len: u32,
-    },
-    /// Strided get request; answered with [`WireFrame::RespData`].
-    GetStridedReq {
-        /// Initiator's clock stamp for the receiver-side race check.
-        stamp: Option<Stamp>,
-        /// Reply-matching token.
-        token: u64,
-        /// Source offset of block 0.
-        offset: u64,
-        /// Byte distance between consecutive block starts.
-        stride: u64,
-        /// Bytes per block.
-        block: u32,
-        /// Number of blocks.
-        nblocks: u32,
-    },
-    /// Atomic read-modify-write request; answered with
-    /// [`WireFrame::RespWord`].
-    RmwReq {
-        /// Initiator's clock stamp for the receiver-side race check.
-        stamp: Option<Stamp>,
-        /// Reply-matching token.
-        token: u64,
-        /// Opcode.
-        op: RmwOp,
-        /// Target segment offset (8-byte aligned).
-        offset: u64,
-        /// First operand (xor/add operand, cas expected value).
-        a: u64,
-        /// Second operand (cas new value).
-        b: u64,
-    },
-    /// Data reply to a get request.
-    RespData {
+    /// Completion of the [`WireFrame::Rma`] with the same token.
+    Resp {
         /// Token of the request this answers.
         token: u64,
-        /// The fetched bytes.
-        data: &'a [u8],
-    },
-    /// Word reply to an RMW request.
-    RespWord {
-        /// Token of the request this answers.
-        token: u64,
-        /// CAS success flag (always true for xor/add).
+        /// CAS success flag (true for everything else).
         ok: bool,
-        /// Previous value at the target word.
+        /// Previous value of an atomic's target word (0 otherwise).
         val: u64,
-    },
-    /// Completion ack for a put.
-    Ack {
-        /// Token of the put this acknowledges.
-        token: u64,
+        /// The bytes a get fetched (empty otherwise).
+        data: &'a [u8],
     },
     /// Link teardown: "I sent you exactly `frames` data frames; I will
     /// send no more." FIFO ordering makes the count checkable on arrival.
@@ -192,34 +124,27 @@ fn put_u16(buf: &mut Vec<u8>, v: u16) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
+pub(crate) fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     put_u32(buf, u32::try_from(b.len()).expect("frame payload > 4 GiB"));
     buf.extend_from_slice(b);
 }
 
 fn put_stamp(buf: &mut Vec<u8>, stamp: Option<&Stamp>) {
-    match stamp {
-        None => put_u16(buf, 0),
-        Some(s) => {
-            let words = &s.0;
-            assert!(!words.is_empty(), "empty clock stamp on the wire");
-            put_u16(
-                buf,
-                u16::try_from(words.len()).expect("stamp > 65535 ranks"),
-            );
-            for w in words.iter() {
-                put_u64(buf, *w);
-            }
-        }
-    }
+    let Some(Stamp(words)) = stamp else {
+        return put_u16(buf, 0);
+    };
+    assert!(!words.is_empty(), "empty clock stamp on the wire");
+    let count = u16::try_from(words.len()).expect("stamp > 65535 ranks");
+    put_u16(buf, count);
+    words.iter().for_each(|w| put_u64(buf, *w));
 }
 
 fn put_prof(buf: &mut Vec<u8>, prof: Option<&ProfSpan>) {
@@ -267,112 +192,23 @@ pub fn encode_am_batch(
     put_bytes(buf, frames);
 }
 
-/// Encode a put request. Clears `buf` first.
-pub fn encode_put(buf: &mut Vec<u8>, stamp: Option<&Stamp>, token: u64, offset: u64, data: &[u8]) {
+/// Encode a one-sided request. Clears `buf` first.
+pub fn encode_rma(buf: &mut Vec<u8>, stamp: Option<&Stamp>, token: u64, op: &RmaOp<'_>) {
     buf.clear();
-    buf.push(TAG_PUT);
+    buf.push(TAG_RMA);
     put_stamp(buf, stamp);
     put_u64(buf, token);
-    put_u64(buf, offset);
-    put_bytes(buf, data);
+    op.encode(buf);
 }
 
-/// Encode a strided-put request. Clears `buf` first.
-#[allow(clippy::too_many_arguments)]
-pub fn encode_put_strided(
-    buf: &mut Vec<u8>,
-    stamp: Option<&Stamp>,
-    token: u64,
-    offset: u64,
-    stride: u64,
-    block: u32,
-    nblocks: u32,
-    data: &[u8],
-) {
+/// Encode the reply to a one-sided request. Clears `buf` first.
+pub fn encode_resp(buf: &mut Vec<u8>, token: u64, ok: bool, val: u64, data: &[u8]) {
     buf.clear();
-    buf.push(TAG_PUT_STRIDED);
-    put_stamp(buf, stamp);
-    put_u64(buf, token);
-    put_u64(buf, offset);
-    put_u64(buf, stride);
-    put_u32(buf, block);
-    put_u32(buf, nblocks);
-    put_bytes(buf, data);
-}
-
-/// Encode a get request. Clears `buf` first.
-pub fn encode_get_req(buf: &mut Vec<u8>, stamp: Option<&Stamp>, token: u64, offset: u64, len: u32) {
-    buf.clear();
-    buf.push(TAG_GET_REQ);
-    put_stamp(buf, stamp);
-    put_u64(buf, token);
-    put_u64(buf, offset);
-    put_u32(buf, len);
-}
-
-/// Encode a strided-get request. Clears `buf` first.
-pub fn encode_get_strided_req(
-    buf: &mut Vec<u8>,
-    stamp: Option<&Stamp>,
-    token: u64,
-    offset: u64,
-    stride: u64,
-    block: u32,
-    nblocks: u32,
-) {
-    buf.clear();
-    buf.push(TAG_GET_STRIDED_REQ);
-    put_stamp(buf, stamp);
-    put_u64(buf, token);
-    put_u64(buf, offset);
-    put_u64(buf, stride);
-    put_u32(buf, block);
-    put_u32(buf, nblocks);
-}
-
-/// Encode an RMW request. Clears `buf` first.
-#[allow(clippy::too_many_arguments)]
-pub fn encode_rmw_req(
-    buf: &mut Vec<u8>,
-    stamp: Option<&Stamp>,
-    token: u64,
-    op: RmwOp,
-    offset: u64,
-    a: u64,
-    b: u64,
-) {
-    buf.clear();
-    buf.push(TAG_RMW_REQ);
-    put_stamp(buf, stamp);
-    put_u64(buf, token);
-    buf.push(op.code());
-    put_u64(buf, offset);
-    put_u64(buf, a);
-    put_u64(buf, b);
-}
-
-/// Encode a data reply. Clears `buf` first.
-pub fn encode_resp_data(buf: &mut Vec<u8>, token: u64, data: &[u8]) {
-    buf.clear();
-    buf.push(TAG_RESP_DATA);
-    put_u64(buf, token);
-    put_bytes(buf, data);
-}
-
-/// Encode a word reply. Clears `buf` first.
-pub fn encode_resp_word(buf: &mut Vec<u8>, token: u64, ok: bool, val: u64) {
-    buf.clear();
-    buf.push(TAG_RESP_WORD);
+    buf.push(TAG_RESP);
     put_u64(buf, token);
     buf.push(ok as u8);
     put_u64(buf, val);
-}
-
-/// Encode a put ack. Clears `buf` first.
-pub fn encode_ack(buf: &mut Vec<u8>, token: u64) {
-    buf.clear();
-    buf.push(TAG_ACK);
-    put_u64(buf, token);
+    put_bytes(buf, data);
 }
 
 /// Encode a link FIN carrying the data-frame count. Clears `buf` first.
@@ -396,204 +232,131 @@ pub fn is_data_frame(frame: &[u8]) -> bool {
 
 // --- decoder -----------------------------------------------------------
 
-struct Cursor<'a> {
+/// A bounds-checked reader over received bytes (conduit frames here,
+/// batch payloads in [`crate::aggregate`]).
+pub(crate) struct Cursor<'a> {
     buf: &'a [u8],
-    pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> &'a [u8] {
-        let s = self
-            .buf
-            .get(self.pos..self.pos + n)
-            .expect("conduit wire: truncated frame");
-        self.pos += n;
-        s
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Cursor { buf }
     }
 
-    fn u8(&mut self) -> u8 {
-        self.take(1)[0]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.buf.is_empty()
     }
 
-    fn u16(&mut self) -> u16 {
-        u16::from_le_bytes(self.take(2).try_into().unwrap())
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        let (head, rest) = self.buf.split_at_checked(n).ok_or(WireError::Truncated)?;
+        self.buf = rest;
+        Ok(head)
     }
 
-    fn u32(&mut self) -> u32 {
-        u32::from_le_bytes(self.take(4).try_into().unwrap())
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        Ok(self.take(N)?.try_into().expect("take returned N bytes"))
     }
 
-    fn u64(&mut self) -> u64 {
-        u64::from_le_bytes(self.take(8).try_into().unwrap())
+    pub(crate) fn u8(&mut self) -> Result<u8, WireError> {
+        Ok(self.array::<1>()?[0])
     }
 
-    fn bytes(&mut self) -> &'a [u8] {
-        let n = self.u32() as usize;
+    pub(crate) fn u16(&mut self) -> Result<u16, WireError> {
+        Ok(u16::from_le_bytes(self.array()?))
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32, WireError> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+
+    pub(crate) fn u64(&mut self) -> Result<u64, WireError> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+
+    /// A `u32`-length-prefixed byte string.
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], WireError> {
+        let n = self.u32()? as usize;
         self.take(n)
     }
 
-    fn stamp(&mut self) -> Option<Stamp> {
-        let words = self.u16() as usize;
+    fn stamp(&mut self) -> Result<Option<Stamp>, WireError> {
+        let words = self.u16()? as usize;
         if words == 0 {
-            return None;
+            return Ok(None);
         }
-        let mut v = Vec::with_capacity(words);
-        for _ in 0..words {
-            v.push(self.u64());
-        }
-        Some(Stamp(v.into_boxed_slice()))
+        // Take the words before allocating for them: a forged count
+        // fails here instead of reserving memory the frame cannot fill.
+        let raw = self.take(words * 8)?;
+        let clock = raw
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("chunks_exact(8)")))
+            .collect();
+        Ok(Some(Stamp(clock)))
     }
 
-    fn prof(&mut self) -> Option<ProfSpan> {
-        if self.u8() == 0 {
-            return None;
+    fn prof(&mut self) -> Result<Option<ProfSpan>, WireError> {
+        if self.u8()? == 0 {
+            return Ok(None);
         }
-        Some(ProfSpan {
-            id: self.u64(),
-            inject_ns: self.u64(),
-        })
-    }
-
-    fn done(&self) {
-        assert_eq!(
-            self.pos,
-            self.buf.len(),
-            "conduit wire: trailing bytes in frame"
-        );
+        Ok(Some(ProfSpan {
+            id: self.u64()?,
+            inject_ns: self.u64()?,
+        }))
     }
 }
 
 /// Decode one conduit frame.
 ///
-/// # Panics
-/// Panics on a malformed frame: the conduit contract is reliable ordered
-/// byte delivery, so corruption here is a codec bug, not a network
-/// condition.
-pub fn decode(frame: &[u8]) -> WireFrame<'_> {
-    let mut c = Cursor { buf: frame, pos: 0 };
-    let tag = c.u8();
-    let out = match tag {
-        TAG_AM_HANDLER => {
-            let clock = c.stamp();
-            let prof = c.prof();
-            let id = c.u16();
-            let args = c.bytes();
-            WireFrame::AmHandler {
-                clock,
-                prof,
-                id,
-                args,
-            }
-        }
-        TAG_AM_BATCH => {
-            let clock = c.stamp();
-            let prof = c.prof();
-            let count = c.u32();
-            let frames = c.bytes();
-            WireFrame::AmBatch {
-                clock,
-                prof,
-                count,
-                frames,
-            }
-        }
-        TAG_PUT => {
-            let stamp = c.stamp();
-            let token = c.u64();
-            let offset = c.u64();
-            let data = c.bytes();
-            WireFrame::Put {
-                stamp,
-                token,
-                offset,
-                data,
-            }
-        }
-        TAG_PUT_STRIDED => {
-            let stamp = c.stamp();
-            let token = c.u64();
-            let offset = c.u64();
-            let stride = c.u64();
-            let block = c.u32();
-            let nblocks = c.u32();
-            let data = c.bytes();
-            WireFrame::PutStrided {
-                stamp,
-                token,
-                offset,
-                stride,
-                block,
-                nblocks,
-                data,
-            }
-        }
-        TAG_GET_REQ => {
-            let stamp = c.stamp();
-            let token = c.u64();
-            let offset = c.u64();
-            let len = c.u32();
-            WireFrame::GetReq {
-                stamp,
-                token,
-                offset,
-                len,
-            }
-        }
-        TAG_GET_STRIDED_REQ => {
-            let stamp = c.stamp();
-            let token = c.u64();
-            let offset = c.u64();
-            let stride = c.u64();
-            let block = c.u32();
-            let nblocks = c.u32();
-            WireFrame::GetStridedReq {
-                stamp,
-                token,
-                offset,
-                stride,
-                block,
-                nblocks,
-            }
-        }
-        TAG_RMW_REQ => {
-            let stamp = c.stamp();
-            let token = c.u64();
-            let op = RmwOp::from_code(c.u8());
-            let offset = c.u64();
-            let a = c.u64();
-            let b = c.u64();
-            WireFrame::RmwReq {
-                stamp,
-                token,
-                op,
-                offset,
-                a,
-                b,
-            }
-        }
-        TAG_RESP_DATA => {
-            let token = c.u64();
-            let data = c.bytes();
-            WireFrame::RespData { token, data }
-        }
-        TAG_RESP_WORD => {
-            let token = c.u64();
-            let ok = c.u8() != 0;
-            let val = c.u64();
-            WireFrame::RespWord { token, ok, val }
-        }
-        TAG_ACK => WireFrame::Ack { token: c.u64() },
-        TAG_FIN => WireFrame::Fin { frames: c.u64() },
+/// # Errors
+/// A frame that is truncated, carries an unknown tag or op code, or has
+/// bytes left over is refused with the reason. An `Ok` frame is
+/// well-formed, not yet trusted: the receiver still checks an op against
+/// its segment ([`RmaOp`]'s `validate`) before applying it.
+pub fn decode(frame: &[u8]) -> Result<WireFrame<'_>, WireError> {
+    let mut c = Cursor::new(frame);
+    let out = match c.u8()? {
+        TAG_AM_HANDLER => WireFrame::AmHandler {
+            clock: c.stamp()?,
+            prof: c.prof()?,
+            id: c.u16()?,
+            args: c.bytes()?,
+        },
+        TAG_AM_BATCH => WireFrame::AmBatch {
+            clock: c.stamp()?,
+            prof: c.prof()?,
+            count: c.u32()?,
+            frames: c.bytes()?,
+        },
+        TAG_RMA => WireFrame::Rma {
+            stamp: c.stamp()?,
+            token: c.u64()?,
+            op: {
+                let code = c.u8()?;
+                RmaOp::decode(code, &mut c)?
+            },
+        },
+        TAG_RESP => WireFrame::Resp {
+            token: c.u64()?,
+            ok: c.u8()? != 0,
+            val: c.u64()?,
+            data: c.bytes()?,
+        },
+        TAG_FIN => WireFrame::Fin { frames: c.u64()? },
         TAG_FIN_ACK => WireFrame::FinAck,
-        other => panic!("conduit wire: unknown frame tag {other}"),
+        other => return Err(WireError::UnknownTag(other)),
     };
-    c.done();
-    out
+    if c.is_empty() {
+        Ok(out)
+    } else {
+        Err(WireError::Trailing)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rma::RmwOp;
+    use crate::GlobalAddr;
 
     fn stamp(words: &[u64]) -> Stamp {
         Stamp(words.to_vec().into_boxed_slice())
@@ -608,7 +371,7 @@ mod tests {
             inject_ns: 777,
         };
         encode_am_handler(&mut buf, Some(&ck), Some(&span), 42, b"payload");
-        match decode(&buf) {
+        match decode(&buf).unwrap() {
             WireFrame::AmHandler {
                 clock,
                 prof,
@@ -630,7 +393,7 @@ mod tests {
     fn am_handler_without_meta() {
         let mut buf = Vec::new();
         encode_am_handler(&mut buf, None, None, 7, b"");
-        match decode(&buf) {
+        match decode(&buf).unwrap() {
             WireFrame::AmHandler {
                 clock,
                 prof,
@@ -650,7 +413,7 @@ mod tests {
     fn batch_roundtrip() {
         let mut buf = Vec::new();
         encode_am_batch(&mut buf, None, None, 9, &[1, 2, 3, 4]);
-        match decode(&buf) {
+        match decode(&buf).unwrap() {
             WireFrame::AmBatch { count, frames, .. } => {
                 assert_eq!(count, 9);
                 assert_eq!(frames, &[1, 2, 3, 4]);
@@ -660,75 +423,22 @@ mod tests {
     }
 
     #[test]
-    fn rma_roundtrips() {
+    fn rma_request_carries_stamp_token_and_op() {
+        // Every op shape round-trips in `rma.rs`'s table test and in
+        // tests/prop_wire.rs; this pins the envelope around it.
         let mut buf = Vec::new();
         let ck = stamp(&[9, 9]);
-
-        encode_put(&mut buf, Some(&ck), 11, 4096, &[0xAA; 16]);
+        let op = RmaOp::rmw(GlobalAddr::new(1, 8), RmwOp::Cas, 100, 200);
+        encode_rma(&mut buf, Some(&ck), 15, &op);
         match decode(&buf) {
-            WireFrame::Put {
+            Ok(WireFrame::Rma {
                 stamp,
                 token,
-                offset,
-                data,
-            } => {
+                op: got,
+            }) => {
                 assert_eq!(&*stamp.unwrap().0, &[9, 9]);
-                assert_eq!((token, offset), (11, 4096));
-                assert_eq!(data, &[0xAA; 16]);
-            }
-            other => panic!("wrong frame {other:?}"),
-        }
-
-        encode_put_strided(&mut buf, None, 12, 64, 256, 8, 3, &[1; 24]);
-        match decode(&buf) {
-            WireFrame::PutStrided {
-                token,
-                offset,
-                stride,
-                block,
-                nblocks,
-                data,
-                ..
-            } => {
-                assert_eq!((token, offset, stride), (12, 64, 256));
-                assert_eq!((block, nblocks), (8, 3));
-                assert_eq!(data.len(), 24);
-            }
-            other => panic!("wrong frame {other:?}"),
-        }
-
-        encode_get_req(&mut buf, None, 13, 128, 32);
-        match decode(&buf) {
-            WireFrame::GetReq {
-                token, offset, len, ..
-            } => assert_eq!((token, offset, len), (13, 128, 32)),
-            other => panic!("wrong frame {other:?}"),
-        }
-
-        encode_get_strided_req(&mut buf, None, 14, 0, 512, 16, 4);
-        match decode(&buf) {
-            WireFrame::GetStridedReq {
-                token,
-                stride,
-                block,
-                nblocks,
-                ..
-            } => assert_eq!((token, stride, block, nblocks), (14, 512, 16, 4)),
-            other => panic!("wrong frame {other:?}"),
-        }
-
-        encode_rmw_req(&mut buf, Some(&ck), 15, RmwOp::Cas, 8, 100, 200);
-        match decode(&buf) {
-            WireFrame::RmwReq {
-                token,
-                op,
-                offset,
-                a,
-                b,
-                ..
-            } => {
-                assert_eq!((token, offset, a, b), (15, 8, 100, 200));
-                assert_eq!(op, RmwOp::Cas);
+                assert_eq!(token, 15);
+                assert_eq!(got, op);
             }
             other => panic!("wrong frame {other:?}"),
         }
@@ -738,61 +448,92 @@ mod tests {
     fn reply_and_teardown_roundtrips() {
         let mut buf = Vec::new();
 
-        encode_resp_data(&mut buf, 21, b"hello");
+        encode_resp(&mut buf, 21, true, 0, b"hello");
         match decode(&buf) {
-            WireFrame::RespData { token, data } => {
-                assert_eq!(token, 21);
+            Ok(WireFrame::Resp {
+                token,
+                ok,
+                val,
+                data,
+            }) => {
+                assert_eq!((token, ok, val), (21, true, 0));
                 assert_eq!(data, b"hello");
             }
             other => panic!("wrong frame {other:?}"),
         }
 
-        encode_resp_word(&mut buf, 22, true, u64::MAX);
+        encode_resp(&mut buf, 22, false, u64::MAX, &[]);
         match decode(&buf) {
-            WireFrame::RespWord { token, ok, val } => {
-                assert_eq!((token, ok, val), (22, true, u64::MAX));
+            Ok(WireFrame::Resp {
+                token,
+                ok,
+                val,
+                data,
+            }) => {
+                assert_eq!((token, ok, val), (22, false, u64::MAX));
+                assert!(data.is_empty());
             }
             other => panic!("wrong frame {other:?}"),
         }
-
-        encode_ack(&mut buf, 23);
-        assert!(matches!(decode(&buf), WireFrame::Ack { token: 23 }));
         assert!(is_data_frame(&buf));
 
         encode_fin(&mut buf, 9001);
-        assert!(matches!(decode(&buf), WireFrame::Fin { frames: 9001 }));
+        assert!(matches!(decode(&buf), Ok(WireFrame::Fin { frames: 9001 })));
         assert!(!is_data_frame(&buf));
 
         encode_fin_ack(&mut buf);
-        assert!(matches!(decode(&buf), WireFrame::FinAck));
+        assert!(matches!(decode(&buf), Ok(WireFrame::FinAck)));
         assert!(!is_data_frame(&buf));
+    }
+
+    /// Encode a 64-byte put request.
+    fn put64(buf: &mut Vec<u8>, token: u64, fill: u8) {
+        let (addr, data) = (GlobalAddr::new(1, 0), &[fill; 64]);
+        encode_rma(buf, None, token, &RmaOp::Put { addr, data });
     }
 
     #[test]
     fn scratch_buffer_is_reused_not_grown() {
         let mut buf = Vec::with_capacity(256);
-        encode_put(&mut buf, None, 1, 0, &[0u8; 64]);
+        put64(&mut buf, 1, 0);
         let cap = buf.capacity();
         let ptr = buf.as_ptr();
         for t in 0..100 {
-            encode_put(&mut buf, None, t, 0, &[0u8; 64]);
+            put64(&mut buf, t, 0);
         }
         assert_eq!(buf.capacity(), cap, "encode must not grow a warm scratch");
         assert_eq!(buf.as_ptr(), ptr, "encode must not reallocate");
     }
 
     #[test]
-    #[should_panic(expected = "truncated frame")]
-    fn truncated_frame_panics() {
+    fn malformed_frames_are_errors_not_panics() {
         let mut buf = Vec::new();
-        encode_put(&mut buf, None, 1, 0, &[1, 2, 3]);
-        buf.truncate(buf.len() - 1);
-        decode(&buf);
+        put64(&mut buf, 1, 7);
+        assert!(decode(&buf).is_ok());
+        for cut in 0..buf.len() {
+            assert_eq!(
+                decode(&buf[..cut]).err(),
+                Some(WireError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        buf.push(0);
+        assert_eq!(decode(&buf).err(), Some(WireError::Trailing));
+        assert_eq!(decode(&[0xFF]).err(), Some(WireError::UnknownTag(0xFF)));
+        // An `Rma` envelope around an op code nobody defines.
+        let bad_op = [
+            TAG_RMA, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0xEE, 0, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(decode(&bad_op).err(), Some(WireError::UnknownTag(0xEE)));
     }
 
     #[test]
-    #[should_panic(expected = "unknown frame tag")]
-    fn unknown_tag_panics() {
-        decode(&[0xFF]);
+    fn forged_stamp_count_allocates_nothing() {
+        // 65535 clock words announced, none present: refused before any
+        // buffer is sized from the count.
+        assert_eq!(
+            decode(&[TAG_AM_HANDLER, 0xFF, 0xFF, 1, 2, 3]).err(),
+            Some(WireError::Truncated)
+        );
     }
 }

@@ -12,12 +12,12 @@
 
 use crate::aggregate::{AggConfig, AggState};
 use crate::cache::{CacheConfig, CacheState};
-use crate::conduit::wire::RmwOp;
 use crate::conduit::RemoteConfig;
 use crate::faults::FaultPlan;
 use crate::inbox::ShardedInbox;
 use crate::reliable::{AmChannel, PeerUnreachable};
 use crate::remote::RemoteFabric;
+use crate::rma::{RmaOp, RmwOp, Site};
 use crate::schedule::{SchedState, ScheduleConfig};
 use crate::segment::Segment;
 use crate::stats::{CommCounts, CommStats};
@@ -543,93 +543,21 @@ impl Fabric {
         }
     }
 
-    /// Start a trace span on the initiator's clock (0 when tracing is off).
+    /// Count one RMA op of `bytes` against the initiator: a local op, or
+    /// a remote get / put (atomics count as puts).
     #[inline]
-    fn trace_start(&self, initiator: Rank) -> u64 {
-        self.endpoints[initiator].trace.start()
-    }
-
-    /// Close an RMA span. Only *remote* operations are recorded, matching
-    /// the way `CommStats` counts `puts`/`gets` — so per-kind trace event
-    /// counts line up with the counters for the same run.
-    #[inline]
-    fn trace_rma(&self, kind: EventKind, initiator: Rank, target: Rank, bytes: usize, start: u64) {
-        if initiator != target {
-            self.endpoints[initiator]
-                .trace
-                .span(kind, target as i32, bytes as u64, start);
-        }
-    }
-
-    /// Race-checker hook shared by every RMA op: one untaken branch when
-    /// no checker is installed.
-    #[inline]
-    fn check_access(
-        &self,
-        initiator: Rank,
-        target: Rank,
-        offset: usize,
-        len: usize,
-        kind: AccessKind,
-        op: &'static str,
-    ) {
-        if let Some(ck) = &self.check {
-            ck.access(initiator, target, offset, len, kind, op);
-        }
-    }
-
-    /// Fault gate shared by every RMA op: with no plan installed this is
-    /// the hot path's single extra branch; with one, remote ops draw a
-    /// fate and retry drops inline (see `reliable::rma_gate_slow`).
-    #[inline]
-    fn rma_gate(&self, initiator: Rank, target: Rank, bytes: usize) {
-        if self.faults.is_some() && initiator != target {
-            self.rma_gate_slow(initiator, target, bytes);
-        }
-    }
-
-    /// Stats-only accounting for the `rma_fast` word path: exactly the
-    /// counters [`Fabric::count_put`]/[`Fabric::count_get`] would bump
-    /// with every feature off, with no gate probes.
-    #[inline]
-    fn count_word_fast(&self, initiator: Rank, target: Rank, put: bool) {
+    fn tally(&self, initiator: Rank, target: Rank, bytes: usize, get: bool) {
         let stats = &self.endpoints[initiator].stats;
         if initiator == target {
             stats.local_ops.fetch_add(1, Ordering::Relaxed);
         } else {
-            let (ops, bytes) = if put {
-                (&stats.puts, &stats.put_bytes)
-            } else {
+            let (ops, total) = if get {
                 (&stats.gets, &stats.get_bytes)
+            } else {
+                (&stats.puts, &stats.put_bytes)
             };
             ops.fetch_add(1, Ordering::Relaxed);
-            bytes.fetch_add(8, Ordering::Relaxed);
-            stats.count_dest(target, 8);
-        }
-    }
-
-    #[inline]
-    fn count_put(&self, initiator: Rank, target: Rank, bytes: usize) {
-        self.rma_gate(initiator, target, bytes);
-        let stats = &self.endpoints[initiator].stats;
-        if initiator == target {
-            stats.local_ops.fetch_add(1, Ordering::Relaxed);
-        } else {
-            stats.puts.fetch_add(1, Ordering::Relaxed);
-            stats.put_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-            stats.count_dest(target, bytes as u64);
-        }
-    }
-
-    #[inline]
-    fn count_get(&self, initiator: Rank, target: Rank, bytes: usize) {
-        self.rma_gate(initiator, target, bytes);
-        let stats = &self.endpoints[initiator].stats;
-        if initiator == target {
-            stats.local_ops.fetch_add(1, Ordering::Relaxed);
-        } else {
-            stats.gets.fetch_add(1, Ordering::Relaxed);
-            stats.get_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+            total.fetch_add(bytes as u64, Ordering::Relaxed);
             stats.count_dest(target, bytes as u64);
         }
     }
@@ -642,13 +570,7 @@ impl Fabric {
     pub(crate) fn invalidate_own(&self, initiator: Rank, dst: GlobalAddr, len: usize) {
         if let Some(cache) = &self.endpoints[initiator].cache {
             if dst.rank() != initiator {
-                let n = cache.invalidate_span(dst, len);
-                if n != 0 {
-                    self.endpoints[initiator]
-                        .stats
-                        .cache_invalidations
-                        .fetch_add(n, Ordering::Relaxed);
-                }
+                self.count_invalidations(initiator, cache.invalidate_span(dst, len));
             }
         }
     }
@@ -658,147 +580,124 @@ impl Fabric {
     /// branch when the cache is off.
     pub fn cache_invalidate_sync(&self, rank: Rank) {
         if let Some(cache) = &self.endpoints[rank].cache {
-            let n = cache.invalidate_sync();
-            if n != 0 {
-                self.endpoints[rank]
-                    .stats
-                    .cache_invalidations
-                    .fetch_add(n, Ordering::Relaxed);
-            }
+            self.count_invalidations(rank, cache.invalidate_sync());
         }
     }
 
-    /// Shared prologue of every put-shaped op: trace clock, checker
-    /// record, counters/fault gate, wire charge and write-through cache
-    /// invalidation — one inlined sequence so each off-path feature costs
-    /// a single branch. Returns the trace span start.
     #[inline]
-    fn put_prologue(
+    fn count_invalidations(&self, rank: Rank, lines: u64) {
+        if lines != 0 {
+            let stats = &self.endpoints[rank].stats;
+            stats
+                .cache_invalidations
+                .fetch_add(lines, Ordering::Relaxed);
+        }
+    }
+
+    /// Every one-sided operation: one prologue, one hop, one trace span.
+    ///
+    /// The prologue is inlined so each switched-off feature costs one
+    /// branch: trace clock, checker record per touched block, fault gate,
+    /// counters, synthetic wire charge (twice for atomics — on real
+    /// hardware they are a round trip) and write-through invalidation.
+    /// The hop is the op's memory touch: on the target's segment when it
+    /// lives in this process, through the conduit when it does not. Only
+    /// *remote* ops close a trace span, as `CommStats` counts only those.
+    ///
+    /// `asked` narrows the checker record to the `(offset, len)` the
+    /// program requested when the op fetches more (a read-cache line
+    /// fill): claiming the line's padding would invent false-sharing
+    /// races with ranks legitimately writing adjacent bytes.
+    #[inline(always)] // see the note in `rma.rs`
+    pub(crate) fn rma(
         &self,
         initiator: Rank,
-        dst: GlobalAddr,
-        len: usize,
-        kind: AccessKind,
-        op: &'static str,
-    ) -> u64 {
-        let t0 = self.trace_start(initiator);
-        self.check_access(initiator, dst.rank(), dst.offset(), len, kind, op);
-        self.count_put(initiator, dst.rank(), len);
-        self.wire(initiator, dst.rank(), len);
-        self.invalidate_own(initiator, dst, len);
-        t0
-    }
-
-    /// [`Fabric::put_prologue`] for word atomics, which charge the wire a
-    /// full round trip (remote atomics are on real hardware).
-    #[inline]
-    fn rmw_prologue(&self, initiator: Rank, dst: GlobalAddr, op: &'static str) -> u64 {
-        let t0 = self.trace_start(initiator);
-        self.check_access(
-            initiator,
-            dst.rank(),
-            dst.offset(),
-            8,
-            AccessKind::Atomic,
-            op,
-        );
-        self.count_put(initiator, dst.rank(), 8);
-        self.wire(initiator, dst.rank(), 8);
-        self.wire(initiator, dst.rank(), 8);
-        self.invalidate_own(initiator, dst, 8);
-        t0
-    }
-
-    /// Shared prologue of every get-shaped op (the mirror of
-    /// [`Fabric::put_prologue`]; gets never invalidate).
-    #[inline]
-    fn get_prologue(&self, initiator: Rank, src: GlobalAddr, len: usize, op: &'static str) -> u64 {
-        let t0 = self.trace_start(initiator);
-        self.check_access(
-            initiator,
-            src.rank(),
-            src.offset(),
-            len,
-            AccessKind::Read,
-            op,
-        );
-        self.count_get(initiator, src.rank(), len);
-        self.wire(initiator, src.rank(), len);
-        t0
+        op: &RmaOp<'_>,
+        out: &mut [u8],
+        asked: Option<(usize, usize)>,
+    ) -> (bool, u64) {
+        let (addr, bytes) = (op.addr(), op.bytes());
+        let target = addr.rank();
+        let t0 = self.endpoints[initiator].trace.start();
+        if let Some(ck) = &self.check {
+            let label = op.label(Site::Initiator);
+            let record =
+                |(offset, len)| ck.access(initiator, target, offset, len, op.kind(), label);
+            match asked {
+                Some(span) => record(span),
+                None => op.spans().for_each(record),
+            }
+        }
+        // The fault gate: with no plan installed, one untaken branch; with
+        // one, remote ops draw a fate and retry drops inline.
+        if self.faults.is_some() && initiator != target {
+            self.rma_gate_slow(initiator, target, bytes);
+        }
+        self.tally(initiator, target, bytes, op.is_get());
+        self.wire(initiator, target, bytes);
+        if matches!(op, RmaOp::Rmw { .. }) {
+            self.wire(initiator, target, bytes);
+        }
+        if !op.is_get() {
+            // Over the covering span: dropping the lines of a strided
+            // put's gaps too is safe (it only costs a refill).
+            self.invalidate_own(initiator, addr, op.cover());
+        }
+        let result = match self.remote_to(target) {
+            Some(r) => self.round_trip(r, op, out),
+            None => op.apply(&self.endpoints[target].segment, out),
+        };
+        if initiator != target {
+            let kind = if op.is_get() {
+                EventKind::Get
+            } else {
+                EventKind::Put
+            };
+            self.endpoints[initiator]
+                .trace
+                .span(kind, target as i32, bytes as u64, t0);
+        }
+        result
     }
 
     /// One-sided put: write `data` at `dst`.
-    ///
-    /// An aligned 8-byte payload — the dominant size for shared scalars
-    /// and word-typed arrays — skips the byte-slice machinery (bounds
-    /// check per word, partial-word CAS handling, memcpy through
-    /// `to_le_bytes`) and stores the word directly, like
-    /// [`Fabric::put_u64`].
     pub fn put(&self, initiator: Rank, dst: GlobalAddr, data: &[u8]) {
-        let t0 = self.put_prologue(initiator, dst, data.len(), AccessKind::Write, "put");
-        if let Some(r) = self.remote_to(dst.rank()) {
-            self.remote_put(r, dst, data);
-        } else {
-            let seg = &self.endpoints[dst.rank()].segment;
-            if data.len() == 8 && dst.offset().is_multiple_of(8) {
-                seg.store_u64(dst.offset(), u64::from_le_bytes(data.try_into().unwrap()));
-            } else {
-                seg.write_bytes(dst.offset(), data);
-            }
-        }
-        self.trace_rma(EventKind::Put, initiator, dst.rank(), data.len(), t0);
+        self.rma(initiator, &RmaOp::Put { addr: dst, data }, &mut [], None);
     }
 
-    /// One-sided get: read `buf.len()` bytes from `src`. Aligned 8-byte
-    /// reads take the same direct-word fast path as [`Fabric::put`].
-    /// With a read cache installed, remote gets are served line-by-line
-    /// from the cache, filling whole lines through the fabric on a miss.
+    /// One-sided get: read `buf.len()` bytes from `src`. With a read
+    /// cache installed, remote gets are served line-by-line from the
+    /// cache, filling whole lines through the fabric on a miss. (Empty and
+    /// out-of-bounds gets skip it: same behaviour and panic either way.)
     pub fn get(&self, initiator: Rank, src: GlobalAddr, buf: &mut [u8]) {
-        if self.endpoints[initiator].cache.is_some() && src.rank() != initiator {
+        let len = buf.len();
+        // Every rank's segment has the configured size; in remote mode
+        // the peer's stub segment here is empty, so ask the config.
+        if self.endpoints[initiator].cache.is_some()
+            && src.rank() != initiator
+            && len != 0
+            && src.offset() + len <= self.seg_bytes
+        {
             return self.get_cached(initiator, src, buf);
         }
-        self.get_direct(initiator, src, buf)
+        self.rma(initiator, &RmaOp::Get { addr: src, len }, buf, None);
     }
 
-    /// The uncached fabric get: also the fill path of [`Fabric::get`].
-    fn get_direct(&self, initiator: Rank, src: GlobalAddr, buf: &mut [u8]) {
-        let t0 = self.get_prologue(initiator, src, buf.len(), "get");
-        if let Some(r) = self.remote_to(src.rank()) {
-            self.remote_get(r, src, buf);
-        } else {
-            let seg = &self.endpoints[src.rank()].segment;
-            if buf.len() == 8 && src.offset().is_multiple_of(8) {
-                buf.copy_from_slice(&seg.load_u64(src.offset()).to_le_bytes());
-            } else {
-                seg.read_bytes(src.offset(), buf);
-            }
-        }
-        self.trace_rma(EventKind::Get, initiator, src.rank(), buf.len(), t0);
-    }
-
-    /// Serve a remote get from the initiator's read cache, one line-sized
-    /// chunk at a time. A miss fetches and installs the *whole* covering
-    /// line — one fabric get amortized over all subsequent hits in the
-    /// line. The checker observes only the bytes each call actually
-    /// requested (at the fill for misses, at the current clock for hits),
-    /// never the line padding.
+    /// Serve a remote, in-bounds, non-empty get from the initiator's read
+    /// cache, one line-sized chunk at a time. A miss fetches and installs
+    /// the *whole* covering line — one fabric get amortized over all
+    /// subsequent hits in the line. The checker observes only the bytes
+    /// each call actually requested (at the fill for misses, at the
+    /// current clock for hits), never the line padding.
     fn get_cached(&self, initiator: Rank, src: GlobalAddr, buf: &mut [u8]) {
         let ep = &self.endpoints[initiator];
         let cache = ep.cache.as_ref().unwrap();
-        // Every rank's segment has the configured size; in remote mode
-        // the peer's stub segment here is empty, so ask the config.
-        let seg_len = self.seg_bytes;
-        if buf.is_empty() || src.offset() + buf.len() > seg_len {
-            // Degenerate or out-of-bounds: identical behaviour (and panic
-            // message) to the uncached path.
-            return self.get_direct(initiator, src, buf);
-        }
         let line = cache.line_bytes();
         let mut off = src.offset();
         let mut out = &mut buf[..];
         while !out.is_empty() {
             let base = cache.line_base(off);
-            let line_len = line.min(seg_len - base);
+            let line_len = line.min(self.seg_bytes - base);
             let take = (base + line_len - off).min(out.len());
             let (chunk, rest) = out.split_at_mut(take);
             match cache.lookup(GlobalAddr::new(src.rank(), off), chunk) {
@@ -820,31 +719,18 @@ impl Fabric {
                 }
                 None => {
                     ep.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    // Fill the whole covering line with one fabric get,
-                    // but record the checker read for only the bytes the
-                    // program asked for: claiming the line's padding
-                    // would invent false-sharing races with ranks
-                    // legitimately writing adjacent bytes.
-                    let t0 = self.trace_start(initiator);
-                    self.check_access(initiator, src.rank(), off, take, AccessKind::Read, "get");
-                    self.count_get(initiator, src.rank(), line_len);
-                    self.wire(initiator, src.rank(), line_len);
+                    // One fabric get for the whole covering line, seen
+                    // by the checker as a read of the requested bytes.
+                    let addr = GlobalAddr::new(src.rank(), base);
                     let mut data = vec![0u8; line_len];
-                    if let Some(r) = self.remote_to(src.rank()) {
-                        self.remote_get(r, GlobalAddr::new(src.rank(), base), &mut data);
-                    } else {
-                        self.endpoints[src.rank()]
-                            .segment
-                            .read_bytes(base, &mut data);
-                    }
-                    self.trace_rma(EventKind::Get, initiator, src.rank(), line_len, t0);
+                    let fetch = RmaOp::Get {
+                        addr,
+                        len: line_len,
+                    };
+                    self.rma(initiator, &fetch, &mut data, Some((off, take)));
                     chunk.copy_from_slice(&data[off - base..off - base + take]);
                     let fill = self.check.as_ref().map(|ck| ck.send_stamp(initiator));
-                    cache.insert(
-                        GlobalAddr::new(src.rank(), base),
-                        data.into_boxed_slice(),
-                        fill,
-                    );
+                    cache.insert(addr, data.into_boxed_slice(), fill);
                     ep.trace
                         .instant(EventKind::CacheFill, src.rank() as i32, line_len as u64);
                 }
@@ -858,20 +744,13 @@ impl Fabric {
     #[inline]
     pub fn put_u64(&self, initiator: Rank, dst: GlobalAddr, value: u64) {
         if self.endpoints[initiator].rma_fast {
-            self.count_word_fast(initiator, dst.rank(), true);
+            self.tally(initiator, dst.rank(), 8, false);
             return self.endpoints[dst.rank()]
                 .segment
                 .store_u64(dst.offset(), value);
         }
-        let t0 = self.put_prologue(initiator, dst, 8, AccessKind::Write, "put");
-        if let Some(r) = self.remote_to(dst.rank()) {
-            self.remote_put(r, dst, &value.to_le_bytes());
-        } else {
-            self.endpoints[dst.rank()]
-                .segment
-                .store_u64(dst.offset(), value);
-        }
-        self.trace_rma(EventKind::Put, initiator, dst.rank(), 8, t0);
+        let data = &value.to_le_bytes();
+        self.rma(initiator, &RmaOp::Put { addr: dst, data }, &mut [], None);
     }
 
     /// Aligned 8-byte get (fast path). Like [`Fabric::get`], remote reads
@@ -879,72 +758,46 @@ impl Fabric {
     #[inline]
     pub fn get_u64(&self, initiator: Rank, src: GlobalAddr) -> u64 {
         if self.endpoints[initiator].rma_fast {
-            self.count_word_fast(initiator, src.rank(), false);
+            self.tally(initiator, src.rank(), 8, true);
             return self.endpoints[src.rank()].segment.load_u64(src.offset());
         }
+        let mut buf = [0u8; 8];
         if self.endpoints[initiator].cache.is_some() && src.rank() != initiator {
-            let mut buf = [0u8; 8];
-            self.get_cached(initiator, src, &mut buf);
-            return u64::from_le_bytes(buf);
+            self.get(initiator, src, &mut buf);
+        } else {
+            self.rma(initiator, &RmaOp::Get { addr: src, len: 8 }, &mut buf, None);
         }
-        self.get_u64_direct(initiator, src)
+        u64::from_le_bytes(buf)
     }
 
-    /// The uncached aligned 8-byte get.
+    /// A word atomic off the `rma_fast` path.
     #[inline]
-    fn get_u64_direct(&self, initiator: Rank, src: GlobalAddr) -> u64 {
-        let t0 = self.get_prologue(initiator, src, 8, "get");
-        let v = if let Some(r) = self.remote_to(src.rank()) {
-            let mut buf = [0u8; 8];
-            self.remote_get(r, src, &mut buf);
-            u64::from_le_bytes(buf)
-        } else {
-            self.endpoints[src.rank()].segment.load_u64(src.offset())
-        };
-        self.trace_rma(EventKind::Get, initiator, src.rank(), 8, t0);
-        v
+    fn rmw(&self, initiator: Rank, addr: GlobalAddr, op: RmwOp, a: u64, b: u64) -> (bool, u64) {
+        self.rma(initiator, &RmaOp::rmw(addr, op, a, b), &mut [], None)
     }
 
     /// Remote atomic xor on an aligned u64; returns the previous value.
     #[inline]
     pub fn xor_u64(&self, initiator: Rank, dst: GlobalAddr, value: u64) -> u64 {
         if self.endpoints[initiator].rma_fast {
-            self.count_word_fast(initiator, dst.rank(), true);
+            self.tally(initiator, dst.rank(), 8, false);
             return self.endpoints[dst.rank()]
                 .segment
                 .fetch_xor_u64(dst.offset(), value);
         }
-        let t0 = self.rmw_prologue(initiator, dst, "xor");
-        let v = if let Some(r) = self.remote_to(dst.rank()) {
-            self.remote_rmw(r, RmwOp::Xor, dst, value, 0).1
-        } else {
-            self.endpoints[dst.rank()]
-                .segment
-                .fetch_xor_u64(dst.offset(), value)
-        };
-        self.trace_rma(EventKind::Put, initiator, dst.rank(), 8, t0);
-        v
+        self.rmw(initiator, dst, RmwOp::Xor, value, 0).1
     }
 
     /// Remote atomic add on an aligned u64; returns the previous value.
     #[inline]
     pub fn add_u64(&self, initiator: Rank, dst: GlobalAddr, value: u64) -> u64 {
         if self.endpoints[initiator].rma_fast {
-            self.count_word_fast(initiator, dst.rank(), true);
+            self.tally(initiator, dst.rank(), 8, false);
             return self.endpoints[dst.rank()]
                 .segment
                 .fetch_add_u64(dst.offset(), value);
         }
-        let t0 = self.rmw_prologue(initiator, dst, "add");
-        let v = if let Some(r) = self.remote_to(dst.rank()) {
-            self.remote_rmw(r, RmwOp::Add, dst, value, 0).1
-        } else {
-            self.endpoints[dst.rank()]
-                .segment
-                .fetch_add_u64(dst.offset(), value)
-        };
-        self.trace_rma(EventKind::Put, initiator, dst.rank(), 8, t0);
-        v
+        self.rmw(initiator, dst, RmwOp::Add, value, 0).1
     }
 
     /// Remote CAS on an aligned u64.
@@ -957,26 +810,15 @@ impl Fabric {
         new: u64,
     ) -> Result<u64, u64> {
         if self.endpoints[initiator].rma_fast {
-            self.count_word_fast(initiator, dst.rank(), true);
+            self.tally(initiator, dst.rank(), 8, false);
             return self.endpoints[dst.rank()]
                 .segment
                 .cas_u64(dst.offset(), current, new);
         }
-        let t0 = self.rmw_prologue(initiator, dst, "cas");
-        let r = if let Some(rf) = self.remote_to(dst.rank()) {
-            let (ok, prev) = self.remote_rmw(rf, RmwOp::Cas, dst, current, new);
-            if ok {
-                Ok(prev)
-            } else {
-                Err(prev)
-            }
-        } else {
-            self.endpoints[dst.rank()]
-                .segment
-                .cas_u64(dst.offset(), current, new)
-        };
-        self.trace_rma(EventKind::Put, initiator, dst.rank(), 8, t0);
-        r
+        match self.rmw(initiator, dst, RmwOp::Cas, current, new) {
+            (true, prev) => Ok(prev),
+            (false, prev) => Err(prev),
+        }
     }
 
     /// Strided (vector) put: write `nblocks` blocks of `block` bytes from
@@ -998,41 +840,14 @@ impl Fabric {
             block * nblocks,
             "put_strided: source size mismatch"
         );
-        let t0 = self.trace_start(initiator);
-        if self.check.is_some() {
-            // Record the blocks individually: the gaps between them are
-            // not written, and claiming the covering range would invent
-            // races with neighbours that legitimately own the gap bytes.
-            for b in 0..nblocks {
-                self.check_access(
-                    initiator,
-                    dst.rank(),
-                    dst.offset() + b * dst_stride,
-                    block,
-                    AccessKind::Write,
-                    "put-strided",
-                );
-            }
-        }
-        self.count_put(initiator, dst.rank(), src.len());
-        self.wire(initiator, dst.rank(), src.len());
-        if nblocks > 0 {
-            // Write-through over the covering span: invalidating the gap
-            // bytes' lines too is safe (a dropped line only costs a refill).
-            self.invalidate_own(initiator, dst, (nblocks - 1) * dst_stride + block);
-        }
-        if let Some(r) = self.remote_to(dst.rank()) {
-            self.remote_put_strided(r, dst, dst_stride, src, block, nblocks);
-        } else {
-            let seg = &self.endpoints[dst.rank()].segment;
-            for b in 0..nblocks {
-                seg.write_bytes(
-                    dst.offset() + b * dst_stride,
-                    &src[b * block..(b + 1) * block],
-                );
-            }
-        }
-        self.trace_rma(EventKind::Put, initiator, dst.rank(), src.len(), t0);
+        let op = RmaOp::PutStrided {
+            addr: dst,
+            stride: dst_stride,
+            block,
+            nblocks,
+            data: src,
+        };
+        self.rma(initiator, &op, &mut [], None);
     }
 
     /// Strided (vector) get: the mirror of [`Fabric::put_strided`].
@@ -1050,33 +865,13 @@ impl Fabric {
             block * nblocks,
             "get_strided: buffer size mismatch"
         );
-        let t0 = self.trace_start(initiator);
-        if self.check.is_some() {
-            for b in 0..nblocks {
-                self.check_access(
-                    initiator,
-                    src.rank(),
-                    src.offset() + b * src_stride,
-                    block,
-                    AccessKind::Read,
-                    "get-strided",
-                );
-            }
-        }
-        self.count_get(initiator, src.rank(), buf.len());
-        self.wire(initiator, src.rank(), buf.len());
-        if let Some(r) = self.remote_to(src.rank()) {
-            self.remote_get_strided(r, src, src_stride, buf, block, nblocks);
-        } else {
-            let seg = &self.endpoints[src.rank()].segment;
-            for b in 0..nblocks {
-                seg.read_bytes(
-                    src.offset() + b * src_stride,
-                    &mut buf[b * block..(b + 1) * block],
-                );
-            }
-        }
-        self.trace_rma(EventKind::Get, initiator, src.rank(), buf.len(), t0);
+        let op = RmaOp::GetStrided {
+            addr: src,
+            stride: src_stride,
+            block,
+            nblocks,
+        };
+        self.rma(initiator, &op, buf, None);
     }
 
     /// Send an active message to `dst`. FIFO order is preserved per
@@ -1100,18 +895,8 @@ impl Fabric {
         self.wire(initiator, dst, am_bytes);
         let stats = &self.endpoints[initiator].stats;
         stats.ams_sent.fetch_add(1, Ordering::Relaxed);
-        match &payload {
-            AmPayload::Handler { args, .. } => {
-                stats
-                    .am_bytes
-                    .fetch_add(args.len() as u64, Ordering::Relaxed);
-            }
-            AmPayload::Batch { frames, .. } => {
-                stats
-                    .am_bytes
-                    .fetch_add(frames.len() as u64, Ordering::Relaxed);
-            }
-            AmPayload::Task(_) => {}
+        if !matches!(payload, AmPayload::Task(_)) {
+            stats.am_bytes.fetch_add(am_bytes as u64, Ordering::Relaxed);
         }
         stats.count_dest(dst, am_bytes as u64);
         self.endpoints[initiator]
@@ -1137,20 +922,12 @@ impl Fabric {
             prof,
         };
         // Out-of-process destination: the fully-built message (clock and
-        // span attached) goes on the wire; the receiving process re-runs
-        // the delivery tail below, fate draw included.
+        // span attached) goes on the wire; the receiving process runs
+        // the same delivery tail, fate draw included.
         if let Some(r) = self.remote_to(dst) {
             return self.remote_send_am(r, dst, msg);
         }
-        // The single faults-off/schedule-off branch on the AM path; local
-        // deliveries never traverse the (faulty or scheduled) wire.
-        if self.faults.is_some() && initiator != dst {
-            self.am_transmit(initiator, dst, msg);
-        } else if self.sched.is_some() && initiator != dst {
-            self.sched_park(initiator, dst, msg);
-        } else {
-            self.endpoints[dst].inbox.push(msg);
-        }
+        self.deliver_arrival(initiator, dst, msg);
     }
 
     /// The causal profiler state of `rank`, if the profiler is on.

@@ -30,6 +30,7 @@ pub mod inbox;
 pub mod pod;
 pub mod reliable;
 pub(crate) mod remote;
+pub mod rma;
 pub mod schedule;
 pub mod segment;
 pub mod stats;
@@ -45,6 +46,7 @@ pub use faults::{Fate, FaultPlan, LinkRule};
 pub use inbox::{ShardedInbox, INBOX_SHARDS};
 pub use pod::Pod;
 pub use reliable::PeerUnreachable;
+pub use rma::RmaOp;
 pub use rupcxx_check::{CheckConfig, Checker};
 pub use rupcxx_trace::{ProfConfig, ProfState};
 pub use schedule::{

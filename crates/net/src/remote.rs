@@ -4,14 +4,13 @@
 //! With `FabricConfig::remote` set, this OS process hosts exactly one
 //! rank; the other endpoints are zero-sized stubs (any accidental direct
 //! access to a stub segment panics — a built-in detector for layering
-//! violations). Every public fabric operation keeps its full prologue —
-//! counters, trace spans, checker hooks, the fault gate, aggregation —
-//! bit-for-bit identical to the loopback path, and only the final
-//! "touch the peer's memory / push to the peer's inbox" step is swapped
-//! for wire frames (see [`crate::conduit::wire`]):
+//! violations). Only the last hop of an operation differs from the
+//! in-process fabric — "touch the peer's memory / push to the peer's
+//! inbox" becomes wire frames (see [`crate::conduit::wire`]):
 //!
-//! * puts/gets/atomics become synchronous token-matched request/reply
-//!   round trips, preserving the blocking RMA semantics;
+//! * every one-sided op is one synchronous token-matched `Rma`/`Resp`
+//!   round trip ([`Fabric::round_trip`], the out-of-process arm of
+//!   [`Fabric::rma`]'s hop), preserving the blocking RMA semantics;
 //! * AMs are re-assembled on the receiving side and then fed through
 //!   *exactly* the same delivery tail as a local send — including the
 //!   reliable layer's fate draw (`am_transmit`), so fault injection and
@@ -21,17 +20,20 @@
 //!   count checkable on arrival).
 //!
 //! A [`ConduitEvent::Closed`] for a peer that has not completed its FIN
-//! handshake is a genuine failure domain: it is classified through the
-//! same `mark_unreachable` funnel the reliable layer uses, so killing a
-//! real process surfaces as a [`PeerUnreachable`] panic with a flight-
-//! recorder dump instead of a hang.
+//! handshake is a genuine failure domain, and so is a frame that does
+//! not decode or does not fit this rank's segment (the bytes come from
+//! another process and are not trusted): both are classified through
+//! the same `mark_unreachable` funnel the reliable layer uses, so a
+//! killed or corrupted peer surfaces as a [`PeerUnreachable`] panic with
+//! a flight-recorder dump instead of a hang or an abort of this rank.
 
-use crate::conduit::wire::{self, RmwOp, WireFrame};
+use crate::aggregate::validate_batch;
+use crate::conduit::wire::{self, WireError, WireFrame};
 use crate::conduit::{self, Conduit, ConduitEvent, RemoteConfig};
-use crate::fabric::{AmMessage, AmPayload, Fabric, GlobalAddr};
+use crate::fabric::{AmMessage, AmPayload, Fabric};
 use crate::reliable::PeerUnreachable;
+use crate::rma::{RmaOp, Site};
 use crate::Rank;
-use rupcxx_check::{AccessKind, Stamp};
 use rupcxx_util::sync::Mutex;
 use rupcxx_util::Bytes;
 use std::collections::HashMap;
@@ -43,16 +45,9 @@ use std::time::{Duration, Instant};
 /// `Closed` events or the reliable layer long before this fires).
 const REPLY_STALL_TIMEOUT: Duration = Duration::from_secs(120);
 
-/// A reply matched back to a waiting request by token.
-#[derive(Debug)]
-enum Reply {
-    /// Put / strided-put completion.
-    Ack,
-    /// Get / strided-get data.
-    Data(Vec<u8>),
-    /// RMW result: (cas ok, previous value).
-    Word(bool, u64),
-}
+/// A `Resp` frame — (ok, val, data) — held for the request waiting on its
+/// token.
+type Reply = (bool, u64, Vec<u8>);
 
 /// Per-process state for a conduit-backed fabric.
 pub(crate) struct RemoteFabric {
@@ -101,10 +96,6 @@ impl RemoteFabric {
         }
         self.conduit.send(dst, &buf);
     }
-
-    fn fresh_token(&self) -> u64 {
-        self.next_token.fetch_add(1, Ordering::Relaxed)
-    }
 }
 
 impl Fabric {
@@ -128,33 +119,22 @@ impl Fabric {
         }
     }
 
-    /// The initiator's clock stamp for an outgoing RMA frame, so the
-    /// receiving process can run the same `frame_access` race check the
-    /// aggregation layer runs for batched frames.
-    fn rma_stamp(&self, initiator: Rank) -> Option<Stamp> {
-        self.check.as_ref().map(|ck| ck.send_stamp(initiator))
-    }
-
-    /// Bounds check mirroring the segment's own panic for local ops: the
-    /// initiator should fail, not the (innocent) target process.
-    fn check_remote_bounds(&self, addr: GlobalAddr, len: usize, op: &str) {
-        assert!(
-            addr.offset() + len <= self.seg_bytes,
-            "{op}: out of bounds: offset {} + len {len} > segment {}",
-            addr.offset(),
-            self.seg_bytes
-        );
-    }
-
-    /// Block until the reply for `token` arrives, serving incoming
-    /// conduit traffic while spinning (two ranks mid-RMA into each other
-    /// must each answer the other's request).
-    fn wait_reply(&self, r: &RemoteFabric, token: u64) -> Reply {
+    /// Block until `peer`'s reply for `token` arrives and copy its data
+    /// to `out`, serving incoming conduit traffic while spinning (two
+    /// ranks mid-RMA into each other must each answer the other's
+    /// request). A reply whose data is not `out.len()` long fails the link.
+    fn wait_reply(&self, r: &RemoteFabric, peer: Rank, token: u64, out: &mut [u8]) -> (bool, u64) {
         let mut last_progress = Instant::now();
         let mut spins = 0u32;
         loop {
-            if let Some(rep) = r.replies.lock().remove(&token) {
-                return rep;
+            let reply = r.replies.lock().remove(&token);
+            match reply {
+                Some((ok, val, data)) if data.len() == out.len() => {
+                    out.copy_from_slice(&data);
+                    return (ok, val);
+                }
+                Some(_) => self.link_failed(r, peer, &WireError::OutOfRange),
+                None => {}
             }
             if self.pump_conduit(r.me) > 0 {
                 last_progress = Instant::now();
@@ -177,140 +157,45 @@ impl Fabric {
         }
     }
 
-    /// Remote put tail (prologue already ran): PUT frame + ack.
-    pub(crate) fn remote_put(&self, r: &RemoteFabric, dst: GlobalAddr, data: &[u8]) {
-        self.check_remote_bounds(dst, data.len(), "put");
-        let token = r.fresh_token();
-        let stamp = self.rma_stamp(r.me);
-        r.send_encoded(dst.rank(), |b| {
-            wire::encode_put(b, stamp.as_ref(), token, dst.offset() as u64, data)
-        });
-        match self.wait_reply(r, token) {
-            Reply::Ack => {}
-            other => panic!("put reply mismatch: {other:?}"),
-        }
-    }
-
-    /// Remote get tail: GET_REQ frame + data reply.
-    pub(crate) fn remote_get(&self, r: &RemoteFabric, src: GlobalAddr, buf: &mut [u8]) {
-        self.check_remote_bounds(src, buf.len(), "get");
-        let token = r.fresh_token();
-        let stamp = self.rma_stamp(r.me);
-        r.send_encoded(src.rank(), |b| {
-            wire::encode_get_req(
-                b,
-                stamp.as_ref(),
-                token,
-                src.offset() as u64,
-                buf.len() as u32,
-            )
-        });
-        match self.wait_reply(r, token) {
-            Reply::Data(d) => buf.copy_from_slice(&d),
-            other => panic!("get reply mismatch: {other:?}"),
-        }
-    }
-
-    /// Remote atomic tail: RMW_REQ frame + word reply `(ok, previous)`.
-    pub(crate) fn remote_rmw(
+    /// The out-of-process hop of [`Fabric::rma`] (prologue already ran):
+    /// one `Rma` frame carrying the op and the initiator's clock stamp —
+    /// so the target can run the same `frame_access` race check it runs
+    /// for batched frames — then the matching `Resp`.
+    pub(crate) fn round_trip(
         &self,
         r: &RemoteFabric,
-        op: RmwOp,
-        dst: GlobalAddr,
-        a: u64,
-        b: u64,
+        op: &RmaOp<'_>,
+        out: &mut [u8],
     ) -> (bool, u64) {
-        self.check_remote_bounds(dst, 8, "rmw");
-        let token = r.fresh_token();
-        let stamp = self.rma_stamp(r.me);
-        r.send_encoded(dst.rank(), |buf| {
-            wire::encode_rmw_req(buf, stamp.as_ref(), token, op, dst.offset() as u64, a, b)
+        let (addr, cover) = (op.addr(), op.cover());
+        // Mirror the segment's own panic for local ops: the initiator
+        // should fail, not the (innocent) target process.
+        assert!(
+            addr.offset() + cover <= self.seg_bytes,
+            "{}: out of bounds: offset {} + len {cover} > segment {}",
+            op.label(Site::Initiator),
+            addr.offset(),
+            self.seg_bytes
+        );
+        let token = r.next_token.fetch_add(1, Ordering::Relaxed);
+        let stamp = self.check.as_ref().map(|ck| ck.send_stamp(r.me));
+        r.send_encoded(addr.rank(), |b| {
+            wire::encode_rma(b, stamp.as_ref(), token, op)
         });
-        match self.wait_reply(r, token) {
-            Reply::Word(ok, val) => (ok, val),
-            other => panic!("rmw reply mismatch: {other:?}"),
-        }
-    }
-
-    /// Remote strided-put tail.
-    pub(crate) fn remote_put_strided(
-        &self,
-        r: &RemoteFabric,
-        dst: GlobalAddr,
-        dst_stride: usize,
-        src: &[u8],
-        block: usize,
-        nblocks: usize,
-    ) {
-        if nblocks > 0 {
-            self.check_remote_bounds(dst, (nblocks - 1) * dst_stride + block, "put_strided");
-        }
-        let token = r.fresh_token();
-        let stamp = self.rma_stamp(r.me);
-        r.send_encoded(dst.rank(), |b| {
-            wire::encode_put_strided(
-                b,
-                stamp.as_ref(),
-                token,
-                dst.offset() as u64,
-                dst_stride as u64,
-                block as u32,
-                nblocks as u32,
-                src,
-            )
-        });
-        match self.wait_reply(r, token) {
-            Reply::Ack => {}
-            other => panic!("put_strided reply mismatch: {other:?}"),
-        }
-    }
-
-    /// Remote strided-get tail.
-    pub(crate) fn remote_get_strided(
-        &self,
-        r: &RemoteFabric,
-        src: GlobalAddr,
-        src_stride: usize,
-        buf: &mut [u8],
-        block: usize,
-        nblocks: usize,
-    ) {
-        if nblocks > 0 {
-            self.check_remote_bounds(src, (nblocks - 1) * src_stride + block, "get_strided");
-        }
-        let token = r.fresh_token();
-        let stamp = self.rma_stamp(r.me);
-        r.send_encoded(src.rank(), |b| {
-            wire::encode_get_strided_req(
-                b,
-                stamp.as_ref(),
-                token,
-                src.offset() as u64,
-                src_stride as u64,
-                block as u32,
-                nblocks as u32,
-            )
-        });
-        match self.wait_reply(r, token) {
-            Reply::Data(d) => buf.copy_from_slice(&d),
-            other => panic!("get_strided reply mismatch: {other:?}"),
-        }
+        self.wait_reply(r, addr.rank(), token, out)
     }
 
     /// Remote AM tail (all of `send_am`'s prologue — aggregation
     /// pre-flush, counters, trace, clock/span attach — already ran).
     pub(crate) fn remote_send_am(&self, r: &RemoteFabric, dst: Rank, msg: AmMessage) {
+        let (clock, prof) = (msg.clock.as_ref(), msg.prof.as_ref());
         match &msg.payload {
             AmPayload::Handler { id, args } => {
-                r.send_encoded(dst, |b| {
-                    wire::encode_am_handler(b, msg.clock.as_ref(), msg.prof.as_ref(), *id, args)
-                });
+                r.send_encoded(dst, |b| wire::encode_am_handler(b, clock, prof, *id, args))
             }
-            AmPayload::Batch { frames, count } => {
-                r.send_encoded(dst, |b| {
-                    wire::encode_am_batch(b, msg.clock.as_ref(), msg.prof.as_ref(), *count, frames)
-                });
-            }
+            AmPayload::Batch { frames, count } => r.send_encoded(dst, |b| {
+                wire::encode_am_batch(b, clock, prof, *count, frames)
+            }),
             AmPayload::Task(_) => panic!(
                 "closure AMs cannot cross process boundaries: register a handler \
                  (send_handler) instead of sending a boxed task to rank {dst}"
@@ -331,67 +216,65 @@ impl Fabric {
         while let Some(ev) = r.conduit.try_recv() {
             work += 1;
             match ev {
-                ConduitEvent::Frame(src, frame) => self.dispatch_frame(r, src, &frame),
-                ConduitEvent::Closed(src) => {
-                    // A closure after the peer's FIN is a clean goodbye;
-                    // before it, the peer died mid-job.
-                    if !r.fin_recvd[src].load(Ordering::Acquire) {
-                        self.mark_unreachable(PeerUnreachable {
-                            src: r.me,
-                            dst: src,
-                            seq: 0,
-                            attempts: 0,
-                        });
+                ConduitEvent::Frame(src, frame) => {
+                    if let Err(e) = self.dispatch_frame(r, src, &frame) {
+                        self.link_failed(r, src, &e);
                     }
-                    // Either way the peer can no longer ack our FIN.
+                }
+                // A closure after the peer's FIN is a clean goodbye;
+                // before it, the peer died mid-job. Either way it can no
+                // longer ack our FIN.
+                ConduitEvent::Closed(src) if r.fin_recvd[src].load(Ordering::Acquire) => {
                     r.fin_acked[src].store(true, Ordering::Release);
                 }
+                ConduitEvent::Closed(src) => self.link_failed(r, src, &"closed before FIN"),
             }
         }
         work
     }
 
-    /// Receiver-side checker hook for wire RMA frames: the same
-    /// stamp-carrying `frame_access` the aggregation layer uses.
-    #[allow(clippy::too_many_arguments)]
-    fn frame_check(
-        &self,
-        src: Rank,
-        me: Rank,
-        offset: usize,
-        len: usize,
-        kind: AccessKind,
-        stamp: Option<&Stamp>,
-        op: &'static str,
-    ) {
-        if let (Some(ck), Some(stamp)) = (&self.check, stamp) {
-            ck.frame_access(src, me, offset, len, kind, stamp, op);
-        }
+    /// Classify the link to `peer` as failed — it closed mid-job, or
+    /// delivered bytes this rank will not act on — through the reliable
+    /// layer's funnel: blocked waits panic with the report.
+    fn link_failed(&self, r: &RemoteFabric, peer: Rank, why: &dyn std::fmt::Display) {
+        let me = r.me;
+        eprintln!("rupcxx: rank {me}: conduit link to rank {peer} failed: {why}");
+        self.mark_unreachable(PeerUnreachable {
+            src: r.me,
+            dst: peer,
+            seq: 0,
+            attempts: 0,
+        });
+        r.fin_acked[peer].store(true, Ordering::Release);
     }
 
-    /// Decode and execute one data frame from `src`.
-    fn dispatch_frame(&self, r: &RemoteFabric, src: Rank, frame: &[u8]) {
+    /// Decode and execute one frame from `src`. Nothing in it is trusted
+    /// until checked against this rank's own state; an `Err` leaves the
+    /// segment and the inbox as they were.
+    fn dispatch_frame(&self, r: &RemoteFabric, src: Rank, frame: &[u8]) -> Result<(), WireError> {
         let me = r.me;
         if wire::is_data_frame(frame) {
             r.data_recvd[src].fetch_add(1, Ordering::Relaxed);
         }
-        match wire::decode(frame) {
+        let seg_bytes = self.endpoints[me].segment.len();
+        let deliver = |clock, prof, payload| {
+            let msg = AmMessage {
+                src,
+                payload,
+                clock,
+                prof,
+            };
+            self.deliver_arrival(src, me, msg)
+        };
+        match wire::decode(frame)? {
             WireFrame::AmHandler {
                 clock,
                 prof,
                 id,
                 args,
             } => {
-                let msg = AmMessage {
-                    src,
-                    payload: AmPayload::Handler {
-                        id,
-                        args: Bytes::from(args.to_vec()),
-                    },
-                    clock,
-                    prof,
-                };
-                self.deliver_arrival(src, me, msg);
+                let args = Bytes::from(args.to_vec());
+                deliver(clock, prof, AmPayload::Handler { id, args })
             }
             WireFrame::AmBatch {
                 clock,
@@ -399,161 +282,30 @@ impl Fabric {
                 count,
                 frames,
             } => {
-                let msg = AmMessage {
-                    src,
-                    payload: AmPayload::Batch {
-                        frames: Bytes::from(frames.to_vec()),
-                        count,
-                    },
-                    clock,
-                    prof,
-                };
-                self.deliver_arrival(src, me, msg);
+                validate_batch(frames, me, seg_bytes)?;
+                let frames = Bytes::from(frames.to_vec());
+                deliver(clock, prof, AmPayload::Batch { frames, count })
             }
-            WireFrame::Put {
-                stamp,
+            WireFrame::Rma { stamp, token, op } => {
+                op.validate(me, seg_bytes)?;
+                let mut data = vec![0u8; if op.is_get() { op.bytes() } else { 0 }];
+                let (ok, val) =
+                    self.rma_arrived(me, src, stamp.as_ref(), &op, Site::Wire, &mut data);
+                r.send_encoded(src, |b| wire::encode_resp(b, token, ok, val, &data));
+            }
+            WireFrame::Resp {
                 token,
-                offset,
+                ok,
+                val,
                 data,
             } => {
-                let offset = offset as usize;
-                self.frame_check(
-                    src,
-                    me,
-                    offset,
-                    data.len(),
-                    AccessKind::Write,
-                    stamp.as_ref(),
-                    "put",
-                );
-                let seg = &self.endpoints[me].segment;
-                if data.len() == 8 && offset.is_multiple_of(8) {
-                    seg.store_u64(offset, u64::from_le_bytes(data.try_into().unwrap()));
-                } else {
-                    seg.write_bytes(offset, data);
-                }
-                r.send_encoded(src, |b| wire::encode_ack(b, token));
-            }
-            WireFrame::PutStrided {
-                stamp,
-                token,
-                offset,
-                stride,
-                block,
-                nblocks,
-                data,
-            } => {
-                let (offset, stride) = (offset as usize, stride as usize);
-                let (block, nblocks) = (block as usize, nblocks as usize);
-                let seg = &self.endpoints[me].segment;
-                for bi in 0..nblocks {
-                    self.frame_check(
-                        src,
-                        me,
-                        offset + bi * stride,
-                        block,
-                        AccessKind::Write,
-                        stamp.as_ref(),
-                        "put-strided",
-                    );
-                    seg.write_bytes(offset + bi * stride, &data[bi * block..(bi + 1) * block]);
-                }
-                r.send_encoded(src, |b| wire::encode_ack(b, token));
-            }
-            WireFrame::GetReq {
-                stamp,
-                token,
-                offset,
-                len,
-            } => {
-                let (offset, len) = (offset as usize, len as usize);
-                self.frame_check(
-                    src,
-                    me,
-                    offset,
-                    len,
-                    AccessKind::Read,
-                    stamp.as_ref(),
-                    "get",
-                );
-                let mut data = vec![0u8; len];
-                self.endpoints[me].segment.read_bytes(offset, &mut data);
-                r.send_encoded(src, |b| wire::encode_resp_data(b, token, &data));
-            }
-            WireFrame::GetStridedReq {
-                stamp,
-                token,
-                offset,
-                stride,
-                block,
-                nblocks,
-            } => {
-                let (offset, stride) = (offset as usize, stride as usize);
-                let (block, nblocks) = (block as usize, nblocks as usize);
-                let mut data = vec![0u8; block * nblocks];
-                let seg = &self.endpoints[me].segment;
-                for bi in 0..nblocks {
-                    self.frame_check(
-                        src,
-                        me,
-                        offset + bi * stride,
-                        block,
-                        AccessKind::Read,
-                        stamp.as_ref(),
-                        "get-strided",
-                    );
-                    seg.read_bytes(
-                        offset + bi * stride,
-                        &mut data[bi * block..(bi + 1) * block],
-                    );
-                }
-                r.send_encoded(src, |b| wire::encode_resp_data(b, token, &data));
-            }
-            WireFrame::RmwReq {
-                stamp,
-                token,
-                op,
-                offset,
-                a,
-                b,
-            } => {
-                let offset = offset as usize;
-                self.frame_check(
-                    src,
-                    me,
-                    offset,
-                    8,
-                    AccessKind::Atomic,
-                    stamp.as_ref(),
-                    "rmw",
-                );
-                let seg = &self.endpoints[me].segment;
-                let (ok, val) = match op {
-                    RmwOp::Xor => (true, seg.fetch_xor_u64(offset, a)),
-                    RmwOp::Add => (true, seg.fetch_add_u64(offset, a)),
-                    RmwOp::Cas => match seg.cas_u64(offset, a, b) {
-                        Ok(prev) => (true, prev),
-                        Err(prev) => (false, prev),
-                    },
-                };
-                r.send_encoded(src, |buf| wire::encode_resp_word(buf, token, ok, val));
-            }
-            WireFrame::RespData { token, data } => {
-                r.replies.lock().insert(token, Reply::Data(data.to_vec()));
-            }
-            WireFrame::RespWord { token, ok, val } => {
-                r.replies.lock().insert(token, Reply::Word(ok, val));
-            }
-            WireFrame::Ack { token } => {
-                r.replies.lock().insert(token, Reply::Ack);
+                r.replies.lock().insert(token, (ok, val, data.to_vec()));
             }
             WireFrame::Fin { frames } => {
-                let got = r.data_recvd[src].load(Ordering::Relaxed);
-                assert_eq!(
-                    got, frames,
-                    "conduit FIN from rank {src}: it sent {frames} data frames, \
-                     rank {me} received {got} — per-link FIFO violated"
-                );
+                // Per-link FIFO makes the count checkable on arrival.
+                if r.data_recvd[src].load(Ordering::Relaxed) != frames {
+                    return Err(WireError::FinCount);
+                }
                 r.fin_recvd[src].store(true, Ordering::Release);
                 r.send_encoded(src, wire::encode_fin_ack);
             }
@@ -561,6 +313,7 @@ impl Fabric {
                 r.fin_acked[src].store(true, Ordering::Release);
             }
         }
+        Ok(())
     }
 
     /// The delivery tail shared by local sends and conduit arrivals: the

@@ -1,7 +1,8 @@
 //! Runtime configuration.
 
 use rupcxx_net::{
-    AggConfig, CacheConfig, CheckConfig, ConduitSel, FaultPlan, ScheduleConfig, SimNet,
+    AggConfig, CacheConfig, CheckConfig, ConduitSel, FabricConfig, FaultPlan, RemoteConfig,
+    ScheduleConfig, SimNet,
 };
 use rupcxx_trace::{ProfConfig, TraceConfig};
 
@@ -80,6 +81,28 @@ impl RuntimeConfig {
             prof: ProfConfig::from_env(),
             schedule: ScheduleConfig::from_env(),
             conduit: ConduitSel::from_env(),
+        }
+    }
+
+    /// The fabric this job runs on: in-process (`remote` = None), or one
+    /// rank of a multi-process job reaching its peers through a conduit.
+    pub(crate) fn fabric_config(&self, remote: Option<RemoteConfig>) -> FabricConfig {
+        // The clones are made in the order the launchers have always
+        // made them: heap placement of what `Fabric::new` allocates next
+        // (the endpoint array) moves the two-rank word path by up to 4x
+        // (see the ledger README), so the allocation sequence is pinned.
+        FabricConfig {
+            ranks: self.ranks,
+            segment_bytes: self.segment_bytes,
+            simnet: self.simnet,
+            trace: self.trace.clone(),
+            faults: self.faults.clone(),
+            agg: self.agg.clone(),
+            check: self.check.clone(),
+            cache: self.cache.clone(),
+            prof: self.prof.clone(),
+            schedule: self.schedule.clone(),
+            remote,
         }
     }
 

@@ -166,23 +166,11 @@ where
         "{PROC_RANK_ENV}={me} out of range for {} ranks",
         config.ranks
     );
-    let shared = Shared::new_full(
-        config.ranks,
-        config.segment_bytes,
-        config.simnet,
-        handlers,
-        config.trace.clone(),
-        config.faults.clone(),
-        config.agg.clone(),
-        config.check.clone(),
-        config.cache.clone(),
-        config.prof.clone(),
-        config.schedule.clone(),
-        Some(RemoteConfig {
-            my_rank: me,
-            conduit: sel,
-        }),
-    );
+    let remote = RemoteConfig {
+        my_rank: me,
+        conduit: sel,
+    };
+    let shared = Shared::new_full(config.fabric_config(Some(remote)), handlers);
     let body = &body;
     let progress_stop = std::sync::atomic::AtomicBool::new(false);
     let progress_stop = &progress_stop;

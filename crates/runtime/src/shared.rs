@@ -1,11 +1,8 @@
 //! Process-wide state shared by all rank threads of one SPMD job.
 
 use crate::alloc::SegAllocator;
-use rupcxx_net::{
-    AggConfig, CacheConfig, CheckConfig, Fabric, FabricConfig, FaultPlan, Rank, RemoteConfig,
-    ScheduleConfig, SimNet,
-};
-use rupcxx_trace::{ProfConfig, TraceConfig};
+use rupcxx_net::{Fabric, FabricConfig, Rank};
+use rupcxx_trace::TraceConfig;
 use rupcxx_util::sync::Mutex;
 use rupcxx_util::Bytes;
 use std::collections::HashMap;
@@ -145,82 +142,30 @@ pub struct Shared {
 }
 
 impl Shared {
-    /// Build shared state for `ranks` ranks with `segment_bytes` segments.
+    /// Build shared state for `ranks` ranks with `segment_bytes` segments
+    /// and every optional layer off. Tracing is taken from the
+    /// `RUPCXX_TRACE` environment (see `rupcxx-trace`).
     pub fn new(ranks: usize, segment_bytes: usize, handlers: HandlerRegistry) -> Arc<Self> {
-        Self::new_with(ranks, segment_bytes, None, handlers)
-    }
-
-    /// Like [`Shared::new`], with an optional synthetic wire. Tracing is
-    /// taken from the `RUPCXX_TRACE` environment (see `rupcxx-trace`).
-    pub fn new_with(
-        ranks: usize,
-        segment_bytes: usize,
-        simnet: Option<SimNet>,
-        handlers: HandlerRegistry,
-    ) -> Arc<Self> {
-        Self::new_traced(
-            ranks,
-            segment_bytes,
-            simnet,
-            handlers,
-            TraceConfig::from_env(),
-        )
-    }
-
-    /// Like [`Shared::new_with`], with an explicit trace configuration
-    /// (the SPMD launcher passes `RuntimeConfig::trace` through here).
-    pub fn new_traced(
-        ranks: usize,
-        segment_bytes: usize,
-        simnet: Option<SimNet>,
-        handlers: HandlerRegistry,
-        trace: TraceConfig,
-    ) -> Arc<Self> {
         Self::new_full(
-            ranks,
-            segment_bytes,
-            simnet,
+            FabricConfig {
+                ranks,
+                segment_bytes,
+                trace: TraceConfig::from_env(),
+                ..FabricConfig::default()
+            },
             handlers,
-            trace,
-            None,
-            None,
-            None,
-            None,
-            None,
-            None,
-            None,
         )
     }
 
-    /// The full constructor: [`Shared::new_traced`] plus an optional
-    /// deterministic fault-injection plan (see `rupcxx-net`'s `faults`
-    /// module), optional per-destination aggregation thresholds (its
-    /// `aggregate` module), an optional race/deadlock checker config
-    /// (`rupcxx-check`), an optional software read-cache config (its
-    /// `cache` module), an optional causal-profiler config
-    /// (`rupcxx-trace`'s `span` module) and an optional controlled
-    /// delivery schedule (its `schedule` module); the SPMD launcher
-    /// passes `RuntimeConfig::{faults, agg, check, cache, prof,
-    /// schedule}` through. When `remote` is set this process is ONE rank
-    /// of a multi-process job wired up by a transport conduit; the
-    /// runtime's wire-encodable builtin handlers are appended to the
-    /// registry (after all user handlers, so user ids are stable).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_full(
-        ranks: usize,
-        segment_bytes: usize,
-        simnet: Option<SimNet>,
-        mut handlers: HandlerRegistry,
-        trace: TraceConfig,
-        faults: Option<FaultPlan>,
-        agg: Option<AggConfig>,
-        check: Option<CheckConfig>,
-        cache: Option<CacheConfig>,
-        prof: Option<ProfConfig>,
-        schedule: Option<ScheduleConfig>,
-        remote: Option<RemoteConfig>,
-    ) -> Arc<Self> {
-        let builtins = remote.is_some().then(|| {
+    /// The full constructor: shared state around a fabric built from
+    /// `config` (the SPMD launchers fill it from `RuntimeConfig`). When
+    /// `config.remote` is set this process is ONE rank of a multi-process
+    /// job wired up by a transport conduit; the runtime's wire-encodable
+    /// builtin handlers are appended to the registry (after all user
+    /// handlers, so user ids are stable).
+    pub fn new_full(config: FabricConfig, mut handlers: HandlerRegistry) -> Arc<Self> {
+        let (ranks, segment_bytes) = (config.ranks, config.segment_bytes);
+        let builtins = config.remote.is_some().then(|| {
             let deposit = handlers.register(|ctx, src, args| {
                 assert!(args.len() >= 16, "builtin deposit: short args");
                 let domain = u64::from_le_bytes(args[..8].try_into().unwrap());
@@ -232,19 +177,7 @@ impl Shared {
             });
             Builtins { deposit, complete }
         });
-        let fabric = Fabric::new(FabricConfig {
-            ranks,
-            segment_bytes,
-            simnet,
-            trace,
-            faults,
-            agg,
-            check,
-            cache,
-            prof,
-            schedule,
-            remote,
-        });
+        let fabric = Fabric::new(config);
         Arc::new(Shared {
             fabric,
             allocators: (0..ranks)

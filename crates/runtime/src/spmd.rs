@@ -41,20 +41,7 @@ where
     F: Fn(&Ctx) -> R + Send + Sync,
 {
     assert!(config.ranks > 0, "spmd needs at least one rank");
-    let shared = Shared::new_full(
-        config.ranks,
-        config.segment_bytes,
-        config.simnet,
-        handlers,
-        config.trace.clone(),
-        config.faults.clone(),
-        config.agg.clone(),
-        config.check.clone(),
-        config.cache.clone(),
-        config.prof.clone(),
-        config.schedule.clone(),
-        None,
-    );
+    let shared = Shared::new_full(config.fabric_config(None), handlers);
     let body = &body;
     let progress_stop = std::sync::atomic::AtomicBool::new(false);
     let progress_stop = &progress_stop;

@@ -271,6 +271,108 @@ fn killing_a_process_yields_peer_unreachable() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn garbage_frames_yield_peer_unreachable_not_an_abort() {
+    // A peer that writes nonsense on the socket is a failed link, not a
+    // reason for this rank to die: rank 0 is a real conduit-backed
+    // fabric, "rank 1" is this test holding the other end of the uds
+    // mesh and writing frames by hand.
+    use rupcxx_net::conduit::wire::{self, WireFrame};
+    use rupcxx_net::{
+        Conduit, ConduitEvent, ConduitSel, Fabric, FabricConfig, GlobalAddr, RemoteConfig, RmaOp,
+        SocketConduit,
+    };
+
+    const SEG: usize = 4096;
+    let put = |offset, data| RmaOp::Put {
+        addr: GlobalAddr::new(0, offset),
+        data,
+    };
+    let encoded = |token, op: &RmaOp<'_>| {
+        let mut frame = Vec::new();
+        wire::encode_rma(&mut frame, None, token, op);
+        frame
+    };
+    let good = encoded(7, &put(64, &[0xAB; 8]));
+    let mut flipped = good.clone();
+    flipped[0] ^= 0x40; // the tag byte: no such frame
+    let mut forged_len = encoded(8, &put(64, &[1, 2, 3]));
+    let at = forged_len.len() - 7;
+    forged_len[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes()); // payload length
+    let cases: [(&str, Vec<u8>); 5] = [
+        ("truncated", good[..good.len() - 3].to_vec()),
+        ("bit-flipped", flipped),
+        ("forged payload length", forged_len),
+        ("out of range", encoded(9, &put(SEG - 4, &[0xCD; 8]))),
+        (
+            "4 GiB get",
+            encoded(
+                10,
+                &RmaOp::Get {
+                    addr: GlobalAddr::new(0, 0),
+                    len: u32::MAX as usize,
+                },
+            ),
+        ),
+    ];
+    for (what, garbage) in cases {
+        let dir = scratch("uds-garbage");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (fabric, peer) = std::thread::scope(|s| {
+            let hosted = s.spawn(|| {
+                Fabric::new(FabricConfig {
+                    ranks: 2,
+                    segment_bytes: SEG,
+                    remote: Some(RemoteConfig {
+                        my_rank: 0,
+                        conduit: ConduitSel::Uds(dir.clone()),
+                    }),
+                    ..FabricConfig::default()
+                })
+            });
+            let peer = SocketConduit::uds(&dir, 1, 2);
+            (hosted.join().unwrap(), peer)
+        });
+        let pump_until = |done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !done() {
+                fabric.pump_conduit(0);
+                assert!(Instant::now() < deadline, "{what}: stalled");
+                std::thread::yield_now();
+            }
+        };
+        // The link works: a well-formed put lands and is answered.
+        peer.send(0, &good);
+        let reply = std::cell::RefCell::new(None);
+        pump_until(&|| {
+            if let Some(ConduitEvent::Frame(0, frame)) = peer.try_recv() {
+                *reply.borrow_mut() = Some(frame);
+            }
+            reply.borrow().is_some()
+        });
+        match wire::decode(reply.borrow().as_ref().unwrap()) {
+            Ok(WireFrame::Resp {
+                token: 7, ok: true, ..
+            }) => {}
+            other => panic!("{what}: unexpected reply {other:?}"),
+        }
+        let segment = &fabric.endpoint(0).segment;
+        assert_eq!(segment.load_u64(64), u64::from_le_bytes([0xAB; 8]));
+        assert!(fabric.failure().is_none());
+        // The garbage: refused, the link classified, nothing applied.
+        peer.send(0, &garbage);
+        pump_until(&|| fabric.has_failed());
+        let failure = fabric.failure().expect("a classified failure");
+        assert_eq!((failure.src, failure.dst), (0, 1), "{what}");
+        assert!(failure.to_string().contains("unreachable"), "{failure}");
+        assert_eq!(segment.load_u64(64), u64::from_le_bytes([0xAB; 8]));
+        assert_eq!(segment.load_u64(SEG - 8), 0, "{what}: partial apply");
+        fabric.conduit_teardown(0);
+        peer.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 // ---- Trait-level contract, all three backends in-process ----
 
 #[test]
