@@ -7,7 +7,7 @@ CARGO ?= cargo
 # each fully reproducible (see README "Robustness").
 CHAOS_SEEDS ?= 101 202 303
 
-.PHONY: ci fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke ledger-smoke
+.PHONY: ci fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke ledger-smoke ab
 
 ci: fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke ledger-smoke
 
@@ -85,3 +85,11 @@ conduit-smoke:
 # never comparable; the file lands in target/ledger/.
 ledger-smoke:
 	$(CARGO) run --release --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- run --quick --out target/ledger/smoke.json
+
+# A/B one ledger workload between HEAD~1 and HEAD (or AB_BASE / AB_NEW;
+# `.` = the working tree): `make ab W=get_cached [PAIRS=10]`. Alternating
+# pairs, medians, quartiles and the pair win count — the evidence a
+# performance claim needs (see scripts/ab.sh). Not part of `make ci`:
+# ten pairs at the benchmark's run length take about ten minutes.
+ab:
+	scripts/ab.sh $(W) $(PAIRS)

@@ -74,6 +74,10 @@ pub struct Checker {
     ranks: usize,
     clocks: Box<[Mutex<VClock>]>,
     shadows: Box<[Mutex<Shadow>]>,
+    /// Per rank, the fill stamp of the oldest line its read cache may
+    /// still hold. A cached hit is checked against its line's *fill*, so
+    /// the prune frontier must not pass a live fill: see `min_clock`.
+    cache_floors: Box<[Mutex<Option<Stamp>>]>,
     /// Per-event accumulated signal clocks, keyed by the event core's
     /// address. (An address can be reused after an event is dropped; the
     /// stale join that could produce is an extra HB edge — it can mask a
@@ -101,6 +105,7 @@ impl Checker {
             ranks,
             clocks: (0..ranks).map(|_| Mutex::new(VClock::new(ranks))).collect(),
             shadows: (0..ranks).map(|_| Mutex::new(Shadow::default())).collect(),
+            cache_floors: (0..ranks).map(|_| Mutex::new(None)).collect(),
             event_clocks: Mutex::new(HashMap::new()),
             locks: Mutex::new(HashMap::new()),
             waits: (0..ranks).map(|_| Mutex::new(None)).collect(),
@@ -156,16 +161,45 @@ impl Checker {
         self.clocks[rank].lock().tick(rank);
     }
 
-    /// Elementwise minimum over all ranks' current clocks: the prune
-    /// frontier — every record at or under it is in everyone's past.
+    /// Elementwise minimum over all ranks' current clocks and the fills
+    /// of their cached lines: the prune frontier — every record at or
+    /// under it is in the past of every access still to be checked. (A
+    /// frontier of the clocks alone forgot the write a stale cached line
+    /// is convicted by as soon as reader and writer had both passed the
+    /// next barrier; whether the stale hit was reported then depended on
+    /// it running before the writer's `barrier_exit` prune.)
     fn min_clock(&self) -> Stamp {
         let mut min = vec![u64::MAX; self.ranks];
-        for m in self.clocks.iter() {
-            for (lo, v) in min.iter_mut().zip(m.lock().components()) {
+        let mut lower = |stamp: &[u64]| {
+            for (lo, v) in min.iter_mut().zip(stamp) {
                 *lo = (*lo).min(*v);
+            }
+        };
+        for m in self.clocks.iter() {
+            lower(m.lock().components());
+        }
+        for floor in self.cache_floors.iter() {
+            if let Some(fill) = &*floor.lock() {
+                lower(&fill.0);
             }
         }
         Stamp(min.into_boxed_slice())
+    }
+
+    /// Stamp a line fill of `rank`'s read cache (a [`Checker::send_stamp`]
+    /// that also holds the prune frontier back while the line may live).
+    pub fn cache_fill(&self, rank: usize) -> Stamp {
+        let stamp = self.send_stamp(rank);
+        // A rank's stamps only grow: the first since a flush is the oldest.
+        self.cache_floors[rank]
+            .lock()
+            .get_or_insert_with(|| stamp.clone());
+        stamp
+    }
+
+    /// `rank`'s read cache holds no line any more.
+    pub fn cache_flushed(&self, rank: usize) {
+        *self.cache_floors[rank].lock() = None;
     }
 
     // ---- access recording ----------------------------------------------

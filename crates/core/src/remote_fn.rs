@@ -81,7 +81,8 @@ impl FnRegistry {
         // Handler 0: the reply router. Payload = [token][packed R].
         let reply_id = me.handlers.register(|ctx, _src, bytes| {
             let (token, ret) = take_u64(&bytes);
-            let cont = ctx.shared().pending_replies[ctx.rank()]
+            let cont = ctx.shared().own[ctx.rank()]
+                .pending_replies
                 .lock()
                 .remove(&token)
                 .expect("unknown RPC reply token");
@@ -127,8 +128,9 @@ impl<A: Pod, R: Pod> RemoteFn<A, R> {
     pub fn call(&self, ctx: &Ctx, place: Rank, arg: A) -> RtFuture<R> {
         let me = ctx.rank();
         let (future, setter) = RtFuture::<R>::pending();
-        let token = ctx.shared().reply_tokens[me].fetch_add(1, Ordering::Relaxed);
-        ctx.shared().pending_replies[me].lock().insert(
+        let own = &ctx.shared().own[me];
+        let token = own.reply_tokens.fetch_add(1, Ordering::Relaxed);
+        own.pending_replies.lock().insert(
             token,
             Box::new(move |bytes: Bytes| setter.set(R::read_from(&bytes))),
         );

@@ -40,7 +40,7 @@ use crate::inbox::{thread_shard, INBOX_SHARDS};
 use crate::rma::{RmaOp, RmwOp, Site};
 use crate::Rank;
 use rupcxx_trace::EventKind;
-use rupcxx_util::sync::SpinMutex;
+use rupcxx_util::sync::{CachePadded, SpinMutex};
 use rupcxx_util::{Bytes, SlabPool};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -167,7 +167,9 @@ struct AggShard {
 /// until a destination is first used).
 pub(crate) struct AggState {
     cfg: AggConfig,
-    shards: Box<[AggShard]>,
+    /// One block each: a shard's `dirty` flag is written by its injecting
+    /// thread while the progress engine sweeps the others'.
+    shards: Box<[CachePadded<AggShard>]>,
     /// Recycles batch slabs: a flushed buffer travels to the receiver as
     /// pooled [`Bytes`] and its capacity returns here when the last
     /// reader drops — steady state packs and ships without allocating.
@@ -179,11 +181,13 @@ impl AggState {
         AggState {
             cfg,
             shards: (0..INBOX_SHARDS)
-                .map(|_| AggShard {
-                    bufs: (0..ranks)
-                        .map(|_| SpinMutex::new(AggBuf::default()))
-                        .collect(),
-                    dirty: AtomicBool::new(false),
+                .map(|_| {
+                    CachePadded(AggShard {
+                        bufs: (0..ranks)
+                            .map(|_| SpinMutex::new(AggBuf::default()))
+                            .collect(),
+                        dirty: AtomicBool::new(false),
+                    })
                 })
                 .collect(),
             // Enough idle slabs for every (shard, destination) buffer plus

@@ -24,14 +24,17 @@
 //! as aggregation, fault injection and the checker.
 
 use crate::fabric::GlobalAddr;
+use crate::segment::Segment;
 use rupcxx_check::Stamp;
 use rupcxx_util::sync::Mutex;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 
 /// Read-cache configuration, normally parsed from `RUPCXX_CACHE`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Total cache capacity per rank in bytes.
+    /// Total cache capacity per rank in bytes. The cache holds the
+    /// largest power-of-two number of lines that fits in it (see
+    /// [`CacheState`]): 12 lines' worth of capacity buys 8 slots.
     pub capacity_bytes: usize,
     /// Cache line size in bytes (power of two, ≥ 8).
     pub line_bytes: usize,
@@ -109,35 +112,57 @@ impl CacheConfig {
     }
 }
 
-/// One cached line: `data.len()` bytes of the owning rank's segment
-/// starting at the line-aligned base `addr` (shorter than a full line only
-/// at the end of the segment). The key is the packed `rank:offset` word,
-/// so the tag compare on a lookup is a single 64-bit equality instead of
-/// two field compares.
-struct Line {
-    addr: GlobalAddr,
-    data: Box<[u8]>,
-    /// The filling get's happens-before snapshot, kept only when the
-    /// race checker was on at fill time; cached hits replay it so the
-    /// checker can flag reads of lines made stale by a synchronized
-    /// writer (see `Checker::cache_read`).
-    fill: Option<Stamp>,
+/// One slot's control words; the slot's line lives in the arena.
+struct Slot {
+    /// Version of the slot: odd while a fill is writing it, and never the
+    /// same again once one has. A hit reads it before and after its load.
+    seq: AtomicU64,
+    /// Which line the slot holds and as of which epoch; 0 = none.
+    tag: AtomicU64,
 }
 
-struct Inner {
-    slots: Vec<Option<Line>>,
-    occupied: usize,
-}
-
-/// A rank's read cache: a direct-mapped array of line slots behind one
-/// mutex. Only the owning rank's thread (and its progress thread) touch
-/// it, so the lock is effectively uncontended; direct mapping keeps the
-/// lookup a handful of arithmetic ops instead of a SipHash per get.
+/// A rank's read cache: direct-mapped, a tag and a version word plus one
+/// line of an arena per slot.
+///
+/// A **hit** takes no lock and writes nothing. It is a seqlock read: the
+/// slot's version, the tag compare, the load from the arena, the version
+/// again. The arena is atomic words, so a load that overlaps a refill of
+/// its slot is well defined, and the version — bumped to odd before a
+/// fill touches the slot and to the next even number after — turns it
+/// into a miss. Comparing the *tag* twice would not do: a slot can go
+/// A → B → A between the two looks. **Fills and invalidations** serialize
+/// on one mutex, held for the install alone; the line is fetched before.
+///
+/// A tag is the line's packed base address with the **epoch** of its fill
+/// in the low bits, which are zero in every line-aligned address. Sync-
+/// point invalidation bumps the epoch, so no older tag matches any more:
+/// O(1), except that the epoch has only `log2(line_bytes)` bits and every
+/// `line_bytes - 1`-th bump wipes the tags instead of wrapping into a
+/// value some forgotten tag might still carry. Epoch 0 is never current,
+/// so a zero tag is an empty slot.
+///
+/// The slot count is `capacity_bytes / line_bytes` **rounded down to a
+/// power of two**, and the slot of a line is its line index plus a
+/// per-rank offset under that mask: up to a cache-full of consecutive
+/// lines of one rank never evict each other.
 pub struct CacheState {
     cfg: CacheConfig,
     line_shift: u32,
-    nslots: usize,
-    inner: Mutex<Inner>,
+    /// Size of every rank's segment: the last line of a segment may be
+    /// short, and a lookup reaching past it must miss, not hit on
+    /// whatever an earlier tenant of the slot left there.
+    seg_bytes: usize,
+    slots: Box<[Slot]>,
+    arena: Segment,
+    epoch: AtomicU64,
+    /// Slots holding a line of the current epoch.
+    occupied: AtomicU64,
+    /// The writers' lock. What it guards besides the slots: per slot, the
+    /// filling get's happens-before snapshot, which cached hits replay so
+    /// the race checker can flag reads of lines made stale by a
+    /// synchronized writer (see `Checker::cache_read`). Empty until the
+    /// first stamped fill, that is, for good unless the checker is on.
+    fills: Mutex<Vec<Option<Stamp>>>,
     /// Test-only knob: when set, sync-point invalidation is skipped (the
     /// write-through path still runs). Used to plant a stale-read bug the
     /// checker must catch; never set outside tests.
@@ -145,23 +170,28 @@ pub struct CacheState {
 }
 
 impl CacheState {
-    /// Build a cache with `cfg.capacity_bytes / cfg.line_bytes` slots.
-    pub fn new(cfg: CacheConfig) -> Self {
+    /// Build a cache for a fabric whose segments are `seg_bytes` long;
+    /// see the type's docs for how `cfg` becomes a slot count.
+    pub fn new(cfg: CacheConfig, seg_bytes: usize) -> Self {
         assert!(
             cfg.line_bytes.is_power_of_two() && cfg.line_bytes >= 8,
             "cache line size must be a power of two ≥ 8"
         );
-        let nslots = (cfg.capacity_bytes / cfg.line_bytes).max(1);
-        let line_shift = cfg.line_bytes.trailing_zeros();
+        let nslots = 1usize << (cfg.capacity_bytes / cfg.line_bytes).max(1).ilog2();
+        let empty = || Slot {
+            seq: AtomicU64::new(0),
+            tag: AtomicU64::new(0),
+        };
         CacheState {
-            cfg,
-            line_shift,
-            nslots,
-            inner: Mutex::new(Inner {
-                slots: (0..nslots).map(|_| None).collect(),
-                occupied: 0,
-            }),
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            seg_bytes,
+            slots: (0..nslots).map(|_| empty()).collect(),
+            arena: Segment::new(nslots * cfg.line_bytes),
+            epoch: AtomicU64::new(1),
+            occupied: AtomicU64::new(0),
+            fills: Mutex::new(Vec::new()),
             bypass_sync_invalidation: AtomicBool::new(false),
+            cfg,
         }
     }
 
@@ -169,13 +199,6 @@ impl CacheState {
     #[inline]
     pub fn line_bytes(&self) -> usize {
         self.cfg.line_bytes
-    }
-
-    /// The line-aligned base of the line containing `offset`.
-    #[inline]
-    #[must_use]
-    pub fn line_base(&self, offset: usize) -> usize {
-        offset & !(self.cfg.line_bytes - 1)
     }
 
     /// The line-aligned base address of the line containing `addr` — one
@@ -187,102 +210,166 @@ impl CacheState {
         GlobalAddr::from_packed(addr.packed() & !(self.cfg.line_bytes as u64 - 1))
     }
 
-    /// Slot index for a line-aligned base address: xor-fold the packed
-    /// `rank:offset` word (a multiply only propagates input bits *upward*,
-    /// so the rank field in the high bits must first be folded down to
-    /// reach every slot bit), then one Fibonacci multiply, high half into
-    /// the modulo. Shifting out the (zero) low line bits keeps consecutive
-    /// lines in distinct slots.
+    /// True when no line is cached.
     #[inline]
-    fn slot_of(&self, base: GlobalAddr) -> usize {
-        let x = base.packed() >> self.line_shift;
-        let h = (x ^ (x >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        ((h >> 32) % self.nslots as u64) as usize
+    pub fn is_empty(&self) -> bool {
+        self.occupied.load(Ordering::Relaxed) == 0
+    }
+
+    /// Length of the line at the line-aligned `base`: `line_bytes`,
+    /// less where the segment ends inside the line.
+    #[inline]
+    pub fn line_len(&self, base: GlobalAddr) -> usize {
+        self.cfg.line_bytes.min(self.seg_bytes - base.offset())
+    }
+
+    /// Slot of the line containing `addr`, and the tag that slot carries
+    /// while it holds that line in the current epoch. The rank's offset
+    /// is a Fibonacci multiply, so that ranks reading the same offsets of
+    /// different peers (the SPMD habit) land a stride apart instead of on
+    /// top of each other.
+    #[inline(always)]
+    fn locate(&self, addr: GlobalAddr) -> (usize, u64) {
+        let line = addr.offset() >> self.line_shift;
+        let rank_offset = (addr.rank() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+        let slot = line.wrapping_add(rank_offset as usize) & (self.slots.len() - 1);
+        let tag = self.line_base_addr(addr).packed() | self.epoch.load(Ordering::Relaxed);
+        (slot, tag)
+    }
+
+    /// Byte offset of `addr` inside the arena, given its slot.
+    #[inline]
+    fn arena_offset(&self, slot: usize, addr: GlobalAddr) -> usize {
+        (slot << self.line_shift) | (addr.offset() & (self.cfg.line_bytes - 1))
+    }
+
+    /// The hit protocol around `read`, which loads from the arena:
+    /// version before (acquire: the stores of the fill that set it are
+    /// visible), version after (behind an acquire fence: had a later
+    /// fill's stores been visible to `read`, so would be the odd version
+    /// it set first).
+    #[inline(always)]
+    fn hit<R>(&self, addr: GlobalAddr, len: usize, read: impl FnOnce(usize) -> R) -> Option<R> {
+        let (slot, tag) = self.locate(addr);
+        let s = &self.slots[slot];
+        let seq = s.seq.load(Ordering::Acquire);
+        if seq & 1 != 0
+            || s.tag.load(Ordering::Relaxed) != tag
+            || addr.offset() + len > self.seg_bytes
+        {
+            return None;
+        }
+        let value = read(self.arena_offset(slot, addr));
+        fence(Ordering::Acquire);
+        (s.seq.load(Ordering::Relaxed) == seq).then_some(value)
     }
 
     /// Look up `out.len()` bytes of the global address space starting at
     /// `addr`; the span must not cross a line boundary. On a hit the bytes
-    /// are copied into `out` and the line's fill stamp (if any) is
-    /// returned; `None` is a miss.
-    pub fn lookup(&self, addr: GlobalAddr, out: &mut [u8]) -> Option<Option<Stamp>> {
-        let base = self.line_base_addr(addr);
-        debug_assert!(addr.offset() + out.len() <= base.offset() + self.cfg.line_bytes);
-        let inner = self.inner.lock();
-        let line = inner.slots[self.slot_of(base)].as_ref()?;
-        if line.addr != base {
-            return None;
-        }
-        let start = addr.offset() - base.offset();
-        if start + out.len() > line.data.len() {
-            return None;
-        }
-        out.copy_from_slice(&line.data[start..start + out.len()]);
-        Some(line.fill.clone())
+    /// are copied into `out`; on a miss `out` holds nothing of value.
+    #[must_use]
+    pub fn lookup(&self, addr: GlobalAddr, out: &mut [u8]) -> bool {
+        debug_assert!(
+            addr.offset() + out.len() <= self.line_base_addr(addr).offset() + self.cfg.line_bytes
+        );
+        self.hit(addr, out.len(), |at| self.arena.read_bytes(at, out))
+            .is_some()
     }
 
-    /// Install a freshly fetched line (replacing any conflicting line in
-    /// its slot). `base` must be line-aligned; `data` is the whole line
-    /// (possibly short at the segment end).
-    pub fn insert(&self, base: GlobalAddr, data: Box<[u8]>, fill: Option<Stamp>) {
+    /// [`CacheState::lookup`] of one aligned word: two compares and a load.
+    #[inline]
+    #[must_use]
+    pub fn lookup_u64(&self, addr: GlobalAddr) -> Option<u64> {
+        self.hit(addr, 8, |at| self.arena.load_u64(at))
+    }
+
+    /// The stamp the line holding `addr` was filled with, if it was
+    /// filled while the race checker was on and is still cached.
+    pub fn fill_stamp(&self, addr: GlobalAddr) -> Option<Stamp> {
+        let stamps = self.fills.lock();
+        let (slot, tag) = self.locate(addr);
+        let live = self.slots[slot].tag.load(Ordering::Relaxed) == tag;
+        stamps.get(slot).filter(|_| live)?.clone()
+    }
+
+    /// Install `data`, freshly fetched, as the line at the line-aligned
+    /// `base` (replacing whatever its slot held), with the fetch's stamp
+    /// if the checker is on. The caller fetches before it calls, so the
+    /// lock is held for a copy and no longer; what that leaves open, as
+    /// it always was: when another thread of the rank invalidates the
+    /// line between the fetch and this call, the line goes in all the same.
+    pub fn fill(&self, base: GlobalAddr, data: &[u8], stamp: Option<Stamp>) {
         debug_assert_eq!(base, self.line_base_addr(base));
-        debug_assert!(data.len() <= self.cfg.line_bytes);
-        let slot = self.slot_of(base);
-        let mut inner = self.inner.lock();
-        if inner.slots[slot].is_none() {
-            inner.occupied += 1;
+        debug_assert_eq!(data.len(), self.line_len(base));
+        let mut stamps = self.fills.lock();
+        // The epoch cannot move under the lock, so the tag is current.
+        let (slot, tag) = self.locate(base);
+        let s = &self.slots[slot];
+        // Odd version, then tag and data, then the next even version:
+        // whoever is reading the slot meanwhile misses (see `hit`).
+        let seq = s.seq.load(Ordering::Relaxed);
+        s.seq.store(seq.wrapping_add(1), Ordering::Relaxed);
+        fence(Ordering::Release);
+        let old = s.tag.swap(tag, Ordering::Relaxed);
+        self.arena.write_bytes(slot << self.line_shift, data);
+        s.seq.store(seq.wrapping_add(2), Ordering::Release);
+        // A zero or older-epoch tag was not counted as a line.
+        if (old ^ tag) & (self.cfg.line_bytes as u64 - 1) != 0 {
+            self.occupied.fetch_add(1, Ordering::Relaxed);
         }
-        inner.slots[slot] = Some(Line {
-            addr: base,
-            data,
-            fill,
-        });
+        if stamp.is_some() && stamps.is_empty() {
+            stamps.resize(self.slots.len(), None);
+        }
+        if let Some(s) = stamps.get_mut(slot) {
+            *s = stamp;
+        }
     }
 
     /// Drop every cached line overlapping `[addr, addr+len)`; returns how
     /// many lines were removed. Used by the write-through path —
     /// invalidating a covering span is always safe (a dropped line only
-    /// costs a refill).
+    /// costs a refill). Clearing a tag leaves the slot's bytes alone, so
+    /// the version stays: a hit that read the tag first is a hit that
+    /// came first.
     pub fn invalidate_span(&self, addr: GlobalAddr, len: usize) -> u64 {
-        if len == 0 {
+        if len == 0 || self.is_empty() {
             return 0;
         }
-        let mut inner = self.inner.lock();
-        if inner.occupied == 0 {
-            return 0;
-        }
-        let first = self.line_base_addr(addr);
+        let _fills = self.fills.lock();
         let last = self.line_base_addr(addr.add(len - 1));
         let mut removed = 0;
-        let mut base = first;
+        let mut base = self.line_base_addr(addr);
         loop {
-            let slot = self.slot_of(base);
-            if let Some(line) = &inner.slots[slot] {
-                if line.addr == base {
-                    inner.slots[slot] = None;
-                    inner.occupied -= 1;
-                    removed += 1;
-                }
+            let (slot, tag) = self.locate(base);
+            let held = &self.slots[slot].tag;
+            if held.load(Ordering::Relaxed) == tag {
+                held.store(0, Ordering::Relaxed);
+                removed += 1;
             }
             if base == last {
                 break;
             }
             base = base.add(self.cfg.line_bytes);
         }
+        self.occupied.fetch_sub(removed, Ordering::Relaxed);
         removed
     }
 
     /// Drop every cached line; returns how many were removed.
     pub fn invalidate_all(&self) -> u64 {
-        let mut inner = self.inner.lock();
-        if inner.occupied == 0 {
+        if self.is_empty() {
             return 0;
         }
-        let removed = inner.occupied as u64;
-        for slot in inner.slots.iter_mut() {
-            *slot = None;
+        let _fills = self.fills.lock();
+        let mut epoch = self.epoch.load(Ordering::Relaxed) + 1;
+        if epoch == self.cfg.line_bytes as u64 {
+            for slot in self.slots.iter() {
+                slot.tag.store(0, Ordering::Relaxed);
+            }
+            epoch = 1;
         }
-        inner.occupied = 0;
-        removed
+        self.epoch.store(epoch, Ordering::Relaxed);
+        self.occupied.swap(0, Ordering::Relaxed)
     }
 
     /// Sync-point invalidation (`barrier()`/`fence()`): like
@@ -306,12 +393,11 @@ impl CacheState {
 
 impl std::fmt::Debug for CacheState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.inner.lock();
         f.debug_struct("CacheState")
             .field("capacity_bytes", &self.cfg.capacity_bytes)
             .field("line_bytes", &self.cfg.line_bytes)
-            .field("nslots", &self.nslots)
-            .field("occupied", &inner.occupied)
+            .field("nslots", &self.slots.len())
+            .field("occupied", &self.occupied.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -324,11 +410,19 @@ mod tests {
         GlobalAddr::new(rank, offset)
     }
 
+    /// A cache over 1 MiB segments.
     fn cache(capacity: usize, line: usize) -> CacheState {
-        CacheState::new(CacheConfig {
+        let cfg = CacheConfig {
             capacity_bytes: capacity,
             line_bytes: line,
-        })
+        };
+        CacheState::new(cfg, 1 << 20)
+    }
+
+    /// Install `data` as the line at `base`.
+    fn fill(c: &CacheState, base: GlobalAddr, data: &[u8], stamp: Option<Stamp>) {
+        assert_eq!(data.len(), c.line_len(base));
+        c.fill(base, data, stamp);
     }
 
     #[test]
@@ -354,56 +448,51 @@ mod tests {
     fn miss_fill_hit_roundtrip() {
         let c = cache(1024, 64);
         let mut out = [0u8; 8];
-        assert!(c.lookup(ga(1, 64), &mut out).is_none(), "cold cache misses");
-        let data: Box<[u8]> = (0..64u8).collect();
-        c.insert(ga(1, 64), data, None);
-        assert!(c.lookup(ga(1, 64), &mut out).is_some());
+        assert!(!c.lookup(ga(1, 64), &mut out), "cold cache misses");
+        let data: Vec<u8> = (0..64u8).collect();
+        fill(&c, ga(1, 64), &data, None);
+        assert!(c.lookup(ga(1, 64), &mut out));
         assert_eq!(out, [0, 1, 2, 3, 4, 5, 6, 7]);
-        assert!(
-            c.lookup(ga(1, 100), &mut out).is_some(),
-            "same line, later span"
-        );
+        assert!(c.lookup(ga(1, 100), &mut out), "same line, later span");
         assert_eq!(out, [36, 37, 38, 39, 40, 41, 42, 43]);
-        assert!(c.lookup(ga(2, 64), &mut out).is_none(), "other rank misses");
-        assert!(
-            c.lookup(ga(1, 128), &mut out).is_none(),
-            "other line misses"
+        assert_eq!(
+            c.lookup_u64(ga(1, 72)),
+            Some(u64::from_le_bytes([8, 9, 10, 11, 12, 13, 14, 15]))
         );
+        assert!(!c.lookup(ga(2, 64), &mut out), "other rank misses");
+        assert!(!c.lookup(ga(1, 128), &mut out), "other line misses");
+        assert_eq!(c.lookup_u64(ga(1, 128)), None);
     }
 
     #[test]
     fn short_line_at_segment_end_bounds_hits() {
-        let c = cache(1024, 64);
-        // Segment ends mid-line: only 16 bytes of the line exist.
-        c.insert(ga(0, 64), vec![7u8; 16].into_boxed_slice(), None);
+        // The segment ends 16 bytes into its last line.
+        let c = CacheState::new(CacheConfig::new().capacity_bytes(1024).line_bytes(64), 80);
+        fill(&c, ga(0, 64), &[7u8; 16], None);
         let mut out = [0u8; 8];
-        assert!(c.lookup(ga(0, 64), &mut out).is_some());
+        assert!(c.lookup(ga(0, 72), &mut out));
+        assert_eq!(out, [7; 8]);
         assert!(
-            c.lookup(ga(0, 80), &mut out).is_none(),
-            "span past the short line's data misses"
+            !c.lookup(ga(0, 80), &mut out),
+            "span past the segment's end misses"
         );
+        assert_eq!(c.lookup_u64(ga(0, 80)), None);
     }
 
     #[test]
     fn invalidate_span_drops_covered_lines_only() {
         let c = cache(4096, 64);
-        c.insert(ga(0, 0), vec![1; 64].into_boxed_slice(), None);
-        c.insert(ga(0, 64), vec![2; 64].into_boxed_slice(), None);
-        c.insert(ga(0, 128), vec![3; 64].into_boxed_slice(), None);
-        c.insert(ga(1, 64), vec![4; 64].into_boxed_slice(), None);
+        fill(&c, ga(0, 0), &[1; 64], None);
+        fill(&c, ga(0, 64), &[2; 64], None);
+        fill(&c, ga(0, 128), &[3; 64], None);
+        fill(&c, ga(1, 64), &[4; 64], None);
         // A write covering [60, 70) touches lines 0 and 64 of rank 0.
         assert_eq!(c.invalidate_span(ga(0, 60), 10), 2);
         let mut out = [0u8; 8];
-        assert!(c.lookup(ga(0, 0), &mut out).is_none());
-        assert!(c.lookup(ga(0, 64), &mut out).is_none());
-        assert!(
-            c.lookup(ga(0, 128), &mut out).is_some(),
-            "uncovered line stays"
-        );
-        assert!(
-            c.lookup(ga(1, 64), &mut out).is_some(),
-            "other rank's line stays"
-        );
+        assert!(!c.lookup(ga(0, 0), &mut out));
+        assert!(!c.lookup(ga(0, 64), &mut out));
+        assert!(c.lookup(ga(0, 128), &mut out), "uncovered line stays");
+        assert!(c.lookup(ga(1, 64), &mut out), "other rank's line stays");
         assert_eq!(c.invalidate_span(ga(0, 60), 10), 0, "already gone");
         assert_eq!(c.invalidate_span(ga(0, 0), 0), 0, "empty span");
     }
@@ -412,55 +501,139 @@ mod tests {
     fn invalidate_all_counts_and_empties() {
         let c = cache(1024, 64);
         assert_eq!(c.invalidate_all(), 0);
-        c.insert(ga(0, 0), vec![0; 64].into_boxed_slice(), None);
-        c.insert(ga(1, 64), vec![0; 64].into_boxed_slice(), None);
-        assert_eq!(c.invalidate_all(), 2);
+        fill(&c, ga(0, 0), &[0; 64], None);
+        fill(&c, ga(1, 64), &[0; 64], None);
+        fill(&c, ga(1, 64), &[1; 64], None);
+        assert_eq!(c.invalidate_all(), 2, "a refill is not a second line");
         let mut out = [0u8; 8];
-        assert!(c.lookup(ga(0, 0), &mut out).is_none());
+        assert!(!c.lookup(ga(0, 0), &mut out));
+        assert!(c.is_empty());
         assert_eq!(c.invalidate_all(), 0);
+        // A slot last filled in an earlier epoch counts as empty.
+        fill(&c, ga(0, 0), &[2; 64], None);
+        assert_eq!(c.invalidate_all(), 1);
     }
 
     #[test]
     fn sync_invalidation_respects_bypass_knob() {
         let c = cache(1024, 64);
-        c.insert(ga(0, 0), vec![9; 64].into_boxed_slice(), None);
+        fill(&c, ga(0, 0), &[9; 64], None);
         c.set_bypass_sync_invalidation(true);
         assert_eq!(c.invalidate_sync(), 0, "bypassed");
         let mut out = [0u8; 8];
-        assert!(
-            c.lookup(ga(0, 0), &mut out).is_some(),
-            "stale line survives"
-        );
+        assert!(c.lookup(ga(0, 0), &mut out), "stale line survives");
         c.set_bypass_sync_invalidation(false);
         assert_eq!(c.invalidate_sync(), 1);
-        assert!(c.lookup(ga(0, 0), &mut out).is_none());
+        assert!(!c.lookup(ga(0, 0), &mut out));
     }
 
     #[test]
     fn conflicting_lines_evict() {
         // One slot: every line maps to it.
         let c = cache(64, 64);
-        c.insert(ga(0, 0), vec![1; 64].into_boxed_slice(), None);
-        c.insert(ga(0, 4096), vec![2; 64].into_boxed_slice(), None);
+        fill(&c, ga(0, 0), &[1; 64], None);
+        fill(&c, ga(0, 4096), &[2; 64], None);
         let mut out = [0u8; 8];
-        assert!(c.lookup(ga(0, 4096), &mut out).is_some());
-        assert!(
-            c.lookup(ga(0, 0), &mut out).is_none(),
-            "evicted by conflict"
-        );
+        assert!(c.lookup(ga(0, 4096), &mut out));
+        assert!(!c.lookup(ga(0, 0), &mut out), "evicted by conflict");
+        assert_eq!(c.invalidate_all(), 1);
+    }
+
+    #[test]
+    fn capacity_rounds_down_to_a_power_of_two_of_slots() {
+        // 12 lines fit; 8 slots are built, and Debug says so.
+        let c = cache(12 * 64, 64);
+        assert!(format!("{c:?}").contains("nslots: 8"), "{c:?}");
+        // Eight consecutive lines of one rank, wherever they start, keep
+        // out of each other's way; the ninth evicts the first.
+        for start in [0usize, 3, 8, 1021] {
+            for l in start..start + 8 {
+                fill(&c, ga(1, l * 64), &[l as u8; 64], None);
+            }
+            let mut out = [0u8; 8];
+            for l in start..start + 8 {
+                assert!(c.lookup(ga(1, l * 64), &mut out), "line {l} of 8");
+                assert_eq!(out, [l as u8; 8]);
+            }
+            fill(&c, ga(1, (start + 8) * 64), &[0; 64], None);
+            assert!(!c.lookup(ga(1, start * 64), &mut out));
+            assert_eq!(c.invalidate_all(), 8);
+        }
+    }
+
+    #[test]
+    fn epoch_wraparound_never_revives_a_line() {
+        // 8-byte lines leave the epoch three bits: it wraps every 7 bumps.
+        let c = cache(64, 8);
+        fill(&c, ga(0, 0), &[1; 8], None);
+        assert_eq!(c.lookup_u64(ga(0, 0)), Some(u64::from_le_bytes([1; 8])));
+        for round in 0..40u8 {
+            // Another slot is refilled each round; slot 0's tag is never
+            // written again and must stay dead through every wrap.
+            assert_eq!(c.invalidate_all(), 1, "round {round}");
+            assert_eq!(c.lookup_u64(ga(0, 0)), None, "round {round}");
+            fill(&c, ga(0, 8), &[round; 8], None);
+            assert_eq!(c.lookup_u64(ga(0, 8)), Some(u64::from_le_bytes([round; 8])));
+        }
+    }
+
+    #[test]
+    fn alternating_refills_of_one_slot_never_misattribute() {
+        // One slot, two lines taking turns in it: between a reader's two
+        // checks the slot can go A -> B -> A, and only a version that
+        // never repeats tells that apart from "nothing happened".
+        let c = cache(64, 64);
+        let (a, b) = (ga(1, 0), ga(1, 4096));
+        let word = |byte: u8| u64::from_le_bytes([byte; 8]);
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..300_000 {
+                    fill(&c, a, &[0xAA; 64], None);
+                    fill(&c, b, &[0xBB; 64], None);
+                }
+                done.store(true, Ordering::Relaxed);
+            });
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let mut out = [0u8; 24];
+                    while !done.load(Ordering::Relaxed) {
+                        for at in [0, 24, 56] {
+                            if let Some(w) = c.lookup_u64(a.add(at)) {
+                                assert_eq!(w, word(0xAA), "line A served line B's word");
+                            }
+                            if let Some(w) = c.lookup_u64(b.add(at)) {
+                                assert_eq!(w, word(0xBB), "line B served line A's word");
+                            }
+                        }
+                        if c.lookup(b.add(8), &mut out) {
+                            assert_eq!(out, [0xBB; 24], "torn or misattributed span");
+                        }
+                    }
+                });
+            }
+        });
     }
 
     #[test]
     fn fill_stamp_round_trips() {
         let c = cache(1024, 64);
         let stamp = Stamp(vec![3, 1].into_boxed_slice());
-        c.insert(
-            ga(0, 0),
-            vec![0; 64].into_boxed_slice(),
-            Some(stamp.clone()),
+        fill(&c, ga(0, 0), &[0; 64], None);
+        assert_eq!(c.fill_stamp(ga(0, 0)), None, "no side table yet");
+        fill(&c, ga(0, 64), &[0; 64], Some(stamp.clone()));
+        assert_eq!(c.fill_stamp(ga(0, 100)), Some(stamp));
+        assert_eq!(c.fill_stamp(ga(0, 0)), None, "filled unstamped");
+        // An unstamped refill and an invalidation both retire the stamp.
+        fill(&c, ga(0, 64), &[0; 64], None);
+        assert_eq!(c.fill_stamp(ga(0, 64)), None);
+        fill(
+            &c,
+            ga(0, 64),
+            &[0; 64],
+            Some(Stamp(vec![4, 1].into_boxed_slice())),
         );
-        let mut out = [0u8; 8];
-        let got = c.lookup(ga(0, 0), &mut out).expect("hit");
-        assert_eq!(got, Some(stamp));
+        c.invalidate_all();
+        assert_eq!(c.fill_stamp(ga(0, 64)), None);
     }
 }

@@ -24,8 +24,9 @@ use crate::stats::{CommCounts, CommStats};
 use crate::Rank;
 use rupcxx_check::{AccessKind, CheckConfig, Checker, Stamp};
 use rupcxx_trace::{EventKind, ProfConfig, ProfKind, ProfSpan, ProfState, RankTrace, TraceConfig};
-use rupcxx_util::sync::Mutex;
+use rupcxx_util::sync::{CachePadded, Mutex};
 use rupcxx_util::Bytes;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -197,17 +198,36 @@ pub struct AmMessage {
 }
 
 /// One per-rank endpoint: segment + AM inbox + counters.
+///
+/// The endpoints of a fabric sit in one array and every rank's thread
+/// reaches into every element, so the fields are laid out by **who
+/// writes them** (`repr(C)` keeps the order; a [`CachePadded`] field
+/// starts a 128-byte block, occupies whole blocks, and so starts the
+/// fields behind it on a fresh block too):
+///
+/// 1. read by every rank, written by none once built;
+/// 2. written by this rank's own threads on every operation;
+/// 3. written by peers when they send to this rank.
+///
+/// A peer resolving an address in `segment` therefore never waits for a
+/// line this rank's counters keep dirtying, and neither of them for the
+/// inbox. `endpoint_groups_share_no_block` holds the layout to that.
+#[repr(C)]
 pub struct Endpoint {
+    // -- 1. immutable after construction, read by everybody --
     /// This rank's globally addressable memory.
     pub segment: Segment,
-    pub(crate) inbox: ShardedInbox<AmMessage>,
+    /// Precomputed at construction: every feature that could touch a
+    /// word-RMA issued by this rank (simnet, faults, checker, conduit,
+    /// trace, read cache) is off, so `put_u64`/`get_u64`/atomics take the
+    /// branch-collapsed fast path — one flag load instead of six
+    /// scattered `Option` probes.
+    pub(crate) rma_fast: bool,
+    // -- 2. written by the owning rank --
     /// Traffic counters for operations initiated by this rank.
-    pub stats: CommStats,
+    pub stats: CachePadded<CommStats>,
     /// Structured tracing + metrics for this rank (off by default).
     pub trace: RankTrace,
-    /// Reliable-delivery state for this rank's incoming links; allocated
-    /// only when the fabric has a fault plan.
-    pub(crate) reliable: Option<AmChannel>,
     /// Per-destination aggregation buffers for operations *initiated* by
     /// this rank; allocated only when the fabric has an [`AggConfig`].
     pub(crate) agg: Option<AggState>,
@@ -217,12 +237,11 @@ pub struct Endpoint {
     /// Causal profiler state for this rank; allocated only when the
     /// fabric has a [`ProfConfig`] (`RUPCXX_PROF`).
     pub prof: Option<ProfState>,
-    /// Precomputed at construction: every feature that could touch a
-    /// word-RMA issued by this rank (simnet, faults, checker, conduit,
-    /// trace, read cache) is off, so `put_u64`/`get_u64`/atomics take the
-    /// branch-collapsed fast path — one flag load instead of six
-    /// scattered `Option` probes.
-    pub(crate) rma_fast: bool,
+    // -- 3. written by peers -- (the inbox is `CachePadded` inside)
+    pub(crate) inbox: ShardedInbox<AmMessage>,
+    /// Reliable-delivery state for this rank's incoming links; allocated
+    /// only when the fabric has a fault plan.
+    pub(crate) reliable: Option<AmChannel>,
 }
 
 impl Endpoint {
@@ -234,7 +253,7 @@ impl Endpoint {
         trace: &TraceConfig,
         faulty: bool,
         agg: Option<&AggConfig>,
-        cache: Option<&CacheConfig>,
+        cache: Option<CacheState>,
         prof: Option<&ProfConfig>,
         rma_fast: bool,
     ) -> Self {
@@ -244,14 +263,14 @@ impl Endpoint {
         }
         Endpoint {
             segment: Segment::new(segment_bytes),
-            inbox: ShardedInbox::new(),
-            stats,
-            trace: RankTrace::new(trace),
-            reliable: faulty.then(|| AmChannel::new(ranks)),
-            agg: agg.map(|cfg| AggState::new(ranks, cfg.clone())),
-            cache: cache.map(|cfg| CacheState::new(cfg.clone())),
-            prof: prof.map(|cfg| ProfState::new(rank, cfg)),
             rma_fast,
+            stats: CachePadded(stats),
+            trace: RankTrace::new(trace),
+            agg: agg.map(|cfg| AggState::new(ranks, cfg.clone())),
+            cache,
+            prof: prof.map(|cfg| ProfState::new(rank, cfg)),
+            inbox: ShardedInbox::new(),
+            reliable: faulty.then(|| AmChannel::new(ranks)),
         }
     }
 
@@ -486,7 +505,12 @@ impl Fabric {
                     &config.trace,
                     faults.is_some(),
                     config.agg.as_ref(),
-                    config.cache.as_ref(),
+                    // Bounded by the configured size: the segments it
+                    // caches are the peers', in remote mode not `seg`.
+                    config
+                        .cache
+                        .as_ref()
+                        .map(|cfg| CacheState::new(cfg.clone(), config.segment_bytes)),
                     config.prof.as_ref(),
                     rma_fast,
                 )
@@ -581,6 +605,9 @@ impl Fabric {
     pub fn cache_invalidate_sync(&self, rank: Rank) {
         if let Some(cache) = &self.endpoints[rank].cache {
             self.count_invalidations(rank, cache.invalidate_sync());
+            if let Some(ck) = self.check.as_ref().filter(|_| cache.is_empty()) {
+                ck.cache_flushed(rank);
+            }
         }
     }
 
@@ -690,53 +717,70 @@ impl Fabric {
     /// each call actually requested (at the fill for misses, at the
     /// current clock for hits), never the line padding.
     fn get_cached(&self, initiator: Rank, src: GlobalAddr, buf: &mut [u8]) {
-        let ep = &self.endpoints[initiator];
-        let cache = ep.cache.as_ref().unwrap();
-        let line = cache.line_bytes();
-        let mut off = src.offset();
+        let cache = self.endpoints[initiator].cache.as_ref().unwrap();
+        let mut at = src;
         let mut out = &mut buf[..];
         while !out.is_empty() {
-            let base = cache.line_base(off);
-            let line_len = line.min(self.seg_bytes - base);
-            let take = (base + line_len - off).min(out.len());
+            let start = at.offset() - cache.line_base_addr(at).offset();
+            // The get ends inside the segment, so a short last line
+            // never cuts a chunk shorter than this.
+            let take = (cache.line_bytes() - start).min(out.len());
             let (chunk, rest) = out.split_at_mut(take);
-            match cache.lookup(GlobalAddr::new(src.rank(), off), chunk) {
-                Some(fill) => {
-                    ep.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    ep.trace
-                        .instant(EventKind::CacheHit, src.rank() as i32, take as u64);
-                    if let Some(ck) = &self.check {
-                        // A hit is still a read the program performs now:
-                        // record it at the current clock (writes *racing*
-                        // with the hit are plain data races), then check
-                        // that no synchronized-after-fill write has made
-                        // the cached bytes stale.
-                        ck.access(initiator, src.rank(), off, take, AccessKind::Read, "get");
-                        if let Some(fill) = &fill {
-                            ck.cache_read(initiator, src.rank(), off, take, fill);
-                        }
-                    }
-                }
-                None => {
-                    ep.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    // One fabric get for the whole covering line, seen
-                    // by the checker as a read of the requested bytes.
-                    let addr = GlobalAddr::new(src.rank(), base);
-                    let mut data = vec![0u8; line_len];
-                    let fetch = RmaOp::Get {
-                        addr,
-                        len: line_len,
-                    };
-                    self.rma(initiator, &fetch, &mut data, Some((off, take)));
-                    chunk.copy_from_slice(&data[off - base..off - base + take]);
-                    let fill = self.check.as_ref().map(|ck| ck.send_stamp(initiator));
-                    cache.insert(addr, data.into_boxed_slice(), fill);
-                    ep.trace
-                        .instant(EventKind::CacheFill, src.rank() as i32, line_len as u64);
-                }
+            if cache.lookup(at, chunk) {
+                self.cache_hit(initiator, cache, at, take);
+            } else {
+                self.cache_miss(initiator, cache, at, chunk);
             }
             out = rest;
-            off += take;
+            at = at.add(take);
+        }
+    }
+
+    /// Serve `chunk`, which `initiator`'s `cache` does not hold, from
+    /// `at`: one fabric get for the whole covering line, seen by the
+    /// checker as a read of the requested bytes, then the install. The
+    /// fetch runs before the cache's lock is taken, into a buffer the
+    /// thread keeps from miss to miss.
+    fn cache_miss(&self, initiator: Rank, cache: &CacheState, at: GlobalAddr, chunk: &mut [u8]) {
+        thread_local! {
+            /// Taken out while in use: a miss nested inside the fetch (a
+            /// handler run while waiting for the reply) gets its own.
+            static LINE: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+        }
+        let ep = &self.endpoints[initiator];
+        ep.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+        let base = cache.line_base_addr(at);
+        let start = at.offset() - base.offset();
+        let mut line = LINE.take();
+        line.resize(cache.line_len(base), 0);
+        let (addr, len) = (base, line.len());
+        let asked = Some((at.offset(), chunk.len()));
+        self.rma(initiator, &RmaOp::Get { addr, len }, &mut line, asked);
+        chunk.copy_from_slice(&line[start..start + chunk.len()]);
+        let stamp = self.check.as_ref().map(|ck| ck.cache_fill(initiator));
+        cache.fill(base, &line, stamp);
+        ep.trace
+            .instant(EventKind::CacheFill, at.rank() as i32, line.len() as u64);
+        LINE.set(line);
+    }
+
+    /// Account for `len` bytes at `addr` served from `initiator`'s `cache`.
+    #[inline]
+    fn cache_hit(&self, initiator: Rank, cache: &CacheState, addr: GlobalAddr, len: usize) {
+        let ep = &self.endpoints[initiator];
+        ep.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+        ep.trace
+            .instant(EventKind::CacheHit, addr.rank() as i32, len as u64);
+        if let Some(ck) = &self.check {
+            // A hit is still a read the program performs now: record it
+            // at the current clock (writes *racing* with the hit are
+            // plain data races), then check that no synchronized-after-
+            // fill write has made the cached bytes stale.
+            let (target, offset) = (addr.rank(), addr.offset());
+            ck.access(initiator, target, offset, len, AccessKind::Read, "get");
+            if let Some(fill) = cache.fill_stamp(addr) {
+                ck.cache_read(initiator, target, offset, len, &fill);
+            }
         }
     }
 
@@ -762,10 +806,19 @@ impl Fabric {
             return self.endpoints[src.rank()].segment.load_u64(src.offset());
         }
         let mut buf = [0u8; 8];
-        if self.endpoints[initiator].cache.is_some() && src.rank() != initiator {
-            self.get(initiator, src, &mut buf);
-        } else {
-            self.rma(initiator, &RmaOp::Get { addr: src, len: 8 }, &mut buf, None);
+        match &self.endpoints[initiator].cache {
+            // As in `get`: remote and in bounds, or not through the cache.
+            Some(cache) if src.rank() != initiator && src.offset() + 8 <= self.seg_bytes => {
+                // The word hit: two compares and a load.
+                if let Some(word) = cache.lookup_u64(src) {
+                    self.cache_hit(initiator, cache, src, 8);
+                    return word;
+                }
+                self.cache_miss(initiator, cache, src, &mut buf);
+            }
+            _ => {
+                self.rma(initiator, &RmaOp::Get { addr: src, len: 8 }, &mut buf, None);
+            }
         }
         u64::from_le_bytes(buf)
     }
@@ -1368,6 +1421,169 @@ mod tests {
         let f = cached_fabric(2, 64);
         let mut buf = [0u8; 16];
         f.get(0, GlobalAddr::new(1, 4090), &mut buf);
+    }
+
+    #[test]
+    fn sweeps_of_exactly_the_capacity_miss_once_per_line() {
+        // 1 KiB of 64-byte lines: 16 slots, swept as 128 words starting
+        // mid-segment. Only the first sweep may miss.
+        let f = cached_fabric(2, 64);
+        for _ in 0..4 {
+            for w in 0..128 {
+                f.get_u64(0, GlobalAddr::new(1, 1472 + w * 8));
+            }
+        }
+        let c = f.endpoint(0).stats.snapshot();
+        assert_eq!(c.cache_misses, 16);
+        assert_eq!(c.cache_hits, 4 * 128 - 16);
+        f.cache_invalidate_sync(0);
+        assert_eq!(f.endpoint(0).stats.snapshot().cache_invalidations, 16);
+    }
+
+    #[test]
+    fn concurrent_same_rank_gets_never_tear_or_misattribute() {
+        // Two threads read as rank 0 through a cache of four lines, so
+        // they keep evicting what the other is reading, while a third
+        // invalidates under both. The segment never changes, so every
+        // byte anyone is handed must be the one its address defines.
+        const SEG: usize = 4096;
+        const ROUNDS: u64 = 60_000;
+        let byte_at = |off: usize| (off as u32).wrapping_mul(0x9E37_79B9).to_le_bytes()[3];
+        let f = Fabric::new(FabricConfig {
+            ranks: 2,
+            segment_bytes: SEG,
+            cache: Some(CacheConfig::new().capacity_bytes(512).line_bytes(256)),
+            ..FabricConfig::default()
+        });
+        let image: Vec<u8> = (0..SEG).map(byte_at).collect();
+        f.put(1, GlobalAddr::new(1, 0), &image);
+        let start = std::sync::Barrier::new(3);
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let (f, start, image) = (&f, &start, &image);
+                s.spawn(move || {
+                    let mut rng = rupcxx_util::SplitMix64::new(0xCAC4E + t);
+                    let mut buf = [0u8; 600];
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        let r = rng.next_u64() as usize;
+                        if r & 1 == 0 {
+                            let off = (r >> 8) % (SEG / 8) * 8;
+                            let word = f.get_u64(0, GlobalAddr::new(1, off));
+                            assert_eq!(word.to_le_bytes(), image[off..off + 8], "word at {off}");
+                        } else {
+                            let len = 1 + (r >> 8) % buf.len();
+                            let off = (r >> 24) % (SEG - len);
+                            f.get(0, GlobalAddr::new(1, off), &mut buf[..len]);
+                            assert_eq!(buf[..len], image[off..off + len], "{len} bytes at {off}");
+                        }
+                    }
+                });
+            }
+            let (f, start) = (&f, &start);
+            s.spawn(move || {
+                let cache = f.endpoint(0).cache().expect("cache installed");
+                let mut rng = rupcxx_util::SplitMix64::new(0x1A7E);
+                start.wait();
+                for round in 0..ROUNDS {
+                    if round % 4 == 0 {
+                        // Often enough for the 6-bit epoch to wrap.
+                        f.cache_invalidate_sync(0);
+                    } else {
+                        let off = rng.next_u64() as usize % (SEG - 600);
+                        cache.invalidate_span(GlobalAddr::new(1, off), 600);
+                    }
+                }
+            });
+        });
+        let c = f.endpoint(0).stats.snapshot();
+        assert!(c.cache_hits > 0 && c.cache_misses > 0, "{c:?}");
+    }
+
+    #[test]
+    fn stale_hit_is_reported_however_late_it_runs() {
+        // Rank 0 keeps a line across two barriers it should have dropped
+        // it at; rank 1 writes the word in between. Both ranks have run
+        // their barrier-exit prune before the stale hit.
+        let sink = rupcxx_check::new_sink();
+        let f = Fabric::new(FabricConfig {
+            ranks: 2,
+            segment_bytes: 4096,
+            check: Some(CheckConfig::all().with_sink(sink.clone())),
+            cache: Some(CacheConfig::new()),
+            ..FabricConfig::default()
+        });
+        let ck = f.checker().expect("checker installed");
+        let barrier = || {
+            let (s0, s1) = (ck.send_stamp(0), ck.send_stamp(1));
+            ck.join(0, &s1);
+            ck.join(1, &s0);
+            for rank in 0..2 {
+                ck.barrier_exit(rank);
+                f.cache_invalidate_sync(rank);
+            }
+        };
+        let cache = f.endpoint(0).cache().expect("cache installed");
+        cache.set_bypass_sync_invalidation(true);
+        let a = GlobalAddr::new(1, 64);
+        f.put_u64(1, a, 5);
+        barrier();
+        assert_eq!(f.get_u64(0, a), 5, "line fill");
+        barrier();
+        f.put_u64(1, a, 9);
+        barrier();
+        assert_eq!(f.get_u64(0, a), 5, "stale by construction");
+        let stale = |sink: &rupcxx_check::FindingSink| {
+            let found = sink.lock();
+            found
+                .iter()
+                .filter(|f| f.kind == rupcxx_check::FindingKind::StaleCachedRead)
+                .count()
+        };
+        assert_eq!(stale(&sink), 1);
+        // With the line dropped, the floor goes and a fresh read is clean.
+        cache.set_bypass_sync_invalidation(false);
+        barrier();
+        assert_eq!(f.get_u64(0, a), 9);
+        assert_eq!(stale(&sink), 1);
+    }
+
+    #[test]
+    fn endpoint_groups_share_no_block() {
+        use std::mem::{align_of, offset_of, size_of};
+        const BLOCK: usize = 128;
+        /// First and last block a group of `(offset, size)` fields touches.
+        fn blocks(fields: &[(usize, usize)]) -> (usize, usize) {
+            let first = fields.iter().map(|&(at, _)| at / BLOCK).min().unwrap();
+            let last = fields.iter().map(|&(at, size)| (at + size - 1) / BLOCK);
+            (first, last.max().unwrap())
+        }
+        macro_rules! field {
+            ($name:ident: $ty:ty) => {
+                (offset_of!(Endpoint, $name), size_of::<$ty>())
+            };
+        }
+        let shared = blocks(&[field!(segment: Segment), field!(rma_fast: bool)]);
+        let owner = blocks(&[
+            field!(stats: CachePadded<CommStats>),
+            field!(trace: RankTrace),
+            field!(agg: Option<AggState>),
+            field!(cache: Option<CacheState>),
+            field!(prof: Option<ProfState>),
+        ]);
+        let peers = blocks(&[
+            field!(inbox: ShardedInbox<AmMessage>),
+            field!(reliable: Option<AmChannel>),
+        ]);
+        assert!(
+            shared.1 < owner.0 && owner.1 < peers.0,
+            "read-only {shared:?}, owner-written {owner:?}, peer-written {peers:?}"
+        );
+        // In an array the next endpoint's read-only block follows this
+        // one's peer-written blocks: it must start a block as well.
+        assert_eq!(align_of::<Endpoint>(), BLOCK);
+        assert_eq!(size_of::<Endpoint>() % BLOCK, 0);
+        assert_eq!(peers.1, size_of::<Endpoint>() / BLOCK - 1);
     }
 
     #[test]

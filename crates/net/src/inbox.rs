@@ -20,7 +20,7 @@
 //!   order was mutex-arrival nondeterminism; the stamp order is one valid
 //!   linearization of the same race.
 
-use rupcxx_util::sync::Mutex;
+use rupcxx_util::sync::{CachePadded, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -65,10 +65,15 @@ impl<T> Default for Shard<T> {
 /// An unbounded MPMC FIFO sharded by injecting thread (see module docs).
 /// API-compatible with the old `SegQueue` inbox: `push`/`pop`/`len`/
 /// `is_empty`/`drain`.
+///
+/// Every word here is written by producers, so the stamp and each shard
+/// get a block of their own: a producer locking its shard takes no line
+/// away from the consumer's sweep over the other shards' `len`, nor from
+/// a producer on the next shard.
 #[derive(Debug)]
 pub struct ShardedInbox<T> {
-    shards: Box<[Shard<T>]>,
-    next_seq: AtomicU64,
+    next_seq: CachePadded<AtomicU64>,
+    shards: [CachePadded<Shard<T>>; INBOX_SHARDS],
 }
 
 impl<T> Default for ShardedInbox<T> {
@@ -82,8 +87,8 @@ impl<T> ShardedInbox<T> {
     #[must_use]
     pub fn new() -> Self {
         ShardedInbox {
-            shards: (0..INBOX_SHARDS).map(|_| Shard::default()).collect(),
-            next_seq: AtomicU64::new(0),
+            next_seq: CachePadded::default(),
+            shards: std::array::from_fn(|_| CachePadded::default()),
         }
     }
 
@@ -174,6 +179,13 @@ mod tests {
         }
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn stamp_and_shards_fill_a_block_each() {
+        use std::mem::{align_of, size_of};
+        assert_eq!(align_of::<ShardedInbox<u64>>(), 128);
+        assert_eq!(size_of::<ShardedInbox<u64>>(), (1 + INBOX_SHARDS) * 128);
     }
 
     #[test]

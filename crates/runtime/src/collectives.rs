@@ -29,7 +29,7 @@ pub(crate) const WORLD_DOMAIN: u64 = 0;
 pub(crate) fn deposit(ctx: &Ctx, domain: u64, dst: Rank, key: u64, bytes: Vec<u8>) {
     let me = ctx.rank();
     if dst == me {
-        ctx.shared().mailboxes[me].deposit(domain, key, me, bytes);
+        ctx.shared().own[me].mailbox.deposit(domain, key, me, bytes);
         return;
     }
     // Multi-process jobs cannot ship a boxed closure: use the registered
@@ -44,7 +44,7 @@ pub(crate) fn deposit(ctx: &Ctx, domain: u64, dst: Rank, key: u64, bytes: Vec<u8
     }
     let shared = ctx.shared().clone();
     ctx.send_task(dst, move || {
-        shared.mailboxes[dst].deposit(domain, key, me, bytes);
+        shared.own[dst].mailbox.deposit(domain, key, me, bytes);
     });
 }
 
@@ -52,8 +52,8 @@ pub(crate) fn deposit(ctx: &Ctx, domain: u64, dst: Rank, key: u64, bytes: Vec<u8
 /// mailbox, then remove and return them.
 pub(crate) fn collect(ctx: &Ctx, domain: u64, key: u64, count: usize) -> Vec<(Rank, Vec<u8>)> {
     let me = ctx.rank();
-    ctx.wait_until(|| ctx.shared().mailboxes[me].arrived(domain, key) >= count);
-    ctx.shared().mailboxes[me].take(domain, key)
+    ctx.wait_until(|| ctx.shared().own[me].mailbox.arrived(domain, key) >= count);
+    ctx.shared().own[me].mailbox.take(domain, key)
 }
 
 impl Ctx {

@@ -3,7 +3,7 @@
 use crate::alloc::SegAllocator;
 use rupcxx_net::{Fabric, FabricConfig, Rank};
 use rupcxx_trace::TraceConfig;
-use rupcxx_util::sync::Mutex;
+use rupcxx_util::sync::{CachePadded, Mutex};
 use rupcxx_util::Bytes;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -115,26 +115,37 @@ pub(crate) struct Builtins {
     pub(crate) complete: HandlerId,
 }
 
-/// State shared by every rank of the job.
+/// The part of [`Shared`] that belongs to one rank and that only that
+/// rank's own threads write (deposits and replies arrive as AMs and run
+/// on the rank they are addressed to).
+#[derive(Default)]
+pub struct RankState {
+    /// Collective mailbox.
+    pub(crate) mailbox: Mailbox,
+    /// Collective sequence counter (SPMD programs call collectives in the
+    /// same order on every rank, so equal counts match up).
+    pub(crate) coll_seq: AtomicU64,
+    /// Pending reply continuations for registered-handler RPC: a reply
+    /// message carries a token; the continuation stored under it consumes
+    /// the packed return bytes (resolving a future).
+    pub pending_replies: Mutex<HashMap<u64, ReplyCont>>,
+    /// Token counter for [`RankState::pending_replies`].
+    pub reply_tokens: AtomicU64,
+}
+
+/// State shared by every rank of the job. The per-rank arrays are
+/// [`CachePadded`]: a rank bumping its counters or locking its tables
+/// takes no line away from its neighbours in the array.
 pub struct Shared {
     /// The communication fabric.
     pub fabric: Arc<Fabric>,
     /// Per-rank segment allocators (locked: remote allocation is allowed,
     /// standing in for the paper's AM-mediated remote `allocate`).
-    pub(crate) allocators: Vec<Mutex<SegAllocator>>,
-    /// Per-rank collective mailboxes.
-    pub(crate) mailboxes: Vec<Mailbox>,
-    /// Per-rank collective sequence counters (SPMD programs call collectives
-    /// in the same order on every rank, so equal counts match up).
-    pub(crate) coll_seq: Vec<AtomicU64>,
+    pub(crate) allocators: Vec<CachePadded<Mutex<SegAllocator>>>,
+    /// Per-rank state written by that rank alone.
+    pub own: Vec<CachePadded<RankState>>,
     /// Frozen AM handler table.
     pub handlers: HandlerRegistry,
-    /// Per-rank pending reply continuations for registered-handler RPC:
-    /// a reply message carries a token; the continuation stored under it
-    /// consumes the packed return bytes (resolving a future).
-    pub pending_replies: Vec<Mutex<HashMap<u64, ReplyCont>>>,
-    /// Per-rank token counters for [`Shared::pending_replies`].
-    pub reply_tokens: Vec<AtomicU64>,
     /// Ranks that have finished the user's SPMD closure.
     pub(crate) completed: AtomicUsize,
     /// Wire-encodable runtime AM ids; present only in multi-process jobs.
@@ -170,7 +181,9 @@ impl Shared {
                 assert!(args.len() >= 16, "builtin deposit: short args");
                 let domain = u64::from_le_bytes(args[..8].try_into().unwrap());
                 let key = u64::from_le_bytes(args[8..16].try_into().unwrap());
-                ctx.shared().mailboxes[ctx.rank()].deposit(domain, key, src, args[16..].to_vec());
+                ctx.shared().own[ctx.rank()]
+                    .mailbox
+                    .deposit(domain, key, src, args[16..].to_vec());
             });
             let complete = handlers.register(|ctx, _src, _args| {
                 ctx.shared().completed.fetch_add(1, Ordering::AcqRel);
@@ -181,13 +194,10 @@ impl Shared {
         Arc::new(Shared {
             fabric,
             allocators: (0..ranks)
-                .map(|_| Mutex::new(SegAllocator::new(segment_bytes)))
+                .map(|_| CachePadded(Mutex::new(SegAllocator::new(segment_bytes))))
                 .collect(),
-            mailboxes: (0..ranks).map(|_| Mailbox::default()).collect(),
-            coll_seq: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
+            own: (0..ranks).map(|_| CachePadded::default()).collect(),
             handlers,
-            pending_replies: (0..ranks).map(|_| Mutex::new(HashMap::new())).collect(),
-            reply_tokens: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             completed: AtomicUsize::new(0),
             builtins,
         })
@@ -200,7 +210,7 @@ impl Shared {
 
     /// Next collective sequence number for `rank`.
     pub(crate) fn next_coll_seq(&self, rank: Rank) -> u64 {
-        self.coll_seq[rank].fetch_add(1, Ordering::Relaxed)
+        self.own[rank].coll_seq.fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -241,6 +251,22 @@ mod tests {
         assert_eq!(id, 0);
         assert_eq!(reg.len(), 1);
         let _f = reg.get(id);
+    }
+
+    #[test]
+    fn per_rank_slots_fill_whole_blocks() {
+        // Every element of either per-rank array starts a 128-byte block
+        // and ends on one: nothing a rank writes shares a block with its
+        // neighbour's slot.
+        fn whole_blocks<T>(slots: &[T]) {
+            assert_eq!(std::mem::size_of::<T>() % 128, 0);
+            for slot in slots {
+                assert_eq!(std::ptr::from_ref(slot) as usize % 128, 0);
+            }
+        }
+        let sh = Shared::new(3, 4096, HandlerRegistry::new());
+        whole_blocks(&sh.own);
+        whole_blocks(&sh.allocators);
     }
 
     #[test]
