@@ -7,7 +7,7 @@ CARGO ?= cargo
 # each fully reproducible (see README "Robustness").
 CHAOS_SEEDS ?= 101 202 303
 
-.PHONY: ci fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke ledger-smoke ab
+.PHONY: ci fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke ledger-smoke ab flake
 
 ci: fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke ledger-smoke
 
@@ -93,3 +93,29 @@ ledger-smoke:
 # ten pairs at the benchmark's run length take about ten minutes.
 ab:
 	scripts/ab.sh $(W) $(PAIRS)
+
+# The flake gate, first cut (ROADMAP item 3): rerun the suites that sit
+# on the task path and the timing-sensitive checking tools N times each,
+# pinned to one core — the schedule where a handoff that spins for the
+# other side goes wrong first — and print failures per suite:
+# `make flake [N=20]`. Test binaries are built once, before the loop.
+# Not part of `make ci`: it is a rate, not a pass/fail, and two of the
+# suites have a known nonzero one (see .claude/skills/verify/SKILL.md).
+N ?= 20
+FLAKE_SUITES = \
+	"-p rupcxx-net inbox" \
+	"-p rupcxx-runtime finish" \
+	"-p rupcxx rpc" \
+	"--test check_clean" \
+	"--test explore_replay" \
+	"--test prop_mpi_and_events"
+
+flake:
+	@$(CARGO) test -q --workspace --no-run
+	@for suite in $(FLAKE_SUITES); do \
+		failed=0; \
+		for i in $$(seq $(N)); do \
+			taskset -c 0 $(CARGO) test -q $$suite >/dev/null 2>&1 || failed=$$((failed + 1)); \
+		done; \
+		echo "flake: $$suite: $$failed/$(N) failed"; \
+	done

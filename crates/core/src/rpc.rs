@@ -26,11 +26,9 @@ pub fn async_on<T: Send + 'static>(
     task: impl FnOnce(&Ctx) -> T + Send + 'static,
 ) -> RtFuture<T> {
     let (future, setter) = RtFuture::pending();
-    let shared = ctx.shared().clone();
     let origin = ctx.rank();
-    ctx.send_task(place, move || {
-        let target_ctx = Ctx::new(place, shared.clone());
-        let value = task(&target_ctx);
+    ctx.send_task_with_ctx(place, move |target_ctx| {
+        let value = task(target_ctx);
         target_ctx.send_task(origin, move || setter.set(value));
     });
     future
@@ -46,11 +44,9 @@ pub fn async_with_event(
 ) {
     event.register();
     let done = event.clone();
-    let shared = ctx.shared().clone();
     let origin = ctx.rank();
-    ctx.send_task(place, move || {
-        let target_ctx = Ctx::new(place, shared.clone());
-        task(&target_ctx);
+    ctx.send_task_with_ctx(place, move |target_ctx| {
+        task(target_ctx);
         // Signal on the origin's progress engine, like the paper's reply AM.
         target_ctx.send_task(origin, move || done.signal());
     });
@@ -69,16 +65,14 @@ pub fn async_after(
         s.register();
     }
     let signal = signal.cloned();
-    let shared = ctx.shared().clone();
     let origin = ctx.rank();
+    // The thunk fires on whichever thread performs the final signal —
+    // possibly outside any progress engine, with no context to borrow —
+    // so the launch (alone among the task paths) carries its own.
+    let launcher_ctx = ctx.clone();
     after.on_fire(move || {
-        // Launch from whichever thread performed the final signal; the
-        // task itself still runs on `place`.
-        let launcher_ctx = Ctx::new(origin, shared.clone());
-        let shared2 = shared.clone();
-        launcher_ctx.send_task(place, move || {
-            let target_ctx = Ctx::new(place, shared2.clone());
-            task(&target_ctx);
+        launcher_ctx.send_task_with_ctx(place, move |target_ctx| {
+            task(target_ctx);
             if let Some(done) = signal {
                 target_ctx.send_task(origin, move || done.signal());
             }
@@ -197,6 +191,45 @@ mod tests {
         assert!(pos("t3") > pos("t1") && pos("t3") > pos("t2"));
         assert!(pos("t5") > pos("t3") && pos("t5") > pos("t4"));
         assert!(pos("t6") > pos("t3") && pos("t6") > pos("t4"));
+    }
+
+    #[test]
+    fn task_paths_leave_the_shared_refcount_alone() {
+        // Every task borrows the executing rank's `Ctx`; none clones the
+        // job's `Arc<Shared>`. So the count sampled inside tasks running
+        // on the peer equals the count before and after, however many
+        // tasks are in flight at that moment.
+        let out = spmd(cfg(2), |ctx| {
+            // Past this barrier every rank thread holds its context.
+            ctx.barrier();
+            let before = Arc::strong_count(ctx.shared());
+            let mut during = Vec::new();
+            if ctx.rank() == 0 {
+                let lo = Arc::new(AtomicUsize::new(usize::MAX));
+                let hi = Arc::new(AtomicUsize::new(0));
+                ctx.finish(|fs| {
+                    for _ in 0..1024 {
+                        let (lo, hi) = (lo.clone(), hi.clone());
+                        fs.spawn(1, move |t| {
+                            let count = Arc::strong_count(t.shared());
+                            lo.fetch_min(count, Ordering::Relaxed);
+                            hi.fetch_max(count, Ordering::Relaxed);
+                        });
+                    }
+                });
+                during.push(lo.load(Ordering::Relaxed));
+                during.push(hi.load(Ordering::Relaxed));
+                for _ in 0..64 {
+                    during.push(async_on(ctx, 1, |t| Arc::strong_count(t.shared())).get(ctx));
+                }
+            }
+            ctx.barrier();
+            (before, during, Arc::strong_count(ctx.shared()))
+        });
+        let (before, during, after) = &out[0];
+        assert_eq!(during.len(), 66);
+        assert!(during.iter().all(|c| c == before), "{before} → {during:?}");
+        assert_eq!(after, before);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::matching::{Incoming, MatchEngine, ANY};
 use crate::requests::{RecvReq, RecvState, SendReq};
 use rupcxx_net::{pod, GlobalAddr, Pod, Rank};
-use rupcxx_runtime::{Ctx, Shared};
+use rupcxx_runtime::Ctx;
 use rupcxx_util::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -68,11 +68,11 @@ pub struct Comm<'a> {
     ctx: &'a Ctx,
 }
 
-/// Finish an already-matched incoming message on the receiving rank.
+/// Finish an already-matched incoming message on the receiving rank,
+/// whose context `ctx` is.
 fn complete_match(
     world: &Arc<MpiWorld>,
-    shared: &Arc<Shared>,
-    me: Rank,
+    ctx: &Ctx,
     src: Rank,
     state: Arc<RecvState>,
     body: Incoming,
@@ -82,18 +82,15 @@ fn complete_match(
         Incoming::Rendezvous { staged, len, token } => {
             // Pull the staged payload one-sided, then notify the sender so
             // it can release the staging buffer and complete its request.
-            let ctx = Ctx::new(me, shared.clone());
             let mut buf = vec![0u8; len];
-            ctx.fabric().get(me, staged, &mut buf);
+            ctx.fabric().get(ctx.rank(), staged, &mut buf);
             state.complete(src, buf);
             let world = world.clone();
-            let shared2 = shared.clone();
-            ctx.send_task(src, move || {
+            ctx.send_task_with_ctx(src, move |sender_ctx| {
                 let entry = world.staged[src]
                     .lock()
                     .remove(&token)
                     .expect("rendezvous token");
-                let sender_ctx = Ctx::new(src, shared2.clone());
                 sender_ctx.free(entry.staged);
                 entry.done.store(true, Ordering::Release);
             });
@@ -123,15 +120,14 @@ impl<'a> Comm<'a> {
     pub fn isend(&self, dst: Rank, tag: u64, data: &[u8]) -> SendReq {
         let me = self.ctx.rank();
         let world = self.world.clone();
-        let shared = self.ctx.shared().clone();
         if data.len() <= self.world.eager_limit {
             let payload = data.to_vec();
-            self.ctx.send_task(dst, move || {
+            self.ctx.send_task_with_ctx(dst, move |dst_ctx| {
                 let matched = world.engines[dst]
                     .lock()
                     .deliver(me, tag, Incoming::Eager(payload));
                 if let Some((state, body)) = matched {
-                    complete_match(&world, &shared, dst, me, state, body);
+                    complete_match(&world, dst_ctx, me, state, body);
                 }
             });
             return SendReq::completed();
@@ -152,14 +148,14 @@ impl<'a> Comm<'a> {
             },
         );
         let len = data.len();
-        self.ctx.send_task(dst, move || {
+        self.ctx.send_task_with_ctx(dst, move |dst_ctx| {
             let matched = world.engines[dst].lock().deliver(
                 me,
                 tag,
                 Incoming::Rendezvous { staged, len, token },
             );
             if let Some((state, body)) = matched {
-                complete_match(&world, &shared, dst, me, state, body);
+                complete_match(&world, dst_ctx, me, state, body);
             }
         });
         req
@@ -175,7 +171,7 @@ impl<'a> Comm<'a> {
         };
         let matched = self.world.engines[me].lock().post(src, tag, state.clone());
         if let Some((actual_src, body)) = matched {
-            complete_match(&self.world, self.ctx.shared(), me, actual_src, state, body);
+            complete_match(&self.world, self.ctx, actual_src, state, body);
         }
         req
     }

@@ -1,19 +1,18 @@
 //! Conduit #0: in-process loopback.
 //!
-//! All "processes" share one address space; a link is a lock-free queue.
+//! All "processes" share one address space; a link is a mutexed queue.
 //! The default fabric never constructs this — in-process jobs deliver
 //! `AmMessage`s directly, with no wire encoding — but the loopback
 //! conduit gives conformance tests and benches a baseline implementation
 //! of the exact trait contract the shm and socket backends must match.
 
-use super::{Conduit, ConduitEvent};
+use super::{Conduit, ConduitEvent, Inbound};
 use crate::Rank;
-use rupcxx_util::sync::SegQueue;
 use std::sync::Arc;
 
 struct Mesh {
     /// One inbound event queue per rank.
-    inbound: Vec<SegQueue<ConduitEvent>>,
+    inbound: Vec<Inbound>,
 }
 
 /// One rank's attach point to an in-process loopback mesh.
@@ -27,7 +26,7 @@ impl LoopbackConduit {
     /// conduit.
     pub fn mesh(n: usize) -> Vec<LoopbackConduit> {
         let mesh = Arc::new(Mesh {
-            inbound: (0..n).map(|_| SegQueue::new()).collect(),
+            inbound: (0..n).map(|_| Inbound::default()).collect(),
         });
         (0..n)
             .map(|me| LoopbackConduit {
@@ -52,11 +51,13 @@ impl Conduit for LoopbackConduit {
     }
 
     fn send(&self, dst: Rank, frame: &[u8]) {
-        self.mesh.inbound[dst].push(ConduitEvent::Frame(self.me, frame.to_vec()));
+        self.mesh.inbound[dst]
+            .lock()
+            .push_back(ConduitEvent::Frame(self.me, frame.to_vec()));
     }
 
     fn try_recv(&self) -> Option<ConduitEvent> {
-        self.mesh.inbound[self.me].pop()
+        self.mesh.inbound[self.me].lock().pop_front()
     }
 
     fn flush(&self, _dst: Rank) {

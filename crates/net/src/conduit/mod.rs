@@ -78,6 +78,10 @@ pub trait Conduit: Send + Sync {
     fn shutdown(&self);
 }
 
+/// A backend's inbound event queue: link readers (or senders, for
+/// loopback) push at the back, [`Conduit::try_recv`] pops the front.
+pub(crate) type Inbound = rupcxx_util::sync::Mutex<std::collections::VecDeque<ConduitEvent>>;
+
 /// Which conduit a job uses — parsed from `RUPCXX_CONDUIT`.
 ///
 /// Syntax: `loopback` | `shm:PATH` | `tcp:HOST:BASE_PORT` | `uds:DIR`.

@@ -21,9 +21,9 @@
 //! (nobody closes a ring); process-death classification is the socket
 //! conduits' job — see the conduit matrix in the README.
 
-use super::{Conduit, ConduitEvent};
+use super::{Conduit, ConduitEvent, Inbound};
 use crate::Rank;
-use rupcxx_util::sync::{Mutex, SegQueue};
+use rupcxx_util::sync::Mutex;
 use std::fs::OpenOptions;
 use std::io::ErrorKind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -237,7 +237,7 @@ pub struct ShmConduit {
     /// Serializes in-process senders per outgoing link (the ring itself
     /// is strictly single-producer).
     out_locks: Vec<Mutex<()>>,
-    inbound: Arc<SegQueue<ConduitEvent>>,
+    inbound: Arc<Inbound>,
     stop: Arc<AtomicBool>,
     rx: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
@@ -354,7 +354,7 @@ impl ShmConduit {
         }
 
         let map = Arc::new(map);
-        let inbound = Arc::new(SegQueue::new());
+        let inbound = Arc::new(Inbound::default());
         let stop = Arc::new(AtomicBool::new(false));
         let rx = {
             let map = Arc::clone(&map);
@@ -385,7 +385,7 @@ fn drain_loop(
     me: Rank,
     n: usize,
     ring_bytes: usize,
-    inbound: &SegQueue<ConduitEvent>,
+    inbound: &Inbound,
     stop: &AtomicBool,
 ) {
     let rings: Vec<Ring<'_>> = (0..n)
@@ -399,7 +399,7 @@ fn drain_loop(
                 continue;
             }
             while let Some(frame) = ring.pop() {
-                inbound.push(ConduitEvent::Frame(src, frame));
+                inbound.lock().push_back(ConduitEvent::Frame(src, frame));
                 moved = true;
             }
         }
@@ -436,7 +436,7 @@ impl Conduit for ShmConduit {
     }
 
     fn try_recv(&self) -> Option<ConduitEvent> {
-        self.inbound.pop()
+        self.inbound.lock().pop_front()
     }
 
     fn flush(&self, _dst: Rank) {

@@ -13,9 +13,8 @@
 //! domain the chaos suite kills: a dead process resets its streams and
 //! the fabric classifies the closure as `PeerUnreachable`.
 
-use super::{Conduit, ConduitEvent};
+use super::{Conduit, ConduitEvent, Inbound};
 use crate::Rank;
-use rupcxx_util::sync::SegQueue;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -133,7 +132,7 @@ struct LinkOut {
 }
 
 /// Writer thread: pop buffers, `write_all`, recycle into the pool.
-fn writer_loop(q: &OutQueue, mut conn: Conn, dst: Rank, inbound: &SegQueue<ConduitEvent>) {
+fn writer_loop(q: &OutQueue, mut conn: Conn, dst: Rank, inbound: &Inbound) {
     loop {
         let buf = {
             let mut st = q.state.lock().unwrap();
@@ -156,7 +155,7 @@ fn writer_loop(q: &OutQueue, mut conn: Conn, dst: Rank, inbound: &SegQueue<Condu
             st.queue.clear();
             drop(st);
             q.cv.notify_all();
-            inbound.push(ConduitEvent::Closed(dst));
+            inbound.lock().push_back(ConduitEvent::Closed(dst));
             return;
         }
         if buf.capacity() <= POOL_BUF_MAX {
@@ -168,20 +167,20 @@ fn writer_loop(q: &OutQueue, mut conn: Conn, dst: Rank, inbound: &SegQueue<Condu
 }
 
 /// Reader thread: length-prefixed frames from one accepted peer.
-fn reader_loop(mut conn: Conn, src: Rank, inbound: &SegQueue<ConduitEvent>) {
+fn reader_loop(mut conn: Conn, src: Rank, inbound: &Inbound) {
     loop {
         let mut len_bytes = [0u8; 4];
         if conn.read_exact(&mut len_bytes).is_err() {
-            inbound.push(ConduitEvent::Closed(src));
+            inbound.lock().push_back(ConduitEvent::Closed(src));
             return;
         }
         let len = u32::from_le_bytes(len_bytes) as usize;
         let mut frame = vec![0u8; len];
         if conn.read_exact(&mut frame).is_err() {
-            inbound.push(ConduitEvent::Closed(src));
+            inbound.lock().push_back(ConduitEvent::Closed(src));
             return;
         }
-        inbound.push(ConduitEvent::Frame(src, frame));
+        inbound.lock().push_back(ConduitEvent::Frame(src, frame));
     }
 }
 
@@ -191,7 +190,7 @@ pub struct SocketConduit {
     n: usize,
     kind: &'static str,
     links: Vec<Option<LinkOut>>,
-    inbound: Arc<SegQueue<ConduitEvent>>,
+    inbound: Arc<Inbound>,
     accept_stop: Arc<AtomicBool>,
     accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
     down: AtomicBool,
@@ -234,7 +233,7 @@ impl SocketConduit {
         n: usize,
     ) -> SocketConduit {
         assert!(me < n, "rank {me} out of range for {n} ranks");
-        let inbound = Arc::new(SegQueue::new());
+        let inbound = Arc::new(Inbound::default());
         let accept_stop = Arc::new(AtomicBool::new(false));
 
         // Accept inbound links in the background while we dial out (the
@@ -309,12 +308,7 @@ impl SocketConduit {
     }
 }
 
-fn accept_loop(
-    listener: Listener,
-    n: usize,
-    inbound: &Arc<SegQueue<ConduitEvent>>,
-    stop: &AtomicBool,
-) {
+fn accept_loop(listener: Listener, n: usize, inbound: &Arc<Inbound>, stop: &AtomicBool) {
     let mut accepted = 0usize;
     while !stop.load(Ordering::Acquire) && accepted < n {
         let conn = match &listener {
@@ -379,7 +373,7 @@ impl Conduit for SocketConduit {
     }
 
     fn try_recv(&self) -> Option<ConduitEvent> {
-        self.inbound.pop()
+        self.inbound.lock().pop_front()
     }
 
     fn flush(&self, dst: Rank) {

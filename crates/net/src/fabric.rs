@@ -26,6 +26,7 @@ use rupcxx_check::{AccessKind, CheckConfig, Checker, Stamp};
 use rupcxx_trace::{EventKind, ProfConfig, ProfKind, ProfSpan, ProfState, RankTrace, TraceConfig};
 use rupcxx_util::sync::{CachePadded, Mutex};
 use rupcxx_util::Bytes;
+use std::any::Any;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -132,6 +133,12 @@ impl std::fmt::Debug for GlobalAddr {
     }
 }
 
+/// A boxed closure task. Whoever executes it passes its own execution
+/// context (the runtime's per-rank `Ctx`, which this crate cannot name), so
+/// a task that needs the target rank's context borrows it for the call
+/// instead of carrying — and reference-counting — shared state of its own.
+pub type TaskFn = Box<dyn FnOnce(&dyn Any) + Send + 'static>;
+
 /// Payload of an active message.
 pub enum AmPayload {
     /// A registered-handler invocation: handler id + packed argument bytes.
@@ -144,7 +151,7 @@ pub enum AmPayload {
         args: Bytes,
     },
     /// An opaque boxed task — the in-process shortcut for closure `async`s.
-    Task(Box<dyn FnOnce() + Send + 'static>),
+    Task(TaskFn),
     /// A coalesced batch of fine-grained operations from the
     /// per-destination aggregation layer (see [`crate::aggregate`]): one
     /// wire message carrying `count` packed frames, unpacked in order by
@@ -290,11 +297,17 @@ impl Endpoint {
         msg
     }
 
-    /// Number of queued, not-yet-executed active messages.
+    /// Number of active messages delivered here and not yet taken by
+    /// [`Endpoint::try_recv`]/[`Endpoint::drain`].
     ///
     /// This is a racy sample: a concurrent sender or the progress engine
-    /// can change the queue between this call and the next. Tests that
-    /// need a consistent observation should use [`Endpoint::drain`].
+    /// can change the queue between this call and the next. Its error is
+    /// one-sided, though ([`ShardedInbox::len`]): while the progress
+    /// engine moves a batch from the senders' shards to its run queue a
+    /// message may be counted twice, never zero times — `pending() == 0`
+    /// is what `agg_fence`, the teardown drain and the deadlock checker's
+    /// `quiet` take as "nothing is waiting here". Tests that need a
+    /// consistent observation should use [`Endpoint::drain`].
     pub fn pending(&self) -> usize {
         self.inbox.len()
     }
@@ -1184,13 +1197,13 @@ mod tests {
         f.send_am(
             0,
             1,
-            AmPayload::Task(Box::new(move || {
+            AmPayload::Task(Box::new(move |_| {
                 flag2.store(true, Ordering::SeqCst);
             })),
         );
         let msg = f.endpoint(1).try_recv().unwrap();
         match msg.payload {
-            AmPayload::Task(task) => task(),
+            AmPayload::Task(task) => task(&()),
             other => panic!("unexpected payload {other:?}"),
         }
         assert!(flag.load(Ordering::SeqCst));

@@ -41,7 +41,9 @@ pub use conduit::{
     Conduit, ConduitEvent, ConduitSel, LoopbackConduit, RemoteConfig, ShmConduit, SocketConduit,
     CONDUIT_SYNTAX,
 };
-pub use fabric::{AmMessage, AmPayload, Endpoint, Fabric, FabricConfig, GlobalAddr, SimNet};
+pub use fabric::{
+    AmMessage, AmPayload, Endpoint, Fabric, FabricConfig, GlobalAddr, SimNet, TaskFn,
+};
 pub use faults::{Fate, FaultPlan, LinkRule};
 pub use inbox::{ShardedInbox, INBOX_SHARDS};
 pub use pod::Pod;

@@ -42,9 +42,10 @@ pub(crate) fn deposit(ctx: &Ctx, domain: u64, dst: Rank, key: u64, bytes: Vec<u8
         ctx.send_handler(dst, b.deposit, rupcxx_util::Bytes::from(args));
         return;
     }
-    let shared = ctx.shared().clone();
-    ctx.send_task(dst, move || {
-        shared.own[dst].mailbox.deposit(domain, key, me, bytes);
+    ctx.send_task_with_ctx(dst, move |target| {
+        target.shared().own[dst]
+            .mailbox
+            .deposit(domain, key, me, bytes);
     });
 }
 

@@ -7,8 +7,21 @@ use rupcxx_trace::clock::now_ns;
 use rupcxx_trace::waitstate::{classify, pack_wait};
 use rupcxx_trace::{EventKind, ProfEvent, ProfKind, RankTrace, WaitConstruct};
 use rupcxx_util::Bytes;
+use std::any::Any;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+/// Empty polls [`Ctx::wait_until`] makes before its first `yield_now`:
+/// about one loopback round trip (~2 µs at ~20 ns an idle poll plus the
+/// `spin_loop` hint), so a rank waiting for a reply meets it in user space
+/// instead of inside `sched_yield`.
+const SPIN_POLLS: u32 = 64;
+
+/// Consecutive fruitless yields between two deadlock scans of a blocked
+/// [`Ctx::wait_until`] (checker's deadlock pass only). Counted in yields,
+/// not polls, so the scan's cadence in wall time does not depend on how
+/// long the wait spins first.
+const SCAN_YIELDS: u32 = 2048;
 
 /// The SPMD context handed to each rank's closure: identifies the rank and
 /// gives access to communication, progress, memory and synchronization.
@@ -119,7 +132,9 @@ impl Ctx {
             p.record_recv(span);
         }
         match payload {
-            AmPayload::Task(task) => task(),
+            // `self` is the target rank's context: the task borrows it
+            // rather than building (and reference-counting) one of its own.
+            AmPayload::Task(task) => task(self),
             AmPayload::Handler { id, args } => {
                 (self.shared.handlers.get(id).clone())(self, src, args)
             }
@@ -185,7 +200,8 @@ impl Ctx {
     /// trigger its wait-for scan, and a confirmed deadlock panics the
     /// blocked rank with the finding (mirroring `PeerUnreachable`).
     pub fn wait_until(&self, mut cond: impl FnMut() -> bool) {
-        let mut idle_spins = 0u32;
+        let mut idle_polls = 0u32;
+        let mut yields = 0u32;
         loop {
             if self.shared.fabric.has_failed() {
                 // Dump the flight recorder before dying (a no-op if
@@ -209,17 +225,25 @@ impl Ctx {
                 return;
             }
             if self.advance() > 0 {
-                idle_spins = 0;
+                idle_polls = 0;
+                yields = 0;
                 continue;
             }
-            idle_spins += 1;
-            if idle_spins > 16 {
-                std::thread::yield_now();
+            // Nothing arrived. What a rank waits for is most often a reply
+            // one round trip away, so poll for about that long before
+            // giving the core up; a wait that outlasts it yields on every
+            // empty poll, so ranks that share a core still take turns.
+            if idle_polls < SPIN_POLLS {
+                idle_polls += 1;
+                std::hint::spin_loop();
+                continue;
             }
+            std::thread::yield_now();
+            yields += 1;
             // Deep idle with the deadlock pass on: run the wait-for scan.
             // `quiet` asserts nothing is queued or in flight anywhere —
             // scans while traffic exists can never confirm a deadlock.
-            if idle_spins.is_multiple_of(2048) {
+            if yields.is_multiple_of(SCAN_YIELDS) {
                 if let Some(ck) = self.shared.fabric.checker() {
                     if ck.deadlock_on() {
                         let n = self.ranks();
@@ -275,13 +299,28 @@ impl Ctx {
         });
     }
 
-    /// Send a task to run on rank `dst` the next time it drives progress.
-    /// The low-level building block under `rupcxx::async_on`.
-    pub fn send_task(&self, dst: Rank, task: impl FnOnce() + Send + 'static) {
+    /// Send a task to run on rank `dst` the next time it drives progress;
+    /// the task is handed `dst`'s own [`Ctx`] — the one whose progress
+    /// engine executes it. The low-level building block under
+    /// `rupcxx::async_on` and `finish`: replies go out through that
+    /// borrowed context, so no task clones the job's `Arc<Shared>` and its
+    /// reference count is a line nobody writes after launch.
+    pub fn send_task_with_ctx(&self, dst: Rank, task: impl FnOnce(&Ctx) + Send + 'static) {
         self.trace().instant(EventKind::TaskSpawn, dst as i32, 0);
+        let task = move |executor: &dyn Any| {
+            let ctx = executor
+                .downcast_ref::<Ctx>()
+                .expect("task payloads are executed by a Ctx's progress engine");
+            task(ctx);
+        };
         self.shared
             .fabric
             .send_am(self.rank, dst, AmPayload::Task(Box::new(task)));
+    }
+
+    /// [`Ctx::send_task_with_ctx`] for a task that needs no context.
+    pub fn send_task(&self, dst: Rank, task: impl FnOnce() + Send + 'static) {
+        self.send_task_with_ctx(dst, move |_| task());
     }
 
     /// Send a registered-handler active message with packed `args`.

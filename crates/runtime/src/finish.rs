@@ -41,12 +41,10 @@ impl<'a> FinishScope<'a> {
     /// task has run and its completion reply has been processed here.
     pub fn spawn(&self, place: Rank, task: impl FnOnce(&Ctx) + Send + 'static) {
         self.outstanding.fetch_add(1, Ordering::AcqRel);
-        let shared = self.ctx.shared().clone();
         let origin = self.ctx.rank();
         let counter = self.outstanding.clone();
-        self.ctx.send_task(place, move || {
-            let target_ctx = Ctx::new(place, shared.clone());
-            task(&target_ctx);
+        self.ctx.send_task_with_ctx(place, move |target_ctx| {
+            task(target_ctx);
             // Completion reply: decrement on the origin's progress engine,
             // mirroring the paper's reply active message.
             target_ctx.send_task(origin, move || {
@@ -74,12 +72,10 @@ impl<'a> FinishScope<'a> {
         task: impl FnOnce(&Ctx) -> T + Send + 'static,
     ) {
         self.outstanding.fetch_add(1, Ordering::AcqRel);
-        let shared = self.ctx.shared().clone();
         let origin = self.ctx.rank();
         let counter = self.outstanding.clone();
-        self.ctx.send_task(place, move || {
-            let target_ctx = Ctx::new(place, shared.clone());
-            let value = task(&target_ctx);
+        self.ctx.send_task_with_ctx(place, move |target_ctx| {
+            let value = task(target_ctx);
             target_ctx.send_task(origin, move || {
                 setter.set(value);
                 counter.fetch_sub(1, Ordering::AcqRel);

@@ -314,14 +314,10 @@ mod tests {
                 let f = flag.clone();
                 // Ask rank 0 to send us a task that sets our local flag.
                 let my_flag = flag.clone();
-                ctx.send_task(0, {
-                    let shared = ctx.shared().clone();
-                    move || {
-                        let c0 = Ctx::new(0, shared.clone());
-                        c0.send_task(1, move || {
-                            my_flag.store(7, Ordering::SeqCst);
-                        });
-                    }
+                ctx.send_task_with_ctx(0, move |c0| {
+                    c0.send_task(1, move || {
+                        my_flag.store(7, Ordering::SeqCst);
+                    });
                 });
                 // Busy-wait WITHOUT advance(): only the progress thread
                 // can execute the incoming task.
@@ -342,6 +338,81 @@ mod tests {
             ctx.allreduce(ctx.rank() as u64, |a, b| a + b)
         });
         assert!(out.iter().all(|&v| v == 6));
+    }
+
+    /// Rank 0 queues a gate task and then tasks 0..=5 on rank 1; the gate
+    /// holds rank 1's engine until all six are queued, so they are taken
+    /// over as one batch. Task 2 sends rank 1 a *newer* task (9) and blocks
+    /// in `wait_until` for it: the nested `advance` must run the rest of
+    /// the batch (3, 4, 5) before the newer task, i.e. continue the one
+    /// FIFO. Returns the order the tasks ran in on rank 1.
+    fn order_seen_by_a_task_waiting_mid_batch(progress_thread: bool) -> Vec<u32> {
+        use std::sync::atomic::AtomicBool;
+        type Log = Arc<rupcxx_util::sync::Mutex<Vec<u32>>>;
+        let log = Log::default();
+        let queued = Arc::new(AtomicBool::new(false));
+        let done = Arc::new(AtomicBool::new(false));
+        let config = if progress_thread {
+            cfg(2).with_progress_thread()
+        } else {
+            cfg(2)
+        };
+        let seen = log.clone();
+        spmd(config, move |ctx| {
+            if ctx.rank() == 0 {
+                let gate = queued.clone();
+                ctx.send_task(1, move || {
+                    while !gate.load(Ordering::Acquire) {
+                        std::hint::spin_loop();
+                    }
+                });
+                for id in 0..=5u32 {
+                    let (log, done) = (log.clone(), done.clone());
+                    ctx.send_task_with_ctx(1, move |c1| {
+                        log.lock().push(id);
+                        if id == 2 {
+                            let newer = Arc::new(AtomicBool::new(false));
+                            let (log, ran) = (log.clone(), newer.clone());
+                            c1.send_task(1, move || {
+                                log.lock().push(9);
+                                ran.store(true, Ordering::Release);
+                            });
+                            c1.wait_until(|| newer.load(Ordering::Acquire));
+                            done.store(true, Ordering::Release);
+                        }
+                    });
+                }
+                queued.store(true, Ordering::Release);
+            } else if progress_thread {
+                // Leave the inbox to the progress thread alone: with two
+                // consumers running tasks at once the log's order would
+                // say nothing about the queue's.
+                while !done.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
+            } else {
+                ctx.wait_until(|| done.load(Ordering::Acquire));
+            }
+            ctx.barrier();
+        });
+        let seen = seen.lock().clone();
+        seen
+    }
+
+    #[test]
+    fn task_waiting_mid_batch_sees_the_rest_of_the_batch_first() {
+        assert_eq!(
+            order_seen_by_a_task_waiting_mid_batch(false),
+            [0, 1, 2, 3, 4, 5, 9]
+        );
+    }
+
+    #[test]
+    fn task_waiting_mid_batch_on_the_progress_thread_sees_the_rest_first() {
+        assert_eq!(
+            order_seen_by_a_task_waiting_mid_batch(true),
+            [0, 1, 2, 3, 4, 5, 9]
+        );
     }
 
     #[test]

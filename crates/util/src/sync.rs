@@ -4,10 +4,11 @@
 //! `parking_lot` / `crossbeam` we keep a small local layer with the same
 //! ergonomics: `lock()` returns the guard directly (a poisoned lock —
 //! possible only after a rank panic, at which point the job is already
-//! failing — just hands out the inner state), and [`SegQueue`] provides
-//! the unbounded MPMC queue the fabric uses for AM inboxes.
+//! failing — just hands out the inner state), [`CachePadded`] keeps
+//! writers off each other's cache lines, and [`SpinMutex`] guards the
+//! few-instruction critical sections of the AM inbox and the aggregation
+//! buffers.
 
-use std::collections::VecDeque;
 use std::sync::Mutex as StdMutex;
 use std::sync::RwLock as StdRwLock;
 use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
@@ -105,13 +106,25 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
     }
 }
 
-/// A test-and-test-and-set spinlock for tiny, almost-always-uncontended
-/// critical sections on hot paths (e.g. a per-thread aggregation shard's
-/// frame buffer: the owning thread is effectively the only locker, and
-/// hold times are a few dozen nanoseconds). The uncontended lock/unlock
-/// pair is one CAS plus one release store — roughly half the cost of the
-/// futex-based `std::sync::Mutex` round trip. Do NOT use it where a
-/// holder can block or the lock is regularly contended: waiters burn CPU.
+/// Looks a [`SpinMutex`] waiter takes at a held lock before it starts
+/// yielding between looks: a few hundred nanoseconds, many times the
+/// longest critical section the lock is meant for.
+const SPIN_PROBES: u32 = 64;
+
+/// A test-and-test-and-set spinlock for critical sections of a few
+/// instructions on hot paths: an inbox shard (a push, or the swap that
+/// hands the shard to its consumer — a lock two ranks really do contend)
+/// and a per-thread aggregation shard's frame buffer. The uncontended
+/// lock/unlock pair is one CAS plus one release store — roughly half the
+/// cost of the futex-based `std::sync::Mutex` round trip — and a waiter
+/// that finds the lock held spins instead of parking in the kernel,
+/// because the holder is a handful of instructions from releasing it.
+///
+/// The spin is bounded: after `SPIN_PROBES` looks a waiter calls
+/// `yield_now` between probes, so a holder that was preempted inside its
+/// critical section (ranks oversubscribing the cores) gets the core back
+/// instead of costing every waiter a timeslice. Holders must still never
+/// block or do unbounded work under the lock.
 #[derive(Default)]
 pub struct SpinMutex<T: ?Sized> {
     locked: std::sync::atomic::AtomicBool,
@@ -140,10 +153,12 @@ impl<T> SpinMutex<T> {
 }
 
 impl<T: ?Sized> SpinMutex<T> {
-    /// Acquire the lock, spinning until it is free.
+    /// Acquire the lock: spin while it is held, yielding the core between
+    /// probes once the spin has run `SPIN_PROBES` long.
     #[inline]
     pub fn lock(&self) -> SpinGuard<'_, T> {
         use std::sync::atomic::Ordering;
+        let mut probes = 0u32;
         loop {
             if self
                 .locked
@@ -152,10 +167,15 @@ impl<T: ?Sized> SpinMutex<T> {
             {
                 return SpinGuard { lock: self };
             }
-            // Test-and-test-and-set: spin on a plain load so waiting
+            // Test-and-test-and-set: wait on a plain load so waiting
             // threads don't bounce the cache line with failed CASes.
             while self.locked.load(Ordering::Relaxed) {
-                std::hint::spin_loop();
+                if probes < SPIN_PROBES {
+                    probes += 1;
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
             }
         }
     }
@@ -203,69 +223,6 @@ impl<T: ?Sized> Drop for SpinGuard<'_, T> {
     }
 }
 
-/// An unbounded MPMC FIFO queue (the AM-inbox shape of
-/// `crossbeam::queue::SegQueue`). A mutexed `VecDeque` is plenty for the
-/// fabric's contention profile: at most one producer rank pushing while
-/// the owner rank's progress engine pops.
-#[derive(Debug)]
-pub struct SegQueue<T> {
-    inner: Mutex<VecDeque<T>>,
-}
-
-impl<T> Default for SegQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> SegQueue<T> {
-    /// An empty queue.
-    pub const fn new() -> Self {
-        SegQueue {
-            inner: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Enqueue at the tail.
-    pub fn push(&self, value: T) {
-        self.inner.lock().push_back(value);
-    }
-
-    /// Dequeue from the head.
-    pub fn pop(&self) -> Option<T> {
-        self.inner.lock().pop_front()
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// True when nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
-    }
-
-    /// Take every queued item in one critical section, in FIFO order.
-    ///
-    /// Unlike a `pop()` loop interleaved with `len()` calls, the snapshot
-    /// is consistent: items pushed concurrently are either all-in or
-    /// all-after, never observed half-drained. Tests asserting on inbox
-    /// contents use this to avoid racy observations.
-    ///
-    /// The output is reserved to the exact queue length inside the
-    /// critical section, so draining a large inbox is one allocation and
-    /// one pass — no grow-and-move reallocation, and (unlike a
-    /// `VecDeque → Vec` conversion) no in-place rotation of a wrapped
-    /// ring buffer.
-    pub fn drain(&self) -> Vec<T> {
-        let mut q = self.inner.lock();
-        let mut out = Vec::with_capacity(q.len());
-        out.extend(q.drain(..));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,6 +265,37 @@ mod tests {
     }
 
     #[test]
+    fn spin_mutex_waiters_outlast_a_sleeping_holder() {
+        // The holder sleeps inside its critical section — far past
+        // `SPIN_PROBES` — while two waiters queue behind it: they must
+        // fall back to yielding and still get the lock, one at a time.
+        let lock = Arc::new(SpinMutex::new(Vec::new()));
+        let held = Arc::new(std::sync::Barrier::new(3));
+        let waiters: Vec<_> = (1..=2)
+            .map(|id| {
+                let (lock, held) = (lock.clone(), held.clone());
+                std::thread::spawn(move || {
+                    held.wait();
+                    lock.lock().push(id);
+                })
+            })
+            .collect();
+        {
+            let mut guard = lock.lock();
+            held.wait();
+            std::thread::sleep(std::time::Duration::from_millis(30));
+            guard.push(0);
+        }
+        for w in waiters {
+            w.join().unwrap();
+        }
+        let mut order = lock.lock().clone();
+        assert_eq!(order[0], 0, "a waiter got in while the lock was held");
+        order.sort_unstable();
+        assert_eq!(order, [0, 1, 2]);
+    }
+
+    #[test]
     fn cache_padded_fills_whole_blocks() {
         use std::mem::{align_of, size_of};
         assert_eq!(align_of::<CachePadded<u8>>(), 128);
@@ -329,54 +317,5 @@ mod tests {
         }
         l.write().push(3);
         assert_eq!(l.read().len(), 3);
-    }
-
-    #[test]
-    fn segqueue_fifo_and_len() {
-        let q = SegQueue::new();
-        assert!(q.is_empty());
-        q.push(1);
-        q.push(2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn segqueue_drain_takes_all_fifo() {
-        let q = SegQueue::new();
-        for i in 0..5 {
-            q.push(i);
-        }
-        assert_eq!(q.drain(), vec![0, 1, 2, 3, 4]);
-        assert!(q.is_empty());
-        assert_eq!(q.drain(), Vec::<i32>::new());
-        q.push(9);
-        assert_eq!(q.drain(), vec![9]);
-    }
-
-    #[test]
-    fn segqueue_concurrent_producers() {
-        let q = Arc::new(SegQueue::new());
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let q = q.clone();
-                std::thread::spawn(move || {
-                    for i in 0..100 {
-                        q.push(t * 100 + i);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let mut got = vec![];
-        while let Some(v) = q.pop() {
-            got.push(v);
-        }
-        got.sort_unstable();
-        assert_eq!(got, (0..400).collect::<Vec<_>>());
     }
 }
