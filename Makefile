@@ -54,12 +54,12 @@ access-smoke:
 # The profiler gate: profiled GUPS + stencil runs must yield a non-empty
 # critical path with >=90% of barrier wall time attributed to named wait
 # states, a planted dead link must produce a flight-recorder dump with
-# the final retransmit attempts, and the profiler-off path must move
-# bit-for-bit identical wire traffic (BENCH_profiler.json; README
-# "Observability").
+# the final flush and retransmit attempts, and the profiler-off path
+# must move bit-for-bit identical wire traffic (README "Observability").
+# Its timings are `runtime.barrier_ns` and
+# `trace.prof_barrier_overhead_pct` in the ledger.
 prof-smoke:
 	$(CARGO) test -q --test prof_integration
-	RUPCXX_BENCH_SMOKE=1 $(CARGO) bench -q -p rupcxx-bench --bench profiler
 
 # The model-checking gate: bounded exhaustive exploration on two corpus
 # bugs plus a clean benchmark (`smoke_` subset of explore_corpus), and
@@ -108,7 +108,9 @@ FLAKE_SUITES = \
 	"-p rupcxx rpc" \
 	"--test check_clean" \
 	"--test explore_replay" \
-	"--test prop_mpi_and_events"
+	"--test prop_mpi_and_events" \
+	"--test trace_integration" \
+	"--test prof_integration"
 
 flake:
 	@$(CARGO) test -q --workspace --no-run

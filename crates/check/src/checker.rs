@@ -10,7 +10,7 @@ use crate::clock::{Stamp, VClock};
 use crate::findings::{render_report, Finding, FindingKind};
 use crate::shadow::{AccessKind, AccessRecord, Shadow};
 use crate::CheckConfig;
-use rupcxx_util::sync::Mutex;
+use rupcxx_util::sync::{CachePadded, Mutex};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -62,10 +62,13 @@ struct LockState {
 
 #[derive(Default)]
 struct ScanState {
-    /// Wait-table epoch of the previous stuck observation; a deadlock is
-    /// only reported when a later scan sees the identical epoch (i.e. no
-    /// wait registered or cleared in between — nothing moved).
-    last_stuck_epoch: Option<u64>,
+    /// The first stuck sighting of the current wait-table epoch, with
+    /// every rank's poll tick at that moment. A deadlock is only reported
+    /// when a later scan sees the identical epoch (no wait registered or
+    /// cleared in between — nothing moved) *and* every waiting rank has
+    /// polled its condition since: a rank that was merely descheduled
+    /// between the scans may be satisfiable already.
+    first_stuck: Option<(u64, Vec<u64>)>,
 }
 
 /// The shared checker instance for one SPMD job.
@@ -88,6 +91,10 @@ pub struct Checker {
     /// Bumped on every wait register/clear and rank completion; the
     /// deadlock scan's notion of "something moved".
     wait_epoch: AtomicU64,
+    /// Per rank, how often its blocked wait has evaluated its condition
+    /// (see [`Checker::wait_polled`]). Every waiting rank bumps its own
+    /// on each poll, so each has a block to itself.
+    poll_ticks: Box<[CachePadded<AtomicU64>]>,
     barrier_entries: Box<[AtomicU64]>,
     completed: Box<[AtomicBool]>,
     scan: Mutex<ScanState>,
@@ -110,6 +117,7 @@ impl Checker {
             locks: Mutex::new(HashMap::new()),
             waits: (0..ranks).map(|_| Mutex::new(None)).collect(),
             wait_epoch: AtomicU64::new(0),
+            poll_ticks: (0..ranks).map(|_| CachePadded::default()).collect(),
             barrier_entries: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             completed: (0..ranks).map(|_| AtomicBool::new(false)).collect(),
             scan: Mutex::new(ScanState::default()),
@@ -504,18 +512,27 @@ impl Checker {
         self.abort_msg.lock().clone()
     }
 
+    /// `rank`'s blocked wait is about to evaluate its condition again.
+    /// The deadlock scan convicts a rank only once it has completed a
+    /// look since the first stuck sighting and still waits.
+    #[inline]
+    pub fn wait_polled(&self, rank: usize) {
+        self.poll_ticks[rank].fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Periodic idle-time scan from a blocked rank's `wait_until`.
     /// `quiet` must be the caller's observation that no message anywhere
-    /// is queued or in flight. A deadlock is reported only when two
-    /// consecutive scans observe the identical stuck wait table with no
-    /// register/clear in between — transient states never confirm.
+    /// is queued or in flight. A deadlock is reported only when two scans
+    /// observe the identical stuck wait table with no register/clear in
+    /// between and every waiting rank has re-evaluated its condition
+    /// after the first — transient states never confirm.
     pub fn maybe_scan(&self, quiet: bool) {
         if !self.cfg.deadlock || self.is_aborted() {
             return;
         }
         let mut scan = self.scan.lock();
         if !quiet {
-            scan.last_stuck_epoch = None;
+            scan.first_stuck = None;
             return;
         }
         let epoch = self.wait_epoch.load(Ordering::SeqCst);
@@ -528,20 +545,25 @@ impl Checker {
                 Some(info) => waiting.push((r, info)),
                 None => {
                     // Somebody is computing: not stuck.
-                    scan.last_stuck_epoch = None;
+                    scan.first_stuck = None;
                     return;
                 }
             }
         }
         if waiting.is_empty() || self.wait_epoch.load(Ordering::SeqCst) != epoch {
-            scan.last_stuck_epoch = None;
+            scan.first_stuck = None;
             return;
         }
-        match scan.last_stuck_epoch {
-            Some(e) if e == epoch => {
-                self.confirm_deadlock(&waiting);
+        let ticks = |r: usize| self.poll_ticks[r].load(Ordering::Relaxed);
+        match &scan.first_stuck {
+            // A tick is bumped *before* the look it announces, so one
+            // look begun and finished after the sighting shows as +2.
+            Some((e, seen)) if *e == epoch => {
+                if waiting.iter().all(|&(r, _)| ticks(r) >= seen[r] + 2) {
+                    self.confirm_deadlock(&waiting);
+                }
             }
-            _ => scan.last_stuck_epoch = Some(epoch),
+            _ => scan.first_stuck = Some((epoch, (0..self.ranks).map(ticks).collect())),
         }
     }
 
@@ -756,5 +778,47 @@ impl std::fmt::Debug for Checker {
             .field("deadlock", &self.cfg.deadlock)
             .field("findings", &self.findings.lock().len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scan_convicts_only_ranks_that_polled_again_and_still_wait() {
+        let ck = Checker::new(2, CheckConfig::deadlock());
+        ck.event_wait_begin(0);
+        ck.future_wait_begin(1);
+        let look = |rank| (0..2).for_each(|_| ck.wait_polled(rank));
+        ck.maybe_scan(true); // first sighting
+        look(0);
+        // The identical table again, but rank 1 has not run since: it may
+        // be satisfiable already and merely descheduled.
+        ck.maybe_scan(true);
+        ck.maybe_scan(true);
+        assert!(!ck.is_aborted(), "{:?}", ck.findings());
+        // Rank 1 looked again and still waits: now it is a deadlock.
+        look(1);
+        ck.maybe_scan(true);
+        assert!(ck.is_aborted());
+        let found = ck.findings();
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert!(found
+            .iter()
+            .all(|f| f.kind == FindingKind::EventNeverSignaled));
+    }
+
+    #[test]
+    fn a_wait_that_moves_restarts_the_sighting() {
+        let ck = Checker::new(1, CheckConfig::deadlock());
+        ck.event_wait_begin(0);
+        ck.maybe_scan(true);
+        (0..2).for_each(|_| ck.wait_polled(0));
+        // The wait ended and another began: a new table, a new sighting.
+        ck.event_wait_end(0, 7);
+        ck.event_wait_begin(0);
+        ck.maybe_scan(true);
+        assert!(!ck.is_aborted());
     }
 }

@@ -349,7 +349,7 @@ impl Fabric {
         ep.stats.agg_ops.fetch_add(count as u64, Ordering::Relaxed);
         ep.stats.agg_batches.fetch_add(1, Ordering::Relaxed);
         ep.trace
-            .instant(EventKind::BatchFlush, dst as i32, count as u64);
+            .instant(EventKind::Flush, dst as i32, count as u64, 0);
         self.send_am(
             initiator,
             dst,

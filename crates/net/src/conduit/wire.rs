@@ -294,7 +294,7 @@ impl<'a> Cursor<'a> {
         Ok(Some(Stamp(clock)))
     }
 
-    fn prof(&mut self) -> Result<Option<ProfSpan>, WireError> {
+    fn span(&mut self) -> Result<Option<ProfSpan>, WireError> {
         if self.u8()? == 0 {
             return Ok(None);
         }
@@ -317,13 +317,13 @@ pub fn decode(frame: &[u8]) -> Result<WireFrame<'_>, WireError> {
     let out = match c.u8()? {
         TAG_AM_HANDLER => WireFrame::AmHandler {
             clock: c.stamp()?,
-            prof: c.prof()?,
+            prof: c.span()?,
             id: c.u16()?,
             args: c.bytes()?,
         },
         TAG_AM_BATCH => WireFrame::AmBatch {
             clock: c.stamp()?,
-            prof: c.prof()?,
+            prof: c.span()?,
             count: c.u32()?,
             frames: c.bytes()?,
         },

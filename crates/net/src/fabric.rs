@@ -23,7 +23,7 @@ use crate::segment::Segment;
 use crate::stats::{CommCounts, CommStats};
 use crate::Rank;
 use rupcxx_check::{AccessKind, CheckConfig, Checker, Stamp};
-use rupcxx_trace::{EventKind, ProfConfig, ProfKind, ProfSpan, ProfState, RankTrace, TraceConfig};
+use rupcxx_trace::{EventKind, ProfConfig, ProfSpan, RankTrace, TraceConfig};
 use rupcxx_util::sync::{CachePadded, Mutex};
 use rupcxx_util::Bytes;
 use std::any::Any;
@@ -197,7 +197,7 @@ pub struct AmMessage {
     /// synchronization edge every collective and completion reply is built
     /// on, so this one field gives the checker the whole HB relation.
     pub clock: Option<Stamp>,
-    /// Causal span id, present only when the profiler is on. It rides the
+    /// Causal span id, present only with `RUPCXX_PROF` on. It rides the
     /// message the same way `clock` does — surviving retransmits and
     /// aggregation — so the receiver can join the delivery to the
     /// injecting operation on the sending rank.
@@ -233,7 +233,8 @@ pub struct Endpoint {
     // -- 2. written by the owning rank --
     /// Traffic counters for operations initiated by this rank.
     pub stats: CachePadded<CommStats>,
-    /// Structured tracing + metrics for this rank (off by default).
+    /// This rank's recorder: the one event stream every instrumented
+    /// site reports to (off by default).
     pub trace: RankTrace,
     /// Per-destination aggregation buffers for operations *initiated* by
     /// this rank; allocated only when the fabric has an [`AggConfig`].
@@ -241,9 +242,6 @@ pub struct Endpoint {
     /// Software read cache for *remote* gets initiated by this rank;
     /// allocated only when the fabric has a [`CacheConfig`].
     pub(crate) cache: Option<CacheState>,
-    /// Causal profiler state for this rank; allocated only when the
-    /// fabric has a [`ProfConfig`] (`RUPCXX_PROF`).
-    pub prof: Option<ProfState>,
     // -- 3. written by peers -- (the inbox is `CachePadded` inside)
     pub(crate) inbox: ShardedInbox<AmMessage>,
     /// Reliable-delivery state for this rank's incoming links; allocated
@@ -254,28 +252,26 @@ pub struct Endpoint {
 impl Endpoint {
     #[allow(clippy::too_many_arguments)]
     fn new(
-        rank: usize,
         ranks: usize,
         segment_bytes: usize,
-        trace: &TraceConfig,
+        trace: RankTrace,
         faulty: bool,
         agg: Option<&AggConfig>,
         cache: Option<CacheState>,
-        prof: Option<&ProfConfig>,
+        causal: bool,
         rma_fast: bool,
     ) -> Self {
         let stats = CommStats::default();
-        if prof.is_some() {
+        if causal {
             stats.enable_per_dest(ranks);
         }
         Endpoint {
             segment: Segment::new(segment_bytes),
             rma_fast,
             stats: CachePadded(stats),
-            trace: RankTrace::new(trace),
+            trace,
             agg: agg.map(|cfg| AggState::new(ranks, cfg.clone())),
             cache,
-            prof: prof.map(|cfg| ProfState::new(rank, cfg)),
             inbox: ShardedInbox::new(),
             reliable: faulty.then(|| AmChannel::new(ranks)),
         }
@@ -408,8 +404,9 @@ pub struct FabricConfig {
     /// None (the default) keeps every get on the direct path after one
     /// untaken branch, with no cache allocated.
     pub cache: Option<CacheConfig>,
-    /// Optional causal profiler (`RUPCXX_PROF`). None (the default)
-    /// keeps every hook at one untaken branch, with no spans on the wire.
+    /// Optional profile view (`RUPCXX_PROF`): causal spans ride every
+    /// AM and the critical-path report is written at teardown. None (the
+    /// default) puts no spans on the wire.
     pub prof: Option<ProfConfig>,
     /// Optional controlled delivery schedule (`RUPCXX_SCHEDULE`, see
     /// [`crate::schedule`]). None (the default) keeps the AM delivery
@@ -452,7 +449,7 @@ pub struct Fabric {
     /// waits via [`Fabric::has_failed`]).
     pub(crate) failed: AtomicBool,
     /// Set once the flight recorder has dumped (one postmortem per job).
-    pub(crate) prof_dumped: AtomicBool,
+    pub(crate) flight_dumped: AtomicBool,
     /// First failure's detail, for [`Fabric::failure`].
     pub(crate) failure_detail: Mutex<Option<PeerUnreachable>>,
     /// The job's shared race/deadlock checker; None disables every hook.
@@ -511,11 +508,17 @@ impl Fabric {
                     && config.remote.is_none()
                     && !config.trace.is_enabled()
                     && config.cache.is_none();
+                // Only a rank this process hosts records anything: a
+                // stub's stream would never be exported.
+                let causal = config.prof.is_some();
+                let trace = match &config.remote {
+                    Some(rc) if rank != rc.my_rank => RankTrace::disabled(),
+                    _ => RankTrace::new(rank, &config.trace, causal),
+                };
                 Endpoint::new(
-                    rank,
                     config.ranks,
                     seg,
-                    &config.trace,
+                    trace,
                     faults.is_some(),
                     config.agg.as_ref(),
                     // Bounded by the configured size: the segments it
@@ -524,7 +527,7 @@ impl Fabric {
                         .cache
                         .as_ref()
                         .map(|cfg| CacheState::new(cfg.clone(), config.segment_bytes)),
-                    config.prof.as_ref(),
+                    causal,
                     rma_fast,
                 )
             })
@@ -538,7 +541,7 @@ impl Fabric {
             simnet: config.simnet,
             faults,
             failed: AtomicBool::new(false),
-            prof_dumped: AtomicBool::new(false),
+            flight_dumped: AtomicBool::new(false),
             failure_detail: Mutex::new(None),
             check,
             sched,
@@ -773,7 +776,7 @@ impl Fabric {
         let stamp = self.check.as_ref().map(|ck| ck.cache_fill(initiator));
         cache.fill(base, &line, stamp);
         ep.trace
-            .instant(EventKind::CacheFill, at.rank() as i32, line.len() as u64);
+            .instant(EventKind::CacheFill, at.rank() as i32, line.len() as u64, 0);
         LINE.set(line);
     }
 
@@ -783,7 +786,7 @@ impl Fabric {
         let ep = &self.endpoints[initiator];
         ep.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
         ep.trace
-            .instant(EventKind::CacheHit, addr.rank() as i32, len as u64);
+            .instant(EventKind::CacheHit, addr.rank() as i32, len as u64, 0);
         if let Some(ck) = &self.check {
             // A hit is still a read the program performs now: record it
             // at the current clock (writes *racing* with the hit are
@@ -965,22 +968,17 @@ impl Fabric {
             stats.am_bytes.fetch_add(am_bytes as u64, Ordering::Relaxed);
         }
         stats.count_dest(dst, am_bytes as u64);
-        self.endpoints[initiator]
+        // The causal span (None unless `RUPCXX_PROF` is on) survives
+        // retransmits because the whole message rides the limbo and lost
+        // queues, and aggregation because a batch is one frame.
+        let prof = self.endpoints[initiator]
             .trace
-            .instant(EventKind::AmSend, dst as i32, am_bytes as u64);
+            .am_send(dst as i32, am_bytes as u64);
         // The sender's clock snapshot rides the message (None when the
         // checker is off): the receiver joins it before executing the
         // payload, giving the checker the AM happens-before edge — and,
         // for a batch, the flush-time clock its frames are recorded with.
         let clock = self.check.as_ref().map(|ck| ck.send_stamp(initiator));
-        // Likewise the causal span (None when the profiler is off): it
-        // survives retransmits because the whole message rides the limbo
-        // and lost queues, and aggregation because a batch is one frame.
-        let prof = self.endpoints[initiator].prof.as_ref().map(|p| {
-            let span = p.alloc_span();
-            p.record_send(span, dst as i32);
-            span
-        });
         let msg = AmMessage {
             src: initiator,
             payload,
@@ -996,12 +994,6 @@ impl Fabric {
         self.deliver_arrival(initiator, dst, msg);
     }
 
-    /// The causal profiler state of `rank`, if the profiler is on.
-    #[inline]
-    pub fn prof(&self, rank: Rank) -> Option<&ProfState> {
-        self.endpoints[rank].prof.as_ref()
-    }
-
     /// Fabric-wide retransmit total. Wait-state classification samples
     /// this around a blocking wait: a nonzero delta means the wait rode
     /// out packet loss (a retransmit stall), whichever rank's frames were
@@ -1013,28 +1005,20 @@ impl Fabric {
             .sum()
     }
 
-    /// Dump the flight recorder: the tail of every rank's causal event
-    /// stream, to stderr and the test-visible capture buffer. One dump
-    /// per job (first failure wins); no-op when the profiler is off.
-    pub fn prof_dump_flight(&self, reason: &str) {
-        if self.endpoints[0].prof.is_none() || self.prof_dumped.swap(true, Ordering::SeqCst) {
+    /// Dump the flight recorder: the causal tail of every hosted rank's
+    /// event stream, to stderr and the test-visible capture buffer. One
+    /// dump per job (first failure wins); no-op when no ring records.
+    pub fn dump_flight(&self, reason: &str) {
+        let mut recording = self
+            .hosted_ranks()
+            .map(|r| &self.endpoints[r].trace)
+            .filter(|t| t.ring().is_some())
+            .peekable();
+        if recording.peek().is_none() || self.flight_dumped.swap(true, Ordering::SeqCst) {
             return;
         }
-        let per_rank: Vec<(usize, Vec<rupcxx_trace::ProfEvent>)> = self
-            .endpoints
-            .iter()
-            .enumerate()
-            .filter_map(|(r, e)| e.prof.as_ref().map(|p| (r, p.ring.snapshot())))
-            .collect();
+        let per_rank: Vec<_> = recording.map(RankTrace::stream).collect();
         rupcxx_trace::flight::record_dump(rupcxx_trace::flight::format_flight(reason, &per_rank));
-    }
-
-    /// Record an unreachable-peer event on the initiator's profiler
-    /// stream (no-op when the profiler is off).
-    pub(crate) fn prof_unreachable(&self, initiator: Rank, dst: Rank, attempts: u64) {
-        if let Some(p) = &self.endpoints[initiator].prof {
-            p.record_instant(ProfKind::Unreachable, dst as i32, attempts);
-        }
     }
 
     /// Aggregate traffic snapshot over all endpoints.
@@ -1582,7 +1566,6 @@ mod tests {
             field!(trace: RankTrace),
             field!(agg: Option<AggState>),
             field!(cache: Option<CacheState>),
-            field!(prof: Option<ProfState>),
         ]);
         let peers = blocks(&[
             field!(inbox: ShardedInbox<AmMessage>),

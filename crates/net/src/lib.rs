@@ -50,7 +50,7 @@ pub use pod::Pod;
 pub use reliable::PeerUnreachable;
 pub use rma::RmaOp;
 pub use rupcxx_check::{CheckConfig, Checker};
-pub use rupcxx_trace::{ProfConfig, ProfState};
+pub use rupcxx_trace::ProfConfig;
 pub use schedule::{
     new_recorder, DeliveryRecord, RecordLog, SchedCounts, Schedule, ScheduleConfig,
     ScheduleRecorder,

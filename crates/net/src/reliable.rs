@@ -196,7 +196,7 @@ impl Fabric {
                     .fetch_add(1, Ordering::Relaxed);
                 self.endpoints[src]
                     .trace
-                    .instant(EventKind::WireDrop, dst as i32, 0);
+                    .instant(EventKind::WireDrop, dst as i32, 0, 0);
                 if attempt + 1 >= plan.max_attempts {
                     // Budget exhausted: abandon the frame and fail the
                     // job visibly rather than retrying forever.
@@ -257,7 +257,7 @@ impl Fabric {
                 .fetch_add(1, Ordering::Relaxed);
             self.endpoints[dst]
                 .trace
-                .instant(EventKind::AmDup, src as i32, 0);
+                .instant(EventKind::AmDup, src as i32, 0, 0);
             return;
         }
         let msg = msg.expect("duplicate wire copy escaped the dedup window");
@@ -322,15 +322,14 @@ impl Fabric {
                     .stats
                     .retransmits
                     .fetch_add(1, Ordering::Relaxed);
-                self.endpoints[src]
-                    .trace
-                    .instant(EventKind::AmRetransmit, me as i32, 0);
-                if let Some(p) = &self.endpoints[src].prof {
-                    // The frame's span rides its message, so the profiler
-                    // ties the retransmit back to the original injection.
-                    let span = f.msg.prof.map_or(0, |s| s.id);
-                    p.record_retransmit(span, me as i32, f.attempt as u64);
-                }
+                // The frame's span rides its message, tying the
+                // retransmit back to the original injection.
+                self.endpoints[src].trace.instant(
+                    EventKind::Retransmit,
+                    me as i32,
+                    f.attempt as u64,
+                    f.msg.prof.map_or(0, |s| s.id),
+                );
                 self.offer(&mut link, plan, me, f.seq, f.msg, f.attempt);
                 work += 1;
             }
@@ -376,10 +375,15 @@ impl Fabric {
         }
         drop(detail);
         self.failed.store(true, Ordering::Release);
-        // Postmortem: record the death on the initiator's causal stream
-        // and dump every rank's flight-recorder tail (once per job).
-        self.prof_unreachable(e.src, e.dst, e.attempts as u64);
-        self.prof_dump_flight(&e.to_string());
+        // Postmortem: record the death on the initiator's stream and
+        // dump every rank's flight-recorder tail (once per job).
+        self.endpoints[e.src].trace.instant(
+            EventKind::Unreachable,
+            e.dst as i32,
+            e.attempts as u64,
+            0,
+        );
+        self.dump_flight(&e.to_string());
     }
 
     /// Fault gate for one-sided RMA (`initiator != target`, plan
@@ -409,9 +413,12 @@ impl Fabric {
                 Fate::Drop => {
                     let stats = &self.endpoints[initiator].stats;
                     stats.wire_drops.fetch_add(1, Ordering::Relaxed);
-                    self.endpoints[initiator]
-                        .trace
-                        .instant(EventKind::WireDrop, target as i32, 0);
+                    self.endpoints[initiator].trace.instant(
+                        EventKind::WireDrop,
+                        target as i32,
+                        0,
+                        0,
+                    );
                     attempt += 1;
                     if attempt >= plan.max_attempts {
                         let e = PeerUnreachable {
@@ -424,16 +431,14 @@ impl Fabric {
                         panic!("{e}");
                     }
                     stats.retransmits.fetch_add(1, Ordering::Relaxed);
+                    // RMA ops carry no wire span (they are synchronous);
+                    // span 0 marks an initiator-side inline retry.
                     self.endpoints[initiator].trace.instant(
-                        EventKind::AmRetransmit,
+                        EventKind::Retransmit,
                         target as i32,
+                        attempt as u64,
                         0,
                     );
-                    if let Some(p) = &self.endpoints[initiator].prof {
-                        // RMA ops carry no wire span (they are synchronous);
-                        // span 0 marks an initiator-side inline retry.
-                        p.record_retransmit(0, target as i32, attempt as u64);
-                    }
                     // The retry traverses the wire again.
                     self.wire(initiator, target, bytes);
                 }

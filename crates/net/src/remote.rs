@@ -105,6 +105,15 @@ impl Fabric {
         self.remote.is_some()
     }
 
+    /// The ranks whose memory and event stream live in this process: all
+    /// of them in-process, the one hosted rank over a conduit.
+    pub fn hosted_ranks(&self) -> std::ops::Range<Rank> {
+        match &self.remote {
+            Some(r) => r.me..r.me + 1,
+            None => 0..self.endpoints.len(),
+        }
+    }
+
     /// The conduit backend name, if a conduit is installed.
     pub fn conduit_name(&self) -> Option<&'static str> {
         self.remote.as_ref().map(|r| r.conduit.name())

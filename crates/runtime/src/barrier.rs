@@ -8,10 +8,7 @@
 
 use crate::collectives::{collect, deposit, WORLD_DOMAIN};
 use crate::ctx::Ctx;
-use rupcxx_trace::clock::now_ns;
-use rupcxx_trace::waitstate::{classify, pack_wait};
-use rupcxx_trace::{EventKind, ProfEvent, ProfKind, WaitConstruct};
-use std::sync::atomic::Ordering;
+use rupcxx_trace::{EventKind, WaitConstruct};
 
 impl Ctx {
     /// Synchronize all ranks — no rank leaves before every rank arrived.
@@ -35,52 +32,24 @@ impl Ctx {
             self.shared().fabric.cache_invalidate_sync(self.rank());
             return;
         }
-        let t0 = self.trace().start();
-        // The profiler wraps the whole episode: every barrier records a
+        let seq = self.shared().next_coll_seq(self.rank());
+        // The recorder wraps the whole episode: every barrier records a
         // wait (even a short one), so barrier wall time is attributed to
         // a named state in full — the report's headline accuracy number.
-        let prof = self.shared().fabric.prof(self.rank());
-        let (p0, retx0, joined0) = match prof {
-            Some(p) => (
-                now_ns(),
-                self.shared().fabric.total_retransmits(),
-                p.msgs_joined.load(Ordering::Relaxed),
-            ),
-            None => (0, 0, 0),
-        };
-        let seq = self.shared().next_coll_seq(self.rank());
-        let mut round = 0u64;
-        let mut dist = 1usize;
-        while dist < n {
-            let dst = (self.rank() + dist) % n;
-            let key = seq * 1024 + round;
-            deposit(self, WORLD_DOMAIN, dst, key, Vec::new());
-            let _ = collect(self, WORLD_DOMAIN, key, 1);
-            round += 1;
-            dist <<= 1;
-        }
-        self.trace().span(EventKind::Barrier, -1, 0, t0);
-        if let Some(p) = prof {
-            let dur = now_ns().saturating_sub(p0);
-            let state = classify(
-                WaitConstruct::Barrier,
-                self.shared().fabric.total_retransmits() - retx0,
-                p.msgs_joined.load(Ordering::Relaxed) - joined0,
-                p.last_inject_ns.load(Ordering::Relaxed),
-                p0,
-            );
-            p.waits.record(WaitConstruct::Barrier, state, dur);
-            p.ring.push(ProfEvent {
-                seq: 0,
-                ts_ns: p0,
-                dur_ns: dur,
-                span: 0,
-                peer: -1,
-                a: pack_wait(WaitConstruct::Barrier, state),
-                kind: ProfKind::Wait,
-            });
-            p.record_barrier_exit(dur);
-        }
+        let episode_ns = self.blocked(WaitConstruct::Barrier, || {
+            let mut round = 0u64;
+            let mut dist = 1usize;
+            while dist < n {
+                let dst = (self.rank() + dist) % n;
+                let key = seq * 1024 + round;
+                deposit(self, WORLD_DOMAIN, dst, key, Vec::new());
+                let _ = collect(self, WORLD_DOMAIN, key, 1);
+                round += 1;
+                dist <<= 1;
+            }
+        });
+        self.trace()
+            .instant(EventKind::BarrierExit, -1, episode_ns, 0);
         if let Some(ck) = self.shared().fabric.checker() {
             ck.barrier_exit(self.rank());
         }

@@ -45,10 +45,11 @@ pub struct RuntimeConfig {
     /// with [`RuntimeConfig::with_cache`]. None = caching off (one
     /// untaken branch per get).
     pub cache: Option<CacheConfig>,
-    /// Causal cross-rank profiler (wait-state attribution, critical-path
-    /// analysis, flight recorder). [`RuntimeConfig::new`] seeds this from
-    /// `RUPCXX_PROF`; override with [`RuntimeConfig::with_prof`]. None =
-    /// profiling off (one untaken branch per hook).
+    /// The profile view of the recorder both this and `trace` feed:
+    /// causal spans on the wire, wait-state attribution, the
+    /// critical-path report at teardown. [`RuntimeConfig::new`] seeds
+    /// this from `RUPCXX_PROF`; override with
+    /// [`RuntimeConfig::with_prof`]. None = no spans on the wire.
     pub prof: Option<ProfConfig>,
     /// Controlled AM delivery schedule (model checking / replay).
     /// [`RuntimeConfig::new`] seeds this from `RUPCXX_SCHEDULE`; override

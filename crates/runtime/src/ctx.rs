@@ -3,9 +3,7 @@
 use crate::alloc::OutOfSegmentMemory;
 use crate::shared::Shared;
 use rupcxx_net::{AmMessage, AmPayload, BatchReader, Fabric, Frame, GlobalAddr, Rank};
-use rupcxx_trace::clock::now_ns;
-use rupcxx_trace::waitstate::{classify, pack_wait};
-use rupcxx_trace::{EventKind, ProfEvent, ProfKind, RankTrace, WaitConstruct};
+use rupcxx_trace::{EventKind, RankTrace, WaitConstruct};
 use rupcxx_util::Bytes;
 use std::any::Any;
 use std::sync::atomic::Ordering;
@@ -65,8 +63,8 @@ impl Ctx {
         &self.shared
     }
 
-    /// This rank's trace/metrics state (disabled unless the job was
-    /// launched with tracing configured — see `rupcxx-trace`).
+    /// This rank's recorder (disabled unless the job was launched with
+    /// `RUPCXX_TRACE` or `RUPCXX_PROF` configured — see `rupcxx-trace`).
     #[inline]
     pub fn trace(&self) -> &RankTrace {
         &self.shared.fabric.endpoint(self.rank).trace
@@ -97,7 +95,7 @@ impl Ctx {
         let arrived = self.shared.fabric.pump_conduit(self.rank);
         let pumped = self.shared.fabric.pump_incoming(self.rank) + flushed + scheduled + arrived;
         let ep = self.shared.fabric.endpoint(self.rank);
-        if !ep.trace.enabled() {
+        if !ep.trace.ops_enabled() {
             // Untraced fast path: identical to the pre-trace engine.
             let mut n = 0;
             while let Some(msg) = ep.try_recv() {
@@ -125,11 +123,13 @@ impl Ctx {
         if let (Some(ck), Some(stamp)) = (self.shared.fabric.checker(), &clock) {
             ck.join(self.rank, stamp);
         }
-        // The profiler's causal join: this delivery is tied to the span's
-        // injection on the sending rank (a batch joins once per batch —
-        // the batch is the wire-level causal unit).
-        if let (Some(p), Some(span)) = (self.shared.fabric.prof(self.rank), prof) {
-            p.record_recv(span);
+        // The causal join: this delivery is tied to the span's injection
+        // on the sending rank (a batch joins once per batch — the batch
+        // is the wire-level causal unit).
+        if let Some(span) = prof {
+            let origin = span.origin() as i32;
+            self.trace()
+                .instant(EventKind::AmRecv, origin, span.inject_ns, span.id);
         }
         match payload {
             // `self` is the target rank's context: the task borrows it
@@ -205,8 +205,8 @@ impl Ctx {
         loop {
             if self.shared.fabric.has_failed() {
                 // Dump the flight recorder before dying (a no-op if
-                // `mark_unreachable` already dumped, or profiling is off).
-                self.shared.fabric.prof_dump_flight("peer unreachable");
+                // `mark_unreachable` already dumped, or nothing records).
+                self.shared.fabric.dump_flight("peer unreachable");
                 match self.shared.fabric.failure() {
                     Some(e) => panic!("{e}"),
                     None => panic!("fabric failed: peer unreachable"),
@@ -217,9 +217,12 @@ impl Ctx {
                     let m = ck
                         .abort_message()
                         .unwrap_or_else(|| "rupcxx-check: deadlock detected".to_string());
-                    self.shared.fabric.prof_dump_flight(&m);
+                    self.shared.fabric.dump_flight(&m);
                     panic!("{m}");
                 }
+                // The deadlock scan convicts only ranks that have looked
+                // at their condition again since it first saw them wait.
+                ck.wait_polled(self.rank);
             }
             if cond() {
                 return;
@@ -258,45 +261,35 @@ impl Ctx {
         }
     }
 
-    /// [`Ctx::wait_until`] with wait-state attribution: when the profiler
-    /// is on and the wait actually blocks, the elapsed time is recorded
-    /// under `construct` and classified Scalasca-style —
-    /// `RetransmitStall` if the fabric retransmitted anything during the
-    /// wait, `LateReceiver` for lock acquisition, `LateSender` when the
-    /// wait ended because a message injected after the wait started
-    /// finally arrived, `ProgressStarved` otherwise. Blocking constructs
-    /// other than the barrier (which wraps its whole episode itself)
-    /// funnel through here.
+    /// [`Ctx::wait_until`] with wait-state attribution — the wrapper every
+    /// blocking construct waits through. When the recorder is on and the
+    /// wait actually blocks, it is one [`Ctx::blocked`] episode.
     pub(crate) fn wait_profiled(&self, construct: WaitConstruct, mut cond: impl FnMut() -> bool) {
-        let fabric = &self.shared.fabric;
-        let Some(p) = fabric.prof(self.rank) else {
+        if !self.trace().enabled() {
             return self.wait_until(cond);
-        };
+        }
         if cond() {
             return; // Satisfied immediately: nothing blocked, no record.
         }
-        let t0 = now_ns();
+        self.blocked(construct, || self.wait_until(cond));
+    }
+
+    /// Run `wait`, which blocks, and record it as the single `Wait` event
+    /// of `construct`, classified Scalasca-style: `RetransmitStall` if
+    /// the fabric retransmitted anything meanwhile, `LateReceiver` for
+    /// lock acquisition, `LateSender` when a message injected after the
+    /// wait started arrived during it, `ProgressStarved` otherwise.
+    /// Returns the wait's duration, ns (0 with the recorder off).
+    pub(crate) fn blocked(&self, construct: WaitConstruct, wait: impl FnOnce()) -> u64 {
+        let (trace, fabric) = (self.trace(), &self.shared.fabric);
+        if !trace.enabled() {
+            wait();
+            return 0;
+        }
+        let begun = trace.wait_begin();
         let retx0 = fabric.total_retransmits();
-        let joined0 = p.msgs_joined.load(Ordering::Relaxed);
-        self.wait_until(cond);
-        let dur = now_ns().saturating_sub(t0);
-        let state = classify(
-            construct,
-            fabric.total_retransmits() - retx0,
-            p.msgs_joined.load(Ordering::Relaxed) - joined0,
-            p.last_inject_ns.load(Ordering::Relaxed),
-            t0,
-        );
-        p.waits.record(construct, state, dur);
-        p.ring.push(ProfEvent {
-            seq: 0,
-            ts_ns: t0,
-            dur_ns: dur,
-            span: 0,
-            peer: -1,
-            a: pack_wait(construct, state),
-            kind: ProfKind::Wait,
-        });
+        wait();
+        trace.wait_end(construct, begun, fabric.total_retransmits() - retx0)
     }
 
     /// Send a task to run on rank `dst` the next time it drives progress;
@@ -306,7 +299,7 @@ impl Ctx {
     /// borrowed context, so no task clones the job's `Arc<Shared>` and its
     /// reference count is a line nobody writes after launch.
     pub fn send_task_with_ctx(&self, dst: Rank, task: impl FnOnce(&Ctx) + Send + 'static) {
-        self.trace().instant(EventKind::TaskSpawn, dst as i32, 0);
+        self.trace().instant(EventKind::TaskSpawn, dst as i32, 0, 0);
         let task = move |executor: &dyn Any| {
             let ctx = executor
                 .downcast_ref::<Ctx>()

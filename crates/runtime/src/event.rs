@@ -12,7 +12,7 @@
 //! the paper.
 
 use crate::ctx::Ctx;
-use rupcxx_trace::{EventKind, WaitConstruct};
+use rupcxx_trace::WaitConstruct;
 use rupcxx_util::sync::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
@@ -108,7 +108,6 @@ impl Event {
     /// Block (driving progress) until the event fires — `event.wait()` in
     /// the paper.
     pub fn wait(&self, ctx: &Ctx) {
-        let t0 = ctx.trace().start();
         if let Some(ck) = ctx.shared().fabric.checker() {
             ck.event_wait_begin(ctx.rank());
         }
@@ -116,7 +115,6 @@ impl Event {
         if let Some(ck) = ctx.shared().fabric.checker() {
             ck.event_wait_end(ctx.rank(), self.check_key());
         }
-        ctx.trace().span(EventKind::EventWait, -1, 0, t0);
     }
 }
 
@@ -188,7 +186,6 @@ impl<T: Send + 'static> RtFuture<T> {
     /// Block (driving progress) until the value arrives, then take it —
     /// the paper's `future.get()`. Panics if the value was already taken.
     pub fn get(&self, ctx: &Ctx) -> T {
-        let t0 = ctx.trace().start();
         if let Some(ck) = ctx.shared().fabric.checker() {
             ck.future_wait_begin(ctx.rank());
         }
@@ -196,7 +193,6 @@ impl<T: Send + 'static> RtFuture<T> {
         if let Some(ck) = ctx.shared().fabric.checker() {
             ck.future_wait_end(ctx.rank());
         }
-        ctx.trace().span(EventKind::EventWait, -1, 0, t0);
         self.core
             .slot
             .lock()

@@ -18,7 +18,7 @@
 use crate::ctx::Ctx;
 use crate::event::{FutureSetter, RtFuture};
 use rupcxx_net::Rank;
-use rupcxx_trace::{EventKind, WaitConstruct};
+use rupcxx_trace::WaitConstruct;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -89,7 +89,6 @@ impl<'a> FinishScope<'a> {
     }
 
     fn wait(&self) {
-        let t0 = self.ctx.trace().start();
         if let Some(ck) = self.ctx.shared().fabric.checker() {
             ck.finish_wait_begin(self.ctx.rank());
         }
@@ -99,7 +98,6 @@ impl<'a> FinishScope<'a> {
         if let Some(ck) = self.ctx.shared().fabric.checker() {
             ck.finish_wait_end(self.ctx.rank());
         }
-        self.ctx.trace().span(EventKind::FinishWait, -1, 0, t0);
     }
 }
 

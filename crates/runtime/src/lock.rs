@@ -7,7 +7,7 @@
 
 use crate::ctx::Ctx;
 use rupcxx_net::GlobalAddr;
-use rupcxx_trace::{EventKind, WaitConstruct};
+use rupcxx_trace::WaitConstruct;
 
 const UNLOCKED: u64 = 0;
 
@@ -63,7 +63,6 @@ impl GlobalLock {
 
     /// Acquire, driving progress while waiting.
     pub fn acquire(&self, ctx: &Ctx) {
-        let t0 = ctx.trace().start();
         if let Some(ck) = ctx.shared().fabric.checker() {
             ck.lock_wait_begin(ctx.rank(), self.check_key());
         }
@@ -71,8 +70,6 @@ impl GlobalLock {
         if let Some(ck) = ctx.shared().fabric.checker() {
             ck.lock_wait_end(ctx.rank());
         }
-        ctx.trace()
-            .span(EventKind::LockAcquire, self.addr.rank() as i32, 0, t0);
     }
 
     /// Release. Panics if this rank does not hold the lock.

@@ -23,7 +23,7 @@
 use crate::config::RuntimeConfig;
 use crate::ctx::Ctx;
 use crate::shared::{HandlerRegistry, Shared};
-use crate::spmd::{export_check, export_prof, export_trace, spmd_with_handlers};
+use crate::spmd::{export_check, export_views, spmd_with_handlers};
 use rupcxx_net::{ConduitSel, Rank, RemoteConfig};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::process::{Command, ExitStatus};
@@ -211,8 +211,7 @@ where
             Err(payload) => resume_unwind(payload),
         }
     });
-    export_trace(&config, &shared);
-    export_prof(&config, &shared);
+    export_views(&config, &shared);
     export_check(&shared);
     (me, result)
 }

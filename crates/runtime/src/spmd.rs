@@ -9,10 +9,12 @@
 use crate::config::RuntimeConfig;
 use crate::ctx::Ctx;
 use crate::shared::{HandlerRegistry, Shared};
-use rupcxx_trace::{critpath, MetricsSnapshot, RankProf, TraceEvent, WaitState};
+use rupcxx_net::Fabric;
+use rupcxx_trace::{critpath, RankStream, SummaryRow, TraceMode, WaitState};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Launch an SPMD job: run `body` on `config.ranks` ranks, returning each
 /// rank's result in rank order.
@@ -107,30 +109,85 @@ where
         progress_stop.store(true, std::sync::atomic::Ordering::Release);
         results
     });
-    export_trace(&config, &shared);
-    export_prof(&config, &shared);
+    export_views(&config, &shared);
     export_check(&shared);
     results
 }
 
-/// Job-teardown profiler export: gather every rank's causal stream and
-/// wait-state histograms, run the critical-path analysis, print the
-/// per-rank table and headline attribution line, and write the JSON
-/// report. All ranks have joined by now, so the rings are quiescent.
-pub(crate) fn export_prof(config: &RuntimeConfig, shared: &Shared) {
-    let Some(prof_cfg) = &config.prof else { return };
-    let ranks = shared.ranks();
-    let per_rank: Vec<RankProf> = (0..ranks)
-        .filter_map(|r| {
-            shared.fabric.prof(r).map(|p| RankProf {
-                rank: r,
-                events: p.ring.snapshot(),
-                waits: p.waits.snapshot(),
-                barrier_total_ns: p.barrier_total_ns.load(Ordering::Relaxed),
+/// Jobs of this process that have written a view to each base path: a
+/// later job writing to the same one gets a numeric suffix.
+static VIEW_JOBS: Mutex<BTreeMap<String, u64>> = Mutex::new(BTreeMap::new());
+
+/// Where this job's view based at `base` goes — one naming rule for
+/// every view: numbered per base path, tagged `.r<rank>` when this
+/// process hosts one rank of a multi-process job.
+fn next_view_path(base: &str, fabric: &Fabric) -> String {
+    let mut jobs = VIEW_JOBS.lock().expect("view-path table poisoned");
+    let job = jobs.entry(base.to_string()).or_insert(0);
+    let rank = fabric.is_remote().then(|| fabric.hosted_ranks().start);
+    let path = rupcxx_trace::view_path(base, *job, rank);
+    *job += 1;
+    path
+}
+
+/// Job-teardown export of every view the job was configured for, over
+/// the ranks this process hosts: the summary table (any `RUPCXX_TRACE`
+/// mode), the Chrome `trace_event` JSON (`events`) and the critical-path
+/// report (`RUPCXX_PROF`). All ranks have joined by now, so the rings and
+/// histograms are quiescent.
+pub(crate) fn export_views(config: &RuntimeConfig, shared: &Shared) {
+    let fabric = &shared.fabric;
+    let hosted = fabric.hosted_ranks();
+    let trace_of = |r| &fabric.endpoint(r).trace;
+    let ranks = hosted.len();
+    if trace_of(hosted.start).ops_enabled() {
+        let rows: Vec<SummaryRow> = hosted
+            .clone()
+            .map(|rank| {
+                let c = fabric.endpoint(rank).stats.snapshot();
+                let ring = trace_of(rank).ring();
+                SummaryRow {
+                    rank,
+                    metrics: trace_of(rank).metrics.snapshot(),
+                    retransmits: c.retransmits,
+                    wire_drops: c.wire_drops,
+                    dup_arrivals: c.dup_arrivals,
+                    cache_hits: c.cache_hits,
+                    cache_misses: c.cache_misses,
+                    ring_pushed: ring.map_or(0, |r| r.pushed()),
+                    ring_lost: ring.map_or(0, |r| r.lost()),
+                }
             })
-        })
-        .collect();
-    let report = critpath::analyze(&per_rank);
+            .collect();
+        println!("\n== rupcxx trace summary ({ranks} ranks) ==");
+        print!("{}", rupcxx_trace::summary_table(&rows).render());
+    }
+    if trace_of(hosted.start).ring().is_none() {
+        return;
+    }
+    let streams: Vec<RankStream> = hosted.clone().map(|r| trace_of(r).stream()).collect();
+    if config.trace.mode == TraceMode::Events {
+        let total: usize = streams.iter().map(|s| s.events.len()).sum();
+        let rings = hosted.filter_map(|r| trace_of(r).ring());
+        let (pushed, dropped) = rings.fold((0, 0), |(p, d), ring| {
+            (p + ring.pushed(), d + ring.dropped())
+        });
+        let mut notes = String::new();
+        if pushed > total as u64 + dropped {
+            // The ring wrapped: older events were overwritten.
+            let _ = write!(notes, ", newest of {pushed} (raise RUPCXX_TRACE_BUF)");
+        }
+        if dropped > 0 {
+            let _ = write!(notes, ", {dropped} dropped");
+        }
+        let path = next_view_path(config.trace.path(), fabric);
+        match std::fs::write(&path, rupcxx_trace::chrome_trace_json(&streams)) {
+            Ok(()) => println!("[trace written {path}: {total} events{notes}]"),
+            Err(e) => eprintln!("(could not write trace {path}: {e})"),
+        }
+    }
+    let Some(prof_cfg) = &config.prof else { return };
+    let report = critpath::analyze(&streams);
     println!("\n== rupcxx profiler ({ranks} ranks) ==");
     print!("{}", report.table().render());
     println!(
@@ -144,9 +201,9 @@ pub(crate) fn export_prof(config: &RuntimeConfig, shared: &Shared) {
         report.attributed_fraction() * 100.0,
         report.barrier_total_ns as f64 / 1e6
     );
-    let retx_ns: u64 = per_rank
+    let retx_ns: u64 = streams
         .iter()
-        .map(|r| r.waits.state_ns(WaitState::RetransmitStall))
+        .map(|s| s.waits.state_ns(WaitState::RetransmitStall))
         .sum();
     if retx_ns > 0 {
         println!(
@@ -154,8 +211,8 @@ pub(crate) fn export_prof(config: &RuntimeConfig, shared: &Shared) {
             retx_ns as f64 / 1e6
         );
     }
-    let path = prof_cfg.path();
-    match std::fs::write(path, report.to_json()) {
+    let path = next_view_path(prof_cfg.path(), fabric);
+    match std::fs::write(&path, report.to_json()) {
         Ok(()) => println!("[profile written {path}]"),
         Err(e) => eprintln!("(could not write profile {path}: {e})"),
     }
@@ -169,55 +226,6 @@ pub(crate) fn export_check(shared: &Shared) {
         if n > 0 {
             eprintln!("(rupcxx-check: {n} finding(s); see report above)");
         }
-    }
-}
-
-/// Chrome-trace files already written by this process (suffixes the path
-/// of every traced job after the first).
-static TRACE_JOBS: AtomicU64 = AtomicU64::new(0);
-
-/// Job-teardown trace export: print the per-rank metrics summary and, in
-/// events mode, write the Chrome `trace_event` JSON. All ranks have
-/// joined by now, so the rings and histograms are quiescent.
-pub(crate) fn export_trace(config: &RuntimeConfig, shared: &Shared) {
-    if !shared.fabric.endpoint(0).trace.enabled() {
-        return;
-    }
-    let ranks = shared.ranks();
-    let metrics: Vec<(usize, MetricsSnapshot)> = (0..ranks)
-        .map(|r| (r, shared.fabric.endpoint(r).trace.metrics.snapshot()))
-        .collect();
-    println!("\n== rupcxx trace summary ({ranks} ranks) ==");
-    print!("{}", rupcxx_trace::summary_table(&metrics).render());
-    if !shared.fabric.endpoint(0).trace.events_enabled() {
-        return;
-    }
-    let per_rank: Vec<(usize, Vec<TraceEvent>)> = (0..ranks)
-        .map(|r| (r, shared.fabric.endpoint(r).trace.events()))
-        .collect();
-    let total: usize = per_rank.iter().map(|(_, e)| e.len()).sum();
-    let (mut pushed, mut dropped) = (0u64, 0u64);
-    for r in 0..ranks {
-        if let Some(ring) = shared.fabric.endpoint(r).trace.ring() {
-            pushed += ring.pushed();
-            dropped += ring.dropped();
-        }
-    }
-    let n = TRACE_JOBS.fetch_add(1, Ordering::Relaxed);
-    let path = config.trace.numbered_path(n);
-    match rupcxx_trace::write_chrome_trace(&path, &per_rank) {
-        Ok(()) => {
-            let mut notes = String::new();
-            if pushed > total as u64 + dropped {
-                // The ring wrapped: older events were overwritten.
-                let _ = write!(notes, ", newest of {pushed} (raise RUPCXX_TRACE_BUF)");
-            }
-            if dropped > 0 {
-                let _ = write!(notes, ", {dropped} dropped");
-            }
-            println!("[trace written {path}: {total} events{notes}]");
-        }
-        Err(e) => eprintln!("(could not write trace {path}: {e})"),
     }
 }
 

@@ -1,4 +1,4 @@
-//! Offline critical-path analysis over merged per-rank profiler streams.
+//! The critical-path view: offline analysis over the per-rank event streams.
 //!
 //! Barrier exits delimit causal intervals: between two consecutive
 //! barriers every rank's elapsed time splits into *work* (computing or
@@ -11,23 +11,11 @@
 //! barrier wall time attributed to named wait states (the profiler's
 //! headline accuracy number).
 
-use crate::span::{ProfEvent, ProfKind};
-use crate::waitstate::{WaitConstruct, WaitState, WaitStatsSnapshot, STATES};
+use crate::ring::{Event, EventKind};
+use crate::waitstate::{WaitConstruct, WaitState, STATES};
+use crate::RankStream;
 use rupcxx_util::Table;
 use std::fmt::Write as _;
-
-/// One rank's raw profiler output, as gathered at teardown.
-#[derive(Clone, Debug, Default)]
-pub struct RankProf {
-    /// The rank.
-    pub rank: usize,
-    /// Its causal event stream (oldest first).
-    pub events: Vec<ProfEvent>,
-    /// Its wait-state histograms.
-    pub waits: WaitStatsSnapshot,
-    /// Total barrier episode time, ns (attribution denominator).
-    pub barrier_total_ns: u64,
-}
 
 /// Per-rank breakdown in the report.
 #[derive(Clone, Copy, Debug, Default)]
@@ -143,10 +131,10 @@ impl CritPathReport {
 }
 
 /// Per-rank, per-interval (len, wait) pairs delimited by barrier exits.
-fn rank_intervals(events: &[ProfEvent]) -> Vec<(u64, u64)> {
+fn rank_intervals(events: &[Event]) -> Vec<(u64, u64)> {
     let exits: Vec<u64> = events
         .iter()
-        .filter(|e| e.kind == ProfKind::BarrierExit)
+        .filter(|e| e.kind == EventKind::BarrierExit)
         .map(|e| e.ts_ns)
         .collect();
     if exits.is_empty() {
@@ -160,7 +148,7 @@ fn rank_intervals(events: &[ProfEvent]) -> Vec<(u64, u64)> {
         // A wait belongs to the interval its *end* falls into.
         let wait: u64 = events
             .iter()
-            .filter(|e| e.kind == ProfKind::Wait)
+            .filter(|e| e.kind == EventKind::Wait)
             .map(|e| (e.ts_ns + e.dur_ns, e.dur_ns))
             .filter(|&(wend, _)| wend > start && wend <= end)
             .map(|(_, d)| d)
@@ -171,8 +159,8 @@ fn rank_intervals(events: &[ProfEvent]) -> Vec<(u64, u64)> {
     out
 }
 
-/// Run the analysis over every rank's gathered profiler output.
-pub fn analyze(per_rank: &[RankProf]) -> CritPathReport {
+/// Run the analysis over every rank's gathered stream.
+pub fn analyze(per_rank: &[RankStream]) -> CritPathReport {
     let intervals_by_rank: Vec<Vec<(u64, u64)>> =
         per_rank.iter().map(|r| rank_intervals(&r.events)).collect();
     let intervals = intervals_by_rank.iter().map(|v| v.len()).min().unwrap_or(0);
@@ -233,21 +221,21 @@ mod tests {
     use super::*;
     use crate::waitstate::{pack_wait, WaitStats};
 
-    fn ev(kind: ProfKind, ts: u64, dur: u64, a: u64) -> ProfEvent {
-        ProfEvent {
+    fn ev(kind: EventKind, ts: u64, dur: u64, a: u64) -> Event {
+        Event {
             seq: ts,
             ts_ns: ts,
             dur_ns: dur,
+            a,
             span: 0,
             peer: -1,
-            a,
             kind,
         }
     }
 
-    fn wait_ev(ts: u64, dur: u64) -> ProfEvent {
+    fn wait_ev(ts: u64, dur: u64) -> Event {
         ev(
-            ProfKind::Wait,
+            EventKind::Wait,
             ts,
             dur,
             pack_wait(WaitConstruct::Barrier, WaitState::LateSender),
@@ -258,11 +246,11 @@ mod tests {
     fn intervals_split_on_barrier_exits() {
         // Stream: start 0, wait [10,40), exit @100; wait [110,120), exit @200.
         let evs = vec![
-            ev(ProfKind::Send, 0, 0, 0),
+            ev(EventKind::AmSend, 0, 0, 0),
             wait_ev(10, 30),
-            ev(ProfKind::BarrierExit, 100, 0, 0),
+            ev(EventKind::BarrierExit, 100, 0, 0),
             wait_ev(110, 10),
-            ev(ProfKind::BarrierExit, 200, 0, 1),
+            ev(EventKind::BarrierExit, 200, 0, 1),
         ];
         let iv = rank_intervals(&evs);
         assert_eq!(iv, vec![(100, 30), (100, 10)]);
@@ -272,26 +260,26 @@ mod tests {
     fn critical_rank_is_max_work() {
         // Rank 0: interval len 100, waits 80 → work 20.
         // Rank 1: interval len 100, waits 10 → work 90. Critical = rank 1.
-        let w0 = WaitStats::new();
+        let w0 = WaitStats::default();
         w0.record(WaitConstruct::Barrier, WaitState::LateSender, 80);
-        let r0 = RankProf {
+        let r0 = RankStream {
             rank: 0,
             events: vec![
-                ev(ProfKind::Send, 0, 0, 0),
+                ev(EventKind::AmSend, 0, 0, 0),
                 wait_ev(10, 80),
-                ev(ProfKind::BarrierExit, 100, 0, 0),
+                ev(EventKind::BarrierExit, 100, 0, 0),
             ],
             waits: w0.snapshot(),
             barrier_total_ns: 80,
         };
-        let w1 = WaitStats::new();
+        let w1 = WaitStats::default();
         w1.record(WaitConstruct::Barrier, WaitState::LateSender, 10);
-        let r1 = RankProf {
+        let r1 = RankStream {
             rank: 1,
             events: vec![
-                ev(ProfKind::Send, 0, 0, 0),
+                ev(EventKind::AmSend, 0, 0, 0),
                 wait_ev(80, 10),
-                ev(ProfKind::BarrierExit, 100, 0, 0),
+                ev(EventKind::BarrierExit, 100, 0, 0),
             ],
             waits: w1.snapshot(),
             barrier_total_ns: 10,
@@ -322,9 +310,9 @@ mod tests {
 
     #[test]
     fn no_barriers_means_no_intervals() {
-        let r = RankProf {
+        let r = RankStream {
             rank: 0,
-            events: vec![ev(ProfKind::Send, 5, 0, 0)],
+            events: vec![ev(EventKind::AmSend, 5, 0, 0)],
             ..Default::default()
         };
         let rep = analyze(&[r]);

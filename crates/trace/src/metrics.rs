@@ -19,12 +19,6 @@ pub struct Metrics {
     pub am_handle_ns: Log2Histogram,
     /// Duration of `advance()` calls that did work, ns.
     pub advance_ns: Log2Histogram,
-    /// Barrier episode duration, ns.
-    pub barrier_ns: Log2Histogram,
-    /// `Event::wait` / `finish` / future blocking time, ns.
-    pub wait_ns: Log2Histogram,
-    /// Global lock acquisition time (including the spin), ns.
-    pub lock_ns: Log2Histogram,
     /// Message/transfer sizes, bytes (puts, gets and AM payloads).
     pub msg_bytes: Log2Histogram,
     /// AM inbox depth sampled at each `advance()` poll.
@@ -35,22 +29,12 @@ pub struct Metrics {
     pub advance_work: AtomicU64,
     /// Messages processed by `advance()` in total.
     pub advance_msgs: AtomicU64,
-    /// Frames retransmitted by the reliable AM layer (fault injection).
-    pub retransmits: AtomicU64,
-    /// Transmission attempts lost on the wire by the fault plan.
-    pub wire_drops: AtomicU64,
-    /// Duplicate arrivals discarded by the dedup window.
-    pub dup_arrivals: AtomicU64,
     /// Batch occupancy: logical frames per flushed aggregation batch
-    /// (count = batches sent; recorded at each `batch_flush`).
+    /// (count = batches sent; recorded at each `flush`).
     pub batch_frames: Log2Histogram,
     /// Line fill sizes of the software read cache, bytes (count = cache
     /// misses; recorded at each `cache_fill`).
     pub cache_fill_bytes: Log2Histogram,
-    /// Remote gets served from the software read cache.
-    pub cache_hits: AtomicU64,
-    /// Remote gets that missed the read cache and filled a line.
-    pub cache_misses: AtomicU64,
 }
 
 impl Metrics {
@@ -61,23 +45,13 @@ impl Metrics {
             get_ns: self.get_ns.snapshot(),
             am_handle_ns: self.am_handle_ns.snapshot(),
             advance_ns: self.advance_ns.snapshot(),
-            barrier_ns: self.barrier_ns.snapshot(),
-            wait_ns: self.wait_ns.snapshot(),
-            lock_ns: self.lock_ns.snapshot(),
             msg_bytes: self.msg_bytes.snapshot(),
             queue_depth: self.queue_depth.snapshot(),
             advance_polls: self.advance_polls.load(Ordering::Relaxed),
             advance_work: self.advance_work.load(Ordering::Relaxed),
             advance_msgs: self.advance_msgs.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            wire_drops: self.wire_drops.load(Ordering::Relaxed),
-            dup_arrivals: self.dup_arrivals.load(Ordering::Relaxed),
             batch_frames: self.batch_frames.snapshot(),
             cache_fill_bytes: self.cache_fill_bytes.snapshot(),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            ring_pushed: 0,
-            ring_lost: 0,
         }
     }
 }
@@ -93,12 +67,6 @@ pub struct MetricsSnapshot {
     pub am_handle_ns: HistogramSnapshot,
     /// Working `advance()` duration distribution, ns.
     pub advance_ns: HistogramSnapshot,
-    /// Barrier duration distribution, ns.
-    pub barrier_ns: HistogramSnapshot,
-    /// Blocking-wait duration distribution, ns.
-    pub wait_ns: HistogramSnapshot,
-    /// Lock acquisition distribution, ns.
-    pub lock_ns: HistogramSnapshot,
     /// Transfer size distribution, bytes.
     pub msg_bytes: HistogramSnapshot,
     /// Sampled AM inbox depth distribution.
@@ -109,25 +77,10 @@ pub struct MetricsSnapshot {
     pub advance_work: u64,
     /// Messages processed across all polls.
     pub advance_msgs: u64,
-    /// Frames retransmitted by the reliable AM layer.
-    pub retransmits: u64,
-    /// Transmission attempts lost on the wire by the fault plan.
-    pub wire_drops: u64,
-    /// Duplicate arrivals discarded by the dedup window.
-    pub dup_arrivals: u64,
     /// Batch occupancy distribution (frames per aggregation batch).
     pub batch_frames: HistogramSnapshot,
     /// Line fill size distribution of the software read cache, bytes.
     pub cache_fill_bytes: HistogramSnapshot,
-    /// Remote gets served from the software read cache.
-    pub cache_hits: u64,
-    /// Remote gets that missed the read cache and filled a line.
-    pub cache_misses: u64,
-    /// Events ever pushed to this rank's trace ring (0 when the ring is
-    /// off; filled at export time, not by [`Metrics::snapshot`]).
-    pub ring_pushed: u64,
-    /// Ring events lost to wraparound or writer collision.
-    pub ring_lost: u64,
 }
 
 impl MetricsSnapshot {
@@ -141,17 +94,6 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Fraction of cached remote gets served without touching the fabric
-    /// (`hits / (hits + misses)`; 0 when the cache saw no traffic).
-    pub fn cache_hit_ratio(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
     /// Merge another rank's snapshot into an aggregate.
     pub fn merged(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -159,23 +101,13 @@ impl MetricsSnapshot {
             get_ns: self.get_ns.merged(&other.get_ns),
             am_handle_ns: self.am_handle_ns.merged(&other.am_handle_ns),
             advance_ns: self.advance_ns.merged(&other.advance_ns),
-            barrier_ns: self.barrier_ns.merged(&other.barrier_ns),
-            wait_ns: self.wait_ns.merged(&other.wait_ns),
-            lock_ns: self.lock_ns.merged(&other.lock_ns),
             msg_bytes: self.msg_bytes.merged(&other.msg_bytes),
             queue_depth: self.queue_depth.merged(&other.queue_depth),
             advance_polls: self.advance_polls + other.advance_polls,
             advance_work: self.advance_work + other.advance_work,
             advance_msgs: self.advance_msgs + other.advance_msgs,
-            retransmits: self.retransmits + other.retransmits,
-            wire_drops: self.wire_drops + other.wire_drops,
-            dup_arrivals: self.dup_arrivals + other.dup_arrivals,
             batch_frames: self.batch_frames.merged(&other.batch_frames),
             cache_fill_bytes: self.cache_fill_bytes.merged(&other.cache_fill_bytes),
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            ring_pushed: self.ring_pushed + other.ring_pushed,
-            ring_lost: self.ring_lost + other.ring_lost,
         }
     }
 }
@@ -199,21 +131,6 @@ mod tests {
     #[test]
     fn empty_ratio_is_zero() {
         assert_eq!(MetricsSnapshot::default().poll_work_ratio(), 0.0);
-    }
-
-    #[test]
-    fn cache_hit_ratio() {
-        let m = Metrics::default();
-        assert_eq!(m.snapshot().cache_hit_ratio(), 0.0);
-        m.cache_hits.fetch_add(3, Ordering::Relaxed);
-        m.cache_misses.fetch_add(1, Ordering::Relaxed);
-        m.cache_fill_bytes.record(256);
-        let s = m.snapshot();
-        assert!((s.cache_hit_ratio() - 0.75).abs() < 1e-9);
-        assert_eq!(s.cache_fill_bytes.count, 1);
-        let merged = s.merged(&s);
-        assert_eq!(merged.cache_hits, 6);
-        assert_eq!(merged.cache_fill_bytes.count, 2);
     }
 
     #[test]

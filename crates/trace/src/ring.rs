@@ -1,4 +1,4 @@
-//! A lock-free, fixed-capacity ring buffer of trace events.
+//! The per-rank event ring: the one store every view reads.
 //!
 //! One ring per rank. The common case is a single writer (the rank
 //! thread), but concurrent mode adds a progress worker with the same rank
@@ -9,132 +9,155 @@
 //! a writer that lags a full ring behind. Readers only run at export time
 //! and retry torn slots, so the hot path never blocks.
 
-use crate::clock::now_ns;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What happened. Spans carry a duration; instants have `dur_ns == 0`.
+/// `a` is the kind's one extra word.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum EventKind {
-    /// One-sided remote write (span; `bytes` = payload).
+    /// One-sided remote write (span; `a` = payload bytes).
     Put,
-    /// One-sided remote read (span; `bytes` = payload).
+    /// One-sided remote read (span; `a` = payload bytes).
     Get,
-    /// Active message sent (instant; `bytes` = packed args).
+    /// Active message injected (instant; `a` = packed-argument bytes,
+    /// `peer` = destination, `span` = the causal id riding the message,
+    /// 0 when spans are not on the wire).
     AmSend,
+    /// Message received and joined to its span (instant; `peer` = origin,
+    /// `a` = the injection timestamp, `span` = the id `AmSend` recorded).
+    AmRecv,
     /// Active message executed by the progress engine (span).
     AmHandle,
     /// Async task enqueued towards `peer` (instant).
     TaskSpawn,
-    /// One `advance()` call that did work (span; `bytes` = messages run).
+    /// One `advance()` call that did work (span; `a` = messages run).
     Advance,
-    /// Barrier episode (span).
-    Barrier,
-    /// `Event::wait` block (span).
-    EventWait,
-    /// `finish` scope quiescence wait (span).
-    FinishWait,
-    /// Global lock acquisition, including the spin (span).
-    LockAcquire,
-    /// Frame retransmitted by the reliable AM layer (instant; fault
-    /// injection only).
-    AmRetransmit,
+    /// A blocking construct waited (span; `a` packs construct and state —
+    /// see [`crate::waitstate::pack_wait`]).
+    Wait,
+    /// A barrier episode completed (instant; `a` = episode ns).
+    BarrierExit,
+    /// The reliable layer retransmitted a frame (instant; `a` = attempt
+    /// number, `span` = the frame's causal id, 0 for an inline RMA retry).
+    Retransmit,
     /// Transmission attempt lost on the wire by the fault plan (instant).
     WireDrop,
     /// Duplicate arrival discarded by the dedup window (instant).
     AmDup,
-    /// Aggregation buffer flushed as one batch AM (instant; `bytes` =
-    /// number of logical frames the batch carries, `peer` = destination).
-    BatchFlush,
+    /// Aggregation buffer flushed as one batch AM (instant; `a` = logical
+    /// frames in the batch, `peer` = destination).
+    Flush,
     /// Software read-cache miss filled a line through the fabric
-    /// (instant; `bytes` = line fill size, `peer` = owning rank).
+    /// (instant; `a` = line fill size, `peer` = owning rank).
     CacheFill,
-    /// Remote get served from the software read cache (instant; `bytes`
-    /// = bytes returned, `peer` = owning rank).
+    /// Remote get served from the software read cache (instant; `a` =
+    /// bytes returned, `peer` = owning rank).
     CacheHit,
+    /// A peer was declared unreachable (instant; `peer` = the dead
+    /// destination, `a` = attempts made).
+    Unreachable,
 }
 
 impl EventKind {
-    /// Stable name used by the exporters.
+    /// Stable name used by every view.
     pub fn name(self) -> &'static str {
         match self {
             EventKind::Put => "put",
             EventKind::Get => "get",
             EventKind::AmSend => "am_send",
+            EventKind::AmRecv => "am_recv",
             EventKind::AmHandle => "am_handle",
             EventKind::TaskSpawn => "task_spawn",
             EventKind::Advance => "advance",
-            EventKind::Barrier => "barrier",
-            EventKind::EventWait => "event_wait",
-            EventKind::FinishWait => "finish_wait",
-            EventKind::LockAcquire => "lock_acquire",
-            EventKind::AmRetransmit => "am_retransmit",
+            EventKind::Wait => "wait",
+            EventKind::BarrierExit => "barrier_exit",
+            EventKind::Retransmit => "retransmit",
             EventKind::WireDrop => "wire_drop",
             EventKind::AmDup => "am_dup",
-            EventKind::BatchFlush => "batch_flush",
+            EventKind::Flush => "flush",
             EventKind::CacheFill => "cache_fill",
             EventKind::CacheHit => "cache_hit",
+            EventKind::Unreachable => "unreachable",
         }
     }
 
-    /// Exporter category (Chrome trace `cat` field).
+    /// Chrome trace `cat` field.
     pub fn category(self) -> &'static str {
         match self {
             EventKind::Put | EventKind::Get => "rma",
             EventKind::AmSend
+            | EventKind::AmRecv
             | EventKind::AmHandle
             | EventKind::TaskSpawn
-            | EventKind::BatchFlush => "am",
+            | EventKind::Flush => "am",
             EventKind::Advance => "progress",
-            EventKind::Barrier
-            | EventKind::EventWait
-            | EventKind::FinishWait
-            | EventKind::LockAcquire => "sync",
-            EventKind::AmRetransmit | EventKind::WireDrop | EventKind::AmDup => "fault",
+            EventKind::Wait | EventKind::BarrierExit => "sync",
+            EventKind::Retransmit
+            | EventKind::WireDrop
+            | EventKind::AmDup
+            | EventKind::Unreachable => "fault",
             EventKind::CacheFill | EventKind::CacheHit => "cache",
         }
     }
 
     /// True for duration events, false for instants.
     pub fn is_span(self) -> bool {
-        !matches!(
+        matches!(
+            self,
+            EventKind::Put
+                | EventKind::Get
+                | EventKind::AmHandle
+                | EventKind::Advance
+                | EventKind::Wait
+        )
+    }
+
+    /// True for the message- and wait-level facts the causal views
+    /// (critical path, flight recorder) are built from. These are
+    /// recorded whenever the ring exists; the rest are per-operation
+    /// detail, recorded only in a `RUPCXX_TRACE` mode.
+    pub fn is_causal(self) -> bool {
+        matches!(
             self,
             EventKind::AmSend
-                | EventKind::TaskSpawn
-                | EventKind::AmRetransmit
-                | EventKind::WireDrop
-                | EventKind::AmDup
-                | EventKind::BatchFlush
-                | EventKind::CacheFill
-                | EventKind::CacheHit
+                | EventKind::AmRecv
+                | EventKind::Wait
+                | EventKind::BarrierExit
+                | EventKind::Retransmit
+                | EventKind::Flush
+                | EventKind::Unreachable
         )
     }
 }
 
 /// One recorded event. `peer` is the other rank involved (-1 = none).
 #[derive(Clone, Copy, Debug)]
-pub struct TraceEvent {
+pub struct Event {
     /// Monotonic per-rank sequence number (ring claim index).
     pub seq: u64,
     /// Start timestamp, ns since the trace epoch.
     pub ts_ns: u64,
     /// Duration in ns (0 for instants).
     pub dur_ns: u64,
-    /// Bytes moved, messages processed, or 0 — kind-dependent.
-    pub bytes: u64,
+    /// Kind-dependent extra word (bytes, messages, wait packing, …).
+    pub a: u64,
+    /// Causal span id involved (0 = none).
+    pub span: u64,
     /// Peer rank, -1 when not applicable.
     pub peer: i32,
     /// Event kind.
     pub kind: EventKind,
 }
 
-impl TraceEvent {
-    const ZERO: TraceEvent = TraceEvent {
+impl Event {
+    const ZERO: Event = Event {
         seq: 0,
         ts_ns: 0,
         dur_ns: 0,
-        bytes: 0,
+        a: 0,
+        span: 0,
         peer: -1,
         kind: EventKind::Put,
     };
@@ -144,7 +167,7 @@ struct Slot {
     /// Seqlock version: odd while a writer owns the slot; `version / 2`
     /// is the number of completed writes.
     version: AtomicU64,
-    event: UnsafeCell<TraceEvent>,
+    event: UnsafeCell<Event>,
 }
 
 /// The per-rank ring buffer.
@@ -165,7 +188,7 @@ impl EventRing {
             slots: (0..capacity)
                 .map(|_| Slot {
                     version: AtomicU64::new(0),
-                    event: UnsafeCell::new(TraceEvent::ZERO),
+                    event: UnsafeCell::new(Event::ZERO),
                 })
                 .collect(),
             claim: AtomicU64::new(0),
@@ -196,7 +219,7 @@ impl EventRing {
 
     /// Record an event, stamping its sequence number. Lock-free.
     #[inline]
-    pub fn push(&self, mut ev: TraceEvent) {
+    pub fn push(&self, mut ev: Event) {
         let seq = self.claim.fetch_add(1, Ordering::Relaxed);
         ev.seq = seq;
         let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
@@ -216,36 +239,9 @@ impl EventRing {
         slot.version.store(v + 2, Ordering::Release);
     }
 
-    /// Record a span ending now.
-    #[inline]
-    pub fn push_span(&self, kind: EventKind, peer: i32, bytes: u64, start_ns: u64) {
-        let end = now_ns();
-        self.push(TraceEvent {
-            seq: 0,
-            ts_ns: start_ns,
-            dur_ns: end.saturating_sub(start_ns),
-            bytes,
-            peer,
-            kind,
-        });
-    }
-
-    /// Record an instantaneous event.
-    #[inline]
-    pub fn push_instant(&self, kind: EventKind, peer: i32, bytes: u64) {
-        self.push(TraceEvent {
-            seq: 0,
-            ts_ns: now_ns(),
-            dur_ns: 0,
-            bytes,
-            peer,
-            kind,
-        });
-    }
-
     /// Copy out the surviving events, oldest first. Torn slots (a writer
     /// was mid-flight) are skipped. Intended for export at quiescence.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
+    pub fn snapshot(&self) -> Vec<Event> {
         let mut out = Vec::new();
         for slot in self.slots.iter() {
             let v0 = slot.version.load(Ordering::Acquire);
@@ -277,12 +273,13 @@ impl std::fmt::Debug for EventRing {
 mod tests {
     use super::*;
 
-    fn ev(kind: EventKind, bytes: u64) -> TraceEvent {
-        TraceEvent {
+    fn ev(kind: EventKind, a: u64) -> Event {
+        Event {
             seq: 0,
-            ts_ns: now_ns(),
+            ts_ns: crate::now_ns(),
             dur_ns: 1,
-            bytes,
+            a,
+            span: 0,
             peer: 1,
             kind,
         }
@@ -297,7 +294,7 @@ mod tests {
         let s = r.snapshot();
         assert_eq!(s.len(), 10);
         assert_eq!(
-            s.iter().map(|e| e.bytes).collect::<Vec<_>>(),
+            s.iter().map(|e| e.a).collect::<Vec<_>>(),
             (0..10).collect::<Vec<_>>()
         );
         assert!(s.windows(2).all(|w| w[0].seq < w[1].seq));
@@ -314,8 +311,8 @@ mod tests {
         let s = r.snapshot();
         assert_eq!(s.len(), cap);
         // Oldest surviving event is exactly `pushed - cap`.
-        let bytes: Vec<u64> = s.iter().map(|e| e.bytes).collect();
-        assert_eq!(bytes, (2 * cap as u64..3 * cap as u64).collect::<Vec<_>>());
+        let words: Vec<u64> = s.iter().map(|e| e.a).collect();
+        assert_eq!(words, (2 * cap as u64..3 * cap as u64).collect::<Vec<_>>());
     }
 
     #[test]
@@ -338,8 +335,8 @@ mod tests {
         let s = r.snapshot();
         // Every surviving event is one of the written payloads, intact.
         for e in &s {
-            let t = e.bytes / 1_000_000;
-            let i = e.bytes % 1_000_000;
+            let t = e.a / 1_000_000;
+            let i = e.a % 1_000_000;
             assert!(t < 4 && i < 10_000, "corrupt event {e:?}");
             assert_eq!(e.kind, EventKind::AmHandle);
         }
@@ -351,15 +348,17 @@ mod tests {
     fn kind_names_and_categories_are_stable() {
         assert_eq!(EventKind::Put.name(), "put");
         assert_eq!(EventKind::Put.category(), "rma");
-        assert!(EventKind::Put.is_span());
+        assert!(EventKind::Put.is_span() && EventKind::Wait.is_span());
         assert!(!EventKind::AmSend.is_span());
         assert_eq!(EventKind::Advance.category(), "progress");
-        assert_eq!(EventKind::AmRetransmit.name(), "am_retransmit");
+        assert_eq!(EventKind::Retransmit.name(), "retransmit");
         assert_eq!(EventKind::WireDrop.category(), "fault");
         assert!(!EventKind::AmDup.is_span());
         assert_eq!(EventKind::CacheFill.name(), "cache_fill");
         assert_eq!(EventKind::CacheHit.category(), "cache");
-        assert!(!EventKind::CacheFill.is_span());
-        assert!(!EventKind::CacheHit.is_span());
+        assert!(!EventKind::CacheFill.is_span() && !EventKind::CacheHit.is_span());
+        // The causal subset is what a `RUPCXX_PROF`-only job records.
+        assert!(EventKind::AmSend.is_causal() && EventKind::Flush.is_causal());
+        assert!(!EventKind::Put.is_causal() && !EventKind::CacheHit.is_causal());
     }
 }

@@ -1,28 +1,14 @@
-//! Causal span propagation — the profiler's cross-rank backbone.
+//! Causal span propagation — the cross-rank backbone of the profile view.
 //!
-//! Every AM/RMA/batch frame can carry a compact [`ProfSpan`]: the
-//! injecting rank packed into the id's high bits plus the injection
-//! timestamp. It piggybacks on `AmMessage` exactly the way the checker's
-//! `Stamp` does, so it survives retransmits (the whole message rides the
-//! limbo/lost queues) and aggregation (a batch is one sequenced frame).
-//! On receipt the consuming rank *joins* the span: the profiler learns
-//! when the newest message it absorbed was injected, which is what
-//! wait-state classification needs to tell a late sender from a starved
-//! progress engine.
-//!
-//! The per-rank [`ProfState`] owns a bounded seqlock ring of
-//! [`ProfEvent`]s — the same stream feeds the offline critical-path pass
-//! and the postmortem flight recorder. Everything here is optional
-//! (`Option<ProfState>` on the endpoint) and costs one untaken branch
-//! when `RUPCXX_PROF` is unset.
-
-use crate::clock::now_ns;
-use crate::waitstate::WaitStats;
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Default per-rank profiler ring capacity (events).
-pub const DEFAULT_PROF_RING: usize = 1 << 14;
+//! With `RUPCXX_PROF` on, every AM/batch frame carries a compact
+//! [`ProfSpan`]: the injecting rank packed into the id's high bits plus
+//! the injection timestamp. It piggybacks on `AmMessage` exactly the way
+//! the checker's `Stamp` does, so it survives retransmits (the whole
+//! message rides the limbo/lost queues) and aggregation (a batch is one
+//! sequenced frame). On receipt the consuming rank *joins* the span: the
+//! recorder learns when the newest message it absorbed was injected,
+//! which is what wait-state classification needs to tell a late sender
+//! from a starved progress engine.
 
 /// Default critical-path JSON output path.
 pub const DEFAULT_PROF_PATH: &str = "rupcxx_prof.json";
@@ -44,171 +30,12 @@ impl ProfSpan {
     }
 }
 
-/// What a profiler event records.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum ProfKind {
-    /// AM/RMA frame injected (instant; `peer` = destination).
-    Send,
-    /// Frame received and joined to its span (instant; `peer` = origin).
-    Recv,
-    /// A blocking wait ended (span; `a` packs construct and state — see
-    /// [`crate::waitstate::pack_wait`]).
-    Wait,
-    /// A barrier episode completed (`a` = barrier epoch on this rank).
-    BarrierExit,
-    /// The reliable layer retransmitted a frame (`a` = attempt number).
-    Retransmit,
-    /// An aggregation buffer was flushed (`a` = frames in the batch).
-    Flush,
-    /// A peer was declared unreachable (`peer` = the dead destination).
-    Unreachable,
-}
-
-impl ProfKind {
-    /// Stable name used by the flight recorder and exporters.
-    pub fn name(self) -> &'static str {
-        match self {
-            ProfKind::Send => "send",
-            ProfKind::Recv => "recv",
-            ProfKind::Wait => "wait",
-            ProfKind::BarrierExit => "barrier_exit",
-            ProfKind::Retransmit => "retransmit",
-            ProfKind::Flush => "flush",
-            ProfKind::Unreachable => "unreachable",
-        }
-    }
-}
-
-/// One causal event in a rank's profiler stream.
-#[derive(Clone, Copy, Debug)]
-pub struct ProfEvent {
-    /// Monotonic per-rank sequence number (ring claim index).
-    pub seq: u64,
-    /// Start timestamp, ns since the trace epoch.
-    pub ts_ns: u64,
-    /// Duration (0 for instants).
-    pub dur_ns: u64,
-    /// Span id involved (0 = none).
-    pub span: u64,
-    /// Peer rank, -1 when not applicable.
-    pub peer: i32,
-    /// Kind-dependent extra word (wait packing, epoch, attempt, frames).
-    pub a: u64,
-    /// Event kind.
-    pub kind: ProfKind,
-}
-
-impl ProfEvent {
-    const ZERO: ProfEvent = ProfEvent {
-        seq: 0,
-        ts_ns: 0,
-        dur_ns: 0,
-        span: 0,
-        peer: -1,
-        a: 0,
-        kind: ProfKind::Send,
-    };
-}
-
-struct ProfSlot {
-    /// Seqlock version: odd while a writer owns the slot.
-    version: AtomicU64,
-    event: UnsafeCell<ProfEvent>,
-}
-
-/// Bounded seqlock ring of [`ProfEvent`]s — same protocol as
-/// [`crate::ring::EventRing`], but carrying span ids.
-pub struct ProfRing {
-    slots: Box<[ProfSlot]>,
-    claim: AtomicU64,
-    dropped: AtomicU64,
-}
-
-// Slots are published via the per-slot seqlock protocol.
-unsafe impl Sync for ProfRing {}
-
-impl ProfRing {
-    /// A ring holding up to `capacity` events (rounded up to at least 2).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(2);
-        ProfRing {
-            slots: (0..capacity)
-                .map(|_| ProfSlot {
-                    version: AtomicU64::new(0),
-                    event: UnsafeCell::new(ProfEvent::ZERO),
-                })
-                .collect(),
-            claim: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total events ever pushed.
-    pub fn pushed(&self) -> u64 {
-        self.claim.load(Ordering::Relaxed)
-    }
-
-    /// Record an event, stamping its sequence number. Lock-free.
-    #[inline]
-    pub fn push(&self, mut ev: ProfEvent) {
-        let seq = self.claim.fetch_add(1, Ordering::Relaxed);
-        ev.seq = seq;
-        let slot = &self.slots[(seq % self.slots.len() as u64) as usize];
-        let v = slot.version.load(Ordering::Acquire);
-        if v & 1 == 1
-            || slot
-                .version
-                .compare_exchange(v, v + 1, Ordering::Acquire, Ordering::Relaxed)
-                .is_err()
-        {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        unsafe { *slot.event.get() = ev };
-        slot.version.store(v + 2, Ordering::Release);
-    }
-
-    /// Copy out surviving events, oldest first (torn slots skipped).
-    pub fn snapshot(&self) -> Vec<ProfEvent> {
-        let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            let v0 = slot.version.load(Ordering::Acquire);
-            if v0 == 0 || v0 & 1 == 1 {
-                continue;
-            }
-            let ev = unsafe { *slot.event.get() };
-            if slot.version.load(Ordering::Acquire) != v0 {
-                continue;
-            }
-            out.push(ev);
-        }
-        out.sort_unstable_by_key(|e| e.seq);
-        out
-    }
-}
-
-impl std::fmt::Debug for ProfRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProfRing")
-            .field("capacity", &self.capacity())
-            .field("pushed", &self.pushed())
-            .finish()
-    }
-}
-
-/// Profiler configuration, usually parsed from `RUPCXX_PROF`.
+/// Profile-view configuration, usually parsed from `RUPCXX_PROF`: spans
+/// ride the wire and the critical-path report is written at teardown.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfConfig {
     /// Critical-path JSON output path (None = [`DEFAULT_PROF_PATH`]).
     pub json_path: Option<String>,
-    /// Per-rank profiler ring capacity (None = [`DEFAULT_PROF_RING`]).
-    pub ring_capacity: Option<usize>,
 }
 
 impl ProfConfig {
@@ -223,12 +50,6 @@ impl ProfConfig {
         self
     }
 
-    /// Set the per-rank profiler ring capacity.
-    pub fn with_ring_capacity(mut self, capacity: usize) -> Self {
-        self.ring_capacity = Some(capacity);
-        self
-    }
-
     /// The JSON output path to use.
     pub fn path(&self) -> &str {
         self.json_path.as_deref().unwrap_or(DEFAULT_PROF_PATH)
@@ -237,25 +58,11 @@ impl ProfConfig {
     /// Parse a `RUPCXX_PROF` value: `on[,path]` / `off`. `Ok(None)` means
     /// explicitly off; malformed values are `Err`.
     pub fn parse(raw: &str) -> Result<Option<Self>, String> {
-        let mut parts = raw.splitn(2, ',');
-        match parts.next().unwrap_or("").trim() {
-            "on" | "1" | "true" => {}
-            "" | "0" | "off" | "false" | "none" => {
-                if raw.contains(',') {
-                    return Err("output path given but profiling is off".to_string());
-                }
-                return Ok(None);
-            }
-            other => return Err(format!("unknown mode {other:?}")),
+        match crate::mode_and_path(raw)? {
+            None => Ok(None),
+            Some(("on" | "1" | "true", json_path)) => Ok(Some(ProfConfig { json_path })),
+            Some((other, _)) => Err(format!("unknown mode {other:?}")),
         }
-        let json_path = match parts.next().map(str::trim) {
-            Some("") => return Err("empty output path after ','".to_string()),
-            p => p.map(String::from),
-        };
-        Ok(Some(ProfConfig {
-            json_path,
-            ring_capacity: None,
-        }))
     }
 
     /// Read `RUPCXX_PROF` from the environment. Unset means disabled;
@@ -265,188 +72,9 @@ impl ProfConfig {
     }
 }
 
-/// Live per-rank profiler state. Owned by the fabric's `Endpoint`; every
-/// hook starts with an `Option` check, so the disabled path is one
-/// untaken branch.
-#[derive(Debug)]
-pub struct ProfState {
-    /// This rank.
-    pub rank: usize,
-    /// Next span counter (combined with the rank for the wire id).
-    next_span: AtomicU64,
-    /// The causal event stream (critical path + flight recorder).
-    pub ring: ProfRing,
-    /// Injection timestamp of the newest remote span joined here.
-    pub last_inject_ns: AtomicU64,
-    /// Remote spans joined on this rank (messages absorbed).
-    pub msgs_joined: AtomicU64,
-    /// Frames this rank has seen retransmitted (as sender or initiator).
-    pub retransmits: AtomicU64,
-    /// Wait-state histograms, per construct and per state.
-    pub waits: WaitStats,
-    /// Total barrier episode time, ns (the attribution denominator).
-    pub barrier_total_ns: AtomicU64,
-    /// Barrier episodes completed on this rank.
-    pub barrier_epoch: AtomicU64,
-}
-
-impl ProfState {
-    /// Fresh state for `rank` per `config`.
-    pub fn new(rank: usize, config: &ProfConfig) -> Self {
-        crate::clock::init_epoch();
-        ProfState {
-            rank,
-            next_span: AtomicU64::new(1),
-            ring: ProfRing::new(config.ring_capacity.unwrap_or(DEFAULT_PROF_RING)),
-            last_inject_ns: AtomicU64::new(0),
-            msgs_joined: AtomicU64::new(0),
-            retransmits: AtomicU64::new(0),
-            waits: WaitStats::new(),
-            barrier_total_ns: AtomicU64::new(0),
-            barrier_epoch: AtomicU64::new(0),
-        }
-    }
-
-    /// Allocate a wire span for a frame this rank is injecting now.
-    #[inline]
-    pub fn alloc_span(&self) -> ProfSpan {
-        let n = self.next_span.fetch_add(1, Ordering::Relaxed);
-        ProfSpan {
-            id: ((self.rank as u64) << 48) | (n & ((1u64 << 48) - 1)),
-            inject_ns: now_ns(),
-        }
-    }
-
-    /// Record a frame injection (call with the span from [`alloc_span`]).
-    pub fn record_send(&self, span: ProfSpan, dst: i32) {
-        self.ring.push(ProfEvent {
-            seq: 0,
-            ts_ns: span.inject_ns,
-            dur_ns: 0,
-            span: span.id,
-            peer: dst,
-            a: 0,
-            kind: ProfKind::Send,
-        });
-    }
-
-    /// Join an arriving span to this rank: the receive is causally tied
-    /// to the injection on `span.origin()`.
-    pub fn record_recv(&self, span: ProfSpan) {
-        self.last_inject_ns
-            .fetch_max(span.inject_ns, Ordering::Relaxed);
-        self.msgs_joined.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(ProfEvent {
-            seq: 0,
-            ts_ns: now_ns(),
-            dur_ns: 0,
-            span: span.id,
-            peer: span.origin() as i32,
-            a: 0,
-            kind: ProfKind::Recv,
-        });
-    }
-
-    /// Record a retransmission of `span` (0 = unknown) towards `dst` on
-    /// transmission attempt `attempt`.
-    pub fn record_retransmit(&self, span: u64, dst: i32, attempt: u64) {
-        self.retransmits.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(ProfEvent {
-            seq: 0,
-            ts_ns: now_ns(),
-            dur_ns: 0,
-            span,
-            peer: dst,
-            a: attempt,
-            kind: ProfKind::Retransmit,
-        });
-    }
-
-    /// Record an instantaneous event of any kind.
-    pub fn record_instant(&self, kind: ProfKind, peer: i32, a: u64) {
-        self.ring.push(ProfEvent {
-            seq: 0,
-            ts_ns: now_ns(),
-            dur_ns: 0,
-            span: 0,
-            peer,
-            a,
-            kind,
-        });
-    }
-
-    /// Record a completed barrier episode and return its epoch.
-    pub fn record_barrier_exit(&self, episode_ns: u64) -> u64 {
-        self.barrier_total_ns
-            .fetch_add(episode_ns, Ordering::Relaxed);
-        let epoch = self.barrier_epoch.fetch_add(1, Ordering::Relaxed);
-        self.ring.push(ProfEvent {
-            seq: 0,
-            ts_ns: now_ns(),
-            dur_ns: 0,
-            span: 0,
-            peer: -1,
-            a: epoch,
-            kind: ProfKind::BarrierExit,
-        });
-        epoch
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn span_id_packs_origin() {
-        let cfg = ProfConfig::on();
-        let p = ProfState::new(3, &cfg);
-        let s = p.alloc_span();
-        assert_eq!(s.origin(), 3);
-        assert!(s.inject_ns > 0);
-        let s2 = p.alloc_span();
-        assert_ne!(s.id, s2.id);
-        assert_eq!(s2.origin(), 3);
-    }
-
-    #[test]
-    fn recv_joins_and_updates_inject_watermark() {
-        let cfg = ProfConfig::on();
-        let a = ProfState::new(0, &cfg);
-        let b = ProfState::new(1, &cfg);
-        let span = a.alloc_span();
-        a.record_send(span, 1);
-        b.record_recv(span);
-        assert_eq!(b.msgs_joined.load(Ordering::Relaxed), 1);
-        assert_eq!(b.last_inject_ns.load(Ordering::Relaxed), span.inject_ns);
-        let evs = b.ring.snapshot();
-        assert_eq!(evs.len(), 1);
-        assert_eq!(evs[0].kind, ProfKind::Recv);
-        assert_eq!(evs[0].span, span.id);
-        assert_eq!(evs[0].peer, 0);
-    }
-
-    #[test]
-    fn ring_wraps_keeping_newest() {
-        let cfg = ProfConfig::on().with_ring_capacity(8);
-        let p = ProfState::new(0, &cfg);
-        for i in 0..20u64 {
-            p.record_instant(ProfKind::Flush, -1, i);
-        }
-        let evs = p.ring.snapshot();
-        assert_eq!(evs.len(), 8);
-        assert_eq!(evs.last().unwrap().a, 19);
-        assert_eq!(p.ring.pushed(), 20);
-    }
-
-    #[test]
-    fn barrier_exit_counts_epochs() {
-        let cfg = ProfConfig::on();
-        let p = ProfState::new(0, &cfg);
-        assert_eq!(p.record_barrier_exit(100), 0);
-        assert_eq!(p.record_barrier_exit(50), 1);
-        assert_eq!(p.barrier_total_ns.load(Ordering::Relaxed), 150);
-    }
 
     #[test]
     fn config_parser_accepts_and_rejects() {

@@ -99,7 +99,7 @@ impl WaitState {
     }
 }
 
-/// Pack a construct + state into a [`crate::span::ProfEvent::a`] word.
+/// Pack a construct + state into the `a` word of a `Wait` event.
 pub fn pack_wait(construct: WaitConstruct, state: WaitState) -> u64 {
     ((construct as u64) << 8) | state as u64
 }
@@ -136,25 +136,12 @@ pub fn classify(
 }
 
 /// Live per-construct × per-state wait-time histograms (ns).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct WaitStats {
     hist: [[Log2Histogram; STATES.len()]; CONSTRUCTS.len()],
 }
 
-impl Default for WaitStats {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl WaitStats {
-    /// Empty stats.
-    pub fn new() -> Self {
-        WaitStats {
-            hist: std::array::from_fn(|_| std::array::from_fn(|_| Log2Histogram::new())),
-        }
-    }
-
     /// Record one classified wait.
     pub fn record(&self, construct: WaitConstruct, state: WaitState, dur_ns: u64) {
         self.hist[construct as usize][state as usize].record(dur_ns);
@@ -169,18 +156,10 @@ impl WaitStats {
 }
 
 /// A point-in-time copy of [`WaitStats`].
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct WaitStatsSnapshot {
     /// `hist[construct][state]`.
     pub hist: [[HistogramSnapshot; STATES.len()]; CONSTRUCTS.len()],
-}
-
-impl Default for WaitStatsSnapshot {
-    fn default() -> Self {
-        WaitStatsSnapshot {
-            hist: [[HistogramSnapshot::default(); STATES.len()]; CONSTRUCTS.len()],
-        }
-    }
 }
 
 impl WaitStatsSnapshot {
@@ -202,15 +181,6 @@ impl WaitStatsSnapshot {
     /// Total attributed wait ns across everything.
     pub fn total_ns(&self) -> u64 {
         CONSTRUCTS.iter().map(|&c| self.construct_ns(c)).sum()
-    }
-
-    /// Element-wise merge (for aggregating ranks).
-    pub fn merged(&self, other: &WaitStatsSnapshot) -> WaitStatsSnapshot {
-        WaitStatsSnapshot {
-            hist: std::array::from_fn(|c| {
-                std::array::from_fn(|s| self.hist[c][s].merged(&other.hist[c][s]))
-            }),
-        }
     }
 }
 
@@ -247,7 +217,7 @@ mod tests {
 
     #[test]
     fn stats_record_and_total() {
-        let w = WaitStats::new();
+        let w = WaitStats::default();
         w.record(WaitConstruct::Barrier, WaitState::LateSender, 1000);
         w.record(WaitConstruct::Barrier, WaitState::RetransmitStall, 500);
         w.record(WaitConstruct::LockAcquire, WaitState::LateReceiver, 200);
@@ -256,11 +226,9 @@ mod tests {
         assert_eq!(s.state_ns(WaitState::LateSender), 1000);
         assert_eq!(s.state_ns(WaitState::LateReceiver), 200);
         assert_eq!(s.total_ns(), 1700);
-        let m = s.merged(&s);
-        assert_eq!(m.total_ns(), 3400);
         assert_eq!(
-            m.cell(WaitConstruct::Barrier, WaitState::LateSender).count,
-            2
+            s.cell(WaitConstruct::Barrier, WaitState::LateSender).count,
+            1
         );
     }
 }

@@ -272,6 +272,44 @@ fn killing_a_process_yields_peer_unreachable() {
 }
 
 #[test]
+fn each_rank_process_writes_its_own_views() {
+    // Every rank process is handed the same `RUPCXX_TRACE`/`RUPCXX_PROF`
+    // paths: each must write files of its own, holding its own rank only,
+    // instead of the last process to exit winning.
+    let dir = scratch("shm-views");
+    std::fs::create_dir_all(&dir).unwrap();
+    checksums(
+        Some(&format!("shm:{dir}/job.seg")),
+        "gups",
+        2,
+        &["updates=200", "table=1024"],
+        &[
+            ("RUPCXX_TRACE", &format!("events,{dir}/t.json")),
+            ("RUPCXX_PROF", &format!("on,{dir}/p.json")),
+        ],
+    );
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".json"))
+        .collect();
+    written.sort();
+    assert_eq!(
+        written,
+        ["p.r0.json", "p.r1.json", "t.r0.json", "t.r1.json"]
+    );
+    for (me, peer) in [(0, 1), (1, 0)] {
+        let trace = std::fs::read_to_string(format!("{dir}/t.r{me}.json")).unwrap();
+        assert!(trace.contains(&format!("\"tid\":{me},\"ts\"")), "rank {me}");
+        assert!(!trace.contains(&format!("\"tid\":{peer},")), "rank {me}");
+        let prof = std::fs::read_to_string(format!("{dir}/p.r{me}.json")).unwrap();
+        assert!(prof.contains(&format!("\"rank\":{me},")), "rank {me}");
+        assert!(!prof.contains(&format!("\"rank\":{peer},")), "rank {me}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn garbage_frames_yield_peer_unreachable_not_an_abort() {
     // A peer that writes nonsense on the socket is a failed link, not a
     // reason for this rank to die: rank 0 is a real conduit-backed

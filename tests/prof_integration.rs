@@ -1,9 +1,9 @@
-//! Integration tests for the causal cross-rank profiler (`rupcxx-prof`,
-//! `RUPCXX_PROF`): wait-state attribution on real paper workloads, the
-//! offline critical-path analysis, the postmortem flight recorder on a
-//! planted dead link, per-destination exact op accounting, and the
-//! zero-cost guarantee that a profiled run moves exactly the same wire
-//! traffic as an unprofiled one.
+//! Integration tests for the profile and flight-recorder views of the
+//! event stream (`RUPCXX_PROF`): wait-state attribution on real paper
+//! workloads, the offline critical-path analysis, the postmortem flight
+//! recorder on a planted dead link, per-destination exact op accounting,
+//! and the zero-cost guarantee that a profiled run moves exactly the
+//! same wire traffic as an unprofiled one.
 
 use rupcxx_apps::{gups, stencil};
 use rupcxx_net::{
@@ -11,9 +11,8 @@ use rupcxx_net::{
     ProfConfig,
 };
 use rupcxx_runtime::{spmd, Ctx, RuntimeConfig};
-use rupcxx_trace::{critpath, flight, RankProf, TraceConfig};
+use rupcxx_trace::{critpath, flight, RankStream, TraceConfig};
 use rupcxx_util::sync::Mutex;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A per-test profile output path (tests in one binary run concurrently).
@@ -46,18 +45,10 @@ fn spmd_capturing<R: Send>(
     (out, fabric)
 }
 
-/// Gather every rank's profiler output, as the teardown exporter does.
-fn gather(fabric: &Fabric, ranks: usize) -> Vec<RankProf> {
+/// Gather every rank's stream, as the teardown exporter does.
+fn gather(fabric: &Fabric, ranks: usize) -> Vec<RankStream> {
     (0..ranks)
-        .map(|r| {
-            let p = fabric.prof(r).expect("profiler enabled");
-            RankProf {
-                rank: r,
-                events: p.ring.snapshot(),
-                waits: p.waits.snapshot(),
-                barrier_total_ns: p.barrier_total_ns.load(Ordering::Relaxed),
-            }
-        })
+        .map(|r| fabric.endpoint(r).trace.stream())
         .collect()
 }
 
@@ -157,7 +148,8 @@ fn dead_link_dumps_flight_recorder_with_final_retransmits() {
     // A 0->1 link that drops every attempt: the barrier can never
     // complete, retransmission gives up after 4 attempts, and the
     // `PeerUnreachable` panic must be preceded by a flight-recorder dump
-    // whose tail shows the doomed frame's retransmit attempts.
+    // whose tail shows the doomed frame — rank 0's aggregation batch,
+    // flushed by the barrier — and then its retransmit attempts.
     let _ = flight::take_dumps();
     let path = prof_path("flight");
     let dead = LinkRule {
@@ -168,9 +160,18 @@ fn dead_link_dumps_flight_recorder_with_final_retransmits() {
     let cfg = RuntimeConfig::new(2)
         .segment_bytes(4096)
         .with_faults(plan)
+        .with_agg(AggConfig::new())
         .with_prof(ProfConfig::on().with_path(&path));
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        spmd(cfg, |ctx| ctx.barrier());
+        spmd(cfg, |ctx| {
+            if ctx.rank() == 0 {
+                for k in 0..3 {
+                    let word = GlobalAddr::new(1, k * 8);
+                    ctx.fabric().xor_u64_buffered(0, word, 0xfeed);
+                }
+            }
+            ctx.barrier()
+        });
     }));
     assert!(outcome.is_err(), "the dead link must surface as a panic");
 
@@ -188,6 +189,11 @@ fn dead_link_dumps_flight_recorder_with_final_retransmits() {
     assert!(
         text.contains("attempt="),
         "retransmit lines carry attempt numbers:\n{text}"
+    );
+    let flush = text.find("flush        peer=1 frames=3");
+    assert!(
+        flush.is_some_and(|at| at < text.rfind("attempt=").unwrap()),
+        "the batch's flush must precede its final retransmits:\n{text}"
     );
     let _ = std::fs::remove_file(&path);
 }
@@ -209,8 +215,9 @@ fn profiler_off_and_on_move_identical_wire_traffic() {
         c_off, c_on,
         "profiler on/off must move identical wire traffic"
     );
+    let off_trace = &off_fabric.endpoint(0).trace;
     assert!(
-        off_fabric.prof(0).is_none(),
+        !off_trace.enabled() && off_trace.ring().is_none(),
         "profiler off allocates nothing"
     );
     let _ = std::fs::remove_file(&path);

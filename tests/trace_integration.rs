@@ -1,114 +1,195 @@
-//! Integration tests for the `rupcxx-trace` observability layer: a
-//! multi-rank GUPS-style workload traced end to end, checking that the
-//! event ring agrees with `CommStats`, that the Chrome-trace exporter
-//! writes a structurally valid file at job teardown, and that a job with
-//! tracing disabled records nothing.
+//! Integration tests for the `rupcxx-trace` event stream: a multi-rank
+//! GUPS-style workload recorded end to end under every combination of
+//! layers that reports to the recorder, checking that the one stream
+//! agrees with `CommStats` kind by kind, that receipts join the sends
+//! they came from, that waits add up to the wait-state histograms, that
+//! the Chrome-trace view is written at job teardown, and that a job with
+//! both configs off records — and allocates — nothing.
 
-use rupcxx_net::GlobalAddr;
-use rupcxx_runtime::{spmd, RuntimeConfig};
-use rupcxx_trace::{EventKind, TraceConfig};
+use rupcxx_net::{
+    AggConfig, CacheConfig, CommCounts, Endpoint, Fabric, FaultPlan, GlobalAddr, ProfConfig,
+};
+use rupcxx_runtime::{spmd, Ctx, RuntimeConfig};
+use rupcxx_trace::waitstate::{unpack_wait, CONSTRUCTS};
+use rupcxx_trace::{Event, EventKind, TraceConfig};
+use rupcxx_util::sync::Mutex;
 use rupcxx_util::GupsRng;
+use std::sync::Arc;
 
-/// Per-rank observation returned from inside the traced job.
-struct RankObs {
-    put_events: usize,
-    get_events: usize,
-    am_send_events: usize,
-    stats_puts: u64,
-    stats_gets: u64,
-    stats_ams_sent: u64,
+const RANKS: usize = 4;
+const UPDATES: usize = 500;
+
+fn tmp_path(tag: &str) -> String {
+    std::env::temp_dir()
+        .join(format!("rupcxx_trace_it_{tag}_{}.json", std::process::id()))
+        .to_str()
+        .unwrap()
+        .to_string()
+}
+
+/// Run an SPMD job and capture its fabric, so streams and counters can
+/// be read after every rank has drained to quiescence.
+fn spmd_capturing(cfg: RuntimeConfig, body: impl Fn(&Ctx) + Send + Sync) -> Arc<Fabric> {
+    let fabric: Mutex<Option<Arc<Fabric>>> = Mutex::new(None);
+    spmd(cfg, |ctx| {
+        if ctx.rank() == 0 {
+            *fabric.lock() = Some(ctx.shared().fabric.clone());
+        }
+        body(ctx)
+    });
+    let fabric = fabric.lock().take();
+    fabric.expect("rank 0 captured the fabric")
+}
+
+/// GUPS-style phase: random remote xor updates (buffered when the job
+/// aggregates) plus verifying gets that re-read one line, always to
+/// another rank so every op counts as remote. Raw segment addresses: the
+/// modeled AM pair of `alloc_on` is counted without being sent.
+fn workload(ctx: &Ctx, buffered: bool) {
+    let me = ctx.rank();
+    ctx.barrier();
+    let mut rng = GupsRng::new();
+    for _ in 0..UPDATES {
+        let peer = (me + 1 + (rng.next_u64() as usize % (RANKS - 1))) % RANKS;
+        let slot = GlobalAddr::new(peer, (rng.next_u64() % 64) as usize * 8);
+        if buffered {
+            ctx.fabric().xor_u64_buffered(me, slot, rng.next_u64());
+        } else {
+            ctx.fabric().xor_u64(me, slot, rng.next_u64());
+        }
+    }
+    ctx.agg_fence();
+    for i in 0..UPDATES / 4 {
+        let word = GlobalAddr::new((me + 1) % RANKS, 1024 + (i % 8) * 8);
+        let _ = ctx.fabric().get_u64(me, word);
+    }
+    ctx.finish(|fs| fs.spawn((me + 1) % RANKS, |_| {}));
+    ctx.barrier();
+}
+
+fn count(events: &[Event], kind: EventKind) -> u64 {
+    events.iter().filter(|e| e.kind == kind).count() as u64
 }
 
 #[test]
 fn gups_trace_events_match_comm_stats() {
-    const RANKS: usize = 4;
-    const UPDATES: usize = 500;
-    let trace_path =
-        std::env::temp_dir().join(format!("rupcxx_trace_it_{}.json", std::process::id()));
-    let trace_path_str = trace_path.to_str().unwrap().to_string();
-
-    let obs = spmd(
-        RuntimeConfig::new(RANKS)
-            .segment_bytes(1 << 16)
-            .with_trace(TraceConfig::events().with_path(&trace_path_str)),
-        |ctx| {
-            let me = ctx.rank();
-            ctx.barrier();
-            // GUPS phase: random remote xor updates plus a verifying get,
-            // always to another rank so every op counts as remote.
-            let mut rng = GupsRng::new();
-            for _ in 0..UPDATES {
-                let peer = (me + 1 + (rng.next_u64() as usize % (RANKS - 1))) % RANKS;
-                let slot = (rng.next_u64() % 64) * 8;
-                ctx.fabric()
-                    .xor_u64(me, GlobalAddr::new(peer, slot as usize), rng.next_u64());
+    let chaos = FaultPlan::new(101)
+        .drop(0.10)
+        .dup(0.05)
+        .reorder(0.10)
+        .delay(0.05);
+    let base = || RuntimeConfig::new(RANKS).segment_bytes(1 << 16);
+    let prof = |tag| ProfConfig::on().with_path(tmp_path(&format!("{tag}_prof")));
+    let table: [(&str, RuntimeConfig); 5] = [
+        ("events", base()),
+        ("prof", base().with_prof(prof("prof"))),
+        (
+            "faults",
+            base().with_prof(prof("faults")).with_faults(chaos),
+        ),
+        (
+            "agg",
+            base().with_prof(prof("agg")).with_agg(AggConfig::new()),
+        ),
+        ("cache", base().with_cache(CacheConfig::new())),
+    ];
+    for (tag, cfg) in table {
+        let trace_path = tmp_path(tag);
+        let (causal, buffered, faulty) = (cfg.prof.is_some(), cfg.agg.is_some(), tag == "faults");
+        let fabric = spmd_capturing(
+            cfg.with_trace(TraceConfig::events().with_path(&trace_path)),
+            |ctx| workload(ctx, buffered),
+        );
+        let streams: Vec<Vec<Event>> = (0..RANKS)
+            .map(|r| fabric.endpoint(r).trace.events())
+            .collect();
+        let mut received: Vec<&Event> = Vec::new();
+        for (rank, events) in streams.iter().enumerate() {
+            let trace = &fabric.endpoint(rank).trace;
+            assert_eq!(trace.ring().unwrap().lost(), 0, "{tag}: ring too small");
+            // The acceptance property: per-kind event counts equal the
+            // CommStats counters for the same run.
+            let c: CommCounts = fabric.endpoint(rank).stats.snapshot();
+            for (kind, counter) in [
+                (EventKind::Put, c.puts),
+                (EventKind::Get, c.gets),
+                (EventKind::AmSend, c.ams_sent),
+                (EventKind::Retransmit, c.retransmits),
+                (EventKind::WireDrop, c.wire_drops),
+                (EventKind::AmDup, c.dup_arrivals),
+                (EventKind::Flush, c.agg_batches),
+                (EventKind::CacheFill, c.cache_misses),
+                (EventKind::CacheHit, c.cache_hits),
+            ] {
+                assert_eq!(count(events, kind), counter, "{tag}: rank {rank}: {kind:?}");
             }
-            for _ in 0..UPDATES / 4 {
-                let peer = (me + 1) % RANKS;
-                let _ = ctx.fabric().get_u64(me, GlobalAddr::new(peer, 0));
-            }
-            ctx.barrier();
-            // Quiescent for this rank's initiator-side counters: snapshot
-            // both the counters and the ring and compare.
-            let ep = ctx.fabric().endpoint(me);
-            let stats = ep.stats.snapshot();
-            let events = ep.trace.events();
-            assert_eq!(
-                ep.trace.ring().unwrap().dropped(),
-                0,
-                "ring too small for this workload"
-            );
-            RankObs {
-                put_events: events.iter().filter(|e| e.kind == EventKind::Put).count(),
-                get_events: events.iter().filter(|e| e.kind == EventKind::Get).count(),
-                am_send_events: events
+            // The workload shape itself, so equal-because-zero cannot pass.
+            let updates = if buffered { c.agg_ops } else { c.puts };
+            assert_eq!(updates, UPDATES as u64, "{tag}: rank {rank} updates");
+            assert_eq!(c.cache_hits + c.gets, (UPDATES / 4) as u64, "{tag}: gets");
+            assert_eq!(tag == "cache", c.cache_hits > 0, "{tag}: rank {rank}");
+            assert_eq!(buffered, c.agg_batches > 0, "{tag}: rank {rank}");
+            // Summed `Wait` durations per construct equal `WaitStats`.
+            let waits = trace.waits.snapshot();
+            for &construct in &CONSTRUCTS {
+                let summed: u64 = events
                     .iter()
-                    .filter(|e| e.kind == EventKind::AmSend)
-                    .count(),
-                stats_puts: stats.puts,
-                stats_gets: stats.gets,
-                stats_ams_sent: stats.ams_sent,
+                    .filter(|e| e.kind == EventKind::Wait)
+                    .filter(|e| unpack_wait(e.a).map(|(c, _)| c) == Some(construct))
+                    .map(|e| e.dur_ns)
+                    .sum();
+                assert_eq!(
+                    summed,
+                    waits.construct_ns(construct),
+                    "{tag}: rank {rank}: {construct:?}"
+                );
             }
-        },
-    );
+            assert!(waits.total_ns() > 0, "{tag}: rank {rank} never waited");
+            received.extend(events.iter().filter(|e| e.kind == EventKind::AmRecv));
+        }
+        if faulty {
+            let total = fabric.total_counts();
+            assert!(total.retransmits > 0 && total.dup_arrivals > 0, "{total:?}");
+        }
+        // Every receipt joins exactly one send, recorded on the origin.
+        assert_eq!(causal, !received.is_empty(), "{tag}: spans ride iff prof");
+        for recv in &received {
+            let origin = (recv.span >> 48) as usize;
+            assert_eq!(recv.peer, origin as i32, "{tag}: {recv:?}");
+            let sends = streams[origin]
+                .iter()
+                .filter(|e| e.kind == EventKind::AmSend && e.span == recv.span);
+            assert_eq!(sends.count(), 1, "{tag}: {recv:?}");
+        }
+        if causal {
+            // … and, at quiescence, every send was received exactly once.
+            let sent: u64 = streams.iter().map(|s| count(s, EventKind::AmSend)).sum();
+            assert_eq!(received.len() as u64, sent, "{tag}");
+            let mut ids: Vec<u64> = received.iter().map(|e| e.span).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            assert_eq!(ids.len(), received.len(), "{tag}: a span joined twice");
+        }
 
-    for (rank, o) in obs.iter().enumerate() {
-        // The acceptance property: per-kind trace event counts equal the
-        // CommStats counters for the same run.
-        assert_eq!(
-            o.put_events as u64, o.stats_puts,
-            "rank {rank}: put events vs CommStats.puts"
-        );
-        assert_eq!(
-            o.get_events as u64, o.stats_gets,
-            "rank {rank}: get events vs CommStats.gets"
-        );
-        assert_eq!(
-            o.am_send_events as u64, o.stats_ams_sent,
-            "rank {rank}: am_send events vs CommStats.ams_sent"
-        );
-        // And the workload shape itself: every xor is a remote put, every
-        // read a remote get.
-        assert_eq!(o.stats_puts, UPDATES as u64, "rank {rank} put count");
-        assert_eq!(o.stats_gets, (UPDATES / 4) as u64, "rank {rank} get count");
+        // Teardown must have written a structurally valid Chrome trace.
+        let json = std::fs::read_to_string(&trace_path).expect("trace file written at teardown");
+        assert!(json.starts_with("{\"traceEvents\":["));
+        assert!(json.contains("\"name\":\"am_send\""));
+        assert!(json.contains("\"name\":\"barrier\""));
+        assert!(json.contains("\"name\":\"finish_wait\""));
+        assert!(json.contains("\"ph\":\"X\""));
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        // One timeline row per rank.
+        for r in 0..RANKS {
+            assert!(
+                json.contains(&format!("\"tid\":{r},")),
+                "{tag}: missing rank {r} events"
+            );
+        }
+        let _ = std::fs::remove_file(&trace_path);
+        let _ = std::fs::remove_file(tmp_path(&format!("{tag}_prof")));
     }
-
-    // Teardown must have written a structurally valid Chrome trace.
-    let json = std::fs::read_to_string(&trace_path).expect("trace file written at teardown");
-    assert!(json.starts_with("{\"traceEvents\":["));
-    assert!(json.contains("\"name\":\"put\""));
-    assert!(json.contains("\"name\":\"barrier\""));
-    assert!(json.contains("\"ph\":\"X\""));
-    assert_eq!(json.matches('{').count(), json.matches('}').count());
-    assert_eq!(json.matches('[').count(), json.matches(']').count());
-    // One timeline row per rank.
-    for r in 0..RANKS {
-        assert!(
-            json.contains(&format!("\"tid\":{r}")),
-            "missing rank {r} events"
-        );
-    }
-    let _ = std::fs::remove_file(&trace_path);
 }
 
 #[test]
@@ -125,19 +206,23 @@ fn disabled_trace_records_no_events_or_metrics() {
             let trace = ctx.trace();
             let m = trace.metrics.snapshot();
             (
-                trace.enabled(),
+                trace.enabled() || trace.ring().is_some(),
                 trace.events().len(),
                 m.put_ns.count + m.get_ns.count + m.msg_bytes.count,
-                m.advance_polls,
+                m.advance_polls + trace.waits.snapshot().total_ns(),
             )
         },
     );
     for (enabled, events, hist_count, polls) in obs {
-        assert!(!enabled);
+        assert!(!enabled, "both configs off: nothing on, no ring allocated");
         assert_eq!(events, 0);
         assert_eq!(hist_count, 0);
         assert_eq!(polls, 0);
     }
+    // One recorder is no bigger than the two stores it replaced: the
+    // endpoint was 20992 bytes with a trace ring, a profiler ring and the
+    // shadow counters side by side.
+    assert!(std::mem::size_of::<Endpoint>() <= 20992);
 }
 
 #[test]
@@ -155,16 +240,17 @@ fn metrics_mode_populates_histograms_without_ring() {
             ctx.barrier();
             let trace = ctx.trace();
             let m = trace.metrics.snapshot();
+            let barriers: u64 = trace.waits.snapshot().hist[0].iter().map(|h| h.count).sum();
             (
-                trace.events().len(),
+                trace.ring().is_some(),
                 m.put_ns.count,
                 m.advance_polls,
-                m.barrier_ns.count,
+                barriers,
             )
         },
     );
-    for (events, puts, polls, barriers) in obs {
-        assert_eq!(events, 0, "metrics mode must not allocate a ring");
+    for (ring, puts, polls, barriers) in obs {
+        assert!(!ring, "metrics mode must not allocate a ring");
         assert_eq!(puts, 32);
         assert!(polls > 0, "advance() polls must be counted");
         assert_eq!(barriers, 1);
