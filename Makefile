@@ -105,8 +105,11 @@ N ?= 20
 FLAKE_SUITES = \
 	"-p rupcxx-net inbox" \
 	"-p rupcxx-runtime finish" \
+	"-p rupcxx-runtime team" \
+	"-p rupcxx-runtime collectives" \
 	"-p rupcxx rpc" \
 	"--test check_clean" \
+	"--test check_corpus" \
 	"--test explore_replay" \
 	"--test prop_mpi_and_events" \
 	"--test trace_integration" \

@@ -18,36 +18,50 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 /// address space — stable and deterministic, unlike host pointers.
 pub type LockKey = (usize, usize);
 
-/// What a blocked rank is waiting for (registered by every blocking
-/// construct before it enters `wait_until`).
+/// What a blocked rank is waiting for: the one descriptor every blocking
+/// construct hands to the runtime's `Ctx::wait_on`, which brackets the
+/// wait with [`Checker::wait_begin`] and [`Checker::wait_end`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WaitInfo {
-    /// Blocked inside `barrier()` number `seq` (0-based per rank).
-    Barrier {
-        /// 0-based barrier episode index on the waiting rank.
-        seq: u64,
-    },
+    /// Blocked inside a barrier episode of the team whose mailbox domain
+    /// is `domain` (0 = the world's `barrier()`), the `seq`-th collective
+    /// of that team on this rank.
+    Barrier { domain: u64, seq: u64 },
+    /// Blocked in a collective of the team `domain`, waiting for arrivals
+    /// under the mailbox key `key`.
+    Collective { domain: u64, key: u64 },
+    /// Blocked in `agg_fence`'s quiescence wait.
+    Fence,
     /// Blocked acquiring a `GlobalLock`.
     Lock {
         /// The lock's global word.
         lock: LockKey,
     },
-    /// Blocked in `Event::wait`.
-    Event,
+    /// Blocked in `Event::wait` on the event `key` (its core's address).
+    Event { key: usize },
     /// Blocked in `RtFuture::get`.
     Future,
     /// Blocked at the end of a `finish` scope.
     Finish,
+    /// Blocked on a two-sided request of the MPI baseline.
+    Request,
 }
 
 impl std::fmt::Display for WaitInfo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            WaitInfo::Barrier { seq } => write!(f, "barrier #{}", seq + 1),
+            WaitInfo::Barrier { domain, seq } => {
+                write!(f, "barrier (domain {domain}, seq {seq})")
+            }
+            WaitInfo::Collective { domain, key } => {
+                write!(f, "collective (domain {domain}, key {key})")
+            }
+            WaitInfo::Fence => f.write_str("aggregation fence"),
             WaitInfo::Lock { lock } => write!(f, "lock ({}, 0x{:x})", lock.0, lock.1),
-            WaitInfo::Event => f.write_str("event wait"),
+            WaitInfo::Event { .. } => f.write_str("event wait"),
             WaitInfo::Future => f.write_str("future get"),
             WaitInfo::Finish => f.write_str("finish scope"),
+            WaitInfo::Request => f.write_str("two-sided request"),
         }
     }
 }
@@ -87,9 +101,11 @@ pub struct Checker {
     /// race, never invent one.)
     event_clocks: Mutex<HashMap<usize, VClock>>,
     locks: Mutex<HashMap<LockKey, LockState>>,
-    waits: Box<[Mutex<Option<WaitInfo>>]>,
-    /// Bumped on every wait register/clear and rank completion; the
-    /// deadlock scan's notion of "something moved".
+    /// Per rank, the waits it is blocked in, innermost last: a task that
+    /// blocks while its rank spins in a barrier nests inside the barrier.
+    waits: Box<[Mutex<Vec<WaitInfo>>]>,
+    /// Bumped on every wait begin/end and rank completion; the deadlock
+    /// scan's notion of "something moved".
     wait_epoch: AtomicU64,
     /// Per rank, how often its blocked wait has evaluated its condition
     /// (see [`Checker::wait_polled`]). Every waiting rank bumps its own
@@ -115,7 +131,7 @@ impl Checker {
             cache_floors: (0..ranks).map(|_| Mutex::new(None)).collect(),
             event_clocks: Mutex::new(HashMap::new()),
             locks: Mutex::new(HashMap::new()),
-            waits: (0..ranks).map(|_| Mutex::new(None)).collect(),
+            waits: (0..ranks).map(|_| Mutex::default()).collect(),
             wait_epoch: AtomicU64::new(0),
             poll_ticks: (0..ranks).map(|_| CachePadded::default()).collect(),
             barrier_entries: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
@@ -175,7 +191,7 @@ impl Checker {
     /// frontier of the clocks alone forgot the write a stale cached line
     /// is convicted by as soon as reader and writer had both passed the
     /// next barrier; whether the stale hit was reported then depended on
-    /// it running before the writer's `barrier_exit` prune.)
+    /// it running before the writer's barrier-exit prune.)
     fn min_clock(&self) -> Stamp {
         let mut min = vec![u64::MAX; self.ranks];
         let mut lower = |stamp: &[u64]| {
@@ -346,43 +362,73 @@ impl Checker {
         }
     }
 
-    // ---- barrier hooks --------------------------------------------------
+    // ---- blocking waits ------------------------------------------------
 
-    /// A rank arrives at `barrier()`: flag locks held across the barrier,
-    /// then register the barrier wait.
-    pub fn barrier_enter(&self, rank: usize) {
-        for (lock, st) in self.locks.lock().iter() {
-            if st.owner == Some(rank) {
-                self.report(
-                    FindingKind::LockAcrossBarrier,
-                    format!("lab:{rank}:{}:{}", lock.0, lock.1),
-                    format!(
-                        "rank {rank} entered barrier() while holding lock \
-                         ({}, 0x{:x}) — a peer acquiring it inside the same \
-                         barrier episode deadlocks",
-                        lock.0, lock.1
-                    ),
-                );
+    /// `rank` is about to block on `info`. A barrier first flags every
+    /// lock the rank holds across it, and a world barrier is one more
+    /// arrival for [`FindingKind::BarrierMismatch`] to compare (a team
+    /// barrier is not: non-members never call it).
+    pub fn wait_begin(&self, rank: usize, info: WaitInfo) {
+        if let WaitInfo::Barrier { domain, .. } = info {
+            for (lock, st) in self.locks.lock().iter() {
+                if st.owner == Some(rank) {
+                    self.report(
+                        FindingKind::LockAcrossBarrier,
+                        format!("lab:{rank}:{}:{}", lock.0, lock.1),
+                        format!(
+                            "rank {rank} entered barrier() while holding lock \
+                             ({}, 0x{:x}) — a peer acquiring it inside the same \
+                             barrier episode deadlocks",
+                            lock.0, lock.1
+                        ),
+                    );
+                }
+            }
+            if domain == 0 {
+                self.barrier_entries[rank].fetch_add(1, Ordering::AcqRel);
             }
         }
-        let seq = self.barrier_entries[rank].fetch_add(1, Ordering::AcqRel);
-        self.wait_register(rank, WaitInfo::Barrier { seq });
-    }
-
-    /// A rank leaves `barrier()`: clear the wait, advance the clock and
-    /// prune its own shadow (a barrier is the natural prune point — the
-    /// global min-clock moves past everything pre-barrier once all ranks
-    /// have gone through).
-    pub fn barrier_exit(&self, rank: usize) {
-        self.wait_clear(rank);
-        self.tick(rank);
-        if self.cfg.race {
-            let min = self.min_clock();
-            self.shadows[rank].lock().prune(&min);
+        if self.cfg.deadlock {
+            self.waits[rank].lock().push(info);
+            self.wait_epoch.fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    // ---- event hooks ----------------------------------------------------
+    /// The wait `rank` began on `info` is over: the enclosing wait, if
+    /// any, is what the rank is blocked in again, and the construct's
+    /// ordering takes effect. A barrier ticks the clock and prunes the
+    /// rank's shadow (the natural prune point — the global min-clock moves
+    /// past everything pre-barrier once all ranks have gone through); an
+    /// event wait joins the accumulated signal clocks, so accesses after
+    /// it are ordered after every signaler; a `finish` ticks. Futures,
+    /// collectives and requests ride their reply AMs' clocks, and a lock's
+    /// hand-off edge is [`Checker::lock_acquired`]'s.
+    pub fn wait_end(&self, rank: usize, info: WaitInfo) {
+        if self.cfg.deadlock {
+            let mut waits = self.waits[rank].lock();
+            if let Some(i) = waits.iter().rposition(|w| *w == info) {
+                waits.remove(i);
+            }
+            self.wait_epoch.fetch_add(1, Ordering::SeqCst);
+        }
+        match info {
+            WaitInfo::Barrier { .. } => {
+                self.tick(rank);
+                if self.cfg.race {
+                    let min = self.min_clock();
+                    self.shadows[rank].lock().prune(&min);
+                }
+            }
+            WaitInfo::Event { key } => {
+                let stamp = self.event_clocks.lock().get(&key).map(|c| c.stamp());
+                if let Some(stamp) = stamp {
+                    self.join(rank, &stamp);
+                }
+            }
+            WaitInfo::Finish => self.tick(rank),
+            _ => {}
+        }
+    }
 
     /// `Event::signal` on `rank`: accumulate the signaler's clock under
     /// the event's key so waiters can join it.
@@ -393,42 +439,6 @@ impl Checker {
             .entry(key)
             .or_insert_with(|| VClock::new(self.ranks))
             .join(&stamp);
-    }
-
-    /// Entering `Event::wait`.
-    pub fn event_wait_begin(&self, rank: usize) {
-        self.wait_register(rank, WaitInfo::Event);
-    }
-
-    /// `Event::wait` completed: join the accumulated signal clocks, so
-    /// accesses after the wait are ordered after every signaler.
-    pub fn event_wait_end(&self, rank: usize, key: usize) {
-        self.wait_clear(rank);
-        let stamp = self.event_clocks.lock().get(&key).map(|c| c.stamp());
-        if let Some(stamp) = stamp {
-            self.join(rank, &stamp);
-        }
-    }
-
-    /// Entering `RtFuture::get` (ordering rides the reply AM's clock).
-    pub fn future_wait_begin(&self, rank: usize) {
-        self.wait_register(rank, WaitInfo::Future);
-    }
-
-    /// `RtFuture::get` completed.
-    pub fn future_wait_end(&self, rank: usize) {
-        self.wait_clear(rank);
-    }
-
-    /// Entering the blocking tail of a `finish` scope.
-    pub fn finish_wait_begin(&self, rank: usize) {
-        self.wait_register(rank, WaitInfo::Finish);
-    }
-
-    /// The `finish` scope closed (completion replies carried the clocks).
-    pub fn finish_wait_end(&self, rank: usize) {
-        self.wait_clear(rank);
-        self.tick(rank);
     }
 
     // ---- lock hooks ------------------------------------------------------
@@ -447,7 +457,6 @@ impl Checker {
         } else {
             self.tick(rank);
         }
-        self.wait_clear(rank);
     }
 
     /// About to release a `GlobalLock` (called *before* the CAS makes the
@@ -458,16 +467,6 @@ impl Checker {
         let st = locks.entry(lock).or_default();
         st.owner = None;
         st.release = Some(stamp);
-    }
-
-    /// Blocking in `GlobalLock::acquire`.
-    pub fn lock_wait_begin(&self, rank: usize, lock: LockKey) {
-        self.wait_register(rank, WaitInfo::Lock { lock });
-    }
-
-    /// `GlobalLock::acquire` gave up its wait slot (acquired or failed).
-    pub fn lock_wait_end(&self, rank: usize) {
-        self.wait_clear(rank);
     }
 
     /// The lock's word was freed; forget its state.
@@ -481,22 +480,6 @@ impl Checker {
     /// can never be "stuck").
     pub fn rank_completed(&self, rank: usize) {
         self.completed[rank].store(true, Ordering::SeqCst);
-        self.wait_epoch.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn wait_register(&self, rank: usize, info: WaitInfo) {
-        if !self.cfg.deadlock {
-            return;
-        }
-        *self.waits[rank].lock() = Some(info);
-        self.wait_epoch.fetch_add(1, Ordering::SeqCst);
-    }
-
-    fn wait_clear(&self, rank: usize) {
-        if !self.cfg.deadlock {
-            return;
-        }
-        *self.waits[rank].lock() = None;
         self.wait_epoch.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -541,8 +524,8 @@ impl Checker {
             if self.completed[r].load(Ordering::SeqCst) {
                 continue;
             }
-            match *self.waits[r].lock() {
-                Some(info) => waiting.push((r, info)),
+            match self.waits[r].lock().last() {
+                Some(&info) => waiting.push((r, info)),
                 None => {
                     // Somebody is computing: not stuck.
                     scan.first_stuck = None;
@@ -604,9 +587,9 @@ impl Checker {
                     specific = true;
                     self.classify_lock_wait(rank, lock, &owners, &waits_on_lock);
                 }
-                WaitInfo::Event | WaitInfo::Future => {
+                WaitInfo::Event { .. } | WaitInfo::Future => {
                     specific = true;
-                    let what = if info == WaitInfo::Event {
+                    let what = if info != WaitInfo::Future {
                         "an event that is never signaled"
                     } else {
                         "a future that never resolves"
@@ -620,28 +603,28 @@ impl Checker {
                         ),
                     );
                 }
-                WaitInfo::Barrier { seq } => {
-                    for c in 0..self.ranks {
-                        if self.completed[c].load(Ordering::SeqCst)
-                            && self.barrier_entries[c].load(Ordering::SeqCst) <= seq
-                        {
-                            specific = true;
-                            self.report(
-                                FindingKind::BarrierMismatch,
-                                format!("bar:{rank}:{seq}"),
-                                format!(
-                                    "mismatched barrier arrival: rank {rank} \
-                                     blocked in barrier #{} but rank {c} \
-                                     completed after only {} barrier(s)",
-                                    seq + 1,
-                                    self.barrier_entries[c].load(Ordering::SeqCst)
-                                ),
-                            );
-                            break;
-                        }
+                WaitInfo::Barrier { domain: 0, .. } => {
+                    let entries = |r: usize| self.barrier_entries[r].load(Ordering::SeqCst);
+                    let nth = entries(rank);
+                    let short = (0..self.ranks)
+                        .find(|&c| self.completed[c].load(Ordering::SeqCst) && entries(c) < nth);
+                    if let Some(c) = short {
+                        specific = true;
+                        self.report(
+                            FindingKind::BarrierMismatch,
+                            format!("bar:{rank}:{nth}"),
+                            format!(
+                                "mismatched barrier arrival: rank {rank} \
+                                 blocked in barrier #{nth} but rank {c} \
+                                 completed after only {} barrier(s)",
+                                entries(c)
+                            ),
+                        );
                     }
                 }
-                WaitInfo::Finish => {}
+                // No pattern of their own (team barrier, collective, fence,
+                // finish, request): the generic table names them.
+                _ => {}
             }
         }
         if !specific {
@@ -785,11 +768,13 @@ impl std::fmt::Debug for Checker {
 mod tests {
     use super::*;
 
+    const EVENT: WaitInfo = WaitInfo::Event { key: 7 };
+
     #[test]
     fn scan_convicts_only_ranks_that_polled_again_and_still_wait() {
         let ck = Checker::new(2, CheckConfig::deadlock());
-        ck.event_wait_begin(0);
-        ck.future_wait_begin(1);
+        ck.wait_begin(0, EVENT);
+        ck.wait_begin(1, WaitInfo::Future);
         let look = |rank| (0..2).for_each(|_| ck.wait_polled(rank));
         ck.maybe_scan(true); // first sighting
         look(0);
@@ -812,13 +797,51 @@ mod tests {
     #[test]
     fn a_wait_that_moves_restarts_the_sighting() {
         let ck = Checker::new(1, CheckConfig::deadlock());
-        ck.event_wait_begin(0);
+        ck.wait_begin(0, EVENT);
         ck.maybe_scan(true);
         (0..2).for_each(|_| ck.wait_polled(0));
         // The wait ended and another began: a new table, a new sighting.
-        ck.event_wait_end(0, 7);
-        ck.event_wait_begin(0);
+        ck.wait_end(0, EVENT);
+        ck.wait_begin(0, EVENT);
         ck.maybe_scan(true);
         assert!(!ck.is_aborted());
+    }
+
+    #[test]
+    fn a_nested_wait_ends_back_in_the_enclosing_one() {
+        // A task that blocks in a future and returns while its rank spins
+        // in a barrier must leave the rank registered in the barrier.
+        let ck = Checker::new(1, CheckConfig::deadlock());
+        let barrier = WaitInfo::Barrier { domain: 0, seq: 3 };
+        let blocked_in = || ck.waits[0].lock().last().copied();
+        ck.wait_begin(0, barrier);
+        ck.wait_begin(0, WaitInfo::Future);
+        assert_eq!(blocked_in(), Some(WaitInfo::Future));
+        ck.wait_end(0, WaitInfo::Future);
+        assert_eq!(blocked_in(), Some(barrier));
+        ck.wait_end(0, barrier);
+        assert_eq!(blocked_in(), None);
+    }
+
+    #[test]
+    fn only_world_barriers_count_towards_barrier_mismatch() {
+        // Rank 0 is stuck in its first world barrier after a team barrier
+        // rank 1 was no member of; rank 1 completed without any barrier.
+        let ck = Checker::new(2, CheckConfig::deadlock());
+        let team = WaitInfo::Barrier { domain: 9, seq: 0 };
+        ck.wait_begin(0, team);
+        ck.wait_end(0, team);
+        ck.wait_begin(0, WaitInfo::Barrier { domain: 0, seq: 0 });
+        ck.rank_completed(1);
+        ck.maybe_scan(true);
+        (0..2).for_each(|_| ck.wait_polled(0));
+        ck.maybe_scan(true);
+        let found = ck.findings();
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].kind, FindingKind::BarrierMismatch);
+        assert!(
+            found[0].message.contains("barrier #1") && found[0].message.contains("only 0"),
+            "{found:?}"
+        );
     }
 }

@@ -3,7 +3,7 @@
 use crate::matching::{Incoming, MatchEngine, ANY};
 use crate::requests::{RecvReq, RecvState, SendReq};
 use rupcxx_net::{pod, GlobalAddr, Pod, Rank};
-use rupcxx_runtime::Ctx;
+use rupcxx_runtime::{Ctx, WaitInfo};
 use rupcxx_util::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -178,23 +178,25 @@ impl<'a> Comm<'a> {
 
     /// Wait for a send to complete (buffer reusable).
     pub fn wait_send(&self, req: &SendReq) {
-        self.ctx.wait_until(|| req.is_complete());
+        self.ctx.wait_on(WaitInfo::Request, || req.is_complete());
     }
 
     /// Wait for a receive; returns `(source, payload)`.
     pub fn wait_recv(&self, req: &RecvReq) -> (Rank, Vec<u8>) {
-        self.ctx.wait_until(|| req.is_complete());
+        self.ctx.wait_on(WaitInfo::Request, || req.is_complete());
         req.take()
     }
 
     /// Wait for all given sends.
     pub fn waitall_sends(&self, reqs: &[SendReq]) {
-        self.ctx.wait_until(|| reqs.iter().all(|r| r.is_complete()));
+        self.ctx
+            .wait_on(WaitInfo::Request, || reqs.iter().all(|r| r.is_complete()));
     }
 
     /// Wait for all given receives; payloads in request order.
     pub fn waitall_recvs(&self, reqs: &[RecvReq]) -> Vec<(Rank, Vec<u8>)> {
-        self.ctx.wait_until(|| reqs.iter().all(|r| r.is_complete()));
+        self.ctx
+            .wait_on(WaitInfo::Request, || reqs.iter().all(|r| r.is_complete()));
         reqs.iter().map(|r| r.take()).collect()
     }
 

@@ -7,16 +7,25 @@
 //! * **write-through invalidation** — every put/atomic the rank itself
 //!   issues drops the lines it covers, so a rank always reads its own
 //!   writes;
-//! * **sync-point invalidation** — `barrier()`/`fence()` (and the fences
-//!   built on them) discard the whole cache, so anything another rank
-//!   wrote before the synchronization is re-fetched after it.
+//! * **sync-point invalidation** — `barrier()` (the world's or a team's)
+//!   and `fence()` (and the fences built on them) discard the whole
+//!   cache, so anything another rank wrote before the synchronization is
+//!   re-fetched after it.
 //!
-//! Between synchronization points a cached read may return a value that
-//! is *stale* with respect to another rank's un-synchronized write — but
-//! under the paper's relaxed memory-consistency model (§III-F) such a
-//! pair of accesses is unordered anyway, so any value the uncached fabric
-//! could have returned remains a legal outcome. The cache therefore never
-//! changes the set of admissible results of a data-race-free program.
+//! Those are the **only acquire points**. Between them a cached read may
+//! return a value that is *stale* with respect to another rank's write.
+//! When the two accesses are unordered, that is legal under the paper's
+//! relaxed memory-consistency model (§III-F): any value the uncached
+//! fabric could have returned remains an outcome. When they are ordered
+//! by something other than a barrier or fence — the reader took a future
+//! (`async_on(..).get()`), waited on an event or acquired a lock after
+//! the write — the program is data-race-free and the uncached fabric
+//! returns the new value, yet a line filled before the write still serves
+//! the old one: the cache does change that program's admissible results.
+//! The checker reports exactly this as `[stale-cached-read]`; such a
+//! program must `fence()` after synchronizing. (Whether every completed
+//! wait should be an acquire point instead is recorded under ROADMAP
+//! item 6.)
 //!
 //! Enable with `RUPCXX_CACHE=capacity_bytes,line_bytes` (or `on` for the
 //! defaults) or `RuntimeConfig::with_cache`. When off the fabric pays one

@@ -1516,7 +1516,7 @@ mod tests {
             ck.join(0, &s1);
             ck.join(1, &s0);
             for rank in 0..2 {
-                ck.barrier_exit(rank);
+                ck.wait_end(rank, rupcxx_check::WaitInfo::Barrier { domain: 0, seq: 0 });
                 f.cache_invalidate_sync(rank);
             }
         };

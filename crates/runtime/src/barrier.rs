@@ -1,62 +1,16 @@
 //! Barrier and memory fence (paper Table I: `barrier()` & `fence()`).
 //!
-//! The barrier is a dissemination barrier over active messages:
-//! ⌈log₂ N⌉ rounds, in round k each rank signals rank `(me + 2^k) mod N`
-//! and waits for the signal from `(me − 2^k) mod N`. This is the standard
-//! scalable algorithm used by PGAS runtimes, and its message count
-//! (N·⌈log₂N⌉ per episode) is what the perf model charges.
+//! `barrier()` is [`crate::Team::barrier`] on the rank's world team: the
+//! dissemination algorithm, with its aggregation flush before the first
+//! signal and its read-cache invalidation on exit, lives with the other
+//! collectives in `collectives.rs`.
 
-use crate::collectives::{collect, deposit, WORLD_DOMAIN};
 use crate::ctx::Ctx;
-use rupcxx_trace::{EventKind, WaitConstruct};
 
 impl Ctx {
     /// Synchronize all ranks — no rank leaves before every rank arrived.
     pub fn barrier(&self) {
-        let n = self.ranks();
-        // Push out buffered aggregation batches before the first signal.
-        // A target's final barrier signal transitively depends on every
-        // rank's arrival, i.e. it lands in the target's single FIFO inbox
-        // after our batch did — so the target executes the batch before
-        // it can leave the barrier. Under fault injection retransmission
-        // can delay a batch past this ordering — use `agg_fence` for an
-        // applied-at-target guarantee there.
-        self.agg_flush();
-        if let Some(ck) = self.shared().fabric.checker() {
-            ck.barrier_enter(self.rank());
-        }
-        if n == 1 {
-            if let Some(ck) = self.shared().fabric.checker() {
-                ck.barrier_exit(self.rank());
-            }
-            self.shared().fabric.cache_invalidate_sync(self.rank());
-            return;
-        }
-        let seq = self.shared().next_coll_seq(self.rank());
-        // The recorder wraps the whole episode: every barrier records a
-        // wait (even a short one), so barrier wall time is attributed to
-        // a named state in full — the report's headline accuracy number.
-        let episode_ns = self.blocked(WaitConstruct::Barrier, || {
-            let mut round = 0u64;
-            let mut dist = 1usize;
-            while dist < n {
-                let dst = (self.rank() + dist) % n;
-                let key = seq * 1024 + round;
-                deposit(self, WORLD_DOMAIN, dst, key, Vec::new());
-                let _ = collect(self, WORLD_DOMAIN, key, 1);
-                round += 1;
-                dist <<= 1;
-            }
-        });
-        self.trace()
-            .instant(EventKind::BarrierExit, -1, episode_ns, 0);
-        if let Some(ck) = self.shared().fabric.checker() {
-            ck.barrier_exit(self.rank());
-        }
-        // A barrier is a full synchronization point: peers' pre-barrier
-        // writes become observable, so locally cached remote lines must
-        // be refetched.
-        self.shared().fabric.cache_invalidate_sync(self.rank());
+        self.world().barrier(self)
     }
 
     /// Memory fence: orders this rank's prior global-memory operations
@@ -97,17 +51,6 @@ mod tests {
             });
             assert!(seen.iter().all(|&s| s == n), "n={n}: {seen:?}");
         }
-    }
-
-    #[test]
-    fn repeated_barriers_do_not_interfere() {
-        let out = spmd(RuntimeConfig::new(4).segment_bytes(4096), |ctx| {
-            for _ in 0..50 {
-                ctx.barrier();
-            }
-            ctx.rank()
-        });
-        assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
     #[test]

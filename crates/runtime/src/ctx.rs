@@ -2,6 +2,7 @@
 
 use crate::alloc::OutOfSegmentMemory;
 use crate::shared::Shared;
+use rupcxx_check::WaitInfo;
 use rupcxx_net::{AmMessage, AmPayload, BatchReader, Fabric, Frame, GlobalAddr, Rank};
 use rupcxx_trace::{EventKind, RankTrace, WaitConstruct};
 use rupcxx_util::Bytes;
@@ -20,6 +21,21 @@ const SPIN_POLLS: u32 = 64;
 /// not polls, so the scan's cadence in wall time does not depend on how
 /// long the wait spins first.
 const SCAN_YIELDS: u32 = 2048;
+
+/// The recorder's construct for a wait (the checker takes the descriptor
+/// as it is).
+fn construct(wait: WaitInfo) -> WaitConstruct {
+    match wait {
+        WaitInfo::Barrier { .. } => WaitConstruct::Barrier,
+        WaitInfo::Collective { .. } => WaitConstruct::Collective,
+        WaitInfo::Fence => WaitConstruct::Fence,
+        WaitInfo::Event { .. } => WaitConstruct::EventWait,
+        WaitInfo::Future => WaitConstruct::FutureWait,
+        WaitInfo::Finish => WaitConstruct::FinishWait,
+        WaitInfo::Lock { .. } => WaitConstruct::LockAcquire,
+        WaitInfo::Request => WaitConstruct::Request,
+    }
+}
 
 /// The SPMD context handed to each rank's closure: identifies the rank and
 /// gives access to communication, progress, memory and synchronization.
@@ -261,35 +277,43 @@ impl Ctx {
         }
     }
 
-    /// [`Ctx::wait_until`] with wait-state attribution — the wrapper every
-    /// blocking construct waits through. When the recorder is on and the
-    /// wait actually blocks, it is one [`Ctx::blocked`] episode.
-    pub(crate) fn wait_profiled(&self, construct: WaitConstruct, mut cond: impl FnMut() -> bool) {
-        if !self.trace().enabled() {
-            return self.wait_until(cond);
+    /// Block until `cond` holds — the one way the runtime blocks. `wait`
+    /// says what is awaited: with a checker installed it is registered in
+    /// the deadlock scan's wait table while the rank spins and, once over,
+    /// withdrawn with the construct's ordering applied (event-clock join,
+    /// tick, barrier prune; a wait nested in a task ends back in the
+    /// enclosing one — see `Checker::wait_end`); with the recorder on, a
+    /// wait that blocks is the one `Wait` event of its construct, its state
+    /// classified as `rupcxx_trace::waitstate` describes. With neither,
+    /// this is [`Ctx::wait_until`] behind three untaken branches.
+    ///
+    /// `cond` may advance state of its own as it is polled (a barrier's
+    /// rounds do); once it has returned true it is not called again.
+    pub fn wait_on(&self, wait: WaitInfo, mut cond: impl FnMut() -> bool) {
+        let (fabric, trace) = (&self.shared.fabric, self.trace());
+        if let Some(ck) = fabric.checker() {
+            ck.wait_begin(self.rank, wait);
         }
-        if cond() {
-            return; // Satisfied immediately: nothing blocked, no record.
-        }
-        self.blocked(construct, || self.wait_until(cond));
-    }
-
-    /// Run `wait`, which blocks, and record it as the single `Wait` event
-    /// of `construct`, classified Scalasca-style: `RetransmitStall` if
-    /// the fabric retransmitted anything meanwhile, `LateReceiver` for
-    /// lock acquisition, `LateSender` when a message injected after the
-    /// wait started arrived during it, `ProgressStarved` otherwise.
-    /// Returns the wait's duration, ns (0 with the recorder off).
-    pub(crate) fn blocked(&self, construct: WaitConstruct, wait: impl FnOnce()) -> u64 {
-        let (trace, fabric) = (self.trace(), &self.shared.fabric);
+        let barrier = matches!(wait, WaitInfo::Barrier { .. });
         if !trace.enabled() {
-            wait();
-            return 0;
+            self.wait_until(cond);
+        } else if barrier || !cond() {
+            // A wait satisfied at first look neither spins nor is
+            // recorded. A barrier always is: its exit splits every rank's
+            // critical-path intervals, and its wall time is attributed to
+            // a named state in full — the report's headline accuracy
+            // number.
+            let (begun, retx0) = (trace.wait_begin(), fabric.total_retransmits());
+            self.wait_until(cond);
+            let retx = fabric.total_retransmits() - retx0;
+            let ns = trace.wait_end(construct(wait), begun, retx);
+            if barrier {
+                trace.instant(EventKind::BarrierExit, -1, ns, 0);
+            }
         }
-        let begun = trace.wait_begin();
-        let retx0 = fabric.total_retransmits();
-        wait();
-        trace.wait_end(construct, begun, fabric.total_retransmits() - retx0)
+        if let Some(ck) = fabric.checker() {
+            ck.wait_end(self.rank, wait);
+        }
     }
 
     /// Send a task to run on rank `dst` the next time it drives progress;
@@ -359,7 +383,7 @@ impl Ctx {
     pub fn agg_fence(&self) {
         self.agg_flush();
         self.barrier();
-        self.wait_profiled(WaitConstruct::Fence, || {
+        self.wait_on(WaitInfo::Fence, || {
             self.shared.fabric.links_quiescent(self.rank)
                 && self.shared.fabric.endpoint(self.rank).pending() == 0
         });

@@ -12,7 +12,7 @@
 //! the paper.
 
 use crate::ctx::Ctx;
-use rupcxx_trace::WaitConstruct;
+use rupcxx_check::WaitInfo;
 use rupcxx_util::sync::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::Arc;
@@ -108,13 +108,8 @@ impl Event {
     /// Block (driving progress) until the event fires — `event.wait()` in
     /// the paper.
     pub fn wait(&self, ctx: &Ctx) {
-        if let Some(ck) = ctx.shared().fabric.checker() {
-            ck.event_wait_begin(ctx.rank());
-        }
-        ctx.wait_profiled(WaitConstruct::EventWait, || self.is_ready());
-        if let Some(ck) = ctx.shared().fabric.checker() {
-            ck.event_wait_end(ctx.rank(), self.check_key());
-        }
+        let key = self.check_key();
+        ctx.wait_on(WaitInfo::Event { key }, || self.is_ready());
     }
 }
 
@@ -186,13 +181,7 @@ impl<T: Send + 'static> RtFuture<T> {
     /// Block (driving progress) until the value arrives, then take it —
     /// the paper's `future.get()`. Panics if the value was already taken.
     pub fn get(&self, ctx: &Ctx) -> T {
-        if let Some(ck) = ctx.shared().fabric.checker() {
-            ck.future_wait_begin(ctx.rank());
-        }
-        ctx.wait_profiled(WaitConstruct::FutureWait, || self.is_ready());
-        if let Some(ck) = ctx.shared().fabric.checker() {
-            ck.future_wait_end(ctx.rank());
-        }
+        ctx.wait_on(WaitInfo::Future, || self.is_ready());
         self.core
             .slot
             .lock()

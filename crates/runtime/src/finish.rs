@@ -17,8 +17,8 @@
 
 use crate::ctx::Ctx;
 use crate::event::{FutureSetter, RtFuture};
+use rupcxx_check::WaitInfo;
 use rupcxx_net::Rank;
-use rupcxx_trace::WaitConstruct;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -89,15 +89,9 @@ impl<'a> FinishScope<'a> {
     }
 
     fn wait(&self) {
-        if let Some(ck) = self.ctx.shared().fabric.checker() {
-            ck.finish_wait_begin(self.ctx.rank());
-        }
-        self.ctx.wait_profiled(WaitConstruct::FinishWait, || {
+        self.ctx.wait_on(WaitInfo::Finish, || {
             self.outstanding.load(Ordering::Acquire) == 0
         });
-        if let Some(ck) = self.ctx.shared().fabric.checker() {
-            ck.finish_wait_end(self.ctx.rank());
-        }
     }
 }
 

@@ -42,4 +42,5 @@ pub use shared::{HandlerFn, HandlerId, HandlerRegistry, Shared};
 pub use spmd::{spmd, spmd_with_handlers};
 pub use team::Team;
 
+pub use rupcxx_check::WaitInfo;
 pub use rupcxx_net::{ConduitSel, Rank, SimNet};

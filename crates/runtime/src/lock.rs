@@ -6,8 +6,8 @@
 //! is itself waiting on incoming AMs cannot deadlock the job.
 
 use crate::ctx::Ctx;
+use rupcxx_check::WaitInfo;
 use rupcxx_net::GlobalAddr;
-use rupcxx_trace::WaitConstruct;
 
 const UNLOCKED: u64 = 0;
 
@@ -63,13 +63,8 @@ impl GlobalLock {
 
     /// Acquire, driving progress while waiting.
     pub fn acquire(&self, ctx: &Ctx) {
-        if let Some(ck) = ctx.shared().fabric.checker() {
-            ck.lock_wait_begin(ctx.rank(), self.check_key());
-        }
-        ctx.wait_profiled(WaitConstruct::LockAcquire, || self.try_acquire(ctx));
-        if let Some(ck) = ctx.shared().fabric.checker() {
-            ck.lock_wait_end(ctx.rank());
-        }
+        let lock = self.check_key();
+        ctx.wait_on(WaitInfo::Lock { lock }, || self.try_acquire(ctx));
     }
 
     /// Release. Panics if this rank does not hold the lock.

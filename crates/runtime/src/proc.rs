@@ -23,9 +23,8 @@
 use crate::config::RuntimeConfig;
 use crate::ctx::Ctx;
 use crate::shared::{HandlerRegistry, Shared};
-use crate::spmd::{export_check, export_views, spmd_with_handlers};
+use crate::spmd::{run_hosted, spmd_with_handlers};
 use rupcxx_net::{ConduitSel, Rank, RemoteConfig};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::process::{Command, ExitStatus};
 use std::time::{Duration, Instant};
 
@@ -78,9 +77,20 @@ where
             let me: Rank = raw
                 .parse()
                 .unwrap_or_else(|_| panic!("{PROC_RANK_ENV}={raw}: not a rank"));
-            let sel = sel.clone();
-            let (rank, result) = run_rank(config, handlers, body, me, sel);
-            ProcOutcome::Rank(rank, result)
+            assert!(
+                me < config.ranks,
+                "{PROC_RANK_ENV}={me} out of range for {} ranks",
+                config.ranks
+            );
+            // Child half: this process is rank `me` of a conduit-connected
+            // job; its drain runs the conduit FIN handshake.
+            let remote = RemoteConfig {
+                my_rank: me,
+                conduit: sel.clone(),
+            };
+            let shared = Shared::new_full(config.fabric_config(Some(remote)), handlers);
+            let mut results = run_hosted(&config, shared, body);
+            ProcOutcome::Rank(me, results.pop().expect("a process hosts one rank"))
         }
     }
 }
@@ -143,75 +153,4 @@ fn launch_children(config: &RuntimeConfig, sel: &ConduitSel) -> Vec<ExitStatus> 
         .into_iter()
         .map(|(_, _, s)| s.expect("launcher: child status"))
         .collect()
-}
-
-/// Child half: run `body` as rank `me` of a conduit-connected job. The
-/// structure mirrors `spmd_with_handlers` for one rank: optional progress
-/// worker, catch_unwind around the closure, completion published even on
-/// panic, post-closure drain (which runs the conduit FIN handshake), then
-/// the trace/profiler/checker exports for this rank.
-fn run_rank<R, F>(
-    config: RuntimeConfig,
-    handlers: HandlerRegistry,
-    body: F,
-    me: Rank,
-    sel: ConduitSel,
-) -> (Rank, R)
-where
-    R: Send,
-    F: Fn(&Ctx) -> R + Send + Sync,
-{
-    assert!(
-        me < config.ranks,
-        "{PROC_RANK_ENV}={me} out of range for {} ranks",
-        config.ranks
-    );
-    let remote = RemoteConfig {
-        my_rank: me,
-        conduit: sel,
-    };
-    let shared = Shared::new_full(config.fabric_config(Some(remote)), handlers);
-    let body = &body;
-    let progress_stop = std::sync::atomic::AtomicBool::new(false);
-    let progress_stop = &progress_stop;
-    let result = std::thread::scope(|scope| {
-        if config.progress_thread {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name(format!("rupcxx-progress-{me}"))
-                .spawn_scoped(scope, move || {
-                    if let Some(ck) = shared.fabric.checker() {
-                        rupcxx_check::set_current(ck.clone(), me);
-                    }
-                    let ctx = Ctx::new(me, shared);
-                    while !progress_stop.load(std::sync::atomic::Ordering::Acquire) {
-                        if ctx.advance() == 0 {
-                            std::thread::yield_now();
-                        }
-                    }
-                })
-                .expect("failed to spawn progress thread");
-        }
-        if let Some(ck) = shared.fabric.checker() {
-            rupcxx_check::set_current(ck.clone(), me);
-        }
-        let ctx = Ctx::new(me, shared.clone());
-        let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-        if result.is_ok() {
-            // Completion must be published (and, here, broadcast to the
-            // peer processes) even while they are mid-closure.
-            ctx.mark_complete();
-            ctx.drain_until_all_complete();
-        }
-        progress_stop.store(true, std::sync::atomic::Ordering::Release);
-        match result {
-            Ok(v) => v,
-            // A panicking rank skips the drain: its peers detect the
-            // dead link via the conduit's Closed event instead of a FIN.
-            Err(payload) => resume_unwind(payload),
-        }
-    });
-    export_views(&config, &shared);
-    export_check(&shared);
-    (me, result)
 }

@@ -1,6 +1,7 @@
 //! Process-wide state shared by all rank threads of one SPMD job.
 
 use crate::alloc::SegAllocator;
+use crate::team::Team;
 use rupcxx_net::{Fabric, FabricConfig, Rank};
 use rupcxx_trace::TraceConfig;
 use rupcxx_util::sync::{CachePadded, Mutex};
@@ -118,13 +119,13 @@ pub(crate) struct Builtins {
 /// The part of [`Shared`] that belongs to one rank and that only that
 /// rank's own threads write (deposits and replies arrive as AMs and run
 /// on the rank they are addressed to).
-#[derive(Default)]
 pub struct RankState {
     /// Collective mailbox.
     pub(crate) mailbox: Mailbox,
-    /// Collective sequence counter (SPMD programs call collectives in the
-    /// same order on every rank, so equal counts match up).
-    pub(crate) coll_seq: AtomicU64,
+    /// This rank's world team, the one `Ctx`'s collectives run over. Its
+    /// sequence counter numbers them (SPMD programs call collectives in
+    /// the same order on every rank, so equal counts match up).
+    pub(crate) world: Team,
     /// Pending reply continuations for registered-handler RPC: a reply
     /// message carries a token; the continuation stored under it consumes
     /// the packed return bytes (resolving a future).
@@ -191,12 +192,21 @@ impl Shared {
             Builtins { deposit, complete }
         });
         let fabric = Fabric::new(config);
+        // Each rank's world team: every rank in rank order (one list for
+        // the job), mailbox domain 0.
+        let all: Arc<[Rank]> = (0..ranks).collect();
+        let rank_state = |rank| RankState {
+            mailbox: Mailbox::default(),
+            world: Team::new(all.clone(), rank, 0),
+            pending_replies: Mutex::default(),
+            reply_tokens: AtomicU64::new(0),
+        };
         Arc::new(Shared {
             fabric,
             allocators: (0..ranks)
                 .map(|_| CachePadded(Mutex::new(SegAllocator::new(segment_bytes))))
                 .collect(),
-            own: (0..ranks).map(|_| CachePadded::default()).collect(),
+            own: (0..ranks).map(|r| CachePadded(rank_state(r))).collect(),
             handlers,
             completed: AtomicUsize::new(0),
             builtins,
@@ -206,11 +216,6 @@ impl Shared {
     /// Number of ranks.
     pub fn ranks(&self) -> usize {
         self.fabric.ranks()
-    }
-
-    /// Next collective sequence number for `rank`.
-    pub(crate) fn next_coll_seq(&self, rank: Rank) -> u64 {
-        self.own[rank].coll_seq.fetch_add(1, Ordering::Relaxed)
     }
 }
 
@@ -267,13 +272,5 @@ mod tests {
         let sh = Shared::new(3, 4096, HandlerRegistry::new());
         whole_blocks(&sh.own);
         whole_blocks(&sh.allocators);
-    }
-
-    #[test]
-    fn coll_seq_increments_per_rank() {
-        let sh = Shared::new(2, 4096, HandlerRegistry::new());
-        assert_eq!(sh.next_coll_seq(0), 0);
-        assert_eq!(sh.next_coll_seq(0), 1);
-        assert_eq!(sh.next_coll_seq(1), 0);
     }
 }

@@ -14,7 +14,8 @@ use rupcxx_trace::{critpath, RankStream, SummaryRow, TraceMode, WaitState};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
 /// Launch an SPMD job: run `body` on `config.ranks` ranks, returning each
 /// rank's result in rank order.
@@ -44,23 +45,40 @@ where
 {
     assert!(config.ranks > 0, "spmd needs at least one rank");
     let shared = Shared::new_full(config.fabric_config(None), handlers);
+    run_hosted(&config, shared, body)
+}
+
+/// Run `body` on every rank of `shared`'s job that this process hosts —
+/// all of them, or the one rank of a multi-process job — a thread each,
+/// and return their results in rank order; then export the job's views
+/// and the checker's report for those ranks.
+pub(crate) fn run_hosted<R, F>(config: &RuntimeConfig, shared: Arc<Shared>, body: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(&Ctx) -> R + Send + Sync,
+{
+    let hosted = shared.fabric.hosted_ranks();
     let body = &body;
-    let progress_stop = std::sync::atomic::AtomicBool::new(false);
-    let progress_stop = &progress_stop;
+    let progress_stop = &AtomicBool::new(false);
+    // Pin (checker, rank) in the calling thread's TLS, so hooks without a
+    // ctx parameter (Event::signal) can reach the checker.
+    let enter = |rank| {
+        if let Some(ck) = shared.fabric.checker() {
+            rupcxx_check::set_current(ck.clone(), rank);
+        }
+        Ctx::new(rank, shared.clone())
+    };
+    let enter = &enter;
     let results = std::thread::scope(|scope| {
         // Concurrent mode (paper §IV): one progress worker per rank keeps
         // serving incoming active messages even while the rank computes.
         if config.progress_thread {
-            for rank in 0..config.ranks {
-                let shared = shared.clone();
+            for rank in hosted.clone() {
                 std::thread::Builder::new()
                     .name(format!("rupcxx-progress-{rank}"))
                     .spawn_scoped(scope, move || {
-                        if let Some(ck) = shared.fabric.checker() {
-                            rupcxx_check::set_current(ck.clone(), rank);
-                        }
-                        let ctx = Ctx::new(rank, shared);
-                        while !progress_stop.load(std::sync::atomic::Ordering::Acquire) {
+                        let ctx = enter(rank);
+                        while !progress_stop.load(Ordering::Acquire) {
                             if ctx.advance() == 0 {
                                 std::thread::yield_now();
                             }
@@ -69,47 +87,36 @@ where
                     .expect("failed to spawn progress thread");
             }
         }
-        let mut handles = Vec::with_capacity(config.ranks);
-        for rank in 0..config.ranks {
-            let shared = shared.clone();
-            let builder = std::thread::Builder::new()
+        let spawn_rank = |rank| {
+            std::thread::Builder::new()
                 .name(format!("rupcxx-rank-{rank}"))
-                .stack_size(8 << 20);
-            let handle = builder
+                .stack_size(8 << 20)
                 .spawn_scoped(scope, move || {
-                    // Pin (checker, rank) in TLS so hooks without a ctx
-                    // parameter (Event::signal) can reach the checker.
-                    if let Some(ck) = shared.fabric.checker() {
-                        rupcxx_check::set_current(ck.clone(), rank);
-                    }
-                    let ctx = Ctx::new(rank, shared);
+                    let ctx = enter(rank);
                     let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-                    // Completion must be published even on panic, or the
-                    // surviving ranks would drain forever.
-                    ctx.mark_complete();
-                    ctx.drain_until_all_complete();
-                    match result {
-                        Ok(v) => v,
-                        Err(payload) => resume_unwind(payload),
+                    // Threads of one process share the completion count:
+                    // a rank must publish completion even on panic, or
+                    // the survivors would drain forever. A panicking
+                    // process rank skips the drain instead: its peers see
+                    // the dead link as the conduit's Closed event, not a
+                    // FIN.
+                    if result.is_ok() || !ctx.fabric().is_remote() {
+                        ctx.mark_complete();
+                        ctx.drain_until_all_complete();
                     }
+                    result.unwrap_or_else(|payload| resume_unwind(payload))
                 })
-                .expect("failed to spawn rank thread");
-            handles.push(handle);
-        }
-        let results: Vec<R> = handles
+                .expect("failed to spawn rank thread")
+        };
+        let handles: Vec<_> = hosted.clone().map(spawn_rank).collect();
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        progress_stop.store(true, Ordering::Release);
+        joined
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(payload) => {
-                    progress_stop.store(true, std::sync::atomic::Ordering::Release);
-                    resume_unwind(payload)
-                }
-            })
-            .collect();
-        progress_stop.store(true, std::sync::atomic::Ordering::Release);
-        results
+            .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect()
     });
-    export_views(&config, &shared);
+    export_views(config, &shared);
     export_check(&shared);
     results
 }
@@ -135,7 +142,7 @@ fn next_view_path(base: &str, fabric: &Fabric) -> String {
 /// mode), the Chrome `trace_event` JSON (`events`) and the critical-path
 /// report (`RUPCXX_PROF`). All ranks have joined by now, so the rings and
 /// histograms are quiescent.
-pub(crate) fn export_views(config: &RuntimeConfig, shared: &Shared) {
+fn export_views(config: &RuntimeConfig, shared: &Shared) {
     let fabric = &shared.fabric;
     let hosted = fabric.hosted_ranks();
     let trace_of = |r| &fabric.endpoint(r).trace;
@@ -220,7 +227,7 @@ pub(crate) fn export_views(config: &RuntimeConfig, shared: &Shared) {
 
 /// Job-teardown checker export: write the report file (when configured)
 /// and print a one-line summary when anything was found.
-pub(crate) fn export_check(shared: &Shared) {
+fn export_check(shared: &Shared) {
     if let Some(ck) = shared.fabric.checker() {
         let n = ck.export();
         if n > 0 {

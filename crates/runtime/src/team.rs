@@ -9,24 +9,24 @@
 //!
 //! Teams are created collectively by [`Ctx::team_world`] /
 //! [`Team::split`] and hold a private mailbox domain, so concurrent
-//! collectives on disjoint teams never interfere.
+//! collectives on disjoint teams never interfere. This file is the
+//! handle; the collective algorithms are `collectives.rs`'s.
 
-use crate::collectives::{collect, deposit};
 use crate::ctx::Ctx;
-use rupcxx_net::{Pod, Rank};
+use rupcxx_net::Rank;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An ordered group of ranks (a per-rank handle; each member holds one).
 pub struct Team {
     /// World ranks of the members, in team order.
-    members: Arc<[Rank]>,
+    pub(crate) members: Arc<[Rank]>,
     /// This rank's index within `members`.
-    my_index: usize,
+    pub(crate) my_index: usize,
     /// Private mailbox domain (0 is the world's).
-    domain: u64,
+    pub(crate) domain: u64,
     /// Team-local collective sequence counter.
-    seq: AtomicU64,
+    pub(crate) seq: AtomicU64,
     /// Counter for ids of teams split off this one.
     next_child: AtomicU64,
 }
@@ -42,21 +42,30 @@ fn mix(a: u64, b: u64) -> u64 {
 impl Ctx {
     /// The team of all ranks, in rank order. Cheap; not collective.
     pub fn team_world(&self) -> Team {
-        Team {
-            members: (0..self.ranks()).collect::<Vec<_>>().into(),
-            my_index: self.rank(),
-            // A fixed private domain, distinct from the Ctx collectives'
-            // domain 0. NOTE: as with MPI communicators, create one handle
-            // per team per rank and reuse it; interleaving collectives of
-            // two handles to the same team is unsupported.
-            domain: mix(0x57_4F_52_4C_44, 0), // "WORLD"
-            seq: AtomicU64::new(0),
-            next_child: AtomicU64::new(0),
-        }
+        // A fixed private domain, distinct from the Ctx collectives'
+        // domain 0. NOTE: as with MPI communicators, create one handle
+        // per team per rank and reuse it; interleaving collectives of
+        // two handles to the same team is unsupported.
+        let domain = mix(0x57_4F_52_4C_44, 0); // "WORLD"
+        Team::new(self.world().members.clone(), self.rank(), domain)
     }
 }
 
 impl Team {
+    /// A fresh handle: no collective run, no team split off yet. Domain 0
+    /// is the world team's, the one [`Ctx`]'s own collectives run over
+    /// (every rank in rank order; built once per rank at launch, never
+    /// handed out).
+    pub(crate) fn new(members: Arc<[Rank]>, my_index: usize, domain: u64) -> Team {
+        Team {
+            members,
+            my_index,
+            domain,
+            seq: AtomicU64::new(0),
+            next_child: AtomicU64::new(0),
+        }
+    }
+
     /// Number of members.
     pub fn size(&self) -> usize {
         self.members.len()
@@ -83,10 +92,6 @@ impl Team {
         self.domain == other.domain && self.members == other.members
     }
 
-    fn next_seq(&self) -> u64 {
-        self.seq.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Collectively split this team by `color`: members with equal colors
     /// form new sub-teams, ordered by `(key, world rank)`. Every member of
     /// `self` must call. Mirrors `MPI_Comm_split` / UPC++ `team::split`.
@@ -110,131 +115,7 @@ impl Team {
         // parent split counter value.
         let split_no = self.next_child.fetch_add(1, Ordering::Relaxed);
         let domain = mix(mix(self.domain, split_no), color);
-        Team {
-            members: members.into(),
-            my_index,
-            domain,
-            seq: AtomicU64::new(0),
-            next_child: AtomicU64::new(0),
-        }
-    }
-
-    /// Team barrier (dissemination over the member list).
-    pub fn barrier(&self, ctx: &Ctx) {
-        let n = self.size();
-        if n == 1 {
-            return;
-        }
-        let seq = self.next_seq();
-        let mut round = 0u64;
-        let mut dist = 1usize;
-        while dist < n {
-            let dst = self.members[(self.my_index + dist) % n];
-            deposit(
-                ctx,
-                self.domain,
-                dst,
-                seq.wrapping_mul(1024) + round,
-                Vec::new(),
-            );
-            let _ = collect(ctx, self.domain, seq.wrapping_mul(1024) + round, 1);
-            round += 1;
-            dist <<= 1;
-        }
-    }
-
-    /// Team broadcast from team-relative `root` (binomial tree).
-    pub fn broadcast<T: Pod>(&self, ctx: &Ctx, root: usize, value: T) -> T {
-        let n = self.size();
-        let seq = self.next_seq();
-        if n == 1 {
-            return value;
-        }
-        let rel = (self.my_index + n - root) % n;
-        let mut payload = value.to_bytes();
-        let mut mask = 1usize;
-        while mask < n {
-            if rel & mask != 0 {
-                let key = seq.wrapping_mul(1024) + mask.trailing_zeros() as u64;
-                let mut arrivals = collect(ctx, self.domain, key, 1);
-                payload = arrivals.pop().expect("team broadcast arrival").1;
-                break;
-            }
-            mask <<= 1;
-        }
-        mask >>= 1;
-        while mask > 0 {
-            if rel & mask == 0 && rel + mask < n {
-                let dst = self.members[(rel + mask + root) % n];
-                let key = seq.wrapping_mul(1024) + mask.trailing_zeros() as u64;
-                deposit(ctx, self.domain, dst, key, payload.clone());
-            }
-            mask >>= 1;
-        }
-        T::read_from(&payload)
-    }
-
-    /// Team reduction to team-relative `root`; `Some` at the root.
-    pub fn reduce<T: Pod>(
-        &self,
-        ctx: &Ctx,
-        root: usize,
-        value: T,
-        op: impl Fn(T, T) -> T,
-    ) -> Option<T> {
-        let n = self.size();
-        let seq = self.next_seq();
-        if n == 1 {
-            return Some(value);
-        }
-        let rel = (self.my_index + n - root) % n;
-        let mut acc = value;
-        let mut mask = 1usize;
-        while mask < n {
-            let key = seq.wrapping_mul(1024) + mask.trailing_zeros() as u64;
-            if rel & mask != 0 {
-                let dst = self.members[(rel - mask + root) % n];
-                deposit(ctx, self.domain, dst, key, acc.to_bytes());
-                return None;
-            }
-            if rel + mask < n {
-                let mut arrivals = collect(ctx, self.domain, key, 1);
-                let contrib = T::read_from(&arrivals.pop().expect("team reduce arrival").1);
-                acc = op(acc, contrib);
-            }
-            mask <<= 1;
-        }
-        Some(acc)
-    }
-
-    /// Team allreduce.
-    pub fn allreduce<T: Pod>(&self, ctx: &Ctx, value: T, op: impl Fn(T, T) -> T) -> T {
-        let r = self.reduce(ctx, 0, value, op);
-        self.broadcast(ctx, 0, r.unwrap_or(value))
-    }
-
-    /// Team all-gather of a Pod slice, concatenated in team order.
-    pub fn allgatherv<T: Pod>(&self, ctx: &Ctx, values: &[T]) -> Vec<T> {
-        let n = self.size();
-        let seq = self.next_seq();
-        let key = seq.wrapping_mul(1024);
-        let payload = rupcxx_net::pod::pack_slice(values);
-        for &dst in self.members.iter() {
-            deposit(ctx, self.domain, dst, key, payload.clone());
-        }
-        let mut arrivals = collect(ctx, self.domain, key, n);
-        // Order by team index, not world rank.
-        arrivals.sort_by_key(|&(src, _)| {
-            self.members
-                .iter()
-                .position(|&m| m == src)
-                .expect("sender is a member")
-        });
-        let mut out = Vec::new();
-        for (_, b) in arrivals {
-            out.extend(rupcxx_net::pod::unpack_slice::<T>(&b));
-        }
-        out
+        Team::new(members.into(), my_index, domain)
     }
 
     /// Spawn `task` on every member (the group-`place` form of the
@@ -284,23 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn split_even_odd_and_team_allreduce() {
-        let out = spmd(cfg(6), |ctx| {
-            let w = ctx.team_world();
-            let color = (ctx.rank() % 2) as u64;
-            let t = w.split(ctx, color, ctx.rank() as u64);
-            let sum = t.allreduce(ctx, ctx.rank() as u64, |a, b| a + b);
-            (t.size(), t.my_index(), sum)
-        });
-        // Evens: 0+2+4 = 6; odds: 1+3+5 = 9.
-        for (r, &(size, idx, sum)) in out.iter().enumerate() {
-            assert_eq!(size, 3);
-            assert_eq!(idx, r / 2);
-            assert_eq!(sum, if r % 2 == 0 { 6 } else { 9 });
-        }
-    }
-
-    #[test]
     fn split_key_reorders_members() {
         let out = spmd(cfg(4), |ctx| {
             let w = ctx.team_world();
@@ -312,26 +176,6 @@ mod tests {
             assert_eq!(members, vec![3, 2, 1, 0]);
             assert_eq!(idx, 3 - r);
         }
-    }
-
-    #[test]
-    fn team_broadcast_and_reduce_with_offset_roots() {
-        let out = spmd(cfg(5), |ctx| {
-            let w = ctx.team_world();
-            // One team of the top three ranks; others form a second team.
-            let top = ctx.rank() >= 2;
-            let t = w.split(ctx, u64::from(top), ctx.rank() as u64);
-            let v = t.broadcast(ctx, t.size() - 1, ctx.rank() as u64 * 100);
-            let m = t.reduce(ctx, 0, ctx.rank() as u64, u64::max);
-            (v, m, t.size())
-        });
-        // Team {0,1}: root idx 1 → rank 1 broadcasts 100; max at idx0=rank0.
-        assert_eq!(out[0], (100, Some(1), 2));
-        assert_eq!(out[1], (100, None, 2));
-        // Team {2,3,4}: root idx 2 → rank 4 broadcasts 400; max at rank 2.
-        assert_eq!(out[2], (400, Some(4), 3));
-        assert_eq!(out[3], (400, None, 3));
-        assert_eq!(out[4], (400, None, 3));
     }
 
     #[test]

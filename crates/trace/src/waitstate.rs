@@ -1,9 +1,10 @@
 //! Wait-state attribution: *why* did a blocking construct block?
 //!
 //! Scalasca-style classification. Each blocking construct (barrier,
-//! fence, event/future wait, finish quiescence, lock acquire) is wrapped
-//! in a profiled scope; when the wait ends, what the fabric did while we
-//! were blocked picks exactly one state:
+//! collective, fence, event/future wait, finish quiescence, lock acquire,
+//! two-sided request) waits through the runtime's one `Ctx::wait_on`;
+//! when the wait ends, what the fabric did while we were blocked picks
+//! exactly one state:
 //!
 //! * [`WaitState::RetransmitStall`] — the reliable layer retransmitted
 //!   frames anywhere in the fabric during the wait: we were waiting out
@@ -39,16 +40,23 @@ pub enum WaitConstruct {
     FinishWait,
     /// `GlobalLock::acquire` spin.
     LockAcquire,
+    /// Arrivals of a collective (broadcast, reduce, gather, exchange —
+    /// world or team) outside a barrier.
+    Collective,
+    /// A two-sided request of the MPI baseline (`wait_send`/`wait_recv`).
+    Request,
 }
 
 /// All constructs, in discriminant order (for iteration and reports).
-pub const CONSTRUCTS: [WaitConstruct; 6] = [
+pub const CONSTRUCTS: [WaitConstruct; 8] = [
     WaitConstruct::Barrier,
     WaitConstruct::Fence,
     WaitConstruct::EventWait,
     WaitConstruct::FutureWait,
     WaitConstruct::FinishWait,
     WaitConstruct::LockAcquire,
+    WaitConstruct::Collective,
+    WaitConstruct::Request,
 ];
 
 impl WaitConstruct {
@@ -61,6 +69,8 @@ impl WaitConstruct {
             WaitConstruct::FutureWait => "future_wait",
             WaitConstruct::FinishWait => "finish_wait",
             WaitConstruct::LockAcquire => "lock_acquire",
+            WaitConstruct::Collective => "collective",
+            WaitConstruct::Request => "request",
         }
     }
 }
@@ -135,10 +145,12 @@ pub fn classify(
     }
 }
 
-/// Live per-construct × per-state wait-time histograms (ns).
+/// Live per-construct × per-state wait-time histograms (ns). Boxed: the
+/// table is 17 KiB that only a recording rank touches, and the recorder
+/// sits inline in the fabric's per-rank `Endpoint`.
 #[derive(Debug, Default)]
 pub struct WaitStats {
-    hist: [[Log2Histogram; STATES.len()]; CONSTRUCTS.len()],
+    hist: Box<[[Log2Histogram; STATES.len()]; CONSTRUCTS.len()]>,
 }
 
 impl WaitStats {

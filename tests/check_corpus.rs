@@ -6,8 +6,11 @@
 
 use rupcxx::prelude::*;
 use rupcxx_check::{new_sink, CheckConfig, FindingKind, FindingSink};
+use rupcxx_mpi::MpiWorld;
 use rupcxx_net::AggConfig;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn cfg(n: usize, check: CheckConfig) -> RuntimeConfig {
     RuntimeConfig::new(n)
@@ -38,6 +41,21 @@ fn expect_abort(n: usize, sink: FindingSink, body: impl Fn(&Ctx) + Send + Sync) 
         .cloned()
         .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
         .unwrap_or_default()
+}
+
+/// [`expect_abort`] under a watchdog: the job runs on a thread of its own
+/// and has 30 s to be aborted, so a deadlock the scan cannot see fails the
+/// test instead of hanging the suite.
+fn expect_abort_in_time(
+    n: usize,
+    sink: FindingSink,
+    body: impl Fn(&Ctx) + Send + Sync + 'static,
+) -> String {
+    let (done, aborted) = mpsc::channel();
+    std::thread::spawn(move || done.send(expect_abort(n, sink, body)));
+    aborted
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the job is still hung: the deadlock scan does not see a blocked rank")
 }
 
 // ---- data races ---------------------------------------------------------
@@ -245,6 +263,55 @@ fn deadlock_mismatched_barrier_aborts() {
     assert!(
         kinds(&sink).contains(&FindingKind::BarrierMismatch),
         "expected a barrier mismatch, got:\n{}",
+        messages(&sink)
+    );
+}
+
+/// Pattern 9: a mismatched collective — rank 0 waits at the root of a
+/// `reduce` its peer never joins. Every blocked rank is in the scan's wait
+/// table, whatever it blocks in; a wait with no pattern of its own is the
+/// generic deadlock, its table naming the construct.
+#[test]
+fn deadlock_mismatched_collective_aborts() {
+    let sink = new_sink();
+    let msg = expect_abort_in_time(2, sink.clone(), |ctx| {
+        if ctx.rank() == 0 {
+            let _ = ctx.reduce(0, 1u64, |a, b| a + b); // rank 1 never contributes
+        }
+    });
+    assert!(msg.contains("rupcxx-check"), "panic was: {msg}");
+    assert!(
+        kinds(&sink).contains(&FindingKind::Deadlock),
+        "expected a deadlock, got:\n{}",
+        messages(&sink)
+    );
+    assert!(
+        messages(&sink).contains("rank 0: collective (domain 0, key "),
+        "{}",
+        messages(&sink)
+    );
+}
+
+/// Pattern 10: a two-sided receive nobody sends to (the MPI baseline
+/// blocks through the same `wait_on`).
+#[test]
+fn deadlock_unmatched_mpi_recv_aborts() {
+    let sink = new_sink();
+    let world = MpiWorld::new(2);
+    let msg = expect_abort_in_time(2, sink.clone(), move |ctx| {
+        if ctx.rank() == 0 {
+            let _ = world.comm(ctx).recv(1, 7); // rank 1 never sends
+        }
+    });
+    assert!(msg.contains("rupcxx-check"), "panic was: {msg}");
+    assert!(
+        kinds(&sink).contains(&FindingKind::Deadlock),
+        "expected a deadlock, got:\n{}",
+        messages(&sink)
+    );
+    assert!(
+        messages(&sink).contains("rank 0: two-sided request"),
+        "{}",
         messages(&sink)
     );
 }

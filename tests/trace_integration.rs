@@ -6,12 +6,13 @@
 //! the Chrome-trace view is written at job teardown, and that a job with
 //! both configs off records — and allocates — nothing.
 
+use rupcxx_mpi::MpiWorld;
 use rupcxx_net::{
     AggConfig, CacheConfig, CommCounts, Endpoint, Fabric, FaultPlan, GlobalAddr, ProfConfig,
 };
 use rupcxx_runtime::{spmd, Ctx, RuntimeConfig};
 use rupcxx_trace::waitstate::{unpack_wait, CONSTRUCTS};
-use rupcxx_trace::{Event, EventKind, TraceConfig};
+use rupcxx_trace::{Event, EventKind, TraceConfig, WaitConstruct};
 use rupcxx_util::sync::Mutex;
 use rupcxx_util::GupsRng;
 use std::sync::Arc;
@@ -41,11 +42,65 @@ fn spmd_capturing(cfg: RuntimeConfig, body: impl Fn(&Ctx) + Send + Sync) -> Arc<
     fabric.expect("rank 0 captured the fabric")
 }
 
+/// What a row runs on top of the common workload, so that the construct
+/// only it blocks in is in the stream.
+enum Extra {
+    None,
+    /// World and team collectives. A non-root's contribution to an
+    /// allreduce goes out before the result can come back and nothing
+    /// drives its progress in between, so its wait for the result blocks
+    /// on every run.
+    Collectives,
+    /// Eager two-sided ping-pong in pairs: the even rank's receive of
+    /// the reply blocks on every run, for the same reason.
+    Mpi(Arc<MpiWorld>),
+}
+
+impl Extra {
+    fn run(&self, ctx: &Ctx) {
+        let me = ctx.rank();
+        match self {
+            Extra::None => {}
+            Extra::Collectives => {
+                let half = ctx.team_world().split(ctx, (me % 2) as u64, me as u64);
+                for i in 0..8u64 {
+                    assert_eq!(ctx.allreduce(me as u64 + i, u64::max), 3 + i);
+                    assert_eq!(ctx.broadcast(i as usize % RANKS, i), i);
+                    let _ = ctx.exchange(vec![vec![me as u8; 8]; RANKS]);
+                    assert_eq!(half.allreduce(ctx, 1u64, |a, b| a + b), 2);
+                    half.barrier(ctx);
+                }
+            }
+            Extra::Mpi(world) => {
+                let comm = world.comm(ctx);
+                for tag in 0..8 {
+                    if me.is_multiple_of(2) {
+                        comm.send(me + 1, tag, &[me as u8; 64]);
+                        assert_eq!(comm.recv(me + 1, tag).1, [me as u8 + 1; 64]);
+                    } else {
+                        assert_eq!(comm.recv(me - 1, tag).1, [me as u8 - 1; 64]);
+                        comm.send(me - 1, tag, &[me as u8; 64]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The construct this row must have blocked in, and on which ranks.
+    fn blocks_in(&self, rank: usize) -> Option<WaitConstruct> {
+        match self {
+            Extra::None => None,
+            Extra::Collectives => (rank != 0).then_some(WaitConstruct::Collective),
+            Extra::Mpi(_) => rank.is_multiple_of(2).then_some(WaitConstruct::Request),
+        }
+    }
+}
+
 /// GUPS-style phase: random remote xor updates (buffered when the job
 /// aggregates) plus verifying gets that re-read one line, always to
 /// another rank so every op counts as remote. Raw segment addresses: the
 /// modeled AM pair of `alloc_on` is counted without being sent.
-fn workload(ctx: &Ctx, buffered: bool) {
+fn workload(ctx: &Ctx, buffered: bool, extra: &Extra) {
     let me = ctx.rank();
     ctx.barrier();
     let mut rng = GupsRng::new();
@@ -59,6 +114,7 @@ fn workload(ctx: &Ctx, buffered: bool) {
         }
     }
     ctx.agg_fence();
+    extra.run(ctx);
     for i in 0..UPDATES / 4 {
         let word = GlobalAddr::new((me + 1) % RANKS, 1024 + (i % 8) * 8);
         let _ = ctx.fabric().get_u64(me, word);
@@ -80,25 +136,33 @@ fn gups_trace_events_match_comm_stats() {
         .delay(0.05);
     let base = || RuntimeConfig::new(RANKS).segment_bytes(1 << 16);
     let prof = |tag| ProfConfig::on().with_path(tmp_path(&format!("{tag}_prof")));
-    let table: [(&str, RuntimeConfig); 5] = [
-        ("events", base()),
-        ("prof", base().with_prof(prof("prof"))),
+    let table: [(&str, RuntimeConfig, Extra); 7] = [
+        ("events", base(), Extra::None),
+        ("prof", base().with_prof(prof("prof")), Extra::None),
         (
             "faults",
             base().with_prof(prof("faults")).with_faults(chaos),
+            Extra::None,
         ),
         (
             "agg",
             base().with_prof(prof("agg")).with_agg(AggConfig::new()),
+            Extra::None,
         ),
-        ("cache", base().with_cache(CacheConfig::new())),
+        ("cache", base().with_cache(CacheConfig::new()), Extra::None),
+        (
+            "collectives",
+            base().with_prof(prof("collectives")),
+            Extra::Collectives,
+        ),
+        ("mpi", base(), Extra::Mpi(MpiWorld::new(RANKS))),
     ];
-    for (tag, cfg) in table {
+    for (tag, cfg, extra) in table {
         let trace_path = tmp_path(tag);
         let (causal, buffered, faulty) = (cfg.prof.is_some(), cfg.agg.is_some(), tag == "faults");
         let fabric = spmd_capturing(
             cfg.with_trace(TraceConfig::events().with_path(&trace_path)),
-            |ctx| workload(ctx, buffered),
+            |ctx| workload(ctx, buffered, &extra),
         );
         let streams: Vec<Vec<Event>> = (0..RANKS)
             .map(|r| fabric.endpoint(r).trace.events())
@@ -145,6 +209,10 @@ fn gups_trace_events_match_comm_stats() {
                 );
             }
             assert!(waits.total_ns() > 0, "{tag}: rank {rank} never waited");
+            if let Some(construct) = extra.blocks_in(rank) {
+                let blocked = waits.construct_ns(construct);
+                assert!(blocked > 0, "{tag}: rank {rank}: no {construct:?} wait");
+            }
             received.extend(events.iter().filter(|e| e.kind == EventKind::AmRecv));
         }
         if faulty {
@@ -177,6 +245,10 @@ fn gups_trace_events_match_comm_stats() {
         assert!(json.contains("\"name\":\"am_send\""));
         assert!(json.contains("\"name\":\"barrier\""));
         assert!(json.contains("\"name\":\"finish_wait\""));
+        if let Some(construct) = extra.blocks_in(RANKS - 2) {
+            let name = format!("\"name\":\"{}\"", construct.name());
+            assert!(json.contains(&name), "{tag}: no {name} in the trace");
+        }
         assert!(json.contains("\"ph\":\"X\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
