@@ -35,12 +35,12 @@ check-race:
 	$(CARGO) test -q --test check_clean
 	RUPCXX_CACHE=on $(CARGO) test -q --test check_clean
 
-# Short calibrated bench runs: aggregation asserts the batched path uses
-# no more wire frames than per-op (BENCH_aggregation.json); caching
-# asserts a >=5x remote-get reduction with bit-for-bit identical data
-# and an untouched cache-off path (BENCH_caching.json).
+# Short calibrated bench run: caching asserts a >=5x remote-get reduction
+# with bit-for-bit identical data and an untouched cache-off path
+# (BENCH_caching.json). (The aggregation bench that ran here is gone: its
+# two assertions are tests/agg_integration.rs's, its numbers the ledger's
+# `net.aggregate.*` rows.)
 bench-smoke:
-	RUPCXX_BENCH_SMOKE=1 $(CARGO) bench -q -p rupcxx-bench --bench aggregation
 	RUPCXX_BENCH_SMOKE=1 $(CARGO) bench -q -p rupcxx-bench --bench caching
 
 # The access-path gate: direct word ops, the aggregated pack path, and
@@ -95,7 +95,8 @@ ab:
 	scripts/ab.sh $(W) $(PAIRS)
 
 # The flake gate, first cut (ROADMAP item 3): rerun the suites that sit
-# on the task path and the timing-sensitive checking tools N times each,
+# on the task path, the aggregation window (a wait for the *other* side
+# to apply a batch) and the timing-sensitive checking tools N times each,
 # pinned to one core — the schedule where a handoff that spins for the
 # other side goes wrong first — and print failures per suite:
 # `make flake [N=20]`. Test binaries are built once, before the loop.
@@ -107,7 +108,9 @@ FLAKE_SUITES = \
 	"-p rupcxx-runtime finish" \
 	"-p rupcxx-runtime team" \
 	"-p rupcxx-runtime collectives" \
+	"-p rupcxx-runtime --test agg_window" \
 	"-p rupcxx rpc" \
+	"--test agg_integration" \
 	"--test check_clean" \
 	"--test check_corpus" \
 	"--test explore_replay" \

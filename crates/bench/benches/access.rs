@@ -174,11 +174,13 @@ fn bench_pack(ops: u64) -> PackNumbers {
     }
     f.flush_agg(0);
     drain(&f);
-    // Chunk size keeps the in-flight batch count (CHUNK / flush_count =
-    // 16) under the pool's idle-slab cap, so every flushed slab finds its
-    // way back — the same bound a live receiver's continuous drain
-    // enforces. The allocator delta spans the whole pack+drain cycle:
-    // that is where recycling does (or does not) engage.
+    // Chunk size keeps the in-flight batch count (four full 241-frame
+    // slabs and the flush's partial one) under the pool's idle-slab cap
+    // of 24, so every flushed slab finds its way back — the bound the
+    // runtime's window enforces on a live sender; this loop packs through
+    // the fabric, which never throttles. The allocator delta spans the
+    // whole pack+drain cycle: that is where recycling does (or does not)
+    // engage.
     const CHUNK: u64 = 1024;
     let chunks = ops / CHUNK;
     let mut pack = std::time::Duration::ZERO;

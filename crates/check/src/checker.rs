@@ -32,6 +32,11 @@ pub enum WaitInfo {
     Collective { domain: u64, key: u64 },
     /// Blocked in `agg_fence`'s quiescence wait.
     Fence,
+    /// Throttled inside a buffered call: all `window` of the rank's
+    /// aggregation slabs are out, and it waits for a peer to apply a
+    /// batch and send one home. A full window means batches in flight,
+    /// and the scan convicts nobody while anything is.
+    AggWindow { window: usize },
     /// Blocked acquiring a `GlobalLock`.
     Lock {
         /// The lock's global word.
@@ -57,6 +62,9 @@ impl std::fmt::Display for WaitInfo {
                 write!(f, "collective (domain {domain}, key {key})")
             }
             WaitInfo::Fence => f.write_str("aggregation fence"),
+            WaitInfo::AggWindow { window } => {
+                write!(f, "aggregation window ({window} slabs out)")
+            }
             WaitInfo::Lock { lock } => write!(f, "lock ({}, 0x{:x})", lock.0, lock.1),
             WaitInfo::Event { .. } => f.write_str("event wait"),
             WaitInfo::Future => f.write_str("future get"),
@@ -623,7 +631,8 @@ impl Checker {
                     }
                 }
                 // No pattern of their own (team barrier, collective, fence,
-                // finish, request): the generic table names them.
+                // aggregation window, finish, request): the generic table
+                // names them.
                 _ => {}
             }
         }
@@ -792,6 +801,25 @@ mod tests {
         assert!(found
             .iter()
             .all(|f| f.kind == FindingKind::EventNeverSignaled));
+    }
+
+    #[test]
+    fn a_throttled_rank_is_named_in_the_generic_table() {
+        // A stuck aggregation window has no pattern of its own (with
+        // batches in flight the runtime never reports `quiet`, so only a
+        // peer that stopped serving progress can leave it stuck): the
+        // generic deadlock names it, and no new finding kind is needed.
+        let ck = Checker::new(2, CheckConfig::deadlock());
+        ck.wait_begin(0, WaitInfo::AggWindow { window: 24 });
+        ck.wait_begin(1, WaitInfo::Fence);
+        ck.maybe_scan(true);
+        (0..2).for_each(|rank| (0..2).for_each(|_| ck.wait_polled(rank)));
+        ck.maybe_scan(true);
+        let found = ck.findings();
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].kind, FindingKind::Deadlock);
+        let table = "rank 0: aggregation window (24 slabs out); rank 1: aggregation fence";
+        assert!(found[0].to_string().contains(table), "{}", found[0]);
     }
 
     #[test]

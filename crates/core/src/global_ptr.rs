@@ -147,6 +147,11 @@ impl<T: Pod> GlobalPtr<T> {
     /// reading it back remotely. Without aggregation this is exactly
     /// `rput`. Values larger than the fabric's small-put cutoff fall
     /// through to the direct path.
+    ///
+    /// With aggregation on, the call that sends a batch also runs one
+    /// receive-only progress pass, and blocks while the rank's window of
+    /// in-flight batches is full (`Ctx::agg_sent`): incoming handlers may
+    /// run inside it.
     pub fn rput_agg(&self, ctx: &Ctx, value: T) {
         let size = std::mem::size_of::<T>();
         debug_assert!(size <= 1024, "rput_agg is for small values");
@@ -159,7 +164,7 @@ impl<T: Pod> GlobalPtr<T> {
             &mut heap
         };
         value.write_to(buf);
-        ctx.fabric().put_buffered(ctx.rank(), self.addr, buf);
+        ctx.agg_sent(ctx.fabric().put_buffered(ctx.rank(), self.addr, buf));
     }
 
     /// Bulk one-sided read of `out.len()` consecutive elements starting at
@@ -270,15 +275,16 @@ impl GlobalPtr<u64> {
     /// Non-fetching remote xor, eligible for per-destination aggregation
     /// (the GUPS update loop in aggregated mode). Applied at the next
     /// flush point; the previous value is not returned — a fetching
-    /// atomic cannot be batched.
+    /// atomic cannot be batched. A progress point when it sends a batch,
+    /// like [`GlobalPtr::rput_agg`].
     pub fn rxor_agg(&self, ctx: &Ctx, value: u64) {
-        ctx.fabric().xor_u64_buffered(ctx.rank(), self.addr, value);
+        ctx.agg_sent(ctx.fabric().xor_u64_buffered(ctx.rank(), self.addr, value));
     }
 
     /// Non-fetching remote add, eligible for aggregation (see
     /// [`GlobalPtr::rxor_agg`]).
     pub fn radd_agg(&self, ctx: &Ctx, value: u64) {
-        ctx.fabric().add_u64_buffered(ctx.rank(), self.addr, value);
+        ctx.agg_sent(ctx.fabric().add_u64_buffered(ctx.rank(), self.addr, value));
     }
 }
 

@@ -12,17 +12,61 @@
 //!   which buffered operations are packed as compact frames
 //!   ([`Frame`]: handler RPCs, and `xor`/`add` word updates and small
 //!   puts as [`RmaOp`]s in the op's own wire encoding);
-//! * a buffer flushes as **one** [`AmPayload::Batch`] active message when
-//!   it crosses the configured byte or frame-count threshold
-//!   ([`AggConfig`]), or when the runtime force-flushes at a completion
-//!   point (`advance()`, `fence()`, `barrier()`, `async_copy_fence`);
+//! * **flush rule:** a buffer leaves as **one** [`AmPayload::Batch`]
+//!   active message when the frame just packed takes it to
+//!   [`AggConfig::flush_bytes`] — by default a full slab, 241 word
+//!   updates — or to [`AggConfig::flush_count`] frames (off by default);
+//!   when a direct message to the same destination must not overtake it
+//!   ([`Fabric::send_am`]); and when the runtime force-flushes at a
+//!   completion point (`advance()`, `fence()`, `barrier()`,
+//!   `async_copy_fence`, `agg_fence()`, and every blocking wait but the
+//!   window's own);
 //! * the receiver pops the batch from its inbox **once** and dispatches
 //!   the frames in order, so queue, allocation, stats and trace costs are
 //!   paid per batch, not per operation;
 //! * the reliable/fault layer sees the batch as a single sequenced frame:
 //!   a retransmit redelivers the whole batch exactly once, and per-link
-//!   FIFO order is preserved — [`Fabric::send_am`] flushes the
-//!   destination's buffer before injecting any direct message.
+//!   FIFO order is preserved.
+//!
+//! **Back-pressure: the slab is the credit.** A batch that has left and
+//! has not been applied is memory the sender still owns: its slab comes
+//! home to the sender's [`SlabPool`] only when the receiver (or the
+//! reliable layer's retransmit queue) drops it. The pool counts the slabs
+//! that are out, and the *window* is the pool's retain cap,
+//! `INBOX_SHARDS * ranks + 8` slabs — sixteen more than this rank's
+//! partial buffers can hold between them, so a rank that finds the window
+//! full always has at least sixteen batches in flight for somebody to
+//! apply. Two things follow, neither of them a message or a setting:
+//!
+//! * *who polls* — every buffered call made through the runtime
+//!   (`GlobalPtr::{rput_agg, rxor_agg, radd_agg}`, `Ctx::send_handler_agg`)
+//!   that sent a batch runs one **receive-only** progress pass before it
+//!   returns, so a rank in a pack loop applies its peers' batches at the
+//!   rate it produces its own (GASNet's rule: injection polls). The pass
+//!   never force-flushes, so where a batch is cut depends on the stream
+//!   of operations alone, never on timing. **Handlers may therefore run
+//!   inside a buffered call**, as they may inside any blocking call;
+//! * *who waits* — a buffered call that starts a slab while the window
+//!   is full blocks, serving progress the same receive-only way, until a
+//!   slab has come home. In-flight memory is a constant, not the length
+//!   of the update loop;
+//! * *who does neither* — a thread in the middle of applying a batch,
+//!   i.e. a handler frame that makes buffered calls of its own. It holds
+//!   its sender's slab until the batch's last frame has run; made to wait
+//!   for one of its own, two ranks answering each other's requests would
+//!   each hold what the other waits for. So a handler may reply, never
+//!   wait to (GASNet's rule again): its frames are packed past the window
+//!   if need be — what can arrive to be answered is bounded by the peers'
+//!   windows — and since it does not poll either, the frames of a batch
+//!   run in the order they were packed.
+//!
+//! The fabric-level calls in this module ([`Fabric::xor_u64_buffered`]
+//! and its siblings, [`Fabric::flush_agg`]) never poll and never block;
+//! they *report* — `true` = "the caller should now drive progress" — and
+//! the runtime's one hook acts on it. Over a conduit the slab returns as
+//! soon as the batch is encoded for the wire, so there the window does
+//! not bind (the per-flush pass still drains the conduit's receive
+//! queue); a credit frame between processes is future work.
 //!
 //! Without an [`AggConfig`] installed the layer is zero-cost: every
 //! buffered entry point falls through to the direct operation after one
@@ -48,12 +92,23 @@ use std::sync::Arc;
 /// Aggregation thresholds (the `RUPCXX_AGG=bytes,count` knobs).
 ///
 /// A per-destination buffer flushes when it holds `flush_bytes` of packed
-/// frames **or** `flush_count` frames, whichever comes first.
+/// frames **or** `flush_count` frames, whichever comes first. By default
+/// only the byte threshold ever does: a batch is a full slab.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AggConfig {
     /// Flush a destination buffer once it holds this many packed bytes.
+    /// Default 4096 — 241 word updates of 17 bytes. A batch costs its
+    /// receiver an inbox pop, a reference count and a trip through the
+    /// slab pool's lock whatever it carries, and since the sender polls
+    /// once per batch it sends, every batch crosses between the cores
+    /// while it is hot: a full slab amortises that, a quarter-full one
+    /// does not (EXPERIMENTS.md "Back-pressure").
     pub flush_bytes: usize,
-    /// Flush a destination buffer once it holds this many frames.
+    /// Flush a destination buffer once it holds this many frames. Default
+    /// `usize::MAX`: never — with batches applied as they arrive, a batch
+    /// cut short of its slab only pays the per-batch costs more often.
+    /// Tests and the explore corpus set it to pin batch boundaries
+    /// independently of frame sizes.
     pub flush_count: usize,
 }
 
@@ -61,13 +116,13 @@ impl Default for AggConfig {
     fn default() -> Self {
         AggConfig {
             flush_bytes: 4096,
-            flush_count: 64,
+            flush_count: usize::MAX,
         }
     }
 }
 
 impl AggConfig {
-    /// Default thresholds (4096 bytes / 64 frames).
+    /// Default thresholds (a full 4096-byte slab, no frame-count cut).
     pub fn new() -> Self {
         Self::default()
     }
@@ -173,6 +228,9 @@ pub(crate) struct AggState {
     /// Recycles batch slabs: a flushed buffer travels to the receiver as
     /// pooled [`Bytes`] and its capacity returns here when the last
     /// reader drops — steady state packs and ships without allocating.
+    /// Its retain cap is the credit window (see the module doc): with no
+    /// more slabs out than the pool keeps, none is ever freed or
+    /// allocated after warm-up.
     pool: Arc<SlabPool>,
 }
 
@@ -190,10 +248,18 @@ impl AggState {
                     })
                 })
                 .collect(),
-            // Enough idle slabs for every (shard, destination) buffer plus
-            // a margin of in-flight batches.
+            // A slab for every (shard, destination) buffer, a rank's own
+            // included, plus eight: `INBOX_SHARDS + 8` = 16 more than
+            // the partial buffers to its `ranks - 1` peers can hold.
             pool: SlabPool::new(INBOX_SHARDS * ranks + 8),
         }
+    }
+
+    /// True when no credit is left: as many slabs are out — in partial
+    /// buffers, in flight, parked in a peer's inbox — as the window holds.
+    #[inline]
+    fn window_full(&self) -> bool {
+        self.pool.out() >= self.pool.max_idle()
     }
 }
 
@@ -295,29 +361,62 @@ impl Fabric {
         self.endpoints[initiator].agg.is_some()
     }
 
+    /// Slabs `initiator`'s aggregation layer has out: taken for a partial
+    /// buffer or sent as a batch, and not yet dropped by whoever holds
+    /// them (0 without aggregation).
+    pub fn agg_slabs_out(&self, initiator: Rank) -> usize {
+        let agg = &self.endpoints[initiator].agg;
+        agg.as_ref().map_or(0, |agg| agg.pool.out())
+    }
+
+    /// The most slabs `initiator` may have out before a buffered call made
+    /// through the runtime blocks (`None` without aggregation). A constant
+    /// of the job: `INBOX_SHARDS * ranks + 8`.
+    pub fn agg_window(&self, initiator: Rank) -> Option<usize> {
+        let agg = &self.endpoints[initiator].agg;
+        agg.as_ref().map(|agg| agg.pool.max_idle())
+    }
+
+    /// True while `initiator` has as many slabs out as its window holds
+    /// (never, without aggregation): what a throttled buffered call waits
+    /// to see turn false.
+    pub fn agg_window_full(&self, initiator: Rank) -> bool {
+        let agg = &self.endpoints[initiator].agg;
+        agg.as_ref().is_some_and(AggState::window_full)
+    }
+
     /// Pack one frame for `dst` into the calling thread's shard buffer,
     /// flushing it if a threshold is crossed. Caller guarantees
-    /// aggregation is on and `dst != initiator`.
+    /// aggregation is on and `dst != initiator`. True when the caller
+    /// should now drive progress: the call sent a batch, or started a
+    /// slab with the window full.
     ///
     /// Hot-path cost: one uncontended shard-buffer lock, the
     /// `extend_from_slice` of the frame, and (rarely) a dirty-flag store —
     /// per-op stats are accounted at flush time, batched per batch.
     #[inline(always)] // with `try_buffer` and `encode`: see `rma.rs`
-    fn agg_push(&self, initiator: Rank, dst: Rank, frame: Frame<'_>) {
+    fn agg_push(&self, initiator: Rank, dst: Rank, frame: Frame<'_>) -> bool {
         let ep = &self.endpoints[initiator];
         let agg = ep.agg.as_ref().expect("agg_push without aggregation");
         let shard = &agg.shards[thread_shard()];
-        let flush = {
+        let (flush, full) = {
             let mut buf = shard.bufs[dst].lock();
+            let mut full = false;
             if buf.bytes.capacity() == 0 {
                 buf.bytes = agg.pool.take(agg.cfg.flush_bytes + AGG_SLACK);
+                // The one place the count of slabs out grows, so the one
+                // place the window is checked — whoever emptied this
+                // buffer (a threshold, `advance()`, a progress thread).
+                full = agg.window_full();
             }
             frame.encode(&mut buf.bytes);
             buf.count += 1;
             if buf.count == 1 {
                 shard.dirty.store(true, Ordering::Release);
             }
-            buf.count as usize >= agg.cfg.flush_count || buf.bytes.len() >= agg.cfg.flush_bytes
+            let flush =
+                buf.count as usize >= agg.cfg.flush_count || buf.bytes.len() >= agg.cfg.flush_bytes;
+            (flush, full)
         };
         if flush {
             // Threshold crossings flush only this thread's shard; other
@@ -326,6 +425,7 @@ impl Fabric {
             // shard via `flush_agg_to`.)
             self.flush_agg_shard_to(initiator, shard, dst);
         }
+        flush || full
     }
 
     /// Flush one (shard, destination) buffer as a single
@@ -402,57 +502,84 @@ impl Fabric {
     /// Buffered registered-handler RPC: packed as a frame when
     /// aggregation is on and `dst` is remote, otherwise a direct
     /// [`Fabric::send_am`].
-    pub fn am_buffered(&self, initiator: Rank, dst: Rank, id: u16, args: &[u8]) {
+    ///
+    /// Like every buffered call of the fabric this neither polls nor
+    /// blocks; it returns whether the caller should now drive progress
+    /// (see [`Fabric::xor_u64_buffered`]).
+    pub fn am_buffered(&self, initiator: Rank, dst: Rank, id: u16, args: &[u8]) -> bool {
         if self.endpoints[initiator].agg.is_some() && dst != initiator {
-            self.agg_push(initiator, dst, Frame::Handler { id, args });
-        } else {
-            self.send_am(
-                initiator,
-                dst,
-                AmPayload::Handler {
-                    id,
-                    args: Bytes::copy_from_slice(args),
-                },
-            );
+            return self.agg_push(initiator, dst, Frame::Handler { id, args });
         }
+        self.send_am(
+            initiator,
+            dst,
+            AmPayload::Handler {
+                id,
+                args: Bytes::copy_from_slice(args),
+            },
+        );
+        false
     }
 
     /// Pack `op` for its target when the initiator aggregates, the target
     /// is remote and the op is fine-grained; write-through invalidation
-    /// happens now, the update at delivery. False = not buffered.
+    /// happens now, the update at delivery. `None` = not buffered, else
+    /// [`Fabric::agg_push`]'s verdict.
     #[inline(always)]
-    fn try_buffer(&self, initiator: Rank, op: &RmaOp<'_>) -> bool {
+    fn try_buffer(&self, initiator: Rank, op: &RmaOp<'_>) -> Option<bool> {
         let dst = op.addr();
         let buffer = self.endpoints[initiator].agg.is_some()
             && dst.rank() != initiator
             && op.bytes() <= AGG_MAX_PUT;
-        if buffer {
-            self.invalidate_own(initiator, dst, op.cover());
-            self.agg_push(initiator, dst.rank(), Frame::Rma(*op));
+        if !buffer {
+            return None;
         }
-        buffer
+        self.invalidate_own(initiator, dst, op.cover());
+        Some(self.agg_push(initiator, dst.rank(), Frame::Rma(*op)))
     }
 
     /// Buffered remote xor (no fetched result — the update is applied by
     /// the destination's progress engine at delivery).
-    pub fn xor_u64_buffered(&self, initiator: Rank, dst: GlobalAddr, value: u64) {
-        if !self.try_buffer(initiator, &RmaOp::rmw(dst, RmwOp::Xor, value, 0)) {
-            let _ = self.xor_u64(initiator, dst, value);
+    ///
+    /// Returns true when the caller should now drive progress — the call
+    /// sent a batch, or started a slab with the window full (module doc,
+    /// "Back-pressure") — which the runtime's buffered entry points hand
+    /// to `Ctx::agg_sent`. A caller that packs through the fabric directly
+    /// and ignores it gets the unthrottled layer: nothing polls, nothing
+    /// blocks, every batch waits in its slab for the next flush point's
+    /// drain. False whenever the op went out directly.
+    pub fn xor_u64_buffered(&self, initiator: Rank, dst: GlobalAddr, value: u64) -> bool {
+        match self.try_buffer(initiator, &RmaOp::rmw(dst, RmwOp::Xor, value, 0)) {
+            Some(drive) => drive,
+            None => {
+                let _ = self.xor_u64(initiator, dst, value);
+                false
+            }
         }
     }
 
-    /// Buffered remote add (no fetched result).
-    pub fn add_u64_buffered(&self, initiator: Rank, dst: GlobalAddr, value: u64) {
-        if !self.try_buffer(initiator, &RmaOp::rmw(dst, RmwOp::Add, value, 0)) {
-            let _ = self.add_u64(initiator, dst, value);
+    /// Buffered remote add (no fetched result); returns as
+    /// [`Fabric::xor_u64_buffered`] does.
+    pub fn add_u64_buffered(&self, initiator: Rank, dst: GlobalAddr, value: u64) -> bool {
+        match self.try_buffer(initiator, &RmaOp::rmw(dst, RmwOp::Add, value, 0)) {
+            Some(drive) => drive,
+            None => {
+                let _ = self.add_u64(initiator, dst, value);
+                false
+            }
         }
     }
 
     /// Buffered small put. Payloads over [`AGG_MAX_PUT`] bytes (or local
-    /// / unaggregated ones) go out as a direct one-sided put.
-    pub fn put_buffered(&self, initiator: Rank, dst: GlobalAddr, data: &[u8]) {
-        if !self.try_buffer(initiator, &RmaOp::Put { addr: dst, data }) {
-            self.put(initiator, dst, data);
+    /// / unaggregated ones) go out as a direct one-sided put. Returns as
+    /// [`Fabric::xor_u64_buffered`] does.
+    pub fn put_buffered(&self, initiator: Rank, dst: GlobalAddr, data: &[u8]) -> bool {
+        match self.try_buffer(initiator, &RmaOp::Put { addr: dst, data }) {
+            Some(drive) => drive,
+            None => {
+                self.put(initiator, dst, data);
+                false
+            }
         }
     }
 
@@ -639,6 +766,62 @@ mod tests {
         assert_eq!(f.endpoint(0).stats.snapshot().agg_batches, 1);
         assert!(dispatch_all(&f, 1).is_empty());
         assert_eq!(f.endpoint(1).segment.load_u64(0), 4);
+    }
+
+    #[test]
+    fn default_batch_is_a_full_slab() {
+        // 17-byte word frames: the 241st takes the buffer past 4096 bytes;
+        // no frame count cuts it short.
+        let f = agg_fabric(2, AggConfig::default());
+        let sent: Vec<bool> = (0..241)
+            .map(|i| f.xor_u64_buffered(0, GlobalAddr::new(1, 8 * (i % 64)), 1))
+            .collect();
+        assert_eq!(sent.iter().filter(|&&s| s).count(), 1);
+        assert!(sent[240], "the frame that crosses the threshold reports it");
+        let c = f.endpoint(0).stats.snapshot();
+        assert_eq!((c.agg_ops, c.agg_batches), (241, 1));
+    }
+
+    #[test]
+    fn buffered_calls_report_a_sent_batch_and_a_full_window() {
+        // The fabric-level calls never poll and never block: they say when
+        // a caller should. Nobody drains rank 1 here, so every slab rank 0
+        // takes stays out.
+        let f = agg_fabric(2, AggConfig::new().flush_count(2));
+        let window = f.agg_window(0).expect("aggregation is on");
+        assert_eq!(window, INBOX_SHARDS * 2 + 8);
+        let push = || f.add_u64_buffered(0, GlobalAddr::new(1, 0), 1);
+        for batch in 0..window - 1 {
+            assert!(!push(), "batch {batch}: a first frame under the window");
+            assert!(push(), "batch {batch}: the frame that sends it");
+            assert_eq!(f.agg_slabs_out(0), batch + 1);
+            assert!(!f.agg_window_full(0));
+        }
+        // The window's last slab: taking it is reported at once, while the
+        // buffer holds a single frame.
+        assert!(push(), "started a slab with the window full");
+        assert!(f.agg_window_full(0));
+        assert_eq!(f.agg_slabs_out(0), window);
+        // A caller that carries on regardless is not stopped (the pinned
+        // ledger packs this way) — it is told every time.
+        assert!(push() && push() && f.agg_slabs_out(0) == window + 1);
+        // Applying the batches sends the slabs home: all but the partial
+        // buffer's.
+        assert!(dispatch_all(&f, 1).is_empty());
+        assert_eq!(f.endpoint(1).segment.load_u64(0), 2 * window as u64);
+        assert_eq!(f.agg_slabs_out(0), 1);
+        assert!(!f.agg_window_full(0));
+        assert!(push(), "the partial buffer's second frame sends it");
+        assert!(!push(), "and the next slab is taken well under the window");
+        // Without aggregation there is no window and nothing to report.
+        let plain = Fabric::new(FabricConfig {
+            ranks: 2,
+            segment_bytes: 4096,
+            ..FabricConfig::default()
+        });
+        assert!(!plain.add_u64_buffered(0, GlobalAddr::new(1, 0), 1));
+        assert_eq!((plain.agg_window(0), plain.agg_slabs_out(0)), (None, 0));
+        assert!(!plain.agg_window_full(0));
     }
 
     #[test]

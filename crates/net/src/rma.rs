@@ -590,7 +590,7 @@ mod tests {
                 f.rma_arrived(1, 0, stamp.as_ref(), &op, Site::Wire, &mut out)
             }
             Path::Batch => {
-                match *op {
+                let sent = match *op {
                     RmaOp::Put { addr, data } => f.put_buffered(0, addr, data),
                     RmaOp::Rmw {
                         addr,
@@ -600,7 +600,8 @@ mod tests {
                     } => f.xor_u64_buffered(0, addr, a),
                     RmaOp::Rmw { addr, a, .. } => f.add_u64_buffered(0, addr, a),
                     _ => unreachable!("{}: no buffered entry point", row.name),
-                }
+                };
+                assert!(!sent, "{}: one frame crosses no threshold", row.name);
                 assert_eq!(f.flush_agg(0), 1);
                 let msg = f.endpoint(1).try_recv().expect("the batch");
                 let AmPayload::Batch { frames, count: 1 } = &msg.payload else {

@@ -7,6 +7,7 @@ use rupcxx_net::{AmMessage, AmPayload, BatchReader, Fabric, Frame, GlobalAddr, R
 use rupcxx_trace::{EventKind, RankTrace, WaitConstruct};
 use rupcxx_util::Bytes;
 use std::any::Any;
+use std::cell::Cell;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -22,6 +23,34 @@ const SPIN_POLLS: u32 = 64;
 /// long the wait spins first.
 const SCAN_YIELDS: u32 = 2048;
 
+thread_local! {
+    /// Batches this thread is in the middle of applying (more than one
+    /// when a handler frame blocks and its wait applies another): each is
+    /// a peer's aggregation slab that cannot go home before its last
+    /// frame has run. While it is nonzero [`Ctx::agg_sent`] does nothing —
+    /// a thread that holds a peer's credit must never wait for one of its
+    /// own, or two ranks answering each other's floods each end up
+    /// holding what the other waits for (GASNet's rule: a handler may
+    /// reply, it may not wait to).
+    static APPLYING: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Marks the calling thread as applying a batch until dropped.
+struct Applying;
+
+impl Applying {
+    fn begin() -> Self {
+        APPLYING.with(|n| n.set(n.get() + 1));
+        Applying
+    }
+}
+
+impl Drop for Applying {
+    fn drop(&mut self) {
+        APPLYING.with(|n| n.set(n.get() - 1));
+    }
+}
+
 /// The recorder's construct for a wait (the checker takes the descriptor
 /// as it is).
 fn construct(wait: WaitInfo) -> WaitConstruct {
@@ -34,6 +63,7 @@ fn construct(wait: WaitInfo) -> WaitConstruct {
         WaitInfo::Finish => WaitConstruct::FinishWait,
         WaitInfo::Lock { .. } => WaitConstruct::LockAcquire,
         WaitInfo::Request => WaitConstruct::Request,
+        WaitInfo::AggWindow { .. } => WaitConstruct::AggWindow,
     }
 }
 
@@ -100,6 +130,17 @@ impl Ctx {
         // single relaxed load when nothing is buffered), so a rank that
         // blocks in `wait_until` cannot strand ops a peer is waiting on.
         let flushed = self.shared.fabric.flush_agg(self.rank);
+        self.poll() + flushed
+    }
+
+    /// The receive half of [`Ctx::advance`]: pump what is on its way to
+    /// this rank and run what has arrived. It sends nothing of this
+    /// rank's own — in particular it leaves partial aggregation buffers
+    /// alone — which is what lets the aggregation hook
+    /// ([`Ctx::agg_sent`]) run it between two buffered calls without
+    /// changing where the next batch is cut.
+    #[inline(always)] // `advance()` is this plus the flush, not a call more
+    fn poll(&self) -> usize {
         // With a controlled schedule installed, release every delivery the
         // schedule currently allows (any rank's engine may drive the
         // global order — delivery is just an inbox push); one untaken
@@ -109,7 +150,7 @@ impl Ctx {
         // conduit delivered (RMA requests, wire AMs, FIN handshakes);
         // one untaken branch on the in-process fabric.
         let arrived = self.shared.fabric.pump_conduit(self.rank);
-        let pumped = self.shared.fabric.pump_incoming(self.rank) + flushed + scheduled + arrived;
+        let pumped = self.shared.fabric.pump_incoming(self.rank) + scheduled + arrived;
         let ep = self.shared.fabric.endpoint(self.rank);
         if !ep.trace.ops_enabled() {
             // Untraced fast path: identical to the pre-trace engine.
@@ -158,6 +199,7 @@ impl Ctx {
                 // One inbox pop carries many logical ops: apply RMA
                 // frames to our segment, dispatch handler frames in the
                 // order the sender buffered them.
+                let _holding_the_senders_slab = Applying::begin();
                 for frame in BatchReader::new(&frames) {
                     if let Frame::Handler { id, args } = frame {
                         // Re-window the batch buffer around this frame's
@@ -215,7 +257,17 @@ impl Ctx {
     /// It is also where the deadlock checker acts: deeply idle waits
     /// trigger its wait-for scan, and a confirmed deadlock panics the
     /// blocked rank with the finding (mirroring `PeerUnreachable`).
-    pub fn wait_until(&self, mut cond: impl FnMut() -> bool) {
+    pub fn wait_until(&self, cond: impl FnMut() -> bool) {
+        self.wait_loop(true, cond);
+    }
+
+    /// [`Ctx::wait_until`]'s loop. `flush` = drive progress with
+    /// [`Ctx::advance`], which force-flushes this rank's partial
+    /// aggregation buffers on every pass — what every wait wants but the
+    /// aggregation window's, which serves the receive half alone
+    /// ([`Ctx::poll`]).
+    #[inline]
+    fn wait_loop(&self, flush: bool, mut cond: impl FnMut() -> bool) {
         let mut idle_polls = 0u32;
         let mut yields = 0u32;
         loop {
@@ -243,7 +295,8 @@ impl Ctx {
             if cond() {
                 return;
             }
-            if self.advance() > 0 {
+            let progressed = if flush { self.advance() } else { self.poll() };
+            if progressed > 0 {
                 idle_polls = 0;
                 yields = 0;
                 continue;
@@ -285,7 +338,7 @@ impl Ctx {
     /// enclosing one — see `Checker::wait_end`); with the recorder on, a
     /// wait that blocks is the one `Wait` event of its construct, its state
     /// classified as `rupcxx_trace::waitstate` describes. With neither,
-    /// this is [`Ctx::wait_until`] behind three untaken branches.
+    /// this is [`Ctx::wait_until`]'s loop behind three untaken branches.
     ///
     /// `cond` may advance state of its own as it is polled (a barrier's
     /// rounds do); once it has returned true it is not called again.
@@ -295,8 +348,12 @@ impl Ctx {
             ck.wait_begin(self.rank, wait);
         }
         let barrier = matches!(wait, WaitInfo::Barrier { .. });
+        // A rank throttled by the aggregation window sends nothing while
+        // it waits: flushing its partial buffers would cut batches by
+        // timing, and short.
+        let flush = !matches!(wait, WaitInfo::AggWindow { .. });
         if !trace.enabled() {
-            self.wait_until(cond);
+            self.wait_loop(flush, cond);
         } else if barrier || !cond() {
             // A wait satisfied at first look neither spins nor is
             // recorded. A barrier always is: its exit splits every rank's
@@ -304,7 +361,7 @@ impl Ctx {
             // a named state in full — the report's headline accuracy
             // number.
             let (begun, retx0) = (trace.wait_begin(), fabric.total_retransmits());
-            self.wait_until(cond);
+            self.wait_loop(flush, cond);
             let retx = fabric.total_retransmits() - retx0;
             let ns = trace.wait_end(construct(wait), begun, retx);
             if barrier {
@@ -357,12 +414,61 @@ impl Ctx {
     /// buffer and delivered at the next flush point (threshold overflow,
     /// [`Ctx::advance`], [`Ctx::barrier`] or [`Ctx::agg_fence`]).
     /// Without aggregation this is exactly `send_handler`.
+    ///
+    /// Like every buffered call it is a progress point when it sends a
+    /// batch ([`Ctx::agg_sent`]): incoming handlers may run before it
+    /// returns — unless the caller is itself a handler running out of a
+    /// batch, whose reply is packed and nothing more.
     pub fn send_handler_agg(&self, dst: Rank, id: crate::HandlerId, args: &[u8]) {
         debug_assert!(
             (id as usize) < self.shared.handlers.len(),
             "unknown handler {id}"
         );
-        self.shared.fabric.am_buffered(self.rank, dst, id, args);
+        self.agg_sent(self.shared.fabric.am_buffered(self.rank, dst, id, args));
+    }
+
+    /// The aggregation layer's back-pressure hook, behind every buffered
+    /// entry point of the runtime (`GlobalPtr::{rput_agg, rxor_agg,
+    /// radd_agg}`, [`Ctx::send_handler_agg`]): hand it what the fabric's
+    /// buffered call returned. `true` — the call sent a batch or started a
+    /// slab with the window full (`rupcxx_net::aggregate`, "Back-pressure")
+    /// — makes this call do two things:
+    ///
+    /// 1. run one receive-only progress pass, so a rank in a pack loop
+    ///    applies its peers' batches as fast as it sends its own and
+    ///    their slabs go home;
+    /// 2. while the window is still full, block — as a wait like any
+    ///    other, visible to the deadlock scan and the recorder as
+    ///    `WaitInfo::AggWindow` — until a peer has applied a batch.
+    ///
+    /// Neither force-flushes this rank's partial buffers. Neither happens
+    /// on a thread that is in the middle of applying a batch (the caller
+    /// is one of its handler frames): that thread holds the sender's slab,
+    /// and waiting for a slab while holding one is how two ranks that
+    /// answer each other's requests deadlock. Its reply is packed, past
+    /// the window if need be, and the batch's remaining frames run next,
+    /// in order. `false` (always, without aggregation) is one untaken
+    /// branch.
+    #[inline]
+    pub fn agg_sent(&self, drive: bool) {
+        if drive {
+            self.agg_throttle();
+        }
+    }
+
+    #[inline(never)]
+    fn agg_throttle(&self) {
+        if APPLYING.with(Cell::get) > 0 {
+            return;
+        }
+        self.poll();
+        let (fabric, me) = (&self.shared.fabric, self.rank);
+        if fabric.agg_window_full(me) {
+            let wait = WaitInfo::AggWindow {
+                window: fabric.agg_window(me).unwrap_or(0),
+            };
+            self.wait_on(wait, || !fabric.agg_window_full(me));
+        }
     }
 
     /// Flush this rank's aggregation buffers: every buffered op is sent

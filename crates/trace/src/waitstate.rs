@@ -2,7 +2,8 @@
 //!
 //! Scalasca-style classification. Each blocking construct (barrier,
 //! collective, fence, event/future wait, finish quiescence, lock acquire,
-//! two-sided request) waits through the runtime's one `Ctx::wait_on`;
+//! two-sided request, aggregation window) waits through the runtime's one
+//! `Ctx::wait_on`;
 //! when the wait ends, what the fabric did while we were blocked picks
 //! exactly one state:
 //!
@@ -10,7 +11,8 @@
 //!   frames anywhere in the fabric during the wait: we were waiting out
 //!   packet loss, not the peer.
 //! * [`WaitState::LateReceiver`] — a lock acquire spun on a holder who
-//!   had not released yet (the classic one-sided late-receiver).
+//!   had not released yet (the classic one-sided late-receiver), or a
+//!   buffered call waited for a peer to apply the batches it was sent.
 //! * [`WaitState::LateSender`] — messages joined during the wait and the
 //!   newest of them was injected *after* we started waiting: the peer
 //!   simply had not sent yet.
@@ -45,10 +47,13 @@ pub enum WaitConstruct {
     Collective,
     /// A two-sided request of the MPI baseline (`wait_send`/`wait_recv`).
     Request,
+    /// A buffered call throttled by the aggregation window: every slab is
+    /// out and a peer has yet to apply a batch.
+    AggWindow,
 }
 
 /// All constructs, in discriminant order (for iteration and reports).
-pub const CONSTRUCTS: [WaitConstruct; 8] = [
+pub const CONSTRUCTS: [WaitConstruct; 9] = [
     WaitConstruct::Barrier,
     WaitConstruct::Fence,
     WaitConstruct::EventWait,
@@ -57,6 +62,7 @@ pub const CONSTRUCTS: [WaitConstruct; 8] = [
     WaitConstruct::LockAcquire,
     WaitConstruct::Collective,
     WaitConstruct::Request,
+    WaitConstruct::AggWindow,
 ];
 
 impl WaitConstruct {
@@ -71,6 +77,7 @@ impl WaitConstruct {
             WaitConstruct::LockAcquire => "lock_acquire",
             WaitConstruct::Collective => "collective",
             WaitConstruct::Request => "request",
+            WaitConstruct::AggWindow => "agg_window",
         }
     }
 }
@@ -81,7 +88,8 @@ impl WaitConstruct {
 pub enum WaitState {
     /// The awaited message was injected after we started waiting.
     LateSender,
-    /// The peer had not consumed/released what we needed (locks).
+    /// The peer had not consumed/released what we needed (locks, the
+    /// aggregation window).
     LateReceiver,
     /// Data was already in flight before the wait; progress lagged.
     ProgressStarved,
@@ -136,7 +144,10 @@ pub fn classify(
 ) -> WaitState {
     if retx_delta > 0 {
         WaitState::RetransmitStall
-    } else if construct == WaitConstruct::LockAcquire {
+    } else if matches!(
+        construct,
+        WaitConstruct::LockAcquire | WaitConstruct::AggWindow
+    ) {
         WaitState::LateReceiver
     } else if joined_delta > 0 && last_inject_ns >= wait_start_ns {
         WaitState::LateSender
@@ -219,6 +230,8 @@ mod tests {
         assert_eq!(classify(LockAcquire, 1, 0, 0, 50), RetransmitStall);
         // Lock spins are late-receiver by construction.
         assert_eq!(classify(LockAcquire, 0, 2, 100, 50), LateReceiver);
+        // So is a sender throttled until its batches are applied.
+        assert_eq!(classify(AggWindow, 0, 2, 100, 50), LateReceiver);
         // A message injected after we blocked = late sender.
         assert_eq!(classify(EventWait, 0, 1, 100, 50), LateSender);
         // Injected before we blocked = the progress engine was behind.

@@ -18,17 +18,29 @@
 
 use crate::sync::Mutex;
 use std::ops::Deref;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 
 /// A recycling arena of byte slabs for batch packing. `take` hands out a
 /// cleared `Vec<u8>` with at least the requested capacity (reusing a
 /// previously returned slab when one is available); slabs wrapped with
 /// [`Bytes::pooled`] come back automatically when the last reader drops.
+///
+/// The pool also counts the slabs it has handed out and not got back
+/// ([`SlabPool::out`]). A slab that travels as pooled [`Bytes`] stays
+/// counted until its last reader drops it, so the count is what the
+/// owner has in flight — the aggregation layer uses it as its credit
+/// window: a taker that keeps `out()` at or under `max_idle` never makes
+/// the pool free a returned slab, and so never makes it allocate one.
 #[derive(Debug)]
 pub struct SlabPool {
     slabs: Mutex<Vec<Vec<u8>>>,
     /// Retain at most this many idle slabs (excess capacity is freed).
     max_idle: usize,
+    /// Slabs taken and not yet returned. A plain count that publishes no
+    /// data (a slab's bytes change hands under `slabs`' lock or inside an
+    /// `Arc`), so every access is `Relaxed`.
+    out: AtomicUsize,
 }
 
 impl SlabPool {
@@ -38,6 +50,7 @@ impl SlabPool {
         Arc::new(SlabPool {
             slabs: Mutex::new(Vec::new()),
             max_idle,
+            out: AtomicUsize::new(0),
         })
     }
 
@@ -46,6 +59,7 @@ impl SlabPool {
     /// owns the capacity.
     #[must_use]
     pub fn take(&self, capacity: usize) -> Vec<u8> {
+        self.out.fetch_add(1, Ordering::Relaxed);
         let recycled = self.slabs.lock().pop();
         match recycled {
             Some(mut v) => {
@@ -57,19 +71,47 @@ impl SlabPool {
         }
     }
 
-    /// Return a slab to the pool (dropped if the pool is full).
+    /// Return a slab obtained from [`SlabPool::take`] (its capacity is
+    /// freed if the pool is full; either way it no longer counts as out).
     pub fn put(&self, mut slab: Vec<u8>) {
         slab.clear();
-        let mut slabs = self.slabs.lock();
-        if slabs.len() < self.max_idle {
-            slabs.push(slab);
+        {
+            let mut slabs = self.slabs.lock();
+            if slabs.len() < self.max_idle {
+                slabs.push(slab);
+            }
         }
+        // Counted back only once it is idle (the lock above orders the
+        // two for any taker), so a credit seen is a slab found, not an
+        // allocation. Saturating, so a slab the pool never handed out
+        // cannot wrap the count and wedge whoever waits on it.
+        let _ = self
+            .out
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                Some(n.saturating_sub(1))
+            });
     }
 
     /// Number of idle slabs currently held.
     #[must_use]
     pub fn idle(&self) -> usize {
         self.slabs.lock().len()
+    }
+
+    /// Slabs taken and not yet returned — by [`SlabPool::put`] or by the
+    /// drop of the last clone of a [`Bytes::pooled`] buffer. A slab that
+    /// is dropped any other way stays counted.
+    #[inline]
+    #[must_use]
+    pub fn out(&self) -> usize {
+        self.out.load(Ordering::Relaxed)
+    }
+
+    /// The retain cap this pool was built with.
+    #[inline]
+    #[must_use]
+    pub fn max_idle(&self) -> usize {
+        self.max_idle
     }
 }
 
@@ -314,6 +356,41 @@ mod tests {
             pool.put(Vec::with_capacity(16));
         }
         assert_eq!(pool.idle(), 2);
+    }
+
+    #[test]
+    fn out_count_follows_every_way_a_slab_leaves_and_returns() {
+        let pool = SlabPool::new(2);
+        let slabs: Vec<Vec<u8>> = (0..4).map(|_| pool.take(16)).collect();
+        assert_eq!((pool.out(), pool.idle()), (4, 0));
+        // Returned by hand; the third and fourth find the pool full and
+        // are freed, which returns them all the same.
+        let mut slabs = slabs.into_iter();
+        pool.put(slabs.next().unwrap());
+        pool.put(slabs.next().unwrap());
+        assert_eq!((pool.out(), pool.idle()), (2, 2));
+        pool.put(slabs.next().unwrap());
+        assert_eq!((pool.out(), pool.idle()), (1, 2));
+        // Returned by the last reader of a pooled buffer, however many
+        // clones and windows it went through.
+        let b = Bytes::pooled(slabs.next().unwrap(), &pool);
+        let window = b.slice_ref(&b.as_slice()[..0]);
+        drop(b);
+        assert_eq!(pool.out(), 1, "a window keeps the slab out");
+        drop(window);
+        assert_eq!((pool.out(), pool.idle()), (0, 2));
+        // A recycled slab counts again; a slab the pool never handed out
+        // does not take the count below zero.
+        let again = pool.take(16);
+        assert_eq!((pool.out(), pool.idle()), (1, 1));
+        pool.put(again);
+        pool.put(Vec::new());
+        assert_eq!(pool.out(), 0);
+        // A buffer that outlives its pool has nowhere to report to.
+        let orphan = Bytes::pooled(pool.take(8), &pool);
+        assert_eq!(pool.out(), 1);
+        drop(pool);
+        drop(orphan);
     }
 
     #[test]

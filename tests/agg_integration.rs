@@ -1,9 +1,10 @@
 //! Integration tests of per-destination aggregation end to end: GUPS in
 //! aggregated mode must coalesce its fine-grained updates into at least
 //! 8× fewer wire frames than logical updates (the `CommStats::agg_*`
-//! counters), while producing a bit-for-bit identical table; with
-//! aggregation disabled — or enabled but unused — fabric op counts must
-//! be unchanged.
+//! counters), while producing a bit-for-bit identical table; where its
+//! batches are cut must depend on the update stream alone, however the
+//! per-flush polls and the window's waits fall; with aggregation disabled
+//! — or enabled but unused — fabric op counts must be unchanged.
 
 use rupcxx_apps::gups::{self, GupsConfig, Variant};
 use rupcxx_net::{AggConfig, CommCounts};
@@ -74,7 +75,9 @@ fn aggregated_gups_coalesces_8x_with_identical_results() {
     for (rank, (_, c)) in agg.iter().enumerate() {
         assert!(c.agg_batches > 0, "rank {rank} never batched: {c:?}");
         // The tentpole claim: >= 8x fewer wire frames than logical
-        // updates (default thresholds give ~64 frames per batch).
+        // updates (a default batch is a full slab, 241 word frames; at
+        // 4000 updates a rank the fence's partial batches pull the mean
+        // well below that).
         assert!(
             c.agg_ops >= 8 * c.agg_batches,
             "rank {rank}: {} logical ops in {} batches is under 8x",
@@ -94,6 +97,42 @@ fn aggregated_gups_coalesces_8x_with_identical_results() {
     // Per-op GUPS never touches the aggregation layer.
     for (_, c) in &plain {
         assert_eq!((c.agg_ops, c.agg_batches), (0, 0));
+    }
+}
+
+#[test]
+fn batch_counts_are_a_function_of_the_update_stream() {
+    // Long enough that every rank sends some thousands of batches, polls
+    // once for each and is throttled by the window now and then. None of
+    // that may move a batch boundary: the poll and the window's wait are
+    // receive-only, so a buffer is cut by its own threshold or by the
+    // fence, never because the rank happened to be waiting. (A hook that
+    // polled or blocked through `advance()` would flush the *other*
+    // destinations' partial buffers each time, a different number of
+    // times each run.)
+    let cfg = GupsConfig {
+        table_size: 1 << 12,
+        updates_per_rank: 400_000,
+        variant: Variant::UpcxxAgg,
+        verify: false,
+    };
+    let batches = |_| -> Vec<(u64, u64)> {
+        spmd(rt().with_agg(AggConfig::new()), move |ctx| {
+            gups::run(ctx, &cfg);
+            ctx.barrier();
+            let c = ctx.fabric().endpoint(ctx.rank()).stats.snapshot();
+            (c.agg_ops, c.agg_batches)
+        })
+    };
+    let runs: Vec<_> = (0..5).map(batches).collect();
+    for run in &runs[1..] {
+        assert_eq!(run, &runs[0], "batch counts moved between runs");
+    }
+    for (rank, &(ops, batches)) in runs[0].iter().enumerate() {
+        assert!(
+            ops >= 200 * batches,
+            "rank {rank}: {ops} updates in {batches} batches: slabs leave under-filled"
+        );
     }
 }
 

@@ -44,22 +44,27 @@ fn issue(f: &Fabric, &(reverse, kind, x, y): &Op) {
     let (src, dst) = if reverse { (1, 0) } else { (0, 1) };
     let addr = GlobalAddr::new(dst, (x as usize % WORDS) * 8);
     let value = y as u64 + 1;
-    match kind % 5 {
+    // The fabric-level calls only report when a caller should drive
+    // progress; this harness drains on its own terms.
+    let _ = match kind % 5 {
         0 => f.am_buffered(src, dst, x, &y.to_le_bytes()),
         1 => f.xor_u64_buffered(src, addr, value),
         2 => f.add_u64_buffered(src, addr, value),
         3 => f.put_buffered(src, addr, &value.to_le_bytes()),
         // Direct AM interleaved with buffered traffic: must flush the
         // destination's buffer first to preserve per-link order.
-        _ => f.send_am(
-            src,
-            dst,
-            AmPayload::Handler {
-                id: x,
-                args: Bytes::copy_from_slice(&y.to_le_bytes()),
-            },
-        ),
-    }
+        _ => {
+            f.send_am(
+                src,
+                dst,
+                AmPayload::Handler {
+                    id: x,
+                    args: Bytes::copy_from_slice(&y.to_le_bytes()),
+                },
+            );
+            false
+        }
+    };
 }
 
 /// Pump + drain `me` until quiescent, recording handler ids in delivery

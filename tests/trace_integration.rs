@@ -19,6 +19,9 @@ use std::sync::Arc;
 
 const RANKS: usize = 4;
 const UPDATES: usize = 500;
+/// Buffered adds rank 0 packs at rank 1 in the throttled row, eight to a
+/// batch: several times the 40 slabs of a four-rank window.
+const THROTTLED_ADDS: usize = 2000;
 
 fn tmp_path(tag: &str) -> String {
     std::env::temp_dir()
@@ -54,6 +57,10 @@ enum Extra {
     /// Eager two-sided ping-pong in pairs: the even rank's receive of
     /// the reply blocks on every run, for the same reason.
     Mpi(Arc<MpiWorld>),
+    /// Rank 0 packs windows of batches at rank 1 through the runtime's
+    /// hook; rank 1 makes no progress call until it has seen rank 0's
+    /// window full, so rank 0's wait for a slab blocks on every run.
+    Throttled,
 }
 
 impl Extra {
@@ -70,6 +77,21 @@ impl Extra {
                     assert_eq!(half.allreduce(ctx, 1u64, |a, b| a + b), 2);
                     half.barrier(ctx);
                 }
+            }
+            Extra::Throttled => {
+                if me == 0 {
+                    for i in 0..THROTTLED_ADDS {
+                        let word = GlobalAddr::new(1, 2048 + (i % 8) * 8);
+                        ctx.agg_sent(ctx.fabric().add_u64_buffered(0, word, 1));
+                    }
+                } else if me == 1 {
+                    let began = std::time::Instant::now();
+                    while !ctx.fabric().agg_window_full(0) {
+                        assert!(began.elapsed().as_secs() < 20, "rank 0 was never throttled");
+                        std::thread::yield_now();
+                    }
+                }
+                ctx.agg_fence();
             }
             Extra::Mpi(world) => {
                 let comm = world.comm(ctx);
@@ -92,6 +114,15 @@ impl Extra {
             Extra::None => None,
             Extra::Collectives => (rank != 0).then_some(WaitConstruct::Collective),
             Extra::Mpi(_) => rank.is_multiple_of(2).then_some(WaitConstruct::Request),
+            Extra::Throttled => (rank == 0).then_some(WaitConstruct::AggWindow),
+        }
+    }
+
+    /// Buffered ops the row adds to `rank`'s own.
+    fn packs(&self, rank: usize) -> u64 {
+        match self {
+            Extra::Throttled if rank == 0 => THROTTLED_ADDS as u64,
+            _ => 0,
         }
     }
 }
@@ -136,7 +167,7 @@ fn gups_trace_events_match_comm_stats() {
         .delay(0.05);
     let base = || RuntimeConfig::new(RANKS).segment_bytes(1 << 16);
     let prof = |tag| ProfConfig::on().with_path(tmp_path(&format!("{tag}_prof")));
-    let table: [(&str, RuntimeConfig, Extra); 7] = [
+    let table: [(&str, RuntimeConfig, Extra); 8] = [
         ("events", base(), Extra::None),
         ("prof", base().with_prof(prof("prof")), Extra::None),
         (
@@ -148,6 +179,13 @@ fn gups_trace_events_match_comm_stats() {
             "agg",
             base().with_prof(prof("agg")).with_agg(AggConfig::new()),
             Extra::None,
+        ),
+        (
+            "throttled",
+            base()
+                .with_prof(prof("throttled"))
+                .with_agg(AggConfig::new().flush_count(8)),
+            Extra::Throttled,
         ),
         ("cache", base().with_cache(CacheConfig::new()), Extra::None),
         (
@@ -189,7 +227,8 @@ fn gups_trace_events_match_comm_stats() {
             }
             // The workload shape itself, so equal-because-zero cannot pass.
             let updates = if buffered { c.agg_ops } else { c.puts };
-            assert_eq!(updates, UPDATES as u64, "{tag}: rank {rank} updates");
+            let expected = UPDATES as u64 + extra.packs(rank);
+            assert_eq!(updates, expected, "{tag}: rank {rank} updates");
             assert_eq!(c.cache_hits + c.gets, (UPDATES / 4) as u64, "{tag}: gets");
             assert_eq!(tag == "cache", c.cache_hits > 0, "{tag}: rank {rank}");
             assert_eq!(buffered, c.agg_batches > 0, "{tag}: rank {rank}");
