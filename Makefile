@@ -109,6 +109,7 @@ FLAKE_SUITES = \
 	"-p rupcxx-runtime team" \
 	"-p rupcxx-runtime collectives" \
 	"-p rupcxx-runtime --test agg_window" \
+	"-p rupcxx-runtime --test finish_ack" \
 	"-p rupcxx rpc" \
 	"--test agg_integration" \
 	"--test check_clean" \

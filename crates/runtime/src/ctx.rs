@@ -27,12 +27,22 @@ thread_local! {
     /// Batches this thread is in the middle of applying (more than one
     /// when a handler frame blocks and its wait applies another): each is
     /// a peer's aggregation slab that cannot go home before its last
-    /// frame has run. While it is nonzero [`Ctx::agg_sent`] does nothing —
+    /// frame has run. While it is nonzero [`Ctx::agg_sent`] drives nothing —
     /// a thread that holds a peer's credit must never wait for one of its
     /// own, or two ranks answering each other's floods each end up
     /// holding what the other waits for (GASNet's rule: a handler may
     /// reply, it may not wait to).
     static APPLYING: Cell<u32> = const { Cell::new(0) };
+}
+
+thread_local! {
+    /// Whether this thread is running an incoming message's task or
+    /// handler ([`Ctx::execute`]). A buffered call made from there is a
+    /// *reply*: nothing says the thread that packed it will reach a flush
+    /// point of its own — it may be a progress worker, or the rank's own
+    /// thread on its way out of its last wait — so [`Ctx::agg_sent`]
+    /// leaves word for the worker (`RankState::replies_buffered`).
+    static SERVING: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Marks the calling thread as applying a batch until dropped.
@@ -139,6 +149,9 @@ impl Ctx {
     /// alone — which is what lets the aggregation hook
     /// ([`Ctx::agg_sent`]) run it between two buffered calls without
     /// changing where the next batch is cut.
+    ///
+    /// A pass that ran something ends by sending the `finish`
+    /// acknowledgements it ran up (`finish.rs`); an idle one does not look.
     #[inline(always)] // `advance()` is this plus the flush, not a call more
     fn poll(&self) -> usize {
         // With a controlled schedule installed, release every delivery the
@@ -152,16 +165,46 @@ impl Ctx {
         let arrived = self.shared.fabric.pump_conduit(self.rank);
         let pumped = self.shared.fabric.pump_incoming(self.rank) + scheduled + arrived;
         let ep = self.shared.fabric.endpoint(self.rank);
-        if !ep.trace.ops_enabled() {
+        let ran = if ep.trace.ops_enabled() {
+            self.advance_traced()
+        } else {
             // Untraced fast path: identical to the pre-trace engine.
             let mut n = 0;
             while let Some(msg) = ep.try_recv() {
                 self.execute(msg);
                 n += 1;
             }
-            return n + pumped;
+            n
+        };
+        if ran > 0 {
+            self.flush_finish_acks();
         }
-        self.advance_traced() + pumped
+        ran + pumped
+    }
+
+    /// One pass of a `progress_thread` worker (concurrent mode, paper
+    /// §IV): the receive half, like [`Ctx::agg_sent`]'s. The worker runs
+    /// beside its rank's own thread, so it must not do what
+    /// [`Ctx::advance`] does first — force-flush the rank's partial
+    /// aggregation buffers — or a buffer the rank is packing is cut a few
+    /// frames long every time the two run side by side. It flushes only
+    /// when a pass ran nothing, and only if a task or handler of this rank
+    /// — run by the worker or by the rank's own thread — has made a
+    /// buffered call since the last such flush: that reply has nobody
+    /// else to send it (the rank may be computing, or spinning outside the
+    /// runtime), while what the rank's own code buffers leaves at the
+    /// rank's own flush points, as it does without a worker.
+    pub(crate) fn serve(&self) -> usize {
+        let n = self.poll();
+        let replies = &self.shared.own[self.rank].replies_buffered;
+        // The swap (an idle pass that finds no mark pays only the load)
+        // takes the mark it clears: acquiring it orders the flush after
+        // the packing of every reply marked so far, and a reply marked
+        // later leaves the mark set for the next idle pass.
+        if n == 0 && replies.load(Ordering::Relaxed) && replies.swap(false, Ordering::AcqRel) {
+            return self.agg_flush();
+        }
+        n
     }
 
     /// Run one incoming active message.
@@ -175,8 +218,8 @@ impl Ctx {
         } = msg;
         // The checker's AM happens-before edge: everything this rank does
         // from here on is ordered after the sender's send-time snapshot.
-        // Barriers, collectives, finish replies and async completions are
-        // all built on AM tasks, so this one join covers them all.
+        // Barriers, collectives, finish acknowledgements and async
+        // completions are all AMs, so this one join covers them all.
         if let (Some(ck), Some(stamp)) = (self.shared.fabric.checker(), &clock) {
             ck.join(self.rank, stamp);
         }
@@ -188,6 +231,7 @@ impl Ctx {
             self.trace()
                 .instant(EventKind::AmRecv, origin, span.inject_ns, span.id);
         }
+        let nested = SERVING.with(|s| s.replace(true));
         match payload {
             // `self` is the target rank's context: the task borrows it
             // rather than building (and reference-counting) one of its own.
@@ -214,6 +258,7 @@ impl Ctx {
                 }
             }
         }
+        SERVING.with(|s| s.set(nested));
     }
 
     /// The traced progress engine: samples the inbox depth, wraps each
@@ -268,6 +313,10 @@ impl Ctx {
     /// ([`Ctx::poll`]).
     #[inline]
     fn wait_loop(&self, flush: bool, mut cond: impl FnMut() -> bool) {
+        // The caller may be a task in the middle of a progress pass: what
+        // the pass has run up in `finish` acknowledgements leaves before
+        // this wait spins, not after it (one relaxed load otherwise).
+        self.flush_finish_acks();
         let mut idle_polls = 0u32;
         let mut yields = 0u32;
         loop {
@@ -451,6 +500,13 @@ impl Ctx {
     /// branch.
     #[inline]
     pub fn agg_sent(&self, drive: bool) {
+        if SERVING.with(Cell::get) {
+            // Release, after the frame is packed: pairs with the swap in
+            // `Ctx::serve`.
+            self.shared.own[self.rank]
+                .replies_buffered
+                .store(true, Ordering::Release);
+        }
         if drive {
             self.agg_throttle();
         }

@@ -1,13 +1,14 @@
 //! Process-wide state shared by all rank threads of one SPMD job.
 
 use crate::alloc::SegAllocator;
+use crate::finish::FinishState;
 use crate::team::Team;
 use rupcxx_net::{Fabric, FabricConfig, Rank};
 use rupcxx_trace::TraceConfig;
 use rupcxx_util::sync::{CachePadded, Mutex};
 use rupcxx_util::Bytes;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Id of a registered active-message handler.
@@ -132,6 +133,13 @@ pub struct RankState {
     pub pending_replies: Mutex<HashMap<u64, ReplyCont>>,
     /// Token counter for [`RankState::pending_replies`].
     pub reply_tokens: AtomicU64,
+    /// `finish` bookkeeping: the scopes this rank has open, and the
+    /// completions it owes other ranks' scopes (see `finish.rs`).
+    pub(crate) finish: FinishState,
+    /// Set when a task or handler this rank ran made a buffered
+    /// (aggregated) call; a `progress_thread` worker that finds it set on
+    /// an idle pass clears it and flushes (`Ctx::serve`).
+    pub(crate) replies_buffered: AtomicBool,
 }
 
 /// State shared by every rank of the job. The per-rank arrays are
@@ -151,6 +159,10 @@ pub struct Shared {
     pub(crate) completed: AtomicUsize,
     /// Wire-encodable runtime AM ids; present only in multi-process jobs.
     pub(crate) builtins: Option<Builtins>,
+    /// The `finish` acknowledgement handler (`finish.rs`), registered in
+    /// every job — in-process ones too — after every user handler and the
+    /// builtins above.
+    pub(crate) finish_ack: HandlerId,
 }
 
 impl Shared {
@@ -174,7 +186,8 @@ impl Shared {
     /// `config.remote` is set this process is ONE rank of a multi-process
     /// job wired up by a transport conduit; the runtime's wire-encodable
     /// builtin handlers are appended to the registry (after all user
-    /// handlers, so user ids are stable).
+    /// handlers, so user ids are stable), and after them, in every job,
+    /// the `finish` acknowledgement.
     pub fn new_full(config: FabricConfig, mut handlers: HandlerRegistry) -> Arc<Self> {
         let (ranks, segment_bytes) = (config.ranks, config.segment_bytes);
         let builtins = config.remote.is_some().then(|| {
@@ -191,6 +204,7 @@ impl Shared {
             });
             Builtins { deposit, complete }
         });
+        let finish_ack = handlers.register(crate::finish::ack_handler);
         let fabric = Fabric::new(config);
         // Each rank's world team: every rank in rank order (one list for
         // the job), mailbox domain 0.
@@ -200,6 +214,8 @@ impl Shared {
             world: Team::new(all.clone(), rank, 0),
             pending_replies: Mutex::default(),
             reply_tokens: AtomicU64::new(0),
+            finish: FinishState::default(),
+            replies_buffered: AtomicBool::new(false),
         };
         Arc::new(Shared {
             fabric,
@@ -210,6 +226,7 @@ impl Shared {
             handlers,
             completed: AtomicUsize::new(0),
             builtins,
+            finish_ack,
         })
     }
 

@@ -79,7 +79,7 @@ where
                     .spawn_scoped(scope, move || {
                         let ctx = enter(rank);
                         while !progress_stop.load(Ordering::Acquire) {
-                            if ctx.advance() == 0 {
+                            if ctx.serve() == 0 {
                                 std::thread::yield_now();
                             }
                         }

@@ -164,7 +164,10 @@ fn late_receiver(rt: RuntimeConfig, fills: bool) {
                 while fills && !ctx.fabric().agg_window_full(0) {
                     assert!(
                         began.elapsed() < Duration::from_secs(20),
-                        "the sender never filled its window"
+                        "the sender never filled its window: {} slabs out, inboxes hold {} and {}",
+                        ctx.fabric().agg_slabs_out(0),
+                        ctx.fabric().endpoint(0).pending(),
+                        ctx.fabric().endpoint(1).pending()
                     );
                     std::thread::yield_now();
                 }
@@ -254,4 +257,35 @@ fn handlers_that_reply_over_a_lossy_wire_terminate() {
 #[test]
 fn handlers_that_reply_with_progress_threads_terminate() {
     ping_pong(small_batches().with_progress_thread());
+}
+
+/// (e) A progress thread serves the receive half and leaves the buffers
+/// its rank is packing alone — but a pong packed by a handler has nobody
+/// else to send it, whether the worker ran the handler or rank 1's own
+/// thread did on its way out of the barrier: from there on that thread
+/// makes no runtime call until rank 0 has the pong in hand.
+#[test]
+fn progress_thread_sends_what_its_own_handlers_buffered() {
+    let got = Arc::new(AtomicBool::new(false));
+    let mut handlers = HandlerRegistry::new();
+    let seen = got.clone();
+    let pong = handlers.register(move |_, _, _| seen.store(true, Ordering::Release));
+    let ping = handlers.register(move |ctx, src, args| ctx.send_handler_agg(src, pong, &args));
+    // Full slabs: one pong comes nowhere near a threshold.
+    let mut rt = small_batches().with_progress_thread();
+    rt.agg = Some(AggConfig::new());
+    within_a_minute(move || {
+        spmd_with_handlers(rt, handlers, move |ctx| {
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                ctx.send_handler_agg(1, ping, &[]);
+                ctx.wait_until(|| got.load(Ordering::Acquire));
+            } else {
+                while !got.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }
+            ctx.barrier();
+        })
+    });
 }

@@ -137,6 +137,42 @@ fn batch_counts_are_a_function_of_the_update_stream() {
 }
 
 #[test]
+fn progress_threads_leave_the_packing_ranks_buffers_alone() {
+    // Concurrent mode: a worker per rank serves the inbox while the rank
+    // packs. It serves the receive half — a worker that force-flushed its
+    // rank's partial buffers on every pass (`advance()`) cut them a few
+    // frames long whenever it ran beside the pack loop. Now where a batch
+    // is cut is the update stream's business with a worker as without.
+    let cfg = GupsConfig {
+        table_size: 1 << 12,
+        updates_per_rank: 400_000,
+        variant: Variant::UpcxxAgg,
+        verify: true,
+    };
+    let batches = |rt: RuntimeConfig| -> Vec<(u64, u64)> {
+        spmd(rt.with_agg(AggConfig::new()), move |ctx| {
+            let r = gups::run(ctx, &cfg);
+            assert!(r.verified, "rank {}: updates lost or doubled", ctx.rank());
+            ctx.barrier();
+            let c = ctx.fabric().endpoint(ctx.rank()).stats.snapshot();
+            (c.agg_ops, c.agg_batches)
+        })
+    };
+    let with_workers = batches(rt().with_progress_thread());
+    assert_eq!(
+        with_workers,
+        batches(rt()),
+        "a worker moved a batch boundary"
+    );
+    for (rank, &(ops, batches)) in with_workers.iter().enumerate() {
+        assert!(
+            ops >= 200 * batches,
+            "rank {rank}: {ops} updates in {batches} batches: the worker cuts them short"
+        );
+    }
+}
+
+#[test]
 fn enabled_but_unused_aggregation_leaves_op_counts_unchanged() {
     // The per-op variant on an aggregation-enabled fabric must generate
     // exactly the traffic of the plain fabric: buffers stay empty, every

@@ -156,6 +156,41 @@ fn stencil_cached_is_clean() {
     assert_clean(&sink, "stencil cached");
 }
 
+/// `finish` as a synchronization point: every rank has tasks on every
+/// other rank write words there, and reads them back once its scope has
+/// closed. What closes the scope is one coalesced acknowledgement per
+/// progress pass, not a reply per task, so the edge the reads depend on
+/// is that ack's send stamp — taken after every task it covers.
+#[test]
+fn reads_after_finish_see_the_tasks_writes_without_a_race() {
+    const PER_TARGET: usize = 24;
+    let sink = new_sink();
+    spmd(checked(4, &sink), |ctx| {
+        let (me, n) = (ctx.rank(), ctx.ranks());
+        // Cyclic: element `i` lives on rank `i % n`; `slot` is the k-th
+        // word on `target` that `me`'s tasks write.
+        let a = SharedArray::<u64>::new(ctx, n * n * PER_TARGET, 1);
+        let slot = move |target: usize, k: usize| target + n * (me * PER_TARGET + k);
+        let value = |target: usize, k: usize| (1 + me * n + target) as u64 * 1000 + k as u64;
+        ctx.finish(|fs| {
+            for k in 0..PER_TARGET {
+                for target in (0..n).filter(|&t| t != me) {
+                    let (a, index, v) = (a.clone(), slot(target, k), value(target, k));
+                    fs.spawn(target, move |t| a.write(t, index, v));
+                }
+            }
+        });
+        for target in (0..n).filter(|&t| t != me) {
+            for k in 0..PER_TARGET {
+                assert_eq!(a.read(ctx, slot(target, k)), value(target, k));
+            }
+        }
+        ctx.barrier();
+        a.destroy(ctx);
+    });
+    assert_clean(&sink, "reads after finish");
+}
+
 /// Sensitivity: a planted stale read must be caught. The bypass knob
 /// defeats the sync-point invalidation, so after the writer updates a
 /// word *with* proper barrier synchronization, the reader's next access
