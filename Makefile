@@ -7,9 +7,9 @@ CARGO ?= cargo
 # each fully reproducible (see README "Robustness").
 CHAOS_SEEDS ?= 101 202 303
 
-.PHONY: ci fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke ledger-smoke ab flake
+.PHONY: ci fmt clippy test chaos check-race prof-smoke explore-smoke conduit-smoke ledger-smoke ab flake
 
-ci: fmt clippy test chaos check-race bench-smoke access-smoke prof-smoke explore-smoke conduit-smoke ledger-smoke
+ci: fmt clippy test chaos check-race prof-smoke explore-smoke conduit-smoke ledger-smoke
 
 fmt:
 	$(CARGO) fmt --all --check
@@ -34,22 +34,6 @@ check-race:
 	$(CARGO) test -q --test check_corpus
 	$(CARGO) test -q --test check_clean
 	RUPCXX_CACHE=on $(CARGO) test -q --test check_clean
-
-# Short calibrated bench run: caching asserts a >=5x remote-get reduction
-# with bit-for-bit identical data and an untouched cache-off path
-# (BENCH_caching.json). (The aggregation bench that ran here is gone: its
-# two assertions are tests/agg_integration.rs's, its numbers the ledger's
-# `net.aggregate.*` rows.)
-bench-smoke:
-	RUPCXX_BENCH_SMOKE=1 $(CARGO) bench -q -p rupcxx-bench --bench caching
-
-# The access-path gate: direct word ops, the aggregated pack path, and
-# multi-producer injection through the packed-pointer / arena-slab /
-# sharded-buffer fast paths. Fails if the aggregated pack path regresses
-# above the direct per-op path or steady-state packing starts allocating
-# (BENCH_access.json; README "Performance").
-access-smoke:
-	RUPCXX_BENCH_SMOKE=1 $(CARGO) bench -q -p rupcxx-bench --bench access
 
 # The profiler gate: profiled GUPS + stencil runs must yield a non-empty
 # critical path with >=90% of barrier wall time attributed to named wait
@@ -94,7 +78,7 @@ ledger-smoke:
 ab:
 	scripts/ab.sh $(W) $(PAIRS)
 
-# The flake gate, first cut (ROADMAP item 3): rerun the suites that sit
+# The flake gate, first cut (ROADMAP item 6): rerun the suites that sit
 # on the task path, the aggregation window (a wait for the *other* side
 # to apply a batch) and the timing-sensitive checking tools N times each,
 # pinned to one core — the schedule where a handoff that spins for the

@@ -10,9 +10,11 @@
 //!    paths from those runs;
 //! 3. feed the calibrated costs into `rupcxx-perfmodel` and print the
 //!    **modeled** series at the paper's scales on the paper's machine.
+//!
+//! Performance numbers come from one place only: the ledger under
+//! `src/bin/ledger/` (`BENCHMARK.json`). This crate has no `benches/`.
 
 pub mod calibrate;
-pub mod harness;
 pub mod report;
 
 pub use calibrate::Calibration;

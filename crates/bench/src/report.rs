@@ -1,100 +1,11 @@
 //! Report helpers: print a measured/modeled table and mirror it to CSV
 //! under `results/` so EXPERIMENTS.md can reference stable artifacts.
 
-use crate::harness::BenchResult;
 use rupcxx_perfmodel::bench_models::SeriesPoint;
 use rupcxx_util::{table::fnum, Table};
-use std::fmt::Write as _;
 
 /// Where harness CSVs land (relative to the workspace root).
 pub const RESULTS_DIR: &str = "results";
-
-/// Where `emit_bench_trace` accumulates bench summaries.
-pub const BENCH_TRACE_PATH: &str = "results/BENCH_trace.json";
-
-/// Render bench results as a JSON array of per-benchmark summaries.
-pub fn bench_trace_json(results: &[BenchResult]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        let _ = write!(
-            out,
-            "  {{\"name\":\"{}\",\"p50_ns\":{:.1},\"p99_ns\":{:.1},\"mean_ns\":{:.1},\"ops_per_s\":{:.1}}}",
-            r.name.replace('"', "'"),
-            r.p50_ns,
-            r.p99_ns,
-            r.mean_ns,
-            r.ops_per_s
-        );
-    }
-    out.push_str("\n]\n");
-    out
-}
-
-fn parse_bench_trace(json: &str) -> Vec<BenchResult> {
-    // Minimal parser for the exact shape `bench_trace_json` writes: one
-    // object per line, fields in a fixed order. Unparseable lines are
-    // dropped (the file is regenerated on every merge anyway).
-    let mut out = Vec::new();
-    for line in json.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if !line.starts_with('{') {
-            continue;
-        }
-        let field = |key: &str| -> Option<String> {
-            let tag = format!("\"{key}\":");
-            let rest = &line[line.find(&tag)? + tag.len()..];
-            let rest = rest.strip_prefix('"').unwrap_or(rest);
-            let end = rest.find(['"', ',', '}']).unwrap_or(rest.len());
-            Some(rest[..end].to_string())
-        };
-        let (Some(name), Some(p50), Some(p99), Some(mean), Some(ops)) = (
-            field("name"),
-            field("p50_ns"),
-            field("p99_ns"),
-            field("mean_ns"),
-            field("ops_per_s"),
-        ) else {
-            continue;
-        };
-        let num = |s: String| s.parse::<f64>().unwrap_or(0.0);
-        out.push(BenchResult {
-            name,
-            p50_ns: num(p50),
-            p99_ns: num(p99),
-            mean_ns: num(mean),
-            ops_per_s: num(ops),
-        });
-    }
-    out
-}
-
-/// Merge `results` into `results/BENCH_trace.json` (by benchmark name —
-/// a re-run of one bench binary replaces its own rows and keeps the
-/// rest), so the file accumulates a full perf summary across binaries.
-pub fn emit_bench_trace(results: &[BenchResult]) {
-    if results.is_empty() {
-        return;
-    }
-    let mut merged = std::fs::read_to_string(BENCH_TRACE_PATH)
-        .map(|s| parse_bench_trace(&s))
-        .unwrap_or_default();
-    for r in results {
-        merged.retain(|m| m.name != r.name);
-        merged.push(r.clone());
-    }
-    merged.sort_by(|a, b| a.name.cmp(&b.name));
-    let json = bench_trace_json(&merged);
-    if let Err(e) =
-        std::fs::create_dir_all(RESULTS_DIR).and_then(|_| std::fs::write(BENCH_TRACE_PATH, &json))
-    {
-        eprintln!("(could not write {BENCH_TRACE_PATH}: {e})");
-    } else {
-        println!("[written {BENCH_TRACE_PATH}: {} benchmarks]", merged.len());
-    }
-}
 
 /// Print a titled table and write it as CSV to `results/<name>.csv`.
 pub fn emit(name: &str, title: &str, table: &Table) {
@@ -143,33 +54,6 @@ pub fn one_series_table(cores_header: &str, name: &str, s: &[SeriesPoint]) -> Ta
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_trace_roundtrips() {
-        let rows = vec![
-            BenchResult {
-                name: "g/a".into(),
-                p50_ns: 10.5,
-                p99_ns: 20.0,
-                mean_ns: 11.0,
-                ops_per_s: 95238095.2,
-            },
-            BenchResult {
-                name: "g/b".into(),
-                p50_ns: 1.0,
-                p99_ns: 2.0,
-                mean_ns: 1.5,
-                ops_per_s: 1e9,
-            },
-        ];
-        let json = bench_trace_json(&rows);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        let back = parse_bench_trace(&json);
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0].name, "g/a");
-        assert!((back[0].p50_ns - 10.5).abs() < 1e-6);
-        assert!((back[1].ops_per_s - 1e9).abs() < 1.0);
-    }
 
     #[test]
     fn tables_build() {

@@ -385,8 +385,8 @@ mod tests {
     #[test]
     fn aggregated_ops_apply_at_fence() {
         use rupcxx_net::AggConfig;
-        // High thresholds: nothing flushes until agg_fence forces it.
-        let cfg = cfg(2).with_agg(AggConfig::new().flush_count(1024));
+        // Three frames fill no slab: nothing flushes until agg_fence.
+        let cfg = cfg(2).with_agg(AggConfig::new());
         spmd(cfg, |ctx| {
             let p: GlobalPtr<u64> = if ctx.rank() == 0 {
                 let p = allocate::<u64>(ctx, 0, 3).expect("alloc");

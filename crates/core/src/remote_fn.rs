@@ -69,24 +69,38 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-fn take_u64(bytes: &[u8]) -> (u64, &[u8]) {
-    let (head, rest) = bytes.split_at(8);
-    (u64::from_le_bytes(head.try_into().expect("8 bytes")), rest)
+/// Split `[token][packed T]` as it arrived from `src`. The bytes may come
+/// off a socket: a payload of any other length is refused
+/// (`Fabric::refuse_message`) and the caller drops the message.
+fn unpack<T: Pod>(ctx: &Ctx, src: Rank, bytes: &[u8]) -> Option<(u64, T)> {
+    if bytes.len() != 8 + std::mem::size_of::<T>() {
+        let why = format_args!("RPC payload of {} bytes", bytes.len());
+        ctx.fabric().refuse_message(ctx.rank(), src, &why);
+        return None;
+    }
+    let (token, value) = bytes.split_at(8);
+    let token = u64::from_le_bytes(token.try_into().expect("8 bytes"));
+    Some((token, T::read_from(value)))
 }
 
 impl FnRegistry {
     /// Empty registry.
     pub fn new() -> Self {
         let mut me = FnRegistry::default();
-        // Handler 0: the reply router. Payload = [token][packed R].
-        let reply_id = me.handlers.register(|ctx, _src, bytes| {
-            let (token, ret) = take_u64(&bytes);
-            let cont = ctx.shared().own[ctx.rank()]
-                .pending_replies
-                .lock()
-                .remove(&token)
-                .expect("unknown RPC reply token");
-            cont(Bytes::copy_from_slice(ret));
+        // Handler 0: the reply router. Payload = [token][packed R]; the
+        // continuation stored under the token knows R.
+        let reply_id = me.handlers.register(|ctx, src, bytes| {
+            let token = bytes
+                .get(..8)
+                .map(|t| u64::from_le_bytes(t.try_into().expect("8 bytes")));
+            let replies = &ctx.shared().own[ctx.rank()].pending_replies;
+            match token.and_then(|token| replies.lock().remove(&token)) {
+                Some(cont) => cont(ctx, src, bytes),
+                None => {
+                    let why = "RPC reply without a pending call";
+                    ctx.fabric().refuse_message(ctx.rank(), src, &why)
+                }
+            }
         });
         me.reply_id = Some(reply_id);
         me
@@ -102,8 +116,9 @@ impl FnRegistry {
         let reply_id = self.reply_id.expect("registry initialized");
         let id = self.handlers.register(move |ctx, src, bytes| {
             // Payload = [token][packed A]; run and reply with [token][R].
-            let (token, arg_bytes) = take_u64(&bytes);
-            let arg = A::read_from(arg_bytes);
+            let Some((token, arg)) = unpack::<A>(ctx, src, &bytes) else {
+                return;
+            };
             let ret = f(ctx, arg);
             let mut reply = Vec::with_capacity(8 + std::mem::size_of::<R>());
             put_u64(&mut reply, token);
@@ -132,7 +147,11 @@ impl<A: Pod, R: Pod> RemoteFn<A, R> {
         let token = own.reply_tokens.fetch_add(1, Ordering::Relaxed);
         own.pending_replies.lock().insert(
             token,
-            Box::new(move |bytes: Bytes| setter.set(R::read_from(&bytes))),
+            Box::new(move |ctx: &Ctx, src, reply: Bytes| {
+                if let Some((_, value)) = unpack::<R>(ctx, src, &reply) {
+                    setter.set(value);
+                }
+            }),
         );
         let mut payload = Vec::with_capacity(8 + std::mem::size_of::<A>());
         put_u64(&mut payload, token);

@@ -23,8 +23,8 @@ pub struct CorpusEntry {
     pub name: &'static str,
     /// SPMD ranks the pattern needs.
     pub ranks: usize,
-    /// Aggregation flush count, for the batched-put pattern.
-    pub agg_flush_count: Option<usize>,
+    /// Run with aggregation on, for the batched-put pattern.
+    pub agg: bool,
     /// The finding kind exploration must surface.
     pub expect: FindingKind,
     /// False when the bug manifests on the canonical baseline schedule
@@ -40,7 +40,7 @@ pub const ENTRIES: &[CorpusEntry] = &[
     CorpusEntry {
         name: "race_put_vs_read",
         ranks: 2,
-        agg_flush_count: None,
+        agg: false,
         expect: FindingKind::DataRace,
         schedule_dependent: false,
         make: race_put_vs_read,
@@ -48,7 +48,7 @@ pub const ENTRIES: &[CorpusEntry] = &[
     CorpusEntry {
         name: "race_write_write",
         ranks: 2,
-        agg_flush_count: None,
+        agg: false,
         expect: FindingKind::DataRace,
         schedule_dependent: false,
         make: race_write_write,
@@ -56,7 +56,7 @@ pub const ENTRIES: &[CorpusEntry] = &[
     CorpusEntry {
         name: "race_agg_put",
         ranks: 2,
-        agg_flush_count: Some(64),
+        agg: true,
         expect: FindingKind::DataRace,
         schedule_dependent: false,
         make: race_agg_put,
@@ -64,7 +64,7 @@ pub const ENTRIES: &[CorpusEntry] = &[
     CorpusEntry {
         name: "lock_across_barrier",
         ranks: 2,
-        agg_flush_count: None,
+        agg: false,
         expect: FindingKind::LockAcrossBarrier,
         schedule_dependent: false,
         make: lock_across_barrier,
@@ -72,7 +72,7 @@ pub const ENTRIES: &[CorpusEntry] = &[
     CorpusEntry {
         name: "deadlock_abba",
         ranks: 2,
-        agg_flush_count: None,
+        agg: false,
         expect: FindingKind::LockCycle,
         schedule_dependent: false,
         make: deadlock_abba,
@@ -80,7 +80,7 @@ pub const ENTRIES: &[CorpusEntry] = &[
     CorpusEntry {
         name: "deadlock_self_reacquire",
         ranks: 1,
-        agg_flush_count: None,
+        agg: false,
         expect: FindingKind::LockCycle,
         schedule_dependent: false,
         make: deadlock_self_reacquire,
@@ -88,7 +88,7 @@ pub const ENTRIES: &[CorpusEntry] = &[
     CorpusEntry {
         name: "event_never_signaled",
         ranks: 1,
-        agg_flush_count: None,
+        agg: false,
         expect: FindingKind::EventNeverSignaled,
         schedule_dependent: false,
         make: event_never_signaled,
@@ -96,7 +96,7 @@ pub const ENTRIES: &[CorpusEntry] = &[
     CorpusEntry {
         name: "barrier_mismatch",
         ranks: 2,
-        agg_flush_count: None,
+        agg: false,
         expect: FindingKind::BarrierMismatch,
         schedule_dependent: false,
         make: barrier_mismatch,
@@ -104,7 +104,7 @@ pub const ENTRIES: &[CorpusEntry] = &[
     CorpusEntry {
         name: "order_sensitive_event",
         ranks: 3,
-        agg_flush_count: None,
+        agg: false,
         expect: FindingKind::EventNeverSignaled,
         schedule_dependent: true,
         make: order_sensitive_event,
@@ -122,7 +122,7 @@ pub fn find(name: &str) -> &'static CorpusEntry {
 /// The exploration config an entry needs (ranks, aggregation).
 pub fn config_for(entry: &CorpusEntry) -> ExploreConfig {
     let mut cfg = ExploreConfig::new(entry.ranks);
-    cfg.agg_flush_count = entry.agg_flush_count;
+    cfg.agg = entry.agg;
     cfg
 }
 

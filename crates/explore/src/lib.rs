@@ -51,9 +51,9 @@ pub struct ExploreConfig {
     pub ranks: usize,
     /// Segment bytes per rank.
     pub segment_bytes: usize,
-    /// Install per-destination aggregation with this flush count (the
-    /// aggregated corpus pattern needs its batches to stay buffered).
-    pub agg_flush_count: Option<usize>,
+    /// Run with per-destination aggregation on (the aggregated corpus
+    /// pattern needs its put to stay buffered).
+    pub agg: bool,
     /// Exhaustive-phase depth: maximum number of adjacent dependent swaps
     /// from the canonical order.
     pub reorder_bound: usize,
@@ -74,7 +74,7 @@ impl ExploreConfig {
         ExploreConfig {
             ranks,
             segment_bytes: 1 << 16,
-            agg_flush_count: None,
+            agg: false,
             reorder_bound: 2,
             max_schedules: 64,
             random_schedules: 0,
@@ -146,7 +146,7 @@ pub fn run_schedule(
     // nondeterminism, and aggregation comes from the exploration config —
     // ambient RUPCXX_FAULTS/RUPCXX_AGG must not perturb the search space.
     rt.faults = None;
-    rt.agg = cfg.agg_flush_count.map(|c| AggConfig::new().flush_count(c));
+    rt.agg = cfg.agg.then(AggConfig::new);
     let program = make();
     let results = catch_unwind(AssertUnwindSafe(|| spmd(rt, |ctx| program(ctx)))).ok();
     let findings = sink.lock().clone();

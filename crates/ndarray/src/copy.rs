@@ -300,14 +300,14 @@ mod tests {
             let dirs: Vec<NdArray<f64, 3>> = ctx.allgatherv(&[grid]);
             ctx.barrier();
             if me == 0 {
-                ctx.fabric().reset_counts();
+                let before = ctx.fabric().endpoint(0).stats.snapshot();
                 // Copy a face of the neighbour's grid (normal to dim 0:
                 // rows run along dim 2, heads vary along dim 1 with
                 // uniform spacing in the source storage).
                 let face = rd!([1, 0, 4]..[2, 4, 8]);
                 let dst = grid.translate(pt![0, 0, 4]); // view over neighbour's coords
                 dst.restrict(face).copy_from(ctx, &dirs[1]);
-                let counts = ctx.fabric().endpoint(0).stats.snapshot();
+                let counts = ctx.fabric().endpoint(0).stats.snapshot().since(&before);
                 // One strided get from the remote source; puts into the
                 // local destination count as local ops.
                 assert_eq!(counts.gets, 1, "gather collapsed to one vector op");
@@ -330,12 +330,12 @@ mod tests {
             let dirs: Vec<NdArray<i64, 1>> = ctx.allgatherv(&[arr]);
             ctx.barrier();
             if me == 0 {
-                ctx.fabric().reset_counts();
+                let before = ctx.fabric().endpoint(0).stats.snapshot();
                 // View my storage over the neighbour's coordinates so the
                 // intersection is the neighbour's whole (single) row.
                 let dst = arr.translate(pt![16]);
                 dst.copy_from(ctx, &dirs[1]);
-                let counts = ctx.fabric().endpoint(0).stats.snapshot();
+                let counts = ctx.fabric().endpoint(0).stats.snapshot().since(&before);
                 assert_eq!(counts.gets, 1, "gather collapsed to one vector op");
                 assert_eq!(counts.get_bytes, 16 * 8);
                 for i in 0..16i64 {

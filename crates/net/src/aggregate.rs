@@ -13,14 +13,12 @@
 //!   ([`Frame`]: handler RPCs, and `xor`/`add` word updates and small
 //!   puts as [`RmaOp`]s in the op's own wire encoding);
 //! * **flush rule:** a buffer leaves as **one** [`AmPayload::Batch`]
-//!   active message when the frame just packed takes it to
-//!   [`AggConfig::flush_bytes`] — by default a full slab, 241 word
-//!   updates — or to [`AggConfig::flush_count`] frames (off by default);
-//!   when a direct message to the same destination must not overtake it
-//!   ([`Fabric::send_am`]); and when the runtime force-flushes at a
-//!   completion point (`advance()`, `fence()`, `barrier()`,
-//!   `async_copy_fence`, `agg_fence()`, and every blocking wait but the
-//!   window's own);
+//!   active message when the frame just packed fills its slab (4096
+//!   bytes: 241 word updates); when a direct message to the same
+//!   destination must not overtake it ([`Fabric::send_am`]); and when
+//!   the runtime force-flushes at a completion point (`advance()`,
+//!   `fence()`, `barrier()`, `async_copy_fence`, `agg_fence()`, and every
+//!   blocking wait but the window's own);
 //! * the receiver pops the batch from its inbox **once** and dispatches
 //!   the frames in order, so queue, allocation, stats and trace costs are
 //!   paid per batch, not per operation;
@@ -89,94 +87,38 @@ use rupcxx_util::{Bytes, SlabPool};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Aggregation thresholds (the `RUPCXX_AGG=bytes,count` knobs).
-///
-/// A per-destination buffer flushes when it holds `flush_bytes` of packed
-/// frames **or** `flush_count` frames, whichever comes first. By default
-/// only the byte threshold ever does: a batch is a full slab.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct AggConfig {
-    /// Flush a destination buffer once it holds this many packed bytes.
-    /// Default 4096 — 241 word updates of 17 bytes. A batch costs its
-    /// receiver an inbox pop, a reference count and a trip through the
-    /// slab pool's lock whatever it carries, and since the sender polls
-    /// once per batch it sends, every batch crosses between the cores
-    /// while it is hot: a full slab amortises that, a quarter-full one
-    /// does not (EXPERIMENTS.md "Back-pressure").
-    pub flush_bytes: usize,
-    /// Flush a destination buffer once it holds this many frames. Default
-    /// `usize::MAX`: never — with batches applied as they arrive, a batch
-    /// cut short of its slab only pays the per-batch costs more often.
-    /// Tests and the explore corpus set it to pin batch boundaries
-    /// independently of frame sizes.
-    pub flush_count: usize,
-}
-
-impl Default for AggConfig {
-    fn default() -> Self {
-        AggConfig {
-            flush_bytes: 4096,
-            flush_count: usize::MAX,
-        }
-    }
-}
+/// Switches the aggregation layer on (`RUPCXX_AGG=on`). It carries no
+/// setting: a batch is a full slab, and the sweeps that once set the
+/// thresholds said they are not levers (EXPERIMENTS.md "Back-pressure").
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct AggConfig;
 
 impl AggConfig {
-    /// Default thresholds (a full 4096-byte slab, no frame-count cut).
+    /// Aggregation on.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Builder: set the byte threshold.
-    pub fn flush_bytes(mut self, bytes: usize) -> Self {
-        self.flush_bytes = bytes.max(1);
-        self
-    }
-
-    /// Builder: set the frame-count threshold.
-    pub fn flush_count(mut self, count: usize) -> Self {
-        self.flush_count = count.max(1);
-        self
+        AggConfig
     }
 
     /// Read a config from the `RUPCXX_AGG` environment variable.
     ///
     /// * unset, empty, `off` or `0` — aggregation disabled (`None`);
-    /// * `on` or `1` — enabled with the default thresholds;
-    /// * `BYTES,COUNT` (e.g. `RUPCXX_AGG=4096,64`) — explicit thresholds.
+    /// * `on` or `1` — enabled.
     ///
     /// A malformed value aborts with a clear message, mirroring
     /// `RUPCXX_FAULTS`/`RUPCXX_TRACE`/`RUPCXX_CHECK`.
     pub fn from_env() -> Option<Self> {
-        rupcxx_util::env::parse_env("RUPCXX_AGG", "off | on | BYTES,COUNT", Self::parse)
+        rupcxx_util::env::parse_env("RUPCXX_AGG", "on | off", Self::parse)
     }
 
     /// Parse an `RUPCXX_AGG` value (see [`AggConfig::from_env`]).
     pub fn parse(raw: &str) -> Result<Option<Self>, String> {
-        let raw = raw.trim();
-        match raw {
-            "" | "off" | "0" => return Ok(None),
-            "on" | "1" => return Ok(Some(Self::default())),
-            _ => {}
+        match raw.trim() {
+            "" | "off" | "0" => Ok(None),
+            "on" | "1" => Ok(Some(AggConfig)),
+            _ => Err("expected on | off (the BYTES,COUNT thresholds are gone: \
+                      a batch is a full slab)"
+                .into()),
         }
-        let (bytes, count) = raw
-            .split_once(',')
-            .ok_or_else(|| "expected off | on | BYTES,COUNT".to_string())?;
-        let bytes: usize = bytes
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad byte threshold {:?}", bytes.trim()))?;
-        let count: usize = count
-            .trim()
-            .parse()
-            .map_err(|_| format!("bad frame-count threshold {:?}", count.trim()))?;
-        if bytes == 0 || count == 0 {
-            return Err("thresholds must be >= 1".into());
-        }
-        Ok(Some(AggConfig {
-            flush_bytes: bytes,
-            flush_count: count,
-        }))
     }
 }
 
@@ -184,14 +126,22 @@ impl AggConfig {
 /// puts are not "fine-grained" and go out directly.
 pub const AGG_MAX_PUT: usize = 1024;
 
-/// Headroom reserved beyond the byte threshold so the threshold check
-/// (which runs *after* the frame is packed) never forces a slab to grow:
-/// the largest frame is a [`AGG_MAX_PUT`]-byte put plus its header.
+/// Packed bytes at which a buffer leaves as a batch: one slab, 241 word
+/// updates of 17 bytes. A batch costs its receiver an inbox pop, a
+/// reference count and a trip through the slab pool's lock whatever it
+/// carries, and since the sender polls once per batch it sends, every
+/// batch crosses between the cores while it is hot: a full slab amortises
+/// that, a quarter-full one does not (EXPERIMENTS.md "Back-pressure").
+const SLAB_BYTES: usize = 4096;
+
+/// Headroom reserved beyond [`SLAB_BYTES`] so the flush test (which runs
+/// *after* the frame is packed) never forces a slab to grow: the largest
+/// frame is a [`AGG_MAX_PUT`]-byte put plus its header.
 const AGG_SLACK: usize = AGG_MAX_PUT + 64;
 
 /// One (shard, destination) coalescing buffer. `bytes` is a slab on loan
 /// from the endpoint's [`SlabPool`], taken lazily on first use and
-/// pre-reserved to `flush_bytes + AGG_SLACK` so packing a frame is a pure
+/// pre-reserved to `SLAB_BYTES + AGG_SLACK` so packing a frame is a pure
 /// `extend_from_slice` — no reallocation, ever, on the word-frame path.
 #[derive(Default)]
 struct AggBuf {
@@ -216,12 +166,11 @@ struct AggShard {
     dirty: AtomicBool,
 }
 
-/// Per-endpoint aggregation state: config + per-shard, per-destination
-/// buffers + the slab pool that recycles flushed batch buffers. Allocated
+/// Per-endpoint aggregation state: per-shard, per-destination buffers +
+/// the slab pool that recycles flushed batch buffers. Allocated
 /// only when the fabric has an [`AggConfig`] (the slabs stay unallocated
 /// until a destination is first used).
 pub(crate) struct AggState {
-    cfg: AggConfig,
     /// One block each: a shard's `dirty` flag is written by its injecting
     /// thread while the progress engine sweeps the others'.
     shards: Box<[CachePadded<AggShard>]>,
@@ -235,9 +184,8 @@ pub(crate) struct AggState {
 }
 
 impl AggState {
-    pub(crate) fn new(ranks: usize, cfg: AggConfig) -> Self {
+    pub(crate) fn new(ranks: usize) -> Self {
         AggState {
-            cfg,
             shards: (0..INBOX_SHARDS)
                 .map(|_| {
                     CachePadded(AggShard {
@@ -355,6 +303,19 @@ pub(crate) fn validate_batch(frames: &[u8], me: Rank, seg_bytes: usize) -> Resul
     Ok(())
 }
 
+/// The first handler frame of a batch whose id is not below `registered`
+/// (the receiver's handler count), if any: the check [`validate_batch`]
+/// cannot make, which the runtime makes before it applies a batch that
+/// came off a socket. It lives here because a second user of
+/// [`BatchReader`] in the runtime's crate costs the apply loop there its
+/// inlining (`gups_agg` −24 %).
+pub fn unregistered_handler(frames: &[u8], registered: usize) -> Option<u16> {
+    BatchReader::new(frames).find_map(|frame| match frame {
+        Frame::Handler { id, .. } if id as usize >= registered => Some(id),
+        _ => None,
+    })
+}
+
 impl Fabric {
     /// True when this initiator has an aggregation layer installed.
     pub fn agg_enabled(&self, initiator: Rank) -> bool {
@@ -386,7 +347,7 @@ impl Fabric {
     }
 
     /// Pack one frame for `dst` into the calling thread's shard buffer,
-    /// flushing it if a threshold is crossed. Caller guarantees
+    /// flushing it once it holds a full slab. Caller guarantees
     /// aggregation is on and `dst != initiator`. True when the caller
     /// should now drive progress: the call sent a batch, or started a
     /// slab with the window full.
@@ -403,10 +364,10 @@ impl Fabric {
             let mut buf = shard.bufs[dst].lock();
             let mut full = false;
             if buf.bytes.capacity() == 0 {
-                buf.bytes = agg.pool.take(agg.cfg.flush_bytes + AGG_SLACK);
+                buf.bytes = agg.pool.take(SLAB_BYTES + AGG_SLACK);
                 // The one place the count of slabs out grows, so the one
                 // place the window is checked — whoever emptied this
-                // buffer (a threshold, `advance()`, a progress thread).
+                // buffer (a full slab, `advance()`, a progress thread).
                 full = agg.window_full();
             }
             frame.encode(&mut buf.bytes);
@@ -414,14 +375,12 @@ impl Fabric {
             if buf.count == 1 {
                 shard.dirty.store(true, Ordering::Release);
             }
-            let flush =
-                buf.count as usize >= agg.cfg.flush_count || buf.bytes.len() >= agg.cfg.flush_bytes;
-            (flush, full)
+            (buf.bytes.len() >= SLAB_BYTES, full)
         };
         if flush {
-            // Threshold crossings flush only this thread's shard; other
-            // injectors' partial buffers keep filling toward their own
-            // thresholds. (The ordering flush in `send_am` sweeps every
+            // A full slab flushes only this thread's shard; other
+            // injectors' partial buffers keep filling toward their own.
+            // (The ordering flush in `send_am` sweeps every
             // shard via `flush_agg_to`.)
             self.flush_agg_shard_to(initiator, shard, dst);
         }
@@ -613,14 +572,17 @@ mod tests {
     use rupcxx_trace::TraceConfig;
     use std::sync::Arc;
 
-    fn agg_fabric(ranks: usize, cfg: AggConfig) -> Arc<Fabric> {
+    /// Word-update frames (17 bytes) that fill a slab.
+    const SLAB_FRAMES: usize = 241;
+
+    fn agg_fabric(ranks: usize) -> Arc<Fabric> {
         Fabric::new(FabricConfig {
             ranks,
             segment_bytes: 4096,
             simnet: None,
             trace: TraceConfig::off(),
             faults: None,
-            agg: Some(cfg),
+            agg: Some(AggConfig::new()),
             check: None,
             cache: None,
             prof: None,
@@ -665,19 +627,13 @@ mod tests {
         assert_eq!(AggConfig::parse("off"), Ok(None));
         assert_eq!(AggConfig::parse("0"), Ok(None));
         assert_eq!(AggConfig::parse(""), Ok(None));
-        assert_eq!(AggConfig::parse("on"), Ok(Some(AggConfig::default())));
-        assert_eq!(AggConfig::parse("1"), Ok(Some(AggConfig::default())));
-        assert_eq!(
-            AggConfig::parse(" 8192 , 32 "),
-            Ok(Some(AggConfig {
-                flush_bytes: 8192,
-                flush_count: 32
-            }))
-        );
-        assert!(AggConfig::parse("many").is_err());
-        assert!(AggConfig::parse("8192").is_err());
-        assert!(AggConfig::parse("0,64").is_err());
-        assert!(AggConfig::parse("x,64").is_err());
+        assert_eq!(AggConfig::parse(" on "), Ok(Some(AggConfig::new())));
+        assert_eq!(AggConfig::parse("1"), Ok(Some(AggConfig::new())));
+        // The thresholds are gone, and the error says what is left.
+        for gone in ["4096,64", " 8192 , 32 ", "8192", "many"] {
+            let err = AggConfig::parse(gone).expect_err(gone);
+            assert!(err.contains("on | off"), "{gone}: {err}");
+        }
     }
 
     #[test]
@@ -739,47 +695,42 @@ mod tests {
     }
 
     #[test]
-    fn count_threshold_flushes_one_batch() {
-        let f = agg_fabric(2, AggConfig::new().flush_count(4));
-        for i in 0..4 {
-            f.xor_u64_buffered(0, GlobalAddr::new(1, 8 * i), 1 << i);
-        }
-        // The 4th frame crossed the threshold: exactly one wire message.
-        let c = f.endpoint(0).stats.snapshot();
-        assert_eq!(c.agg_ops, 4);
-        assert_eq!(c.agg_batches, 1);
-        assert_eq!(c.ams_sent, 1);
-        assert_eq!(f.endpoint(1).pending(), 1);
-        assert!(dispatch_all(&f, 1).is_empty());
-        for i in 0..4 {
-            assert_eq!(f.endpoint(1).segment.load_u64(8 * i), 1 << i);
-        }
-    }
-
-    #[test]
-    fn byte_threshold_flushes() {
-        let f = agg_fabric(2, AggConfig::new().flush_bytes(64).flush_count(1000));
-        // 17-byte xor frames: the 4th crosses 64 bytes.
-        for _ in 0..4 {
-            f.add_u64_buffered(0, GlobalAddr::new(1, 0), 1);
-        }
-        assert_eq!(f.endpoint(0).stats.snapshot().agg_batches, 1);
-        assert!(dispatch_all(&f, 1).is_empty());
-        assert_eq!(f.endpoint(1).segment.load_u64(0), 4);
-    }
-
-    #[test]
     fn default_batch_is_a_full_slab() {
-        // 17-byte word frames: the 241st takes the buffer past 4096 bytes;
-        // no frame count cuts it short.
-        let f = agg_fabric(2, AggConfig::default());
-        let sent: Vec<bool> = (0..241)
-            .map(|i| f.xor_u64_buffered(0, GlobalAddr::new(1, 8 * (i % 64)), 1))
+        // 17-byte word frames: the 241st takes the buffer past 4096 bytes,
+        // and nothing cuts it shorter.
+        let f = agg_fabric(2);
+        let sent: Vec<bool> = (0..SLAB_FRAMES)
+            .map(|i| f.xor_u64_buffered(0, GlobalAddr::new(1, 8 * (i % 64)), 1 << (i % 64)))
             .collect();
         assert_eq!(sent.iter().filter(|&&s| s).count(), 1);
-        assert!(sent[240], "the frame that crosses the threshold reports it");
+        assert!(sent[240], "the frame that fills the slab reports it");
+        // Exactly one wire message, applied in one dispatch.
         let c = f.endpoint(0).stats.snapshot();
-        assert_eq!((c.agg_ops, c.agg_batches), (241, 1));
+        assert_eq!((c.agg_ops, c.agg_batches, c.ams_sent), (241, 1, 1));
+        assert_eq!(f.endpoint(1).pending(), 1);
+        assert!(dispatch_all(&f, 1).is_empty());
+        for word in 0..64 {
+            let hits = (SLAB_FRAMES - word).div_ceil(64);
+            let want = if hits % 2 == 1 { 1 << word } else { 0 };
+            assert_eq!(f.endpoint(1).segment.load_u64(8 * word), want);
+        }
+    }
+
+    #[test]
+    fn a_slab_of_puts_is_cut_by_bytes_not_frames() {
+        // The largest buffered put: the fourth takes the buffer past a
+        // slab, and the slack holds it without growing.
+        let f = agg_fabric(2);
+        let data = [7u8; AGG_MAX_PUT];
+        let sent: Vec<bool> = (0..4)
+            .map(|_| f.put_buffered(0, GlobalAddr::new(1, 0), &data))
+            .collect();
+        assert_eq!(sent, [false, false, false, true]);
+        let AmPayload::Batch { frames, count } = &f.endpoint(1).drain()[0].payload else {
+            panic!("not a batch");
+        };
+        assert_eq!(*count, 4);
+        assert!(frames.len() > SLAB_BYTES && frames.len() <= SLAB_BYTES + AGG_SLACK);
     }
 
     #[test]
@@ -787,13 +738,15 @@ mod tests {
         // The fabric-level calls never poll and never block: they say when
         // a caller should. Nobody drains rank 1 here, so every slab rank 0
         // takes stays out.
-        let f = agg_fabric(2, AggConfig::new().flush_count(2));
+        let f = agg_fabric(2);
         let window = f.agg_window(0).expect("aggregation is on");
         assert_eq!(window, INBOX_SHARDS * 2 + 8);
         let push = || f.add_u64_buffered(0, GlobalAddr::new(1, 0), 1);
+        // Two frames to a batch, cut by an explicit flush point (the frame
+        // that fills a slab reports it: `default_batch_is_a_full_slab`).
         for batch in 0..window - 1 {
-            assert!(!push(), "batch {batch}: a first frame under the window");
-            assert!(push(), "batch {batch}: the frame that sends it");
+            assert!(!push() && !push(), "batch {batch}: under the window");
+            assert_eq!(f.flush_agg(0), 1);
             assert_eq!(f.agg_slabs_out(0), batch + 1);
             assert!(!f.agg_window_full(0));
         }
@@ -803,16 +756,19 @@ mod tests {
         assert!(f.agg_window_full(0));
         assert_eq!(f.agg_slabs_out(0), window);
         // A caller that carries on regardless is not stopped (the pinned
-        // ledger packs this way) — it is told every time.
-        assert!(push() && push() && f.agg_slabs_out(0) == window + 1);
+        // ledger packs this way) — it is told with every slab it starts.
+        assert!(!push() && f.flush_agg(0) == 1);
+        assert!(push() && f.agg_slabs_out(0) == window + 1);
         // Applying the batches sends the slabs home: all but the partial
         // buffer's.
         assert!(dispatch_all(&f, 1).is_empty());
         assert_eq!(f.endpoint(1).segment.load_u64(0), 2 * window as u64);
         assert_eq!(f.agg_slabs_out(0), 1);
         assert!(!f.agg_window_full(0));
-        assert!(push(), "the partial buffer's second frame sends it");
-        assert!(!push(), "and the next slab is taken well under the window");
+        assert!(
+            !push(),
+            "the partial buffer fills on, well under the window"
+        );
         // Without aggregation there is no window and nothing to report.
         let plain = Fabric::new(FabricConfig {
             ranks: 2,
@@ -825,12 +781,12 @@ mod tests {
     }
 
     #[test]
-    fn flush_agg_sends_partial_buffers_per_destination() {
-        let f = agg_fabric(3, AggConfig::default());
+    fn flush_agg_sends_one_batch_for_each_destination() {
+        let f = agg_fabric(3);
         f.xor_u64_buffered(0, GlobalAddr::new(1, 0), 3);
         f.add_u64_buffered(0, GlobalAddr::new(2, 8), 4);
         f.put_buffered(0, GlobalAddr::new(2, 16), &[0xAB; 8]);
-        assert_eq!(f.endpoint(1).pending(), 0, "below threshold: nothing sent");
+        assert_eq!(f.endpoint(1).pending(), 0, "short of a slab: nothing sent");
         assert_eq!(f.flush_agg(0), 2, "one batch per buffered destination");
         assert_eq!(f.flush_agg(0), 0, "idempotent once empty");
         assert!(dispatch_all(&f, 1).is_empty());
@@ -846,7 +802,7 @@ mod tests {
 
     #[test]
     fn local_ops_and_oversize_puts_fall_through() {
-        let f = agg_fabric(2, AggConfig::default());
+        let f = agg_fabric(2);
         // Local buffered ops never buffer (they are already "delivered").
         f.xor_u64_buffered(0, GlobalAddr::new(0, 0), 7);
         assert_eq!(f.endpoint(0).segment.load_u64(0), 7);
@@ -894,7 +850,7 @@ mod tests {
     fn direct_am_flushes_destination_buffer_first() {
         // Per-link FIFO across the layers: frames buffered before a
         // direct AM must be delivered before it.
-        let f = agg_fabric(2, AggConfig::default());
+        let f = agg_fabric(2);
         f.am_buffered(0, 1, 10, &[]);
         f.am_buffered(0, 1, 11, &[]);
         f.send_am(
@@ -921,7 +877,7 @@ mod tests {
             simnet: None,
             trace: TraceConfig::off(),
             faults: Some(crate::faults::FaultPlan::new(3).dup(1.0)),
-            agg: Some(AggConfig::new().flush_count(8)),
+            agg: Some(AggConfig::new()),
             check: None,
             cache: None,
             prof: None,
@@ -931,6 +887,7 @@ mod tests {
         for _ in 0..8 {
             f.add_u64_buffered(0, GlobalAddr::new(1, 0), 1);
         }
+        assert_eq!(f.flush_agg(0), 1);
         for _ in 0..1000 {
             f.pump_incoming(1);
             assert!(dispatch_all(&f, 1).is_empty());

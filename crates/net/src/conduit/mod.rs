@@ -103,10 +103,10 @@ pub enum ConduitSel {
 pub const CONDUIT_SYNTAX: &str = "loopback|shm:PATH|tcp:HOST:BASE_PORT|uds:DIR";
 
 impl ConduitSel {
-    /// Parse a `RUPCXX_CONDUIT` value. `Ok(None)` means explicitly off
-    /// (empty or `loopback` maps to the in-process fabric... loopback is
-    /// returned as a value so launchers can distinguish "unset" from
-    /// "explicitly loopback").
+    /// Parse a `RUPCXX_CONDUIT` value. An empty value is `Ok(None)`, as
+    /// if unset; `loopback` is returned as a value, so a launcher can
+    /// tell "explicitly loopback" from "unset" (both run the in-process
+    /// fabric).
     pub fn parse(raw: &str) -> Result<Option<ConduitSel>, String> {
         if raw.is_empty() {
             return Ok(None);

@@ -250,27 +250,21 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         ranks: usize,
         segment_bytes: usize,
         trace: RankTrace,
         faulty: bool,
-        agg: Option<&AggConfig>,
+        agg: bool,
         cache: Option<CacheState>,
-        causal: bool,
         rma_fast: bool,
     ) -> Self {
-        let stats = CommStats::default();
-        if causal {
-            stats.enable_per_dest(ranks);
-        }
         Endpoint {
             segment: Segment::new(segment_bytes),
             rma_fast,
-            stats: CachePadded(stats),
+            stats: CachePadded(CommStats::default()),
             trace,
-            agg: agg.map(|cfg| AggState::new(ranks, cfg.clone())),
+            agg: agg.then(|| AggState::new(ranks)),
             cache,
             inbox: ShardedInbox::new(),
             reliable: faulty.then(|| AmChannel::new(ranks)),
@@ -520,14 +514,13 @@ impl Fabric {
                     seg,
                     trace,
                     faults.is_some(),
-                    config.agg.as_ref(),
+                    config.agg.is_some(),
                     // Bounded by the configured size: the segments it
                     // caches are the peers', in remote mode not `seg`.
                     config
                         .cache
                         .as_ref()
                         .map(|cfg| CacheState::new(cfg.clone(), config.segment_bytes)),
-                    causal,
                     rma_fast,
                 )
             })
@@ -598,7 +591,6 @@ impl Fabric {
             };
             ops.fetch_add(1, Ordering::Relaxed);
             total.fetch_add(bytes as u64, Ordering::Relaxed);
-            stats.count_dest(target, bytes as u64);
         }
     }
 
@@ -967,7 +959,6 @@ impl Fabric {
         if !matches!(payload, AmPayload::Task(_)) {
             stats.am_bytes.fetch_add(am_bytes as u64, Ordering::Relaxed);
         }
-        stats.count_dest(dst, am_bytes as u64);
         // The causal span (None unless `RUPCXX_PROF` is on) survives
         // retransmits because the whole message rides the limbo and lost
         // queues, and aggregation because a batch is one frame.
@@ -1027,13 +1018,6 @@ impl Fabric {
             .iter()
             .map(|e| e.stats.snapshot())
             .fold(CommCounts::default(), |acc, c| acc.merged(&c))
-    }
-
-    /// Reset every endpoint's counters.
-    pub fn reset_counts(&self) {
-        for e in self.endpoints.iter() {
-            e.stats.reset();
-        }
     }
 }
 
@@ -1591,7 +1575,6 @@ mod tests {
         let t = f.total_counts();
         assert_eq!(t.puts, 2);
         assert_eq!(t.gets, 1);
-        f.reset_counts();
-        assert_eq!(f.total_counts(), CommCounts::default());
+        assert_eq!(f.total_counts().since(&t), CommCounts::default());
     }
 }

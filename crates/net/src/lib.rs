@@ -56,7 +56,7 @@ pub use schedule::{
     ScheduleRecorder,
 };
 pub use segment::Segment;
-pub use stats::{CommCounts, CommStats, PerDestStats};
+pub use stats::{CommCounts, CommStats};
 
 /// A rank id (SPMD execution-unit index), `0..ranks()`.
 pub type Rank = usize;

@@ -257,6 +257,21 @@ impl Fabric {
         r.fin_acked[peer].store(true, Ordering::Release);
     }
 
+    /// Refuse a message `me` received from `src`: it decoded, but names
+    /// something `me` does not have (a handler id, a reply token) or its
+    /// arguments do not unpack. From another process that is a failed
+    /// link like any frame that does not decode, and the caller drops the
+    /// message; from a rank of this process it is a program bug.
+    ///
+    /// # Panics
+    /// Panics when `src` lives in this process.
+    pub fn refuse_message(&self, me: Rank, src: Rank, why: &dyn std::fmt::Display) {
+        match self.remote_to(src) {
+            Some(r) => self.link_failed(r, src, why),
+            None => panic!("rank {me}: message from rank {src} refused: {why}"),
+        }
+    }
+
     /// Decode and execute one frame from `src`. Nothing in it is trusted
     /// until checked against this rank's own state; an `Err` leaves the
     /// segment and the inbox as they were.

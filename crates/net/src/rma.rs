@@ -553,13 +553,13 @@ mod tests {
     /// rank 1's segment, unsynchronized, before the op runs: every span
     /// the op then records races with that write, so the checker's
     /// findings list exactly the access records the op produced.
-    fn fabric(agg: bool) -> (Arc<Fabric>, FindingSink) {
+    fn fabric(agg: bool) -> (Arc<Fabric>, FindingSink, CommCounts) {
         let sink = rupcxx_check::new_sink();
         let f = Fabric::new(FabricConfig {
             ranks: 3,
             segment_bytes: SEG,
             check: Some(CheckConfig::race().with_sink(sink.clone())),
-            agg: agg.then(AggConfig::default),
+            agg: agg.then(AggConfig::new),
             ..FabricConfig::default()
         });
         f.put(2, GlobalAddr::new(1, 0), &[0u8; SEG]);
@@ -567,12 +567,12 @@ mod tests {
         for word in 0..SEG / 8 {
             seg.store_u64(word * 8, SEED.wrapping_add(word as u64));
         }
-        f.reset_counts();
-        (f, sink)
+        let seeded = f.total_counts();
+        (f, sink, seeded)
     }
 
     fn run(row: &Row, path: Path) -> (Outcome, CommCounts, Vec<String>) {
-        let (f, sink) = fabric(path == Path::Batch);
+        let (f, sink, seeded) = fabric(path == Path::Batch);
         let op = &row.op;
         let mut out = vec![0u8; if op.is_get() { op.bytes() } else { 0 }];
         let result = match path {
@@ -601,7 +601,7 @@ mod tests {
                     RmaOp::Rmw { addr, a, .. } => f.add_u64_buffered(0, addr, a),
                     _ => unreachable!("{}: no buffered entry point", row.name),
                 };
-                assert!(!sent, "{}: one frame crosses no threshold", row.name);
+                assert!(!sent, "{}: one frame fills no slab", row.name);
                 assert_eq!(f.flush_agg(0), 1);
                 let msg = f.endpoint(1).try_recv().expect("the batch");
                 let AmPayload::Batch { frames, count: 1 } = &msg.payload else {
@@ -621,7 +621,7 @@ mod tests {
             result,
             out,
         };
-        (outcome, f.total_counts(), findings)
+        (outcome, f.total_counts().since(&seeded), findings)
     }
 
     #[test]

@@ -6,26 +6,6 @@
 //! (message counts × modeled per-message cost at paper-scale machines).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-
-/// Per-destination op/byte counters. Allocated only when the profiler is
-/// on (`RUPCXX_PROF`) — the per-dest traffic shape is what an adaptive
-/// aggregation policy needs, but it is ranks × 16 bytes of atomics per
-/// endpoint, so the default path never pays for it.
-#[derive(Debug)]
-pub struct PerDestStats {
-    ops: Box<[AtomicU64]>,
-    bytes: Box<[AtomicU64]>,
-}
-
-impl PerDestStats {
-    fn new(ranks: usize) -> Self {
-        PerDestStats {
-            ops: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
-            bytes: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-}
 
 /// Live, thread-safe counters for one endpoint.
 #[derive(Debug, Default)]
@@ -76,15 +56,11 @@ pub struct CommStats {
     pub cache_misses: AtomicU64,
     /// Cached lines dropped by write-through or sync-point invalidation.
     pub cache_invalidations: AtomicU64,
-    /// Completed [`CommStats::reset`] calls (see that method's caveats).
-    epoch: AtomicU64,
-    /// Per-destination accounting (unset unless the profiler enabled it).
-    per_dest: OnceLock<PerDestStats>,
 }
 
 impl CommStats {
-    /// Snapshot the counters (including the reset epoch, so the snapshot
-    /// can later serve as a [`CommStats::delta_since`] baseline).
+    /// Snapshot the counters. A phase is measured as the difference of
+    /// two snapshots ([`CommCounts::since`]); the counters only ever grow.
     pub fn snapshot(&self) -> CommCounts {
         CommCounts {
             puts: self.puts.load(Ordering::Relaxed),
@@ -104,104 +80,12 @@ impl CommStats {
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
             cache_invalidations: self.cache_invalidations.load(Ordering::Relaxed),
-            epoch: self.epoch.load(Ordering::Acquire),
         }
-    }
-
-    /// Reset all counters to zero.
-    ///
-    /// **Semantics:** the counters are cleared one at a time with relaxed
-    /// stores — the reset is *not* atomic as a whole. An operation racing
-    /// with `reset()` may land some of its increments before the clear and
-    /// some after, so counts taken around a concurrent reset can be off by
-    /// the in-flight operations. Call it only at quiescent points (e.g.
-    /// between benchmark phases, after a barrier). To measure a phase
-    /// *without* resetting — immune to this race by construction — take a
-    /// baseline [`CommStats::snapshot`] and use [`CommStats::delta_since`].
-    pub fn reset(&self) {
-        self.puts.store(0, Ordering::Relaxed);
-        self.put_bytes.store(0, Ordering::Relaxed);
-        self.gets.store(0, Ordering::Relaxed);
-        self.get_bytes.store(0, Ordering::Relaxed);
-        self.ams_sent.store(0, Ordering::Relaxed);
-        self.am_bytes.store(0, Ordering::Relaxed);
-        self.ams_handled.store(0, Ordering::Relaxed);
-        self.local_ops.store(0, Ordering::Relaxed);
-        self.retransmits.store(0, Ordering::Relaxed);
-        self.wire_drops.store(0, Ordering::Relaxed);
-        self.dup_arrivals.store(0, Ordering::Relaxed);
-        self.reorders.store(0, Ordering::Relaxed);
-        self.agg_ops.store(0, Ordering::Relaxed);
-        self.agg_batches.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.cache_invalidations.store(0, Ordering::Relaxed);
-        if let Some(pd) = self.per_dest.get() {
-            for d in pd.ops.iter().chain(pd.bytes.iter()) {
-                d.store(0, Ordering::Relaxed);
-            }
-        }
-        self.epoch.fetch_add(1, Ordering::Release);
-    }
-
-    /// Switch on per-destination accounting for `ranks` destinations.
-    /// Idempotent; called by the endpoint constructor when the profiler
-    /// is enabled.
-    pub fn enable_per_dest(&self, ranks: usize) {
-        let _ = self.per_dest.set(PerDestStats::new(ranks));
-    }
-
-    /// Count one initiated operation of `bytes` towards `dst`. One
-    /// untaken branch when per-destination accounting is off.
-    #[inline]
-    pub fn count_dest(&self, dst: usize, bytes: u64) {
-        if let Some(pd) = self.per_dest.get() {
-            pd.ops[dst].fetch_add(1, Ordering::Relaxed);
-            pd.bytes[dst].fetch_add(bytes, Ordering::Relaxed);
-        }
-    }
-
-    /// Per-destination `(ops, bytes)` snapshot, indexed by destination
-    /// rank. `None` unless [`CommStats::enable_per_dest`] ran.
-    pub fn per_dest(&self) -> Option<Vec<(u64, u64)>> {
-        self.per_dest.get().map(|pd| {
-            pd.ops
-                .iter()
-                .zip(pd.bytes.iter())
-                .map(|(o, b)| (o.load(Ordering::Relaxed), b.load(Ordering::Relaxed)))
-                .collect()
-        })
-    }
-
-    /// Number of completed [`CommStats::reset`] calls. A phase measurement
-    /// is only valid if the epoch is unchanged between its two snapshots.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Counters accumulated since `baseline` (an earlier
-    /// [`CommStats::snapshot`] of this endpoint): the epoch-based way to
-    /// measure a phase without resetting.
-    ///
-    /// # Panics
-    /// Panics if the counters were `reset()` after `baseline` was taken
-    /// (the subtraction would underflow and the delta would be garbage).
-    pub fn delta_since(&self, baseline: &CommCounts) -> CommCounts {
-        assert_eq!(
-            self.epoch(),
-            baseline.epoch,
-            "CommStats::delta_since: counters were reset after the baseline snapshot"
-        );
-        self.snapshot().since(baseline)
     }
 }
 
 /// A point-in-time copy of [`CommStats`].
-///
-/// Equality compares the traffic counters only — the bookkeeping `epoch`
-/// is excluded, so snapshots of identical traffic compare equal across
-/// resets.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CommCounts {
     /// Remote puts initiated.
     pub puts: u64,
@@ -237,34 +121,7 @@ pub struct CommCounts {
     pub cache_misses: u64,
     /// Cached lines dropped by write-through or sync-point invalidation.
     pub cache_invalidations: u64,
-    /// Reset epoch of the endpoint at snapshot time (see
-    /// [`CommStats::epoch`]). Not part of equality.
-    pub epoch: u64,
 }
-
-impl PartialEq for CommCounts {
-    fn eq(&self, other: &Self) -> bool {
-        self.puts == other.puts
-            && self.put_bytes == other.put_bytes
-            && self.gets == other.gets
-            && self.get_bytes == other.get_bytes
-            && self.ams_sent == other.ams_sent
-            && self.am_bytes == other.am_bytes
-            && self.ams_handled == other.ams_handled
-            && self.local_ops == other.local_ops
-            && self.retransmits == other.retransmits
-            && self.wire_drops == other.wire_drops
-            && self.dup_arrivals == other.dup_arrivals
-            && self.reorders == other.reorders
-            && self.agg_ops == other.agg_ops
-            && self.agg_batches == other.agg_batches
-            && self.cache_hits == other.cache_hits
-            && self.cache_misses == other.cache_misses
-            && self.cache_invalidations == other.cache_invalidations
-    }
-}
-
-impl Eq for CommCounts {}
 
 impl CommCounts {
     /// Total remote operations initiated (puts + gets + AMs).
@@ -277,12 +134,10 @@ impl CommCounts {
         self.put_bytes + self.get_bytes + self.am_bytes
     }
 
-    /// Element-wise difference (`self - earlier`), for measuring a phase.
-    /// Both snapshots must come from the same epoch (no intervening
-    /// `reset()`), otherwise the subtraction underflows.
+    /// Element-wise difference (`self - earlier`), for measuring a phase:
+    /// `earlier` is a snapshot of the same endpoint(s) taken before.
     pub fn since(&self, earlier: &CommCounts) -> CommCounts {
         CommCounts {
-            epoch: self.epoch,
             puts: self.puts - earlier.puts,
             put_bytes: self.put_bytes - earlier.put_bytes,
             gets: self.gets - earlier.gets,
@@ -303,11 +158,9 @@ impl CommCounts {
         }
     }
 
-    /// Element-wise sum, for aggregating over ranks (the result's `epoch`
-    /// is the max of the inputs' — bookkeeping only).
+    /// Element-wise sum, for aggregating over ranks.
     pub fn merged(&self, other: &CommCounts) -> CommCounts {
         CommCounts {
-            epoch: self.epoch.max(other.epoch),
             puts: self.puts + other.puts,
             put_bytes: self.put_bytes + other.put_bytes,
             gets: self.gets + other.gets,
@@ -334,86 +187,69 @@ mod tests {
     use super::*;
 
     #[test]
-    fn snapshot_and_reset() {
+    fn snapshot_copies_every_counter() {
         let s = CommStats::default();
+        assert_eq!(s.snapshot(), CommCounts::default());
         s.puts.fetch_add(3, Ordering::Relaxed);
         s.put_bytes.fetch_add(24, Ordering::Relaxed);
-        let c = s.snapshot();
-        assert_eq!(c.puts, 3);
-        assert_eq!(c.put_bytes, 24);
-        s.reset();
-        assert_eq!(s.snapshot(), CommCounts::default());
-    }
-
-    #[test]
-    fn epoch_and_delta_since() {
-        let s = CommStats::default();
-        s.puts.fetch_add(2, Ordering::Relaxed);
-        let base = s.snapshot();
-        s.puts.fetch_add(5, Ordering::Relaxed);
-        s.gets.fetch_add(1, Ordering::Relaxed);
-        let d = s.delta_since(&base);
-        assert_eq!(d.puts, 5);
-        assert_eq!(d.gets, 1);
-        assert_eq!(s.epoch(), 0);
-        s.reset();
-        assert_eq!(s.epoch(), 1);
-        // Snapshots of identical traffic compare equal across resets.
-        assert_eq!(s.snapshot(), CommCounts::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "reset after the baseline")]
-    fn delta_since_detects_reset() {
-        let s = CommStats::default();
-        s.puts.fetch_add(2, Ordering::Relaxed);
-        let base = s.snapshot();
-        s.reset();
-        let _ = s.delta_since(&base);
-    }
-
-    #[test]
-    fn delta_since_valid_again_after_fresh_baseline_in_new_epoch() {
-        // A reset invalidates old baselines, but a baseline taken *after*
-        // the reset measures the new epoch normally.
-        let s = CommStats::default();
-        s.puts.fetch_add(9, Ordering::Relaxed);
-        s.reset();
-        s.reset();
-        assert_eq!(s.epoch(), 2);
-        let base = s.snapshot();
-        assert_eq!(base.epoch, 2);
-        s.puts.fetch_add(4, Ordering::Relaxed);
-        s.retransmits.fetch_add(3, Ordering::Relaxed);
-        let d = s.delta_since(&base);
-        assert_eq!(d.puts, 4);
-        assert_eq!(d.retransmits, 3);
-        assert_eq!(d.epoch, 2);
-    }
-
-    #[test]
-    fn fault_counters_round_trip_snapshot_reset_delta() {
-        let s = CommStats::default();
         s.retransmits.fetch_add(5, Ordering::Relaxed);
         s.wire_drops.fetch_add(5, Ordering::Relaxed);
         s.dup_arrivals.fetch_add(2, Ordering::Relaxed);
         s.reorders.fetch_add(1, Ordering::Relaxed);
-        let base = s.snapshot();
-        assert_eq!(base.retransmits, 5);
-        assert_eq!(base.wire_drops, 5);
-        assert_eq!(base.dup_arrivals, 2);
-        assert_eq!(base.reorders, 1);
-        s.wire_drops.fetch_add(2, Ordering::Relaxed);
-        assert_eq!(s.delta_since(&base).wire_drops, 2);
-        s.reset();
-        assert_eq!(s.snapshot(), CommCounts::default());
-        // Fault counters participate in equality: same traffic but a
-        // different drop count must not compare equal.
-        let a = CommCounts {
-            wire_drops: 1,
+        s.agg_ops.fetch_add(128, Ordering::Relaxed);
+        s.agg_batches.fetch_add(2, Ordering::Relaxed);
+        s.cache_hits.fetch_add(90, Ordering::Relaxed);
+        s.cache_misses.fetch_add(10, Ordering::Relaxed);
+        s.cache_invalidations.fetch_add(4, Ordering::Relaxed);
+        let want = CommCounts {
+            puts: 3,
+            put_bytes: 24,
+            retransmits: 5,
+            wire_drops: 5,
+            dup_arrivals: 2,
+            reorders: 1,
+            agg_ops: 128,
+            agg_batches: 2,
+            cache_hits: 90,
+            cache_misses: 10,
+            cache_invalidations: 4,
             ..Default::default()
         };
-        assert_ne!(a, CommCounts::default());
+        let base = s.snapshot();
+        assert_eq!(base, want);
+        // A phase is the difference of two snapshots.
+        s.wire_drops.fetch_add(2, Ordering::Relaxed);
+        s.agg_ops.fetch_add(64, Ordering::Relaxed);
+        s.cache_hits.fetch_add(10, Ordering::Relaxed);
+        let phase = CommCounts {
+            wire_drops: 2,
+            agg_ops: 64,
+            cache_hits: 10,
+            ..Default::default()
+        };
+        assert_eq!(s.snapshot().since(&base), phase);
+    }
+
+    #[test]
+    fn every_counter_takes_part_in_equality() {
+        // Same traffic with a different drop count, a different number of
+        // wire frames or a different hit pattern must not compare equal.
+        for one in [
+            CommCounts {
+                wire_drops: 1,
+                ..Default::default()
+            },
+            CommCounts {
+                agg_batches: 1,
+                ..Default::default()
+            },
+            CommCounts {
+                cache_hits: 1,
+                ..Default::default()
+            },
+        ] {
+            assert_ne!(one, CommCounts::default());
+        }
     }
 
     #[test]
@@ -445,101 +281,28 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_counters_round_trip() {
-        let s = CommStats::default();
-        s.agg_ops.fetch_add(128, Ordering::Relaxed);
-        s.agg_batches.fetch_add(2, Ordering::Relaxed);
-        let base = s.snapshot();
-        assert_eq!(base.agg_ops, 128);
-        assert_eq!(base.agg_batches, 2);
-        s.agg_ops.fetch_add(64, Ordering::Relaxed);
-        s.agg_batches.fetch_add(1, Ordering::Relaxed);
-        let d = s.delta_since(&base);
-        assert_eq!((d.agg_ops, d.agg_batches), (64, 1));
-        let m = base.merged(&s.snapshot());
-        assert_eq!((m.agg_ops, m.agg_batches), (320, 5));
-        s.reset();
-        assert_eq!(s.snapshot(), CommCounts::default());
-        // The aggregation counters participate in equality: coalescing the
-        // same logical traffic into a different number of wire frames must
-        // not compare equal.
-        let a = CommCounts {
-            agg_batches: 1,
-            ..Default::default()
-        };
-        assert_ne!(a, CommCounts::default());
-    }
-
-    #[test]
-    fn cache_counters_round_trip() {
-        let s = CommStats::default();
-        s.cache_hits.fetch_add(90, Ordering::Relaxed);
-        s.cache_misses.fetch_add(10, Ordering::Relaxed);
-        s.cache_invalidations.fetch_add(4, Ordering::Relaxed);
-        let base = s.snapshot();
-        assert_eq!(base.cache_hits, 90);
-        assert_eq!(base.cache_misses, 10);
-        assert_eq!(base.cache_invalidations, 4);
-        s.cache_hits.fetch_add(10, Ordering::Relaxed);
-        s.cache_invalidations.fetch_add(1, Ordering::Relaxed);
-        let d = s.delta_since(&base);
-        assert_eq!(
-            (d.cache_hits, d.cache_misses, d.cache_invalidations),
-            (10, 0, 1)
-        );
-        let m = base.merged(&s.snapshot());
-        assert_eq!(
-            (m.cache_hits, m.cache_misses, m.cache_invalidations),
-            (190, 20, 9)
-        );
-        s.reset();
-        assert_eq!(s.snapshot(), CommCounts::default());
-        // Cache counters participate in equality: the same logical reads
-        // served with a different hit pattern must not compare equal.
-        let a = CommCounts {
-            cache_hits: 1,
-            ..Default::default()
-        };
-        assert_ne!(a, CommCounts::default());
-    }
-
-    #[test]
-    fn per_dest_off_by_default_and_counts_when_enabled() {
-        let s = CommStats::default();
-        assert!(s.per_dest().is_none());
-        s.count_dest(0, 8); // no-op while disabled
-        s.enable_per_dest(3);
-        assert_eq!(s.per_dest().unwrap(), vec![(0, 0); 3]);
-        s.count_dest(1, 8);
-        s.count_dest(1, 16);
-        s.count_dest(2, 64);
-        let pd = s.per_dest().unwrap();
-        assert_eq!(pd, vec![(0, 0), (2, 24), (1, 64)]);
-        s.reset();
-        assert_eq!(s.per_dest().unwrap(), vec![(0, 0); 3]);
-        // enable is idempotent — counters survive a second call.
-        s.count_dest(0, 1);
-        s.enable_per_dest(3);
-        assert_eq!(s.per_dest().unwrap()[0], (1, 1));
-    }
-
-    #[test]
     fn since_and_merged() {
         let a = CommCounts {
             puts: 5,
             put_bytes: 40,
+            agg_ops: 192,
+            cache_misses: 10,
             ..Default::default()
         };
         let b = CommCounts {
             puts: 2,
             put_bytes: 16,
+            agg_ops: 128,
+            cache_misses: 10,
             ..Default::default()
         };
         let d = a.since(&b);
         assert_eq!(d.puts, 3);
         assert_eq!(d.put_bytes, 24);
+        assert_eq!((d.agg_ops, d.cache_misses), (64, 0));
         let m = a.merged(&b);
         assert_eq!(m.puts, 7);
+        assert_eq!((m.agg_ops, m.cache_misses), (320, 20));
         assert_eq!(m.total_bytes(), 56);
         assert_eq!(m.remote_ops(), 7);
     }

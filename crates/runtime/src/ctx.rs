@@ -195,7 +195,12 @@ impl Ctx {
     /// runtime), while what the rank's own code buffers leaves at the
     /// rank's own flush points, as it does without a worker.
     pub(crate) fn serve(&self) -> usize {
+        // Marked before the pass pops anything, cleared once everything it
+        // popped has run: what `Ctx::quiet` reads after the queues.
+        let in_pass = &self.shared.own[self.rank].worker_in_pass;
+        in_pass.store(true, Ordering::Relaxed);
         let n = self.poll();
+        in_pass.store(false, Ordering::Release);
         let replies = &self.shared.own[self.rank].replies_buffered;
         // The swap (an idle pass that finds no mark pays only the load)
         // takes the mark it clears: acquiring it orders the flush after
@@ -205,6 +210,26 @@ impl Ctx {
             return self.agg_flush();
         }
         n
+    }
+
+    /// True when nothing is on its way to `rank`: its inbox is empty, its
+    /// incoming links hold nothing, and no progress worker of its is in
+    /// the middle of a pass — a message a worker has popped and is still
+    /// running is in neither queue. What `agg_fence`, the teardown drain
+    /// and the deadlock scan take as "everything sent here has run".
+    ///
+    /// The order matters: the queues first, the worker's mark last. A
+    /// worker marks, then pops (the inbox publishes its length with
+    /// Release, `pending()` reads it with Acquire), so a reader that finds
+    /// the queue empty *because* a pass emptied it also finds the mark, or
+    /// finds it cleared after the pass ran what it took. Read the other
+    /// way round, a worker that marks and pops between the two reads
+    /// slips through.
+    pub(crate) fn quiet(&self, rank: Rank) -> bool {
+        let fabric = &self.shared.fabric;
+        fabric.endpoint(rank).pending() == 0
+            && fabric.links_quiescent(rank)
+            && !self.shared.own[rank].worker_in_pass.load(Ordering::Acquire)
     }
 
     /// Run one incoming active message.
@@ -236,9 +261,15 @@ impl Ctx {
             // `self` is the target rank's context: the task borrows it
             // rather than building (and reference-counting) one of its own.
             AmPayload::Task(task) => task(self),
-            AmPayload::Handler { id, args } => {
-                (self.shared.handlers.get(id).clone())(self, src, args)
-            }
+            AmPayload::Handler { id, args } => match self.shared.handlers.get(id) {
+                Some(handler) => handler(self, src, args),
+                None => self.unknown_handler(src, id),
+            },
+            // Frames off a socket: every handler id is looked up before the
+            // first frame is applied, so a batch that is refused leaves the
+            // segment as it was.
+            AmPayload::Batch { frames, .. }
+                if self.shared.fabric.is_remote() && self.names_unknown_handler(src, &frames) => {}
             AmPayload::Batch { frames, .. } => {
                 // One inbox pop carries many logical ops: apply RMA
                 // frames to our segment, dispatch handler frames in the
@@ -249,7 +280,10 @@ impl Ctx {
                         // Re-window the batch buffer around this frame's
                         // args: the handler sees a shared view, no copy.
                         let bytes = frames.slice_ref(args);
-                        (self.shared.handlers.get(id).clone())(self, src, bytes);
+                        match self.shared.handlers.get(id) {
+                            Some(handler) => handler(self, src, bytes),
+                            None => self.unknown_handler(src, id),
+                        }
                     } else {
                         self.shared
                             .fabric
@@ -259,6 +293,29 @@ impl Ctx {
             }
         }
         SERVING.with(|s| s.set(nested));
+    }
+
+    /// A message from `src` names a handler nobody registered. Between
+    /// processes those are bytes off a socket: the link to `src` is
+    /// classified failed, as for a frame that does not decode, and the
+    /// caller drops the message; within one process it is a bug of this
+    /// program and panics (`Fabric::refuse_message`).
+    #[cold]
+    fn unknown_handler(&self, src: Rank, id: crate::HandlerId) {
+        let registered = self.shared.handlers.len();
+        let why = format_args!("handler id {id} of {registered}");
+        self.shared.fabric.refuse_message(self.rank, src, &why);
+    }
+
+    /// Whether a batch from `src` holds a handler frame for an id nobody
+    /// registered — refused here, if so.
+    #[cold]
+    fn names_unknown_handler(&self, src: Rank, frames: &[u8]) -> bool {
+        let registered = self.shared.handlers.len();
+        let unknown = rupcxx_net::aggregate::unregistered_handler(frames, registered);
+        unknown
+            .inspect(|&id| self.unknown_handler(src, id))
+            .is_some()
     }
 
     /// The traced progress engine: samples the inbox depth, wraps each
@@ -361,18 +418,13 @@ impl Ctx {
             }
             std::thread::yield_now();
             yields += 1;
-            // Deep idle with the deadlock pass on: run the wait-for scan.
-            // `quiet` asserts nothing is queued or in flight anywhere —
-            // scans while traffic exists can never confirm a deadlock.
+            // Deep idle with the deadlock pass on: run the wait-for scan,
+            // told whether nothing is queued, in flight or being run
+            // anywhere — a scan while traffic exists confirms nothing.
             if yields.is_multiple_of(SCAN_YIELDS) {
                 if let Some(ck) = self.shared.fabric.checker() {
                     if ck.deadlock_on() {
-                        let n = self.ranks();
-                        let quiet = (0..n).all(|r| {
-                            self.shared.fabric.endpoint(r).pending() == 0
-                                && self.shared.fabric.links_quiescent(r)
-                        });
-                        ck.maybe_scan(quiet);
+                        ck.maybe_scan((0..self.ranks()).all(|r| self.quiet(r)));
                     }
                 }
             }
@@ -460,7 +512,7 @@ impl Ctx {
     /// Like [`Ctx::send_handler`], but eligible for per-destination
     /// aggregation: when the job was launched with `RuntimeConfig::agg`
     /// (or `RUPCXX_AGG`), the message is coalesced into `dst`'s batch
-    /// buffer and delivered at the next flush point (threshold overflow,
+    /// buffer and delivered at the next flush point (a full slab,
     /// [`Ctx::advance`], [`Ctx::barrier`] or [`Ctx::agg_fence`]).
     /// Without aggregation this is exactly `send_handler`.
     ///
@@ -539,16 +591,14 @@ impl Ctx {
     /// fabric (fault-injected ones included).
     ///
     /// Flush, then a barrier (so all ranks have pushed their batches),
-    /// then wait until our own links are quiescent and our inbox is
-    /// drained, then a closing barrier (so no rank proceeds before all
-    /// batches everywhere have executed).
+    /// then wait until nothing is on its way to this rank any more
+    /// ([`Ctx::quiet`]: links, inbox, and a progress worker's hands), then
+    /// a closing barrier (so no rank proceeds before all batches
+    /// everywhere have executed).
     pub fn agg_fence(&self) {
         self.agg_flush();
         self.barrier();
-        self.wait_on(WaitInfo::Fence, || {
-            self.shared.fabric.links_quiescent(self.rank)
-                && self.shared.fabric.endpoint(self.rank).pending() == 0
-        });
+        self.wait_on(WaitInfo::Fence, || self.quiet(self.rank));
         self.barrier();
     }
 
@@ -633,7 +683,7 @@ impl Ctx {
         // makes teardown schedule-agnostic (a stale pick can't hang it).
         // No-op without a schedule.
         self.shared.fabric.sched_finish();
-        self.wait_until(|| self.shared.fabric.links_quiescent(self.rank));
+        self.wait_until(|| self.quiet(self.rank));
         // One final drain: tasks may have been enqueued concurrently with
         // the last completion.
         self.advance();

@@ -18,9 +18,10 @@ pub type HandlerId = u16;
 /// context, the sending rank, and the packed argument bytes.
 pub type HandlerFn = Arc<dyn Fn(&crate::Ctx, Rank, Bytes) + Send + Sync>;
 
-/// A pending-reply continuation: consumes the packed return bytes of a
-/// registered-handler RPC, resolving the caller's future.
-pub type ReplyCont = Box<dyn FnOnce(Bytes) + Send>;
+/// A pending-reply continuation: handed the executing context, the
+/// replying rank and the reply message of a registered-handler RPC, it
+/// unpacks the return value and resolves the caller's future.
+pub type ReplyCont = Box<dyn FnOnce(&crate::Ctx, Rank, Bytes) + Send>;
 
 /// Table of AM handlers, identical on every rank (the paper assumes
 /// "function entry points on all processes are either all identical or have
@@ -48,9 +49,9 @@ impl HandlerRegistry {
         id as HandlerId
     }
 
-    /// Look up a handler.
-    pub fn get(&self, id: HandlerId) -> &HandlerFn {
-        &self.handlers[id as usize]
+    /// Look up a handler (`None`: nobody registered `id`).
+    pub fn get(&self, id: HandlerId) -> Option<&HandlerFn> {
+        self.handlers.get(id as usize)
     }
 
     /// Number of registered handlers.
@@ -129,7 +130,7 @@ pub struct RankState {
     pub(crate) world: Team,
     /// Pending reply continuations for registered-handler RPC: a reply
     /// message carries a token; the continuation stored under it consumes
-    /// the packed return bytes (resolving a future).
+    /// the message (resolving a future).
     pub pending_replies: Mutex<HashMap<u64, ReplyCont>>,
     /// Token counter for [`RankState::pending_replies`].
     pub reply_tokens: AtomicU64,
@@ -140,6 +141,10 @@ pub struct RankState {
     /// (aggregated) call; a `progress_thread` worker that finds it set on
     /// an idle pass clears it and flushes (`Ctx::serve`).
     pub(crate) replies_buffered: AtomicBool,
+    /// True while a `progress_thread` worker of this rank is inside a
+    /// pass (`Ctx::serve`, its only writer): a message the pass has popped
+    /// is in no queue any more and may not have run yet (`Ctx::quiet`).
+    pub(crate) worker_in_pass: AtomicBool,
 }
 
 /// State shared by every rank of the job. The per-rank arrays are
@@ -192,12 +197,17 @@ impl Shared {
         let (ranks, segment_bytes) = (config.ranks, config.segment_bytes);
         let builtins = config.remote.is_some().then(|| {
             let deposit = handlers.register(|ctx, src, args| {
-                assert!(args.len() >= 16, "builtin deposit: short args");
-                let domain = u64::from_le_bytes(args[..8].try_into().unwrap());
-                let key = u64::from_le_bytes(args[8..16].try_into().unwrap());
-                ctx.shared().own[ctx.rank()]
-                    .mailbox
-                    .deposit(domain, key, src, args[16..].to_vec());
+                let (Some(domain), Some(key)) = (args.get(..8), args.get(8..16)) else {
+                    let why = "builtin deposit: short args";
+                    return ctx.fabric().refuse_message(ctx.rank(), src, &why);
+                };
+                let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
+                ctx.shared().own[ctx.rank()].mailbox.deposit(
+                    word(domain),
+                    word(key),
+                    src,
+                    args[16..].to_vec(),
+                );
             });
             let complete = handlers.register(|ctx, _src, _args| {
                 ctx.shared().completed.fetch_add(1, Ordering::AcqRel);
@@ -216,6 +226,7 @@ impl Shared {
             reply_tokens: AtomicU64::new(0),
             finish: FinishState::default(),
             replies_buffered: AtomicBool::new(false),
+            worker_in_pass: AtomicBool::new(false),
         };
         Arc::new(Shared {
             fabric,
@@ -272,7 +283,7 @@ mod tests {
         let id = reg.register(|_, _, _| {});
         assert_eq!(id, 0);
         assert_eq!(reg.len(), 1);
-        let _f = reg.get(id);
+        assert!(reg.get(id).is_some() && reg.get(id + 1).is_none());
     }
 
     #[test]

@@ -17,15 +17,15 @@ use std::time::{Duration, Instant};
 
 /// Words of each rank's segment the updates land on.
 const WORDS: usize = 64;
-/// Frames per batch where a test wants many batches from few updates.
-const BATCH: usize = 8;
+/// Word-update frames (17 bytes) to a batch: a full 4096-byte slab.
+const BATCH: usize = 241;
 /// Batches each sender pushes, in windows: far more than can be out.
 const WINDOWS: usize = 64;
 
-fn small_batches() -> RuntimeConfig {
+fn aggregating() -> RuntimeConfig {
     let mut rt = RuntimeConfig::new(2)
         .segment_bytes(1 << 16)
-        .with_agg(AggConfig::new().flush_count(BATCH));
+        .with_agg(AggConfig::new());
     // Pin the configuration regardless of the ambient RUPCXX_* env.
     rt.faults = None;
     rt.trace = TraceConfig::off();
@@ -75,12 +75,12 @@ fn applied(ctx: &Ctx) -> u64 {
 /// (a) Both ranks pack `WINDOWS` windows of batches at each other at
 /// once: neither ever has more than a window out, both finish, and every
 /// update lands.
-fn flood_both_ways(rt: RuntimeConfig, frames_per_batch: usize) {
+fn flood_both_ways(rt: RuntimeConfig) {
     let out = within_a_minute(move || {
         spmd(rt, move |ctx| {
             let me = ctx.rank();
             let window = ctx.fabric().agg_window(me).expect("aggregation is on");
-            let updates = WINDOWS * window * frames_per_batch;
+            let updates = WINDOWS * window * BATCH;
             ctx.barrier();
             let most_out = pack(ctx, 1 - me, updates);
             ctx.agg_fence();
@@ -97,26 +97,18 @@ fn flood_both_ways(rt: RuntimeConfig, frames_per_batch: usize) {
 }
 
 #[test]
-fn flood_both_ways_small_batches() {
-    flood_both_ways(small_batches(), BATCH);
-}
-
-#[test]
 fn flood_both_ways_full_slabs() {
-    // The default configuration: 241 word frames to the slab.
-    let mut rt = small_batches();
-    rt.agg = Some(AggConfig::new());
-    flood_both_ways(rt, 241);
+    flood_both_ways(aggregating());
 }
 
 #[test]
 fn flood_both_ways_over_a_lossy_wire() {
-    flood_both_ways(small_batches().with_faults(lossy()), BATCH);
+    flood_both_ways(aggregating().with_faults(lossy()));
 }
 
 #[test]
 fn flood_both_ways_with_progress_threads() {
-    flood_both_ways(small_batches().with_progress_thread(), BATCH);
+    flood_both_ways(aggregating().with_progress_thread());
 }
 
 /// (b) Rank 0 packs `WINDOWS` windows of batches at a rank 1 that makes
@@ -191,17 +183,17 @@ fn late_receiver(rt: RuntimeConfig, fills: bool) {
 
 #[test]
 fn late_receiver_never_sees_more_than_a_window() {
-    late_receiver(small_batches(), true);
+    late_receiver(aggregating(), true);
 }
 
 #[test]
 fn late_receiver_over_a_lossy_wire() {
-    late_receiver(small_batches().with_faults(lossy()), true);
+    late_receiver(aggregating().with_faults(lossy()), true);
 }
 
 #[test]
 fn late_receiver_with_progress_threads() {
-    late_receiver(small_batches().with_progress_thread(), false);
+    late_receiver(aggregating().with_progress_thread(), false);
 }
 
 /// (d) Handlers now run inside buffered calls, and a handler may make
@@ -246,17 +238,17 @@ fn ping_pong(rt: RuntimeConfig) {
 
 #[test]
 fn handlers_that_reply_through_the_layer_terminate() {
-    ping_pong(small_batches());
+    ping_pong(aggregating());
 }
 
 #[test]
 fn handlers_that_reply_over_a_lossy_wire_terminate() {
-    ping_pong(small_batches().with_faults(lossy()));
+    ping_pong(aggregating().with_faults(lossy()));
 }
 
 #[test]
 fn handlers_that_reply_with_progress_threads_terminate() {
-    ping_pong(small_batches().with_progress_thread());
+    ping_pong(aggregating().with_progress_thread());
 }
 
 /// (e) A progress thread serves the receive half and leaves the buffers
@@ -271,9 +263,8 @@ fn progress_thread_sends_what_its_own_handlers_buffered() {
     let seen = got.clone();
     let pong = handlers.register(move |_, _, _| seen.store(true, Ordering::Release));
     let ping = handlers.register(move |ctx, src, args| ctx.send_handler_agg(src, pong, &args));
-    // Full slabs: one pong comes nowhere near a threshold.
-    let mut rt = small_batches().with_progress_thread();
-    rt.agg = Some(AggConfig::new());
+    // One pong comes nowhere near filling a slab.
+    let rt = aggregating().with_progress_thread();
     within_a_minute(move || {
         spmd_with_handlers(rt, handlers, move |ctx| {
             ctx.barrier();
@@ -288,4 +279,54 @@ fn progress_thread_sends_what_its_own_handlers_buffered() {
             ctx.barrier();
         })
     });
+}
+
+/// (f) A fence is a fence while a progress worker holds a batch. Rank 0
+/// sends rank 1 one batch — a handler frame that spins until released,
+/// and an add behind it — and both ranks stay out of the runtime until
+/// the handler is running, so it is rank 1's worker that popped the
+/// batch: rank 1's inbox is empty and its links are quiet while the add
+/// has not been applied. `agg_fence` must wait for the worker's pass all
+/// the same (it used to return at once, the word still 0).
+#[test]
+fn fence_waits_for_a_batch_a_progress_worker_is_applying() {
+    let started = Arc::new(AtomicBool::new(false));
+    let release = Arc::new(AtomicBool::new(false));
+    let mut handlers = HandlerRegistry::new();
+    let (running, go) = (started.clone(), release.clone());
+    let hold = handlers.register(move |_, _, _| {
+        running.store(true, Ordering::Release);
+        while !go.load(Ordering::Acquire) {
+            std::thread::yield_now();
+        }
+    });
+    let rt = aggregating().with_progress_thread();
+    let seen = within_a_minute(move || {
+        spmd_with_handlers(rt, handlers, move |ctx| {
+            let word = GlobalAddr::new(1, 0);
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                ctx.send_handler_agg(1, hold, &[]);
+                add_agg(ctx, word, 1);
+                ctx.agg_flush();
+            }
+            while !started.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            if ctx.rank() == 0 {
+                let release = release.clone();
+                std::thread::spawn(move || {
+                    std::thread::sleep(Duration::from_millis(200));
+                    release.store(true, Ordering::Release);
+                });
+            }
+            ctx.agg_fence();
+            ctx.fabric().endpoint(1).segment.load_u64(word.offset())
+        })
+    });
+    assert_eq!(
+        seen,
+        [1, 1],
+        "the fence returned before the add was applied"
+    );
 }

@@ -122,7 +122,7 @@ fn main() {
     let kv = parse_kv(&args[2..]);
     let mut config = RuntimeConfig::new(ranks).segment_mib(get(&kv, "segment_mib", 4));
     if mode == "gups-agg" && config.agg.is_none() {
-        config = config.with_agg(AggConfig::new().flush_count(64));
+        config = config.with_agg(AggConfig::new());
     }
     let outcome = spmd_procs(config, HandlerRegistry::new(), |ctx| {
         let sum = run_workload(ctx, &mode, &kv);

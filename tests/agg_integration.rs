@@ -105,7 +105,7 @@ fn batch_counts_are_a_function_of_the_update_stream() {
     // Long enough that every rank sends some thousands of batches, polls
     // once for each and is throttled by the window now and then. None of
     // that may move a batch boundary: the poll and the window's wait are
-    // receive-only, so a buffer is cut by its own threshold or by the
+    // receive-only, so a buffer is cut by its slab filling or by the
     // fence, never because the rank happened to be waiting. (A hook that
     // polled or blocked through `advance()` would flush the *other*
     // destinations' partial buffers each time, a different number of

@@ -49,20 +49,17 @@ fn gups_plain_is_clean() {
 #[test]
 fn gups_aggregated_is_clean() {
     let sink = new_sink();
-    let out = spmd(
-        checked(4, &sink).with_agg(AggConfig::new().flush_count(32)),
-        |ctx| {
-            gups::run(
-                ctx,
-                &gups::GupsConfig {
-                    table_size: 1 << 10,
-                    updates_per_rank: 1_000,
-                    variant: gups::Variant::UpcxxAgg,
-                    verify: true,
-                },
-            )
-        },
-    );
+    let out = spmd(checked(4, &sink).with_agg(AggConfig::new()), |ctx| {
+        gups::run(
+            ctx,
+            &gups::GupsConfig {
+                table_size: 1 << 10,
+                updates_per_rank: 1_000,
+                variant: gups::Variant::UpcxxAgg,
+                verify: true,
+            },
+        )
+    });
     assert!(out.iter().all(|r| r.verified));
     assert_clean(&sink, "gups aggregated");
 }
@@ -90,20 +87,17 @@ fn stencil_is_clean() {
 #[test]
 fn sample_sort_is_clean() {
     let sink = new_sink();
-    let out = spmd(
-        checked(4, &sink).with_agg(AggConfig::new().flush_count(32)),
-        |ctx| {
-            sample_sort::run(
-                ctx,
-                &sample_sort::SortConfig {
-                    keys_per_rank: 2_000,
-                    oversample: 32,
-                    variant: sample_sort::Variant::UpcxxAgg,
-                    seed: 7,
-                },
-            )
-        },
-    );
+    let out = spmd(checked(4, &sink).with_agg(AggConfig::new()), |ctx| {
+        sample_sort::run(
+            ctx,
+            &sample_sort::SortConfig {
+                keys_per_rank: 2_000,
+                oversample: 32,
+                variant: sample_sort::Variant::UpcxxAgg,
+                seed: 7,
+            },
+        )
+    });
     assert!(out.iter().all(|r| r.verified));
     assert_clean(&sink, "sample sort");
 }

@@ -104,8 +104,7 @@ fn race_write_write_same_word() {
 fn race_aggregated_put_vs_unfenced_read() {
     let sink = new_sink();
     spmd(
-        cfg(2, CheckConfig::race().with_sink(sink.clone()))
-            .with_agg(AggConfig::new().flush_count(64)),
+        cfg(2, CheckConfig::race().with_sink(sink.clone())).with_agg(AggConfig::new()),
         |ctx| {
             if ctx.rank() == 0 {
                 // Stays buffered until the barrier's flush.

@@ -411,6 +411,129 @@ fn garbage_frames_yield_peer_unreachable_not_an_abort() {
     }
 }
 
+#[test]
+fn hostile_handler_frames_yield_peer_unreachable_not_an_abort() {
+    // The runtime-level half of the test above: frames that decode, and
+    // then name a handler, a reply token or arguments this rank does not
+    // have. Rank 0 is a `Ctx` driving `advance()` over a conduit-backed
+    // `Shared`; "rank 1" is this test on the other end of the uds mesh.
+    use rupcxx::remote_fn::FnRegistry;
+    use rupcxx_net::conduit::wire::{self, WireFrame};
+    use rupcxx_net::{
+        AggConfig, AmPayload, Conduit, ConduitEvent, ConduitSel, Fabric, FabricConfig, GlobalAddr,
+        RemoteConfig, SocketConduit,
+    };
+    use rupcxx_runtime::shared::Shared;
+    use rupcxx_runtime::Ctx;
+
+    const SEG: usize = 4096;
+    const NOBODY: u16 = 999;
+    let am = |id: u16, args: &[u8]| {
+        let mut frame = Vec::new();
+        wire::encode_am_handler(&mut frame, None, None, id, args);
+        frame
+    };
+    let rpc = |token: u64, value: &[u8]| [&token.to_le_bytes()[..], value].concat();
+    // A batch packed for rank 0 by a real aggregation layer: a put that
+    // would land, and behind it a handler frame for nobody.
+    let hostile_batch = {
+        let packer = Fabric::new(FabricConfig {
+            ranks: 2,
+            segment_bytes: SEG,
+            agg: Some(AggConfig::new()),
+            ..FabricConfig::default()
+        });
+        packer.put_buffered(1, GlobalAddr::new(0, 128), &[0xCD; 8]);
+        packer.am_buffered(1, 0, NOBODY, &[]);
+        assert_eq!(packer.flush_agg(1), 1);
+        let AmPayload::Batch { frames, count } = &packer.endpoint(0).drain()[0].payload else {
+            panic!("not a batch");
+        };
+        let mut frame = Vec::new();
+        wire::encode_am_batch(&mut frame, None, None, *count, frames);
+        frame
+    };
+    // Handlers 0 and 1 are `FnRegistry`'s reply router and `inc`; the
+    // runtime's builtins follow, the mailbox deposit first.
+    let (reply_router, inc, deposit) = (0, 1, 2);
+    let cases: [(&str, Vec<u8>); 6] = [
+        ("unknown handler id", am(NOBODY, &[])),
+        ("unknown handler id inside a valid batch", hostile_batch),
+        ("3-byte deposit", am(deposit, &[1, 2, 3])),
+        (
+            "reply with an unknown token",
+            am(reply_router, &rpc(77, &[0; 8])),
+        ),
+        ("reply shorter than a token", am(reply_router, &[1, 2, 3])),
+        ("call with short args", am(inc, &rpc(5, &[1, 2, 3]))),
+    ];
+    for (what, hostile) in cases {
+        let dir = scratch("uds-hostile");
+        std::fs::create_dir_all(&dir).unwrap();
+        let (shared, peer) = std::thread::scope(|s| {
+            let hosted = s.spawn(|| {
+                let mut registry = FnRegistry::new();
+                let registered = registry.register(|_: &Ctx, x: u64| x + 1);
+                assert_eq!(registered.id(), inc);
+                let config = FabricConfig {
+                    ranks: 2,
+                    segment_bytes: SEG,
+                    remote: Some(RemoteConfig {
+                        my_rank: 0,
+                        conduit: ConduitSel::Uds(dir.clone()),
+                    }),
+                    ..FabricConfig::default()
+                };
+                Shared::new_full(config, registry.into_handlers())
+            });
+            let peer = SocketConduit::uds(&dir, 1, 2);
+            (hosted.join().unwrap(), peer)
+        });
+        let (ctx, fabric) = (Ctx::new(0, shared.clone()), &shared.fabric);
+        let advance_until = |done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !done() {
+                ctx.advance();
+                assert!(Instant::now() < deadline, "{what}: stalled");
+                std::thread::yield_now();
+            }
+        };
+        // The link and the dispatch work: a well-formed call is answered.
+        peer.send(0, &am(inc, &rpc(5, &41u64.to_le_bytes())));
+        let reply = std::cell::RefCell::new(None);
+        advance_until(&|| {
+            if let Some(ConduitEvent::Frame(0, frame)) = peer.try_recv() {
+                *reply.borrow_mut() = Some(frame);
+            }
+            reply.borrow().is_some()
+        });
+        match wire::decode(reply.borrow().as_ref().unwrap()) {
+            Ok(WireFrame::AmHandler { id, args, .. }) => {
+                assert_eq!(
+                    (id, args),
+                    (reply_router, &rpc(5, &42u64.to_le_bytes())[..])
+                );
+            }
+            other => panic!("{what}: unexpected reply {other:?}"),
+        }
+        assert!(fabric.failure().is_none());
+        // The hostile frame: refused, the link classified, nothing applied.
+        peer.send(0, &hostile);
+        advance_until(&|| fabric.has_failed());
+        let failure = fabric.failure().expect("a classified failure");
+        assert_eq!((failure.src, failure.dst), (0, 1), "{what}");
+        assert!(failure.to_string().contains("unreachable"), "{failure}");
+        let segment = &fabric.endpoint(0).segment;
+        assert!(
+            (0..SEG / 8).all(|w| segment.load_u64(w * 8) == 0),
+            "{what}: segment touched"
+        );
+        fabric.conduit_teardown(0);
+        peer.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 // ---- Trait-level contract, all three backends in-process ----
 
 #[test]

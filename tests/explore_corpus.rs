@@ -162,7 +162,7 @@ fn smoke_clean_gups_under_exploration() {
 fn clean_gups_aggregated_under_exploration() {
     let mut cfg = ExploreConfig::new(2).max_schedules(4);
     cfg.segment_bytes = 1 << 20;
-    cfg.agg_flush_count = Some(32);
+    cfg.agg = true;
     assert_clean_everywhere("gups aggregated", &cfg, &|| {
         Box::new(|ctx| {
             let out = gups::run(
@@ -207,7 +207,7 @@ fn clean_stencil_under_exploration() {
 fn clean_sample_sort_under_exploration() {
     let mut cfg = ExploreConfig::new(2).max_schedules(4);
     cfg.segment_bytes = 1 << 20;
-    cfg.agg_flush_count = Some(32);
+    cfg.agg = true;
     assert_clean_everywhere("sample sort", &cfg, &|| {
         Box::new(|ctx| {
             let out = sample_sort::run(

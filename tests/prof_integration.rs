@@ -224,78 +224,10 @@ fn profiler_off_and_on_move_identical_wire_traffic() {
 }
 
 #[test]
-fn per_dest_counters_account_every_initiated_op_exactly() {
-    // Satellite: with the profiler on, every initiated remote operation
-    // lands in exactly one per-destination bucket — Σ_dest ops equals
-    // puts + gets + AMs sent, per endpoint, with nothing dropped or
-    // double-counted. The workload uses raw segment addresses (no
-    // alloc_on/free, whose modeled AM round trips are counted without a
-    // wire message and would break exactness on purpose).
-    const RANKS: usize = 4;
-    const OPS: usize = 16;
-    let path = prof_path("perdest");
-    let (_, fabric) = spmd_capturing(
-        RuntimeConfig::new(RANKS)
-            .segment_bytes(1 << 16)
-            .with_prof(ProfConfig::on().with_path(&path)),
-        |ctx| {
-            let me = ctx.rank();
-            ctx.barrier();
-            for peer in (0..RANKS).filter(|&p| p != me) {
-                for k in 0..OPS {
-                    let w = GlobalAddr::new(peer, (me * 2 * OPS + k) * 8);
-                    ctx.fabric().put_u64(me, w, (me * 1000 + k) as u64);
-                    let r = GlobalAddr::new(peer, (me * 2 * OPS + OPS + k) * 8);
-                    let _ = ctx.fabric().get_u64(me, r);
-                }
-                ctx.send_task(peer, || {});
-            }
-            ctx.barrier();
-        },
-    );
-    for r in 0..RANKS {
-        let s = fabric.endpoint(r).stats.snapshot();
-        let pd = fabric
-            .endpoint(r)
-            .stats
-            .per_dest()
-            .expect("profiler enables per-destination accounting");
-        assert_eq!(pd.len(), RANKS);
-        let (ops, bytes) = pd
-            .iter()
-            .fold((0u64, 0u64), |(o, b), &(po, pb)| (o + po, b + pb));
-        assert_eq!(
-            ops,
-            s.puts + s.gets + s.ams_sent,
-            "rank {r}: per-dest ops must account every initiated op exactly"
-        );
-        // This workload's AMs are all opaque task messages (explicit
-        // spawns + barrier signals), modeled at 64 header bytes each, so
-        // the byte ledger is exact too.
-        assert_eq!(s.am_bytes, 0, "rank {r}: no payload-carrying AMs here");
-        assert_eq!(
-            bytes,
-            s.put_bytes + s.get_bytes + 64 * s.ams_sent,
-            "rank {r}: per-dest bytes must match the initiated volume"
-        );
-        assert_eq!(pd[r], (0, 0), "rank {r}: self-traffic is never remote");
-        for peer in (0..RANKS).filter(|&p| p != r) {
-            assert!(
-                pd[peer].0 >= (2 * OPS + 1) as u64,
-                "rank {r}: destination {peer} missed ops: {pd:?}"
-            );
-        }
-    }
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn delta_since_spans_cache_and_agg_counters_and_rejects_stale_baselines() {
-    // Satellite: phase measurement via `delta_since` over a fabric with
-    // the cache, aggregation and profiler layers all enabled — the delta
-    // isolates exactly the second phase's traffic, a reset bumps the
-    // epoch and invalidates old baselines, and a fresh baseline in the
-    // new epoch measures normally (per-dest counters included).
+fn since_spans_cache_and_agg_counters() {
+    // Phase measurement — a baseline snapshot and `CommCounts::since` —
+    // over a fabric with the cache, aggregation and profiler layers all
+    // enabled: each delta isolates exactly its own phase's traffic.
     const WORDS: usize = 1024;
     let f = Fabric::new(FabricConfig {
         ranks: 2,
@@ -319,7 +251,6 @@ fn delta_since_spans_cache_and_agg_counters_and_rejects_stale_baselines() {
     }
     let stats = &f.endpoint(0).stats;
     let base = stats.snapshot();
-    assert_eq!(base.epoch, 0);
 
     // Phase 2: cache hits only, plus buffered ops coalesced to one frame.
     for _ in 0..8 {
@@ -329,40 +260,21 @@ fn delta_since_spans_cache_and_agg_counters_and_rejects_stale_baselines() {
         f.xor_u64_buffered(0, GlobalAddr::new(1, (512 + k) * 8), 0xfeed);
     }
     f.flush_agg(0);
-    let d = stats.delta_since(&base);
+    let base2 = stats.snapshot();
+    let d = base2.since(&base);
     assert_eq!(d.cache_hits, 8, "phase 2 is all hits");
     assert_eq!(d.gets, 0, "no fabric get crossed the wire in phase 2");
     assert_eq!(d.agg_ops, 4);
     assert_eq!(d.agg_batches, 1, "four buffered ops became one frame");
     assert_eq!(d.ams_sent, 1, "the batch is one wire message");
 
-    // Reset: the epoch advances, per-dest buckets clear, and the old
-    // baseline is rejected rather than silently underflowing.
-    f.reset_counts();
-    assert_eq!(stats.epoch(), 1);
-    let stale = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = stats.delta_since(&base);
-    }));
-    assert!(
-        stale.is_err(),
-        "stale baseline must be rejected after reset"
-    );
-    assert_eq!(stats.per_dest().unwrap(), vec![(0, 0); 2]);
-
-    // A fresh baseline in the new epoch measures the new phase normally.
-    let base2 = stats.snapshot();
-    assert_eq!(base2.epoch, 1);
+    // Phase 3, from a fresh baseline.
     for _ in 0..3 {
         let _ = f.get_u64(0, hot); // still cached: hits, no fabric ops
     }
     f.put_u64(0, cold, 7);
-    let d2 = stats.delta_since(&base2);
+    let d2 = stats.snapshot().since(&base2);
     assert_eq!(d2.cache_hits, 3);
-    assert_eq!(d2.puts, 1);
-    assert_eq!(d2.gets, 0);
-    assert_eq!(
-        stats.per_dest().unwrap()[1],
-        (1, 8),
-        "post-reset per-dest sees only the new epoch's remote put"
-    );
+    assert_eq!((d2.puts, d2.put_bytes), (1, 8));
+    assert_eq!((d2.gets, d2.agg_ops, d2.ams_sent), (0, 0, 0));
 }

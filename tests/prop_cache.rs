@@ -112,11 +112,21 @@ fn run(f: &Fabric, sched: &[Op]) -> (Vec<u64>, Vec<u64>, Vec<u64>) {
 }
 
 /// The property: a cached fabric is observationally identical to an
-/// uncached one on any legally synchronized schedule.
+/// uncached one on any legally synchronized schedule — and the uncached
+/// reference never touches a cache: every remote read it issues is one
+/// fabric get, none a hit or a miss.
 fn cache_is_transparent(cache: &CacheConfig, faults: Option<&FaultPlan>, sched: &[Op]) -> bool {
     let plain = fabric(None, faults.cloned());
     let cached = fabric(Some(cache.clone()), faults.cloned());
-    run(&plain, sched) == run(&cached, sched)
+    let reference = run(&plain, sched);
+    let c = plain.total_counts();
+    let remote_reads = sched.iter().filter(|op| op.1 % 5 >= 3).count() as u64;
+    assert_eq!(
+        (c.gets, c.cache_hits, c.cache_misses),
+        (remote_reads, 0, 0),
+        "the cache-off path is not untouched: {sched:?}"
+    );
+    reference == run(&cached, sched)
 }
 
 /// Check the property; on failure, shrink the schedule to a 1-minimal

@@ -16,11 +16,17 @@
 //!
 //! A violation is shrunk with the ddmin shrinker to a 1-minimal byte
 //! string before it is reported.
+//!
+//! The counting allocator those contracts need also carries the two
+//! allocation claims of the send paths (their timings are the ledger's
+//! `net.conduit.wire_encode_ns` and `net.aggregate.*` rows): encoding
+//! into a reused scratch buffer allocates nothing per frame, and
+//! steady-state packing recycles its slabs.
 
 use rupcxx_check::Stamp;
 use rupcxx_net::conduit::wire::{self, WireError, WireFrame};
 use rupcxx_net::rma::RmwOp;
-use rupcxx_net::{GlobalAddr, RmaOp};
+use rupcxx_net::{AggConfig, AmPayload, BatchReader, Fabric, FabricConfig, GlobalAddr, RmaOp};
 use rupcxx_trace::ProfSpan;
 use rupcxx_util::prop::collection::vec;
 use rupcxx_util::prop::prelude::*;
@@ -314,4 +320,66 @@ proptest! {
         }
         assert_hostile_contract(bytes);
     }
+}
+
+#[test]
+fn reused_scratch_encode_allocates_nothing_per_frame() {
+    const FRAMES: usize = 10_000;
+    let data = [7u8; 256];
+    let put = RmaOp::Put {
+        addr: GlobalAddr::new(1, 0),
+        data: &data,
+    };
+    // What a link does: one scratch buffer, grown by its first frame.
+    let mut scratch = Vec::new();
+    wire::encode_rma(&mut scratch, None, 0, &put);
+    let before = requested();
+    for token in 0..FRAMES {
+        wire::encode_rma(&mut scratch, None, token as u64, &put);
+        std::hint::black_box(scratch.len());
+    }
+    assert_eq!(requested() - before, 0, "the reused buffer grew again");
+    // What it replaced: a buffer per frame, at least the payload each.
+    let before = requested();
+    for token in 0..FRAMES {
+        let mut fresh = Vec::new();
+        wire::encode_rma(&mut fresh, None, token as u64, &put);
+        std::hint::black_box(fresh.len());
+    }
+    assert!(requested() - before >= FRAMES * data.len());
+}
+
+#[test]
+fn steady_state_packing_recycles_its_slabs() {
+    const WORDS: usize = 1024;
+    const OPS: usize = 1000; // four full slabs and a partial one a cycle
+    let f = Fabric::new(FabricConfig {
+        ranks: 2,
+        segment_bytes: WORDS * 8,
+        agg: Some(AggConfig::new()),
+        ..FabricConfig::default()
+    });
+    // Pack, flush, then deliver at rank 1: the applied batches' slabs go
+    // home to rank 0's pool.
+    let cycle = |round: usize| {
+        for i in 0..OPS {
+            let word = (round * OPS + i) * 7 % WORDS;
+            f.xor_u64_buffered(0, GlobalAddr::new(1, word * 8), i as u64 | 1);
+        }
+        f.flush_agg(0);
+        for msg in f.endpoint(1).drain() {
+            let AmPayload::Batch { frames, .. } = msg.payload else {
+                panic!("only batches were sent");
+            };
+            for frame in BatchReader::new(&frames) {
+                assert!(f.apply_frame(1, msg.src, None, &frame));
+            }
+        }
+    };
+    (0..2).for_each(cycle); // warm-up: slabs and queue capacity
+    let before = requested();
+    (2..102).for_each(cycle);
+    let per_op = (requested() - before) as f64 / (100 * OPS) as f64;
+    // The per-batch envelope only; a fresh buffer per frame was >= 24 B/op.
+    assert!(per_op < 24.0, "packing allocates {per_op:.1} B/op");
 }

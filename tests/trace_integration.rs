@@ -15,13 +15,14 @@ use rupcxx_trace::waitstate::{unpack_wait, CONSTRUCTS};
 use rupcxx_trace::{Event, EventKind, TraceConfig, WaitConstruct};
 use rupcxx_util::sync::Mutex;
 use rupcxx_util::GupsRng;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const RANKS: usize = 4;
 const UPDATES: usize = 500;
-/// Buffered adds rank 0 packs at rank 1 in the throttled row, eight to a
-/// batch: several times the 40 slabs of a four-rank window.
-const THROTTLED_ADDS: usize = 2000;
+/// Buffered adds rank 0 packs at rank 1 in the throttled row, 241 to a
+/// batch: three times the 40 slabs of a four-rank window.
+const THROTTLED_ADDS: usize = 3 * 40 * 241;
 
 fn tmp_path(tag: &str) -> String {
     std::env::temp_dir()
@@ -58,9 +59,10 @@ enum Extra {
     /// the reply blocks on every run, for the same reason.
     Mpi(Arc<MpiWorld>),
     /// Rank 0 packs windows of batches at rank 1 through the runtime's
-    /// hook; rank 1 makes no progress call until it has seen rank 0's
-    /// window full, so rank 0's wait for a slab blocks on every run.
-    Throttled,
+    /// hook, once rank 1 says (the flag) that it has left the runtime;
+    /// rank 1 makes no progress call until it has seen rank 0's window
+    /// full, so rank 0's wait for a slab blocks on every run.
+    Throttled(AtomicBool),
 }
 
 impl Extra {
@@ -78,13 +80,19 @@ impl Extra {
                     half.barrier(ctx);
                 }
             }
-            Extra::Throttled => {
+            Extra::Throttled(receiver_left) => {
                 if me == 0 {
+                    // A rank 1 still on its way out of the last barrier
+                    // would apply the batches as they arrive.
+                    while !receiver_left.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
                     for i in 0..THROTTLED_ADDS {
                         let word = GlobalAddr::new(1, 2048 + (i % 8) * 8);
                         ctx.agg_sent(ctx.fabric().add_u64_buffered(0, word, 1));
                     }
                 } else if me == 1 {
+                    receiver_left.store(true, Ordering::Release);
                     let began = std::time::Instant::now();
                     while !ctx.fabric().agg_window_full(0) {
                         assert!(began.elapsed().as_secs() < 20, "rank 0 was never throttled");
@@ -114,14 +122,14 @@ impl Extra {
             Extra::None => None,
             Extra::Collectives => (rank != 0).then_some(WaitConstruct::Collective),
             Extra::Mpi(_) => rank.is_multiple_of(2).then_some(WaitConstruct::Request),
-            Extra::Throttled => (rank == 0).then_some(WaitConstruct::AggWindow),
+            Extra::Throttled(_) => (rank == 0).then_some(WaitConstruct::AggWindow),
         }
     }
 
     /// Buffered ops the row adds to `rank`'s own.
     fn packs(&self, rank: usize) -> u64 {
         match self {
-            Extra::Throttled if rank == 0 => THROTTLED_ADDS as u64,
+            Extra::Throttled(_) if rank == 0 => THROTTLED_ADDS as u64,
             _ => 0,
         }
     }
@@ -184,8 +192,8 @@ fn gups_trace_events_match_comm_stats() {
             "throttled",
             base()
                 .with_prof(prof("throttled"))
-                .with_agg(AggConfig::new().flush_count(8)),
-            Extra::Throttled,
+                .with_agg(AggConfig::new()),
+            Extra::Throttled(AtomicBool::new(false)),
         ),
         ("cache", base().with_cache(CacheConfig::new()), Extra::None),
         (
