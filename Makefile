@@ -17,8 +17,12 @@ fmt:
 clippy:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
+# The bulk-path suite runs a second time with the read cache on: the only
+# configuration in which a remote `rget_slice` goes through
+# `Fabric::get_cached` (run coalescing, and no allocation there either).
 test:
 	$(CARGO) test --workspace -q
+	RUPCXX_CACHE=on $(CARGO) test -q --test prop_bulk
 
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \

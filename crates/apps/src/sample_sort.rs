@@ -18,6 +18,24 @@
 //! [`Variant::UpcDirect`] uses the direct pre-resolved path (the UPC
 //! baseline). The redistribution and local sort are identical, so — as in
 //! the paper — the two curves nearly coincide.
+//!
+//! # A key is written three times
+//! 1. **Generated into the shared array.** The rank's own block is
+//!    privatized (`local_slice_mut`) from the array's creation to the
+//!    barrier that opens sampling: nobody else knows the array yet, and
+//!    the barrier publishes the keys to the sampling reads.
+//! 2. **Scattered into one partition buffer**, sized exactly: a counting
+//!    pass finds every destination's share, a second pass places each key
+//!    in its destination's sub-slice. The block is read through
+//!    `local_slice` here — sampling only reads, so there is no writer.
+//! 3. **Put into the destination's landing zone**, each sub-slice handed
+//!    to `rput_slice` (or key by key to `rput_agg`) as it lies; the
+//!    fabric moves the caller's bytes, no staging copy.
+//!
+//! The landing zone is then sorted **in place**, privatized between the
+//! barrier that closes the redistribution (every put has landed) and the
+//! one that ends the timed region (nobody reads a neighbour's zone before
+//! it). Verification reads it through a shared `local_slice` afterwards.
 
 use rupcxx::prelude::*;
 use rupcxx_util::{Mt19937_64, Timer};
@@ -77,12 +95,13 @@ pub fn run(ctx: &Ctx, cfg: &SortConfig) -> SortResult {
     let me = ctx.rank();
     let key_count = cfg.keys_per_rank * n;
 
-    // Generate this rank's block of keys into the shared array.
+    // Generate this rank's block of keys straight into the shared array:
+    // privatized until the barrier below publishes it.
     let keys = SharedArray::<u64>::new(ctx, key_count, cfg.keys_per_rank);
     let mut gen = Mt19937_64::new(cfg.seed ^ (me as u64).wrapping_mul(0x9E37_79B9));
-    let my_block: Vec<u64> = (0..cfg.keys_per_rank).map(|_| gen.next_u64()).collect();
     let base = keys.base_of(me);
-    base.rput_slice(ctx, &my_block);
+    let my_block = base.local_slice_mut(ctx, cfg.keys_per_rank);
+    my_block.fill_with(|| gen.next_u64());
     let input_checksum_local = my_block.iter().fold(0u64, |a, &k| a.wrapping_add(k));
     let input_checksum = ctx.allreduce(input_checksum_local, u64::wrapping_add);
     // Pre-resolved base pointers for the UPC-direct sampling path: one
@@ -113,13 +132,28 @@ pub fn run(ctx: &Ctx, cfg: &SortConfig) -> SortResult {
         .collect();
 
     // --- Phase 2: partition and redistribute (one-sided). ---
-    let mut buckets: Vec<Vec<u64>> = vec![Vec::new(); n];
-    for &k in &my_block {
-        let dst = splitters.partition_point(|&s| s <= k);
-        buckets[dst].push(k);
+    // Count, then scatter: `partitioned[starts[d]..starts[d + 1]]` holds
+    // the keys bound for rank `d`, in block order.
+    let my_block = base.local_slice(ctx, cfg.keys_per_rank);
+    let dst_of = |k: u64| splitters.partition_point(|&s| s <= k);
+    let mut counts = vec![0u64; n];
+    for &k in my_block {
+        counts[dst_of(k)] += 1;
     }
+    let mut starts = Vec::with_capacity(n + 1);
+    starts.push(0usize);
+    for &c in &counts {
+        starts.push(starts[starts.len() - 1] + c as usize);
+    }
+    let mut partitioned = vec![0u64; my_block.len()];
+    let mut next = starts.clone();
+    for &k in my_block {
+        let dst = dst_of(k);
+        partitioned[next[dst]] = k;
+        next[dst] += 1;
+    }
+    let bucket = |dst: usize| &partitioned[starts[dst]..starts[dst + 1]];
     // Announce bucket sizes: counts[src][dst] via all-to-all.
-    let counts: Vec<u64> = buckets.iter().map(|b| b.len() as u64).collect();
     let counts_in: Vec<Vec<u64>> = ctx
         .exchange(counts.iter().map(|&c| c.to_le_bytes().to_vec()).collect())
         .into_iter()
@@ -160,9 +194,9 @@ pub fn run(ctx: &Ctx, cfg: &SortConfig) -> SortResult {
         // Fine-grained exchange: one 8-byte put per key, coalesced per
         // destination by the aggregation layer; the fence guarantees
         // every key landed before the local-sort phase reads them.
-        for (dst, bucket) in buckets.iter().enumerate() {
+        for dst in 0..n {
             let target = landing_dir[dst].offset(my_offsets[dst] as usize);
-            for (j, &k) in bucket.iter().enumerate() {
+            for (j, &k) in bucket(dst).iter().enumerate() {
                 target.offset(j).rput_agg(ctx, k);
             }
         }
@@ -170,13 +204,13 @@ pub fn run(ctx: &Ctx, cfg: &SortConfig) -> SortResult {
     } else {
         // Non-blocking one-sided puts of each bucket into its destination.
         let done = Event::new();
-        for (dst, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
+        for dst in 0..n {
+            if bucket(dst).is_empty() {
                 continue;
             }
             let target = landing_dir[dst].offset(my_offsets[dst] as usize);
             done.register();
-            target.rput_slice(ctx, bucket);
+            target.rput_slice(ctx, bucket(dst));
             done.signal();
         }
         done.wait(ctx);
@@ -186,11 +220,11 @@ pub fn run(ctx: &Ctx, cfg: &SortConfig) -> SortResult {
 
     // --- Phase 3: local sort. ---
     // The barrier above made every delivered key visible; privatize the
-    // landing zone and sort straight out of the local segment.
-    let mut mine = landing.local_slice(ctx, my_recv_total).to_vec();
-    mine.sort_unstable();
+    // landing zone and sort it where it lies, until the barrier below.
+    landing.local_slice_mut(ctx, my_recv_total).sort_unstable();
     ctx.barrier();
     let seconds = ctx.allreduce(t.seconds(), f64::max);
+    let mine = landing.local_slice(ctx, my_recv_total);
 
     // --- Verification ---
     let locally_sorted = mine.windows(2).all(|w| w[0] <= w[1]);

@@ -2,9 +2,20 @@
 //! `async_copy_fence`.
 //!
 //! `copy(src, dst, count)` moves `count` contiguous elements between any
-//! two places in the global address space, one-sided. When neither side is
-//! local to the initiator the transfer stages through the initiator (a
-//! get followed by a put), as UPC++/GASNet do for third-party copies.
+//! two places in the global address space, one-sided (`Fabric::copy`).
+//! When both ends live in this process — whoever owns them — and the two
+//! ranges are disjoint and sit equally in their 8-byte words (any two
+//! arrays of a word-sized `T`), the bytes move **once**, word loads of one
+//! segment to word stores of the other. Every other copy stages through
+//! the initiator, a get then a put as UPC++/GASNet do for third-party
+//! copies, in a buffer the thread keeps from copy to copy: an end in
+//! another process of a conduit job, a remote source under the read cache
+//! (the copy reads what a get reads), unequally aligned ranges, and
+//! overlapping ranges of one rank (`memmove`'s result). Either way a copy
+//! allocates nothing once that buffer has grown, and to the counters, the
+//! fault plan, the race checker and the trace it is what it always was:
+//! one get of the source plus one put to the destination,
+//! `count * size_of::<T>()` bytes each.
 //!
 //! The non-blocking variant [`async_copy`] signals an [`Event`] on
 //! completion; [`async_copy_fence`] waits for all outstanding async copies
@@ -21,16 +32,7 @@ use rupcxx_runtime::{Ctx, Event};
 /// (the paper's `copy<T>(src, dst, count)`, UPC's `upc_memcpy`).
 pub fn copy<T: Pod>(ctx: &Ctx, src: GlobalPtr<T>, dst: GlobalPtr<T>, count: usize) {
     let bytes = std::mem::size_of::<T>() * count;
-    if bytes == 0 {
-        return;
-    }
-    let me = ctx.rank();
-    let fabric = ctx.fabric();
-    // Stage through the initiator: a single buffer suffices because RMA is
-    // synchronous. (GASNet would pipeline this; the traffic counts match.)
-    let mut buf = vec![0u8; bytes];
-    fabric.get(me, src.addr(), &mut buf);
-    fabric.put(me, dst.addr(), &buf);
+    ctx.fabric().copy(ctx.rank(), src.addr(), dst.addr(), bytes);
 }
 
 /// Non-blocking copy. If `event` is provided it is registered before the

@@ -6,7 +6,7 @@
 //! arithmetic works exactly like ordinary pointer arithmetic, advancing in
 //! units of `size_of::<T>()` within the owner's segment.
 
-use rupcxx_net::{GlobalAddr, Pod, Rank};
+use rupcxx_net::{pod, GlobalAddr, Pod, Rank};
 use rupcxx_runtime::Ctx;
 use std::marker::PhantomData;
 
@@ -104,17 +104,10 @@ impl<T: Pod> GlobalPtr<T> {
             let w = ctx.fabric().get_u64(ctx.rank(), self.addr);
             return T::read_from(&w.to_le_bytes());
         }
-        // Small scalars stage through the stack, not a heap vec.
-        let mut stack = [0u8; 32];
-        let mut heap;
-        let buf: &mut [u8] = if size <= 32 {
-            &mut stack[..size]
-        } else {
-            heap = vec![0u8; size];
-            &mut heap
-        };
+        let mut value = T::zeroed();
+        let buf = pod::bytes_of_mut(std::slice::from_mut(&mut value));
         ctx.fabric().get(ctx.rank(), self.addr, buf);
-        T::read_from(buf)
+        value
     }
 
     /// One-sided write of the referenced value (UPC++ lvalue use).
@@ -127,15 +120,7 @@ impl<T: Pod> GlobalPtr<T> {
                 .put_u64(ctx.rank(), self.addr, u64::from_le_bytes(w));
             return;
         }
-        let mut stack = [0u8; 32];
-        let mut heap;
-        let buf: &mut [u8] = if size <= 32 {
-            &mut stack[..size]
-        } else {
-            heap = vec![0u8; size];
-            &mut heap
-        };
-        value.write_to(buf);
+        let buf = pod::bytes_of(std::slice::from_ref(&value));
         ctx.fabric().put(ctx.rank(), self.addr, buf);
     }
 
@@ -153,36 +138,27 @@ impl<T: Pod> GlobalPtr<T> {
     /// in-flight batches is full (`Ctx::agg_sent`): incoming handlers may
     /// run inside it.
     pub fn rput_agg(&self, ctx: &Ctx, value: T) {
-        let size = std::mem::size_of::<T>();
-        debug_assert!(size <= 1024, "rput_agg is for small values");
-        let mut stack = [0u8; 32];
-        let mut heap;
-        let buf: &mut [u8] = if size <= 32 {
-            &mut stack[..size]
-        } else {
-            heap = vec![0u8; size];
-            &mut heap
-        };
-        value.write_to(buf);
+        debug_assert!(
+            std::mem::size_of::<T>() <= 1024,
+            "rput_agg is for small values"
+        );
+        let buf = pod::bytes_of(std::slice::from_ref(&value));
         ctx.agg_sent(ctx.fabric().put_buffered(ctx.rank(), self.addr, buf));
     }
 
     /// Bulk one-sided read of `out.len()` consecutive elements starting at
-    /// this pointer.
+    /// this pointer, straight into `out`: the fabric writes the caller's
+    /// slice through its byte view (`rupcxx_net::pod`), no staging copy.
     pub fn rget_slice(&self, ctx: &Ctx, out: &mut [T]) {
-        let size = std::mem::size_of::<T>();
-        let mut buf = vec![0u8; std::mem::size_of_val(out)];
-        ctx.fabric().get(ctx.rank(), self.addr, &mut buf);
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = T::read_from(&buf[i * size..(i + 1) * size]);
-        }
+        ctx.fabric()
+            .get(ctx.rank(), self.addr, pod::bytes_of_mut(out));
     }
 
     /// Bulk one-sided write of `values` to consecutive elements starting
-    /// at this pointer.
+    /// at this pointer, straight out of the caller's slice.
     pub fn rput_slice(&self, ctx: &Ctx, values: &[T]) {
-        let buf = rupcxx_net::pod::pack_slice(values);
-        ctx.fabric().put(ctx.rank(), self.addr, &buf);
+        ctx.fabric()
+            .put(ctx.rank(), self.addr, pod::bytes_of(values));
     }
 
     /// Reinterpret as a pointer to another Pod type (the paper's

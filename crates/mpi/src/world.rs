@@ -214,7 +214,7 @@ impl<'a> Comm<'a> {
 
     /// Typed non-blocking send of a Pod slice.
     pub fn isend_slice<T: Pod>(&self, dst: Rank, tag: u64, data: &[T]) -> SendReq {
-        self.isend(dst, tag, &pod::pack_slice(data))
+        self.isend(dst, tag, pod::bytes_of(data))
     }
 
     /// Typed blocking receive of a Pod slice.

@@ -210,6 +210,13 @@ impl CacheState {
         self.cfg.line_bytes
     }
 
+    /// Bytes the cache holds when every slot is full: the slot count (see
+    /// the type's docs) times the line size.
+    #[inline]
+    pub fn capacity(&self) -> usize {
+        self.arena.len()
+    }
+
     /// The line-aligned base address of the line containing `addr` — one
     /// mask on the packed word (line sizes are powers of two smaller than
     /// the offset field, so the mask never touches the rank bits).

@@ -17,7 +17,7 @@ use crate::faults::FaultPlan;
 use crate::inbox::ShardedInbox;
 use crate::reliable::{AmChannel, PeerUnreachable};
 use crate::remote::RemoteFabric;
-use crate::rma::{RmaOp, RmwOp, Site};
+use crate::rma::{Access, RmaOp, RmwOp};
 use crate::schedule::{SchedState, ScheduleConfig};
 use crate::segment::Segment;
 use crate::stats::{CommCounts, CommStats};
@@ -30,6 +30,18 @@ use std::any::Any;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+thread_local! {
+    /// Where a read-cache miss fetches its line (or run of lines) before
+    /// installing it, kept by the thread from miss to miss. Taken out
+    /// while in use: a miss nested inside the fetch (a handler run while
+    /// waiting for the reply) gets its own.
+    static LINE: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+    /// Where a [`Fabric::copy`] that cannot go segment to segment holds
+    /// its bytes between the get and the put. Taken out while in use,
+    /// like `LINE` — which that get may need, hence a buffer of its own.
+    static STAGE: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
 
 /// An address in the global address space: a rank plus a byte offset into
 /// that rank's segment, packed into one 64-bit word — rank in the high
@@ -631,13 +643,11 @@ impl Fabric {
 
     /// Every one-sided operation: one prologue, one hop, one trace span.
     ///
-    /// The prologue is inlined so each switched-off feature costs one
-    /// branch: trace clock, checker record per touched block, fault gate,
-    /// counters, synthetic wire charge (twice for atomics — on real
-    /// hardware they are a round trip) and write-through invalidation.
-    /// The hop is the op's memory touch: on the target's segment when it
-    /// lives in this process, through the conduit when it does not. Only
-    /// *remote* ops close a trace span, as `CommStats` counts only those.
+    /// The prologue ([`Fabric::rma_begin`]) is inlined so each
+    /// switched-off feature costs one branch. The hop is the op's memory
+    /// touch: on the target's segment when it lives in this process,
+    /// through the conduit when it does not. Only *remote* ops close a
+    /// trace span ([`Fabric::rma_end`]), as `CommStats` counts only those.
     ///
     /// `asked` narrows the checker record to the `(offset, len)` the
     /// program requested when the op fetches more (a read-cache line
@@ -651,16 +661,37 @@ impl Fabric {
         out: &mut [u8],
         asked: Option<(usize, usize)>,
     ) -> (bool, u64) {
-        let (addr, bytes) = (op.addr(), op.bytes());
+        let access = op.access();
+        let t0 = self.rma_begin(initiator, &access, asked);
+        if matches!(op, RmaOp::Rmw { .. }) {
+            // An atomic is a round trip on real hardware: charged twice.
+            self.wire(initiator, access.addr.rank(), access.bytes());
+        }
+        let result = match self.remote_to(access.addr.rank()) {
+            Some(r) => self.round_trip(r, op, out),
+            None => op.apply(&self.endpoints[access.addr.rank()].segment, out),
+        };
+        self.rma_end(initiator, &access, t0);
+        result
+    }
+
+    /// The prologue of one side of a transfer, before any memory is
+    /// touched: trace clock (returned, for [`Fabric::rma_end`]), checker
+    /// record per touched block (or of `asked` alone, see [`Fabric::rma`]),
+    /// fault gate, counters, synthetic wire charge and write-through
+    /// invalidation.
+    #[inline(always)]
+    fn rma_begin(&self, initiator: Rank, access: &Access, asked: Option<(usize, usize)>) -> u64 {
+        let (addr, bytes) = (access.addr, access.bytes());
         let target = addr.rank();
         let t0 = self.endpoints[initiator].trace.start();
         if let Some(ck) = &self.check {
-            let label = op.label(Site::Initiator);
-            let record =
-                |(offset, len)| ck.access(initiator, target, offset, len, op.kind(), label);
+            let record = |(offset, len)| {
+                ck.access(initiator, target, offset, len, access.kind, access.label)
+            };
             match asked {
                 Some(span) => record(span),
-                None => op.spans().for_each(record),
+                None => access.spans().for_each(record),
             }
         }
         // The fault gate: with no plan installed, one untaken branch; with
@@ -668,31 +699,75 @@ impl Fabric {
         if self.faults.is_some() && initiator != target {
             self.rma_gate_slow(initiator, target, bytes);
         }
-        self.tally(initiator, target, bytes, op.is_get());
+        self.tally(initiator, target, bytes, access.is_get());
         self.wire(initiator, target, bytes);
-        if matches!(op, RmaOp::Rmw { .. }) {
-            self.wire(initiator, target, bytes);
-        }
-        if !op.is_get() {
+        if !access.is_get() {
             // Over the covering span: dropping the lines of a strided
             // put's gaps too is safe (it only costs a refill).
-            self.invalidate_own(initiator, addr, op.cover());
+            self.invalidate_own(initiator, addr, access.cover());
         }
-        let result = match self.remote_to(target) {
-            Some(r) => self.round_trip(r, op, out),
-            None => op.apply(&self.endpoints[target].segment, out),
-        };
+        t0
+    }
+
+    /// Close the trace span of a *remote* side begun at `t0`.
+    #[inline(always)]
+    fn rma_end(&self, initiator: Rank, access: &Access, t0: u64) {
+        let target = access.addr.rank();
         if initiator != target {
-            let kind = if op.is_get() {
+            let kind = if access.is_get() {
                 EventKind::Get
             } else {
                 EventKind::Put
             };
             self.endpoints[initiator]
                 .trace
-                .span(kind, target as i32, bytes as u64, t0);
+                .span(kind, target as i32, access.bytes() as u64, t0);
         }
-        result
+    }
+
+    /// One-sided contiguous copy of `len` bytes from `src` to `dst`, any
+    /// two places in the global address space (paper §III-D `copy`).
+    ///
+    /// To every tool it is exactly one get of `src` plus one put to `dst`
+    /// by `initiator`: the counts, fault draws, checker records and trace
+    /// spans of the two separate calls. Where words of the source can be
+    /// stored as words of the destination — both segments in this process,
+    /// the ranges equally aligned and disjoint, the read not one the read
+    /// cache serves — both prologues run, get first, and the bytes move
+    /// once, segment to segment ([`Segment::copy_from`]). Every other copy
+    /// *is* the two calls, through a buffer the thread keeps from copy to
+    /// copy: a side in another process of a conduit job, a remote source
+    /// with the cache on (it reads what [`Fabric::get`] reads), unequal
+    /// alignment, and overlapping ranges of one rank (read out in full
+    /// first: `memmove`'s result).
+    pub fn copy(&self, initiator: Rank, src: GlobalAddr, dst: GlobalAddr, len: usize) {
+        if len == 0 {
+            return;
+        }
+        let in_process = self
+            .remote_to(src.rank())
+            .or(self.remote_to(dst.rank()))
+            .is_none();
+        let cached = self.endpoints[initiator].cache.is_some() && src.rank() != initiator;
+        let overlap = src.rank() == dst.rank()
+            && src.offset() < dst.offset().saturating_add(len)
+            && dst.offset() < src.offset().saturating_add(len);
+        if !in_process || cached || overlap || src.offset() % 8 != dst.offset() % 8 {
+            let mut stage = STAGE.take();
+            stage.resize(len, 0);
+            self.get(initiator, src, &mut stage);
+            self.put(initiator, dst, &stage);
+            return STAGE.set(stage);
+        }
+        let get = Access::contiguous(src, len, AccessKind::Read);
+        let put = Access::contiguous(dst, len, AccessKind::Write);
+        let t_get = self.rma_begin(initiator, &get, None);
+        let t_put = self.rma_begin(initiator, &put, None);
+        let (from, to) = (&self.endpoints[src.rank()], &self.endpoints[dst.rank()]);
+        to.segment
+            .copy_from(dst.offset(), &from.segment, src.offset(), len);
+        self.rma_end(initiator, &get, t_get);
+        self.rma_end(initiator, &put, t_put);
     }
 
     /// One-sided put: write `data` at `dst`.
@@ -701,9 +776,9 @@ impl Fabric {
     }
 
     /// One-sided get: read `buf.len()` bytes from `src`. With a read
-    /// cache installed, remote gets are served line-by-line from the
-    /// cache, filling whole lines through the fabric on a miss. (Empty and
-    /// out-of-bounds gets skip it: same behaviour and panic either way.)
+    /// cache installed, remote gets are served from the cache, filling
+    /// whole lines through the fabric on a miss. (Empty and out-of-bounds
+    /// gets skip it: same behaviour and panic either way.)
     pub fn get(&self, initiator: Rank, src: GlobalAddr, buf: &mut [u8]) {
         let len = buf.len();
         // Every rank's segment has the configured size; in remote mode
@@ -719,28 +794,72 @@ impl Fabric {
     }
 
     /// Serve a remote, in-bounds, non-empty get from the initiator's read
-    /// cache, one line-sized chunk at a time. A miss fetches and installs
-    /// the *whole* covering line — one fabric get amortized over all
-    /// subsequent hits in the line. The checker observes only the bytes
-    /// each call actually requested (at the fill for misses, at the
+    /// cache, one line-sized chunk at a time: a chunk its line holds is a
+    /// hit, and each run of consecutive chunks whose lines are missing is
+    /// fetched whole ([`Fabric::cache_miss_run`]) — a bulk get over cold
+    /// lines costs one message, not one per line. The checker observes
+    /// only the bytes the call requested (at the fill for misses, at the
     /// current clock for hits), never the line padding.
     fn get_cached(&self, initiator: Rank, src: GlobalAddr, buf: &mut [u8]) {
         let cache = self.endpoints[initiator].cache.as_ref().unwrap();
-        let mut at = src;
-        let mut out = &mut buf[..];
-        while !out.is_empty() {
-            let start = at.offset() - cache.line_base_addr(at).offset();
+        // `buf[missing..at]` is the run of misses not yet fetched.
+        let (mut missing, mut at) = (0, 0);
+        while at < buf.len() {
+            let here = src.add(at);
+            let start = here.offset() - cache.line_base_addr(here).offset();
             // The get ends inside the segment, so a short last line
             // never cuts a chunk shorter than this.
-            let take = (cache.line_bytes() - start).min(out.len());
-            let (chunk, rest) = out.split_at_mut(take);
-            if cache.lookup(at, chunk) {
-                self.cache_hit(initiator, cache, at, take);
-            } else {
-                self.cache_miss(initiator, cache, at, chunk);
+            let take = (cache.line_bytes() - start).min(buf.len() - at);
+            if cache.lookup(here, &mut buf[at..at + take]) {
+                // Accounted before the run ahead of it is installed: that
+                // may evict this line, and its fill stamp with it.
+                self.cache_hit(initiator, cache, here, take);
+                self.cache_miss_run(initiator, cache, src.add(missing), &mut buf[missing..at]);
+                missing = at + take;
             }
-            out = rest;
-            at = at.add(take);
+            at += take;
+        }
+        self.cache_miss_run(initiator, cache, src.add(missing), &mut buf[missing..at]);
+    }
+
+    /// Serve `chunk` — possibly empty, else bytes of consecutive lines
+    /// none of which `initiator`'s `cache` holds — from `at`, in pieces of
+    /// at most a cache-full of lines (more would evict each other, and the
+    /// thread's fetch buffer stays no larger than the cache): per piece
+    /// one fabric get from the first line's base to the last line's end,
+    /// seen by the checker as a read of the requested bytes, then one
+    /// install per line. [`Fabric::cache_miss`] over a run; the word path
+    /// keeps its own one-line form.
+    fn cache_miss_run(
+        &self,
+        initiator: Rank,
+        cache: &CacheState,
+        mut at: GlobalAddr,
+        mut chunk: &mut [u8],
+    ) {
+        let ep = &self.endpoints[initiator];
+        while !chunk.is_empty() {
+            let base = cache.line_base_addr(at);
+            let start = at.offset() - base.offset();
+            let (piece, rest) = chunk.split_at_mut(chunk.len().min(cache.capacity() - start));
+            let last = cache.line_base_addr(at.add(piece.len() - 1));
+            let mut lines = LINE.take();
+            lines.resize(last.offset() - base.offset() + cache.line_len(last), 0);
+            let (addr, len) = (base, lines.len());
+            let asked = Some((at.offset(), piece.len()));
+            self.rma(initiator, &RmaOp::Get { addr, len }, &mut lines, asked);
+            piece.copy_from_slice(&lines[start..start + piece.len()]);
+            let stamp = self.check.as_ref().map(|ck| ck.cache_fill(initiator));
+            let misses = lines.len().div_ceil(cache.line_bytes()) as u64;
+            ep.stats.cache_misses.fetch_add(misses, Ordering::Relaxed);
+            for (i, line) in lines.chunks(cache.line_bytes()).enumerate() {
+                cache.fill(base.add(i * cache.line_bytes()), line, stamp.clone());
+                ep.trace
+                    .instant(EventKind::CacheFill, at.rank() as i32, line.len() as u64, 0);
+            }
+            LINE.set(lines);
+            at = at.add(piece.len());
+            chunk = rest;
         }
     }
 
@@ -750,11 +869,6 @@ impl Fabric {
     /// fetch runs before the cache's lock is taken, into a buffer the
     /// thread keeps from miss to miss.
     fn cache_miss(&self, initiator: Rank, cache: &CacheState, at: GlobalAddr, chunk: &mut [u8]) {
-        thread_local! {
-            /// Taken out while in use: a miss nested inside the fetch (a
-            /// handler run while waiting for the reply) gets its own.
-            static LINE: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
-        }
         let ep = &self.endpoints[initiator];
         ep.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
         let base = cache.line_base_addr(at);
@@ -1328,7 +1442,143 @@ mod tests {
         // [30, 230) covers lines 0,64,128,192: 4 fills, then 4 hits.
         assert_eq!(c.cache_misses, 4);
         assert_eq!(c.cache_hits, 4);
-        assert_eq!(c.gets, 4);
+        assert_eq!((c.gets, c.get_bytes), (1, 256), "one get for the run");
+    }
+
+    #[test]
+    fn a_run_of_missing_lines_is_one_get() {
+        let f = cached_fabric(2, 64);
+        let image: Vec<u8> = (0..1024u32).map(|i| (i * 13 + i / 256) as u8).collect();
+        f.put(1, GlobalAddr::new(1, 0), &image);
+        let counts = || f.endpoint(0).stats.snapshot();
+        let read = |offset: usize, len: usize| {
+            let mut out = vec![0u8; len];
+            f.get(0, GlobalAddr::new(1, offset), &mut out);
+            assert_eq!(out, image[offset..offset + len], "{len} bytes at {offset}");
+        };
+        // All-miss, k = 5 lines (64..384), asked from mid-line to mid-line.
+        read(70, 300);
+        let c = counts();
+        assert_eq!((c.gets, c.get_bytes), (1, 320), "whole lines, one message");
+        assert_eq!(
+            (c.cache_misses, c.cache_hits),
+            (5, 0),
+            "five lines installed"
+        );
+        // The same request again: five hits, nothing on the fabric.
+        read(70, 300);
+        let c = counts().since(&c);
+        assert_eq!((c.gets, c.cache_misses, c.cache_hits), (0, 0, 5));
+        // Straddling: lines 0 and 384..512 are cold, 64..384 cached, and
+        // line 192 is dropped in the middle — three runs around two
+        // stretches of hits.
+        let cache = f.endpoint(0).cache().expect("cache installed");
+        assert_eq!(cache.invalidate_span(GlobalAddr::new(1, 200), 1), 1);
+        let before = counts();
+        read(3, 500);
+        let c = counts().since(&before);
+        assert_eq!((c.gets, c.get_bytes), (3, 64 + 64 + 128));
+        assert_eq!((c.cache_misses, c.cache_hits), (4, 4));
+        read(0, 512);
+        assert_eq!(
+            counts().since(&before).gets,
+            3,
+            "all eight lines cached now"
+        );
+    }
+
+    #[test]
+    fn a_run_longer_than_the_cache_is_fetched_a_cache_full_at_a_time() {
+        // 16 slots of 64 bytes; 40 cold lines asked from mid-line.
+        let f = cached_fabric(2, 64);
+        let image: Vec<u8> = (0..4096u32).map(|i| (i * 31 + i / 256) as u8).collect();
+        f.put(1, GlobalAddr::new(1, 0), &image);
+        let mut out = vec![0u8; 2500];
+        f.get(0, GlobalAddr::new(1, 70), &mut out);
+        assert_eq!(out, image[70..2570]);
+        let c = f.endpoint(0).stats.snapshot();
+        // Lines 64..2624: 16 + 16 + 8 of them.
+        assert_eq!((c.gets, c.get_bytes), (3, 2560));
+        assert_eq!((c.cache_misses, c.cache_hits), (40, 0));
+        // What stayed is the last cache-full, lines 1600..2624.
+        let before = f.endpoint(0).stats.snapshot();
+        f.get(0, GlobalAddr::new(1, 1600), &mut out[..1008]);
+        assert_eq!(out[..1008], image[1600..2608]);
+        let c = f.endpoint(0).stats.snapshot().since(&before);
+        assert_eq!((c.gets, c.cache_misses, c.cache_hits), (0, 0, 16));
+    }
+
+    #[test]
+    fn copy_counts_as_one_get_plus_one_put_and_moves_memmove_style() {
+        let f = fabric(3);
+        let image: Vec<u8> = (0..200u8).collect();
+        f.put(1, GlobalAddr::new(1, 5), &image);
+        let read = |rank: Rank, offset: usize, len: usize| {
+            let mut out = vec![0u8; len];
+            f.endpoint(rank).segment.read_bytes(offset, &mut out);
+            out
+        };
+        // Word to word (45 sits in its word as 5 does) and staged (43
+        // does not): the same bytes and the same counts.
+        for to in [45usize, 43] {
+            // Third party: rank 0 moves rank 1's bytes to rank 2.
+            let before = f.total_counts();
+            f.copy(0, GlobalAddr::new(1, 5), GlobalAddr::new(2, to), 200);
+            assert_eq!(read(2, to, 200), image);
+            let want = CommCounts {
+                gets: 1,
+                get_bytes: 200,
+                puts: 1,
+                put_bytes: 200,
+                ..CommCounts::default()
+            };
+            assert_eq!(f.total_counts().since(&before), want, "to {to}");
+            // One side local: a local op, the other side a remote one.
+            let before = f.total_counts();
+            f.copy(1, GlobalAddr::new(1, 5), GlobalAddr::new(0, to), 200);
+            let c = f.total_counts().since(&before);
+            assert_eq!((c.local_ops, c.gets, c.puts, c.put_bytes), (1, 0, 1, 200));
+            assert_eq!(read(0, to, 200), image);
+        }
+        // Overlapping ranges of one rank, both directions.
+        for (from, to) in [(5usize, 37usize), (37, 5), (5, 13), (13, 5)] {
+            let mut want = read(1, 0, 300);
+            want.copy_within(from..from + 200, to);
+            f.copy(1, GlobalAddr::new(1, from), GlobalAddr::new(1, to), 200);
+            assert_eq!(read(1, 0, 300), want, "{from} -> {to}");
+        }
+        // Nothing to move: nothing counted.
+        let before = f.total_counts();
+        f.copy(0, GlobalAddr::new(1, 0), GlobalAddr::new(2, 0), 0);
+        assert_eq!(f.total_counts().since(&before), CommCounts::default());
+    }
+
+    #[test]
+    fn copy_reads_what_get_reads_with_the_cache_on_and_writes_through_it() {
+        let f = cached_fabric(2, 64);
+        let (a, b) = (GlobalAddr::new(1, 64), GlobalAddr::new(1, 256));
+        f.put_u64(1, a, 5);
+        assert_eq!(f.get_u64(0, a), 5, "line of `a` cached");
+        assert_eq!(f.get_u64(0, b), 0, "line of `b` cached");
+        // The owner moves on; rank 0's cached line of `a` is stale until
+        // its next synchronization point — for `copy` as for `get`.
+        f.put_u64(1, a, 9);
+        assert_eq!(f.get_u64(0, a), 5);
+        let before = f.endpoint(0).stats.snapshot();
+        f.copy(0, a, b, 8);
+        let c = f.endpoint(0).stats.snapshot().since(&before);
+        assert_eq!((c.gets, c.cache_hits), (0, 1), "the get side is a hit");
+        assert_eq!((c.puts, c.put_bytes), (1, 8));
+        assert_eq!(c.cache_invalidations, 1, "the written line was dropped");
+        assert_eq!(f.get_u64(0, b), 5, "what `get` read, read back fresh");
+        // A source of the initiator's own is never cached: segment to
+        // segment, counted as the local get and the remote put it is.
+        let before = f.endpoint(1).stats.snapshot();
+        f.copy(1, a, GlobalAddr::new(0, 8), 8);
+        let c = f.endpoint(1).stats.snapshot().since(&before);
+        assert_eq!((c.local_ops, c.puts, c.put_bytes), (1, 1, 8));
+        assert_eq!(c.cache_hits + c.cache_misses, 0);
+        assert_eq!(f.endpoint(0).segment.load_u64(8), 9);
     }
 
     #[test]

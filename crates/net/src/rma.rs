@@ -97,6 +97,81 @@ pub(crate) enum Site {
     Batch,
 }
 
+/// One side of a transfer as its initiator accounts for it — everything
+/// [`Fabric::rma_begin`] and [`Fabric::rma_end`] read: which bytes are
+/// touched (a strided shape; contiguous is one block), as what kind of
+/// access, under which name in checker reports. Every [`RmaOp`] has one
+/// ([`RmaOp::access`]); [`Fabric::copy`] builds its two sides directly,
+/// because a segment-to-segment copy has no payload slice to make a
+/// `Put` of.
+#[derive(Clone, Copy)]
+pub(crate) struct Access {
+    /// First byte touched (its rank is the target).
+    pub(crate) addr: GlobalAddr,
+    stride: usize,
+    block: usize,
+    nblocks: usize,
+    pub(crate) kind: AccessKind,
+    pub(crate) label: &'static str,
+}
+
+impl Access {
+    /// A contiguous get (`Read`) or put (`Write`) of `len` bytes at `addr`.
+    #[inline]
+    pub(crate) fn contiguous(addr: GlobalAddr, len: usize, kind: AccessKind) -> Self {
+        let label = if kind == AccessKind::Read {
+            "get"
+        } else {
+            "put"
+        };
+        Access {
+            addr,
+            stride: 0,
+            block: len,
+            nblocks: 1,
+            kind,
+            label,
+        }
+    }
+
+    /// Payload bytes moved (what counters, the wire model and trace
+    /// spans are charged). Saturates, like [`Access::cover`], so that a
+    /// forged shape fails [`RmaOp::validate`] instead of wrapping.
+    #[inline]
+    pub(crate) fn bytes(&self) -> usize {
+        self.block.saturating_mul(self.nblocks)
+    }
+
+    /// Length of the span from the first to the last byte touched, gaps
+    /// included (write-through invalidation and bounds checks).
+    #[inline]
+    pub(crate) fn cover(&self) -> usize {
+        match self.nblocks {
+            0 => 0,
+            n => (n - 1)
+                .saturating_mul(self.stride)
+                .saturating_add(self.block),
+        }
+    }
+
+    /// The `(offset, len)` spans actually touched, one per block. The
+    /// checker records these, never the covering range: the gaps are not
+    /// accessed, and claiming them would invent races with neighbours
+    /// that legitimately own the gap bytes.
+    #[inline]
+    pub(crate) fn spans(&self) -> impl Iterator<Item = (usize, usize)> {
+        let (stride, block) = (self.stride, self.block);
+        let offset = self.addr.offset();
+        (0..self.nblocks).map(move |b| (offset + b * stride, block))
+    }
+
+    /// True for a get: the op's result is data read from the segment.
+    #[inline]
+    pub(crate) fn is_get(&self) -> bool {
+        self.kind == AccessKind::Read
+    }
+}
+
 // Op codes on the wire. 0 is the batch codec's handler frame.
 const OP_XOR: u8 = 1;
 const OP_ADD: u8 = 2;
@@ -146,34 +221,36 @@ impl<'a> RmaOp<'a> {
         }
     }
 
-    /// Payload bytes moved (what counters, the wire model and trace
-    /// spans are charged). Saturates, like [`RmaOp::cover`], so that a
-    /// forged shape fails [`RmaOp::validate`] instead of wrapping.
+    /// The op as its initiator accounts for it.
     #[inline]
-    pub(crate) fn bytes(&self) -> usize {
-        let (_, block, nblocks) = self.shape();
-        block.saturating_mul(nblocks)
-    }
-
-    /// Length of the span from the first to the last byte touched, gaps
-    /// included (write-through invalidation and bounds checks).
-    #[inline]
-    pub(crate) fn cover(&self) -> usize {
-        match self.shape() {
-            (_, _, 0) => 0,
-            (stride, block, n) => (n - 1).saturating_mul(stride).saturating_add(block),
+    pub(crate) fn access(&self) -> Access {
+        let (stride, block, nblocks) = self.shape();
+        Access {
+            addr: self.addr(),
+            stride,
+            block,
+            nblocks,
+            kind: self.kind(),
+            label: self.label(Site::Initiator),
         }
     }
 
-    /// The `(offset, len)` spans actually touched, one per block. The
-    /// checker records these, never the covering range: the gaps are not
-    /// accessed, and claiming them would invent races with neighbours
-    /// that legitimately own the gap bytes.
+    /// [`Access::bytes`] of the op.
+    #[inline]
+    pub(crate) fn bytes(&self) -> usize {
+        self.access().bytes()
+    }
+
+    /// [`Access::cover`] of the op.
+    #[inline]
+    pub(crate) fn cover(&self) -> usize {
+        self.access().cover()
+    }
+
+    /// [`Access::spans`] of the op.
     #[inline]
     pub(crate) fn spans(&self) -> impl Iterator<Item = (usize, usize)> {
-        let (stride, block, nblocks) = self.shape();
-        let offset = self.addr().offset();
-        (0..nblocks).map(move |b| (offset + b * stride, block))
+        self.access().spans()
     }
 
     /// True for the ops whose result is data read from the segment:
@@ -193,6 +270,7 @@ impl<'a> RmaOp<'a> {
     }
 
     /// The label checker reports show for this op recorded at `site`.
+    #[inline]
     pub(crate) fn label(&self, site: Site) -> &'static str {
         match (self, site) {
             (RmaOp::Put { .. }, Site::Batch) => "agg-put",

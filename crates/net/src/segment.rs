@@ -175,6 +175,43 @@ impl Segment {
         }
     }
 
+    /// Copy `len` bytes from `src` at `src_offset` to this segment at
+    /// `offset`, touching each byte once: whole words move load to store,
+    /// the partial words at either end through [`Segment::read_bytes`] and
+    /// [`Segment::write_bytes`] (so by CAS). All relaxed atomics, like
+    /// those two: an access racing with the copy stays defined. The ranges
+    /// must sit equally in their words (`src_offset % 8 == offset % 8`;
+    /// no word of the source is a word of the destination otherwise) and
+    /// must not overlap — the caller stages those copies.
+    pub fn copy_from(&self, offset: usize, src: &Segment, src_offset: usize, len: usize) {
+        src.check(src_offset, len);
+        self.check(offset, len);
+        assert_eq!(
+            src_offset % 8,
+            offset % 8,
+            "copy_from: the ranges sit differently in their words"
+        );
+        debug_assert!(
+            !std::ptr::eq(self, src) || src_offset + len <= offset || offset + len <= src_offset,
+            "copy_from: overlapping ranges"
+        );
+        let head = (offset.wrapping_neg() % 8).min(len);
+        let nwords = (len - head) / 8;
+        let tail = head + nwords * 8;
+        let partial = |at: usize, n: usize| {
+            let mut edge = [0u8; 8];
+            src.read_bytes(src_offset + at, &mut edge[..n]);
+            self.write_bytes(offset + at, &edge[..n]);
+        };
+        partial(0, head);
+        let from = &src.words[(src_offset + head) / 8..][..nwords];
+        let to = &self.words[(offset + head) / 8..][..nwords];
+        for (to, from) in to.iter().zip(from) {
+            to.store(from.load(Ordering::Relaxed), Ordering::Relaxed);
+        }
+        partial(tail, len - tail);
+    }
+
     /// Raw pointer to the aligned word at `offset`, bounds-checked for
     /// `bytes` addressable bytes behind it. This is the privatization
     /// escape hatch under `GlobalPtr::local_slice` and friends: the word
@@ -309,6 +346,61 @@ mod tests {
         let mut out = [0u8; 8];
         s.read_bytes(0, &mut out);
         assert_eq!(out, [0x11, 0x11, 0x11, 0x11, 0x22, 0x22, 0x22, 0x22]);
+    }
+
+    /// A segment holding `image`.
+    fn segment_of(image: &[u8]) -> Segment {
+        let s = Segment::new(image.len());
+        s.write_bytes(0, image);
+        s
+    }
+
+    fn contents(s: &Segment) -> Vec<u8> {
+        let mut out = vec![0u8; s.len()];
+        s.read_bytes(0, &mut out);
+        out
+    }
+
+    #[test]
+    fn copy_from_moves_equally_aligned_ranges() {
+        // 2100 bytes: heads, tails and word runs of every length class.
+        let image: Vec<u8> = (0..2100u32).map(|i| (i * 7 + i / 256) as u8).collect();
+        for src_off in [0usize, 1, 3, 8, 13] {
+            for words_apart in [0usize, 1, 5, 66] {
+                for len in [0, 1, 2, 7, 8, 9, 63, 64, 65, 511, 1030] {
+                    // Between two segments.
+                    let dst_off = src_off % 8 + words_apart * 8;
+                    let (from, to) = (segment_of(&image), Segment::new(image.len()));
+                    to.copy_from(dst_off, &from, src_off, len);
+                    let mut want = vec![0u8; image.len()];
+                    want[dst_off..dst_off + len].copy_from_slice(&image[src_off..src_off + len]);
+                    assert_eq!(contents(&to), want, "{src_off} -> {dst_off}, {len} bytes");
+                    // Inside one, disjoint, either way round.
+                    let far = src_off + 1040;
+                    for (a, b) in [(src_off, far), (far, src_off)] {
+                        let s = segment_of(&image);
+                        s.copy_from(b, &s, a, len);
+                        let mut want = image.clone();
+                        want.copy_within(a..a + len, b);
+                        assert_eq!(contents(&s), want, "{a} -> {b} in place, {len} bytes");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sit differently")]
+    fn copy_from_refuses_unequally_aligned_ranges() {
+        let (from, to) = (Segment::new(64), Segment::new(64));
+        to.copy_from(3, &from, 8, 16);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn copy_from_checks_both_ranges() {
+        let (from, to) = (Segment::new(16), Segment::new(64));
+        to.copy_from(0, &from, 8, 16);
     }
 
     #[test]

@@ -221,10 +221,14 @@ impl Team {
 
     /// Team all-gather of a Pod slice, concatenated in team order.
     pub fn allgatherv<T: Pod>(&self, ctx: &Ctx, values: &[T]) -> Vec<T> {
-        let out = self.exchange(ctx, vec![pod::pack_slice(values); self.size()]);
-        let mut all = Vec::new();
-        for b in out {
-            all.extend(pod::unpack_slice::<T>(&b));
+        // One payload per destination, each a copy of the byte view; the
+        // result is sized once, from what arrived.
+        let payloads = vec![pod::bytes_of(values).to_vec(); self.size()];
+        let arrivals = self.exchange(ctx, payloads);
+        let total: usize = arrivals.iter().map(Vec::len).sum();
+        let mut all = Vec::with_capacity(total / std::mem::size_of::<T>().max(1));
+        for arrival in &arrivals {
+            pod::extend_from_bytes(&mut all, arrival);
         }
         all
     }

@@ -5,21 +5,22 @@
 //! parent (conduit set, forks itself N times), or as one rank of a
 //! multi-process job (`RUPCXX_PROC_RANK` set by the launcher).
 //!
-//! Usage: `conduit_app <gups|gups-agg|sort|stencil|spin> <ranks> [k=v...]`
+//! Usage: `conduit_app <gups|gups-agg|sort|stencil|copy|spin> <ranks> [k=v...]`
 //!
 //! Every rank prints a deterministic `RESULT rank=R checksum=X` line;
 //! the conformance suite compares these bit-for-bit across conduits.
 //! Keys: `updates`, `table` (gups), `keys`, `seed` (sort), `edge`,
 //! `iters`, `grid=XxYxZ` (stencil), `iters`, `sleep_ms` (spin),
-//! `segment_mib` (all).
+//! `segment_mib` (all); `copy` takes none.
 
+use rupcxx::{allocate, copy, GlobalPtr};
 use rupcxx_apps::{gups, sample_sort, stencil};
 use rupcxx_net::AggConfig;
 use rupcxx_runtime::{spmd_procs, Ctx, HandlerRegistry, ProcOutcome, RuntimeConfig};
 use std::collections::HashMap;
 
 fn usage() -> ! {
-    eprintln!("usage: conduit_app <gups|gups-agg|sort|stencil|spin> <ranks> [k=v...]");
+    eprintln!("usage: conduit_app <gups|gups-agg|sort|stencil|copy|spin> <ranks> [k=v...]");
     std::process::exit(2);
 }
 
@@ -43,6 +44,64 @@ fn get(kv: &HashMap<String, String>, key: &str, default: usize) -> usize {
     kv.get(key).map_or(default, |v| {
         v.parse()
             .unwrap_or_else(|_| panic!("{key}={v}: not a number"))
+    })
+}
+
+/// The three kinds of bulk `copy`, every rank playing every role once
+/// (needs ≥ 3 ranks): its own bytes to the next rank (local → remote), the
+/// previous rank's to itself (remote → local), and the next rank's to the
+/// previous one (third party) — at odd byte offsets and lengths (the
+/// third equally aligned at both ends: in one process that one goes word
+/// to word, the other two staged), into three windows of the target's
+/// upper half that no two copies share.
+/// Returns a hash of the rank's whole arena afterwards.
+fn copy_workload(ctx: &Ctx) -> u64 {
+    const ARENA: usize = 4096;
+    const HALF: usize = ARENA / 2;
+    let (me, n) = (ctx.rank(), ctx.ranks());
+    assert!(
+        n >= 3,
+        "copy needs a third party: run it on at least 3 ranks"
+    );
+    let (next, prev) = ((me + 1) % n, (me + n - 1) % n);
+    let image = |rank: usize| -> Vec<u8> {
+        let byte = |i: usize| (i * 7 + i / 256 + rank * 31) as u8;
+        (0..ARENA)
+            .map(|i| if i < HALF { byte(i) } else { 0 })
+            .collect()
+    };
+    let arena = allocate::<u8>(ctx, me, ARENA).expect("arena");
+    arena.rput_slice(ctx, &image(me));
+    let dir: Vec<GlobalPtr<u8>> = ctx.allgatherv(&[arena]);
+    ctx.barrier();
+    // (source rank, its offset, target rank, offset in its upper half, bytes)
+    let moves = [
+        (me, 3, next, 5, 500),
+        (prev, 601, me, 602, 400),
+        (next, 1100, prev, 1108, 333),
+    ];
+    for (from, at, to, into, len) in moves {
+        copy(ctx, dir[from].offset(at), dir[to].offset(HALF + into), len);
+    }
+    ctx.barrier();
+    // What the three copies aimed at this rank must have left here: the
+    // previous rank's push, this rank's own pull, and the next rank's
+    // third-party copy out of the rank after it.
+    let mut want = image(me);
+    for (from, at, into, len) in [
+        (prev, 3, 5, 500),
+        (prev, 601, 602, 400),
+        ((me + 2) % n, 1100, 1108, 333),
+    ] {
+        want[HALF + into..][..len].copy_from_slice(&image(from)[at..at + len]);
+    }
+    let mut got = vec![0u8; ARENA];
+    arena.rget_slice(ctx, &mut got);
+    assert!(got == want, "rank {me}: copied bytes differ from the model");
+    ctx.barrier();
+    // FNV-1a.
+    got.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
     })
 }
 
@@ -92,6 +151,7 @@ fn run_workload(ctx: &Ctx, mode: &str, kv: &HashMap<String, String>) -> u64 {
             // Bit-for-bit: the f64 checksum is compared by its bits.
             stencil::run(ctx, &cfg).checksum.to_bits()
         }
+        "copy" => copy_workload(ctx),
         "spin" => {
             // Kill-test workload: barrier rounds with real wall time in
             // between, so a launcher (or test) can kill one OS process

@@ -126,6 +126,52 @@ fn race_aggregated_put_vs_unfenced_read() {
     assert!(msgs.contains("agg-put"), "{msgs}");
 }
 
+/// Pattern 3b: a bulk `copy` into a range another rank `rput`s to with no
+/// synchronization. `copy` moves the bytes segment to segment, but to the
+/// checker it is still one get of the source plus one put to the
+/// destination: the findings are, message for message, those of the same
+/// program staging the copy by hand through a buffer.
+#[test]
+fn race_copy_vs_unsynchronized_rput_is_flagged_like_the_staged_copy() {
+    const WORDS: usize = 8;
+    let src = GlobalPtr::<u64>::from_addr(GlobalAddr::new(0, 1024));
+    let dst = GlobalPtr::<u64>::from_addr(GlobalAddr::new(1, 2048));
+    let findings = |staged: bool| {
+        let sink = new_sink();
+        spmd(
+            cfg(2, CheckConfig::race().with_sink(sink.clone())),
+            move |ctx| {
+                if ctx.rank() == 1 {
+                    dst.offset(2).rput(ctx, 7);
+                } else if staged {
+                    let mut buf = [0u8; WORDS * 8];
+                    ctx.fabric().get(0, src.addr(), &mut buf);
+                    ctx.fabric().put(0, dst.addr(), &buf);
+                } else {
+                    copy(ctx, src, dst, WORDS);
+                }
+            },
+        );
+        assert!(
+            kinds(&sink).contains(&FindingKind::DataRace),
+            "expected a copy-vs-rput race (staged: {staged}), got:\n{}",
+            messages(&sink)
+        );
+        let mut found: Vec<String> = sink.lock().iter().map(|f| f.to_string()).collect();
+        found.sort();
+        found
+    };
+    let direct = findings(false);
+    assert_eq!(direct, findings(true));
+    let msgs = direct.join("\n");
+    assert!(
+        msgs.contains("[0x810..0x818)")
+            && msgs.contains("write `put` by rank 0")
+            && msgs.contains("write `put` by rank 1"),
+        "{msgs}"
+    );
+}
+
 // ---- lock misuse --------------------------------------------------------
 
 /// Pattern 4: holding a `GlobalLock` across `barrier()` — legal-looking

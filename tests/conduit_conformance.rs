@@ -171,6 +171,17 @@ fn uds_sample_sort_matches_loopback_4proc() {
 }
 
 #[test]
+fn uds_copy_matches_loopback_3proc() {
+    // Each process copies local → remote, remote → local and third
+    // party, at odd offsets and lengths: a get and a put over the
+    // conduit here, segment to segment or staged in the loopback run.
+    let dir = scratch("uds-copy");
+    std::fs::create_dir_all(&dir).unwrap();
+    assert_same_as_loopback("copy", 3, &[], &format!("uds:{dir}"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn tcp_gups_matches_loopback() {
     // Derive the port from the pid so parallel test runs don't collide.
     let port = 20000 + (std::process::id() % 20000) as u16;
