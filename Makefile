@@ -74,13 +74,16 @@ conduit-smoke:
 ledger-smoke:
 	$(CARGO) run --release --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- run --quick --out target/ledger/smoke.json
 
-# A/B one ledger workload between HEAD~1 and HEAD (or AB_BASE / AB_NEW;
-# `.` = the working tree): `make ab W=get_cached [PAIRS=10]`. Alternating
-# pairs, medians, quartiles and the pair win count — the evidence a
-# performance claim needs (see scripts/ab.sh). Not part of `make ci`:
-# ten pairs at the benchmark's run length take about ten minutes.
+# A/B ledger workloads between HEAD~1 and HEAD (or AB_BASE / AB_NEW;
+# `.` = the working tree): `make ab W=get_cached [PAIRS=10]`, a list
+# (`W="tasks gups_agg"`) or `W=all` for BENCHMARK.json's seven — each side
+# is built once for the whole list. Alternating pairs, medians, quartiles
+# and the pair win count — the evidence a performance claim needs, and
+# what a no-claim PR shows for every workload (see scripts/ab.sh). Not
+# part of `make ci`: ten pairs at the benchmark's run length take about
+# five minutes a workload.
 ab:
-	scripts/ab.sh $(W) $(PAIRS)
+	scripts/ab.sh "$(W)" $(PAIRS)
 
 # The flake gate, first cut (ROADMAP item 6): rerun the suites that sit
 # on the task path, the aggregation window (a wait for the *other* side

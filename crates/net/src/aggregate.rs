@@ -31,10 +31,10 @@
 //! home to the sender's [`SlabPool`] only when the receiver (or the
 //! reliable layer's retransmit queue) drops it. The pool counts the slabs
 //! that are out, and the *window* is the pool's retain cap,
-//! `INBOX_SHARDS * ranks + 8` slabs — sixteen more than this rank's
-//! partial buffers can hold between them, so a rank that finds the window
-//! full always has at least sixteen batches in flight for somebody to
-//! apply. Two things follow, neither of them a message or a setting:
+//! `8 * ranks + 8` slabs. A rank has one partial buffer per peer, at most
+//! `ranks − 1` of them, so a rank that finds the window full always has
+//! at least `7 * ranks + 9` batches in flight for somebody to apply. Two
+//! things follow, neither of them a message or a setting:
 //!
 //! * *who polls* — every buffered call made through the runtime
 //!   (`GlobalPtr::{rput_agg, rxor_agg, radd_agg}`, `Ctx::send_handler_agg`)
@@ -78,11 +78,10 @@
 
 use crate::conduit::wire::{self, Cursor, WireError};
 use crate::fabric::{AmPayload, Fabric, GlobalAddr};
-use crate::inbox::{thread_shard, INBOX_SHARDS};
 use crate::rma::{RmaOp, RmwOp, Site};
 use crate::Rank;
 use rupcxx_trace::EventKind;
-use rupcxx_util::sync::{CachePadded, SpinMutex};
+use rupcxx_util::sync::SpinMutex;
 use rupcxx_util::{Bytes, SlabPool};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -139,7 +138,7 @@ const SLAB_BYTES: usize = 4096;
 /// frame is a [`AGG_MAX_PUT`]-byte put plus its header.
 const AGG_SLACK: usize = AGG_MAX_PUT + 64;
 
-/// One (shard, destination) coalescing buffer. `bytes` is a slab on loan
+/// One destination's coalescing buffer. `bytes` is a slab on loan
 /// from the endpoint's [`SlabPool`], taken lazily on first use and
 /// pre-reserved to `SLAB_BYTES + AGG_SLACK` so packing a frame is a pure
 /// `extend_from_slice` — no reallocation, ever, on the word-frame path.
@@ -151,29 +150,21 @@ struct AggBuf {
     bytes: Vec<u8>,
 }
 
-/// One injection shard: a buffer per destination plus a dirty flag. Each
-/// producer thread owns one shard (by thread hash), so concurrent
-/// injectors never contend on a buffer lock — which is why the buffers
-/// sit behind a [`SpinMutex`]: the lock is held for a handful of
-/// nanoseconds by (almost always) a single thread, and the uncontended
-/// spin acquire/release is about half the cost of a futex mutex round
-/// trip on the per-operation pack path.
-struct AggShard {
-    bufs: Box<[SpinMutex<AggBuf>]>,
-    /// Set when any destination of this shard may hold frames — the cheap
-    /// gate that keeps `flush_agg` in the progress engine's hot loop at
-    /// one relaxed load per shard when nothing is pending.
-    dirty: AtomicBool,
-}
-
-/// Per-endpoint aggregation state: per-shard, per-destination buffers +
-/// the slab pool that recycles flushed batch buffers. Allocated
-/// only when the fabric has an [`AggConfig`] (the slabs stay unallocated
-/// until a destination is first used).
+/// Per-endpoint aggregation state: one buffer per destination + the slab
+/// pool that recycles flushed batch buffers. Allocated only when the
+/// fabric has an [`AggConfig`] (the slabs stay unallocated until a
+/// destination is first used).
 pub(crate) struct AggState {
-    /// One block each: a shard's `dirty` flag is written by its injecting
-    /// thread while the progress engine sweeps the others'.
-    shards: Box<[CachePadded<AggShard>]>,
+    /// Every thread of the rank that packs for a destination — the rank's
+    /// own, a progress worker replying on its behalf — packs into the one
+    /// buffer. Its lock is held for a handful of nanoseconds by (almost
+    /// always) a single thread, hence a [`SpinMutex`]: uncontended, about
+    /// half a futex mutex's round trip on the per-operation pack path.
+    bufs: Box<[SpinMutex<AggBuf>]>,
+    /// Set when any destination may hold frames — the cheap gate that
+    /// keeps `flush_agg` in the progress engine's hot loop at one relaxed
+    /// load when nothing is pending.
+    dirty: AtomicBool,
     /// Recycles batch slabs: a flushed buffer travels to the receiver as
     /// pooled [`Bytes`] and its capacity returns here when the last
     /// reader drops — steady state packs and ships without allocating.
@@ -186,20 +177,12 @@ pub(crate) struct AggState {
 impl AggState {
     pub(crate) fn new(ranks: usize) -> Self {
         AggState {
-            shards: (0..INBOX_SHARDS)
-                .map(|_| {
-                    CachePadded(AggShard {
-                        bufs: (0..ranks)
-                            .map(|_| SpinMutex::new(AggBuf::default()))
-                            .collect(),
-                        dirty: AtomicBool::new(false),
-                    })
-                })
+            bufs: (0..ranks)
+                .map(|_| SpinMutex::new(AggBuf::default()))
                 .collect(),
-            // A slab for every (shard, destination) buffer, a rank's own
-            // included, plus eight: `INBOX_SHARDS + 8` = 16 more than
-            // the partial buffers to its `ranks - 1` peers can hold.
-            pool: SlabPool::new(INBOX_SHARDS * ranks + 8),
+            dirty: AtomicBool::new(false),
+            // The window (module doc, "Back-pressure").
+            pool: SlabPool::new(8 * ranks + 8),
         }
     }
 
@@ -332,7 +315,7 @@ impl Fabric {
 
     /// The most slabs `initiator` may have out before a buffered call made
     /// through the runtime blocks (`None` without aggregation). A constant
-    /// of the job: `INBOX_SHARDS * ranks + 8`.
+    /// of the job: `8 * ranks + 8`.
     pub fn agg_window(&self, initiator: Rank) -> Option<usize> {
         let agg = &self.endpoints[initiator].agg;
         agg.as_ref().map(|agg| agg.pool.max_idle())
@@ -346,116 +329,89 @@ impl Fabric {
         agg.as_ref().is_some_and(AggState::window_full)
     }
 
-    /// Pack one frame for `dst` into the calling thread's shard buffer,
-    /// flushing it once it holds a full slab. Caller guarantees
-    /// aggregation is on and `dst != initiator`. True when the caller
-    /// should now drive progress: the call sent a batch, or started a
-    /// slab with the window full.
+    /// Pack one frame into `dst`'s buffer, flushing it once it holds a
+    /// full slab. Caller guarantees aggregation is on and `dst !=
+    /// initiator`. True when the caller should now drive progress: the
+    /// call sent a batch, or started a slab with the window full.
     ///
-    /// Hot-path cost: one uncontended shard-buffer lock, the
+    /// Hot-path cost: one uncontended buffer lock, the
     /// `extend_from_slice` of the frame, and (rarely) a dirty-flag store —
     /// per-op stats are accounted at flush time, batched per batch.
     #[inline(always)] // with `try_buffer` and `encode`: see `rma.rs`
     fn agg_push(&self, initiator: Rank, dst: Rank, frame: Frame<'_>) -> bool {
         let ep = &self.endpoints[initiator];
         let agg = ep.agg.as_ref().expect("agg_push without aggregation");
-        let shard = &agg.shards[thread_shard()];
-        let (flush, full) = {
-            let mut buf = shard.bufs[dst].lock();
-            let mut full = false;
-            if buf.bytes.capacity() == 0 {
-                buf.bytes = agg.pool.take(SLAB_BYTES + AGG_SLACK);
-                // The one place the count of slabs out grows, so the one
-                // place the window is checked — whoever emptied this
-                // buffer (a full slab, `advance()`, a progress thread).
-                full = agg.window_full();
-            }
-            frame.encode(&mut buf.bytes);
-            buf.count += 1;
-            if buf.count == 1 {
-                shard.dirty.store(true, Ordering::Release);
-            }
-            (buf.bytes.len() >= SLAB_BYTES, full)
-        };
+        let mut buf = agg.bufs[dst].lock();
+        let mut full = false;
+        if buf.bytes.capacity() == 0 {
+            buf.bytes = agg.pool.take(SLAB_BYTES + AGG_SLACK);
+            // The one place the count of slabs out grows, so the one
+            // place the window is checked — whoever emptied this
+            // buffer (a full slab, `advance()`, a progress thread).
+            full = agg.window_full();
+        }
+        frame.encode(&mut buf.bytes);
+        buf.count += 1;
+        if buf.count == 1 {
+            agg.dirty.store(true, Ordering::Release);
+        }
+        let flush = buf.bytes.len() >= SLAB_BYTES;
         if flush {
-            // A full slab flushes only this thread's shard; other
-            // injectors' partial buffers keep filling toward their own.
-            // (The ordering flush in `send_am` sweeps every
-            // shard via `flush_agg_to`.)
-            self.flush_agg_shard_to(initiator, shard, dst);
+            self.send_batch(initiator, dst, agg, &mut buf);
         }
         flush || full
     }
 
-    /// Flush one (shard, destination) buffer as a single
-    /// [`AmPayload::Batch`]. The slab leaves as pooled [`Bytes`] — no
-    /// copy, no shrink — and its capacity returns to the pool when the
-    /// last reader (receiver, or the reliable layer's retransmit copy)
-    /// drops. Returns whether anything was sent.
-    fn flush_agg_shard_to(&self, initiator: Rank, shard: &AggShard, dst: Rank) -> bool {
+    /// Send what `buf` — `initiator`'s buffer for `dst`, not empty — holds
+    /// as a single [`AmPayload::Batch`]. The slab leaves as pooled
+    /// [`Bytes`] — no copy, no shrink — and its capacity returns to the
+    /// pool when the last reader (receiver, or the reliable layer's
+    /// retransmit copy) drops.
+    ///
+    /// The caller holds the buffer's lock until the batch is on its link:
+    /// of two threads of a rank flushing one destination, the one whose
+    /// batch was cut first also sends first, so each thread's frames — and
+    /// a direct AM it sends behind them — arrive in the order it made
+    /// them. Nothing on the send path packs or flushes.
+    fn send_batch(&self, initiator: Rank, dst: Rank, agg: &AggState, buf: &mut AggBuf) {
         let ep = &self.endpoints[initiator];
-        let agg = ep.agg.as_ref().expect("flush without aggregation");
-        let (count, bytes) = {
-            let mut buf = shard.bufs[dst].lock();
-            if buf.count == 0 {
-                return false;
-            }
-            (
-                std::mem::take(&mut buf.count),
-                std::mem::take(&mut buf.bytes),
-            )
-        };
+        let count = std::mem::take(&mut buf.count);
+        let frames = Bytes::pooled(std::mem::take(&mut buf.bytes), &agg.pool);
         ep.stats.agg_ops.fetch_add(count as u64, Ordering::Relaxed);
         ep.stats.agg_batches.fetch_add(1, Ordering::Relaxed);
         ep.trace
             .instant(EventKind::Flush, dst as i32, count as u64, 0);
-        self.send_am(
-            initiator,
-            dst,
-            AmPayload::Batch {
-                count,
-                frames: Bytes::pooled(bytes, &agg.pool),
-            },
-        );
-        true
+        self.send_am(initiator, dst, AmPayload::Batch { count, frames });
     }
 
-    /// Flush the initiator's buffers for one destination (all shards, in
-    /// shard order) as [`AmPayload::Batch`] messages. Returns whether
-    /// anything was sent.
+    /// Flush the initiator's buffer for one destination as an
+    /// [`AmPayload::Batch`]. Returns whether anything was sent.
     pub fn flush_agg_to(&self, initiator: Rank, dst: Rank) -> bool {
         let ep = &self.endpoints[initiator];
         let Some(agg) = &ep.agg else { return false };
-        let mut sent = false;
-        for shard in agg.shards.iter() {
-            sent |= self.flush_agg_shard_to(initiator, shard, dst);
+        let mut buf = agg.bufs[dst].lock();
+        let pending = buf.count > 0;
+        if pending {
+            self.send_batch(initiator, dst, agg, &mut buf);
         }
-        sent
+        pending
     }
 
     /// Force-flush every destination buffer of `initiator`; returns the
     /// number of batches sent. With aggregation off — or nothing buffered
-    /// — this is one branch plus one relaxed load per shard.
+    /// — this is one branch plus one relaxed load.
     pub fn flush_agg(&self, initiator: Rank) -> usize {
         let ep = &self.endpoints[initiator];
         let Some(agg) = &ep.agg else { return 0 };
-        if !agg.shards.iter().any(|s| s.dirty.load(Ordering::Acquire)) {
+        if !agg.dirty.load(Ordering::Acquire) {
             return 0;
         }
-        // Clear the flags before sweeping: a racing push re-marks its
-        // shard and is picked up by the next advance() at the latest.
-        for shard in agg.shards.iter() {
-            shard.dirty.store(false, Ordering::Release);
-        }
-        let mut batches = 0;
-        for dst in 0..self.endpoints.len() {
-            for shard in agg.shards.iter() {
-                if self.flush_agg_shard_to(initiator, shard, dst) {
-                    batches += 1;
-                }
-            }
-        }
-        batches
+        // Clear the flag before sweeping: a racing push re-marks it and
+        // is picked up by the next advance() at the latest.
+        agg.dirty.store(false, Ordering::Release);
+        (0..self.endpoints.len())
+            .filter(|&dst| self.flush_agg_to(initiator, dst))
+            .count()
     }
 
     /// Buffered registered-handler RPC: packed as a frame when
@@ -740,7 +696,7 @@ mod tests {
         // takes stays out.
         let f = agg_fabric(2);
         let window = f.agg_window(0).expect("aggregation is on");
-        assert_eq!(window, INBOX_SHARDS * 2 + 8);
+        assert_eq!(window, 24, "8 * ranks + 8");
         let push = || f.add_u64_buffered(0, GlobalAddr::new(1, 0), 1);
         // Two frames to a batch, cut by an explicit flush point (the frame
         // that fills a slab reports it: `default_batch_is_a_full_slab`).
@@ -798,6 +754,57 @@ mod tests {
         assert_eq!(got, [0xAB; 8]);
         let c = f.endpoint(0).stats.snapshot();
         assert_eq!((c.agg_ops, c.agg_batches), (3, 2));
+    }
+
+    #[test]
+    fn two_threads_of_a_rank_share_a_destinations_buffer() {
+        // Rank 0's own thread and a second one (a progress worker replying
+        // on its behalf) pack for rank 1 at once: thread `t` adds 1, 2, …
+        // to word `t`, so the frames show the order they were packed in
+        // and the word shows how often they were applied.
+        const PER: u64 = 20 * SLAB_FRAMES as u64 + 7;
+        let f = agg_fabric(2);
+        let start = Arc::new(std::sync::Barrier::new(2));
+        let packers: Vec<_> = (0..2)
+            .map(|t| {
+                let (f, start) = (f.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for i in 1..=PER {
+                        f.add_u64_buffered(0, GlobalAddr::new(1, 8 * t), i);
+                    }
+                })
+            })
+            .collect();
+        for p in packers {
+            p.join().unwrap();
+        }
+        f.flush_agg(0);
+        let mut last = [0u64; 2];
+        let mut batches = 0;
+        for msg in f.endpoint(1).drain() {
+            let AmPayload::Batch { frames, .. } = &msg.payload else {
+                panic!("not a batch");
+            };
+            batches += 1;
+            for frame in BatchReader::new(frames) {
+                let Frame::Rma(RmaOp::Rmw { addr, a, .. }) = frame else {
+                    panic!("not a word update: {frame:?}");
+                };
+                let t = addr.offset() / 8;
+                assert_eq!(a, last[t] + 1, "thread {t}'s frames out of order");
+                last[t] = a;
+                assert!(f.apply_frame(1, msg.src, msg.clock.as_ref(), &frame));
+            }
+        }
+        // Every update exactly once.
+        let sums = [0, 8].map(|word| f.endpoint(1).segment.load_u64(word));
+        assert_eq!((last, sums), ([PER; 2], [PER * (PER + 1) / 2; 2]));
+        // One buffer: every batch but the last is a full slab, where a
+        // buffer per thread would leave two partial ones (42 batches).
+        let c = f.endpoint(0).stats.snapshot();
+        assert_eq!((c.agg_ops, c.agg_batches), (2 * PER, batches));
+        assert_eq!(batches, (2 * PER).div_ceil(SLAB_FRAMES as u64));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::aggregate::{AggConfig, AggState};
 use crate::cache::{CacheConfig, CacheState};
 use crate::conduit::RemoteConfig;
 use crate::faults::FaultPlan;
-use crate::inbox::ShardedInbox;
+use crate::inbox::Inbox;
 use crate::reliable::{AmChannel, PeerUnreachable};
 use crate::remote::RemoteFabric;
 use crate::rma::{Access, RmaOp, RmwOp};
@@ -255,7 +255,7 @@ pub struct Endpoint {
     /// allocated only when the fabric has a [`CacheConfig`].
     pub(crate) cache: Option<CacheState>,
     // -- 3. written by peers -- (the inbox is `CachePadded` inside)
-    pub(crate) inbox: ShardedInbox<AmMessage>,
+    pub(crate) inbox: Inbox<AmMessage>,
     /// Reliable-delivery state for this rank's incoming links; allocated
     /// only when the fabric has a fault plan.
     pub(crate) reliable: Option<AmChannel>,
@@ -278,7 +278,7 @@ impl Endpoint {
             trace,
             agg: agg.then(|| AggState::new(ranks)),
             cache,
-            inbox: ShardedInbox::new(),
+            inbox: Inbox::new(),
             reliable: faulty.then(|| AmChannel::new(ranks)),
         }
     }
@@ -304,14 +304,21 @@ impl Endpoint {
     ///
     /// This is a racy sample: a concurrent sender or the progress engine
     /// can change the queue between this call and the next. Its error is
-    /// one-sided, though ([`ShardedInbox::len`]): while the progress
-    /// engine moves a batch from the senders' shards to its run queue a
+    /// one-sided, though ([`Inbox::len`]): while the progress
+    /// engine moves a batch from the arrivals to its run queue a
     /// message may be counted twice, never zero times — `pending() == 0`
     /// is what `agg_fence`, the teardown drain and the deadlock checker's
     /// `quiet` take as "nothing is waiting here". Tests that need a
     /// consistent observation should use [`Endpoint::drain`].
     pub fn pending(&self) -> usize {
         self.inbox.len()
+    }
+
+    /// [`Endpoint::pending`] by queue, `(arrivals, run queue)`: still
+    /// where senders pushed them, and taken over by the progress engine
+    /// but not yet run. For a test's failure message.
+    pub fn pending_lanes(&self) -> (usize, usize) {
+        self.inbox.lane_lens()
     }
 
     /// Dequeue *every* pending active message in one consistent snapshot
@@ -828,8 +835,9 @@ impl Fabric {
     /// thread's fetch buffer stays no larger than the cache): per piece
     /// one fabric get from the first line's base to the last line's end,
     /// seen by the checker as a read of the requested bytes, then one
-    /// install per line. [`Fabric::cache_miss`] over a run; the word path
-    /// keeps its own one-line form.
+    /// install per line. The fetch runs before the cache's lock is taken,
+    /// into a buffer the thread keeps from miss to miss. A word miss
+    /// ([`Fabric::get_u64`]) is a run of one line.
     fn cache_miss_run(
         &self,
         initiator: Rank,
@@ -861,29 +869,6 @@ impl Fabric {
             at = at.add(piece.len());
             chunk = rest;
         }
-    }
-
-    /// Serve `chunk`, which `initiator`'s `cache` does not hold, from
-    /// `at`: one fabric get for the whole covering line, seen by the
-    /// checker as a read of the requested bytes, then the install. The
-    /// fetch runs before the cache's lock is taken, into a buffer the
-    /// thread keeps from miss to miss.
-    fn cache_miss(&self, initiator: Rank, cache: &CacheState, at: GlobalAddr, chunk: &mut [u8]) {
-        let ep = &self.endpoints[initiator];
-        ep.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        let base = cache.line_base_addr(at);
-        let start = at.offset() - base.offset();
-        let mut line = LINE.take();
-        line.resize(cache.line_len(base), 0);
-        let (addr, len) = (base, line.len());
-        let asked = Some((at.offset(), chunk.len()));
-        self.rma(initiator, &RmaOp::Get { addr, len }, &mut line, asked);
-        chunk.copy_from_slice(&line[start..start + chunk.len()]);
-        let stamp = self.check.as_ref().map(|ck| ck.cache_fill(initiator));
-        cache.fill(base, &line, stamp);
-        ep.trace
-            .instant(EventKind::CacheFill, at.rank() as i32, line.len() as u64, 0);
-        LINE.set(line);
     }
 
     /// Account for `len` bytes at `addr` served from `initiator`'s `cache`.
@@ -936,7 +921,7 @@ impl Fabric {
                     self.cache_hit(initiator, cache, src, 8);
                     return word;
                 }
-                self.cache_miss(initiator, cache, src, &mut buf);
+                self.cache_miss_run(initiator, cache, src, &mut buf);
             }
             _ => {
                 self.rma(initiator, &RmaOp::Get { addr: src, len: 8 }, &mut buf, None);
@@ -1802,7 +1787,7 @@ mod tests {
             field!(cache: Option<CacheState>),
         ]);
         let peers = blocks(&[
-            field!(inbox: ShardedInbox<AmMessage>),
+            field!(inbox: Inbox<AmMessage>),
             field!(reliable: Option<AmChannel>),
         ]);
         assert!(

@@ -165,19 +165,28 @@ impl Ctx {
         let arrived = self.shared.fabric.pump_conduit(self.rank);
         let pumped = self.shared.fabric.pump_incoming(self.rank) + scheduled + arrived;
         let ep = self.shared.fabric.endpoint(self.rank);
-        let ran = if ep.trace.ops_enabled() {
-            self.advance_traced()
-        } else {
-            // Untraced fast path: identical to the pre-trace engine.
-            let mut n = 0;
-            while let Some(msg) = ep.try_recv() {
-                self.execute(msg);
-                n += 1;
-            }
-            n
-        };
+        // A traced run samples the inbox depth, wraps each message in an
+        // `am_handle` span and the whole working drain in an `advance`
+        // span (`bytes` = messages processed); untraced, `start` and
+        // `span` are one untaken branch each.
+        let trace = &ep.trace;
+        let traced = trace.ops_enabled();
+        let depth = if traced { ep.pending() as u64 } else { 0 };
+        let t0 = trace.start();
+        let mut ran = 0usize;
+        while let Some(msg) = ep.try_recv() {
+            let src = msg.src;
+            let h0 = trace.start();
+            self.execute(msg);
+            trace.span(EventKind::AmHandle, src as i32, 0, h0);
+            ran += 1;
+        }
         if ran > 0 {
+            trace.span(EventKind::Advance, -1, ran as u64, t0);
             self.flush_finish_acks();
+        }
+        if traced {
+            trace.poll(depth, ran as u64);
         }
         ran + pumped
     }
@@ -316,30 +325,6 @@ impl Ctx {
         unknown
             .inspect(|&id| self.unknown_handler(src, id))
             .is_some()
-    }
-
-    /// The traced progress engine: samples the inbox depth, wraps each
-    /// handler in an `am_handle` span and the whole working drain in an
-    /// `advance` span (`bytes` = messages processed).
-    #[cold]
-    fn advance_traced(&self) -> usize {
-        let ep = self.shared.fabric.endpoint(self.rank);
-        let trace = &ep.trace;
-        let depth = ep.pending() as u64;
-        let t0 = trace.start();
-        let mut n = 0usize;
-        while let Some(msg) = ep.try_recv() {
-            let src = msg.src;
-            let h0 = trace.start();
-            self.execute(msg);
-            trace.span(EventKind::AmHandle, src as i32, 0, h0);
-            n += 1;
-        }
-        if n > 0 {
-            trace.span(EventKind::Advance, -1, n as u64, t0);
-        }
-        trace.poll(depth, n as u64);
-        n
     }
 
     /// Spin on `cond`, driving progress while waiting. All blocking

@@ -147,6 +147,20 @@ pub struct RankState {
     pub(crate) worker_in_pass: AtomicBool,
 }
 
+impl RankState {
+    /// For a failure message about a rank that will not leave a barrier:
+    /// how many collectives its world team has started (the last one's
+    /// mailbox keys are `1024 * (that - 1) + round`) and the arrivals
+    /// waiting in its mailbox, `(domain, key, count)` in key order.
+    pub fn collectives_debug(&self) -> String {
+        let slots = self.mailbox.slots.lock();
+        let mut waiting: Vec<_> = slots.iter().map(|(&(d, k), v)| (d, k, v.len())).collect();
+        waiting.sort_unstable();
+        let started = self.world.seq.load(Ordering::Relaxed);
+        format!("{started} collectives started, mailbox holds {waiting:?}")
+    }
+}
+
 /// State shared by every rank of the job. The per-rank arrays are
 /// [`CachePadded`]: a rank bumping its counters or locking its tables
 /// takes no line away from its neighbours in the array.

@@ -154,12 +154,18 @@ fn late_receiver(rt: RuntimeConfig, fills: bool) {
                 // sender's counters drives nothing.
                 let began = Instant::now();
                 while fills && !ctx.fabric().agg_window_full(0) {
+                    // Seen 3 times in 310 runs with nothing in either
+                    // inbox and rank 0 still in the barrier above (ROADMAP
+                    // item 6): say where its signal could be.
                     assert!(
                         began.elapsed() < Duration::from_secs(20),
-                        "the sender never filled its window: {} slabs out, inboxes hold {} and {}",
+                        "the sender never filled its window: {} slabs out, inboxes hold \
+                         (arrivals, run queue) {:?} and {:?}; rank 0: {}; rank 1: {}",
                         ctx.fabric().agg_slabs_out(0),
-                        ctx.fabric().endpoint(0).pending(),
-                        ctx.fabric().endpoint(1).pending()
+                        ctx.fabric().endpoint(0).pending_lanes(),
+                        ctx.fabric().endpoint(1).pending_lanes(),
+                        ctx.shared().own[0].collectives_debug(),
+                        ctx.shared().own[1].collectives_debug()
                     );
                     std::thread::yield_now();
                 }

@@ -112,19 +112,24 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
 const SPIN_PROBES: u32 = 64;
 
 /// A test-and-test-and-set spinlock for critical sections of a few
-/// instructions on hot paths: an inbox shard (a push, or the swap that
-/// hands the shard to its consumer — a lock two ranks really do contend)
-/// and a per-thread aggregation shard's frame buffer. The uncontended
-/// lock/unlock pair is one CAS plus one release store — roughly half the
-/// cost of the futex-based `std::sync::Mutex` round trip — and a waiter
-/// that finds the lock held spins instead of parking in the kernel,
-/// because the holder is a handful of instructions from releasing it.
+/// instructions on hot paths: a lane of the inbox (a push, or the swap
+/// that hands the arrivals to their consumer — a lock two ranks really do
+/// contend) and a destination's aggregation buffer (a frame packed; once
+/// a slab, the batch handed to its link under the same hold, which is
+/// what keeps two threads' batches in the order they were cut — a lock
+/// only threads of one rank packing for one destination meet on). The
+/// uncontended lock/unlock pair is one CAS plus one release store —
+/// roughly half the cost of the futex-based `std::sync::Mutex` round
+/// trip — and a waiter that finds the lock held spins instead of parking
+/// in the kernel, because the holder is a handful of instructions from
+/// releasing it.
 ///
 /// The spin is bounded: after `SPIN_PROBES` looks a waiter calls
 /// `yield_now` between probes, so a holder that was preempted inside its
-/// critical section (ranks oversubscribing the cores) gets the core back
-/// instead of costing every waiter a timeslice. Holders must still never
-/// block or do unbounded work under the lock.
+/// critical section (ranks oversubscribing the cores) — or that is
+/// handing a batch to a slow link — gets the core back instead of costing
+/// every waiter a timeslice. Holders must still never wait under the lock
+/// for anything a waiter on it would have to do.
 #[derive(Default)]
 pub struct SpinMutex<T: ?Sized> {
     locked: std::sync::atomic::AtomicBool,
