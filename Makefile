@@ -7,7 +7,7 @@ CARGO ?= cargo
 # each fully reproducible (see README "Robustness").
 CHAOS_SEEDS ?= 101 202 303
 
-.PHONY: ci fmt clippy test chaos check-race prof-smoke explore-smoke conduit-smoke ledger-smoke ab flake
+.PHONY: ci fmt clippy test chaos check-race prof-smoke explore-smoke conduit-smoke ledger-smoke ab flake asan
 
 ci: fmt clippy test chaos check-race prof-smoke explore-smoke conduit-smoke ledger-smoke
 
@@ -118,4 +118,29 @@ flake:
 			taskset -c 0 $(CARGO) test -q $$suite >/dev/null 2>&1 || failed=$$((failed + 1)); \
 		done; \
 		echo "flake: $$suite: $$failed/$(N) failed"; \
+	done
+
+# The AddressSanitizer gate over the task path's unsafe code
+# (`rupcxx_net::TaskFn` keeps a closure in the message's bytes, moves it
+# out to run it and drops it in place if it never runs) and the suites
+# that send, run, park and drop tasks: `make asan`. `-Zsanitizer` needs
+# nightly, so this is not a `make ci` gate (that one runs on stable) but a
+# CI job of its own. The nightly is pinned to the build it was verified
+# with (a box that has that build under another name runs
+# `make asan CARGO="cargo +nightly"`); the explicit `--target` keeps build
+# scripts uninstrumented.
+ASAN_SUITES = \
+	"-p rupcxx-net task" \
+	"-p rupcxx-runtime finish" \
+	"-p rupcxx-runtime event" \
+	"-p rupcxx-runtime ctx" \
+	"-p rupcxx-runtime --test finish_ack" \
+	"-p rupcxx rpc" \
+	"--test task_alloc"
+
+asan:
+	@for suite in $(ASAN_SUITES); do \
+		echo "== asan: $$suite =="; \
+		RUSTUP_TOOLCHAIN=nightly-2026-05-20 RUSTFLAGS=-Zsanitizer=address \
+			$(CARGO) test -q --target x86_64-unknown-linux-gnu $$suite || exit 1; \
 	done

@@ -11,7 +11,7 @@
 //! the same functions in the same order *before* launch, yielding
 //! [`RemoteFn`] handles whose ids agree across ranks. A call packs the
 //! `Pod` argument after a reply token; the reply handler routes the packed
-//! return value back to the caller's future. Unlike the boxed-closure path
+//! return value back to the caller's future. Unlike the closure-task path
 //! ([`crate::async_on`]), nothing but plain bytes crosses ranks — this is
 //! the path a real multi-process runtime must use, and the benchmarkable
 //! baseline for the closure shortcut.

@@ -21,12 +21,12 @@ use crate::rma::{Access, RmaOp, RmwOp};
 use crate::schedule::{SchedState, ScheduleConfig};
 use crate::segment::Segment;
 use crate::stats::{CommCounts, CommStats};
+use crate::task::TaskFn;
 use crate::Rank;
 use rupcxx_check::{AccessKind, CheckConfig, Checker, Stamp};
 use rupcxx_trace::{EventKind, ProfConfig, ProfSpan, RankTrace, TraceConfig};
 use rupcxx_util::sync::{CachePadded, Mutex};
 use rupcxx_util::Bytes;
-use std::any::Any;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -145,12 +145,6 @@ impl std::fmt::Debug for GlobalAddr {
     }
 }
 
-/// A boxed closure task. Whoever executes it passes its own execution
-/// context (the runtime's per-rank `Ctx`, which this crate cannot name), so
-/// a task that needs the target rank's context borrows it for the call
-/// instead of carrying — and reference-counting — shared state of its own.
-pub type TaskFn = Box<dyn FnOnce(&dyn Any) + Send + 'static>;
-
 /// Payload of an active message.
 pub enum AmPayload {
     /// A registered-handler invocation: handler id + packed argument bytes.
@@ -162,7 +156,10 @@ pub enum AmPayload {
         /// Packed arguments.
         args: Bytes,
     },
-    /// An opaque boxed task — the in-process shortcut for closure `async`s.
+    /// A closure task — the in-process form of the same packing for
+    /// closure `async`s: a function pointer and the closure's captures, up
+    /// to 32 bytes of them in the message itself ([`TaskFn`]). It cannot
+    /// leave the process.
     Task(TaskFn),
     /// A coalesced batch of fine-grained operations from the
     /// per-destination aggregation layer (see [`crate::aggregate`]): one
@@ -1264,13 +1261,13 @@ mod tests {
         f.send_am(
             0,
             1,
-            AmPayload::Task(Box::new(move |_| {
+            AmPayload::Task(TaskFn::new(move |_| {
                 flag2.store(true, Ordering::SeqCst);
             })),
         );
         let msg = f.endpoint(1).try_recv().unwrap();
         match msg.payload {
-            AmPayload::Task(task) => task(&()),
+            AmPayload::Task(task) => task.run(&()),
             other => panic!("unexpected payload {other:?}"),
         }
         assert!(flag.load(Ordering::SeqCst));

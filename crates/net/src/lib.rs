@@ -4,9 +4,10 @@
 //! provides a *fabric* of N endpoints (one per SPMD rank) supporting
 //!
 //! * **active messages** (von Eicken et al., ISCA '92): small control
-//!   messages carrying a registered handler id + payload, or an opaque
-//!   boxed task, delivered FIFO per (source, destination) pair and executed
-//!   by the destination's progress engine;
+//!   messages carrying a registered handler id + payload, or a closure
+//!   task (function pointer + captures, carried in the message; see
+//!   [`TaskFn`]), delivered FIFO per (source, destination) pair and
+//!   executed by the destination's progress engine;
 //! * **one-sided RMA**: `put`/`get` of byte ranges into a remote rank's
 //!   *segment* with **no involvement of the target CPU**, exactly the
 //!   property RDMA hardware provides. Strided (vector) transfers are
@@ -34,6 +35,7 @@ pub mod rma;
 pub mod schedule;
 pub mod segment;
 pub mod stats;
+mod task;
 
 pub use aggregate::{AggConfig, BatchReader, Frame};
 pub use cache::{CacheConfig, CacheState};
@@ -41,9 +43,7 @@ pub use conduit::{
     Conduit, ConduitEvent, ConduitSel, LoopbackConduit, RemoteConfig, ShmConduit, SocketConduit,
     CONDUIT_SYNTAX,
 };
-pub use fabric::{
-    AmMessage, AmPayload, Endpoint, Fabric, FabricConfig, GlobalAddr, SimNet, TaskFn,
-};
+pub use fabric::{AmMessage, AmPayload, Endpoint, Fabric, FabricConfig, GlobalAddr, SimNet};
 pub use faults::{Fate, FaultPlan, LinkRule};
 pub use inbox::Inbox;
 // The pinned ledger (`crates/bench/src/bin/ledger/micro.rs`) imports the
@@ -61,6 +61,7 @@ pub use schedule::{
 };
 pub use segment::Segment;
 pub use stats::{CommCounts, CommStats};
+pub use task::TaskFn;
 
 /// A rank id (SPMD execution-unit index), `0..ranks()`.
 pub type Rank = usize;

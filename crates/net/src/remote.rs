@@ -207,7 +207,7 @@ impl Fabric {
             }),
             AmPayload::Task(_) => panic!(
                 "closure AMs cannot cross process boundaries: register a handler \
-                 (send_handler) instead of sending a boxed task to rank {dst}"
+                 (send_handler) instead of sending a closure task to rank {dst}"
             ),
         }
     }

@@ -3,7 +3,7 @@
 use crate::alloc::OutOfSegmentMemory;
 use crate::shared::Shared;
 use rupcxx_check::WaitInfo;
-use rupcxx_net::{AmMessage, AmPayload, BatchReader, Fabric, Frame, GlobalAddr, Rank};
+use rupcxx_net::{AmMessage, AmPayload, BatchReader, Fabric, Frame, GlobalAddr, Rank, TaskFn};
 use rupcxx_trace::{EventKind, RankTrace, WaitConstruct};
 use rupcxx_util::Bytes;
 use std::any::Any;
@@ -269,7 +269,7 @@ impl Ctx {
         match payload {
             // `self` is the target rank's context: the task borrows it
             // rather than building (and reference-counting) one of its own.
-            AmPayload::Task(task) => task(self),
+            AmPayload::Task(task) => task.run(self),
             AmPayload::Handler { id, args } => match self.shared.handlers.get(id) {
                 Some(handler) => handler(self, src, args),
                 None => self.unknown_handler(src, id),
@@ -475,7 +475,7 @@ impl Ctx {
         };
         self.shared
             .fabric
-            .send_am(self.rank, dst, AmPayload::Task(Box::new(task)));
+            .send_am(self.rank, dst, AmPayload::Task(TaskFn::new(task)));
     }
 
     /// [`Ctx::send_task_with_ctx`] for a task that needs no context.
