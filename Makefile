@@ -20,9 +20,12 @@ clippy:
 # The bulk-path suite runs a second time with the read cache on: the only
 # configuration in which a remote `rget_slice` goes through
 # `Fabric::get_cached` (run coalescing, and no allocation there either).
+# The fabric's own suite runs a second time in release, the way its word
+# ops ship: with `debug_assert` off.
 test:
 	$(CARGO) test --workspace -q
 	RUPCXX_CACHE=on $(CARGO) test -q --test prop_bulk
+	$(CARGO) test --release -q -p rupcxx-net
 
 chaos:
 	@for seed in $(CHAOS_SEEDS); do \

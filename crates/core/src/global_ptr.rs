@@ -100,7 +100,8 @@ impl<T: Pod> GlobalPtr<T> {
     pub fn rget(&self, ctx: &Ctx) -> T {
         let size = std::mem::size_of::<T>();
         if size == 8 && self.addr.offset().is_multiple_of(8) {
-            // Word fast path (u64/f64/usize…).
+            // The word route (u64/f64/usize…): where the read cache's
+            // word hit lives.
             let w = ctx.fabric().get_u64(ctx.rank(), self.addr);
             return T::read_from(&w.to_le_bytes());
         }
@@ -112,14 +113,6 @@ impl<T: Pod> GlobalPtr<T> {
 
     /// One-sided write of the referenced value (UPC++ lvalue use).
     pub fn rput(&self, ctx: &Ctx, value: T) {
-        let size = std::mem::size_of::<T>();
-        if size == 8 && self.addr.offset().is_multiple_of(8) {
-            let mut w = [0u8; 8];
-            value.write_to(&mut w);
-            ctx.fabric()
-                .put_u64(ctx.rank(), self.addr, u64::from_le_bytes(w));
-            return;
-        }
         let buf = pod::bytes_of(std::slice::from_ref(&value));
         ctx.fabric().put(ctx.rank(), self.addr, buf);
     }

@@ -28,11 +28,10 @@ enum RowLayout {
     /// Rows are contiguous and uniformly spaced: (first byte offset,
     /// byte stride between rows). One strided RMA op moves everything.
     Uniform { first: usize, row_stride: usize },
-    /// General case: per-row byte offsets (in `Scratch::offs`).
-    PerRow,
-    /// Rows are not even contiguous along the last dimension
-    /// (physically strided view): per-element offsets (in `Scratch::offs`).
-    Scattered,
+    /// Everything else: one `len`-byte span per offset in
+    /// `Scratch::offs` — a row each when rows are contiguous, an element
+    /// each when not even a row is (a physically strided view).
+    Spans { len: usize },
 }
 
 /// Reusable buffers for [`NdArray::copy_from`]. SPMD ranks are distinct
@@ -64,7 +63,7 @@ fn layout<T: Pod, const N: usize>(
     if !contiguous {
         offs.reserve(inter.size());
         inter.for_each(|p| offs.push(arr.phys_index(p) as usize * elem));
-        return RowLayout::Scattered;
+        return RowLayout::Spans { len: elem };
     }
     // A single contiguous row is trivially uniform: bail out before
     // building any offset table at all.
@@ -87,7 +86,9 @@ fn layout<T: Pod, const N: usize>(
             };
         }
     }
-    RowLayout::PerRow
+    RowLayout::Spans {
+        len: rows[0].1 * elem,
+    }
 }
 
 impl<T: Pod, const N: usize> NdArray<T, N> {
@@ -127,18 +128,9 @@ impl<T: Pod, const N: usize> NdArray<T, N> {
                         rows.len(),
                     );
                 }
-                RowLayout::PerRow => {
-                    for (r, off) in offs.iter().enumerate() {
-                        fabric.get(
-                            me,
-                            src.base.add(*off),
-                            &mut pack[r * row_bytes..(r + 1) * row_bytes],
-                        );
-                    }
-                }
-                RowLayout::Scattered => {
+                RowLayout::Spans { len } => {
                     for (i, off) in offs.iter().enumerate() {
-                        fabric.get(me, src.base.add(*off), &mut pack[i * elem..(i + 1) * elem]);
+                        fabric.get(me, src.base.add(*off), &mut pack[i * len..][..len]);
                     }
                 }
             }
@@ -155,18 +147,9 @@ impl<T: Pod, const N: usize> NdArray<T, N> {
                         rows.len(),
                     );
                 }
-                RowLayout::PerRow => {
-                    for (r, off) in offs.iter().enumerate() {
-                        fabric.put(
-                            me,
-                            self.base.add(*off),
-                            &pack[r * row_bytes..(r + 1) * row_bytes],
-                        );
-                    }
-                }
-                RowLayout::Scattered => {
+                RowLayout::Spans { len } => {
                     for (i, off) in offs.iter().enumerate() {
-                        fabric.put(me, self.base.add(*off), &pack[i * elem..(i + 1) * elem]);
+                        fabric.put(me, self.base.add(*off), &pack[i * len..][..len]);
                     }
                 }
             }
@@ -190,15 +173,6 @@ impl<T: Pod, const N: usize> NdArray<T, N> {
         self.restrict(ghost).copy_from(ctx, src);
     }
 }
-
-/// Free function mirroring the paper's spelling: `copy(dst, src)` over the
-/// domain intersection.
-pub fn array_copy<T: Pod, const N: usize>(ctx: &Ctx, dst: &NdArray<T, N>, src: &NdArray<T, N>) {
-    dst.copy_from(ctx, src);
-}
-
-#[allow(unused)]
-fn _assert_point_usable(_: Point<2>) {}
 
 #[cfg(test)]
 mod tests {

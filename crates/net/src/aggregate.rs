@@ -300,11 +300,6 @@ pub fn unregistered_handler(frames: &[u8], registered: usize) -> Option<u16> {
 }
 
 impl Fabric {
-    /// True when this initiator has an aggregation layer installed.
-    pub fn agg_enabled(&self, initiator: Rank) -> bool {
-        self.endpoints[initiator].agg.is_some()
-    }
-
     /// Slabs `initiator`'s aggregation layer has out: taken for a partial
     /// buffer or sent as a batch, and not yet dropped by whoever holds
     /// them (0 without aggregation).
@@ -337,7 +332,7 @@ impl Fabric {
     /// Hot-path cost: one uncontended buffer lock, the
     /// `extend_from_slice` of the frame, and (rarely) a dirty-flag store —
     /// per-op stats are accounted at flush time, batched per batch.
-    #[inline(always)] // with `try_buffer` and `encode`: see `rma.rs`
+    #[inline(always)] // with `rma_buffered` and `encode`: see `rma.rs`
     fn agg_push(&self, initiator: Rank, dst: Rank, frame: Frame<'_>) -> bool {
         let ep = &self.endpoints[initiator];
         let agg = ep.agg.as_ref().expect("agg_push without aggregation");
@@ -437,20 +432,22 @@ impl Fabric {
     }
 
     /// Pack `op` for its target when the initiator aggregates, the target
-    /// is remote and the op is fine-grained; write-through invalidation
-    /// happens now, the update at delivery. `None` = not buffered, else
-    /// [`Fabric::agg_push`]'s verdict.
+    /// is remote and the op is fine-grained — write-through invalidation
+    /// happens now, the update at delivery, and the verdict is
+    /// [`Fabric::agg_push`]'s — else issue it now through [`Fabric::rma`]
+    /// (false). The one body of the three buffered entry points.
     #[inline(always)]
-    fn try_buffer(&self, initiator: Rank, op: &RmaOp<'_>) -> Option<bool> {
+    fn rma_buffered(&self, initiator: Rank, op: &RmaOp<'_>) -> bool {
         let dst = op.addr();
         let buffer = self.endpoints[initiator].agg.is_some()
             && dst.rank() != initiator
             && op.bytes() <= AGG_MAX_PUT;
         if !buffer {
-            return None;
+            self.rma(initiator, op, &mut [], None);
+            return false;
         }
         self.invalidate_own(initiator, dst, op.cover());
-        Some(self.agg_push(initiator, dst.rank(), Frame::Rma(*op)))
+        self.agg_push(initiator, dst.rank(), Frame::Rma(*op))
     }
 
     /// Buffered remote xor (no fetched result — the update is applied by
@@ -464,38 +461,20 @@ impl Fabric {
     /// blocks, every batch waits in its slab for the next flush point's
     /// drain. False whenever the op went out directly.
     pub fn xor_u64_buffered(&self, initiator: Rank, dst: GlobalAddr, value: u64) -> bool {
-        match self.try_buffer(initiator, &RmaOp::rmw(dst, RmwOp::Xor, value, 0)) {
-            Some(drive) => drive,
-            None => {
-                let _ = self.xor_u64(initiator, dst, value);
-                false
-            }
-        }
+        self.rma_buffered(initiator, &RmaOp::rmw(dst, RmwOp::Xor, value, 0))
     }
 
     /// Buffered remote add (no fetched result); returns as
     /// [`Fabric::xor_u64_buffered`] does.
     pub fn add_u64_buffered(&self, initiator: Rank, dst: GlobalAddr, value: u64) -> bool {
-        match self.try_buffer(initiator, &RmaOp::rmw(dst, RmwOp::Add, value, 0)) {
-            Some(drive) => drive,
-            None => {
-                let _ = self.add_u64(initiator, dst, value);
-                false
-            }
-        }
+        self.rma_buffered(initiator, &RmaOp::rmw(dst, RmwOp::Add, value, 0))
     }
 
     /// Buffered small put. Payloads over [`AGG_MAX_PUT`] bytes (or local
     /// / unaggregated ones) go out as a direct one-sided put. Returns as
     /// [`Fabric::xor_u64_buffered`] does.
     pub fn put_buffered(&self, initiator: Rank, dst: GlobalAddr, data: &[u8]) -> bool {
-        match self.try_buffer(initiator, &RmaOp::Put { addr: dst, data }) {
-            Some(drive) => drive,
-            None => {
-                self.put(initiator, dst, data);
-                false
-            }
-        }
+        self.rma_buffered(initiator, &RmaOp::Put { addr: dst, data })
     }
 
     /// Apply one segment-level frame on `me`'s own segment (the receiver
@@ -838,7 +817,7 @@ mod tests {
             schedule: None,
             remote: None,
         });
-        assert!(!plain.agg_enabled(0));
+        assert!(plain.endpoint(0).agg.is_none());
         plain.xor_u64_buffered(0, GlobalAddr::new(1, 0), 9);
         plain.add_u64_buffered(0, GlobalAddr::new(1, 8), 2);
         plain.put_buffered(0, GlobalAddr::new(1, 16), &[1, 2, 3]);

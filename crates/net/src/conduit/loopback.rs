@@ -46,10 +46,6 @@ impl Conduit for LoopbackConduit {
         self.me
     }
 
-    fn name(&self) -> &'static str {
-        "loopback"
-    }
-
     fn send(&self, dst: Rank, frame: &[u8]) {
         self.mesh.inbound[dst]
             .lock()

@@ -66,8 +66,6 @@ pub trait Conduit: Send + Sync {
     fn ranks(&self) -> usize;
     /// The rank this process hosts.
     fn my_rank(&self) -> Rank;
-    /// Backend name for diagnostics ("loopback" | "shm" | "tcp" | "uds").
-    fn name(&self) -> &'static str;
     /// Send one frame to `dst` (FIFO per link, reliable, exactly once).
     fn send(&self, dst: Rank, frame: &[u8]);
     /// Poll for the next inbound event.
@@ -99,8 +97,8 @@ pub enum ConduitSel {
     Uds(String),
 }
 
-/// The `RUPCXX_CONDUIT` syntax string (error messages, docs).
-pub const CONDUIT_SYNTAX: &str = "loopback|shm:PATH|tcp:HOST:BASE_PORT|uds:DIR";
+/// The `RUPCXX_CONDUIT` syntax string (error messages).
+const CONDUIT_SYNTAX: &str = "loopback|shm:PATH|tcp:HOST:BASE_PORT|uds:DIR";
 
 impl ConduitSel {
     /// Parse a `RUPCXX_CONDUIT` value. An empty value is `Ok(None)`, as

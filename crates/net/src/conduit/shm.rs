@@ -425,10 +425,6 @@ impl Conduit for ShmConduit {
         self.me
     }
 
-    fn name(&self) -> &'static str {
-        "shm"
-    }
-
     fn send(&self, dst: Rank, frame: &[u8]) {
         assert_ne!(dst, self.me, "shm conduit: self-send");
         let _guard = self.out_locks[dst].lock();

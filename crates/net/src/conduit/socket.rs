@@ -361,10 +361,6 @@ impl Conduit for SocketConduit {
         self.me
     }
 
-    fn name(&self) -> &'static str {
-        self.kind
-    }
-
     fn send(&self, dst: Rank, frame: &[u8]) {
         let link = self.links[dst]
             .as_ref()

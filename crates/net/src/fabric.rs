@@ -233,11 +233,11 @@ pub struct Endpoint {
     // -- 1. immutable after construction, read by everybody --
     /// This rank's globally addressable memory.
     pub segment: Segment,
-    /// Precomputed at construction: every feature that could touch a
-    /// word-RMA issued by this rank (simnet, faults, checker, conduit,
-    /// trace, read cache) is off, so `put_u64`/`get_u64`/atomics take the
-    /// branch-collapsed fast path — one flag load instead of six
-    /// scattered `Option` probes.
+    /// Precomputed at construction: every layer that could observe or
+    /// reroute an RMA op issued by this rank (simnet, faults, checker,
+    /// conduit, trace, read cache) is off, so [`Fabric::rma`] counts the
+    /// op and applies it — one flag load instead of six scattered
+    /// `Option` probes. Read there and nowhere else.
     pub(crate) rma_fast: bool,
     // -- 2. written by the owning rank --
     /// Traffic counters for operations initiated by this rank.
@@ -510,8 +510,8 @@ impl Fabric {
                     Some(rc) if rank != rc.my_rank => 0,
                     _ => config.segment_bytes,
                 };
-                // Word-RMA fast path: legal only when nothing can observe
-                // or reroute the access (see `Endpoint::rma_fast`).
+                // The bare hop: legal only when nothing can observe or
+                // reroute the access (see `Endpoint::rma_fast`).
                 let rma_fast = config.simnet.is_none()
                     && faults.is_none()
                     && config.check.is_none()
@@ -564,11 +564,6 @@ impl Fabric {
     #[inline]
     pub fn checker(&self) -> Option<&Arc<Checker>> {
         self.check.as_ref()
-    }
-
-    /// True when a fault plan is installed (the reliable layer is live).
-    pub fn has_faults(&self) -> bool {
-        self.faults.is_some()
     }
 
     /// Number of ranks.
@@ -647,7 +642,10 @@ impl Fabric {
 
     /// Every one-sided operation: one prologue, one hop, one trace span.
     ///
-    /// The prologue ([`Fabric::rma_begin`]) is inlined so each
+    /// With no layer installed (`Endpoint::rma_fast`) the prologue is the
+    /// count alone and the hop is [`RmaOp::apply`] on the target's
+    /// segment: the first branch, taken by every op of a bare fabric.
+    /// Otherwise the prologue ([`Fabric::rma_begin`]) is inlined so each
     /// switched-off feature costs one branch. The hop is the op's memory
     /// touch: on the target's segment when it lives in this process,
     /// through the conduit when it does not. Only *remote* ops close a
@@ -666,14 +664,19 @@ impl Fabric {
         asked: Option<(usize, usize)>,
     ) -> (bool, u64) {
         let access = op.access();
+        let target = access.addr.rank();
+        if self.endpoints[initiator].rma_fast {
+            self.tally(initiator, target, access.bytes(), access.is_get());
+            return op.apply(&self.endpoints[target].segment, out);
+        }
         let t0 = self.rma_begin(initiator, &access, asked);
         if matches!(op, RmaOp::Rmw { .. }) {
             // An atomic is a round trip on real hardware: charged twice.
-            self.wire(initiator, access.addr.rank(), access.bytes());
+            self.wire(initiator, target, access.bytes());
         }
-        let result = match self.remote_to(access.addr.rank()) {
+        let result = match self.remote_to(target) {
             Some(r) => self.round_trip(r, op, out),
-            None => op.apply(&self.endpoints[access.addr.rank()].segment, out),
+            None => op.apply(&self.endpoints[target].segment, out),
         };
         self.rma_end(initiator, &access, t0);
         result
@@ -774,7 +777,10 @@ impl Fabric {
         self.rma_end(initiator, &put, t_put);
     }
 
-    /// One-sided put: write `data` at `dst`.
+    /// One-sided put: write `data` at `dst`. Inlined, so that a caller
+    /// whose `data` has a constant length (a `GlobalPtr::rput` of a word)
+    /// gets [`RmaOp::apply`] folded to that shape.
+    #[inline]
     pub fn put(&self, initiator: Rank, dst: GlobalAddr, data: &[u8]) {
         self.rma(initiator, &RmaOp::Put { addr: dst, data }, &mut [], None);
     }
@@ -888,37 +894,32 @@ impl Fabric {
         }
     }
 
-    /// Aligned 8-byte put (fast path used by shared scalars/arrays).
+    /// Word put (shared scalars/arrays): [`Fabric::put`] of the value's
+    /// eight little-endian bytes, one store when `dst` is word-aligned.
     #[inline]
     pub fn put_u64(&self, initiator: Rank, dst: GlobalAddr, value: u64) {
-        if self.endpoints[initiator].rma_fast {
-            self.tally(initiator, dst.rank(), 8, false);
-            return self.endpoints[dst.rank()]
-                .segment
-                .store_u64(dst.offset(), value);
-        }
         let data = &value.to_le_bytes();
         self.rma(initiator, &RmaOp::Put { addr: dst, data }, &mut [], None);
     }
 
-    /// Aligned 8-byte get (fast path). Like [`Fabric::get`], remote reads
-    /// go through the read cache when one is installed.
+    /// Word get: [`Fabric::get`] of eight bytes, one load when `src` is
+    /// word-aligned. A remote read the read cache holds is its word hit.
     #[inline]
     pub fn get_u64(&self, initiator: Rank, src: GlobalAddr) -> u64 {
-        if self.endpoints[initiator].rma_fast {
-            self.tally(initiator, src.rank(), 8, true);
-            return self.endpoints[src.rank()].segment.load_u64(src.offset());
-        }
         let mut buf = [0u8; 8];
         match &self.endpoints[initiator].cache {
             // As in `get`: remote and in bounds, or not through the cache.
             Some(cache) if src.rank() != initiator && src.offset() + 8 <= self.seg_bytes => {
-                // The word hit: two compares and a load.
-                if let Some(word) = cache.lookup_u64(src) {
+                if !src.offset().is_multiple_of(8) {
+                    // It may straddle two lines: `get`'s chunking.
+                    self.get_cached(initiator, src, &mut buf);
+                } else if let Some(word) = cache.lookup_u64(src) {
+                    // The word hit: two compares and a load.
                     self.cache_hit(initiator, cache, src, 8);
                     return word;
+                } else {
+                    self.cache_miss_run(initiator, cache, src, &mut buf);
                 }
-                self.cache_miss_run(initiator, cache, src, &mut buf);
             }
             _ => {
                 self.rma(initiator, &RmaOp::Get { addr: src, len: 8 }, &mut buf, None);
@@ -927,37 +928,24 @@ impl Fabric {
         u64::from_le_bytes(buf)
     }
 
-    /// A word atomic off the `rma_fast` path.
-    #[inline]
-    fn rmw(&self, initiator: Rank, addr: GlobalAddr, op: RmwOp, a: u64, b: u64) -> (bool, u64) {
-        self.rma(initiator, &RmaOp::rmw(addr, op, a, b), &mut [], None)
-    }
-
     /// Remote atomic xor on an aligned u64; returns the previous value.
+    /// Panics when `dst` is not word-aligned.
     #[inline]
     pub fn xor_u64(&self, initiator: Rank, dst: GlobalAddr, value: u64) -> u64 {
-        if self.endpoints[initiator].rma_fast {
-            self.tally(initiator, dst.rank(), 8, false);
-            return self.endpoints[dst.rank()]
-                .segment
-                .fetch_xor_u64(dst.offset(), value);
-        }
-        self.rmw(initiator, dst, RmwOp::Xor, value, 0).1
+        let op = RmaOp::rmw(dst, RmwOp::Xor, value, 0);
+        self.rma(initiator, &op, &mut [], None).1
     }
 
     /// Remote atomic add on an aligned u64; returns the previous value.
+    /// Panics when `dst` is not word-aligned.
     #[inline]
     pub fn add_u64(&self, initiator: Rank, dst: GlobalAddr, value: u64) -> u64 {
-        if self.endpoints[initiator].rma_fast {
-            self.tally(initiator, dst.rank(), 8, false);
-            return self.endpoints[dst.rank()]
-                .segment
-                .fetch_add_u64(dst.offset(), value);
-        }
-        self.rmw(initiator, dst, RmwOp::Add, value, 0).1
+        let op = RmaOp::rmw(dst, RmwOp::Add, value, 0);
+        self.rma(initiator, &op, &mut [], None).1
     }
 
-    /// Remote CAS on an aligned u64.
+    /// Remote CAS on an aligned u64: `Ok(previous)` when it swapped,
+    /// `Err(actual)` when not. Panics when `dst` is not word-aligned.
     #[inline]
     pub fn cas_u64(
         &self,
@@ -966,13 +954,8 @@ impl Fabric {
         current: u64,
         new: u64,
     ) -> Result<u64, u64> {
-        if self.endpoints[initiator].rma_fast {
-            self.tally(initiator, dst.rank(), 8, false);
-            return self.endpoints[dst.rank()]
-                .segment
-                .cas_u64(dst.offset(), current, new);
-        }
-        match self.rmw(initiator, dst, RmwOp::Cas, current, new) {
+        let op = RmaOp::rmw(dst, RmwOp::Cas, current, new);
+        match self.rma(initiator, &op, &mut [], None) {
             (true, prev) => Ok(prev),
             (false, prev) => Err(prev),
         }
@@ -1200,6 +1183,65 @@ mod tests {
         assert_eq!((c.put_bytes, c.get_bytes), (16, 24));
     }
 
+    /// Two-rank fabrics by name: with no layer installed, with tracing
+    /// on, and with the read cache on (64-byte lines).
+    fn word_op_fabrics() -> [(&'static str, Arc<Fabric>); 3] {
+        let with = |trace| {
+            Fabric::new(FabricConfig {
+                ranks: 2,
+                segment_bytes: 128,
+                trace,
+                ..FabricConfig::default()
+            })
+        };
+        let named = [
+            ("bare", with(TraceConfig::off())),
+            ("traced", with(TraceConfig::metrics())),
+            ("cached", cached_fabric(2, 64)),
+        ];
+        let bare = named.each_ref().map(|(_, f)| f.endpoint(0).rma_fast);
+        assert_eq!(bare, [true, false, false]);
+        named
+    }
+
+    #[test]
+    fn misaligned_word_put_get_move_the_eight_bytes_asked_for() {
+        let v = 0x0102_0304_0506_0708u64;
+        for (name, f) in word_op_fabrics() {
+            // Inside one line of the cache, then across two.
+            for offset in [3, 60] {
+                let at = GlobalAddr::new(1, offset);
+                f.put_u64(0, at, v);
+                let (mut seg, mut want) = ([0u8; 72], [0u8; 72]);
+                f.endpoint(1).segment.read_bytes(0, &mut seg);
+                want[offset..offset + 8].copy_from_slice(&v.to_le_bytes());
+                assert_eq!(seg, want, "{name}: put at {offset}");
+                // A miss, then (cached) a hit.
+                for _ in 0..2 {
+                    assert_eq!(f.get_u64(0, at), v, "{name}: get at {offset}");
+                }
+                f.put_u64(0, at, 0);
+            }
+            let c = f.endpoint(0).stats.snapshot();
+            assert_eq!((c.puts, c.put_bytes), (4, 32), "{name}");
+        }
+    }
+
+    #[test]
+    fn misaligned_atomics_panic_with_and_without_a_layer() {
+        for (name, f) in word_op_fabrics() {
+            let xor = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                f.xor_u64(0, GlobalAddr::new(1, 3), 0xFF)
+            }));
+            let msg = xor.expect_err("a misaligned xor must panic");
+            let msg = msg.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("misaligned"), "{name}: {msg}");
+            let mut seg = [0u8; 16];
+            f.endpoint(1).segment.read_bytes(0, &mut seg);
+            assert_eq!(seg, [0; 16], "{name}: nothing applied");
+        }
+    }
+
     #[test]
     fn xor_add_cas() {
         let f = fabric(2);
@@ -1380,7 +1422,8 @@ mod tests {
             schedule: None,
             remote: None,
         });
-        assert!(!f.has_faults(), "a no-op plan must not slow the fabric");
+        assert!(f.faults.is_none(), "a no-op plan must not slow the fabric");
+        assert!(f.endpoint(0).rma_fast);
         f.send_am(
             0,
             1,

@@ -41,7 +41,6 @@ pub use aggregate::{AggConfig, BatchReader, Frame};
 pub use cache::{CacheConfig, CacheState};
 pub use conduit::{
     Conduit, ConduitEvent, ConduitSel, LoopbackConduit, RemoteConfig, ShmConduit, SocketConduit,
-    CONDUIT_SYNTAX,
 };
 pub use fabric::{AmMessage, AmPayload, Endpoint, Fabric, FabricConfig, GlobalAddr, SimNet};
 pub use faults::{Fate, FaultPlan, LinkRule};

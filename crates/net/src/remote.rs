@@ -114,11 +114,6 @@ impl Fabric {
         }
     }
 
-    /// The conduit backend name, if a conduit is installed.
-    pub fn conduit_name(&self) -> Option<&'static str> {
-        self.remote.as_ref().map(|r| r.conduit.name())
-    }
-
     /// The remote state when `target` lives in another process.
     #[inline]
     pub(crate) fn remote_to(&self, target: Rank) -> Option<&RemoteFabric> {

@@ -501,6 +501,9 @@ mod tests {
         Local,
         /// Rank 0 of the same process, through `Fabric::rma`.
         Remote,
+        /// `Remote` on a fabric with no layer installed: the branch of
+        /// `Fabric::rma` every op of a bare fabric takes.
+        Bare,
         /// Rank 0 of another process: wire encode → decode → validate →
         /// `rma_arrived`, the receiver's half of a conduit round trip.
         Wire,
@@ -627,19 +630,21 @@ mod tests {
         out: Vec<u8>,
     }
 
-    /// Three ranks with the race checker on. Rank 2 exists to write all of
-    /// rank 1's segment, unsynchronized, before the op runs: every span
-    /// the op then records races with that write, so the checker's
-    /// findings list exactly the access records the op produced.
-    fn fabric(agg: bool) -> (Arc<Fabric>, FindingSink, CommCounts) {
+    /// Three ranks with the race checker on (off for `Bare`). Rank 2
+    /// exists to write all of rank 1's segment, unsynchronized, before the
+    /// op runs: every span the op then records races with that write, so
+    /// the checker's findings list exactly the access records the op
+    /// produced.
+    fn fabric(path: Path) -> (Arc<Fabric>, FindingSink, CommCounts) {
         let sink = rupcxx_check::new_sink();
         let f = Fabric::new(FabricConfig {
             ranks: 3,
             segment_bytes: SEG,
-            check: Some(CheckConfig::race().with_sink(sink.clone())),
-            agg: agg.then(AggConfig::new),
+            check: (path != Path::Bare).then(|| CheckConfig::race().with_sink(sink.clone())),
+            agg: (path == Path::Batch).then(AggConfig::new),
             ..FabricConfig::default()
         });
+        assert_eq!(f.endpoint(0).rma_fast, path == Path::Bare, "{path:?}");
         f.put(2, GlobalAddr::new(1, 0), &[0u8; SEG]);
         let seg = &f.endpoint(1).segment;
         for word in 0..SEG / 8 {
@@ -650,12 +655,12 @@ mod tests {
     }
 
     fn run(row: &Row, path: Path) -> (Outcome, CommCounts, Vec<String>) {
-        let (f, sink, seeded) = fabric(path == Path::Batch);
+        let (f, sink, seeded) = fabric(path);
         let op = &row.op;
         let mut out = vec![0u8; if op.is_get() { op.bytes() } else { 0 }];
         let result = match path {
             Path::Local => f.rma(1, op, &mut out, None),
-            Path::Remote => f.rma(0, op, &mut out, None),
+            Path::Remote | Path::Bare => f.rma(0, op, &mut out, None),
             Path::Wire => {
                 let stamp = f.checker().map(|ck| ck.send_stamp(0));
                 let mut frame = Vec::new();
@@ -715,6 +720,7 @@ mod tests {
             for (path, site, initiator) in [
                 (Path::Local, 0, 1),
                 (Path::Remote, 0, 0),
+                (Path::Bare, 0, 0),
                 (Path::Wire, 1, 0),
                 (Path::Batch, 2, 0),
             ] {
@@ -734,12 +740,12 @@ mod tests {
                     // `Fabric::rma` prologue, so it counts like `Remote`;
                     // the receiving half counts nothing.
                     Path::Wire => CommCounts::default(),
-                    Path::Remote if row.op.is_get() => CommCounts {
+                    Path::Remote | Path::Bare if row.op.is_get() => CommCounts {
                         gets: 1,
                         get_bytes: bytes,
                         ..CommCounts::default()
                     },
-                    Path::Remote => CommCounts {
+                    Path::Remote | Path::Bare => CommCounts {
                         puts: 1,
                         put_bytes: bytes,
                         ..CommCounts::default()
@@ -754,6 +760,10 @@ mod tests {
                     },
                 };
                 assert_eq!(counts, want, "{} over {path:?}: counts", row.name);
+                if path == Path::Bare {
+                    assert!(findings.is_empty(), "{}: {findings:#?}", row.name);
+                    continue;
+                }
                 // One access record per span: kind, offset, len, label.
                 assert_eq!(
                     findings.len(),

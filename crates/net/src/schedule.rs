@@ -18,10 +18,10 @@
 //!
 //! Per-link FIFO is preserved by construction (picks name links, not
 //! frames), so a schedule is exactly a linearization of the deliveries a
-//! real run could produce. Every delivery is appended to a [`RecordLog`]
-//! — link, per-link sequence number, and the frame's happens-before stamp
-//! when the checker is on — which is what `rupcxx-explore` enumerates and
-//! shrinks over.
+//! real run could produce. With a recorder attached, every delivery is
+//! appended to its [`RecordLog`] — link, per-link sequence number, and
+//! the frame's happens-before stamp when the checker is on — which is
+//! what `rupcxx-explore` enumerates and shrinks over.
 //!
 //! The schedule and the fault plan are mutually exclusive: the controlled
 //! scheduler *replaces* the fate hash as the source of delivery-order
@@ -195,8 +195,8 @@ pub fn new_recorder() -> ScheduleRecorder {
 pub struct ScheduleConfig {
     /// The delivery order to impose.
     pub schedule: Schedule,
-    /// Optional external recorder; when absent the fabric keeps its own
-    /// log (readable via [`Fabric::sched_log`] while the fabric lives).
+    /// Optional recorder of the deliveries; when absent nothing is
+    /// recorded (a `RUPCXX_SCHEDULE` replay imposes the order only).
     pub recorder: Option<ScheduleRecorder>,
     /// Stale-pick tolerance (defaults to [`STALL_SKIP`]). Exploration's
     /// shrinking probes lower it: a ddmin candidate can legitimately
@@ -288,7 +288,7 @@ struct SchedInner {
     drain_all: bool,
     /// Stale-pick tolerance (from [`ScheduleConfig::stall_skip`]).
     stall_skip: Duration,
-    log: ScheduleRecorder,
+    log: Option<ScheduleRecorder>,
 }
 
 impl SchedState {
@@ -311,7 +311,7 @@ impl SchedState {
                 stalled_since: None,
                 drain_all: false,
                 stall_skip: cfg.stall_skip,
-                log: cfg.recorder.clone().unwrap_or_else(new_recorder),
+                log: cfg.recorder.clone(),
             }),
         }
     }
@@ -341,7 +341,9 @@ impl SchedInner {
                 Some(_) => {
                     self.stalled_since = None;
                     self.cursor += 1;
-                    self.log.lock().counts.skipped_picks += 1;
+                    if let Some(log) = &self.log {
+                        log.lock().counts.skipped_picks += 1;
+                    }
                 }
             }
         }
@@ -363,12 +365,6 @@ impl SchedInner {
 }
 
 impl Fabric {
-    /// True when a controlled delivery schedule is installed.
-    #[inline]
-    pub fn has_schedule(&self) -> bool {
-        self.sched.is_some()
-    }
-
     /// Park a remote AM in the scheduler's pending queue (schedule
     /// installed, `src != dst`), then pump — delivery happens inline when
     /// the schedule already allows it.
@@ -407,8 +403,8 @@ impl Fabric {
             let (src, dst) = (li / ranks, li % ranks);
             let seq = inner.link_seq[li];
             inner.link_seq[li] += 1;
-            {
-                let mut log = inner.log.lock();
+            if let Some(log) = &inner.log {
+                let mut log = log.lock();
                 log.deliveries.push(DeliveryRecord {
                     src,
                     dst,
@@ -450,12 +446,6 @@ impl Fabric {
             None => 0,
             Some(s) => s.pending_count.load(Ordering::Acquire),
         }
-    }
-
-    /// This run's delivery record (the live log — explorers normally read
-    /// it through their own [`ScheduleRecorder`] after teardown instead).
-    pub fn sched_log(&self) -> Option<ScheduleRecorder> {
-        self.sched.as_ref().map(|s| s.inner.lock().log.clone())
     }
 }
 

@@ -54,6 +54,18 @@ impl Segment {
         );
     }
 
+    /// [`Segment::check`] of the word at `offset`, alignment included:
+    /// the atomics' one assert, so a misaligned atomic panics in every
+    /// build instead of updating the word that holds `offset`.
+    #[inline]
+    fn check_word(&self, offset: usize) {
+        assert!(
+            offset.is_multiple_of(8) && offset.checked_add(8).is_some_and(|end| end <= self.len),
+            "segment atomic misaligned or out of bounds: offset {offset} segment {}",
+            self.len
+        );
+    }
+
     /// Read an aligned u64 (offset must be a multiple of 8).
     #[inline]
     #[must_use]
@@ -76,16 +88,14 @@ impl Segment {
     /// by a separate load + store pair at the caller's choice.)
     #[inline]
     pub fn fetch_xor_u64(&self, offset: usize, value: u64) -> u64 {
-        debug_assert_eq!(offset % 8, 0);
-        self.check(offset, 8);
+        self.check_word(offset);
         self.words[offset / 8].fetch_xor(value, Ordering::Relaxed)
     }
 
     /// Atomically add to an aligned u64, returning the previous value.
     #[inline]
     pub fn fetch_add_u64(&self, offset: usize, value: u64) -> u64 {
-        debug_assert_eq!(offset % 8, 0);
-        self.check(offset, 8);
+        self.check_word(offset);
         self.words[offset / 8].fetch_add(value, Ordering::Relaxed)
     }
 
@@ -93,8 +103,7 @@ impl Segment {
     /// and `Err(actual)` on failure.
     #[inline]
     pub fn cas_u64(&self, offset: usize, current: u64, new: u64) -> Result<u64, u64> {
-        debug_assert_eq!(offset % 8, 0);
-        self.check(offset, 8);
+        self.check_word(offset);
         self.words[offset / 8].compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire)
     }
 

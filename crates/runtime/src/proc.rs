@@ -16,9 +16,8 @@
 //! * with `RUPCXX_PROC_RANK=r` set, the call runs rank `r`'s closure over
 //!   the conduit and returns [`ProcOutcome::Rank`].
 //!
-//! The external launcher binary (`rupcxx-launch`) speaks the same
-//! protocol: it just sets `RUPCXX_PROC_RANK`/`RUPCXX_CONDUIT` and spawns
-//! an arbitrary program N times.
+//! Every program built on `spmd_procs` is therefore its own launcher;
+//! there is no separate one.
 
 use crate::config::RuntimeConfig;
 use crate::ctx::Ctx;

@@ -86,12 +86,6 @@ impl Team {
         &self.members
     }
 
-    /// True when the calling rank's handle belongs to the same split
-    /// generation (same domain) as `other`'s — for diagnostics.
-    pub fn same_team(&self, other: &Team) -> bool {
-        self.domain == other.domain && self.members == other.members
-    }
-
     /// Collectively split this team by `color`: members with equal colors
     /// form new sub-teams, ordered by `(key, world rank)`. Every member of
     /// `self` must call. Mirrors `MPI_Comm_split` / UPC++ `team::split`.

@@ -10,14 +10,15 @@
 //! Every rank prints a deterministic `RESULT rank=R checksum=X` line;
 //! the conformance suite compares these bit-for-bit across conduits.
 //! Keys: `updates`, `table` (gups), `keys`, `seed` (sort), `edge`,
-//! `iters`, `grid=XxYxZ` (stencil), `iters`, `sleep_ms` (spin),
-//! `segment_mib` (all); `copy` takes none.
+//! `iters`, `grid=XxYxZ` (stencil), `iters`, `sleep_ms`, `die`,
+//! `die_after_ms` (spin), `segment_mib` (all); `copy` takes none.
 
 use rupcxx::{allocate, copy, GlobalPtr};
 use rupcxx_apps::{gups, sample_sort, stencil};
 use rupcxx_net::AggConfig;
 use rupcxx_runtime::{spmd_procs, Ctx, HandlerRegistry, ProcOutcome, RuntimeConfig};
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 fn usage() -> ! {
     eprintln!("usage: conduit_app <gups|gups-agg|sort|stencil|copy|spin> <ranks> [k=v...]");
@@ -154,13 +155,19 @@ fn run_workload(ctx: &Ctx, mode: &str, kv: &HashMap<String, String>) -> u64 {
         "copy" => copy_workload(ctx),
         "spin" => {
             // Kill-test workload: barrier rounds with real wall time in
-            // between, so a launcher (or test) can kill one OS process
-            // mid-job and the survivors' barriers must surface
-            // PeerUnreachable instead of spinning forever.
+            // between. With `die=R`, rank R's process aborts
+            // `die_after_ms` into the job, and the survivors' barriers
+            // must surface PeerUnreachable instead of spinning forever.
             let iters = get(kv, "iters", 2000);
             let sleep_ms = get(kv, "sleep_ms", 5);
+            let dies = get(kv, "die", usize::MAX) == ctx.rank();
+            let die_after = Duration::from_millis(get(kv, "die_after_ms", 0) as u64);
+            let start = Instant::now();
             for _ in 0..iters {
-                std::thread::sleep(std::time::Duration::from_millis(sleep_ms as u64));
+                if dies && start.elapsed() >= die_after {
+                    std::process::abort();
+                }
+                std::thread::sleep(Duration::from_millis(sleep_ms as u64));
                 ctx.barrier();
             }
             0

@@ -16,7 +16,6 @@ use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 const APP: &str = env!("CARGO_BIN_EXE_conduit_app");
-const LAUNCH: &str = env!("CARGO_BIN_EXE_rupcxx-launch");
 
 /// Unique-enough scratch name: pid + a per-process counter.
 fn scratch(tag: &str) -> String {
@@ -242,29 +241,24 @@ fn chaos_seed_reproducible_over_shm() {
 
 #[test]
 fn killing_a_process_yields_peer_unreachable() {
-    // Kill a real OS process mid-job: the survivors must die with a
-    // classified PeerUnreachable through the wait_until panic funnel —
-    // flight recorder dumped — rather than hanging in the barrier.
+    // A real OS process dies mid-job (rank 1 aborts itself): the
+    // survivors must die with a classified PeerUnreachable through the
+    // wait_until panic funnel — flight recorder dumped — rather than
+    // hanging in the barrier.
     let dir = scratch("uds-kill");
     std::fs::create_dir_all(&dir).unwrap();
-    let mut cmd = Command::new(LAUNCH);
+    let mut cmd = Command::new(APP);
     cmd.args([
-        "-n",
-        "3",
-        "-c",
-        &format!("uds:{dir}"),
-        "--kill-rank",
-        "1",
-        "--kill-after-ms",
-        "300",
-        "--",
-        APP,
         "spin",
         "3",
         "iters=100000",
         "sleep_ms=5",
+        "die=1",
+        "die_after_ms=300",
     ]);
-    cmd.env("RUPCXX_PROF", "1").env_remove("RUPCXX_CONDUIT");
+    cmd.env("RUPCXX_PROF", "1")
+        .env("RUPCXX_CONDUIT", format!("uds:{dir}"))
+        .env_remove("RUPCXX_PROC_RANK");
     let run = run_with_timeout(&mut cmd, Duration::from_secs(90));
     assert!(
         !run.status.success(),
