@@ -88,12 +88,14 @@ ledger-smoke:
 ab:
 	scripts/ab.sh "$(W)" $(PAIRS)
 
-# The flake gate, first cut (ROADMAP item 6): rerun the suites that sit
-# on the task path, the aggregation window (a wait for the *other* side
-# to apply a batch) and the timing-sensitive checking tools N times each,
-# pinned to one core — the schedule where a handoff that spins for the
-# other side goes wrong first — and print failures per suite:
-# `make flake [N=20]`. Test binaries are built once, before the loop.
+# The flake gate, first cut (the ROADMAP's flake-gate item): rerun the
+# suites that sit on the task path, the aggregation window (a wait for the
+# *other* side to apply a batch), the timing-sensitive checking tools and
+# the chaos and conduit suites N times each, pinned to one core — the
+# schedule where a handoff that spins for the other side goes wrong
+# first — and print failures per suite:
+# `make flake [N=20]`. Test binaries are built once, before the loop
+# (the conduit suite in release, as `conduit-smoke` runs it).
 # Not part of `make ci`: it is a rate, not a pass/fail, and two of the
 # suites have a known nonzero one (see .claude/skills/verify/SKILL.md).
 N ?= 20
@@ -108,13 +110,17 @@ FLAKE_SUITES = \
 	"--test agg_integration" \
 	"--test check_clean" \
 	"--test check_corpus" \
+	"--test explore_corpus" \
 	"--test explore_replay" \
+	"--test chaos_integration" \
+	"--release --test conduit_conformance" \
 	"--test prop_mpi_and_events" \
 	"--test trace_integration" \
 	"--test prof_integration"
 
 flake:
 	@$(CARGO) test -q --workspace --no-run
+	@$(CARGO) test -q --release --test conduit_conformance --no-run
 	@for suite in $(FLAKE_SUITES); do \
 		failed=0; \
 		for i in $$(seq $(N)); do \

@@ -7,7 +7,6 @@ use rupcxx_bench::calibrate::{gups_software_costs, Calibration};
 use rupcxx_bench::report::{emit, two_series_table};
 use rupcxx_perfmodel::bench_models::gups_model;
 use rupcxx_perfmodel::vesta;
-use rupcxx_runtime::SimNet;
 use rupcxx_runtime::{spmd, RuntimeConfig};
 use rupcxx_util::{table::fnum, Table};
 
@@ -54,59 +53,6 @@ fn main() {
         "fig4_measured",
         "MEASURED on this host (shared-memory fabric)",
         &m,
-    );
-
-    // --- Measured with a synthetic wire (SimNet): remote ops pay a
-    // BG/Q-like per-op latency, so the host run itself becomes
-    // latency-bound and the two access paths converge — the paper's core
-    // claim, observed end-to-end rather than modeled. ---
-    let simnet = SimNet {
-        latency_ns: 1200,
-        bytes_per_us: 1800,
-    };
-    // Only as many ranks as physical cores: the busy-wait wire makes
-    // oversubscribed ranks steal each other's spin time.
-    let phys = std::thread::available_parallelism().map_or(2, |n| n.get());
-    let mut sm = Table::new(["ranks", "UPC us/up", "UPC++ us/up", "ratio"]);
-    let ranks = phys.min(2);
-    let updates = 30_000 / ranks;
-    // Min-of-3 runs per variant: the injected latency makes runs
-    // short, so scheduler noise must be filtered out.
-    let point = |variant: Variant| {
-        (0..3)
-            .map(|_| {
-                let out = spmd(
-                    RuntimeConfig::new(ranks)
-                        .segment_mib(16)
-                        .with_simnet(simnet),
-                    move |ctx| {
-                        run(
-                            ctx,
-                            &GupsConfig {
-                                table_size: 1 << 16,
-                                updates_per_rank: updates,
-                                variant,
-                                verify: false,
-                            },
-                        )
-                    },
-                );
-                out[0].seconds / out[0].updates as f64 * 1e6
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let upc = point(Variant::UpcDirect);
-    let upcxx = point(Variant::Upcxx);
-    sm.row([
-        ranks.to_string(),
-        fnum(upc),
-        fnum(upcxx),
-        format!("{:.3}", upcxx / upc),
-    ]);
-    emit(
-        "fig4_measured_simnet",
-        "MEASURED with synthetic 1.2us wire: the gap closes when latency dominates",
-        &sm,
     );
 
     // --- Calibrate software costs and project onto Vesta. ---

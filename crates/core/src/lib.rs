@@ -71,7 +71,7 @@ pub use shared_array::SharedArray;
 pub use shared_var::SharedVar;
 pub use upc_mode::UpcDirectTable;
 
-pub use rupcxx_net::{GlobalAddr, Pod, Rank, SimNet};
+pub use rupcxx_net::{GlobalAddr, Pod, Rank};
 pub use rupcxx_runtime::{
     spmd, Ctx, Event, FinishScope, GlobalLock, RtFuture, RuntimeConfig, Team,
 };
@@ -87,7 +87,7 @@ pub mod prelude {
     pub use crate::shared_array::SharedArray;
     pub use crate::shared_var::SharedVar;
     pub use crate::upc_mode::UpcDirectTable;
-    pub use rupcxx_net::{GlobalAddr, Pod, Rank, SimNet};
+    pub use rupcxx_net::{GlobalAddr, Pod, Rank};
     pub use rupcxx_runtime::{
         spmd, Ctx, Event, FinishScope, GlobalLock, RtFuture, RuntimeConfig, Team,
     };

@@ -1,7 +1,8 @@
-//! The exploration corpus: the eight planted-bug patterns from
-//! `tests/check_corpus.rs` rebuilt as closed [`Program`]s, plus one
-//! genuinely *schedule-dependent* bug (`order_sensitive_event`) that the
-//! canonical delivery order never exposes — only reordering does.
+//! The exploration corpus: the eight schedule-independent planted-bug
+//! patterns as closed [`Program`]s — `tests/check_corpus.rs` runs the
+//! same programs under plain `spmd` — plus one genuinely
+//! *schedule-dependent* bug (`order_sensitive_event`) that the canonical
+//! delivery order never exposes — only reordering does.
 //!
 //! Every entry is a factory (`fn() -> Program`) rather than a program:
 //! each exploration run gets a fresh closure with fresh captured state

@@ -504,7 +504,6 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::fabric::{AmMessage, FabricConfig};
-    use rupcxx_trace::TraceConfig;
     use std::sync::Arc;
 
     /// Word-update frames (17 bytes) that fill a slab.
@@ -514,15 +513,8 @@ mod tests {
         Fabric::new(FabricConfig {
             ranks,
             segment_bytes: 4096,
-            simnet: None,
-            trace: TraceConfig::off(),
-            faults: None,
             agg: Some(AggConfig::new()),
-            check: None,
-            cache: None,
-            prof: None,
-            schedule: None,
-            remote: None,
+            ..FabricConfig::default()
         })
     }
 
@@ -807,15 +799,7 @@ mod tests {
         let plain = Fabric::new(FabricConfig {
             ranks: 2,
             segment_bytes: 4096,
-            simnet: None,
-            trace: TraceConfig::off(),
-            faults: None,
-            agg: None,
-            check: None,
-            cache: None,
-            prof: None,
-            schedule: None,
-            remote: None,
+            ..FabricConfig::default()
         });
         assert!(plain.endpoint(0).agg.is_none());
         plain.xor_u64_buffered(0, GlobalAddr::new(1, 0), 9);
@@ -860,15 +844,9 @@ mod tests {
         let f = Fabric::new(FabricConfig {
             ranks: 2,
             segment_bytes: 4096,
-            simnet: None,
-            trace: TraceConfig::off(),
             faults: Some(crate::faults::FaultPlan::new(3).dup(1.0)),
             agg: Some(AggConfig::new()),
-            check: None,
-            cache: None,
-            prof: None,
-            schedule: None,
-            remote: None,
+            ..FabricConfig::default()
         });
         for _ in 0..8 {
             f.add_u64_buffered(0, GlobalAddr::new(1, 0), 1);

@@ -24,8 +24,8 @@
 //! the old one: the cache does change that program's admissible results.
 //! The checker reports exactly this as `[stale-cached-read]`; such a
 //! program must `fence()` after synchronizing. (Whether every completed
-//! wait should be an acquire point instead is recorded under ROADMAP
-//! item 6.)
+//! wait should be an acquire point instead is an open question in the
+//! ROADMAP, under the read cache's acquire points.)
 //!
 //! Enable with `RUPCXX_CACHE=capacity_bytes,line_bytes` (or `on` for the
 //! defaults) or `RuntimeConfig::with_cache`. When off the fabric pays one

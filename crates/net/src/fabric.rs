@@ -234,10 +234,10 @@ pub struct Endpoint {
     /// This rank's globally addressable memory.
     pub segment: Segment,
     /// Precomputed at construction: every layer that could observe or
-    /// reroute an RMA op issued by this rank (simnet, faults, checker,
-    /// conduit, trace, read cache) is off, so [`Fabric::rma`] counts the
-    /// op and applies it — one flag load instead of six scattered
-    /// `Option` probes. Read there and nowhere else.
+    /// reroute an RMA op issued by this rank (faults, checker, conduit,
+    /// trace, read cache) is off, so [`Fabric::rma`] counts the op and
+    /// applies it — one flag load instead of five scattered `Option`
+    /// probes. Read there and nowhere else.
     pub(crate) rma_fast: bool,
     // -- 2. written by the owning rank --
     /// Traffic counters for operations initiated by this rank.
@@ -347,46 +347,6 @@ impl std::fmt::Debug for Endpoint {
     }
 }
 
-/// Synthetic network timing injected into remote operations — turns the
-/// host's instantaneous shared memory into a latency/bandwidth-limited
-/// "wire", so *measured* runs exhibit the latency-bound behaviour of a
-/// real interconnect (complementing the analytic projections of
-/// `rupcxx-perfmodel`). The initiating thread busy-waits for the modeled
-/// duration, exactly like a blocking RDMA verb.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SimNet {
-    /// One-way latency charged to every remote operation, in nanoseconds.
-    pub latency_ns: u64,
-    /// Wire bandwidth in bytes/µs (0 = infinite). 8000 = 8 GB/s.
-    pub bytes_per_us: u64,
-}
-
-impl SimNet {
-    /// A profile resembling a modern HPC NIC (1.3 µs, 8 GB/s).
-    pub fn hpc_nic() -> Self {
-        SimNet {
-            latency_ns: 1300,
-            bytes_per_us: 8000,
-        }
-    }
-
-    #[inline]
-    fn charge(&self, bytes: usize) {
-        let mut ns = self.latency_ns;
-        ns += (bytes as u64 * 1000)
-            .checked_div(self.bytes_per_us)
-            .unwrap_or(0);
-        if ns == 0 {
-            return;
-        }
-        let start = std::time::Instant::now();
-        let dur = std::time::Duration::from_nanos(ns);
-        while start.elapsed() < dur {
-            std::hint::spin_loop();
-        }
-    }
-}
-
 /// Fabric construction parameters.
 #[derive(Clone, Debug)]
 pub struct FabricConfig {
@@ -394,8 +354,6 @@ pub struct FabricConfig {
     pub ranks: usize,
     /// Segment size per rank, in bytes.
     pub segment_bytes: usize,
-    /// Optional synthetic wire timing for remote operations.
-    pub simnet: Option<SimNet>,
     /// Tracing/metrics configuration applied to every endpoint.
     pub trace: TraceConfig,
     /// Optional deterministic fault-injection plan (`RUPCXX_FAULTS`).
@@ -436,7 +394,6 @@ impl Default for FabricConfig {
         FabricConfig {
             ranks: 4,
             segment_bytes: 16 << 20,
-            simnet: None,
             trace: TraceConfig::off(),
             faults: None,
             agg: None,
@@ -452,7 +409,6 @@ impl Default for FabricConfig {
 /// The communication fabric: all endpoints of an SPMD job.
 pub struct Fabric {
     pub(crate) endpoints: Box<[Endpoint]>,
-    simnet: Option<SimNet>,
     /// Fault-injection plan; None disables the reliable layer entirely.
     pub(crate) faults: Option<FaultPlan>,
     /// Set once a peer is declared unreachable (checked by blocking
@@ -512,8 +468,7 @@ impl Fabric {
                 };
                 // The bare hop: legal only when nothing can observe or
                 // reroute the access (see `Endpoint::rma_fast`).
-                let rma_fast = config.simnet.is_none()
-                    && faults.is_none()
+                let rma_fast = faults.is_none()
                     && config.check.is_none()
                     && config.remote.is_none()
                     && !config.trace.is_enabled()
@@ -547,7 +502,6 @@ impl Fabric {
             .map(|cfg| rupcxx_check::build(config.ranks, cfg));
         Arc::new(Fabric {
             endpoints,
-            simnet: config.simnet,
             faults,
             failed: AtomicBool::new(false),
             flight_dumped: AtomicBool::new(false),
@@ -574,17 +528,6 @@ impl Fabric {
     /// Access an endpoint (its segment, inbox, counters).
     pub fn endpoint(&self, rank: Rank) -> &Endpoint {
         &self.endpoints[rank]
-    }
-
-    /// Charge the synthetic wire for a remote transfer (no-op without a
-    /// [`SimNet`] or for rank-local operations).
-    #[inline]
-    pub(crate) fn wire(&self, initiator: Rank, target: Rank, bytes: usize) {
-        if initiator != target {
-            if let Some(sim) = &self.simnet {
-                sim.charge(bytes);
-            }
-        }
     }
 
     /// Count one RMA op of `bytes` against the initiator: a local op, or
@@ -670,10 +613,6 @@ impl Fabric {
             return op.apply(&self.endpoints[target].segment, out);
         }
         let t0 = self.rma_begin(initiator, &access, asked);
-        if matches!(op, RmaOp::Rmw { .. }) {
-            // An atomic is a round trip on real hardware: charged twice.
-            self.wire(initiator, target, access.bytes());
-        }
         let result = match self.remote_to(target) {
             Some(r) => self.round_trip(r, op, out),
             None => op.apply(&self.endpoints[target].segment, out),
@@ -685,8 +624,7 @@ impl Fabric {
     /// The prologue of one side of a transfer, before any memory is
     /// touched: trace clock (returned, for [`Fabric::rma_end`]), checker
     /// record per touched block (or of `asked` alone, see [`Fabric::rma`]),
-    /// fault gate, counters, synthetic wire charge and write-through
-    /// invalidation.
+    /// fault gate, counters and write-through invalidation.
     #[inline(always)]
     fn rma_begin(&self, initiator: Rank, access: &Access, asked: Option<(usize, usize)>) -> u64 {
         let (addr, bytes) = (access.addr, access.bytes());
@@ -704,10 +642,9 @@ impl Fabric {
         // The fault gate: with no plan installed, one untaken branch; with
         // one, remote ops draw a fate and retry drops inline.
         if self.faults.is_some() && initiator != target {
-            self.rma_gate_slow(initiator, target, bytes);
+            self.rma_gate_slow(initiator, target);
         }
         self.tally(initiator, target, bytes, access.is_get());
-        self.wire(initiator, target, bytes);
         if !access.is_get() {
             // Over the covering span: dropping the lines of a strided
             // put's gaps too is safe (it only costs a refill).
@@ -1032,7 +969,6 @@ impl Fabric {
         if self.endpoints[initiator].agg.is_some() && !matches!(payload, AmPayload::Batch { .. }) {
             self.flush_agg_to(initiator, dst);
         }
-        self.wire(initiator, dst, am_bytes);
         let stats = &self.endpoints[initiator].stats;
         stats.ams_sent.fetch_add(1, Ordering::Relaxed);
         if !matches!(payload, AmPayload::Task(_)) {
@@ -1116,15 +1052,7 @@ mod tests {
         Fabric::new(FabricConfig {
             ranks,
             segment_bytes: 4096,
-            simnet: None,
-            trace: TraceConfig::off(),
-            faults: None,
-            agg: None,
-            check: None,
-            cache: None,
-            prof: None,
-            schedule: None,
-            remote: None,
+            ..FabricConfig::default()
         })
     }
 
@@ -1316,62 +1244,6 @@ mod tests {
     }
 
     #[test]
-    fn simnet_charges_remote_ops_only() {
-        let f = Fabric::new(FabricConfig {
-            ranks: 2,
-            segment_bytes: 4096,
-            simnet: Some(SimNet {
-                latency_ns: 200_000, // 200 µs — far above host noise
-                bytes_per_us: 0,
-            }),
-            trace: TraceConfig::off(),
-            faults: None,
-            agg: None,
-            check: None,
-            cache: None,
-            prof: None,
-            schedule: None,
-            remote: None,
-        });
-        // Remote word put takes at least the injected latency.
-        let t = std::time::Instant::now();
-        f.put_u64(0, GlobalAddr::new(1, 0), 1);
-        assert!(t.elapsed() >= std::time::Duration::from_micros(200));
-        // Local word put is unaffected (well under the injected latency).
-        let t = std::time::Instant::now();
-        f.put_u64(1, GlobalAddr::new(1, 8), 1);
-        assert!(t.elapsed() < std::time::Duration::from_micros(200));
-        // Remote atomics charge a round trip (two traversals).
-        let t = std::time::Instant::now();
-        f.xor_u64(0, GlobalAddr::new(1, 0), 1);
-        assert!(t.elapsed() >= std::time::Duration::from_micros(400));
-    }
-
-    #[test]
-    fn simnet_bandwidth_term() {
-        let f = Fabric::new(FabricConfig {
-            ranks: 2,
-            segment_bytes: 1 << 20,
-            simnet: Some(SimNet {
-                latency_ns: 0,
-                bytes_per_us: 100, // 100 MB/s: 512 KiB ≈ 5.2 ms
-            }),
-            trace: TraceConfig::off(),
-            faults: None,
-            agg: None,
-            check: None,
-            cache: None,
-            prof: None,
-            schedule: None,
-            remote: None,
-        });
-        let data = vec![0u8; 512 << 10];
-        let t = std::time::Instant::now();
-        f.put(0, GlobalAddr::new(1, 0), &data);
-        assert!(t.elapsed() >= std::time::Duration::from_millis(5));
-    }
-
-    #[test]
     fn global_addr_arithmetic() {
         let a = GlobalAddr::new(3, 100);
         assert_eq!(a.add(28), GlobalAddr::new(3, 128));
@@ -1412,15 +1284,8 @@ mod tests {
         let f = Fabric::new(FabricConfig {
             ranks: 2,
             segment_bytes: 4096,
-            simnet: None,
-            trace: TraceConfig::off(),
             faults: Some(crate::faults::FaultPlan::new(1)),
-            agg: None,
-            check: None,
-            cache: None,
-            prof: None,
-            schedule: None,
-            remote: None,
+            ..FabricConfig::default()
         });
         assert!(f.faults.is_none(), "a no-op plan must not slow the fabric");
         assert!(f.endpoint(0).rma_fast);

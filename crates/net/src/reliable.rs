@@ -28,10 +28,10 @@
 //!
 //! One-sided RMA takes a different path (`Fabric::rma_gate_slow`): puts,
 //! gets and remote atomics are synchronous in this fabric, so a dropped
-//! attempt is simply retried inline (re-charging the synthetic wire),
-//! without dup/reorder modes — duplicating a `fetch_add` would change the
-//! result, and a real NIC's RDMA engine retries lost packets below the
-//! atomicity layer for exactly that reason.
+//! attempt is simply retried inline, without dup/reorder modes —
+//! duplicating a `fetch_add` would change the result, and a real NIC's
+//! RDMA engine retries lost packets below the atomicity layer for exactly
+//! that reason.
 
 use crate::fabric::{AmMessage, Fabric};
 use crate::faults::{decide, Fate, FaultPlan};
@@ -387,16 +387,15 @@ impl Fabric {
     }
 
     /// Fault gate for one-sided RMA (`initiator != target`, plan
-    /// installed): draw a fate per attempt and retry drops inline,
-    /// re-charging the synthetic wire each time, until delivery or the
-    /// attempt budget dies.
+    /// installed): draw a fate per attempt and retry drops inline until
+    /// delivery or the attempt budget dies.
     ///
     /// # Panics
     /// Panics with the [`PeerUnreachable`] message once `max_attempts`
     /// transmissions of the same op have been dropped (after recording
     /// the failure for [`Fabric::failure`]).
     #[cold]
-    pub(crate) fn rma_gate_slow(&self, initiator: Rank, target: Rank, bytes: usize) {
+    pub(crate) fn rma_gate_slow(&self, initiator: Rank, target: Rank) {
         let plan = self.faults.as_ref().expect("rma_gate without faults");
         let ch = self.endpoints[initiator]
             .reliable
@@ -439,8 +438,6 @@ impl Fabric {
                         attempt as u64,
                         0,
                     );
-                    // The retry traverses the wire again.
-                    self.wire(initiator, target, bytes);
                 }
             }
         }
@@ -453,7 +450,6 @@ mod tests {
     use crate::fabric::{AmPayload, FabricConfig};
     use crate::faults::LinkRule;
     use crate::GlobalAddr;
-    use rupcxx_trace::TraceConfig;
     use rupcxx_util::Bytes;
     use std::sync::Arc;
 
@@ -461,15 +457,8 @@ mod tests {
         Fabric::new(FabricConfig {
             ranks,
             segment_bytes: 4096,
-            simnet: None,
-            trace: TraceConfig::off(),
             faults: Some(plan),
-            agg: None,
-            check: None,
-            cache: None,
-            prof: None,
-            schedule: None,
-            remote: None,
+            ..FabricConfig::default()
         })
     }
 

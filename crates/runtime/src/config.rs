@@ -2,7 +2,7 @@
 
 use rupcxx_net::{
     AggConfig, CacheConfig, CheckConfig, ConduitSel, FabricConfig, FaultPlan, RemoteConfig,
-    ScheduleConfig, SimNet,
+    ScheduleConfig,
 };
 use rupcxx_trace::{ProfConfig, TraceConfig};
 
@@ -19,9 +19,6 @@ pub struct RuntimeConfig {
     /// per rank also drives progress, so incoming asyncs execute even
     /// while the rank computes without touching the runtime.
     pub progress_thread: bool,
-    /// Optional synthetic wire timing injected into remote fabric
-    /// operations (measured latency-bound behaviour on the host).
-    pub simnet: Option<SimNet>,
     /// Tracing/metrics configuration. [`RuntimeConfig::new`] seeds this
     /// from the `RUPCXX_TRACE` environment variable, so harnesses get
     /// tracing for free; override with [`RuntimeConfig::with_trace`].
@@ -73,7 +70,6 @@ impl RuntimeConfig {
             ranks,
             segment_bytes: 16 << 20,
             progress_thread: false,
-            simnet: None,
             trace: TraceConfig::from_env(),
             faults: FaultPlan::from_env(),
             agg: AggConfig::from_env(),
@@ -95,7 +91,6 @@ impl RuntimeConfig {
         FabricConfig {
             ranks: self.ranks,
             segment_bytes: self.segment_bytes,
-            simnet: self.simnet,
             trace: self.trace.clone(),
             faults: self.faults.clone(),
             agg: self.agg.clone(),
@@ -157,12 +152,6 @@ impl RuntimeConfig {
     /// `RUPCXX_CONDUIT`).
     pub fn with_conduit(mut self, conduit: ConduitSel) -> Self {
         self.conduit = Some(conduit);
-        self
-    }
-
-    /// Inject synthetic wire timing into every remote operation.
-    pub fn with_simnet(mut self, simnet: SimNet) -> Self {
-        self.simnet = Some(simnet);
         self
     }
 

@@ -25,7 +25,10 @@
 //!   open scopes; [`FinishScope::spawn`] ships `(origin, token)` with the
 //!   task. The table is what makes a late or stray acknowledgement
 //!   harmless: a scope whose body unwound deregisters in `Drop`, and an
-//!   ack for a token that is gone is ignored.
+//!   ack for a token that is gone is ignored. An ack for more tasks than
+//!   an open scope has outstanding, or one that does not unpack, is
+//!   refused like any other message this rank will not act on: a failed
+//!   link from another process, a panic within this one.
 //! - **Executing rank.** When a task returns, the rank that ran it adds
 //!   one to what it owes `(origin, token)`. What it owes leaves as **one**
 //!   registered-handler AM `finish_ack{token: u64, n: u64}` per (origin,
@@ -111,16 +114,19 @@ impl FinishState {
 
     /// `n` tasks of scope `token` have completed. A token that is not in
     /// the table belongs to a scope that unwound: nothing waits for it.
-    fn complete(&self, token: u64, n: usize) {
-        // (The lock is released before the assertion can fire.)
-        let prev = match self.scopes.lock().open.get(&token) {
-            Some(outstanding) => outstanding.fetch_sub(n, Ordering::AcqRel),
-            None => return,
+    /// `Err(outstanding)` when the scope has fewer than `n` outstanding —
+    /// completions no spawn of it asked for — and its count is left as it
+    /// was.
+    fn complete(&self, token: u64, n: usize) -> Result<(), usize> {
+        let scopes = self.scopes.lock();
+        let Some(outstanding) = scopes.open.get(&token) else {
+            return Ok(());
         };
-        assert!(
-            prev >= n,
-            "finish ack without a matching spawn: {n} completion(s) for a scope with {prev} outstanding"
-        );
+        outstanding
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |prev| {
+                prev.checked_sub(n)
+            })
+            .map(drop)
     }
 
     /// This rank ran one task of `origin`'s scope `token`.
@@ -163,17 +169,17 @@ fn ack_args(token: u64, n: u64) -> Bytes {
 }
 
 /// The `finish_ack` handler, registered in every job (`Shared::new_full`).
-/// Args shorter than [`ack_args`] makes them are a frame that lost its
-/// tail — dropped, like any other frame that does not decode.
-pub(crate) fn ack_handler(ctx: &Ctx, _src: Rank, args: Bytes) {
-    let (Some(token), Some(n)) = (args.get(..8), args.get(8..16)) else {
-        return;
+/// Args other than the sixteen bytes [`ack_args`] makes are refused, as is
+/// a count no spawn asked for ([`Ctx::finish_complete`]).
+pub(crate) fn ack_handler(ctx: &Ctx, src: Rank, args: Bytes) {
+    let Ok(args) = <[u8; 16]>::try_from(&args[..]) else {
+        let why = format_args!("finish ack of {} bytes", args.len());
+        return ctx.fabric().refuse_message(ctx.rank(), src, &why);
     };
     let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
-    let Ok(n) = usize::try_from(word(n)) else {
-        return;
-    };
-    ctx.finish_state().complete(word(token), n);
+    // A count past `usize` matches no scope: refused as one.
+    let n = usize::try_from(word(&args[8..])).unwrap_or(usize::MAX);
+    ctx.finish_complete(src, word(&args[..8]), n);
 }
 
 /// Tracks asyncs spawned within one `finish` scope.
@@ -203,11 +209,10 @@ impl<'a> FinishScope<'a> {
         let (origin, token) = (self.ctx.rank(), self.token);
         self.ctx.send_task_with_ctx(place, move |target_ctx| {
             task(target_ctx);
-            let state = target_ctx.finish_state();
             if target_ctx.rank() == origin {
-                state.complete(token, 1);
+                target_ctx.finish_complete(origin, token, 1);
             } else {
-                state.owe(origin, token);
+                target_ctx.finish_state().owe(origin, token);
             }
         });
     }
@@ -233,12 +238,12 @@ impl<'a> FinishScope<'a> {
         self.outstanding.fetch_add(1, Ordering::AcqRel);
         let (origin, token) = (self.ctx.rank(), self.token);
         self.ctx.send_task_with_ctx(place, move |target_ctx| {
-            let value = task(target_ctx);
+            let (value, ran_on) = (task(target_ctx), target_ctx.rank());
             // The reply carries the value, so it stays one per task and
             // completes its task as it runs on the origin.
             target_ctx.send_task_with_ctx(origin, move |origin_ctx| {
                 setter.set(value);
-                origin_ctx.finish_state().complete(token, 1);
+                origin_ctx.finish_complete(ran_on, token, 1);
             });
         });
     }
@@ -277,6 +282,19 @@ impl Ctx {
     #[inline]
     fn finish_state(&self) -> &FinishState {
         &self.shared().own[self.rank()].finish
+    }
+
+    /// `src` reports `n` completed tasks of this rank's scope `token`.
+    /// More than the scope has outstanding is refused as a message from
+    /// `src` (`Fabric::refuse_message`): from another process a failed
+    /// link, within this one a bug that panics.
+    fn finish_complete(&self, src: Rank, token: u64, n: usize) {
+        if let Err(outstanding) = self.finish_state().complete(token, n) {
+            let why = format_args!(
+                "finish ack without a matching spawn: {n} completion(s) for a scope with {outstanding} outstanding"
+            );
+            self.fabric().refuse_message(self.rank(), src, &why);
+        }
     }
 
     /// A flush point of the `finish` acknowledgements (module docs): send
@@ -432,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn a_late_or_short_ack_is_ignored() {
+    fn a_late_ack_is_ignored() {
         let c = ctxs(2);
         let id = c[1].shared().finish_ack;
         let token = {
@@ -444,12 +462,19 @@ mod tests {
         };
         assert_eq!(c[1].advance(), 1);
         // Behind the late ack that pass sent: one for a token never
-        // issued, and two frames that lost their tail.
+        // issued.
         c[1].send_handler(0, id, ack_args(token + 7, 1));
-        c[1].send_handler(0, id, Bytes::from_static(&[1, 2, 3]));
-        c[1].send_handler(0, id, Bytes::new());
-        assert_eq!(c[0].advance(), 4);
+        assert_eq!(c[0].advance(), 2);
         assert!(c[0].finish_state().scopes.lock().open.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "message from rank 1 refused: finish ack of 3 bytes")]
+    fn a_short_ack_is_refused() {
+        let c = ctxs(2);
+        let id = c[1].shared().finish_ack;
+        c[1].send_handler(0, id, Bytes::from_static(&[1, 2, 3]));
+        c[0].advance();
     }
 
     #[test]

@@ -43,4 +43,4 @@ pub use spmd::{spmd, spmd_with_handlers};
 pub use team::Team;
 
 pub use rupcxx_check::WaitInfo;
-pub use rupcxx_net::{ConduitSel, Rank, SimNet};
+pub use rupcxx_net::{ConduitSel, Rank};

@@ -155,8 +155,8 @@ fn late_receiver(rt: RuntimeConfig, fills: bool) {
                 let began = Instant::now();
                 while fills && !ctx.fabric().agg_window_full(0) {
                     // Seen 3 times in 310 runs with nothing in either
-                    // inbox and rank 0 still in the barrier above (ROADMAP
-                    // item 6): say where its signal could be.
+                    // inbox and rank 0 still in the barrier above (an open
+                    // flake in the ROADMAP): say where its signal could be.
                     assert!(
                         began.elapsed() < Duration::from_secs(20),
                         "the sender never filled its window: {} slabs out, inboxes hold \

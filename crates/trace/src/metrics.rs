@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Live per-rank metrics.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    /// Remote put latency, ns (includes any synthetic wire time).
+    /// Remote put latency, ns.
     pub put_ns: Log2Histogram,
     /// Remote get latency, ns.
     pub get_ns: Log2Histogram,

@@ -22,7 +22,8 @@
 //!
 //! Every blocked wait gets exactly one state for its full duration, so
 //! attribution is total by construction; the per-construct × per-state
-//! histograms are the input ROADMAP item 3's adaptive knobs need.
+//! histograms are the input a knob that sets itself would need (the
+//! ROADMAP's "fewer knobs rather than tuned knobs").
 
 use crate::histogram::{HistogramSnapshot, Log2Histogram};
 

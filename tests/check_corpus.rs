@@ -2,10 +2,13 @@
 //! that `rupcxx-check` must flag deterministically — every pattern is
 //! constructed so the finding does not depend on thread scheduling (both
 //! conflicting accesses always reach the shadow, or the stuck state is
-//! reached on every run). The clean twins live in `check_clean.rs`.
+//! reached on every run). Patterns 1–8 are the exploration corpus's
+//! programs (`rupcxx_explore::corpus`), run here under plain `spmd`; the
+//! clean twins live in `check_clean.rs`.
 
 use rupcxx::prelude::*;
 use rupcxx_check::{new_sink, CheckConfig, FindingKind, FindingSink};
+use rupcxx_explore::corpus;
 use rupcxx_mpi::MpiWorld;
 use rupcxx_net::AggConfig;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,7 +35,11 @@ fn messages(sink: &FindingSink) -> String {
 
 /// Run a job expected to be aborted by the deadlock pass; returns the
 /// panic text.
-fn expect_abort(n: usize, sink: FindingSink, body: impl Fn(&Ctx) + Send + Sync) -> String {
+fn expect_abort<R: Send>(
+    n: usize,
+    sink: FindingSink,
+    body: impl Fn(&Ctx) -> R + Send + Sync,
+) -> String {
     let err = catch_unwind(AssertUnwindSafe(|| {
         spmd(cfg(n, CheckConfig::all().with_sink(sink)), body);
     }))
@@ -58,20 +65,40 @@ fn expect_abort_in_time(
         .expect("the job is still hung: the deadlock scan does not see a blocked rank")
 }
 
+/// Run the exploration corpus's planted bug `name` to completion under
+/// plain `spmd` with checker `check` (aggregation on where the entry asks
+/// for it); returns its findings.
+fn planted(name: &str, check: CheckConfig) -> FindingSink {
+    let entry = corpus::find(name);
+    let sink = new_sink();
+    let config = cfg(entry.ranks, check.with_sink(sink.clone()));
+    let config = if entry.agg {
+        config.with_agg(AggConfig::new())
+    } else {
+        config
+    };
+    spmd(config, (entry.make)());
+    sink
+}
+
+/// Run planted bug `name` with every pass on, expecting the deadlock pass
+/// to abort it; returns the panic text and the findings.
+fn planted_deadlock(name: &str) -> (String, FindingSink) {
+    let entry = corpus::find(name);
+    let sink = new_sink();
+    (
+        expect_abort(entry.ranks, sink.clone(), (entry.make)()),
+        sink,
+    )
+}
+
 // ---- data races ---------------------------------------------------------
 
 /// Pattern 1: a remote put racing an unsynchronized local read of the
 /// same word (the canonical PGAS bug: consuming data before the barrier).
 #[test]
 fn race_put_vs_unsynchronized_read() {
-    let sink = new_sink();
-    spmd(cfg(2, CheckConfig::race().with_sink(sink.clone())), |ctx| {
-        if ctx.rank() == 0 {
-            ctx.fabric().put_u64(0, GlobalAddr::new(1, 256), 42);
-        } else {
-            let _ = ctx.fabric().get_u64(1, GlobalAddr::new(1, 256));
-        }
-    });
+    let sink = planted("race_put_vs_read", CheckConfig::race());
     assert!(
         kinds(&sink).contains(&FindingKind::DataRace),
         "expected a data race, got:\n{}",
@@ -84,11 +111,7 @@ fn race_put_vs_unsynchronized_read() {
 /// Pattern 2: two ranks writing the same remote word with no ordering.
 #[test]
 fn race_write_write_same_word() {
-    let sink = new_sink();
-    spmd(cfg(2, CheckConfig::race().with_sink(sink.clone())), |ctx| {
-        ctx.fabric()
-            .put_u64(ctx.rank(), GlobalAddr::new(0, 128), ctx.rank() as u64);
-    });
+    let sink = planted("race_write_write", CheckConfig::race());
     assert!(
         kinds(&sink).contains(&FindingKind::DataRace),
         "expected a write-write race, got:\n{}",
@@ -102,22 +125,7 @@ fn race_write_write_same_word() {
 /// the race.
 #[test]
 fn race_aggregated_put_vs_unfenced_read() {
-    let sink = new_sink();
-    spmd(
-        cfg(2, CheckConfig::race().with_sink(sink.clone())).with_agg(AggConfig::new()),
-        |ctx| {
-            if ctx.rank() == 0 {
-                // Stays buffered until the barrier's flush.
-                ctx.fabric()
-                    .put_buffered(0, GlobalAddr::new(1, 512), &7u64.to_le_bytes());
-            } else {
-                let _ = ctx.fabric().get_u64(1, GlobalAddr::new(1, 512));
-            }
-            // The barrier flushes and delivers the batch; the pre-barrier
-            // read has no happens-before edge to it.
-            ctx.barrier();
-        },
-    );
+    let sink = planted("race_agg_put", CheckConfig::race());
     let msgs = messages(&sink);
     assert!(
         kinds(&sink).contains(&FindingKind::DataRace),
@@ -178,28 +186,7 @@ fn race_copy_vs_unsynchronized_rput_is_flagged_like_the_staged_copy() {
 /// code that deadlocks as soon as a peer acquires inside the episode.
 #[test]
 fn lock_held_across_barrier_is_flagged() {
-    let sink = new_sink();
-    spmd(cfg(2, CheckConfig::all().with_sink(sink.clone())), |ctx| {
-        let lock = if ctx.rank() == 0 {
-            let l = GlobalLock::new(ctx, 0);
-            ctx.broadcast(0, [l.addr().rank() as u64, l.addr().offset() as u64]);
-            l
-        } else {
-            let a = ctx.broadcast(0, [0u64, 0u64]);
-            GlobalLock::from_addr(GlobalAddr::new(a[0] as usize, a[1] as usize))
-        };
-        if ctx.rank() == 0 {
-            lock.acquire(ctx);
-        }
-        ctx.barrier();
-        if ctx.rank() == 0 {
-            lock.release(ctx);
-        }
-        ctx.barrier();
-        if ctx.rank() == 0 {
-            lock.destroy(ctx);
-        }
-    });
+    let sink = planted("lock_across_barrier", CheckConfig::all());
     assert!(
         kinds(&sink).contains(&FindingKind::LockAcrossBarrier),
         "expected lock-across-barrier, got:\n{}",
@@ -210,41 +197,7 @@ fn lock_held_across_barrier_is_flagged() {
 /// Pattern 5: the classic ABBA two-lock cycle across two ranks.
 #[test]
 fn deadlock_two_lock_cycle_aborts() {
-    let sink = new_sink();
-    let msg = expect_abort(2, sink.clone(), |ctx| {
-        let (la, lb) = if ctx.rank() == 0 {
-            let a = GlobalLock::new(ctx, 0);
-            let b = GlobalLock::new(ctx, 1);
-            ctx.broadcast(
-                0,
-                [
-                    a.addr().rank() as u64,
-                    a.addr().offset() as u64,
-                    b.addr().rank() as u64,
-                    b.addr().offset() as u64,
-                ],
-            );
-            (a, b)
-        } else {
-            let v = ctx.broadcast(0, [0u64; 4]);
-            (
-                GlobalLock::from_addr(GlobalAddr::new(v[0] as usize, v[1] as usize)),
-                GlobalLock::from_addr(GlobalAddr::new(v[2] as usize, v[3] as usize)),
-            )
-        };
-        // Rank 0 holds A and wants B; rank 1 holds B and wants A.
-        if ctx.rank() == 0 {
-            la.acquire(ctx);
-        } else {
-            lb.acquire(ctx);
-        }
-        ctx.barrier();
-        if ctx.rank() == 0 {
-            lb.acquire(ctx);
-        } else {
-            la.acquire(ctx);
-        }
-    });
+    let (msg, sink) = planted_deadlock("deadlock_abba");
     assert!(msg.contains("rupcxx-check"), "panic was: {msg}");
     assert!(
         kinds(&sink).contains(&FindingKind::LockCycle),
@@ -261,12 +214,7 @@ fn deadlock_two_lock_cycle_aborts() {
 /// Pattern 6: a rank re-acquiring the (non-reentrant) lock it holds.
 #[test]
 fn deadlock_self_reacquire_aborts() {
-    let sink = new_sink();
-    let msg = expect_abort(1, sink.clone(), |ctx| {
-        let lock = GlobalLock::new(ctx, 0);
-        lock.acquire(ctx);
-        lock.acquire(ctx); // never returns
-    });
+    let (msg, sink) = planted_deadlock("deadlock_self_reacquire");
     assert!(msg.contains("rupcxx-check"), "panic was: {msg}");
     assert!(
         messages(&sink).contains("self-deadlock"),
@@ -280,12 +228,7 @@ fn deadlock_self_reacquire_aborts() {
 /// Pattern 7: waiting on an event nobody will ever signal.
 #[test]
 fn deadlock_event_never_signaled_aborts() {
-    let sink = new_sink();
-    let msg = expect_abort(1, sink.clone(), |ctx| {
-        let ev = Event::new();
-        ev.register();
-        ev.wait(ctx); // no signal is ever sent
-    });
+    let (msg, sink) = planted_deadlock("event_never_signaled");
     assert!(msg.contains("rupcxx-check"), "panic was: {msg}");
     assert!(
         kinds(&sink).contains(&FindingKind::EventNeverSignaled),
@@ -298,12 +241,7 @@ fn deadlock_event_never_signaled_aborts() {
 /// its peer returns without ever arriving.
 #[test]
 fn deadlock_mismatched_barrier_aborts() {
-    let sink = new_sink();
-    let msg = expect_abort(2, sink.clone(), |ctx| {
-        if ctx.rank() == 0 {
-            ctx.barrier(); // rank 1 never arrives
-        }
-    });
+    let (msg, sink) = planted_deadlock("barrier_mismatch");
     assert!(msg.contains("rupcxx-check"), "panic was: {msg}");
     assert!(
         kinds(&sink).contains(&FindingKind::BarrierMismatch),

@@ -459,9 +459,14 @@ fn hostile_handler_frames_yield_peer_unreachable_not_an_abort() {
         frame
     };
     // Handlers 0 and 1 are `FnRegistry`'s reply router and `inc`; the
-    // runtime's builtins follow, the mailbox deposit first.
-    let (reply_router, inc, deposit) = (0, 1, 2);
-    let cases: [(&str, Vec<u8>); 6] = [
+    // runtime's builtins follow (the mailbox deposit, then `complete`),
+    // and after them the `finish` acknowledgement.
+    let (reply_router, inc, deposit, finish_ack) = (0, 1, 2, 4);
+    // Sent while rank 0 sits in its first `finish` scope (token 0), which
+    // has spawned nothing.
+    const UNSPAWNED: &str = "finish ack for a task the open scope never spawned";
+    let ack = |token: u64, n: u64| [token.to_le_bytes(), n.to_le_bytes()].concat();
+    let cases: [(&str, Vec<u8>); 8] = [
         ("unknown handler id", am(NOBODY, &[])),
         ("unknown handler id inside a valid batch", hostile_batch),
         ("3-byte deposit", am(deposit, &[1, 2, 3])),
@@ -471,6 +476,8 @@ fn hostile_handler_frames_yield_peer_unreachable_not_an_abort() {
         ),
         ("reply shorter than a token", am(reply_router, &[1, 2, 3])),
         ("call with short args", am(inc, &rpc(5, &[1, 2, 3]))),
+        ("3-byte finish ack", am(finish_ack, &[1, 2, 3])),
+        (UNSPAWNED, am(finish_ack, &ack(0, 1))),
     ];
     for (what, hostile) in cases {
         let dir = scratch("uds-hostile");
@@ -523,8 +530,20 @@ fn hostile_handler_frames_yield_peer_unreachable_not_an_abort() {
         }
         assert!(fabric.failure().is_none());
         // The hostile frame: refused, the link classified, nothing applied.
-        peer.send(0, &hostile);
-        advance_until(&|| fabric.has_failed());
+        let refuse = || {
+            peer.send(0, &hostile);
+            advance_until(&|| fabric.has_failed());
+        };
+        if what == UNSPAWNED {
+            // The scope's wait is where the failed link surfaces.
+            let waited =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| ctx.finish(|_| refuse())));
+            let panic = waited.expect_err("the scope's wait reports the failed link");
+            let msg = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("unreachable"), "{what}: {msg}");
+        } else {
+            refuse();
+        }
         let failure = fabric.failure().expect("a classified failure");
         assert_eq!((failure.src, failure.dst), (0, 1), "{what}");
         assert!(failure.to_string().contains("unreachable"), "{failure}");

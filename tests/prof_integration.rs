@@ -11,7 +11,7 @@ use rupcxx_net::{
     ProfConfig,
 };
 use rupcxx_runtime::{spmd, Ctx, RuntimeConfig};
-use rupcxx_trace::{critpath, flight, RankStream, TraceConfig};
+use rupcxx_trace::{critpath, flight, RankStream};
 use rupcxx_util::sync::Mutex;
 use std::sync::Arc;
 
@@ -232,15 +232,10 @@ fn since_spans_cache_and_agg_counters() {
     let f = Fabric::new(FabricConfig {
         ranks: 2,
         segment_bytes: WORDS * 8,
-        simnet: None,
-        trace: TraceConfig::off(),
-        faults: None,
         agg: Some(AggConfig::new()),
-        check: None,
         cache: Some(CacheConfig::default()),
         prof: Some(ProfConfig::on()),
-        schedule: None,
-        remote: None,
+        ..FabricConfig::default()
     });
     let hot = GlobalAddr::new(1, 0); // cached read target
     let cold = GlobalAddr::new(1, (WORDS - 1) * 8); // uncached write target

@@ -13,7 +13,6 @@ use rupcxx_net::aggregate::AGG_MAX_PUT;
 use rupcxx_net::{
     AggConfig, AmPayload, BatchReader, Fabric, FabricConfig, FaultPlan, Frame, GlobalAddr,
 };
-use rupcxx_trace::TraceConfig;
 use rupcxx_util::prop as proptest;
 use rupcxx_util::prop::prelude::*;
 use rupcxx_util::Bytes;
@@ -35,15 +34,9 @@ fn fabric(agg: bool, faults: Option<FaultPlan>) -> Arc<Fabric> {
     Fabric::new(FabricConfig {
         ranks: 2,
         segment_bytes: SEGMENT_WORDS * 8,
-        simnet: None,
-        trace: TraceConfig::off(),
         faults,
         agg: agg.then(AggConfig::new),
-        check: None,
-        cache: None,
-        prof: None,
-        schedule: None,
-        remote: None,
+        ..FabricConfig::default()
     })
 }
 

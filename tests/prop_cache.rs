@@ -10,7 +10,6 @@
 //! `shrink_vec` to a 1-minimal counterexample.
 
 use rupcxx_net::{CacheConfig, Fabric, FabricConfig, FaultPlan, GlobalAddr};
-use rupcxx_trace::TraceConfig;
 use rupcxx_util::prop as proptest;
 use rupcxx_util::prop::prelude::*;
 use std::collections::HashSet;
@@ -27,15 +26,9 @@ fn fabric(cache: Option<CacheConfig>, faults: Option<FaultPlan>) -> Arc<Fabric> 
     Fabric::new(FabricConfig {
         ranks: 2,
         segment_bytes: WORDS * 8,
-        simnet: None,
-        trace: TraceConfig::off(),
         faults,
-        agg: None,
-        check: None,
         cache,
-        prof: None,
-        schedule: None,
-        remote: None,
+        ..FabricConfig::default()
     })
 }
 

@@ -7,7 +7,6 @@
 //! counterexample before reporting.
 
 use rupcxx_net::{AmPayload, Fabric, FabricConfig, FaultPlan, LinkRule};
-use rupcxx_trace::TraceConfig;
 use rupcxx_util::prop as proptest;
 use rupcxx_util::prop::prelude::*;
 use rupcxx_util::Bytes;
@@ -21,15 +20,8 @@ fn faulty_fabric(plan: FaultPlan) -> Arc<Fabric> {
     Fabric::new(FabricConfig {
         ranks: 2,
         segment_bytes: 4096,
-        simnet: None,
-        trace: TraceConfig::off(),
         faults: Some(plan),
-        agg: None,
-        check: None,
-        cache: None,
-        prof: None,
-        schedule: None,
-        remote: None,
+        ..FabricConfig::default()
     })
 }
 
