@@ -46,6 +46,9 @@ pub enum WireError {
     /// The peer's FIN announces a data-frame count other than the
     /// number received: the link lost or invented frames.
     FinCount,
+    /// A reply whose token no request of this rank is waiting on: never
+    /// issued, or answered already.
+    UnaskedReply,
 }
 
 impl std::fmt::Display for WireError {
@@ -56,6 +59,7 @@ impl std::fmt::Display for WireError {
             WireError::UnknownTag(t) => write!(f, "unknown frame tag {t}"),
             WireError::OutOfRange => f.write_str("operation out of range"),
             WireError::FinCount => f.write_str("FIN count differs from the data frames received"),
+            WireError::UnaskedReply => f.write_str("reply to no outstanding request"),
         }
     }
 }

@@ -15,7 +15,7 @@ use crate::cache::{CacheConfig, CacheState};
 use crate::conduit::RemoteConfig;
 use crate::faults::FaultPlan;
 use crate::inbox::Inbox;
-use crate::reliable::{AmChannel, PeerUnreachable};
+use crate::reliable::{PeerUnreachable, Reliable};
 use crate::remote::RemoteFabric;
 use crate::rma::{Access, RmaOp, RmwOp};
 use crate::schedule::{SchedState, ScheduleConfig};
@@ -25,11 +25,11 @@ use crate::task::TaskFn;
 use crate::Rank;
 use rupcxx_check::{AccessKind, CheckConfig, Checker, Stamp};
 use rupcxx_trace::{EventKind, ProfConfig, ProfSpan, RankTrace, TraceConfig};
-use rupcxx_util::sync::{CachePadded, Mutex};
+use rupcxx_util::sync::CachePadded;
 use rupcxx_util::Bytes;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 thread_local! {
     /// Where a read-cache miss fetches its line (or run of lines) before
@@ -253,9 +253,6 @@ pub struct Endpoint {
     pub(crate) cache: Option<CacheState>,
     // -- 3. written by peers -- (the inbox is `CachePadded` inside)
     pub(crate) inbox: Inbox<AmMessage>,
-    /// Reliable-delivery state for this rank's incoming links; allocated
-    /// only when the fabric has a fault plan.
-    pub(crate) reliable: Option<AmChannel>,
 }
 
 impl Endpoint {
@@ -263,7 +260,6 @@ impl Endpoint {
         ranks: usize,
         segment_bytes: usize,
         trace: RankTrace,
-        faulty: bool,
         agg: bool,
         cache: Option<CacheState>,
         rma_fast: bool,
@@ -276,7 +272,6 @@ impl Endpoint {
             agg: agg.then(|| AggState::new(ranks)),
             cache,
             inbox: Inbox::new(),
-            reliable: faulty.then(|| AmChannel::new(ranks)),
         }
     }
 
@@ -356,9 +351,10 @@ pub struct FabricConfig {
     pub segment_bytes: usize,
     /// Tracing/metrics configuration applied to every endpoint.
     pub trace: TraceConfig,
-    /// Optional deterministic fault-injection plan (`RUPCXX_FAULTS`).
-    /// None (the default) keeps the exact fault-free fast path: AMs go
-    /// straight to the destination inbox, RMA never draws a fate.
+    /// Optional deterministic fault-injection plan (`RUPCXX_FAULTS`); one
+    /// that can fault makes [`crate::reliable`] the delivery stage. None
+    /// (the default) keeps the direct stage: AMs go straight to the
+    /// destination inbox, RMA never draws a fate.
     pub faults: Option<FaultPlan>,
     /// Optional per-destination aggregation thresholds (`RUPCXX_AGG`).
     /// None (the default) keeps every buffered entry point on the direct
@@ -376,11 +372,12 @@ pub struct FabricConfig {
     /// AM and the critical-path report is written at teardown. None (the
     /// default) puts no spans on the wire.
     pub prof: Option<ProfConfig>,
-    /// Optional controlled delivery schedule (`RUPCXX_SCHEDULE`, see
-    /// [`crate::schedule`]). None (the default) keeps the AM delivery
-    /// path at one untaken branch with wire traffic bit-for-bit
-    /// unchanged. Mutually exclusive with `faults`: the schedule replaces
-    /// the fate hash as the source of delivery-order nondeterminism.
+    /// Optional controlled delivery schedule (`RUPCXX_SCHEDULE`): the
+    /// [`crate::schedule`] delivery stage. None (the default) leaves the
+    /// stage to `faults`, wire traffic bit-for-bit unchanged. There is
+    /// one stage, so this and a plan that can fault are mutually
+    /// exclusive: the schedule replaces the fate hash as the source of
+    /// delivery-order nondeterminism.
     pub schedule: Option<ScheduleConfig>,
     /// Multi-process mode (`RUPCXX_CONDUIT`): this OS process hosts one
     /// rank and reaches the others through a conduit. None (the default)
@@ -406,22 +403,29 @@ impl Default for FabricConfig {
     }
 }
 
+/// What happens to a remote active message between its send (or its
+/// arrival off a conduit) and the destination's inbox: chosen once, in
+/// [`Fabric::new`].
+pub(crate) enum Delivery {
+    /// Straight into the inbox.
+    Direct,
+    /// Fate draws and repair per link ([`crate::reliable`]).
+    Reliable(Reliable),
+    /// Parked per link, released in a schedule's order.
+    Scheduled(SchedState),
+}
+
 /// The communication fabric: all endpoints of an SPMD job.
 pub struct Fabric {
     pub(crate) endpoints: Box<[Endpoint]>,
-    /// Fault-injection plan; None disables the reliable layer entirely.
-    pub(crate) faults: Option<FaultPlan>,
-    /// Set once a peer is declared unreachable (checked by blocking
-    /// waits via [`Fabric::has_failed`]).
-    pub(crate) failed: AtomicBool,
+    pub(crate) delivery: Delivery,
+    /// The first peer declared unreachable (checked by blocking waits
+    /// via [`Fabric::has_failed`]).
+    pub(crate) failed: OnceLock<PeerUnreachable>,
     /// Set once the flight recorder has dumped (one postmortem per job).
     pub(crate) flight_dumped: AtomicBool,
-    /// First failure's detail, for [`Fabric::failure`].
-    pub(crate) failure_detail: Mutex<Option<PeerUnreachable>>,
     /// The job's shared race/deadlock checker; None disables every hook.
     pub(crate) check: Option<Arc<Checker>>,
-    /// Controlled delivery scheduler; None keeps the direct AM path.
-    pub(crate) sched: Option<SchedState>,
     /// Conduit transport to out-of-process peers; None = in-process.
     pub(crate) remote: Option<RemoteFabric>,
     /// Segment size every rank was configured with. Equal to
@@ -446,10 +450,11 @@ impl Fabric {
             "the controlled schedule needs every rank's pending queues in one \
              address space: run RUPCXX_SCHEDULE jobs on the loopback conduit"
         );
-        let sched = config
-            .schedule
-            .as_ref()
-            .map(|cfg| SchedState::new(config.ranks, cfg));
+        let delivery = match (faults, &config.schedule) {
+            (Some(plan), _) => Delivery::Reliable(Reliable::new(plan, config.ranks)),
+            (None, Some(cfg)) => Delivery::Scheduled(SchedState::new(config.ranks, cfg)),
+            (None, None) => Delivery::Direct,
+        };
         // Building the conduit blocks until the whole mesh is up, so by
         // the time any rank's fabric exists its peers are reachable.
         let remote = config
@@ -468,7 +473,7 @@ impl Fabric {
                 };
                 // The bare hop: legal only when nothing can observe or
                 // reroute the access (see `Endpoint::rma_fast`).
-                let rma_fast = faults.is_none()
+                let rma_fast = !matches!(delivery, Delivery::Reliable(_))
                     && config.check.is_none()
                     && config.remote.is_none()
                     && !config.trace.is_enabled()
@@ -484,7 +489,6 @@ impl Fabric {
                     config.ranks,
                     seg,
                     trace,
-                    faults.is_some(),
                     config.agg.is_some(),
                     // Bounded by the configured size: the segments it
                     // caches are the peers', in remote mode not `seg`.
@@ -502,12 +506,10 @@ impl Fabric {
             .map(|cfg| rupcxx_check::build(config.ranks, cfg));
         Arc::new(Fabric {
             endpoints,
-            faults,
-            failed: AtomicBool::new(false),
+            delivery,
+            failed: OnceLock::new(),
             flight_dumped: AtomicBool::new(false),
-            failure_detail: Mutex::new(None),
             check,
-            sched,
             remote,
             seg_bytes: config.segment_bytes,
         })
@@ -639,10 +641,13 @@ impl Fabric {
                 None => access.spans().for_each(record),
             }
         }
-        // The fault gate: with no plan installed, one untaken branch; with
-        // one, remote ops draw a fate and retry drops inline.
-        if self.faults.is_some() && initiator != target {
-            self.rma_gate_slow(initiator, target);
+        // The fault gate: one untaken branch unless the delivery stage is
+        // the reliable one; then remote ops draw a fate and retry drops
+        // inline.
+        if let Delivery::Reliable(rel) = &self.delivery {
+            if initiator != target {
+                self.rma_gate_slow(rel, initiator, target);
+            }
         }
         self.tally(initiator, target, bytes, access.is_get());
         if !access.is_get() {
@@ -1000,6 +1005,46 @@ impl Fabric {
         self.deliver_arrival(initiator, dst, msg);
     }
 
+    /// The delivery stage, for local sends and conduit arrivals alike (a
+    /// rank's message to itself crosses no wire). Feeding arrivals through
+    /// the reliable stage lets simulated faults wrap a *real* transport
+    /// unchanged: per-link FIFO on the conduit means arrival order equals
+    /// send order, so the fate sequence matches the loopback run exactly.
+    pub(crate) fn deliver_arrival(&self, src: Rank, me: Rank, msg: AmMessage) {
+        match &self.delivery {
+            Delivery::Reliable(rel) if src != me => self.am_transmit(rel, src, me, msg),
+            Delivery::Scheduled(s) if src != me => self.sched_park(s, src, me, msg),
+            _ => self.endpoints[me].inbox.push(msg),
+        }
+    }
+
+    /// Move along what is on its way to `me` — its conduit's frames, then
+    /// the delivery stage: `me`'s held and lost frames, or every delivery
+    /// the schedule allows (any rank drives the one global order). Called
+    /// by every `advance()`; returns the frames acted on.
+    #[inline]
+    pub fn pump_incoming(&self, me: Rank) -> usize {
+        let arrived = self.remote.as_ref().map_or(0, |r| self.pump_conduit(r));
+        arrived
+            + match &self.delivery {
+                Delivery::Direct => 0,
+                Delivery::Reliable(rel) => self.pump_reliable(rel, me),
+                Delivery::Scheduled(s) => self.pump_schedule(s),
+            }
+    }
+
+    /// True when the delivery stage holds nothing bound for `me`: what
+    /// teardown and the deadlock scan's quiet check wait for. Parked
+    /// frames count fabric-wide, a sound superset, since quiescence is
+    /// only ever asserted of every rank.
+    pub fn links_quiescent(&self, me: Rank) -> bool {
+        match &self.delivery {
+            Delivery::Direct => true,
+            Delivery::Reliable(rel) => rel.quiescent(me),
+            Delivery::Scheduled(s) => s.pending() == 0,
+        }
+    }
+
     /// Fabric-wide retransmit total. Wait-state classification samples
     /// this around a blocking wait: a nonzero delta means the wait rode
     /// out packet loss (a retransmit stall), whichever rank's frames were
@@ -1287,7 +1332,10 @@ mod tests {
             faults: Some(crate::faults::FaultPlan::new(1)),
             ..FabricConfig::default()
         });
-        assert!(f.faults.is_none(), "a no-op plan must not slow the fabric");
+        assert!(
+            matches!(f.delivery, Delivery::Direct),
+            "a no-op plan must not slow the fabric"
+        );
         assert!(f.endpoint(0).rma_fast);
         f.send_am(
             0,
@@ -1691,10 +1739,7 @@ mod tests {
             field!(agg: Option<AggState>),
             field!(cache: Option<CacheState>),
         ]);
-        let peers = blocks(&[
-            field!(inbox: Inbox<AmMessage>),
-            field!(reliable: Option<AmChannel>),
-        ]);
+        let peers = blocks(&[field!(inbox: Inbox<AmMessage>)]);
         assert!(
             shared.1 < owner.0 && owner.1 < peers.0,
             "read-only {shared:?}, owner-written {owner:?}, peer-written {peers:?}"

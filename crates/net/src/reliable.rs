@@ -1,13 +1,14 @@
 //! Reliable active-message delivery over a faulty wire.
 //!
-//! With a [`FaultPlan`](crate::faults::FaultPlan) installed, `send_am` no
-//! longer pushes straight into the destination inbox. Every frame on a
-//! link gets a per-link sequence number, and the link's receiver-side
-//! state ([`LinkIn`]) enforces **exactly-once, in-order** delivery:
+//! A fault plan that can fault makes [`Reliable`] the fabric's delivery
+//! stage (`Fabric::new` decides, once): `send_am` no longer pushes
+//! straight into the destination inbox. Every frame on a link gets a
+//! per-link sequence number, and the link's receiver-side state
+//! ([`LinkIn`]) enforces **exactly-once, in-order** delivery:
 //!
 //! * **drop** — the frame is parked in the link's `lost` queue and
 //!   re-offered (retransmitted) by the *destination's* progress engine
-//!   ([`Fabric::pump_incoming`], called from `advance()`) with exponential
+//!   ([`Fabric::pump_incoming`], which `advance()` calls) with exponential
 //!   backoff in pump ticks; after `max_attempts` total attempts the peer
 //!   is declared [`PeerUnreachable`] and the job fails instead of hanging;
 //! * **duplicate** — the second copy is routed through the dedup window
@@ -26,12 +27,13 @@
 //! the receiver pumps), so determinism assertions stick to the first
 //! three.
 //!
-//! One-sided RMA takes a different path (`Fabric::rma_gate_slow`): puts,
-//! gets and remote atomics are synchronous in this fabric, so a dropped
-//! attempt is simply retried inline, without dup/reorder modes —
-//! duplicating a `fetch_add` would change the result, and a real NIC's
-//! RDMA engine retries lost packets below the atomicity layer for exactly
-//! that reason.
+//! One-sided RMA meets the same stage in `Fabric::rma`'s prologue, which
+//! sends every remote op through [`Reliable`]'s gate: puts, gets and
+//! remote atomics are synchronous in this fabric, so a dropped attempt is
+//! simply retried inline, without dup/reorder modes — duplicating a
+//! `fetch_add` would change the result, and a real NIC's RDMA engine
+//! retries lost packets below the atomicity layer for exactly that
+//! reason.
 
 use crate::fabric::{AmMessage, Fabric};
 use crate::faults::{decide, Fate, FaultPlan};
@@ -98,6 +100,7 @@ struct LostFrame {
 /// Receiver-side state of one directed link (`src -> owner`). The same
 /// mutex also serializes the sender's sequence assignment, which keeps
 /// per-link seq numbers in program order — the root of fate determinism.
+#[derive(Default)]
 pub(crate) struct LinkIn {
     /// Next sequence number the sender will stamp on this link.
     next_seq: u64,
@@ -114,17 +117,6 @@ pub(crate) struct LinkIn {
 }
 
 impl LinkIn {
-    fn new() -> Self {
-        LinkIn {
-            next_seq: 0,
-            next_expected: 0,
-            tick: 0,
-            ooo: BTreeMap::new(),
-            limbo: Vec::new(),
-            lost: Vec::new(),
-        }
-    }
-
     fn is_quiescent(&self) -> bool {
         self.ooo.is_empty() && self.limbo.is_empty() && self.lost.is_empty()
     }
@@ -139,41 +131,51 @@ impl LinkIn {
     }
 }
 
-/// Per-endpoint reliable-delivery state, allocated only when a fault plan
-/// is installed (the faults-off hot path never touches it).
-pub(crate) struct AmChannel {
-    /// Incoming-link state, indexed by source rank.
+/// The reliable delivery stage: the fault plan and the state of every
+/// directed link, both indexed `src * ranks + dst`.
+pub(crate) struct Reliable {
+    plan: FaultPlan,
+    ranks: usize,
+    /// Receiver-side state of each link.
     links: Box<[Mutex<LinkIn>]>,
-    /// Outgoing RMA sequence counters, indexed by target rank.
+    /// RMA sequence counters of each link (initiator to target).
     rma_seq: Box<[AtomicU64]>,
 }
 
-impl AmChannel {
-    pub(crate) fn new(ranks: usize) -> Self {
-        AmChannel {
-            links: (0..ranks).map(|_| Mutex::new(LinkIn::new())).collect(),
-            rma_seq: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
+impl Reliable {
+    pub(crate) fn new(plan: FaultPlan, ranks: usize) -> Self {
+        Reliable {
+            plan,
+            ranks,
+            links: (0..ranks * ranks)
+                .map(|_| Mutex::new(LinkIn::default()))
+                .collect(),
+            rma_seq: (0..ranks * ranks).map(|_| AtomicU64::new(0)).collect(),
         }
+    }
+
+    fn link(&self, src: Rank, dst: Rank) -> &Mutex<LinkIn> {
+        &self.links[src * self.ranks + dst]
+    }
+
+    /// True when no frame bound for `me` is buffered, held or awaiting
+    /// retransmission.
+    pub(crate) fn quiescent(&self, me: Rank) -> bool {
+        (0..self.ranks).all(|src| self.link(src, me).lock().is_quiescent())
     }
 }
 
 impl Fabric {
-    /// Reliable AM send path (faults installed, `src != dst`): stamp a
-    /// per-link sequence number and offer the frame to the wire. The
-    /// whole [`AmMessage`] (clock snapshot included) rides through
-    /// limbo/lost/retransmit, so redelivered frames keep their original
-    /// happens-before stamp.
-    pub(crate) fn am_transmit(&self, src: Rank, dst: Rank, msg: AmMessage) {
+    /// Reliable AM send path (`src != dst`): stamp a per-link sequence
+    /// number and offer the frame to the wire. The whole [`AmMessage`]
+    /// (clock snapshot included) rides through limbo/lost/retransmit, so
+    /// redelivered frames keep their original happens-before stamp.
+    pub(crate) fn am_transmit(&self, rel: &Reliable, src: Rank, dst: Rank, msg: AmMessage) {
         debug_assert_eq!(msg.src, src);
-        let plan = self.faults.as_ref().expect("am_transmit without faults");
-        let ch = self.endpoints[dst]
-            .reliable
-            .as_ref()
-            .expect("faulty fabric without AmChannel");
-        let mut link = ch.links[src].lock();
+        let mut link = rel.link(src, dst).lock();
         let seq = link.next_seq;
         link.next_seq += 1;
-        self.offer(&mut link, plan, dst, seq, msg, 0);
+        self.offer(&mut link, &rel.plan, dst, seq, msg, 0);
     }
 
     /// One transmission attempt of `seq` on `msg.src -> dst`, dispatching
@@ -281,21 +283,15 @@ impl Fabric {
 
     /// Drive the reliable layer for rank `me`'s incoming links: advance
     /// each link's tick, release limbo frames whose hold expired, and
-    /// retransmit lost frames whose backoff elapsed. Called from the
-    /// runtime's `advance()`; returns the number of frames acted on so
-    /// the progress engine can report work.
-    pub fn pump_incoming(&self, me: Rank) -> usize {
-        let Some(plan) = &self.faults else { return 0 };
-        let ch = self.endpoints[me]
-            .reliable
-            .as_ref()
-            .expect("faulty fabric without AmChannel");
+    /// retransmit lost frames whose backoff elapsed. Returns the number
+    /// of frames acted on.
+    pub(crate) fn pump_reliable(&self, rel: &Reliable, me: Rank) -> usize {
         let mut work = 0;
-        for src in 0..self.endpoints.len() {
+        for src in 0..rel.ranks {
             if src == me {
                 continue;
             }
-            let mut link = ch.links[src].lock();
+            let mut link = rel.link(src, me).lock();
             if link.limbo.is_empty() && link.lost.is_empty() {
                 continue;
             }
@@ -330,51 +326,27 @@ impl Fabric {
                     f.attempt as u64,
                     f.msg.prof.map_or(0, |s| s.id),
                 );
-                self.offer(&mut link, plan, me, f.seq, f.msg, f.attempt);
+                self.offer(&mut link, &rel.plan, me, f.seq, f.msg, f.attempt);
                 work += 1;
             }
         }
         work
     }
 
-    /// True when no frame destined for `me` is still buffered, held or
-    /// awaiting retransmission — by the reliable layer *or* the
-    /// controlled scheduler. Teardown drains until this holds, so
-    /// end-of-job counter snapshots are stable. The scheduler's parked
-    /// frames are counted fabric-wide (a sound superset): quiescence is
-    /// only ever asserted globally (deadlock scan's quiet check,
-    /// teardown), so the coarser probe never reports quiet too early.
-    pub fn links_quiescent(&self, me: Rank) -> bool {
-        if self.sched_pending() != 0 {
-            return false;
-        }
-        match &self.endpoints[me].reliable {
-            None => true,
-            Some(ch) => ch.links.iter().all(|l| l.lock().is_quiescent()),
-        }
-    }
-
     /// Cheap check used by blocking waits: has any link failed?
     #[inline]
     pub fn has_failed(&self) -> bool {
-        self.failed.load(Ordering::Relaxed)
+        self.failed.get().is_some()
     }
 
     /// The first [`PeerUnreachable`] failure, if any link died.
     pub fn failure(&self) -> Option<PeerUnreachable> {
-        if !self.failed.load(Ordering::Acquire) {
-            return None;
-        }
-        *self.failure_detail.lock()
+        self.failed.get().copied()
     }
 
     pub(crate) fn mark_unreachable(&self, e: PeerUnreachable) {
-        let mut detail = self.failure_detail.lock();
-        if detail.is_none() {
-            *detail = Some(e);
-        }
-        drop(detail);
-        self.failed.store(true, Ordering::Release);
+        // The first failure wins; a later one is still recorded below.
+        let _ = self.failed.set(e);
         // Postmortem: record the death on the initiator's stream and
         // dump every rank's flight-recorder tail (once per job).
         self.endpoints[e.src].trace.instant(
@@ -386,22 +358,19 @@ impl Fabric {
         self.dump_flight(&e.to_string());
     }
 
-    /// Fault gate for one-sided RMA (`initiator != target`, plan
-    /// installed): draw a fate per attempt and retry drops inline until
-    /// delivery or the attempt budget dies.
+    /// Fault gate for one-sided RMA (`initiator != target`): draw a fate
+    /// per attempt and retry drops inline until delivery or the attempt
+    /// budget dies.
     ///
     /// # Panics
     /// Panics with the [`PeerUnreachable`] message once `max_attempts`
     /// transmissions of the same op have been dropped (after recording
     /// the failure for [`Fabric::failure`]).
     #[cold]
-    pub(crate) fn rma_gate_slow(&self, initiator: Rank, target: Rank) {
-        let plan = self.faults.as_ref().expect("rma_gate without faults");
-        let ch = self.endpoints[initiator]
-            .reliable
-            .as_ref()
-            .expect("faulty fabric without AmChannel");
-        let seq = ch.rma_seq[target].fetch_add(1, Ordering::Relaxed) | RMA_SEQ_TAG;
+    pub(crate) fn rma_gate_slow(&self, rel: &Reliable, initiator: Rank, target: Rank) {
+        let plan = &rel.plan;
+        let seq = rel.rma_seq[initiator * rel.ranks + target].fetch_add(1, Ordering::Relaxed)
+            | RMA_SEQ_TAG;
         let mut attempt = 0u32;
         loop {
             match decide(plan, initiator, target, seq, attempt) {

@@ -11,10 +11,11 @@
 //! * every one-sided op is one synchronous token-matched `Rma`/`Resp`
 //!   round trip ([`Fabric::round_trip`], the out-of-process arm of
 //!   [`Fabric::rma`]'s hop), preserving the blocking RMA semantics;
-//! * AMs are re-assembled on the receiving side and then fed through
-//!   *exactly* the same delivery tail as a local send — including the
-//!   reliable layer's fate draw (`am_transmit`), so fault injection and
-//!   retransmission wrap any conduit unchanged;
+//! * AMs are re-assembled on the receiving side and then handed to
+//!   *exactly* the same delivery stage as a local send
+//!   (`Fabric::deliver_arrival`) — the reliable layer's fate draw
+//!   included, so fault injection and retransmission wrap any conduit
+//!   unchanged;
 //! * teardown quiescence is an explicit FIN/ack handshake per link,
 //!   carrying the sender's data-frame count (per-link FIFO makes the
 //!   count checkable on arrival).
@@ -36,7 +37,7 @@ use crate::rma::{RmaOp, Site};
 use crate::Rank;
 use rupcxx_util::sync::Mutex;
 use rupcxx_util::Bytes;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -55,7 +56,9 @@ pub(crate) struct RemoteFabric {
     /// The one rank this process hosts.
     pub(crate) me: Rank,
     next_token: AtomicU64,
-    replies: Mutex<HashMap<u64, Reply>>,
+    /// Every request sent and not yet answered, by token: `None` until
+    /// its `Resp` arrives. A reply for any other token fails the link.
+    replies: Mutex<HashMap<u64, Option<Reply>>>,
     /// Per-destination encode scratch: reused across frames so the
     /// steady-state send path performs no allocation.
     scratch: Box<[Mutex<Vec<u8>>]>,
@@ -131,7 +134,10 @@ impl Fabric {
         let mut last_progress = Instant::now();
         let mut spins = 0u32;
         loop {
-            let reply = r.replies.lock().remove(&token);
+            let reply = match r.replies.lock().entry(token) {
+                Entry::Occupied(answered) if answered.get().is_some() => answered.remove(),
+                _ => None,
+            };
             match reply {
                 Some((ok, val, data)) if data.len() == out.len() => {
                     out.copy_from_slice(&data);
@@ -140,12 +146,14 @@ impl Fabric {
                 Some(_) => self.link_failed(r, peer, &WireError::OutOfRange),
                 None => {}
             }
-            if self.pump_conduit(r.me) > 0 {
+            // The conduit alone: the reply comes through it. The delivery
+            // stage's ticks time every hold and retransmit, and they stay
+            // one per progress pass, however many round trips it makes.
+            if self.pump_conduit(r) > 0 {
                 last_progress = Instant::now();
                 continue;
             }
-            if self.has_failed() {
-                let detail = self.failure().expect("failed without detail");
+            if let Some(detail) = self.failure() {
                 panic!("{detail}");
             }
             assert!(
@@ -182,6 +190,7 @@ impl Fabric {
             self.seg_bytes
         );
         let token = r.next_token.fetch_add(1, Ordering::Relaxed);
+        r.replies.lock().insert(token, None);
         let stamp = self.check.as_ref().map(|ck| ck.send_stamp(r.me));
         r.send_encoded(addr.rank(), |b| {
             wire::encode_rma(b, stamp.as_ref(), token, op)
@@ -208,11 +217,9 @@ impl Fabric {
     }
 
     /// Drain and dispatch pending conduit events. Returns the number of
-    /// events processed (0 without a conduit, or when another thread is
-    /// already pumping — dispatch is serialized to keep per-link FIFO).
-    pub fn pump_conduit(&self, me: Rank) -> usize {
-        let Some(r) = &self.remote else { return 0 };
-        debug_assert_eq!(me, r.me, "pump_conduit from a stub rank");
+    /// events processed (0 when another thread is already pumping —
+    /// dispatch is serialized to keep per-link FIFO).
+    pub(crate) fn pump_conduit(&self, r: &RemoteFabric) -> usize {
         let Some(_guard) = r.pump_lock.try_lock() else {
             return 0;
         };
@@ -317,9 +324,10 @@ impl Fabric {
                 ok,
                 val,
                 data,
-            } => {
-                r.replies.lock().insert(token, (ok, val, data.to_vec()));
-            }
+            } => match r.replies.lock().get_mut(&token) {
+                Some(slot @ None) => *slot = Some((ok, val, data.to_vec())),
+                _ => return Err(WireError::UnaskedReply),
+            },
             WireFrame::Fin { frames } => {
                 // Per-link FIFO makes the count checkable on arrival.
                 if r.data_recvd[src].load(Ordering::Relaxed) != frames {
@@ -333,22 +341,6 @@ impl Fabric {
             }
         }
         Ok(())
-    }
-
-    /// The delivery tail shared by local sends and conduit arrivals: the
-    /// reliable layer's fate draw, the controlled scheduler, or a direct
-    /// inbox push. Feeding decoded arrivals through `am_transmit` is what
-    /// lets simulated faults wrap a *real* transport unchanged — per-link
-    /// FIFO on the conduit means arrival order equals send order, so the
-    /// deterministic fate sequence matches the loopback run exactly.
-    pub(crate) fn deliver_arrival(&self, src: Rank, me: Rank, msg: AmMessage) {
-        if self.faults.is_some() && src != me {
-            self.am_transmit(src, me, msg);
-        } else if self.sched.is_some() && src != me {
-            self.sched_park(src, me, msg);
-        } else {
-            self.endpoints[me].inbox.push(msg);
-        }
     }
 
     /// Conduit-level teardown handshake (the out-of-process replacement
@@ -370,7 +362,7 @@ impl Fabric {
         }
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
-            self.pump_conduit(me);
+            self.pump_conduit(r);
             let done = (0..self.ranks()).filter(|&p| p != me).all(|p| {
                 r.fin_recvd[p].load(Ordering::Acquire) && r.fin_acked[p].load(Ordering::Acquire)
             });

@@ -484,6 +484,7 @@ mod tests {
     use super::*;
     use crate::aggregate::{AggConfig, BatchReader, Frame};
     use crate::fabric::{AmPayload, FabricConfig};
+    use crate::faults::{FaultPlan, LinkRule};
     use crate::stats::CommCounts;
     use rupcxx_check::{CheckConfig, FindingSink};
     use std::sync::Arc;
@@ -504,6 +505,10 @@ mod tests {
         /// `Remote` on a fabric with no layer installed: the branch of
         /// `Fabric::rma` every op of a bare fabric takes.
         Bare,
+        /// `Remote` under a fault plan on the link 0 -> 1: the reliable
+        /// stage's gate in `Fabric::rma`'s prologue, whose seed drops the
+        /// op's first two attempts.
+        Faulty,
         /// Rank 0 of another process: wire encode → decode → validate →
         /// `rma_arrived`, the receiver's half of a conduit round trip.
         Wire,
@@ -637,11 +642,16 @@ mod tests {
     /// produced.
     fn fabric(path: Path) -> (Arc<Fabric>, FindingSink, CommCounts) {
         let sink = rupcxx_check::new_sink();
+        let lossy = LinkRule {
+            drop_ppm: 500_000,
+            ..LinkRule::default()
+        };
         let f = Fabric::new(FabricConfig {
             ranks: 3,
             segment_bytes: SEG,
             check: (path != Path::Bare).then(|| CheckConfig::race().with_sink(sink.clone())),
             agg: (path == Path::Batch).then(AggConfig::new),
+            faults: (path == Path::Faulty).then(|| FaultPlan::new(2).link(0, 1, lossy)),
             ..FabricConfig::default()
         });
         assert_eq!(f.endpoint(0).rma_fast, path == Path::Bare, "{path:?}");
@@ -660,7 +670,7 @@ mod tests {
         let mut out = vec![0u8; if op.is_get() { op.bytes() } else { 0 }];
         let result = match path {
             Path::Local => f.rma(1, op, &mut out, None),
-            Path::Remote | Path::Bare => f.rma(0, op, &mut out, None),
+            Path::Remote | Path::Bare | Path::Faulty => f.rma(0, op, &mut out, None),
             Path::Wire => {
                 let stamp = f.checker().map(|ck| ck.send_stamp(0));
                 let mut frame = Vec::new();
@@ -709,6 +719,7 @@ mod tests {
 
     #[test]
     fn every_op_shape_is_equivalent_over_every_path() {
+        let mut drops = 0;
         for row in table() {
             let (reference, counts, _) = run(&row, Path::Local);
             let local = CommCounts {
@@ -721,6 +732,7 @@ mod tests {
                 (Path::Local, 0, 1),
                 (Path::Remote, 0, 0),
                 (Path::Bare, 0, 0),
+                (Path::Faulty, 0, 0),
                 (Path::Wire, 1, 0),
                 (Path::Batch, 2, 0),
             ] {
@@ -734,20 +746,32 @@ mod tests {
                     outcome.result = reference.result;
                 }
                 assert_eq!(outcome, reference, "{} over {path:?}", row.name);
+                // Only the fault plan drops, and each dropped attempt is
+                // retried once, inline.
+                let lost = if path == Path::Faulty {
+                    counts.wire_drops
+                } else {
+                    0
+                };
+                drops += lost;
                 let want = match path {
                     Path::Local => local,
                     // The initiator of a cross-process op runs the same
                     // `Fabric::rma` prologue, so it counts like `Remote`;
                     // the receiving half counts nothing.
                     Path::Wire => CommCounts::default(),
-                    Path::Remote | Path::Bare if row.op.is_get() => CommCounts {
+                    Path::Remote | Path::Bare | Path::Faulty if row.op.is_get() => CommCounts {
                         gets: 1,
                         get_bytes: bytes,
+                        wire_drops: lost,
+                        retransmits: lost,
                         ..CommCounts::default()
                     },
-                    Path::Remote | Path::Bare => CommCounts {
+                    Path::Remote | Path::Bare | Path::Faulty => CommCounts {
                         puts: 1,
                         put_bytes: bytes,
+                        wire_drops: lost,
+                        retransmits: lost,
                         ..CommCounts::default()
                     },
                     Path::Batch => CommCounts {
@@ -791,6 +815,7 @@ mod tests {
                 assert_eq!(buf.len(), if op == RmwOp::Cas { 25 } else { 17 });
             }
         }
+        assert!(drops > 0, "the fault plan must drop an op of the table");
     }
 
     #[test]

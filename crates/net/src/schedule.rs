@@ -1,11 +1,12 @@
 //! Controlled delivery scheduling: an explicit, replayable AM delivery
 //! order instead of the fault plan's fate hash.
 //!
-//! With a [`ScheduleConfig`] installed, `send_am` no longer pushes remote
-//! frames straight into the destination inbox. Frames are *parked* in a
-//! per-link pending queue, and a global pump ([`Fabric::pump_schedule`],
-//! driven from every rank's `advance()`) releases them one at a time in
-//! the order a [`Schedule`] dictates:
+//! With a [`ScheduleConfig`] installed, the fabric's delivery stage is
+//! `Scheduled` and `send_am` no longer pushes remote frames straight into
+//! the destination inbox. Frames are *parked* in a per-link pending
+//! queue, and one global pump — [`Fabric::pump_incoming`], which every
+//! rank's `advance()` calls — releases them one at a time in the order a
+//! [`Schedule`] dictates:
 //!
 //! * while explicit picks remain, the next pick names the link whose head
 //!   frame is delivered next — the pump *blocks* (delivers nothing) until
@@ -23,10 +24,12 @@
 //! the frame's happens-before stamp when the checker is on — which is
 //! what `rupcxx-explore` enumerates and shrinks over.
 //!
-//! The schedule and the fault plan are mutually exclusive: the controlled
-//! scheduler *replaces* the fate hash as the source of delivery-order
-//! nondeterminism. One-sided RMA is synchronous on this fabric and is not
-//! scheduled; AM delivery order is the only nondeterminism to control.
+//! `Fabric::new` builds one delivery stage — direct, reliable or
+//! scheduled — so the schedule and a fault plan cannot both be installed:
+//! the controlled scheduler *replaces* the fate hash as the source of
+//! delivery-order nondeterminism. One-sided RMA is synchronous on this
+//! fabric and is not scheduled; AM delivery order is the only
+//! nondeterminism to control.
 //!
 //! Two safety valves keep a stale or shrunk schedule from hanging a run:
 //! a pick that stays unsatisfiable for [`STALL_SKIP`] while frames are
@@ -35,7 +38,7 @@
 //! drain mode ([`Fabric::sched_finish`]) once every rank's closure has
 //! returned, releasing leftovers in canonical order.
 
-use crate::fabric::{AmMessage, Fabric};
+use crate::fabric::{AmMessage, Delivery, Fabric};
 use crate::Rank;
 use rupcxx_check::Stamp;
 use rupcxx_util::rng::SplitMix64;
@@ -263,8 +266,7 @@ impl std::fmt::Debug for ScheduleConfig {
     }
 }
 
-/// Fabric-side scheduler state, allocated only when a [`ScheduleConfig`]
-/// is installed (the schedule-off hot path never touches it).
+/// The scheduled delivery stage's state.
 pub(crate) struct SchedState {
     /// Global count of parked frames — the lock-free quiescence probe.
     pending_count: AtomicUsize,
@@ -314,6 +316,12 @@ impl SchedState {
                 log: cfg.recorder.clone(),
             }),
         }
+    }
+
+    /// Number of frames parked fabric-wide.
+    #[inline]
+    pub(crate) fn pending(&self) -> usize {
+        self.pending_count.load(Ordering::Acquire)
     }
 }
 
@@ -365,35 +373,32 @@ impl SchedInner {
 }
 
 impl Fabric {
-    /// Park a remote AM in the scheduler's pending queue (schedule
-    /// installed, `src != dst`), then pump — delivery happens inline when
-    /// the schedule already allows it.
-    pub(crate) fn sched_park(&self, src: Rank, dst: Rank, msg: AmMessage) {
-        let s = self.sched.as_ref().expect("sched_park without schedule");
+    /// Park a remote AM in the scheduler's pending queue (`src != dst`),
+    /// then pump — delivery happens inline when the schedule already
+    /// allows it.
+    pub(crate) fn sched_park(&self, s: &SchedState, src: Rank, dst: Rank, msg: AmMessage) {
         {
             let mut inner = s.inner.lock();
             let li = src * self.endpoints.len() + dst;
             inner.pending[li].push_back(msg);
         }
         s.pending_count.fetch_add(1, Ordering::Release);
-        self.pump_schedule();
+        self.pump_schedule(s);
     }
 
     /// Drive the controlled scheduler: deliver every frame the schedule
     /// currently allows, in order, into destination inboxes. Any rank's
     /// progress engine drives the whole (global) schedule — delivery is
     /// just an inbox push; execution stays with the destination. Returns
-    /// the number of frames delivered. One untaken branch when no
-    /// schedule is installed.
-    pub fn pump_schedule(&self) -> usize {
-        let Some(s) = &self.sched else { return 0 };
-        if s.pending_count.load(Ordering::Acquire) == 0 {
+    /// the number of frames delivered.
+    pub(crate) fn pump_schedule(&self, s: &SchedState) -> usize {
+        if s.pending() == 0 {
             return 0;
         }
         let ranks = self.endpoints.len();
         let mut inner = s.inner.lock();
         let mut delivered = 0;
-        while s.pending_count.load(Ordering::Acquire) > 0 {
+        while s.pending() > 0 {
             let Some((li, scheduled)) = inner.next_link(ranks) else {
                 break;
             };
@@ -430,21 +435,9 @@ impl Fabric {
     /// is what makes teardown quiescence schedule-agnostic. No-op without
     /// a schedule.
     pub fn sched_finish(&self) {
-        if let Some(s) = &self.sched {
+        if let Delivery::Scheduled(s) = &self.delivery {
             s.inner.lock().drain_all = true;
-            self.pump_schedule();
-        }
-    }
-
-    /// Number of frames parked fabric-wide by the controlled scheduler
-    /// (0 without one). Folded into [`Fabric::links_quiescent`] so the
-    /// deadlock scan's quiet check and teardown treat a parked frame
-    /// exactly like an in-flight one.
-    #[inline]
-    pub fn sched_pending(&self) -> usize {
-        match &self.sched {
-            None => 0,
-            Some(s) => s.pending_count.load(Ordering::Acquire),
+            self.pump_schedule(s);
         }
     }
 }
@@ -508,7 +501,10 @@ mod tests {
         // The schedule demands 2->0 first: a 1->0 frame parks undelivered.
         send(&f, 1, 0, 10);
         assert_eq!(f.endpoint(0).pending(), 0, "blocked on pick 2->0");
-        assert_eq!(f.sched_pending(), 1);
+        let Delivery::Scheduled(s) = &f.delivery else {
+            panic!("a schedule installs the scheduled stage");
+        };
+        assert_eq!(s.pending(), 1);
         assert!(!f.links_quiescent(0), "parked frame counts as in flight");
         // Once 2->0 arrives, both deliveries release in pick order.
         send(&f, 2, 0, 20);

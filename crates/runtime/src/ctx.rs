@@ -130,11 +130,11 @@ impl Ctx {
     /// executing each incoming task/handler. Returns the number of messages
     /// processed. This is the paper's `advance()` (§IV).
     ///
-    /// Under fault injection this also drives the reliable layer for this
-    /// rank's incoming links (releasing delayed frames, retransmitting
-    /// lost ones); that work counts toward the return value so spinning
-    /// waiters see progress. Without a fault plan the pump is a single
-    /// early-return branch.
+    /// First it asks the fabric to move along what is on its way here
+    /// ([`rupcxx_net::Fabric::pump_incoming`]: conduit frames, held and
+    /// lost frames under fault injection, what a schedule allows); that
+    /// work counts toward the return value so spinning waiters see
+    /// progress.
     pub fn advance(&self) -> usize {
         // Force out any partially filled aggregation buffers first (a
         // single relaxed load when nothing is buffered), so a rank that
@@ -154,16 +154,7 @@ impl Ctx {
     /// acknowledgements it ran up (`finish.rs`); an idle one does not look.
     #[inline(always)] // `advance()` is this plus the flush, not a call more
     fn poll(&self) -> usize {
-        // With a controlled schedule installed, release every delivery the
-        // schedule currently allows (any rank's engine may drive the
-        // global order — delivery is just an inbox push); one untaken
-        // branch otherwise.
-        let scheduled = self.shared.fabric.pump_schedule();
-        // Multi-process jobs: decode and dispatch frames the transport
-        // conduit delivered (RMA requests, wire AMs, FIN handshakes);
-        // one untaken branch on the in-process fabric.
-        let arrived = self.shared.fabric.pump_conduit(self.rank);
-        let pumped = self.shared.fabric.pump_incoming(self.rank) + scheduled + arrived;
+        let pumped = self.shared.fabric.pump_incoming(self.rank);
         let ep = self.shared.fabric.endpoint(self.rank);
         // A traced run samples the inbox depth, wraps each message in an
         // `am_handle` span and the whole working drain in an `advance`

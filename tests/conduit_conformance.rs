@@ -342,11 +342,14 @@ fn garbage_frames_yield_peer_unreachable_not_an_abort() {
     let mut forged_len = encoded(8, &put(64, &[1, 2, 3]));
     let at = forged_len.len() - 7;
     forged_len[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes()); // payload length
-    let cases: [(&str, Vec<u8>); 5] = [
+    let mut unasked = Vec::new();
+    wire::encode_resp(&mut unasked, 99, true, 0, &[]);
+    let cases: [(&str, Vec<u8>); 6] = [
         ("truncated", good[..good.len() - 3].to_vec()),
         ("bit-flipped", flipped),
         ("forged payload length", forged_len),
         ("out of range", encoded(9, &put(SEG - 4, &[0xCD; 8]))),
+        ("reply nobody asked for", unasked),
         (
             "4 GiB get",
             encoded(
@@ -379,7 +382,7 @@ fn garbage_frames_yield_peer_unreachable_not_an_abort() {
         let pump_until = |done: &dyn Fn() -> bool| {
             let deadline = Instant::now() + Duration::from_secs(30);
             while !done() {
-                fabric.pump_conduit(0);
+                fabric.pump_incoming(0);
                 assert!(Instant::now() < deadline, "{what}: stalled");
                 std::thread::yield_now();
             }

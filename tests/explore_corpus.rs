@@ -18,14 +18,19 @@ fn assert_entry_found(name: &str) {
     let cfg = config_for(e);
     let ex = explore(&cfg, &e.make);
     let bug = ex.bug_with(e.expect).unwrap_or_else(|| {
+        // Exploration starts from the canonical order; show one, the
+        // pairs it offers to swap are what the search had to work with.
+        let canonical = run_schedule(&cfg, Schedule::canonical(), &e.make).record;
         panic!(
-            "{name}: exploration ({} schedules) never surfaced {:?}; found {:?}",
+            "{name}: exploration ({} schedules) never surfaced {:?}; found {:?}; \
+             a canonical run delivers {:#?}",
             ex.explored,
             e.expect,
             ex.bugs
                 .iter()
                 .map(|b| b.verdict.clone())
-                .collect::<Vec<_>>()
+                .collect::<Vec<_>>(),
+            canonical
         )
     });
     if e.schedule_dependent {
