@@ -90,7 +90,9 @@ ab:
 
 # The flake gate: rerun the suites that sit on the task path, the
 # aggregation window (a wait for the *other* side to apply a batch), the
-# timing-sensitive checking tools and the chaos and conduit suites N
+# counters' routing (a thread that stores plainly into a block it does
+# not own loses updates when preempted), the timing-sensitive checking
+# tools and the chaos and conduit suites N
 # times each, pinned to one core — the schedule where a handoff that
 # spins for the other side goes wrong first — print failures per suite,
 # and fail if any suite failed even once: the stated rate is 0 of N.
@@ -100,6 +102,7 @@ ab:
 N ?= 20
 FLAKE_SUITES = \
 	"-p rupcxx-net inbox" \
+	"-p rupcxx-net stats" \
 	"-p rupcxx-runtime finish" \
 	"-p rupcxx-runtime team" \
 	"-p rupcxx-runtime collectives" \

@@ -79,6 +79,7 @@
 use crate::conduit::wire::{self, Cursor, WireError};
 use crate::fabric::{AmPayload, Fabric, GlobalAddr};
 use crate::rma::{RmaOp, RmwOp, Site};
+use crate::stats::Counter;
 use crate::Rank;
 use rupcxx_trace::EventKind;
 use rupcxx_util::sync::SpinMutex;
@@ -372,8 +373,8 @@ impl Fabric {
         let ep = &self.endpoints[initiator];
         let count = std::mem::take(&mut buf.count);
         let frames = Bytes::pooled(std::mem::take(&mut buf.bytes), &agg.pool);
-        ep.stats.agg_ops.fetch_add(count as u64, Ordering::Relaxed);
-        ep.stats.agg_batches.fetch_add(1, Ordering::Relaxed);
+        ep.stats.add(Counter::AggOps, count as u64);
+        ep.stats.add(Counter::AggBatches, 1);
         ep.trace
             .instant(EventKind::Flush, dst as i32, count as u64, 0);
         self.send_am(initiator, dst, AmPayload::Batch { count, frames });

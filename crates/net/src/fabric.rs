@@ -20,7 +20,7 @@ use crate::remote::RemoteFabric;
 use crate::rma::{Access, RmaOp, RmwOp};
 use crate::schedule::{SchedState, ScheduleConfig};
 use crate::segment::Segment;
-use crate::stats::{CommCounts, CommStats};
+use crate::stats::{CommCounts, CommStats, Counter};
 use crate::task::TaskFn;
 use crate::Rank;
 use rupcxx_check::{AccessKind, CheckConfig, Checker, Stamp};
@@ -240,7 +240,8 @@ pub struct Endpoint {
     /// probes. Read there and nowhere else.
     pub(crate) rma_fast: bool,
     // -- 2. written by the owning rank --
-    /// Traffic counters for operations initiated by this rank.
+    /// Traffic counters for operations initiated by this rank; the rank
+    /// thread that claims them counts with plain stores.
     pub stats: CachePadded<CommStats>,
     /// This rank's recorder: the one event stream every instrumented
     /// site reports to (off by default).
@@ -286,7 +287,7 @@ impl Endpoint {
     pub fn try_recv(&self) -> Option<AmMessage> {
         let msg = self.inbox.pop();
         if msg.is_some() {
-            self.stats.ams_handled.fetch_add(1, Ordering::Relaxed);
+            self.stats.add(Counter::AmsHandled, 1);
         }
         msg
     }
@@ -325,9 +326,7 @@ impl Endpoint {
     pub fn drain(&self) -> Vec<AmMessage> {
         let msgs = self.inbox.drain();
         if !msgs.is_empty() {
-            self.stats
-                .ams_handled
-                .fetch_add(msgs.len() as u64, Ordering::Relaxed);
+            self.stats.add(Counter::AmsHandled, msgs.len() as u64);
         }
         msgs
     }
@@ -538,15 +537,15 @@ impl Fabric {
     fn tally(&self, initiator: Rank, target: Rank, bytes: usize, get: bool) {
         let stats = &self.endpoints[initiator].stats;
         if initiator == target {
-            stats.local_ops.fetch_add(1, Ordering::Relaxed);
+            stats.add(Counter::LocalOps, 1);
         } else {
             let (ops, total) = if get {
-                (&stats.gets, &stats.get_bytes)
+                (Counter::Gets, Counter::GetBytes)
             } else {
-                (&stats.puts, &stats.put_bytes)
+                (Counter::Puts, Counter::PutBytes)
             };
-            ops.fetch_add(1, Ordering::Relaxed);
-            total.fetch_add(bytes as u64, Ordering::Relaxed);
+            stats.add(ops, 1);
+            stats.add(total, bytes as u64);
         }
     }
 
@@ -578,10 +577,9 @@ impl Fabric {
     #[inline]
     fn count_invalidations(&self, rank: Rank, lines: u64) {
         if lines != 0 {
-            let stats = &self.endpoints[rank].stats;
-            stats
-                .cache_invalidations
-                .fetch_add(lines, Ordering::Relaxed);
+            self.endpoints[rank]
+                .stats
+                .add(Counter::CacheInvalidations, lines);
         }
     }
 
@@ -804,7 +802,7 @@ impl Fabric {
             piece.copy_from_slice(&lines[start..start + piece.len()]);
             let stamp = self.check.as_ref().map(|ck| ck.cache_fill(initiator));
             let misses = lines.len().div_ceil(cache.line_bytes()) as u64;
-            ep.stats.cache_misses.fetch_add(misses, Ordering::Relaxed);
+            ep.stats.add(Counter::CacheMisses, misses);
             for (i, line) in lines.chunks(cache.line_bytes()).enumerate() {
                 cache.fill(base.add(i * cache.line_bytes()), line, stamp.clone());
                 ep.trace
@@ -820,7 +818,7 @@ impl Fabric {
     #[inline]
     fn cache_hit(&self, initiator: Rank, cache: &CacheState, addr: GlobalAddr, len: usize) {
         let ep = &self.endpoints[initiator];
-        ep.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+        ep.stats.add(Counter::CacheHits, 1);
         ep.trace
             .instant(EventKind::CacheHit, addr.rank() as i32, len as u64, 0);
         if let Some(ck) = &self.check {
@@ -864,7 +862,12 @@ impl Fabric {
                 }
             }
             _ => {
-                self.rma(initiator, &RmaOp::Get { addr: src, len: 8 }, &mut buf, None);
+                let op = RmaOp::Get { addr: src, len: 8 };
+                let (_, word) = self.rma(initiator, &op, &mut buf, None);
+                if src.offset().is_multiple_of(8) {
+                    // `apply`'s register copy: `buf` is never read back.
+                    return word;
+                }
             }
         }
         u64::from_le_bytes(buf)
@@ -975,9 +978,9 @@ impl Fabric {
             self.flush_agg_to(initiator, dst);
         }
         let stats = &self.endpoints[initiator].stats;
-        stats.ams_sent.fetch_add(1, Ordering::Relaxed);
+        stats.add(Counter::AmsSent, 1);
         if !matches!(payload, AmPayload::Task(_)) {
-            stats.am_bytes.fetch_add(am_bytes as u64, Ordering::Relaxed);
+            stats.add(Counter::AmBytes, am_bytes as u64);
         }
         // The causal span (None unless `RUPCXX_PROF` is on) survives
         // retransmits because the whole message rides the limbo and lost
@@ -1052,7 +1055,7 @@ impl Fabric {
     pub fn total_retransmits(&self) -> u64 {
         self.endpoints
             .iter()
-            .map(|e| e.stats.retransmits.load(Ordering::Relaxed))
+            .map(|e| e.stats.count(Counter::Retransmits))
             .sum()
     }
 
@@ -1733,8 +1736,13 @@ mod tests {
             };
         }
         let shared = blocks(&[field!(segment: Segment), field!(rma_fast: bool)]);
+        // The counters' owner word and both of their blocks.
+        let stats = offset_of!(Endpoint, stats);
+        let [word, own, shared_block] = CommStats::parts().map(|(at, size)| (stats + at, size));
         let owner = blocks(&[
-            field!(stats: CachePadded<CommStats>),
+            word,
+            own,
+            shared_block,
             field!(trace: RankTrace),
             field!(agg: Option<AggState>),
             field!(cache: Option<CacheState>),
@@ -1749,6 +1757,9 @@ mod tests {
         assert_eq!(align_of::<Endpoint>(), BLOCK);
         assert_eq!(size_of::<Endpoint>() % BLOCK, 0);
         assert_eq!(peers.1, size_of::<Endpoint>() / BLOCK - 1);
+        // Seventeen counters twice and the owner word: one block more
+        // than a single set of counters takes.
+        assert_eq!(size_of::<CachePadded<CommStats>>(), 3 * BLOCK);
     }
 
     #[test]

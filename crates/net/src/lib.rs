@@ -59,7 +59,7 @@ pub use schedule::{
     ScheduleRecorder,
 };
 pub use segment::Segment;
-pub use stats::{CommCounts, CommStats};
+pub use stats::{CommCounts, CommStats, Counter};
 pub use task::TaskFn;
 
 /// A rank id (SPMD execution-unit index), `0..ranks()`.

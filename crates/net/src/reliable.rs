@@ -37,6 +37,7 @@
 
 use crate::fabric::{AmMessage, Fabric};
 use crate::faults::{decide, Fate, FaultPlan};
+use crate::stats::Counter;
 use crate::Rank;
 use rupcxx_trace::EventKind;
 use std::collections::BTreeMap;
@@ -192,10 +193,7 @@ impl Fabric {
         let src = msg.src;
         match decide(plan, src, dst, seq, attempt) {
             Fate::Drop => {
-                self.endpoints[src]
-                    .stats
-                    .wire_drops
-                    .fetch_add(1, Ordering::Relaxed);
+                self.endpoints[src].stats.add(Counter::WireDrops, 1);
                 self.endpoints[src]
                     .trace
                     .instant(EventKind::WireDrop, dst as i32, 0, 0);
@@ -253,10 +251,7 @@ impl Fabric {
         msg: Option<AmMessage>,
     ) {
         if link.already_seen(seq) {
-            self.endpoints[dst]
-                .stats
-                .dup_arrivals
-                .fetch_add(1, Ordering::Relaxed);
+            self.endpoints[dst].stats.add(Counter::DupArrivals, 1);
             self.endpoints[dst]
                 .trace
                 .instant(EventKind::AmDup, src as i32, 0, 0);
@@ -273,10 +268,7 @@ impl Fabric {
             }
         } else {
             // A predecessor is still in limbo or lost: park in order.
-            self.endpoints[dst]
-                .stats
-                .reorders
-                .fetch_add(1, Ordering::Relaxed);
+            self.endpoints[dst].stats.add(Counter::Reorders, 1);
             link.ooo.insert(seq, msg);
         }
     }
@@ -314,10 +306,7 @@ impl Fabric {
             link.lost = keep;
             due.sort_by_key(|f| f.seq);
             for f in due {
-                self.endpoints[src]
-                    .stats
-                    .retransmits
-                    .fetch_add(1, Ordering::Relaxed);
+                self.endpoints[src].stats.add(Counter::Retransmits, 1);
                 // The frame's span rides its message, tying the
                 // retransmit back to the original injection.
                 self.endpoints[src].trace.instant(
@@ -380,7 +369,7 @@ impl Fabric {
                 Fate::Deliver { .. } => return,
                 Fate::Drop => {
                     let stats = &self.endpoints[initiator].stats;
-                    stats.wire_drops.fetch_add(1, Ordering::Relaxed);
+                    stats.add(Counter::WireDrops, 1);
                     self.endpoints[initiator].trace.instant(
                         EventKind::WireDrop,
                         target as i32,
@@ -398,7 +387,7 @@ impl Fabric {
                         self.mark_unreachable(e);
                         panic!("{e}");
                     }
-                    stats.retransmits.fetch_add(1, Ordering::Relaxed);
+                    stats.add(Counter::Retransmits, 1);
                     // RMA ops carry no wire span (they are synchronous);
                     // span 0 marks an initiator-side inline retry.
                     self.endpoints[initiator].trace.instant(

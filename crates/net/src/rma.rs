@@ -288,15 +288,22 @@ impl<'a> RmaOp<'a> {
     }
 
     /// The op's one memory touch. Gets fill `out` (`bytes()` long);
-    /// atomics return `(cas succeeded, previous value)`, everything else
-    /// `(true, 0)`.
+    /// atomics return `(cas succeeded, previous value)`, a contiguous get
+    /// of one aligned word `(true, the word)`, everything else `(true, 0)`.
     ///
     /// An aligned 8-byte block — the dominant size for shared scalars and
     /// word-typed arrays — skips the byte-slice machinery (partial-word
-    /// CAS handling, per-word copies) and moves the word directly.
+    /// CAS handling, per-word copies) and moves the word directly. A word
+    /// get hands it back in a register too, so that [`Fabric::get_u64`]
+    /// never reads it back out of memory.
     #[inline(always)]
     pub(crate) fn apply(&self, seg: &Segment, out: &mut [u8]) -> (bool, u64) {
         match *self {
+            RmaOp::Get { addr, len: 8 } if addr.offset().is_multiple_of(8) => {
+                let word = seg.load_u64(addr.offset());
+                out[..8].copy_from_slice(&word.to_le_bytes());
+                return (true, word);
+            }
             RmaOp::Put { data, .. } | RmaOp::PutStrided { data, .. } => {
                 for (b, (offset, len)) in self.spans().enumerate() {
                     let block = &data[b * len..][..len];

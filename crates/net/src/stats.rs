@@ -5,82 +5,206 @@
 //! communication volumes and (b) feed the `rupcxx-perfmodel` projections
 //! (message counts × modeled per-message cost at paper-scale machines).
 
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live, thread-safe counters for one endpoint.
-#[derive(Debug, Default)]
-pub struct CommStats {
+/// One counter of [`CommStats`]; each names the [`CommCounts`] field it
+/// feeds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Counter {
     /// Remote puts initiated.
-    pub puts: AtomicU64,
+    Puts,
     /// Bytes written by remote puts.
-    pub put_bytes: AtomicU64,
+    PutBytes,
     /// Remote gets initiated.
-    pub gets: AtomicU64,
+    Gets,
     /// Bytes read by remote gets.
-    pub get_bytes: AtomicU64,
+    GetBytes,
     /// Active messages sent.
-    pub ams_sent: AtomicU64,
+    AmsSent,
     /// Payload bytes in active messages sent.
-    pub am_bytes: AtomicU64,
+    AmBytes,
     /// Active messages executed locally (received + handled).
-    pub ams_handled: AtomicU64,
+    AmsHandled,
     /// Operations that resolved to local memory (no communication).
-    pub local_ops: AtomicU64,
+    LocalOps,
     /// Frames retransmitted by the reliable AM layer (initiator side).
     /// Nonzero only under fault injection (`RUPCXX_FAULTS`).
-    pub retransmits: AtomicU64,
+    Retransmits,
     /// Transmission attempts lost on the wire by the fault plan
     /// (initiator side). Every wire drop costs one retransmit, so at
     /// quiescence `retransmits == wire_drops` unless a peer was declared
     /// unreachable.
-    pub wire_drops: AtomicU64,
+    WireDrops,
     /// Duplicate frame arrivals discarded by the dedup window (receiver
     /// side).
-    pub dup_arrivals: AtomicU64,
+    DupArrivals,
     /// Frames that arrived ahead of a predecessor and were parked in the
     /// receiver's reorder buffer before in-order release (receiver side).
-    pub reorders: AtomicU64,
+    Reorders,
     /// Logical fine-grained operations absorbed by the per-destination
     /// aggregation layer (initiator side). Nonzero only when aggregation
     /// is enabled (`RUPCXX_AGG`) *and* the op was remote.
-    pub agg_ops: AtomicU64,
+    AggOps,
     /// Wire frames (batches) the aggregation layer actually injected;
     /// each batch is one active message carrying `agg_ops / agg_batches`
     /// logical operations on average (initiator side).
-    pub agg_batches: AtomicU64,
+    AggBatches,
     /// Remote gets served from this rank's software read cache without
     /// touching the fabric. Nonzero only with `RUPCXX_CACHE` enabled.
-    pub cache_hits: AtomicU64,
+    CacheHits,
     /// Remote gets that missed the read cache and filled a whole line
     /// through one fabric get.
-    pub cache_misses: AtomicU64,
+    CacheMisses,
     /// Cached lines dropped by write-through or sync-point invalidation.
-    pub cache_invalidations: AtomicU64,
+    CacheInvalidations,
+}
+
+const COUNTERS: usize = Counter::CacheInvalidations as usize + 1;
+
+/// One value per [`Counter`].
+type Block = [AtomicU64; COUNTERS];
+
+/// The owner word of a block no thread has claimed: no thread's tag.
+const UNCLAIMED: u64 = u64::MAX;
+
+/// Tags handed out by [`CommStats::claim`]; 0 is no thread's.
+static NEXT_TAG: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's tag: 0 until its first claim, then unique in the
+    /// process for good.
+    static TAG: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Live counters for one endpoint, exact under any number of writer
+/// threads.
+///
+/// The thread that [claims](CommStats::claim) the block — a rank's own
+/// thread, for the length of the SPMD body — counts into `own`, which no
+/// other thread writes, with a plain load and store. Every other thread
+/// (a progress worker, a test driving several ranks, a sender bumping the
+/// receiver's reliable-stage counters) adds to `shared` atomically. A
+/// snapshot sums the two. A block nobody claims, such as that of a fabric
+/// driven outside `spmd`, is counted in `shared` alone.
+#[derive(Debug)]
+#[repr(C)]
+pub struct CommStats {
+    /// The claiming thread's tag, or [`UNCLAIMED`].
+    owner: AtomicU64,
+    /// Written by the claiming thread alone.
+    own: Block,
+    /// Written by every other thread, with `fetch_add`.
+    shared: Block,
+}
+
+impl Default for CommStats {
+    fn default() -> Self {
+        CommStats {
+            owner: AtomicU64::new(UNCLAIMED),
+            own: Default::default(),
+            shared: Default::default(),
+        }
+    }
+}
+
+/// The calling thread's hold on a [`CommStats`] block, from
+/// [`CommStats::claim`]; dropping it hands the block back. It cannot
+/// leave the thread: the owner word names the thread, not the guard.
+#[must_use = "the block is released when the claim drops"]
+pub struct Claim<'a> {
+    stats: &'a CommStats,
+    thread_bound: PhantomData<*const ()>,
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        // Release: the next claimer's `Acquire` sees every plain store.
+        self.stats.owner.store(UNCLAIMED, Ordering::Release);
+    }
 }
 
 impl CommStats {
+    /// Make the calling thread the block's owner until the returned guard
+    /// drops: its [`CommStats::add`]s become plain stores. `None` when
+    /// another thread (or this one, further up) holds the block already;
+    /// this thread then keeps adding atomically, and the counts stay exact
+    /// either way.
+    pub fn claim(&self) -> Option<Claim<'_>> {
+        let tag = TAG.with(|tag| {
+            if tag.get() == 0 {
+                tag.set(NEXT_TAG.fetch_add(1, Ordering::Relaxed));
+            }
+            tag.get()
+        });
+        self.owner
+            .compare_exchange(UNCLAIMED, tag, Ordering::Acquire, Ordering::Relaxed)
+            .ok()
+            .map(|_| Claim {
+                stats: self,
+                thread_bound: PhantomData,
+            })
+    }
+
+    /// Count `n` more of `counter`. A thread that reads its own tag in the
+    /// owner word is the one writer of `own` and needs no locked add. The
+    /// load may be `Relaxed`: only this thread puts its tag there (`claim`)
+    /// and takes it out (the guard's drop), and a thread always reads its
+    /// own latest store.
+    #[inline]
+    pub fn add(&self, counter: Counter, n: u64) {
+        let i = counter as usize;
+        if self.owner.load(Ordering::Relaxed) == TAG.with(Cell::get) {
+            let own = &self.own[i];
+            own.store(own.load(Ordering::Relaxed) + n, Ordering::Relaxed);
+        } else {
+            self.shared[i].fetch_add(n, Ordering::Relaxed);
+        }
+    }
+
+    /// The current value of one counter.
+    #[inline]
+    pub(crate) fn count(&self, counter: Counter) -> u64 {
+        let i = counter as usize;
+        self.own[i].load(Ordering::Relaxed) + self.shared[i].load(Ordering::Relaxed)
+    }
+
     /// Snapshot the counters. A phase is measured as the difference of
     /// two snapshots ([`CommCounts::since`]); the counters only ever grow.
     pub fn snapshot(&self) -> CommCounts {
+        use Counter::*;
         CommCounts {
-            puts: self.puts.load(Ordering::Relaxed),
-            put_bytes: self.put_bytes.load(Ordering::Relaxed),
-            gets: self.gets.load(Ordering::Relaxed),
-            get_bytes: self.get_bytes.load(Ordering::Relaxed),
-            ams_sent: self.ams_sent.load(Ordering::Relaxed),
-            am_bytes: self.am_bytes.load(Ordering::Relaxed),
-            ams_handled: self.ams_handled.load(Ordering::Relaxed),
-            local_ops: self.local_ops.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            wire_drops: self.wire_drops.load(Ordering::Relaxed),
-            dup_arrivals: self.dup_arrivals.load(Ordering::Relaxed),
-            reorders: self.reorders.load(Ordering::Relaxed),
-            agg_ops: self.agg_ops.load(Ordering::Relaxed),
-            agg_batches: self.agg_batches.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_invalidations: self.cache_invalidations.load(Ordering::Relaxed),
+            puts: self.count(Puts),
+            put_bytes: self.count(PutBytes),
+            gets: self.count(Gets),
+            get_bytes: self.count(GetBytes),
+            ams_sent: self.count(AmsSent),
+            am_bytes: self.count(AmBytes),
+            ams_handled: self.count(AmsHandled),
+            local_ops: self.count(LocalOps),
+            retransmits: self.count(Retransmits),
+            wire_drops: self.count(WireDrops),
+            dup_arrivals: self.count(DupArrivals),
+            reorders: self.count(Reorders),
+            agg_ops: self.count(AggOps),
+            agg_batches: self.count(AggBatches),
+            cache_hits: self.count(CacheHits),
+            cache_misses: self.count(CacheMisses),
+            cache_invalidations: self.count(CacheInvalidations),
         }
+    }
+
+    /// `(offset, size)` of the owner word and of the two blocks, for the
+    /// endpoint layout test.
+    #[cfg(test)]
+    pub(crate) fn parts() -> [(usize, usize); 3] {
+        use std::mem::{offset_of, size_of};
+        [
+            (offset_of!(CommStats, owner), size_of::<AtomicU64>()),
+            (offset_of!(CommStats, own), size_of::<Block>()),
+            (offset_of!(CommStats, shared), size_of::<Block>()),
+        ]
     }
 }
 
@@ -188,19 +312,24 @@ mod tests {
 
     #[test]
     fn snapshot_copies_every_counter() {
+        use Counter::*;
         let s = CommStats::default();
         assert_eq!(s.snapshot(), CommCounts::default());
-        s.puts.fetch_add(3, Ordering::Relaxed);
-        s.put_bytes.fetch_add(24, Ordering::Relaxed);
-        s.retransmits.fetch_add(5, Ordering::Relaxed);
-        s.wire_drops.fetch_add(5, Ordering::Relaxed);
-        s.dup_arrivals.fetch_add(2, Ordering::Relaxed);
-        s.reorders.fetch_add(1, Ordering::Relaxed);
-        s.agg_ops.fetch_add(128, Ordering::Relaxed);
-        s.agg_batches.fetch_add(2, Ordering::Relaxed);
-        s.cache_hits.fetch_add(90, Ordering::Relaxed);
-        s.cache_misses.fetch_add(10, Ordering::Relaxed);
-        s.cache_invalidations.fetch_add(4, Ordering::Relaxed);
+        for (counter, n) in [
+            (Puts, 3),
+            (PutBytes, 24),
+            (Retransmits, 5),
+            (WireDrops, 5),
+            (DupArrivals, 2),
+            (Reorders, 1),
+            (AggOps, 128),
+            (AggBatches, 2),
+            (CacheHits, 90),
+            (CacheMisses, 10),
+            (CacheInvalidations, 4),
+        ] {
+            s.add(counter, n);
+        }
         let want = CommCounts {
             puts: 3,
             put_bytes: 24,
@@ -217,10 +346,13 @@ mod tests {
         };
         let base = s.snapshot();
         assert_eq!(base, want);
-        // A phase is the difference of two snapshots.
-        s.wire_drops.fetch_add(2, Ordering::Relaxed);
-        s.agg_ops.fetch_add(64, Ordering::Relaxed);
-        s.cache_hits.fetch_add(10, Ordering::Relaxed);
+        // A phase is the difference of two snapshots, whichever thread
+        // counted: the claimed block and the shared one sum.
+        let claim = s.claim().expect("an unclaimed block");
+        s.add(WireDrops, 2);
+        s.add(AggOps, 64);
+        drop(claim);
+        s.add(CacheHits, 10);
         let phase = CommCounts {
             wire_drops: 2,
             agg_ops: 64,
@@ -228,6 +360,46 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.snapshot().since(&base), phase);
+    }
+
+    #[test]
+    fn one_thread_at_a_time_claims_a_block() {
+        let s = CommStats::default();
+        let claim = s.claim().expect("an unclaimed block");
+        assert!(s.claim().is_none(), "this thread holds it already");
+        std::thread::scope(|scope| {
+            scope.spawn(|| assert!(s.claim().is_none(), "another thread holds it"));
+        });
+        drop(claim);
+        std::thread::scope(|scope| {
+            scope.spawn(|| assert!(s.claim().is_some(), "handed back"));
+        });
+    }
+
+    #[test]
+    fn counts_stay_exact_with_concurrent_writers() {
+        // One thread claims the block and counts with plain stores; three
+        // others add to the same counters at the same time. A thread
+        // taking the plain store without owning the block loses updates.
+        const N: u64 = 1 << 20;
+        let s = CommStats::default();
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for claims in [true, false, false, false] {
+                let (s, start) = (&s, &start);
+                scope.spawn(move || {
+                    let claim = claims.then(|| s.claim().expect("an unclaimed block"));
+                    start.wait();
+                    for _ in 0..N {
+                        s.add(Counter::Puts, 1);
+                        s.add(Counter::PutBytes, 8);
+                    }
+                    drop(claim);
+                });
+            }
+        });
+        let c = s.snapshot();
+        assert_eq!((c.puts, c.put_bytes), (4 * N, 4 * N * 8));
     }
 
     #[test]

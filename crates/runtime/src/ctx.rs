@@ -3,7 +3,9 @@
 use crate::alloc::OutOfSegmentMemory;
 use crate::shared::Shared;
 use rupcxx_check::WaitInfo;
-use rupcxx_net::{AmMessage, AmPayload, BatchReader, Fabric, Frame, GlobalAddr, Rank, TaskFn};
+use rupcxx_net::{
+    AmMessage, AmPayload, BatchReader, Counter, Fabric, Frame, GlobalAddr, Rank, TaskFn,
+};
 use rupcxx_trace::{EventKind, RankTrace, WaitConstruct};
 use rupcxx_util::Bytes;
 use std::any::Any;
@@ -596,7 +598,7 @@ impl Ctx {
             // Remote allocation is mediated by the owner in the paper (an
             // AM round trip); account for that message pair.
             let stats = &self.shared.fabric.endpoint(self.rank).stats;
-            stats.ams_sent.fetch_add(2, Ordering::Relaxed);
+            stats.add(Counter::AmsSent, 2);
         }
         let offset = self.shared.allocators[rank].lock().alloc(bytes)?;
         Ok(GlobalAddr::new(rank, offset))
@@ -614,7 +616,7 @@ impl Ctx {
                 self.rank,
             );
             let stats = &self.shared.fabric.endpoint(self.rank).stats;
-            stats.ams_sent.fetch_add(2, Ordering::Relaxed);
+            stats.add(Counter::AmsSent, 2);
         }
         self.shared.allocators[addr.rank()]
             .lock()

@@ -93,6 +93,9 @@ where
                 .stack_size(8 << 20)
                 .spawn_scoped(scope, move || {
                     let ctx = enter(rank);
+                    // This thread is the rank's counting thread: its
+                    // counter bumps are plain stores until it exits.
+                    let _counting = ctx.fabric().endpoint(rank).stats.claim();
                     let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
                     // Threads of one process share the completion count:
                     // a rank must publish completion even on panic, or

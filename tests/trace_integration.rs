@@ -175,7 +175,7 @@ fn gups_trace_events_match_comm_stats() {
         .delay(0.05);
     let base = || RuntimeConfig::new(RANKS).segment_bytes(1 << 16);
     let prof = |tag| ProfConfig::on().with_path(tmp_path(&format!("{tag}_prof")));
-    let table: [(&str, RuntimeConfig, Extra); 8] = [
+    let table: [(&str, RuntimeConfig, Extra); 9] = [
         ("events", base(), Extra::None),
         ("prof", base().with_prof(prof("prof")), Extra::None),
         (
@@ -202,6 +202,9 @@ fn gups_trace_events_match_comm_stats() {
             Extra::Collectives,
         ),
         ("mpi", base(), Extra::Mpi(MpiWorld::new(RANKS))),
+        // A worker runs the `finish` spawn and sends its rank's ack: the
+        // counts of two threads of one rank.
+        ("progress", base().with_progress_thread(), Extra::None),
     ];
     for (tag, cfg, extra) in table {
         let trace_path = tmp_path(tag);
