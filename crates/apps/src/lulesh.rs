@@ -520,9 +520,10 @@ mod pgas {
             let pq_g = LocalGrid::<f64, 3>::new(ctx, &pq_arr);
             for i in 0..ei {
                 for j in 0..ei {
+                    let pq = pq_g.row(lo[0] + i, lo[1] + j);
                     for k in 0..ei {
                         let c = st.idx(i as usize + 1, j as usize + 1, k as usize + 1);
-                        pq_g.put(lo[0] + i, lo[1] + j, lo[2] + k, st.p[c] + st.q[c]);
+                        pq.set(lo[2] + k, st.p[c] + st.q[c]);
                     }
                 }
             }
@@ -554,36 +555,35 @@ mod pgas {
             let mut max_cs: f64 = 0.0;
             for li in 1..=edge {
                 for lj in 1..=edge {
+                    let (gi, gj) = (lo[0] + li as i64 - 1, lo[1] + lj as i64 - 1);
+                    // Every row the cell reads or writes, resolved once
+                    // per (i, j); `k` runs innermost.
+                    let pq = pq_g.row(gi, gj);
+                    let (pq_ip, pq_im) = (pq_g.row(gi + 1, gj), pq_g.row(gi - 1, gj));
+                    let (pq_jp, pq_jm) = (pq_g.row(gi, gj + 1), pq_g.row(gi, gj - 1));
+                    let (u, u_ip, u_im) =
+                        (u_g.row(gi, gj), u_g.row(gi + 1, gj), u_g.row(gi - 1, gj));
+                    let (v, v_jp, v_jm) =
+                        (v_g.row(gi, gj), v_g.row(gi, gj + 1), v_g.row(gi, gj - 1));
+                    let w = w_g.row(gi, gj);
+                    let (un, vn, wn) = (un_g.row(gi, gj), vn_g.row(gi, gj), wn_g.row(gi, gj));
                     for lk in 1..=edge {
                         let c = st.idx(li, lj, lk);
-                        let (gi, gj, gk) = (
-                            lo[0] + li as i64 - 1,
-                            lo[1] + lj as i64 - 1,
-                            lo[2] + lk as i64 - 1,
-                        );
-                        let ax = -(pq_g.at(gi + 1, gj, gk) - pq_g.at(gi - 1, gj, gk)) * inv2dx
-                            / st.rho[c];
-                        let ay = -(pq_g.at(gi, gj + 1, gk) - pq_g.at(gi, gj - 1, gk)) * inv2dx
-                            / st.rho[c];
-                        let az = -(pq_g.at(gi, gj, gk + 1) - pq_g.at(gi, gj, gk - 1)) * inv2dx
-                            / st.rho[c];
-                        un_g.put(gi, gj, gk, u_g.at(gi, gj, gk) + dt * ax);
-                        vn_g.put(gi, gj, gk, v_g.at(gi, gj, gk) + dt * ay);
-                        wn_g.put(gi, gj, gk, w_g.at(gi, gj, gk) + dt * az);
-                        let div = (u_g.at(gi + 1, gj, gk) - u_g.at(gi - 1, gj, gk)
-                            + v_g.at(gi, gj + 1, gk)
-                            - v_g.at(gi, gj - 1, gk)
-                            + w_g.at(gi, gj, gk + 1)
-                            - w_g.at(gi, gj, gk - 1))
+                        let gk = lo[2] + lk as i64 - 1;
+                        let ax = -(pq_ip.get(gk) - pq_im.get(gk)) * inv2dx / st.rho[c];
+                        let ay = -(pq_jp.get(gk) - pq_jm.get(gk)) * inv2dx / st.rho[c];
+                        let az = -(pq.get(gk + 1) - pq.get(gk - 1)) * inv2dx / st.rho[c];
+                        un.set(gk, u.get(gk) + dt * ax);
+                        vn.set(gk, v.get(gk) + dt * ay);
+                        wn.set(gk, w.get(gk) + dt * az);
+                        let div = (u_ip.get(gk) - u_im.get(gk) + v_jp.get(gk) - v_jm.get(gk)
+                            + w.get(gk + 1)
+                            - w.get(gk - 1))
                             * inv2dx;
                         new_rho[c] = (st.rho[c] - dt * st.rho[c] * div).max(1e-10);
                         new_en[c] =
                             (st.en[c] - dt * (st.p[c] + st.q[c]) * div / st.rho[c]).max(1e-12);
-                        let (nu, nv, nw) = (
-                            un_g.at(gi, gj, gk),
-                            vn_g.at(gi, gj, gk),
-                            wn_g.at(gi, gj, gk),
-                        );
+                        let (nu, nv, nw) = (un.get(gk), vn.get(gk), wn.get(gk));
                         let speed = (nu * nu + nv * nv + nw * nw).sqrt();
                         max_speed = max_speed.max(speed);
                         st.q[c] = if div < 0.0 {
@@ -622,14 +622,12 @@ mod pgas {
         let mut local_speed: f64 = 0.0;
         for li in 1..=edge {
             for lj in 1..=edge {
+                let (gi, gj) = (lo[0] + li as i64 - 1, lo[1] + lj as i64 - 1);
+                let (u_row, v_row, w_row) = (u_g.row(gi, gj), v_g.row(gi, gj), w_g.row(gi, gj));
                 for lk in 1..=edge {
                     let c = st.idx(li, lj, lk);
-                    let (gi, gj, gk) = (
-                        lo[0] + li as i64 - 1,
-                        lo[1] + lj as i64 - 1,
-                        lo[2] + lk as i64 - 1,
-                    );
-                    let (u, v, w) = (u_g.at(gi, gj, gk), v_g.at(gi, gj, gk), w_g.at(gi, gj, gk));
+                    let gk = lo[2] + lk as i64 - 1;
+                    let (u, v, w) = (u_row.get(gk), v_row.get(gk), w_row.get(gk));
                     local_energy +=
                         st.rho[c] * st.en[c] + 0.5 * st.rho[c] * (u * u + v * v + w * w);
                     local_speed = local_speed.max((u * u + v * v + w * w).sqrt());

@@ -361,12 +361,17 @@ mod tests {
         // it asks for the second. From `pushed = k` until `second = k`
         // the round's second message is queued — an arrival, in the run
         // queue, or mid-takeover — so an observer that brackets a `len()`
-        // call inside that window must never read 0.
+        // call inside that window must never read 0. Every `HOLD`th round
+        // the consumer holds the window open after its first pop until the
+        // observer has sampled that round, so some samples land inside a
+        // window however the threads are scheduled (one core included).
         const ROUNDS: u64 = 100_000;
+        const HOLD: u64 = 64;
         let q = Arc::new(Inbox::new());
         let pushed = Arc::new(AtomicU64::new(0));
         let second = Arc::new(AtomicU64::new(0));
         let popped = Arc::new(AtomicU64::new(0));
+        let sampled = Arc::new(AtomicU64::new(0));
         let stop = Arc::new(AtomicBool::new(false));
         let producer = {
             let (q, pushed, popped) = (q.clone(), pushed.clone(), popped.clone());
@@ -382,14 +387,24 @@ mod tests {
             })
         };
         let consumer = {
-            let (q, pushed, second, popped) =
-                (q.clone(), pushed.clone(), second.clone(), popped.clone());
+            let (q, pushed, second, popped, sampled) = (
+                q.clone(),
+                pushed.clone(),
+                second.clone(),
+                popped.clone(),
+                sampled.clone(),
+            );
             std::thread::spawn(move || {
                 for k in 1..=ROUNDS {
                     while pushed.load(Ordering::SeqCst) < k {
                         std::thread::yield_now();
                     }
                     assert_eq!(q.pop(), Some(2 * k - 1));
+                    if k % HOLD == 0 {
+                        while sampled.load(Ordering::SeqCst) < k {
+                            std::thread::yield_now();
+                        }
+                    }
                     second.store(k, Ordering::SeqCst);
                     assert_eq!(q.pop(), Some(2 * k));
                     popped.store(k, Ordering::SeqCst);
@@ -397,8 +412,13 @@ mod tests {
             })
         };
         let observer = {
-            let (q, pushed, second, stop) =
-                (q.clone(), pushed.clone(), second.clone(), stop.clone());
+            let (q, pushed, second, sampled, stop) = (
+                q.clone(),
+                pushed.clone(),
+                second.clone(),
+                sampled.clone(),
+                stop.clone(),
+            );
             std::thread::spawn(move || {
                 let mut windows = 0u64;
                 while !stop.load(Ordering::SeqCst) {
@@ -411,6 +431,8 @@ mod tests {
                         assert!(!empty, "is_empty() in round {k}");
                         windows += 1;
                     }
+                    // Round `k` has been sampled: a held round may close.
+                    sampled.store(k, Ordering::SeqCst);
                     // On one core, let the round the observer is watching
                     // get on with it.
                     std::thread::yield_now();
@@ -424,7 +446,8 @@ mod tests {
         let windows = observer.join().unwrap();
         assert!(q.is_empty());
         // Not a correctness condition, but a run where the observer never
-        // caught a queued message has checked nothing.
+        // caught a queued message has checked nothing. Every held round
+        // gives at least one.
         assert!(windows > 0, "observer never sampled inside a window");
     }
 }

@@ -221,6 +221,25 @@ impl Segment {
         partial(tail, len - tail);
     }
 
+    /// The `n` words starting at the aligned byte `offset`, checked once
+    /// for alignment and bounds. An element access through the slice is
+    /// then a slice index plus a relaxed atomic — the same load or store
+    /// [`Segment::load_u64`]/[`Segment::store_u64`] make, so a racing read
+    /// still sees some written value.
+    #[inline]
+    #[must_use]
+    pub fn words(&self, offset: usize, n: usize) -> &[AtomicU64] {
+        assert!(
+            offset.is_multiple_of(8)
+                && n.checked_mul(8)
+                    .and_then(|b| offset.checked_add(b))
+                    .is_some_and(|end| end <= self.len),
+            "segment words misaligned or out of bounds: offset {offset} words {n} segment {}",
+            self.len
+        );
+        &self.words[offset / 8..][..n]
+    }
+
     /// Raw pointer to the aligned word at `offset`, bounds-checked for
     /// `bytes` addressable bytes behind it. This is the privatization
     /// escape hatch under `GlobalPtr::local_slice` and friends: the word
@@ -437,6 +456,32 @@ mod tests {
     fn privatize_ptr_checks_alignment() {
         let s = Segment::new(16);
         let _ = s.privatize_ptr(4, 8);
+    }
+
+    #[test]
+    fn words_alias_the_word_accessors() {
+        let s = Segment::new(32);
+        s.store_u64(8, 77);
+        let w = s.words(8, 3);
+        assert_eq!(w.len(), 3);
+        assert_eq!(w[0].load(Ordering::Relaxed), 77);
+        w[2].store(99, Ordering::Relaxed);
+        assert_eq!(s.load_u64(24), 99);
+        assert!(s.words(32, 0).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn words_check_bounds() {
+        let s = Segment::new(32);
+        let _ = s.words(8, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "misaligned")]
+    fn words_check_alignment() {
+        let s = Segment::new(32);
+        let _ = s.words(4, 1);
     }
 
     #[test]

@@ -51,6 +51,34 @@ fn stencil_2x2x2_both_variants_match_reference() {
     }
 }
 
+/// At the ledger's `halo` size the two compute paths give the same bits,
+/// and those bits are the ones the point-at-a-time loop gave: the row
+/// loop keeps the summation order.
+#[test]
+fn stencil_variants_agree_bit_for_bit_at_the_halo_size() {
+    let reference = stencil::serial_reference((32, 16, 16), 250, 0.1);
+    let checksum = |variant| {
+        let out = spmd(cfg(2), move |ctx| {
+            stencil::run(
+                ctx,
+                &stencil::StencilConfig {
+                    local_edge: 16,
+                    grid: (2, 1, 1),
+                    iters: 250,
+                    variant,
+                    c: 0.1,
+                },
+            )
+        });
+        out[0].checksum
+    };
+    let optimized = checksum(stencil::Variant::Optimized);
+    let generic = checksum(stencil::Variant::Generic);
+    assert_eq!(optimized.to_bits(), generic.to_bits());
+    assert_eq!(optimized.to_bits(), 0x691072d2dfcfa642);
+    assert!((optimized - reference).abs() < 1e-9 * reference.abs().max(1.0));
+}
+
 #[test]
 fn sample_sort_scales_of_ranks_and_seeds() {
     for ranks in [2usize, 4] {
