@@ -19,9 +19,10 @@
 //!   the runtime force-flushes at a completion point (`advance()`,
 //!   `fence()`, `barrier()`, `async_copy_fence`, `agg_fence()`, and every
 //!   blocking wait but the window's own);
-//! * the receiver pops the batch from its inbox **once** and dispatches
-//!   the frames in order, so queue, allocation, stats and trace costs are
-//!   paid per batch, not per operation;
+//! * the receiver pops the batch from its inbox **once** and applies it
+//!   with [`Fabric::apply_batch`], which runs the frames in packed order,
+//!   so queue, allocation, stats and trace costs are paid per batch, not
+//!   per operation;
 //! * the reliable/fault layer sees the batch as a single sequenced frame:
 //!   a retransmit redelivers the whole batch exactly once, and per-link
 //!   FIFO order is preserved.
@@ -260,6 +261,16 @@ impl<'a> BatchReader<'a> {
             code => Frame::Rma(RmaOp::decode(code, &mut self.cur)?),
         }))
     }
+
+    /// The next frame, if it is a whole xor/add word update: consumed and
+    /// returned as `(op, target, operand)`. Anything else is left for
+    /// [`Iterator::next`].
+    #[inline(always)]
+    fn next_word(&mut self) -> Option<(RmwOp, GlobalAddr, u64)> {
+        let (op, addr, a, rest) = RmaOp::split_word(self.cur.rest())?;
+        self.cur = Cursor::new(rest);
+        Some((op, addr, a))
+    }
 }
 
 impl<'a> Iterator for BatchReader<'a> {
@@ -290,9 +301,9 @@ pub(crate) fn validate_batch(frames: &[u8], me: Rank, seg_bytes: usize) -> Resul
 /// The first handler frame of a batch whose id is not below `registered`
 /// (the receiver's handler count), if any: the check [`validate_batch`]
 /// cannot make, which the runtime makes before it applies a batch that
-/// came off a socket. It lives here because a second user of
-/// [`BatchReader`] in the runtime's crate costs the apply loop there its
-/// inlining (`gups_agg` −24 %).
+/// came off a socket. Only the runtime knows how many handlers it has,
+/// and it asks before [`Fabric::apply_batch`] runs the first frame, so a
+/// refused batch leaves the segment as it was.
 pub fn unregistered_handler(frames: &[u8], registered: usize) -> Option<u16> {
     BatchReader::new(frames).find_map(|frame| match frame {
         Frame::Handler { id, .. } if id as usize >= registered => Some(id),
@@ -478,6 +489,52 @@ impl Fabric {
         self.rma_buffered(initiator, &RmaOp::Put { addr: dst, data })
     }
 
+    /// Apply the batch `frames` that `src` sent `me`, frame by frame in
+    /// packed order: the receiver's one apply loop. Segment frames update
+    /// `me`'s segment; handler frames go to `on_handler` with their id and
+    /// args (a shared view of `frames`, no copy), so a handler sees every
+    /// frame packed before it applied and none packed after.
+    ///
+    /// Without a checker, xor/add word frames — the whole stream of an
+    /// aggregated GUPS — are decoded straight onto the segment's atomic,
+    /// which asserts bounds and alignment as on every path. Every other
+    /// frame, and every frame under the checker (which records each one
+    /// as an access by `src` at `clock`), goes through [`BatchReader`] and
+    /// [`Fabric::apply_frame`]. A malformed batch panics ("malformed batch
+    /// payload"); one that arrived over a conduit has been through
+    /// `validate_batch`.
+    pub fn apply_batch(
+        &self,
+        me: Rank,
+        src: Rank,
+        clock: Option<&rupcxx_check::Stamp>,
+        frames: &Bytes,
+        mut on_handler: impl FnMut(u16, Bytes),
+    ) {
+        let seg = &self.endpoints[me].segment;
+        let straight = self.check.is_none();
+        let mut reader = BatchReader::new(frames);
+        loop {
+            if straight {
+                if let Some((op, addr, a)) = reader.next_word() {
+                    debug_assert_eq!(addr.rank(), me, "frame for another rank");
+                    match op {
+                        RmwOp::Xor => seg.fetch_xor_u64(addr.offset(), a),
+                        _ => seg.fetch_add_u64(addr.offset(), a),
+                    };
+                    continue;
+                }
+            }
+            match reader.next() {
+                None => break,
+                Some(Frame::Handler { id, args }) => on_handler(id, frames.slice_ref(args)),
+                Some(frame) => {
+                    self.apply_frame(me, src, clock, &frame);
+                }
+            }
+        }
+    }
+
     /// Apply one segment-level frame on `me`'s own segment (the receiver
     /// side of batch dispatch). Returns `false` for [`Frame::Handler`],
     /// which the caller must route through its handler registry.
@@ -519,8 +576,8 @@ mod tests {
         })
     }
 
-    /// Receiver-side dispatch for tests: pop everything, apply segment
-    /// frames, return handler ids in arrival order.
+    /// Receiver-side dispatch for tests: pop everything, apply batches
+    /// through `Fabric::apply_batch`, return handler ids in arrival order.
     fn dispatch_all(f: &Fabric, me: Rank) -> Vec<u16> {
         let mut ids = Vec::new();
         for AmMessage {
@@ -533,16 +590,9 @@ mod tests {
             match payload {
                 AmPayload::Handler { id, .. } => ids.push(id),
                 AmPayload::Batch { frames, count } => {
-                    let mut seen = 0;
-                    for frame in BatchReader::new(&frames) {
-                        seen += 1;
-                        if let Frame::Handler { id, .. } = frame {
-                            ids.push(id);
-                        } else {
-                            assert!(f.apply_frame(me, src, clock.as_ref(), &frame));
-                        }
-                    }
-                    assert_eq!(seen, count, "batch count must match its frames");
+                    let seen = BatchReader::new(&frames).count();
+                    assert_eq!(seen, count as usize, "batch count must match its frames");
+                    f.apply_batch(me, src, clock.as_ref(), &frames, |id, _| ids.push(id));
                 }
                 AmPayload::Task(_) => panic!("unexpected task payload"),
             }
@@ -777,6 +827,60 @@ mod tests {
         let c = f.endpoint(0).stats.snapshot();
         assert_eq!((c.agg_ops, c.agg_batches), (2 * PER, batches));
         assert_eq!(batches, (2 * PER).div_ceil(SLAB_FRAMES as u64));
+    }
+
+    #[test]
+    fn apply_batch_runs_the_frames_in_packed_order() {
+        // Word updates, puts and handler frames interleaved: each handler
+        // sees the frames packed before it applied and none packed after,
+        // on the straight decode (no checker) and under the checker alike.
+        for check in [None, Some(rupcxx_check::CheckConfig::race())] {
+            let f = Fabric::new(FabricConfig {
+                ranks: 2,
+                segment_bytes: 4096,
+                check,
+                agg: Some(AggConfig::new()),
+                ..FabricConfig::default()
+            });
+            let at = |offset| GlobalAddr::new(1, offset);
+            f.xor_u64_buffered(0, at(0), 0b01);
+            f.add_u64_buffered(0, at(8), 5);
+            f.put_buffered(0, at(16), &7u64.to_le_bytes());
+            f.am_buffered(0, 1, 1, &[1, 1]);
+            f.xor_u64_buffered(0, at(0), 0b10);
+            f.add_u64_buffered(0, at(8), 10);
+            f.am_buffered(0, 1, 2, &[2]);
+            f.put_buffered(0, at(16), &9u64.to_le_bytes());
+            assert_eq!(f.flush_agg(0), 1);
+            let msg = f.endpoint(1).try_recv().expect("the batch");
+            let AmPayload::Batch { frames, count: 8 } = &msg.payload else {
+                panic!("not the eight-frame batch");
+            };
+            let seg = &f.endpoint(1).segment;
+            let words = || [0, 8, 16].map(|offset| seg.load_u64(offset));
+            let mut seen = Vec::new();
+            f.apply_batch(1, msg.src, msg.clock.as_ref(), frames, |id, args| {
+                seen.push((id, args.to_vec(), words()));
+            });
+            assert_eq!(
+                seen,
+                [(1, vec![1, 1], [0b01, 5, 7]), (2, vec![2], [0b11, 15, 7])]
+            );
+            assert_eq!(words(), [0b11, 15, 9]);
+        }
+        // A batch cut inside a word frame is refused, not skipped.
+        let f = agg_fabric(2);
+        let mut cut = Vec::new();
+        RmaOp::rmw(GlobalAddr::new(1, 0), RmwOp::Xor, 1, 0).encode(&mut cut);
+        RmaOp::rmw(GlobalAddr::new(1, 8), RmwOp::Xor, 1, 0).encode(&mut cut);
+        cut.pop();
+        let cut = Bytes::copy_from_slice(&cut);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            f.apply_batch(1, 0, None, &cut, |_, _| {});
+        }))
+        .expect_err("a truncated word frame must not apply");
+        let why = refused.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(why.contains("malformed batch payload"), "{why}");
     }
 
     #[test]

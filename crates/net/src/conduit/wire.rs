@@ -251,6 +251,11 @@ impl<'a> Cursor<'a> {
         self.buf.is_empty()
     }
 
+    /// The bytes not read yet.
+    pub(crate) fn rest(&self) -> &'a [u8] {
+        self.buf
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         let (head, rest) = self.buf.split_at_checked(n).ok_or(WireError::Truncated)?;
         self.buf = rest;

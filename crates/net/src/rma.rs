@@ -181,6 +181,9 @@ const OP_PUT_STRIDED: u8 = 5;
 const OP_GET: u8 = 6;
 const OP_GET_STRIDED: u8 = 7;
 
+/// Bytes of a packed xor/add frame: op code, address word, operand.
+const WORD_FRAME: usize = 17;
+
 impl<'a> RmaOp<'a> {
     #[inline]
     pub(crate) fn rmw(addr: GlobalAddr, op: RmwOp, a: u64, b: u64) -> Self {
@@ -354,14 +357,14 @@ impl<'a> RmaOp<'a> {
                 // `extend_from_slice`: a single capacity check, and the
                 // copy lowers to two unaligned 8-byte stores plus a byte
                 // (the aggregation layer's per-update pack cost).
-                let mut frame = [0u8; 17];
+                let mut frame = [0u8; WORD_FRAME];
                 frame[0] = match op {
                     RmwOp::Xor => OP_XOR,
                     RmwOp::Add => OP_ADD,
                     RmwOp::Cas => OP_CAS,
                 };
                 frame[1..9].copy_from_slice(&addr.to_le_bytes());
-                frame[9..17].copy_from_slice(&a.to_le_bytes());
+                frame[9..].copy_from_slice(&a.to_le_bytes());
                 buf.extend_from_slice(&frame);
                 if op == RmwOp::Cas {
                     wire::put_u64(buf, b);
@@ -436,6 +439,23 @@ impl<'a> RmaOp<'a> {
             }
             other => Err(WireError::UnknownTag(other)),
         }
+    }
+
+    /// The xor/add word update packed whole at the head of `bytes`, as
+    /// `(op, target, operand, the bytes after it)`; `None` for any other
+    /// op code or a frame cut short, which [`RmaOp::decode`] reads (or
+    /// refuses). The batch apply loop's straight path: no `Result`, no
+    /// descriptor, three loads.
+    #[inline(always)]
+    pub(crate) fn split_word(bytes: &[u8]) -> Option<(RmwOp, GlobalAddr, u64, &[u8])> {
+        let (frame, rest) = bytes.split_first_chunk::<WORD_FRAME>()?;
+        let op = match frame[0] {
+            OP_XOR => RmwOp::Xor,
+            OP_ADD => RmwOp::Add,
+            _ => return None,
+        };
+        let word = |at: usize| u64::from_le_bytes(frame[at..at + 8].try_into().expect("8 bytes"));
+        Some((op, GlobalAddr::from_packed(word(1)), word(9), rest))
     }
 
     /// Check an op that arrived as bytes against the receiver's own
@@ -520,8 +540,11 @@ mod tests {
         /// `rma_arrived`, the receiver's half of a conduit round trip.
         Wire,
         /// Rank 0 through the aggregation layer: buffered entry point →
-        /// batch AM → `BatchReader` → `apply_frame`.
+        /// batch AM → `Fabric::apply_batch`, the loop the runtime runs.
         Batch,
+        /// `Batch` with no checker: `apply_batch`'s straight decode of
+        /// word frames onto the segment's atomics.
+        BareBatch,
     }
 
     /// One row: an op on rank 1, and what the checker must see of it.
@@ -642,7 +665,8 @@ mod tests {
         out: Vec<u8>,
     }
 
-    /// Three ranks with the race checker on (off for `Bare`). Rank 2
+    /// Three ranks with the race checker on (off for `Bare` and
+    /// `BareBatch`). Rank 2
     /// exists to write all of rank 1's segment, unsynchronized, before the
     /// op runs: every span the op then records races with that write, so
     /// the checker's findings list exactly the access records the op
@@ -653,15 +677,16 @@ mod tests {
             drop_ppm: 500_000,
             ..LinkRule::default()
         };
+        let bare = matches!(path, Path::Bare | Path::BareBatch);
         let f = Fabric::new(FabricConfig {
             ranks: 3,
             segment_bytes: SEG,
-            check: (path != Path::Bare).then(|| CheckConfig::race().with_sink(sink.clone())),
-            agg: (path == Path::Batch).then(AggConfig::new),
+            check: (!bare).then(|| CheckConfig::race().with_sink(sink.clone())),
+            agg: matches!(path, Path::Batch | Path::BareBatch).then(AggConfig::new),
             faults: (path == Path::Faulty).then(|| FaultPlan::new(2).link(0, 1, lossy)),
             ..FabricConfig::default()
         });
-        assert_eq!(f.endpoint(0).rma_fast, path == Path::Bare, "{path:?}");
+        assert_eq!(f.endpoint(0).rma_fast, bare, "{path:?}");
         f.put(2, GlobalAddr::new(1, 0), &[0u8; SEG]);
         let seg = &f.endpoint(1).segment;
         for word in 0..SEG / 8 {
@@ -689,7 +714,7 @@ mod tests {
                 op.validate(1, SEG).expect(row.name);
                 f.rma_arrived(1, 0, stamp.as_ref(), &op, Site::Wire, &mut out)
             }
-            Path::Batch => {
+            Path::Batch | Path::BareBatch => {
                 let sent = match *op {
                     RmaOp::Put { addr, data } => f.put_buffered(0, addr, data),
                     RmaOp::Rmw {
@@ -707,9 +732,11 @@ mod tests {
                 let AmPayload::Batch { frames, count: 1 } = &msg.payload else {
                     panic!("{}: not a one-frame batch", row.name);
                 };
-                let frame = BatchReader::new(frames).next().unwrap();
-                assert_eq!(frame, Frame::Rma(*op), "{}: batch codec", row.name);
-                assert!(f.apply_frame(1, msg.src, msg.clock.as_ref(), &frame));
+                let decoded: Vec<Frame<'_>> = BatchReader::new(frames).collect();
+                assert_eq!(decoded, [Frame::Rma(*op)], "{}: batch codec", row.name);
+                f.apply_batch(1, msg.src, msg.clock.as_ref(), frames, |id, _| {
+                    panic!("{}: handler frame {id}", row.name)
+                });
                 (true, 0)
             }
         };
@@ -742,13 +769,14 @@ mod tests {
                 (Path::Faulty, 0, 0),
                 (Path::Wire, 1, 0),
                 (Path::Batch, 2, 0),
+                (Path::BareBatch, 2, 0),
             ] {
                 let label = row.labels[site];
                 if label.is_empty() {
                     continue;
                 }
                 let (mut outcome, counts, findings) = run(&row, path);
-                if path == Path::Batch {
+                if matches!(path, Path::Batch | Path::BareBatch) {
                     // A buffered update returns nothing to the caller.
                     outcome.result = reference.result;
                 }
@@ -781,7 +809,7 @@ mod tests {
                         retransmits: lost,
                         ..CommCounts::default()
                     },
-                    Path::Batch => CommCounts {
+                    Path::Batch | Path::BareBatch => CommCounts {
                         agg_ops: 1,
                         agg_batches: 1,
                         ams_sent: 1,
@@ -791,7 +819,7 @@ mod tests {
                     },
                 };
                 assert_eq!(counts, want, "{} over {path:?}: counts", row.name);
-                if path == Path::Bare {
+                if matches!(path, Path::Bare | Path::BareBatch) {
                     assert!(findings.is_empty(), "{}: {findings:#?}", row.name);
                     continue;
                 }

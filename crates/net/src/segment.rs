@@ -25,9 +25,15 @@ pub struct Segment {
 impl Segment {
     /// Create a zero-initialized segment of `len` bytes (rounded up to a
     /// whole number of 8-byte words).
+    ///
+    /// The words come from one zeroed allocation, so a large segment is
+    /// fresh pages from the OS that nobody writes: a page costs memory
+    /// when the job first touches it, not when the fabric is built.
     pub fn new(len: usize) -> Self {
         let nwords = len.div_ceil(8);
-        let words = (0..nwords).map(|_| AtomicU64::new(0)).collect();
+        // SAFETY: an `AtomicU64` has the size and bit validity of a `u64`,
+        // so all-zero bytes are a valid `AtomicU64` (holding 0).
+        let words = unsafe { Box::<[AtomicU64]>::new_zeroed_slice(nwords).assume_init() };
         Segment { words, len }
     }
 
@@ -482,6 +488,30 @@ mod tests {
     fn words_check_alignment() {
         let s = Segment::new(32);
         let _ = s.words(4, 1);
+    }
+
+    /// Resident bytes of this process: `/proc/self/statm`'s second field,
+    /// counted in 4 KiB pages.
+    #[cfg(target_os = "linux")]
+    fn resident_bytes() -> usize {
+        let statm = std::fs::read_to_string("/proc/self/statm").expect("statm");
+        let pages: usize = statm.split_whitespace().nth(1).unwrap().parse().unwrap();
+        pages * 4096
+    }
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn a_segment_costs_the_pages_it_touches() {
+        const LEN: usize = 256 << 20;
+        let before = resident_bytes();
+        let s = Segment::new(LEN);
+        let grew = resident_bytes().saturating_sub(before);
+        assert!(grew < 16 << 20, "building it made {grew} bytes resident");
+        for offset in [0, LEN - 8] {
+            assert_eq!(s.load_u64(offset), 0);
+            s.store_u64(offset, !offset as u64);
+            assert_eq!(s.load_u64(offset), !offset as u64);
+        }
     }
 
     #[test]

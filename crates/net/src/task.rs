@@ -173,6 +173,15 @@ mod tests {
             unsafe { System.alloc(layout) }
         }
 
+        // Forwarded, not left to the default (`alloc` + a memset): a
+        // segment's zeroed words must stay untouched pages in this binary
+        // too (`segment::tests::a_segment_costs_the_pages_it_touches`).
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            let _ = BYTES.try_with(|b| b.set(b.get() + layout.size()));
+            // SAFETY: as for `alloc`.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
             // SAFETY: `ptr` came from `System` with `layout`.
             unsafe { System.dealloc(ptr, layout) }

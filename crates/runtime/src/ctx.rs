@@ -3,9 +3,7 @@
 use crate::alloc::OutOfSegmentMemory;
 use crate::shared::Shared;
 use rupcxx_check::WaitInfo;
-use rupcxx_net::{
-    AmMessage, AmPayload, BatchReader, Counter, Fabric, Frame, GlobalAddr, Rank, TaskFn,
-};
+use rupcxx_net::{AmMessage, AmPayload, Counter, Fabric, GlobalAddr, Rank, TaskFn};
 use rupcxx_trace::{EventKind, RankTrace, WaitConstruct};
 use rupcxx_util::Bytes;
 use std::any::Any;
@@ -273,25 +271,20 @@ impl Ctx {
             AmPayload::Batch { frames, .. }
                 if self.shared.fabric.is_remote() && self.names_unknown_handler(src, &frames) => {}
             AmPayload::Batch { frames, .. } => {
-                // One inbox pop carries many logical ops: apply RMA
-                // frames to our segment, dispatch handler frames in the
-                // order the sender buffered them.
+                // One inbox pop carries many logical ops, run in the order
+                // the sender buffered them.
                 let _holding_the_senders_slab = Applying::begin();
-                for frame in BatchReader::new(&frames) {
-                    if let Frame::Handler { id, args } = frame {
-                        // Re-window the batch buffer around this frame's
-                        // args: the handler sees a shared view, no copy.
-                        let bytes = frames.slice_ref(args);
-                        match self.shared.handlers.get(id) {
-                            Some(handler) => handler(self, src, bytes),
-                            None => self.unknown_handler(src, id),
-                        }
-                    } else {
-                        self.shared
-                            .fabric
-                            .apply_frame(self.rank, src, clock.as_ref(), &frame);
-                    }
-                }
+                let fabric = &self.shared.fabric;
+                fabric.apply_batch(
+                    self.rank,
+                    src,
+                    clock.as_ref(),
+                    &frames,
+                    |id, args| match self.shared.handlers.get(id) {
+                        Some(handler) => handler(self, src, args),
+                        None => self.unknown_handler(src, id),
+                    },
+                );
             }
         }
         SERVING.with(|s| s.set(nested));

@@ -10,9 +10,7 @@
 //! counterexample.
 
 use rupcxx_net::aggregate::AGG_MAX_PUT;
-use rupcxx_net::{
-    AggConfig, AmPayload, BatchReader, Fabric, FabricConfig, FaultPlan, Frame, GlobalAddr,
-};
+use rupcxx_net::{AggConfig, AmPayload, Fabric, FabricConfig, FaultPlan, GlobalAddr};
 use rupcxx_util::prop as proptest;
 use rupcxx_util::prop::prelude::*;
 use rupcxx_util::Bytes;
@@ -89,13 +87,7 @@ fn drain_rank(f: &Fabric, me: usize) -> Option<Vec<u16>> {
             match m.payload {
                 AmPayload::Handler { id, .. } => got.push(id),
                 AmPayload::Batch { frames, .. } => {
-                    for frame in BatchReader::new(&frames) {
-                        if let Frame::Handler { id, .. } = frame {
-                            got.push(id);
-                        } else {
-                            f.apply_frame(me, src, clock.as_ref(), &frame);
-                        }
-                    }
+                    f.apply_batch(me, src, clock.as_ref(), &frames, |id, _| got.push(id));
                 }
                 AmPayload::Task(_) => unreachable!("no tasks in this schedule"),
             }

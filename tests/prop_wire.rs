@@ -26,7 +26,7 @@
 use rupcxx_check::Stamp;
 use rupcxx_net::conduit::wire::{self, WireError, WireFrame};
 use rupcxx_net::rma::RmwOp;
-use rupcxx_net::{AggConfig, AmPayload, BatchReader, Fabric, FabricConfig, GlobalAddr, RmaOp};
+use rupcxx_net::{AggConfig, AmPayload, Fabric, FabricConfig, GlobalAddr, RmaOp};
 use rupcxx_trace::ProfSpan;
 use rupcxx_util::prop::collection::vec;
 use rupcxx_util::prop::prelude::*;
@@ -371,9 +371,9 @@ fn steady_state_packing_recycles_its_slabs() {
             let AmPayload::Batch { frames, .. } = msg.payload else {
                 panic!("only batches were sent");
             };
-            for frame in BatchReader::new(&frames) {
-                assert!(f.apply_frame(1, msg.src, None, &frame));
-            }
+            f.apply_batch(1, msg.src, None, &frames, |id, _| {
+                panic!("handler frame {id}")
+            });
         }
     };
     (0..2).for_each(cycle); // warm-up: slabs and queue capacity
