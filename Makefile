@@ -7,9 +7,9 @@ CARGO ?= cargo
 # each fully reproducible (see README "Robustness").
 CHAOS_SEEDS ?= 101 202 303
 
-.PHONY: ci fmt clippy test chaos check-race prof-smoke explore-smoke conduit-smoke ledger-smoke ab flake asan
+.PHONY: ci fmt clippy test chaos check-race prof-smoke explore-smoke conduit-smoke ledger-smoke examples ab flake asan
 
-ci: fmt clippy test chaos check-race prof-smoke explore-smoke conduit-smoke ledger-smoke
+ci: fmt clippy test chaos check-race prof-smoke explore-smoke conduit-smoke ledger-smoke examples
 
 fmt:
 	$(CARGO) fmt --all --check
@@ -76,6 +76,13 @@ conduit-smoke:
 # never comparable; the file lands in target/ledger/.
 ledger-smoke:
 	$(CARGO) run --release --offline --manifest-path crates/bench/src/bin/ledger/Cargo.toml -- run --quick --out target/ledger/smoke.json
+
+# The examples gate: the two `DistArray` programs run to completion.
+# Each asserts its own result (monotone heat decay; global and per-team
+# sums) and exits non-zero on a mismatch.
+examples:
+	$(CARGO) run -q --example heat_equation
+	$(CARGO) run -q --example teams_and_dist
 
 # A/B ledger workloads between HEAD~1 and HEAD (or AB_BASE / AB_NEW;
 # `.` = the working tree): `make ab W=get_cached [PAIRS=10]`, a list

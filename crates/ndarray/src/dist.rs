@@ -23,6 +23,8 @@ pub struct DistArray<T: Pod, const N: usize> {
     global: RectDomain<N>,
     pgrid: [usize; N],
     ghost: i64,
+    /// The calling rank, which owns `parts[rank]`.
+    rank: Rank,
     /// Directory of every rank's block (domain = interior ∪ ghosts).
     parts: Vec<NdArray<T, N>>,
     /// This rank's interior (ghost-free) domain.
@@ -90,6 +92,7 @@ impl<T: Pod, const N: usize> DistArray<T, N> {
             global,
             pgrid,
             ghost,
+            rank: ctx.rank(),
             parts,
             interior,
         }
@@ -129,13 +132,7 @@ impl<T: Pod, const N: usize> DistArray<T, N> {
     /// This rank's block as an array view (interior plus ghost shell) —
     /// use for fast local computation ([`crate::LocalGrid`] works on it).
     pub fn local(&self) -> NdArray<T, N> {
-        self.parts[self.my_rank()]
-    }
-
-    fn my_rank(&self) -> Rank {
-        // The directory entry whose interior equals ours identifies us;
-        // stored implicitly: recompute from the interior's low corner.
-        self.owner_of(self.interior.lo())
+        self.parts[self.rank]
     }
 
     /// The rank owning global point `p`.
@@ -174,7 +171,7 @@ impl<T: Pod, const N: usize> DistArray<T, N> {
     pub fn exchange_ghosts(&self, ctx: &Ctx) {
         assert!(self.ghost > 0, "array created without ghost layers");
         let mine = self.local();
-        let my_coords = Self::coords_of(self.my_rank(), &self.pgrid);
+        let my_coords = Self::coords_of(self.rank, &self.pgrid);
         for d in 0..N {
             for side in [-1i8, 1] {
                 let mut nc = my_coords;
@@ -183,36 +180,13 @@ impl<T: Pod, const N: usize> DistArray<T, N> {
                     continue; // physical boundary
                 }
                 nc[d] = next as usize;
-                let nb = self.rank_of_coords(nc);
-                // Pull the full slab (the neighbour's interior covers it
-                // along dim d; the orthogonal extent of my ghost slab may
-                // also include corner regions owned by *diagonal*
-                // neighbours — restrict to the face neighbour's interior
-                // and fetch corners in later dims' passes from the
-                // already-updated ghost data... simplest correct policy:
-                // clip to the neighbour's interior).
-                let ghost_dom = self.interior.exterior_face(d, side, self.ghost);
-                let src_view = self.parts[nb].restrict(self.parts[nb].domain());
-                let clipped = ghost_dom.intersect(&self.neighbour_coverage(nb));
-                if !clipped.is_empty() {
-                    mine.restrict(clipped).copy_from(ctx, &src_view);
-                }
+                let src = &self.parts[self.rank_of_coords(nc)];
+                // Clip to the neighbour's interior: a face pass fills no edge or corner.
+                let ghost = self.interior.exterior_face(d, side, self.ghost);
+                let clipped = ghost.intersect(&src.domain().shrink(self.ghost));
+                mine.restrict(clipped).copy_from(ctx, src);
             }
         }
-    }
-
-    /// The interior domain of rank `r` (from the directory geometry).
-    fn neighbour_coverage(&self, r: Rank) -> RectDomain<N> {
-        let coords = Self::coords_of(r, &self.pgrid);
-        let mut lo = self.global.lo();
-        let mut hi = self.global.hi();
-        for d in 0..N {
-            let extent = self.global.hi()[d] - self.global.lo()[d];
-            let (b_lo, b_hi) = block_bounds(extent, self.pgrid[d], coords[d]);
-            lo[d] = self.global.lo()[d] + b_lo;
-            hi[d] = self.global.lo()[d] + b_hi;
-        }
-        RectDomain::new(lo, hi)
     }
 
     /// Read the whole global array (lexicographic order) — for tests and
@@ -226,7 +200,7 @@ impl<T: Pod, const N: usize> DistArray<T, N> {
     /// Collectively destroy the array (every rank frees its block).
     pub fn destroy(self, ctx: &Ctx) {
         ctx.barrier();
-        self.parts[self.my_rank()].destroy(ctx);
+        self.parts[self.rank].destroy(ctx);
         ctx.barrier();
     }
 }
@@ -342,6 +316,27 @@ mod tests {
             ctx.barrier();
             a.destroy(ctx);
         });
+    }
+
+    #[test]
+    fn middle_of_a_line_pulls_both_neighbours_edges() {
+        let out = spmd(cfg(3), |ctx| {
+            let a = DistArray::<i64, 2>::new(ctx, rd!([0, 0]..[9, 4]), [3, 1], 1);
+            a.local().fill(ctx, -1);
+            a.fill_interior_with(ctx, |p| p[0] * 10 + p[1]);
+            ctx.barrier();
+            a.exchange_ghosts(ctx);
+            ctx.barrier();
+            // Rank 1's interior is x in [3, 6): its ghost planes x = 2 and
+            // x = 6 are rank 0's and rank 2's edges.
+            let ghosts = a.local().restrict(rd!([2, 0]..[3, 4])).to_vec(ctx);
+            let ghosts = [ghosts, a.local().restrict(rd!([6, 0]..[7, 4])).to_vec(ctx)];
+            let interior = a.interior();
+            a.destroy(ctx);
+            (interior, ghosts)
+        });
+        assert_eq!(out[1].0, rd!([3, 0]..[6, 4]));
+        assert_eq!(out[1].1, [[20, 21, 22, 23], [60, 61, 62, 63]]);
     }
 
     #[test]

@@ -84,10 +84,11 @@ impl RuntimeConfig {
     /// The fabric this job runs on: in-process (`remote` = None), or one
     /// rank of a multi-process job reaching its peers through a conduit.
     pub(crate) fn fabric_config(&self, remote: Option<RemoteConfig>) -> FabricConfig {
-        // The clones are made in the order the launchers have always
-        // made them: heap placement of what `Fabric::new` allocates next
-        // (the endpoint array) moves the two-rank word path by up to 4x
-        // (see the ledger README), so the allocation sequence is pinned.
+        // The clone order is free: heap placement of the endpoint array
+        // that `Fabric::new` allocates next no longer decides the
+        // two-rank word path. The ledger's `net.fabric.placement_worst_x`
+        // (slowest over fastest placement) reads 1.19–1.25 on a 2-vCPU
+        // Xeon at 2.1 GHz.
         FabricConfig {
             ranks: self.ranks,
             segment_bytes: self.segment_bytes,

@@ -1,13 +1,14 @@
 //! Heat diffusion on a distributed 3-D grid using the multidimensional
-//! array library (paper §III-E / §V-B): each rank holds a block of the
-//! grid with ghost shells; ghost planes move with the one-sided,
-//! domain-intersecting array copy
-//! (`A.constrict(ghost_domain).copy(B)` → `copy_ghost_from`).
+//! array library (paper §III-E / §V-B): the grid is a `DistArray`, so
+//! each rank holds one block with a ghost shell, and
+//! `DistArray::exchange_ghosts` moves the ghost planes with the
+//! one-sided, domain-intersecting array copy
+//! (`A.constrict(ghost_domain).copy(B)`).
 //!
 //! Run with: `cargo run --example heat_equation`
 
 use rupcxx::prelude::*;
-use rupcxx_ndarray::{pt, NdArray, Point, RectDomain};
+use rupcxx_ndarray::{pt, DistArray, Point, RectDomain};
 
 fn main() {
     // 2×1×1 process grid, 16³ points per rank, hot plate at one face.
@@ -19,93 +20,66 @@ fn main() {
     let results = spmd(
         RuntimeConfig::new(px * py * pz).segment_mib(16),
         move |ctx| {
-            let me = ctx.rank() as i64;
-            let (cx, cy, cz) = (
-                me % px as i64,
-                (me / px as i64) % py as i64,
-                me / (px as i64 * py as i64),
+            let global = RectDomain::new(
+                Point::zero(),
+                pt![px as i64 * edge, py as i64 * edge, pz as i64 * edge],
             );
-            let lo = pt![cx * edge, cy * edge, cz * edge];
-            let interior = RectDomain::new(lo, lo + Point::splat(edge));
-            let halo = RectDomain::new(lo - Point::ones(), lo + Point::splat(edge + 1));
-
-            let a = NdArray::<f64, 3>::new(ctx, halo);
-            let b = NdArray::<f64, 3>::new(ctx, halo);
-            a.fill(ctx, 0.0);
-            b.fill(ctx, 0.0);
-            // Hot plate: global x = 0 plane fixed at 100 degrees.
-            if cx == 0 {
-                a.restrict(interior.interior_face(0, -1, 1))
-                    .fill(ctx, 100.0);
-                b.restrict(interior.interior_face(0, -1, 1))
-                    .fill(ctx, 100.0);
+            let a = DistArray::<f64, 3>::new(ctx, global, [px, py, pz], 1);
+            let b = DistArray::<f64, 3>::new(ctx, global, [px, py, pz], 1);
+            let interior = a.interior();
+            let lo = interior.lo();
+            for block in [a.local(), b.local()] {
+                block.fill(ctx, 0.0);
+                // Hot plate: global x = 0 plane fixed at 100 degrees.
+                if lo[0] == 0 {
+                    block
+                        .restrict(interior.interior_face(0, -1, 1))
+                        .fill(ctx, 100.0);
+                }
             }
-            let dirs: Vec<NdArray<f64, 3>> = ctx.allgatherv(&[a]);
-            let dirs_b: Vec<NdArray<f64, 3>> = ctx.allgatherv(&[b]);
 
-            let neighbor = |dx: i64, dy: i64, dz: i64| -> Option<usize> {
-                let (nx, ny, nz) = (cx + dx, cy + dy, cz + dz);
-                ((0..px as i64).contains(&nx)
-                    && (0..py as i64).contains(&ny)
-                    && (0..pz as i64).contains(&nz))
-                .then(|| (nx + ny * px as i64 + nz * (px * py) as i64) as usize)
-            };
-
-            let mut cur = a;
-            let mut nxt = b;
-            let mut dir_cur = dirs;
-            let mut dir_nxt = dirs_b;
+            let (mut cur, mut nxt) = (&a, &b);
             for _ in 0..steps {
                 // Pull 6 ghost faces one-sided from the neighbours.
-                for (dim, (dx, dy, dz)) in
-                    [(0, (1, 0, 0)), (1, (0, 1, 0)), (2, (0, 0, 1))].into_iter()
-                {
-                    for side in [-1i8, 1] {
-                        let s = side as i64;
-                        if let Some(nb) = neighbor(dx * s, dy * s, dz * s) {
-                            cur.copy_ghost_from(ctx, &dir_cur[nb], interior, dim, side, 1);
-                        }
-                    }
-                }
+                cur.exchange_ghosts(ctx);
                 ctx.barrier();
                 // Explicit Euler diffusion step on the interior (skipping
                 // the fixed hot plate).
+                let (src, dst) = (cur.local(), nxt.local());
                 interior.for_each(|p| {
-                    if cx == 0 && p[0] == 0 {
+                    if p[0] == 0 {
                         return; // Dirichlet hot plate
                     }
-                    let c = cur.get(ctx, p);
-                    let lap = cur.get(ctx, p + Point::unit(0))
-                        + cur.get(ctx, p - Point::unit(0))
-                        + cur.get(ctx, p + Point::unit(1))
-                        + cur.get(ctx, p - Point::unit(1))
-                        + cur.get(ctx, p + Point::unit(2))
-                        + cur.get(ctx, p - Point::unit(2))
+                    let c = src.get(ctx, p);
+                    let lap = src.get(ctx, p + Point::unit(0))
+                        + src.get(ctx, p - Point::unit(0))
+                        + src.get(ctx, p + Point::unit(1))
+                        + src.get(ctx, p - Point::unit(1))
+                        + src.get(ctx, p + Point::unit(2))
+                        + src.get(ctx, p - Point::unit(2))
                         - 6.0 * c;
-                    nxt.set(ctx, p, c + alpha * lap);
+                    dst.set(ctx, p, c + alpha * lap);
                 });
                 std::mem::swap(&mut cur, &mut nxt);
-                std::mem::swap(&mut dir_cur, &mut dir_nxt);
                 ctx.barrier();
             }
 
             // Mean temperature along global x, this rank's share.
             let mut profile = vec![0.0f64; edge as usize];
             interior.for_each(|p| {
-                profile[(p[0] - lo[0]) as usize] += cur.get(ctx, p);
+                profile[(p[0] - lo[0]) as usize] += cur.local().get(ctx, p);
             });
-            ctx.barrier();
-            cur.destroy(ctx);
-            nxt.destroy(ctx);
-            (cx, profile)
+            a.destroy(ctx);
+            b.destroy(ctx);
+            (lo[0], profile)
         },
     );
 
     // Stitch the global x-profile and sanity-check monotone decay.
     let mut global = vec![0.0; (px as i64 * edge) as usize];
-    for (cx, profile) in &results {
+    for (x0, profile) in &results {
         for (i, v) in profile.iter().enumerate() {
-            global[(cx * edge) as usize + i] += v / (edge * edge) as f64;
+            global[*x0 as usize + i] += v / (edge * edge) as f64;
         }
     }
     println!("mean temperature along x after 50 steps:");
