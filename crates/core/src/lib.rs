@@ -14,14 +14,14 @@
 //! | `shared [BS] T A[n]` | `shared_array<T, BS>` | [`SharedArray`] |
 //! | `shared T *p` | `global_ptr<T>` | [`GlobalPtr`] |
 //! | `upc_alloc` | `allocate<T>(rank, n)` | [`allocate`] |
-//! | `upc_memcpy` | `copy<T>(src, dst, n)` | [`copy`] |
+//! | `upc_memcpy` | `copy<T>(src, dst, n)` | [`copy`](fn@copy) |
 //! | `upc_barrier` / `upc_fence` | `barrier()` / `fence()` | [`Ctx::barrier`] / [`Ctx::fence`] |
 //! | — | `async(place)(f, args…)` | [`async_on`] |
 //! | — | `finish { … }` | [`Ctx::finish`] |
 //!
 //! # Execution model
 //!
-//! SPMD, as in UPC: [`rupcxx_runtime::spmd`] launches N ranks that all run
+//! SPMD, as in UPC: [`rupcxx_runtime::spmd()`] launches N ranks that all run
 //! the same closure. Ranks communicate through one-sided reads/writes of
 //! *shared objects* and through asynchronous remote function invocation.
 //!

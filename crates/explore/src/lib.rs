@@ -10,7 +10,7 @@
 //!
 //! 1. [`run_schedule`] executes one program under one [`Schedule`] with
 //!    the race/deadlock checker installed, returning the checker's
-//!    [verdict](rupcxx_check::verdict) plus the full delivery record —
+//!    [verdict] plus the full delivery record —
 //!    which, replayed as explicit picks, reproduces the run bit-for-bit.
 //! 2. [`explore`] enumerates schedules from the bug-agnostic canonical
 //!    start: a DPOR-style breadth-first search over adjacent swaps of

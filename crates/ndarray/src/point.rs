@@ -102,7 +102,7 @@ impl<const N: usize> Point<N> {
         Point::new(c)
     }
 
-    /// Permute coordinates: result[d] = self[perm[d]].
+    /// Permute coordinates: `result[d] = self[perm[d]]`.
     pub fn permute(self, perm: [usize; N]) -> Self {
         let mut c = [0i64; N];
         for d in 0..N {

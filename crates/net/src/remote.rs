@@ -1,5 +1,5 @@
 //! Multi-process fabric: the glue between the in-process [`Fabric`] API
-//! and a [`Conduit`](crate::conduit::Conduit).
+//! and a [`Conduit`].
 //!
 //! With `FabricConfig::remote` set, this OS process hosts exactly one
 //! rank; the other endpoints are zero-sized stubs (any accidental direct

@@ -19,8 +19,8 @@
 //! grow every message for the sake of captures that no closure of the
 //! task path has: a `finish` spawn is 16 bytes (`origin`, `token`), an
 //! `async_on` task 24 (`origin`, the future's setter, a `u64` argument),
-//! its reply 16. What is larger — a collective deposit or an MPI eager
-//! send, 56 bytes — is boxed, exactly as every task was before.
+//! its reply 16. What is larger — an MPI eager send, 56 bytes — is
+//! boxed, exactly as every task was before.
 
 use std::any::Any;
 use std::marker::PhantomData;

@@ -44,29 +44,18 @@ impl Team {
         index.expect("sender is a member")
     }
 
-    /// Deposit `bytes` into member `i`'s mailbox under `key` (AM when
-    /// remote).
+    /// Deposit `bytes` into member `i`'s mailbox under `key`: directly
+    /// when it is this rank, else as the `deposit` handler AM, the same
+    /// message in a job of threads as in a job of processes.
     fn deposit(&self, ctx: &Ctx, i: usize, key: u64, bytes: Vec<u8>) {
         let (me, dst, domain) = (ctx.rank(), self.members[i], self.domain);
         if dst == me {
             ctx.shared().own[me].mailbox.deposit(domain, key, me, bytes);
             return;
         }
-        // Multi-process jobs cannot ship a boxed closure: use the registered
-        // builtin deposit handler, whose id + packed args cross the wire.
-        if let Some(b) = ctx.shared().builtins {
-            let mut args = Vec::with_capacity(16 + bytes.len());
-            args.extend_from_slice(&domain.to_le_bytes());
-            args.extend_from_slice(&key.to_le_bytes());
-            args.extend_from_slice(&bytes);
-            ctx.send_handler(dst, b.deposit, rupcxx_util::Bytes::from(args));
-            return;
-        }
-        ctx.send_task_with_ctx(dst, move |target| {
-            target.shared().own[dst]
-                .mailbox
-                .deposit(domain, key, me, bytes);
-        });
+        let args = [&domain.to_le_bytes()[..], &key.to_le_bytes(), &bytes].concat();
+        let deposit = ctx.shared().builtins.deposit;
+        ctx.send_handler(dst, deposit, rupcxx_util::Bytes::from(args));
     }
 
     /// Wait for `count` arrivals under `key` in this rank's mailbox, then

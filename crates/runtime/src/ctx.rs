@@ -627,15 +627,11 @@ impl Ctx {
             ck.rank_completed(self.rank);
         }
         self.shared.completed.fetch_add(1, Ordering::AcqRel);
-        // In-process jobs share one `completed` counter across all rank
-        // threads; a multi-process rank must announce its completion to
-        // every peer so each process's drain loop sees all N.
-        if let Some(b) = self.shared.builtins {
-            for dst in 0..self.ranks() {
-                if dst != self.rank {
-                    self.send_handler(dst, b.complete, Bytes::new());
-                }
-            }
+        // The ranks this process hosts share its `completed` counter; every
+        // other rank is told, so each process's drain loop sees all N.
+        let hosted = self.shared.fabric.hosted_ranks();
+        for dst in (0..self.ranks()).filter(|dst| !hosted.contains(dst)) {
+            self.send_handler(dst, self.shared.builtins.complete, Bytes::new());
         }
     }
 

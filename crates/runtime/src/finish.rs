@@ -309,7 +309,7 @@ impl Ctx {
 
     #[cold]
     fn send_finish_acks(&self) {
-        let ack = self.shared().finish_ack;
+        let ack = self.shared().builtins.finish_ack;
         while let Some(Owed { origin, token, n }) = self.finish_state().take_owed() {
             self.send_handler(origin, ack, ack_args(token, n));
         }
@@ -443,7 +443,7 @@ mod tests {
         let c = ctxs(2);
         let fs = FinishScope::new(&c[0]);
         fs.spawn(1, |_| {});
-        let id = c[1].shared().finish_ack;
+        let id = c[1].shared().builtins.finish_ack;
         c[1].send_handler(0, id, ack_args(fs.token, 1));
         c[1].send_handler(0, id, ack_args(fs.token, 1));
         c[0].advance();
@@ -452,7 +452,7 @@ mod tests {
     #[test]
     fn a_late_ack_is_ignored() {
         let c = ctxs(2);
-        let id = c[1].shared().finish_ack;
+        let id = c[1].shared().builtins.finish_ack;
         let token = {
             // The body "unwound" with a task outstanding: the scope
             // deregisters as it drops.
@@ -472,7 +472,7 @@ mod tests {
     #[should_panic(expected = "message from rank 1 refused: finish ack of 3 bytes")]
     fn a_short_ack_is_refused() {
         let c = ctxs(2);
-        let id = c[1].shared().finish_ack;
+        let id = c[1].shared().builtins.finish_ack;
         c[1].send_handler(0, id, Bytes::from_static(&[1, 2, 3]));
         c[0].advance();
     }

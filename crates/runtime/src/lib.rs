@@ -3,7 +3,7 @@
 //! This crate is the analogue of the "UPC++ Runtime" box in the paper's
 //! implementation stack (Fig. 2). It provides:
 //!
-//! * an **SPMD launcher** ([`spmd`]): runs the same closure on N ranks
+//! * an **SPMD launcher** ([`spmd`](fn@spmd)): runs the same closure on N ranks
 //!   (OS threads here; the paper maps ranks to OS processes — threads give
 //!   identical SPMD semantics in one process and enable genuinely one-sided
 //!   RMA, see `rupcxx-net`);

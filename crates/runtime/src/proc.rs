@@ -34,7 +34,7 @@ pub const PROC_RANK_ENV: &str = "RUPCXX_PROC_RANK";
 #[derive(Debug)]
 pub enum ProcOutcome<R> {
     /// No conduit (or `loopback`): the job ran as threads in this
-    /// process; all ranks' results in rank order, exactly [`crate::spmd`].
+    /// process; all ranks' results in rank order, exactly [`crate::spmd()`].
     InProcess(Vec<R>),
     /// This process was the launcher parent: per-rank child exit
     /// statuses, indexed by rank.

@@ -103,19 +103,21 @@ impl Mailbox {
     }
 }
 
-/// Handler ids of the runtime's own wire-encodable AMs, registered (after
-/// every user handler, so user ids are unchanged) only when the job runs
-/// as OS processes over a transport conduit. In-process jobs ship the
-/// same operations as boxed-closure `Task` AMs, which cannot cross a
-/// process boundary; these builtins are their registered-handler twins.
+/// Handler ids of the runtime's own AMs, registered in every job after
+/// every user handler (so user ids are unchanged), in this order. A job
+/// of threads and a job of processes send the same messages with the same
+/// ids: user count + 0, + 1, + 2.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Builtins {
     /// Mailbox deposit (barrier / collectives): args = domain u64 LE +
     /// key u64 LE + payload bytes.
     pub(crate) deposit: HandlerId,
     /// Closure-completion announcement (empty args): the sender's SPMD
-    /// closure returned, so bump the local completion count.
+    /// closure returned, so bump the local completion count. Sent only to
+    /// ranks another process hosts.
     pub(crate) complete: HandlerId,
+    /// The `finish` acknowledgement (`finish.rs`).
+    pub(crate) finish_ack: HandlerId,
 }
 
 /// The part of [`Shared`] that belongs to one rank and that only that
@@ -176,12 +178,8 @@ pub struct Shared {
     pub handlers: HandlerRegistry,
     /// Ranks that have finished the user's SPMD closure.
     pub(crate) completed: AtomicUsize,
-    /// Wire-encodable runtime AM ids; present only in multi-process jobs.
-    pub(crate) builtins: Option<Builtins>,
-    /// The `finish` acknowledgement handler (`finish.rs`), registered in
-    /// every job — in-process ones too — after every user handler and the
-    /// builtins above.
-    pub(crate) finish_ack: HandlerId,
+    /// The runtime's own handler ids, after the user's.
+    pub(crate) builtins: Builtins,
 }
 
 impl Shared {
@@ -203,32 +201,28 @@ impl Shared {
     /// The full constructor: shared state around a fabric built from
     /// `config` (the SPMD launchers fill it from `RuntimeConfig`). When
     /// `config.remote` is set this process is ONE rank of a multi-process
-    /// job wired up by a transport conduit; the runtime's wire-encodable
-    /// builtin handlers are appended to the registry (after all user
-    /// handlers, so user ids are stable), and after them, in every job,
-    /// the `finish` acknowledgement.
+    /// job wired up by a transport conduit. In every job the runtime's
+    /// own handlers ([`Builtins`]) are appended to the registry after all
+    /// user handlers, so user ids are stable and the runtime's ids are
+    /// the same in a job of threads as in a job of processes.
     pub fn new_full(config: FabricConfig, mut handlers: HandlerRegistry) -> Arc<Self> {
         let (ranks, segment_bytes) = (config.ranks, config.segment_bytes);
-        let builtins = config.remote.is_some().then(|| {
-            let deposit = handlers.register(|ctx, src, args| {
+        // Fields are evaluated, so registered, in the order written.
+        let builtins = Builtins {
+            deposit: handlers.register(|ctx, src, args| {
                 let (Some(domain), Some(key)) = (args.get(..8), args.get(8..16)) else {
-                    let why = "builtin deposit: short args";
+                    let why = format_args!("deposit of {} bytes", args.len());
                     return ctx.fabric().refuse_message(ctx.rank(), src, &why);
                 };
                 let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("8 bytes"));
-                ctx.shared().own[ctx.rank()].mailbox.deposit(
-                    word(domain),
-                    word(key),
-                    src,
-                    args[16..].to_vec(),
-                );
-            });
-            let complete = handlers.register(|ctx, _src, _args| {
+                let mailbox = &ctx.shared().own[ctx.rank()].mailbox;
+                mailbox.deposit(word(domain), word(key), src, args[16..].to_vec());
+            }),
+            complete: handlers.register(|ctx, _src, _args| {
                 ctx.shared().completed.fetch_add(1, Ordering::AcqRel);
-            });
-            Builtins { deposit, complete }
-        });
-        let finish_ack = handlers.register(crate::finish::ack_handler);
+            }),
+            finish_ack: handlers.register(crate::finish::ack_handler),
+        };
         let fabric = Fabric::new(config);
         // Each rank's world team: every rank in rank order (one list for
         // the job), mailbox domain 0.
@@ -251,7 +245,6 @@ impl Shared {
             handlers,
             completed: AtomicUsize::new(0),
             builtins,
-            finish_ack,
         })
     }
 
@@ -298,6 +291,42 @@ mod tests {
         assert_eq!(id, 0);
         assert_eq!(reg.len(), 1);
         assert!(reg.get(id).is_some() && reg.get(id + 1).is_none());
+    }
+
+    #[test]
+    fn the_runtimes_handlers_follow_the_users_in_every_job() {
+        // The ids a job of processes has (`conduit_conformance` pins them
+        // for one): user handlers 0 and 1, then deposit, complete and the
+        // finish ack.
+        let mut reg = HandlerRegistry::new();
+        reg.register(|_, _, _| {});
+        reg.register(|_, _, _| {});
+        let sh = Shared::new(2, 4096, reg);
+        let b = sh.builtins;
+        assert_eq!((b.deposit, b.complete, b.finish_ack), (2, 3, 4));
+        assert_eq!(sh.handlers.len(), 5);
+        // A deposit AM lands in the target's mailbox under its domain and
+        // key, from its sender.
+        let (c0, c1) = (
+            crate::Ctx::new(0, sh.clone()),
+            crate::Ctx::new(1, sh.clone()),
+        );
+        let args = [5u64.to_le_bytes(), 7u64.to_le_bytes(), [9; 8]].concat();
+        c1.send_handler(0, b.deposit, Bytes::from(args));
+        assert_eq!(c0.advance(), 1);
+        assert_eq!(sh.own[0].mailbox.take(5, 7), [(1, vec![9; 8])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "message from rank 1 refused: deposit of 3 bytes")]
+    fn a_short_deposit_is_refused() {
+        let sh = Shared::new(2, 4096, HandlerRegistry::new());
+        let (c0, c1) = (
+            crate::Ctx::new(0, sh.clone()),
+            crate::Ctx::new(1, sh.clone()),
+        );
+        c1.send_handler(0, sh.builtins.deposit, Bytes::from_static(&[1, 2, 3]));
+        c0.advance();
     }
 
     #[test]

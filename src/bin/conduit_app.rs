@@ -5,13 +5,14 @@
 //! parent (conduit set, forks itself N times), or as one rank of a
 //! multi-process job (`RUPCXX_PROC_RANK` set by the launcher).
 //!
-//! Usage: `conduit_app <gups|gups-agg|sort|stencil|copy|spin> <ranks> [k=v...]`
+//! Usage: `conduit_app <gups|gups-agg|sort|stencil|copy|teams|spin> <ranks> [k=v...]`
 //!
 //! Every rank prints a deterministic `RESULT rank=R checksum=X` line;
 //! the conformance suite compares these bit-for-bit across conduits.
 //! Keys: `updates`, `table` (gups), `keys`, `seed` (sort), `edge`,
-//! `iters`, `grid=XxYxZ` (stencil), `iters`, `sleep_ms`, `die`,
-//! `die_after_ms` (spin), `segment_mib` (all); `copy` takes none.
+//! `iters`, `grid=XxYxZ` (stencil), `iters` (teams), `iters`,
+//! `sleep_ms`, `die`, `die_after_ms` (spin), `segment_mib` (all); `copy`
+//! takes none.
 
 use rupcxx::{allocate, copy, GlobalPtr};
 use rupcxx_apps::{gups, sample_sort, stencil};
@@ -21,7 +22,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 fn usage() -> ! {
-    eprintln!("usage: conduit_app <gups|gups-agg|sort|stencil|copy|spin> <ranks> [k=v...]");
+    eprintln!("usage: conduit_app <gups|gups-agg|sort|stencil|copy|teams|spin> <ranks> [k=v...]");
     std::process::exit(2);
 }
 
@@ -100,8 +101,42 @@ fn copy_workload(ctx: &Ctx) -> u64 {
     arena.rget_slice(ctx, &mut got);
     assert!(got == want, "rank {me}: copied bytes differ from the model");
     ctx.barrier();
-    // FNV-1a.
-    got.iter().fold(0xCBF2_9CE4_8422_2325, |h, &b| {
+    fnv1a(got)
+}
+
+/// Sub-team collectives: the world split by rank parity, each half
+/// running a barrier, a broadcast, an allreduce and an allgatherv in its
+/// own mailbox domain, `iters` times, every result checked against a
+/// model in the app. Returns a hash of the half's results.
+fn teams_workload(ctx: &Ctx, iters: u64) -> u64 {
+    let me = ctx.rank() as u64;
+    let half = ctx.team_world().split(ctx, me % 2, me);
+    let members: Vec<u64> = (me % 2..ctx.ranks() as u64).step_by(2).collect();
+    let in_team: Vec<u64> = half.members().iter().map(|&m| m as u64).collect();
+    assert_eq!(in_team, members, "rank {me}: split by parity");
+    // Member `m`'s allgatherv contribution in round `i`: 1 to 3 words.
+    let words = |m: u64, i: u64| (0..=(m + i) % 3).map(move |j| m << 8 | j);
+    let mut seen = Vec::new();
+    for i in 0..iters {
+        half.barrier(ctx);
+        let root = i as usize % half.size();
+        let word = half.broadcast(ctx, root, me * 1000 + i);
+        assert_eq!(word, members[root] * 1000 + i, "rank {me}: broadcast");
+        let sum = half.allreduce(ctx, me + i, |a, b| a + b);
+        assert_eq!(sum, members.iter().map(|m| m + i).sum(), "rank {me}");
+        let all = half.allgatherv(ctx, &words(me, i).collect::<Vec<_>>());
+        let want: Vec<u64> = members.iter().flat_map(|&m| words(m, i)).collect();
+        assert_eq!(all, want, "rank {me}: allgatherv");
+        seen.extend([word, sum]);
+        seen.extend(all);
+    }
+    half.barrier(ctx);
+    fnv1a(seen.iter().flat_map(|w| w.to_le_bytes()))
+}
+
+/// FNV-1a of a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xCBF2_9CE4_8422_2325, |h, b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
     })
 }
@@ -153,6 +188,7 @@ fn run_workload(ctx: &Ctx, mode: &str, kv: &HashMap<String, String>) -> u64 {
             stencil::run(ctx, &cfg).checksum.to_bits()
         }
         "copy" => copy_workload(ctx),
+        "teams" => teams_workload(ctx, get(kv, "iters", 4) as u64),
         "spin" => {
             // Kill-test workload: barrier rounds with real wall time in
             // between. With `die=R`, rank R's process aborts

@@ -3,7 +3,8 @@
 //! delays wire traffic while GUPS and sample sort run; the reliable
 //! delivery layer must make the results bit-for-bit identical to a
 //! fault-free run, and the fault counters must be reproducible for the
-//! same seed.
+//! same seed. A split-team program does the same for collectives whose
+//! deposits travel in sub-team mailbox domains.
 //!
 //! The seed comes from `RUPCXX_CHAOS_SEED` (the `make chaos` target
 //! loops over several pinned seeds); unset, a fixed default applies.
@@ -84,6 +85,28 @@ fn run_sort(faults: Option<FaultPlan>) -> (Vec<sample_sort::SortResult>, CommCou
     })
 }
 
+/// Six ranks split by parity; each half runs `ROUNDS` rounds of barrier,
+/// broadcast, allreduce and allgatherv. Per rank, every value it got.
+fn run_teams(faults: Option<FaultPlan>) -> (Vec<Vec<u64>>, CommCounts) {
+    const ROUNDS: u64 = 40;
+    let mut cfg = RuntimeConfig::new(6).segment_bytes(4096);
+    if let Some(plan) = faults {
+        cfg = cfg.with_faults(plan);
+    }
+    spmd_capturing(cfg, |ctx| {
+        let me = ctx.rank() as u64;
+        let half = ctx.team_world().split(ctx, me % 2, me);
+        let mut got = Vec::new();
+        for i in 0..ROUNDS {
+            half.barrier(ctx);
+            got.push(half.broadcast(ctx, i as usize % half.size(), me * 1000 + i));
+            got.push(half.allreduce(ctx, me + i, |a, b| a + b));
+            got.extend(half.allgatherv(ctx, &[me, i]));
+        }
+        got
+    })
+}
+
 #[test]
 fn gups_under_chaos_matches_fault_free_run() {
     let seed = chaos_seed();
@@ -138,6 +161,33 @@ fn sample_sort_under_chaos_matches_fault_free_run() {
     assert_eq!(
         chaos_counts.retransmits, chaos_counts.wire_drops,
         "seed {seed}"
+    );
+}
+
+#[test]
+fn split_team_collectives_under_chaos_match_fault_free_run() {
+    let seed = chaos_seed();
+    let (clean, clean_counts) = run_teams(None);
+    assert_eq!(clean_counts.wire_drops, 0);
+    // Round 1 as rank 2 of the even half {0, 2, 4} sees it: the root is
+    // member 1 (rank 2 itself), the sum adds each member's rank + 1, and
+    // the gather holds every member's `[rank, round]`.
+    assert_eq!(clean[2][8..16], [2001, 9, 0, 1, 2, 1, 4, 1]);
+    let fingerprint = || {
+        let (chaos, counts) = run_teams(Some(chaos_plan(seed)));
+        assert_eq!(chaos, clean, "same values under faults (seed {seed})");
+        (counts.wire_drops, counts.retransmits, counts.dup_arrivals)
+    };
+    let (drops, retransmits, dups) = fingerprint();
+    assert!(
+        retransmits > 0,
+        "a 10% drop plan must force retransmissions (seed {seed})"
+    );
+    assert_eq!(retransmits, drops, "seed {seed}");
+    assert_eq!(
+        fingerprint(),
+        (drops, retransmits, dups),
+        "same seed ({seed}), same fault counts"
     );
 }
 

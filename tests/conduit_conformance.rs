@@ -170,6 +170,16 @@ fn uds_sample_sort_matches_loopback_4proc() {
 }
 
 #[test]
+fn uds_teams_match_loopback_4proc() {
+    // Each parity half runs its own collectives: deposits in a sub-team's
+    // mailbox domain, not the world's 0, cross the conduit.
+    let dir = scratch("uds-teams");
+    std::fs::create_dir_all(&dir).unwrap();
+    assert_same_as_loopback("teams", 4, &["iters=6"], &format!("uds:{dir}"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn uds_copy_matches_loopback_3proc() {
     // Each process copies local → remote, remote → local and third
     // party, at odd offsets and lengths: a get and a put over the
