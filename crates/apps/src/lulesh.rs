@@ -508,6 +508,12 @@ mod pgas {
             st.p[c] = (GAMMA - 1.0) * st.rho[c] * st.en[c];
         }
 
+        // Privatized blocks (`LocalGrid::view`). Every array has `halo`'s
+        // layout, so `pq_g`'s offsets and strides serve all seven.
+        let pq_g = LocalGrid::<f64, 3>::new(ctx, &pq_arr);
+        let (si, sj) = pq_g.strides();
+        let view = |a: &NdArray<f64, 3>| LocalGrid::<f64, 3>::new(ctx, a).view();
+        let view_mut = |a: &NdArray<f64, 3>| LocalGrid::<f64, 3>::new(ctx, a).view_mut();
         let dx = 1.0;
         let mut dt = 0.05;
         ctx.barrier();
@@ -516,14 +522,17 @@ mod pgas {
             let cur = step % 2; // velocity buffer indices: cur*3..cur*3+3
             let nxt = 1 - cur;
             // Publish interior p+q into the global array — the *only*
-            // data movement besides the array copies; no pack/unpack.
-            let pq_g = LocalGrid::<f64, 3>::new(ctx, &pq_arr);
+            // data movement besides the array copies; no pack/unpack. The
+            // allreduce that closed the last step is what keeps a peer's
+            // face pull of `pq` out of this write, the barrier below what
+            // keeps the next pull out of it: until then the block is ours.
+            let pq_out = pq_g.view_mut();
             for i in 0..ei {
                 for j in 0..ei {
-                    let pq = pq_g.row(lo[0] + i, lo[1] + j);
-                    for k in 0..ei {
-                        let c = st.idx(i as usize + 1, j as usize + 1, k as usize + 1);
-                        pq.set(lo[2] + k, st.p[c] + st.q[c]);
+                    let o = pq_g.offset(lo[0] + i, lo[1] + j, lo[2]);
+                    for k in 0..edge {
+                        let c = st.idx(i as usize + 1, j as usize + 1, k + 1);
+                        pq_out[o + k] = st.p[c] + st.q[c];
                     }
                 }
             }
@@ -541,13 +550,13 @@ mod pgas {
                     edge,
                 );
             }
-            // Kernel: identical arithmetic/order to the packing variants.
-            let u_g = LocalGrid::<f64, 3>::new(ctx, &vel[cur * 3]);
-            let v_g = LocalGrid::<f64, 3>::new(ctx, &vel[cur * 3 + 1]);
-            let w_g = LocalGrid::<f64, 3>::new(ctx, &vel[cur * 3 + 2]);
-            let un_g = LocalGrid::<f64, 3>::new(ctx, &vel[nxt * 3]);
-            let vn_g = LocalGrid::<f64, 3>::new(ctx, &vel[nxt * 3 + 1]);
-            let wn_g = LocalGrid::<f64, 3>::new(ctx, &vel[nxt * 3 + 2]);
+            // Kernel: identical arithmetic/order to the packing variants,
+            // on privatized blocks. Peers only read `pq` and the `cur`
+            // velocities until the allreduce below, and touch the `nxt`
+            // ones not at all.
+            let pq = pq_g.view();
+            let [u, v, w] = [0, 1, 2].map(|d| view(&vel[cur * 3 + d]));
+            let [un, vn, wn] = [0, 1, 2].map(|d| view_mut(&vel[nxt * 3 + d]));
             let inv2dx = 0.5 / dx;
             let mut new_rho = st.rho.clone();
             let mut new_en = st.en.clone();
@@ -555,35 +564,23 @@ mod pgas {
             let mut max_cs: f64 = 0.0;
             for li in 1..=edge {
                 for lj in 1..=edge {
-                    let (gi, gj) = (lo[0] + li as i64 - 1, lo[1] + lj as i64 - 1);
-                    // Every row the cell reads or writes, resolved once
-                    // per (i, j); `k` runs innermost.
-                    let pq = pq_g.row(gi, gj);
-                    let (pq_ip, pq_im) = (pq_g.row(gi + 1, gj), pq_g.row(gi - 1, gj));
-                    let (pq_jp, pq_jm) = (pq_g.row(gi, gj + 1), pq_g.row(gi, gj - 1));
-                    let (u, u_ip, u_im) =
-                        (u_g.row(gi, gj), u_g.row(gi + 1, gj), u_g.row(gi - 1, gj));
-                    let (v, v_jp, v_jm) =
-                        (v_g.row(gi, gj), v_g.row(gi, gj + 1), v_g.row(gi, gj - 1));
-                    let w = w_g.row(gi, gj);
-                    let (un, vn, wn) = (un_g.row(gi, gj), vn_g.row(gi, gj), wn_g.row(gi, gj));
+                    let o = pq_g.offset(lo[0] + li as i64 - 1, lo[1] + lj as i64 - 1, lo[2]);
                     for lk in 1..=edge {
                         let c = st.idx(li, lj, lk);
-                        let gk = lo[2] + lk as i64 - 1;
-                        let ax = -(pq_ip.get(gk) - pq_im.get(gk)) * inv2dx / st.rho[c];
-                        let ay = -(pq_jp.get(gk) - pq_jm.get(gk)) * inv2dx / st.rho[c];
-                        let az = -(pq.get(gk + 1) - pq.get(gk - 1)) * inv2dx / st.rho[c];
-                        un.set(gk, u.get(gk) + dt * ax);
-                        vn.set(gk, v.get(gk) + dt * ay);
-                        wn.set(gk, w.get(gk) + dt * az);
-                        let div = (u_ip.get(gk) - u_im.get(gk) + v_jp.get(gk) - v_jm.get(gk)
-                            + w.get(gk + 1)
-                            - w.get(gk - 1))
+                        let x = o + lk - 1;
+                        let ax = -(pq[x + si] - pq[x - si]) * inv2dx / st.rho[c];
+                        let ay = -(pq[x + sj] - pq[x - sj]) * inv2dx / st.rho[c];
+                        let az = -(pq[x + 1] - pq[x - 1]) * inv2dx / st.rho[c];
+                        un[x] = u[x] + dt * ax;
+                        vn[x] = v[x] + dt * ay;
+                        wn[x] = w[x] + dt * az;
+                        let div = (u[x + si] - u[x - si] + v[x + sj] - v[x - sj] + w[x + 1]
+                            - w[x - 1])
                             * inv2dx;
                         new_rho[c] = (st.rho[c] - dt * st.rho[c] * div).max(1e-10);
                         new_en[c] =
                             (st.en[c] - dt * (st.p[c] + st.q[c]) * div / st.rho[c]).max(1e-12);
-                        let (nu, nv, nw) = (un.get(gk), vn.get(gk), wn.get(gk));
+                        let (nu, nv, nw) = (un[x], vn[x], wn[x]);
                         let speed = (nu * nu + nv * nv + nw * nw).sqrt();
                         max_speed = max_speed.max(speed);
                         st.q[c] = if div < 0.0 {
@@ -615,19 +612,16 @@ mod pgas {
         // Diagnostics: velocities live in the arrays (buffer parity of the
         // last completed step).
         let cur = cfg.steps % 2;
-        let u_g = LocalGrid::<f64, 3>::new(ctx, &vel[cur * 3]);
-        let v_g = LocalGrid::<f64, 3>::new(ctx, &vel[cur * 3 + 1]);
-        let w_g = LocalGrid::<f64, 3>::new(ctx, &vel[cur * 3 + 2]);
+        let [uv, vv, wv] = [0, 1, 2].map(|d| view(&vel[cur * 3 + d]));
         let mut local_energy = 0.0;
         let mut local_speed: f64 = 0.0;
         for li in 1..=edge {
             for lj in 1..=edge {
-                let (gi, gj) = (lo[0] + li as i64 - 1, lo[1] + lj as i64 - 1);
-                let (u_row, v_row, w_row) = (u_g.row(gi, gj), v_g.row(gi, gj), w_g.row(gi, gj));
+                let o = pq_g.offset(lo[0] + li as i64 - 1, lo[1] + lj as i64 - 1, lo[2]);
                 for lk in 1..=edge {
                     let c = st.idx(li, lj, lk);
-                    let gk = lo[2] + lk as i64 - 1;
-                    let (u, v, w) = (u_row.get(gk), v_row.get(gk), w_row.get(gk));
+                    let x = o + lk - 1;
+                    let (u, v, w) = (uv[x], vv[x], wv[x]);
                     local_energy +=
                         st.rho[c] * st.en[c] + 0.5 * st.rho[c] * (u * u + v * v + w * w);
                     local_speed = local_speed.max((u * u + v * v + w * w).sqrt());

@@ -33,7 +33,7 @@ pub mod point;
 pub use array::NdArray;
 pub use dist::DistArray;
 pub use domain::RectDomain;
-pub use local::{LocalGrid, Row};
+pub use local::LocalGrid;
 pub use point::Point;
 
 /// Construct a [`Point`]: `pt![1, 2, 3]`.

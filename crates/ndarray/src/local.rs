@@ -10,14 +10,18 @@
 //!
 //! It has two grains. [`LocalGrid::at`]/[`LocalGrid::put`] (and the
 //! point-indexed `get`/`set`) recompute the three-term index on every
-//! call and check it against the segment twice (the segment's bounds
-//! assert, then the word slice's index). That is right for scattered
-//! accesses. An inner loop over `k` takes a [`Row`] instead:
-//! [`LocalGrid::row`] checks `(i, j)` against the domain and resolves the
-//! row's whole `k` extent once, after which an element access is a slice
-//! index plus a relaxed atomic load or store — the lifted indexing the
-//! paper describes, in safe code, with §III-F's "a racing read sees some
-//! written value" unchanged.
+//! call and go through the segment's atomic word accessors, bounds-checked.
+//! That is right for scattered accesses. An inner loop over `k` privatizes
+//! the whole block instead (paper §III-B: a `global_ptr` with local
+//! affinity downcast to a raw `T*`): [`LocalGrid::view`] checks the block
+//! against the segment once and hands it out as a plain `&[T]`
+//! ([`LocalGrid::view_mut`]: `&mut [T]`), positioned by
+//! [`LocalGrid::offset`] and [`LocalGrid::strides`]. A row is then a
+//! subslice, and the loop over it is slice arithmetic the compiler can
+//! vectorize. The price is `GlobalPtr::local_slice`'s contract: no other
+//! rank writes the block while a view is live (no other rank touches it
+//! at all while a mutable one is), which the program guarantees with the
+//! barriers around its compute phase.
 //!
 //! The generic [`NdArray::get`]/[`NdArray::set`] path (used in benchmarks
 //! as the "library/generic" variant) pays those costs per access; the
@@ -28,7 +32,6 @@ use crate::point::Point;
 use rupcxx_net::{Pod, Segment};
 use rupcxx_runtime::Ctx;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A word-element local accessor over an [`NdArray`] owned by the calling
 /// rank. Element type must be 8 bytes (`f64`/`u64`/`i64`).
@@ -135,7 +138,8 @@ impl<'a, T: Pod> LocalGrid<'a, T, 3> {
 
     /// 3-D accessor with per-dimension indexing — the paper's
     /// `B[i][j][k]` style. Precomputed strides; inner dimension advances
-    /// by one word. An inner loop over `k` should take a [`Row`].
+    /// by one word. An inner loop over `k` should privatize the block
+    /// ([`LocalGrid::view`]).
     #[inline(always)]
     pub fn at(&self, i: i64, j: i64, k: i64) -> T {
         let off = self.base + self.index(i, j, k) * 8;
@@ -151,59 +155,58 @@ impl<'a, T: Pod> LocalGrid<'a, T, 3> {
         self.seg.store_u64(off, u64::from_le_bytes(w));
     }
 
-    /// The row `(i, j, ·)` over the domain's whole `k` extent. Panics
-    /// unless `(i, j)` lies in the domain and `k` is the contiguous
-    /// dimension (a permuted view may not be); the row's words are resolved
-    /// and bounds-checked here, once, so [`Row::get`]/[`Row::set`] cost a
-    /// slice index plus a relaxed atomic.
+    /// `(i, j)` strides in words: `view()[offset(i, j, k) + strides().0]`
+    /// is the point `(i + 1, j, k)`.
+    pub fn strides(&self) -> (usize, usize) {
+        (self.phys[0] as usize, self.phys[1] as usize)
+    }
+
+    /// Position of `(i, j, k)` in [`LocalGrid::view`]. The domain is
+    /// checked in debug builds only, as [`LocalGrid::at`] checks it.
     #[inline(always)]
-    pub fn row(&self, i: i64, j: i64) -> Row<'a, T> {
-        assert!(
-            i >= self.lo[0] && i < self.hi[0] && j >= self.lo[1] && j < self.hi[1],
-            "LocalGrid::row({i}, {j}) outside the domain {:?}..{:?}",
-            self.lo,
-            self.hi
-        );
+    pub fn offset(&self, i: i64, j: i64, k: i64) -> usize {
+        self.index(i, j, k) - self.index(self.lo[0], self.lo[1], self.lo[2])
+    }
+
+    /// Words from the domain's first point to its last, privatized
+    /// (paper §III-B: a `global_ptr` with local affinity downcast to a
+    /// raw `T*`). Panics unless `k` is the contiguous dimension (a
+    /// permuted view may not be). Position a point with
+    /// [`LocalGrid::offset`] and [`LocalGrid::strides`].
+    ///
+    /// The contract is `GlobalPtr::local_slice`'s: while the slice is
+    /// live, no other rank may write the range (bound the phase with
+    /// `barrier()`s). Reads are plain loads the compiler can vectorize;
+    /// the race checker sees only the sync points around them.
+    pub fn view(&self) -> &'a [T] {
+        let (p, len) = self.privatize();
+        // SAFETY: `privatize` checked alignment and bounds, `new` the
+        // element size; `T: Pod` accepts any bit pattern, and the segment
+        // outlives `'a`. No concurrent writer is the caller's contract.
+        unsafe { std::slice::from_raw_parts(p as *const T, len) }
+    }
+
+    /// [`LocalGrid::view`] for mutation. The caller must in addition be
+    /// the range's *only* accessor while the slice is live, and hold no
+    /// other view of the same block.
+    #[allow(clippy::mut_from_ref)]
+    pub fn view_mut(&self) -> &'a mut [T] {
+        let (p, len) = self.privatize();
+        // SAFETY: as in `view`, plus the documented exclusivity contract.
+        unsafe { std::slice::from_raw_parts_mut(p as *mut T, len) }
+    }
+
+    fn privatize(&self) -> (*mut u64, usize) {
         assert_eq!(
             self.phys[2], 1,
-            "LocalGrid::row needs a contiguous k dimension"
+            "LocalGrid::view needs a contiguous k dimension"
         );
-        let first = (i - self.map_lo[0]) * self.phys[0]
-            + (j - self.map_lo[1]) * self.phys[1]
-            + (self.lo[2] - self.map_lo[2]);
-        let n = (self.hi[2] - self.lo[2]) as usize;
-        Row {
-            words: self.seg.words(self.base + first as usize * 8, n),
-            k_lo: self.lo[2],
-            _elem: PhantomData,
+        if (0..3).any(|d| self.hi[d] <= self.lo[d]) {
+            return (std::ptr::NonNull::dangling().as_ptr(), 0);
         }
-    }
-}
-
-/// One `k` row of a 3-D [`LocalGrid`], indexed in global `k`: from
-/// [`LocalGrid::row`]. An access is a slice index (the row's one bound)
-/// plus a relaxed atomic load or store.
-pub struct Row<'a, T: Pod> {
-    words: &'a [AtomicU64],
-    /// Global `k` of `words[0]`.
-    k_lo: i64,
-    _elem: PhantomData<fn() -> T>,
-}
-
-impl<T: Pod> Row<'_, T> {
-    /// Read the element at global `k`. Panics outside the row.
-    #[inline(always)]
-    pub fn get(&self, k: i64) -> T {
-        let w = self.words[(k - self.k_lo) as usize].load(Ordering::Relaxed);
-        T::read_from(&w.to_le_bytes())
-    }
-
-    /// Write the element at global `k`. Panics outside the row.
-    #[inline(always)]
-    pub fn set(&self, k: i64, value: T) {
-        let mut w = [0u8; 8];
-        value.write_to(&mut w);
-        self.words[(k - self.k_lo) as usize].store(u64::from_le_bytes(w), Ordering::Relaxed);
+        let first = self.index(self.lo[0], self.lo[1], self.lo[2]);
+        let len = self.index(self.hi[0] - 1, self.hi[1] - 1, self.hi[2] - 1) + 1 - first;
+        (self.seg.privatize_ptr(self.base + first * 8, len * 8), len)
     }
 }
 
@@ -235,88 +238,79 @@ mod tests {
         });
     }
 
-    /// `row(i, j).get(k) == at(i, j, k)` at every point of `view`'s domain.
-    fn rows_agree_with_at(ctx: &Ctx, view: &NdArray<f64, 3>) {
+    /// `view()[offset(i, j, k)] == at(i, j, k)`, which the generic path
+    /// reads too, at every point of `view`'s domain; each stride steps to
+    /// the next point in its dimension.
+    fn view_agrees_with_at(ctx: &Ctx, view: &NdArray<f64, 3>) {
         let g = LocalGrid::new(ctx, view);
         let (lo, hi) = (g.lo(), g.hi());
+        let (v, (si, sj)) = (g.view(), g.strides());
+        assert_eq!(v.len(), g.offset(hi[0] - 1, hi[1] - 1, hi[2] - 1) + 1);
         for i in lo[0]..hi[0] {
             for j in lo[1]..hi[1] {
-                let row = g.row(i, j);
                 for k in lo[2]..hi[2] {
-                    assert_eq!(
-                        row.get(k).to_bits(),
-                        g.at(i, j, k).to_bits(),
-                        "({i}, {j}, {k})"
-                    );
+                    let o = g.offset(i, j, k);
+                    let at = |i, j, k| g.at(i, j, k).to_bits();
+                    assert_eq!(v[o].to_bits(), at(i, j, k), "({i}, {j}, {k})");
+                    assert_eq!(at(i, j, k), view.get(ctx, pt![i, j, k]).to_bits());
+                    if i + 1 < hi[0] {
+                        assert_eq!(v[o + si].to_bits(), at(i + 1, j, k), "i of ({i}, {j}, {k})");
+                    }
+                    if j + 1 < hi[1] {
+                        assert_eq!(v[o + sj].to_bits(), at(i, j + 1, k), "j of ({i}, {j}, {k})");
+                    }
                 }
             }
         }
     }
 
     #[test]
-    fn row_agrees_with_at_on_every_view() {
+    fn view_agrees_with_at_on_every_view() {
         spmd(cfg(), |ctx| {
             let a = NdArray::<f64, 3>::new(ctx, rd!([-1, -1, -1]..[5, 6, 7]));
             a.fill_with(ctx, |p| (p[0] * 100 + p[1] * 10 + p[2]) as f64);
-            rows_agree_with_at(ctx, &a);
-            rows_agree_with_at(ctx, &a.restrict(rd!([0, 1, 2]..[4, 4, 5])));
-            rows_agree_with_at(ctx, &a.translate(pt![10, -3, 4]));
+            view_agrees_with_at(ctx, &a);
+            view_agrees_with_at(ctx, &a.restrict(rd!([0, 1, 2]..[4, 4, 5])));
+            view_agrees_with_at(ctx, &a.translate(pt![10, -3, 4]));
             // A translated view reads the source's point `p - t`.
             let t = LocalGrid::new(ctx, &a.translate(pt![10, -3, 4]));
-            assert_eq!(t.row(12, -2).get(5), a.get(ctx, pt![2, 1, 1]));
+            assert_eq!(t.view()[t.offset(12, -2, 5)], a.get(ctx, pt![2, 1, 1]));
+            let empty = LocalGrid::new(ctx, &a.restrict(rd!([1, 1, 1]..[1, 3, 3])));
+            assert!(empty.view().is_empty());
             a.destroy(ctx);
         });
     }
 
     #[test]
-    fn row_writes_are_seen_by_get_and_the_generic_path() {
+    fn view_writes_are_seen_by_get_and_the_generic_path() {
         spmd(cfg(), |ctx| {
             let a = NdArray::<f64, 3>::new(ctx, rd!([-1, -1, -1]..[5, 5, 5]));
             a.fill(ctx, 0.0);
-            let g = LocalGrid::new(ctx, &a);
-            let row = g.row(2, 3);
-            for k in -1..5 {
-                row.set(k, k as f64 * 1.5);
+            let g = LocalGrid::new(ctx, &a.restrict(rd!([0, 1, -1]..[4, 5, 5])));
+            let (v, o, (si, sj)) = (g.view_mut(), g.offset(2, 3, -1), g.strides());
+            for (k, x) in v[o..o + 6].iter_mut().enumerate() {
+                *x = k as f64 * 1.5 - 1.5;
             }
+            (v[o + si], v[o + sj]) = (9.0, 7.0);
             for k in -1..5 {
-                assert_eq!(row.get(k), k as f64 * 1.5);
                 assert_eq!(g.at(2, 3, k), k as f64 * 1.5);
                 assert_eq!(a.get(ctx, pt![2, 3, k]), k as f64 * 1.5);
             }
-            // The neighbouring rows are untouched.
+            assert_eq!(a.get(ctx, pt![3, 3, -1]), 9.0);
+            assert_eq!(a.get(ctx, pt![2, 4, -1]), 7.0);
+            // The rest of the neighbouring rows is untouched.
             assert_eq!(a.get(ctx, pt![2, 2, 4]), 0.0);
-            assert_eq!(a.get(ctx, pt![2, 4, -1]), 0.0);
+            assert_eq!(a.get(ctx, pt![2, 4, 0]), 0.0);
             a.destroy(ctx);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the domain")]
-    fn row_outside_the_domain_panics() {
-        spmd(cfg(), |ctx| {
-            let a = NdArray::<f64, 3>::new(ctx, rd!([0, 0, 0]..[4, 4, 4]));
-            let g = LocalGrid::new(ctx, &a.restrict(rd!([1, 1, 1]..[3, 3, 3])));
-            let _ = g.row(1, 3);
         });
     }
 
     #[test]
     #[should_panic(expected = "contiguous k dimension")]
-    fn row_refuses_a_permuted_view() {
+    fn view_refuses_a_permuted_view() {
         spmd(cfg(), |ctx| {
             let a = NdArray::<f64, 3>::new(ctx, rd!([0, 0, 0]..[2, 3, 4]));
-            let g = LocalGrid::new(ctx, &a.permute([2, 1, 0]));
-            let _ = g.row(0, 0);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "index out of bounds")]
-    fn row_get_outside_the_row_panics() {
-        spmd(cfg(), |ctx| {
-            let a = NdArray::<f64, 3>::new(ctx, rd!([0, 0, 0]..[4, 4, 4]));
-            let g = LocalGrid::new(ctx, &a.restrict(rd!([1, 1, 1]..[3, 3, 3])));
-            let _ = g.row(1, 1).get(3);
+            let _ = LocalGrid::new(ctx, &a.permute([2, 1, 0])).view();
         });
     }
 
@@ -346,10 +340,10 @@ mod tests {
     #[should_panic(expected = "rank-local")]
     fn remote_array_rejected() {
         spmd(RuntimeConfig::new(2).segment_bytes(1 << 16), |ctx| {
-            let a = NdArray::<f64, 2>::new(ctx, rd!([0, 0]..[2, 2]));
-            let dirs: Vec<NdArray<f64, 2>> = ctx.allgatherv(&[a]);
+            let a = NdArray::<f64, 3>::new(ctx, rd!([0, 0, 0]..[2, 2, 2]));
+            let dirs: Vec<NdArray<f64, 3>> = ctx.allgatherv(&[a]);
             let other = dirs[1 - ctx.rank()];
-            let _ = LocalGrid::new(ctx, &other);
+            let _ = LocalGrid::new(ctx, &other).view();
         });
     }
 
