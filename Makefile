@@ -152,9 +152,9 @@ flake:
 # (`rupcxx_net::TaskFn` keeps a closure in the message's bytes, moves it
 # out to run it and drops it in place if it never runs), over
 # `Segment::new`'s (its words come from one zeroed allocation), over the
-# privatized block views (`LocalGrid::view{,_mut}` and the stencil's
-# Jacobi loop on them) and over the suites that send, run, park and drop
-# tasks: `make asan`. `-Zsanitizer` needs
+# privatized block views (`LocalGrid::view{,_mut}`, the stencil's
+# Jacobi loop and MiniLulesh's zone kernel on them) and over the suites
+# that send, run, park and drop tasks: `make asan`. `-Zsanitizer` needs
 # nightly, so this is not a `make ci` gate (that one runs on stable) but a
 # CI job of its own. The nightly is pinned to the build it was verified
 # with (a box that has that build under another name runs
@@ -165,6 +165,7 @@ ASAN_SUITES = \
 	"-p rupcxx-net segment" \
 	"-p rupcxx-ndarray local" \
 	"-p rupcxx-apps stencil" \
+	"-p rupcxx-apps lulesh" \
 	"-p rupcxx-runtime finish" \
 	"-p rupcxx-runtime event" \
 	"-p rupcxx-runtime ctx" \

@@ -18,22 +18,29 @@
 //! LULESH's full hexahedral FEM — the communication pattern, data volumes
 //! and synchronization structure are the reproduced quantities.
 //!
-//! Two transports reproduce Fig. 8's comparison:
+//! Three transports reproduce Fig. 8's comparison and extend it:
 //! * [`Transport::TwoSided`] — `rupcxx-mpi` non-blocking `isend`/`irecv`
 //!   (the paper's MPI version);
 //! * [`Transport::OneSided`] — `rupcxx` one-sided puts into pre-published
 //!   landing buffers with handle-less fence synchronization (the paper's
-//!   UPC++ version).
+//!   UPC++ version);
+//! * [`Transport::PgasArrays`] — face copies between multidimensional
+//!   global arrays, no packing (the paper's §V-E future work).
 //!
-//! Both transports pack/unpack in identical order, so they produce
-//! **bitwise identical** physics — the cross-variant correctness check.
+//! Every transport runs one kernel on one `(edge+2)³` layout — plain
+//! `Vec`s for the packing transports, the privatized array blocks for
+//! `PgasArrays` — so they produce **bitwise identical** physics, the
+//! cross-variant correctness check, and a FOM gap between them is the
+//! exchange's alone.
 
 use rupcxx::prelude::*;
 use rupcxx_mpi::{MpiWorld, RecvReq, SendReq};
 use rupcxx_util::Timer;
+use std::ops::Range;
 use std::sync::Arc;
 
 const GAMMA: f64 = 1.4;
+const DX: f64 = 1.0;
 const NFIELDS: usize = 4; // p+q, u, v, w travel in the ghost exchange
 const NDIRS: usize = 26;
 
@@ -79,7 +86,8 @@ pub struct LuleshResult {
     pub max_speed: f64,
 }
 
-/// One rank's field state: `(edge+2)³` cells, ghost shell included.
+/// One rank's zonal fields: `(edge+2)³` cells, ghost shell included, `k`
+/// contiguous. The velocities live with the transport, in the same layout.
 struct State {
     e1: usize, // edge
     s: usize,  // stride = edge + 2
@@ -87,36 +95,155 @@ struct State {
     en: Vec<f64>,
     p: Vec<f64>,
     q: Vec<f64>,
-    u: Vec<f64>,
-    v: Vec<f64>,
-    w: Vec<f64>,
 }
 
 impl State {
-    fn new(edge: usize) -> Self {
+    /// Uniform gas after the initial EOS; `hot` (the rank owning the
+    /// global center) holds the Sedov-like point blast.
+    fn new(edge: usize, hot: bool) -> Self {
         let s = edge + 2;
         let n = s * s * s;
-        State {
+        let mut st = State {
             e1: edge,
             s,
             rho: vec![1.0; n],
             en: vec![1e-6; n],
             p: vec![0.0; n],
             q: vec![0.0; n],
-            u: vec![0.0; n],
-            v: vec![0.0; n],
-            w: vec![0.0; n],
+        };
+        if hot {
+            let c = st.idx(edge / 2 + 1, edge / 2 + 1, edge / 2 + 1);
+            st.en[c] = 1.0;
         }
+        for c in 0..n {
+            st.p[c] = (GAMMA - 1.0) * st.rho[c] * st.en[c];
+        }
+        st
     }
 
     #[inline]
     fn idx(&self, i: usize, j: usize, k: usize) -> usize {
         (i * self.s + j) * self.s + k
     }
+
+    /// The interior, one contiguous `k` row per `(i, j)`. Holds no
+    /// borrow of the state.
+    fn rows(&self) -> impl Iterator<Item = Range<usize>> {
+        let (e, s) = (self.e1, self.s);
+        (1..=e).flat_map(move |i| {
+            (1..=e)
+                .map(move |j| (i * s + j) * s)
+                .map(move |r| r + 1..r + e + 1)
+        })
+    }
+
+    /// Cells of the slab toward or from `dir` (`send_range` or
+    /// `recv_range`), in the lexicographic order both ends share.
+    fn slab(
+        &self,
+        dir: (i64, i64, i64),
+        range: fn(i64, usize) -> (usize, usize),
+    ) -> impl Iterator<Item = usize> + '_ {
+        let [(i0, i1), (j0, j1), (k0, k1)] = [dir.0, dir.1, dir.2].map(|d| range(d, self.e1));
+        (i0..=i1)
+            .flat_map(move |i| (j0..=j1).flat_map(move |j| self.idx(i, j, k0)..=self.idx(i, j, k1)))
+    }
+
+    /// Interior p+q into `pq`, the array the kernel's force reads.
+    fn publish_pq(&self, pq: &mut [f64]) {
+        for c in self.rows().flatten() {
+            pq[c] = self.p[c] + self.q[c];
+        }
+    }
+
+    /// Global total energy and maximum speed.
+    fn diagnostics(&self, ctx: &Ctx, [u, v, w]: [&[f64]; 3]) -> (f64, f64) {
+        let mut energy = 0.0;
+        let mut speed: f64 = 0.0;
+        for c in self.rows().flatten() {
+            let v2 = u[c] * u[c] + v[c] * v[c] + w[c] * w[c];
+            energy += self.rho[c] * self.en[c] + 0.5 * self.rho[c] * v2;
+            speed = speed.max(v2.sqrt());
+        }
+        (
+            ctx.allreduce(energy, |a, b| a + b),
+            ctx.allreduce(speed, f64::max),
+        )
+    }
+}
+
+/// The Lagrange-leapfrog proxy step over one rank's block, every
+/// transport's: force, velocity, divergence, continuity/energy and
+/// viscosity, then the EOS. Reads `pq` and `u, v, w` with their ghosts
+/// filled, writes the interior of `un, vn, wn` and of the zonal fields,
+/// and returns the rank's Courant limit. A zone reads no other zone's
+/// zonal values, so those update in place.
+fn zone_step(
+    st: &mut State,
+    pq: &[f64],
+    [u, v, w]: [&[f64]; 3],
+    [un, vn, wn]: [&mut [f64]; 3],
+    dt: f64,
+    dx: f64,
+) -> f64 {
+    let (s, s2) = (st.s, st.s * st.s);
+    let (rows, eos_rows) = (st.rows(), st.rows());
+    let State { rho, en, p, q, .. } = st;
+    let inv2dx = 0.5 / dx;
+    let mut max_speed: f64 = 0.0;
+    for row in rows {
+        for c in row {
+            // Force: -∇(p+q)/ρ.
+            let ax = -(pq[c + s2] - pq[c - s2]) * inv2dx / rho[c];
+            let ay = -(pq[c + s] - pq[c - s]) * inv2dx / rho[c];
+            let az = -(pq[c + 1] - pq[c - 1]) * inv2dx / rho[c];
+            un[c] = u[c] + dt * ax;
+            vn[c] = v[c] + dt * ay;
+            wn[c] = w[c] + dt * az;
+            // Divergence of the (old) velocity field.
+            let div = (u[c + s2] - u[c - s2] + v[c + s] - v[c - s] + w[c + 1] - w[c - 1]) * inv2dx;
+            // Continuity & energy (compression work).
+            let new_rho = (rho[c] - dt * rho[c] * div).max(1e-10);
+            en[c] = (en[c] - dt * (p[c] + q[c]) * div / rho[c]).max(1e-12);
+            rho[c] = new_rho;
+            let speed = (un[c] * un[c] + vn[c] * vn[c] + wn[c] * wn[c]).sqrt();
+            max_speed = max_speed.max(speed);
+            // Artificial viscosity on compression.
+            q[c] = if div < 0.0 {
+                2.0 * new_rho * div * div * dx * dx
+            } else {
+                0.0
+            };
+        }
+    }
+    // EOS.
+    let mut max_cs: f64 = 0.0;
+    for row in eos_rows {
+        for c in row {
+            p[c] = (GAMMA - 1.0) * rho[c] * en[c];
+            max_cs = max_cs.max((GAMMA * p[c] / rho[c]).sqrt());
+        }
+    }
+    0.3 * dx / (max_cs + max_speed + 1e-12)
+}
+
+/// Runs `steps` time steps between two barriers and returns the wall
+/// seconds (max over ranks). `step(n, dt)` advances the state by `dt` and
+/// returns the rank's Courant limit; the global minimum bounds the next dt.
+fn time_steps(ctx: &Ctx, steps: usize, step: &mut dyn FnMut(usize, f64) -> f64) -> f64 {
+    let mut dt = 0.05;
+    ctx.barrier();
+    let t = Timer::start();
+    for n in 0..steps {
+        let global_limit = ctx.allreduce(step(n, dt), f64::min);
+        dt = (dt * 1.1).min(global_limit).min(0.05);
+    }
+    ctx.barrier();
+    ctx.allreduce(t.seconds(), f64::max)
 }
 
 /// The 26 neighbour direction vectors, in a fixed order shared by both
-/// transports (deterministic packing order).
+/// packing transports (deterministic packing order).
 fn directions() -> [(i64, i64, i64); NDIRS] {
     let mut dirs = [(0i64, 0i64, 0i64); NDIRS];
     let mut n = 0;
@@ -156,46 +283,29 @@ fn slab_len(dir: (i64, i64, i64), edge: usize) -> usize {
     n(dir.0) * n(dir.1) * n(dir.2)
 }
 
-/// Pack the four exchanged fields for direction `dir` (deterministic
-/// lexicographic order).
-fn pack(st: &State, dir: (i64, i64, i64)) -> Vec<f64> {
-    let (i0, i1) = send_range(dir.0, st.e1);
-    let (j0, j1) = send_range(dir.1, st.e1);
-    let (k0, k1) = send_range(dir.2, st.e1);
+/// Pack the exchanged fields (p+q, u, v, w) for direction `dir`, cell by
+/// cell.
+fn pack(st: &State, dir: (i64, i64, i64), fields: [&[f64]; NFIELDS]) -> Vec<f64> {
     let mut out = Vec::with_capacity(NFIELDS * slab_len(dir, st.e1));
-    for i in i0..=i1 {
-        for j in j0..=j1 {
-            for k in k0..=k1 {
-                let c = st.idx(i, j, k);
-                out.push(st.p[c] + st.q[c]);
-                out.push(st.u[c]);
-                out.push(st.v[c]);
-                out.push(st.w[c]);
-            }
-        }
+    for c in st.slab(dir, send_range) {
+        out.extend(fields.map(|f| f[c]));
     }
     out
 }
 
-/// Unpack a received slab from direction `dir` into the ghost shell.
-/// `pq_ghost` receives the combined p+q field.
-fn unpack(st: &mut State, dir: (i64, i64, i64), data: &[f64], pq_ghost: &mut [f64]) {
-    let (i0, i1) = recv_range(dir.0, st.e1);
-    let (j0, j1) = recv_range(dir.1, st.e1);
-    let (k0, k1) = recv_range(dir.2, st.e1);
-    let mut it = data.iter();
-    for i in i0..=i1 {
-        for j in j0..=j1 {
-            for k in k0..=k1 {
-                let c = st.idx(i, j, k);
-                pq_ghost[c] = *it.next().expect("slab size");
-                st.u[c] = *it.next().expect("slab size");
-                st.v[c] = *it.next().expect("slab size");
-                st.w[c] = *it.next().expect("slab size");
-            }
+/// Unpack a slab received from direction `dir` into the fields' ghost
+/// shell.
+fn unpack(st: &State, dir: (i64, i64, i64), data: &[f64], mut fields: [&mut [f64]; NFIELDS]) {
+    assert_eq!(
+        data.len(),
+        NFIELDS * slab_len(dir, st.e1),
+        "slab size mismatch"
+    );
+    for (c, cell) in st.slab(dir, recv_range).zip(data.chunks_exact(NFIELDS)) {
+        for (f, &x) in fields.iter_mut().zip(cell) {
+            f[c] = x;
         }
     }
-    assert!(it.next().is_none(), "slab size mismatch");
 }
 
 fn rank_of(c: (i64, i64, i64), q: usize) -> usize {
@@ -216,7 +326,7 @@ fn coords_of(rank: usize, q: usize) -> (i64, i64, i64) {
 struct OneSidedBufs {
     /// `mine[d]` = landing buffer for data arriving from direction d.
     mine: Vec<GlobalPtr<f64>>,
-    /// `dirs_of[r][d]` = rank r's landing buffer for direction d.
+    /// `all[r][d]` = rank r's landing buffer for direction d.
     all: Vec<Vec<GlobalPtr<f64>>>,
 }
 
@@ -235,17 +345,38 @@ fn setup_one_sided(ctx: &Ctx, edge: usize) -> OneSidedBufs {
 
 /// Run MiniLulesh collectively. `world` is required for the two-sided
 /// transport (pass a fresh `MpiWorld` of the right size); ignored for
-/// one-sided.
+/// the others.
 pub fn run(ctx: &Ctx, cfg: &LuleshConfig, world: Option<&Arc<MpiWorld>>) -> LuleshResult {
     let q = cfg.q;
     assert_eq!(q * q * q, ctx.ranks(), "ranks must be a perfect cube q³");
     let edge = cfg.edge;
     assert!(edge >= 2, "edge must be at least 2");
-    if cfg.transport == Transport::PgasArrays {
-        return pgas::run_pgas_arrays(ctx, cfg);
+    let center_rank = rank_of((q as i64 / 2, q as i64 / 2, q as i64 / 2), q);
+    let st = State::new(edge, ctx.rank() == center_rank);
+    let (seconds, (total_energy, max_speed)) = match cfg.transport {
+        Transport::PgasArrays => pgas::run_pgas_arrays(ctx, cfg, st),
+        _ => run_packed(ctx, cfg, st, world),
+    };
+    let zones = (edge * edge * edge * ctx.ranks()) as f64;
+    LuleshResult {
+        seconds,
+        fom_zps: zones * cfg.steps as f64 / seconds,
+        total_energy,
+        max_speed,
     }
-    let me = ctx.rank();
-    let my_c = coords_of(me, q);
+}
+
+/// The packing transports: velocities in double-buffered `Vec`s, ghosts
+/// moved by 26 hand-packed slabs a step. Returns the timed seconds and
+/// the diagnostics.
+fn run_packed(
+    ctx: &Ctx,
+    cfg: &LuleshConfig,
+    mut st: State,
+    world: Option<&Arc<MpiWorld>>,
+) -> (f64, (f64, f64)) {
+    let (edge, q) = (cfg.edge, cfg.q);
+    let my_c = coords_of(ctx.rank(), q);
     let dirs = directions();
     // Neighbour rank per direction (periodic domain).
     let nbr: Vec<usize> = dirs
@@ -253,7 +384,6 @@ pub fn run(ctx: &Ctx, cfg: &LuleshConfig, world: Option<&Arc<MpiWorld>>) -> Lule
         .map(|&(dx, dy, dz)| rank_of((my_c.0 + dx, my_c.1 + dy, my_c.2 + dz), q))
         .collect();
     // The direction index the *neighbour* sees me from (opposite dir).
-    #[allow(clippy::needless_range_loop)]
     let opposite: Vec<usize> = dirs
         .iter()
         .map(|&(dx, dy, dz)| {
@@ -263,166 +393,77 @@ pub fn run(ctx: &Ctx, cfg: &LuleshConfig, world: Option<&Arc<MpiWorld>>) -> Lule
         })
         .collect();
 
-    let mut st = State::new(edge);
-    // Sedov-like point blast: the rank owning the global center gets a
-    // hot zone.
-    let center_rank = rank_of((q as i64 / 2, q as i64 / 2, q as i64 / 2), q);
-    if me == center_rank {
-        let c = st.idx(edge / 2 + 1, edge / 2 + 1, edge / 2 + 1);
-        st.en[c] = 1.0;
-    }
-    // Initial EOS.
-    let ncells = st.s * st.s * st.s;
-    for c in 0..ncells {
-        st.p[c] = (GAMMA - 1.0) * st.rho[c] * st.en[c];
-    }
-
     let one_sided = (cfg.transport == Transport::OneSided).then(|| setup_one_sided(ctx, edge));
     let comm = world.map(|w| w.comm(ctx));
     if cfg.transport == Transport::TwoSided {
         assert!(comm.is_some(), "TwoSided transport needs an MpiWorld");
     }
 
-    let dx = 1.0;
-    let mut dt = 0.05;
-    let mut pq_ghost = vec![0.0f64; ncells];
+    let n = st.s * st.s * st.s;
+    let mut pq = vec![0.0f64; n];
+    // `vel[step % 2]` is read, `vel[1 - step % 2]` written.
+    let mut vel: [[Vec<f64>; 3]; 2] =
+        std::array::from_fn(|_| std::array::from_fn(|_| vec![0.0; n]));
 
-    ctx.barrier();
-    let t = Timer::start();
-    for _step in 0..cfg.steps {
+    let seconds = time_steps(ctx, cfg.steps, &mut |step, dt| {
+        let [a, b] = &mut vel;
+        let (cur, nxt) = if step % 2 == 0 { (a, b) } else { (b, a) };
+        st.publish_pq(&mut pq);
         // --- Ghost exchange of (p+q, u, v, w), 26 neighbours. ---
-        match cfg.transport {
+        let out: [&[f64]; NFIELDS] = [&pq, &cur[0], &cur[1], &cur[2]];
+        let arrived: Vec<Vec<f64>> = match cfg.transport {
             Transport::TwoSided => {
                 let comm = comm.as_ref().expect("checked");
-                // Post all receives first (tag = direction I receive from).
+                // Post all receives first (tag = direction I receive
+                // from). Pack and send: the neighbour in direction d
+                // receives my slab tagged with the direction it sees me
+                // from.
                 let recvs: Vec<RecvReq> =
                     (0..NDIRS).map(|d| comm.irecv(nbr[d], d as u64)).collect();
-                // Pack and send: the neighbour in direction d receives my
-                // slab tagged with the direction it sees me from.
                 let sends: Vec<SendReq> = (0..NDIRS)
-                    .map(|d| {
-                        let payload = pack(&st, dirs[d]);
-                        comm.isend_slice(nbr[d], opposite[d] as u64, &payload)
-                    })
+                    .map(|d| comm.isend_slice(nbr[d], opposite[d] as u64, &pack(&st, dirs[d], out)))
                     .collect();
                 let arrived = comm.waitall_recvs(&recvs);
                 comm.waitall_sends(&sends);
-                for (d, (_, bytes)) in arrived.into_iter().enumerate() {
-                    let data = rupcxx_net::pod::unpack_slice::<f64>(&bytes);
-                    unpack(&mut st, dirs[d], &data, &mut pq_ghost);
-                }
+                arrived
+                    .iter()
+                    .map(|(_, bytes)| rupcxx_net::pod::unpack_slice::<f64>(bytes))
+                    .collect()
             }
-            Transport::PgasArrays => unreachable!("dispatched to pgas::run_pgas_arrays"),
             Transport::OneSided => {
                 let bufs = one_sided.as_ref().expect("checked");
-                // Put my slab straight into the neighbour's landing buffer
-                // for the direction it sees me from ("handle-less"
+                // Put my slab straight into the neighbour's landing
+                // buffer for the direction it sees me from ("handle-less"
                 // non-blocking one-sided, synchronized by a single fence).
-                #[allow(clippy::needless_range_loop)]
                 for d in 0..NDIRS {
-                    let payload = pack(&st, dirs[d]);
-                    bufs.all[nbr[d]][opposite[d]].rput_slice(ctx, &payload);
+                    bufs.all[nbr[d]][opposite[d]].rput_slice(ctx, &pack(&st, dirs[d], out));
                 }
                 async_copy_fence(ctx);
                 ctx.barrier();
-                for (d, &dir) in dirs.iter().enumerate() {
-                    let len = NFIELDS * slab_len(dir, edge);
-                    let mut data = vec![0.0f64; len];
-                    bufs.mine[d].rget_slice(ctx, &mut data);
-                    unpack(&mut st, dir, &data, &mut pq_ghost);
-                }
+                (0..NDIRS)
+                    .map(|d| {
+                        let mut data = vec![0.0f64; NFIELDS * slab_len(dirs[d], edge)];
+                        bufs.mine[d].rget_slice(ctx, &mut data);
+                        data
+                    })
+                    .collect()
             }
+            Transport::PgasArrays => unreachable!("runs in pgas::run_pgas_arrays"),
+        };
+        for (&dir, data) in dirs.iter().zip(&arrived) {
+            let [u, v, w] = cur.each_mut().map(Vec::as_mut_slice);
+            unpack(&st, dir, data, [&mut pq, u, v, w]);
         }
-        // Interior p+q into the work array (ghosts already filled).
-        for i in 1..=edge {
-            for j in 1..=edge {
-                for k in 1..=edge {
-                    let c = st.idx(i, j, k);
-                    pq_ghost[c] = st.p[c] + st.q[c];
-                }
-            }
-        }
-
-        // --- Lagrange leapfrog proxy step (double-buffered updates). ---
-        let inv2dx = 0.5 / dx;
-        let mut new_u = st.u.clone();
-        let mut new_v = st.v.clone();
-        let mut new_w = st.w.clone();
-        let mut new_rho = st.rho.clone();
-        let mut new_en = st.en.clone();
-        let mut max_speed: f64 = 0.0;
-        let mut max_cs: f64 = 0.0;
-        for i in 1..=edge {
-            for j in 1..=edge {
-                for k in 1..=edge {
-                    let c = st.idx(i, j, k);
-                    let (xp, xm) = (st.idx(i + 1, j, k), st.idx(i - 1, j, k));
-                    let (yp, ym) = (st.idx(i, j + 1, k), st.idx(i, j - 1, k));
-                    let (zp, zm) = (st.idx(i, j, k + 1), st.idx(i, j, k - 1));
-                    // Force: -∇(p+q)/ρ.
-                    let ax = -(pq_ghost[xp] - pq_ghost[xm]) * inv2dx / st.rho[c];
-                    let ay = -(pq_ghost[yp] - pq_ghost[ym]) * inv2dx / st.rho[c];
-                    let az = -(pq_ghost[zp] - pq_ghost[zm]) * inv2dx / st.rho[c];
-                    new_u[c] = st.u[c] + dt * ax;
-                    new_v[c] = st.v[c] + dt * ay;
-                    new_w[c] = st.w[c] + dt * az;
-                    // Divergence of the (old) velocity field.
-                    let div =
-                        (st.u[xp] - st.u[xm] + st.v[yp] - st.v[ym] + st.w[zp] - st.w[zm]) * inv2dx;
-                    // Continuity & energy (compression work).
-                    new_rho[c] = (st.rho[c] - dt * st.rho[c] * div).max(1e-10);
-                    new_en[c] = (st.en[c] - dt * (st.p[c] + st.q[c]) * div / st.rho[c]).max(1e-12);
-                    let speed =
-                        (new_u[c] * new_u[c] + new_v[c] * new_v[c] + new_w[c] * new_w[c]).sqrt();
-                    max_speed = max_speed.max(speed);
-                    // Artificial viscosity on compression.
-                    st.q[c] = if div < 0.0 {
-                        2.0 * new_rho[c] * div * div * dx * dx
-                    } else {
-                        0.0
-                    };
-                }
-            }
-        }
-        st.u = new_u;
-        st.v = new_v;
-        st.w = new_w;
-        st.rho = new_rho;
-        st.en = new_en;
-        // EOS.
-        for i in 1..=edge {
-            for j in 1..=edge {
-                for k in 1..=edge {
-                    let c = st.idx(i, j, k);
-                    st.p[c] = (GAMMA - 1.0) * st.rho[c] * st.en[c];
-                    max_cs = max_cs.max((GAMMA * st.p[c] / st.rho[c]).sqrt());
-                }
-            }
-        }
-        // --- Courant dt (global). ---
-        let local_limit = 0.3 * dx / (max_cs + max_speed + 1e-12);
-        let global_limit = ctx.allreduce(local_limit, f64::min);
-        dt = (dt * 1.1).min(global_limit).min(0.05);
-    }
-    ctx.barrier();
-    let seconds = ctx.allreduce(t.seconds(), f64::max);
-
-    // Diagnostics.
-    let mut local_energy = 0.0;
-    let mut local_speed: f64 = 0.0;
-    for i in 1..=edge {
-        for j in 1..=edge {
-            for k in 1..=edge {
-                let c = st.idx(i, j, k);
-                local_energy += st.rho[c] * st.en[c]
-                    + 0.5 * st.rho[c] * (st.u[c] * st.u[c] + st.v[c] * st.v[c] + st.w[c] * st.w[c]);
-                local_speed = local_speed
-                    .max((st.u[c] * st.u[c] + st.v[c] * st.v[c] + st.w[c] * st.w[c]).sqrt());
-            }
-        }
-    }
-    let total_energy = ctx.allreduce(local_energy, |a, b| a + b);
-    let max_speed = ctx.allreduce(local_speed, f64::max);
+        zone_step(
+            &mut st,
+            &pq,
+            cur.each_ref().map(Vec::as_slice),
+            nxt.each_mut().map(Vec::as_mut_slice),
+            dt,
+            DX,
+        )
+    });
+    let diagnostics = st.diagnostics(ctx, vel[cfg.steps % 2].each_ref().map(Vec::as_slice));
 
     ctx.barrier();
     if let Some(bufs) = one_sided {
@@ -430,13 +471,7 @@ pub fn run(ctx: &Ctx, cfg: &LuleshConfig, world: Option<&Arc<MpiWorld>>) -> Lule
             deallocate(ctx, p);
         }
     }
-    let zones = (edge * edge * edge * ctx.ranks()) as f64;
-    LuleshResult {
-        seconds,
-        fom_zps: zones * cfg.steps as f64 / seconds,
-        total_energy,
-        max_speed,
-    }
+    (seconds, diagnostics)
 }
 
 /// The pack-free variant: state in multidimensional global arrays.
@@ -474,174 +509,70 @@ mod pgas {
         }
     }
 
-    pub(super) fn run_pgas_arrays(ctx: &Ctx, cfg: &LuleshConfig) -> LuleshResult {
-        let q = cfg.q;
-        let edge = cfg.edge;
-        let me = ctx.rank();
-        let my_c = coords_of(me, q);
+    pub(super) fn run_pgas_arrays(
+        ctx: &Ctx,
+        cfg: &LuleshConfig,
+        mut st: State,
+    ) -> (f64, (f64, f64)) {
+        let (q, edge) = (cfg.q, cfg.edge);
+        let my_c = coords_of(ctx.rank(), q);
         let ei = edge as i64;
         let lo = pt![my_c.0 * ei, my_c.1 * ei, my_c.2 * ei];
         let interior = RectDomain::new(lo, lo + Point::splat(ei));
         let halo = RectDomain::new(lo - Point::ones(), lo + Point::splat(ei + 1));
 
-        // Global arrays: p+q (single buffer) and double-buffered u, v, w.
+        // Global arrays: p+q (single buffer) and double-buffered u, v, w
+        // (`vel[step % 2]` read, `vel[1 - step % 2]` written).
         let pq_arr = NdArray::<f64, 3>::new(ctx, halo);
-        let vel: Vec<NdArray<f64, 3>> = (0..6).map(|_| NdArray::<f64, 3>::new(ctx, halo)).collect();
-        pq_arr.fill(ctx, 0.0);
-        for a in &vel {
+        let vel: [[NdArray<f64, 3>; 3]; 2] =
+            std::array::from_fn(|_| std::array::from_fn(|_| NdArray::new(ctx, halo)));
+        for a in vel.iter().flatten().chain([&pq_arr]) {
             a.fill(ctx, 0.0);
         }
         let pq_dirs: Vec<NdArray<f64, 3>> = ctx.allgatherv(&[pq_arr]);
-        let vel_dirs: Vec<Vec<NdArray<f64, 3>>> =
-            (0..6).map(|k| ctx.allgatherv(&[vel[k]])).collect();
+        let vel_dirs = vel.map(|b| b.map(|a| ctx.allgatherv(&[a])));
 
-        // Rank-local zonal state (never needs ghosts): same layout and
-        // initialization as the packing variants.
-        let mut st = State::new(edge);
-        let center_rank = rank_of((q as i64 / 2, q as i64 / 2, q as i64 / 2), q);
-        if me == center_rank {
-            let c = st.idx(edge / 2 + 1, edge / 2 + 1, edge / 2 + 1);
-            st.en[c] = 1.0;
-        }
-        let ncells = st.s * st.s * st.s;
-        for c in 0..ncells {
-            st.p[c] = (GAMMA - 1.0) * st.rho[c] * st.en[c];
-        }
-
-        // Privatized blocks (`LocalGrid::view`). Every array has `halo`'s
-        // layout, so `pq_g`'s offsets and strides serve all seven.
+        // Privatized blocks (`LocalGrid::view`): every array has `halo`'s
+        // layout, which is `State`'s, so the kernel indexes them as it
+        // indexes the zonal fields.
         let pq_g = LocalGrid::<f64, 3>::new(ctx, &pq_arr);
-        let (si, sj) = pq_g.strides();
+        assert_eq!(pq_g.strides(), (st.s * st.s, st.s), "halo layout");
         let view = |a: &NdArray<f64, 3>| LocalGrid::<f64, 3>::new(ctx, a).view();
         let view_mut = |a: &NdArray<f64, 3>| LocalGrid::<f64, 3>::new(ctx, a).view_mut();
-        let dx = 1.0;
-        let mut dt = 0.05;
-        ctx.barrier();
-        let t = Timer::start();
-        for step in 0..cfg.steps {
-            let cur = step % 2; // velocity buffer indices: cur*3..cur*3+3
-            let nxt = 1 - cur;
+        let seconds = time_steps(ctx, cfg.steps, &mut |step, dt| {
+            let (cur, nxt) = (step % 2, 1 - step % 2);
             // Publish interior p+q into the global array — the *only*
             // data movement besides the array copies; no pack/unpack. The
             // allreduce that closed the last step is what keeps a peer's
             // face pull of `pq` out of this write, the barrier below what
             // keeps the next pull out of it: until then the block is ours.
-            let pq_out = pq_g.view_mut();
-            for i in 0..ei {
-                for j in 0..ei {
-                    let o = pq_g.offset(lo[0] + i, lo[1] + j, lo[2]);
-                    for k in 0..edge {
-                        let c = st.idx(i as usize + 1, j as usize + 1, k + 1);
-                        pq_out[o + k] = st.p[c] + st.q[c];
-                    }
-                }
-            }
+            st.publish_pq(pq_g.view_mut());
             ctx.barrier();
             // Face ghost exchange, one-sided, domain-intersecting.
             exchange_faces(ctx, &pq_arr, &pq_dirs, interior, my_c, q, edge);
-            for k in 0..3 {
-                exchange_faces(
-                    ctx,
-                    &vel[cur * 3 + k],
-                    &vel_dirs[cur * 3 + k],
-                    interior,
-                    my_c,
-                    q,
-                    edge,
-                );
+            for (a, dirs) in vel[cur].iter().zip(&vel_dirs[cur]) {
+                exchange_faces(ctx, a, dirs, interior, my_c, q, edge);
             }
-            // Kernel: identical arithmetic/order to the packing variants,
-            // on privatized blocks. Peers only read `pq` and the `cur`
-            // velocities until the allreduce below, and touch the `nxt`
-            // ones not at all.
-            let pq = pq_g.view();
-            let [u, v, w] = [0, 1, 2].map(|d| view(&vel[cur * 3 + d]));
-            let [un, vn, wn] = [0, 1, 2].map(|d| view_mut(&vel[nxt * 3 + d]));
-            let inv2dx = 0.5 / dx;
-            let mut new_rho = st.rho.clone();
-            let mut new_en = st.en.clone();
-            let mut max_speed: f64 = 0.0;
-            let mut max_cs: f64 = 0.0;
-            for li in 1..=edge {
-                for lj in 1..=edge {
-                    let o = pq_g.offset(lo[0] + li as i64 - 1, lo[1] + lj as i64 - 1, lo[2]);
-                    for lk in 1..=edge {
-                        let c = st.idx(li, lj, lk);
-                        let x = o + lk - 1;
-                        let ax = -(pq[x + si] - pq[x - si]) * inv2dx / st.rho[c];
-                        let ay = -(pq[x + sj] - pq[x - sj]) * inv2dx / st.rho[c];
-                        let az = -(pq[x + 1] - pq[x - 1]) * inv2dx / st.rho[c];
-                        un[x] = u[x] + dt * ax;
-                        vn[x] = v[x] + dt * ay;
-                        wn[x] = w[x] + dt * az;
-                        let div = (u[x + si] - u[x - si] + v[x + sj] - v[x - sj] + w[x + 1]
-                            - w[x - 1])
-                            * inv2dx;
-                        new_rho[c] = (st.rho[c] - dt * st.rho[c] * div).max(1e-10);
-                        new_en[c] =
-                            (st.en[c] - dt * (st.p[c] + st.q[c]) * div / st.rho[c]).max(1e-12);
-                        let (nu, nv, nw) = (un[x], vn[x], wn[x]);
-                        let speed = (nu * nu + nv * nv + nw * nw).sqrt();
-                        max_speed = max_speed.max(speed);
-                        st.q[c] = if div < 0.0 {
-                            2.0 * new_rho[c] * div * div * dx * dx
-                        } else {
-                            0.0
-                        };
-                    }
-                }
-            }
-            st.rho = new_rho;
-            st.en = new_en;
-            for i in 1..=edge {
-                for j in 1..=edge {
-                    for k in 1..=edge {
-                        let c = st.idx(i, j, k);
-                        st.p[c] = (GAMMA - 1.0) * st.rho[c] * st.en[c];
-                        max_cs = max_cs.max((GAMMA * st.p[c] / st.rho[c]).sqrt());
-                    }
-                }
-            }
-            let local_limit = 0.3 * dx / (max_cs + max_speed + 1e-12);
-            let global_limit = ctx.allreduce(local_limit, f64::min);
-            dt = (dt * 1.1).min(global_limit).min(0.05);
-        }
-        ctx.barrier();
-        let seconds = ctx.allreduce(t.seconds(), f64::max);
+            // Peers only read `pq` and the `cur` velocities until the
+            // allreduce that ends the step, and touch the `nxt` ones not
+            // at all.
+            zone_step(
+                &mut st,
+                pq_g.view(),
+                vel[cur].each_ref().map(view),
+                vel[nxt].each_ref().map(view_mut),
+                dt,
+                DX,
+            )
+        });
+        let diagnostics = st.diagnostics(ctx, vel[cfg.steps % 2].each_ref().map(view));
 
-        // Diagnostics: velocities live in the arrays (buffer parity of the
-        // last completed step).
-        let cur = cfg.steps % 2;
-        let [uv, vv, wv] = [0, 1, 2].map(|d| view(&vel[cur * 3 + d]));
-        let mut local_energy = 0.0;
-        let mut local_speed: f64 = 0.0;
-        for li in 1..=edge {
-            for lj in 1..=edge {
-                let o = pq_g.offset(lo[0] + li as i64 - 1, lo[1] + lj as i64 - 1, lo[2]);
-                for lk in 1..=edge {
-                    let c = st.idx(li, lj, lk);
-                    let x = o + lk - 1;
-                    let (u, v, w) = (uv[x], vv[x], wv[x]);
-                    local_energy +=
-                        st.rho[c] * st.en[c] + 0.5 * st.rho[c] * (u * u + v * v + w * w);
-                    local_speed = local_speed.max((u * u + v * v + w * w).sqrt());
-                }
-            }
-        }
-        let total_energy = ctx.allreduce(local_energy, |a, b| a + b);
-        let max_speed = ctx.allreduce(local_speed, f64::max);
         ctx.barrier();
         pq_arr.destroy(ctx);
-        for a in vel {
+        for a in vel.into_iter().flatten() {
             a.destroy(ctx);
         }
-        let zones = (edge * edge * edge * ctx.ranks()) as f64;
-        LuleshResult {
-            seconds,
-            fom_zps: zones * cfg.steps as f64 / seconds,
-            total_energy,
-            max_speed,
-        }
+        (seconds, diagnostics)
     }
 }
 

@@ -5,24 +5,33 @@
 //! parent (conduit set, forks itself N times), or as one rank of a
 //! multi-process job (`RUPCXX_PROC_RANK` set by the launcher).
 //!
-//! Usage: `conduit_app <gups|gups-agg|sort|stencil|copy|teams|spin> <ranks> [k=v...]`
+//! Usage: `conduit_app <gups|gups-agg|sort|stencil|lulesh|lulesh-arrays|copy|teams|spin> <ranks> [k=v...]`
 //!
 //! Every rank prints a deterministic `RESULT rank=R checksum=X` line;
 //! the conformance suite compares these bit-for-bit across conduits.
 //! Keys: `updates`, `table` (gups), `keys`, `seed` (sort), `edge`,
-//! `iters`, `grid=XxYxZ` (stencil), `iters` (teams), `iters`,
-//! `sleep_ms`, `die`, `die_after_ms` (spin), `segment_mib` (all); `copy`
-//! takes none.
+//! `iters`, `grid=XxYxZ` (stencil), `edge`, `steps` (lulesh, on a
+//! perfect cube of ranks), `iters` (teams), `iters`, `sleep_ms`, `die`,
+//! `die_after_ms` (spin), `segment_mib` (all); `copy` takes none.
+//!
+//! `lulesh` is MiniLulesh's one-sided transport, `lulesh-arrays` its
+//! multidimensional-array one. The two-sided transport runs on threads
+//! only: its eager sends are closure tasks, which cannot cross an
+//! address space.
 
 use rupcxx::{allocate, copy, GlobalPtr};
-use rupcxx_apps::{gups, sample_sort, stencil};
+use rupcxx_apps::{gups, lulesh, sample_sort, stencil};
 use rupcxx_net::AggConfig;
 use rupcxx_runtime::{spmd_procs, Ctx, HandlerRegistry, ProcOutcome, RuntimeConfig};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 fn usage() -> ! {
-    eprintln!("usage: conduit_app <gups|gups-agg|sort|stencil|copy|teams|spin> <ranks> [k=v...]");
+    eprintln!(
+        "usage: conduit_app <gups|gups-agg|sort|stencil|lulesh|lulesh-arrays|copy|teams|spin> \
+         <ranks> [k=v...]\n(MiniLulesh's two-sided transport runs on threads only: its eager \
+         sends are closure tasks)"
+    );
     std::process::exit(2);
 }
 
@@ -186,6 +195,27 @@ fn run_workload(ctx: &Ctx, mode: &str, kv: &HashMap<String, String>) -> u64 {
             };
             // Bit-for-bit: the f64 checksum is compared by its bits.
             stencil::run(ctx, &cfg).checksum.to_bits()
+        }
+        "lulesh" | "lulesh-arrays" => {
+            // `lulesh::run` rejects a rank count that is not a cube.
+            let n = ctx.ranks();
+            let q = (1..=n).find(|q| q * q * q >= n).expect("n³ ≥ n");
+            let cfg = lulesh::LuleshConfig {
+                edge: get(kv, "edge", 4),
+                q,
+                steps: get(kv, "steps", 3),
+                transport: if mode == "lulesh" {
+                    lulesh::Transport::OneSided
+                } else {
+                    lulesh::Transport::PgasArrays
+                },
+            };
+            let r = lulesh::run(ctx, &cfg, None);
+            fnv1a(
+                [r.total_energy, r.max_speed]
+                    .iter()
+                    .flat_map(|x| x.to_bits().to_le_bytes()),
+            )
         }
         "copy" => copy_workload(ctx),
         "teams" => teams_workload(ctx, get(kv, "iters", 4) as u64),

@@ -5,7 +5,7 @@
 //! happens-before violations or false deadlocks.
 
 use rupcxx::prelude::*;
-use rupcxx_apps::{gups, sample_sort, stencil};
+use rupcxx_apps::{gups, lulesh, sample_sort, stencil};
 use rupcxx_check::{new_sink, CheckConfig, FindingKind, FindingSink};
 use rupcxx_net::{AggConfig, CacheConfig, FaultPlan};
 
@@ -82,6 +82,42 @@ fn stencil_is_clean() {
     });
     assert!((out[0].checksum - reference).abs() < 1e-9);
     assert_clean(&sink, "stencil");
+}
+
+#[test]
+fn lulesh_is_clean() {
+    // All three transports: two-sided sends, one-sided puts into landing
+    // buffers, and face copies into global arrays whose blocks the kernel
+    // reads and writes privatized. Same physics bits as unchecked.
+    for transport in [
+        lulesh::Transport::OneSided,
+        lulesh::Transport::TwoSided,
+        lulesh::Transport::PgasArrays,
+    ] {
+        let sink = new_sink();
+        let world =
+            (transport == lulesh::Transport::TwoSided).then(|| rupcxx_mpi::MpiWorld::new(8));
+        let out = spmd(checked(8, &sink), move |ctx| {
+            let cfg = lulesh::LuleshConfig {
+                edge: 4,
+                q: 2,
+                steps: 3,
+                transport,
+            };
+            lulesh::run(ctx, &cfg, world.as_ref())
+        });
+        assert_eq!(
+            out[0].total_energy.to_bits(),
+            0x3fef_e6c5_beb7_1194,
+            "{transport:?}"
+        );
+        assert_eq!(
+            out[0].max_speed.to_bits(),
+            0x3f9e_b27b_51a0_c436,
+            "{transport:?}"
+        );
+        assert_clean(&sink, &format!("lulesh {transport:?}"));
+    }
 }
 
 #[test]

@@ -215,6 +215,31 @@ fn shm_stencil_4proc_matches_loopback() {
 }
 
 #[test]
+fn uds_lulesh_matches_loopback_8proc() {
+    // MiniLulesh's one-sided transport: each process puts 26 packed slabs
+    // a step into its neighbours' landing buffers, fences, and reads its
+    // own back after a barrier; the checksum is the physics' bits.
+    let dir = scratch("uds-lulesh");
+    std::fs::create_dir_all(&dir).unwrap();
+    assert_same_as_loopback("lulesh", 8, &["edge=4", "steps=3"], &format!("uds:{dir}"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shm_lulesh_arrays_matches_loopback_8proc() {
+    // The pack-free transport: face copies between global arrays, and the
+    // kernel on each process's privatized blocks.
+    let seg = scratch("shm-lulesh-arrays");
+    assert_same_as_loopback(
+        "lulesh-arrays",
+        8,
+        &["edge=4", "steps=3"],
+        &format!("shm:{seg}.seg"),
+    );
+    let _ = std::fs::remove_file(format!("{seg}.seg"));
+}
+
+#[test]
 fn shm_aggregated_gups_matches_loopback() {
     // The aggregation layer sits above the conduit: coalesced batches
     // cross the wire as one frame and unpack identically.
