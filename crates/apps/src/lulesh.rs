@@ -24,8 +24,10 @@
 //! * [`Transport::OneSided`] — `rupcxx` one-sided puts into pre-published
 //!   landing buffers with handle-less fence synchronization (the paper's
 //!   UPC++ version);
-//! * [`Transport::PgasArrays`] — face copies between multidimensional
-//!   global arrays, no packing (the paper's §V-E future work).
+//! * [`Transport::PgasArrays`] — a periodic `DistArray` program: each
+//!   exchanged field is a [`DistArray::periodic`] over the global domain,
+//!   and its ghost faces move by the face copies the array planned at
+//!   construction, no packing (the paper's §V-E future work).
 //!
 //! Every transport runs one kernel on one `(edge+2)³` layout — plain
 //! `Vec`s for the packing transports, the privatized array blocks for
@@ -35,6 +37,7 @@
 
 use rupcxx::prelude::*;
 use rupcxx_mpi::{MpiWorld, RecvReq, SendReq};
+use rupcxx_ndarray::{DistArray, LocalGrid, Point, RectDomain};
 use rupcxx_util::Timer;
 use std::ops::Range;
 use std::sync::Arc;
@@ -52,11 +55,12 @@ pub enum Transport {
     OneSided,
     /// Two-sided MPI-style exchange.
     TwoSided,
-    /// The paper's future-work variant (§V-E): state lives in
-    /// multidimensional global arrays and ghost planes move with the
-    /// domain-intersecting one-sided array copy — **no explicit packing
-    /// or unpacking at all**. Only the 6 faces the 7-point kernels read
-    /// are exchanged. Produces bitwise-identical physics.
+    /// The paper's future-work variant (§V-E), a periodic `DistArray`
+    /// program: p+q and the velocities are periodic distributed arrays,
+    /// and their ghost faces move by the one-sided strided copies each
+    /// array planned once — **no explicit packing or unpacking at all**.
+    /// Only the 6 faces the 7-point kernels read are exchanged. Produces
+    /// bitwise-identical physics.
     PgasArrays,
 }
 
@@ -354,7 +358,7 @@ pub fn run(ctx: &Ctx, cfg: &LuleshConfig, world: Option<&Arc<MpiWorld>>) -> Lule
     let center_rank = rank_of((q as i64 / 2, q as i64 / 2, q as i64 / 2), q);
     let st = State::new(edge, ctx.rank() == center_rank);
     let (seconds, (total_energy, max_speed)) = match cfg.transport {
-        Transport::PgasArrays => pgas::run_pgas_arrays(ctx, cfg, st),
+        Transport::PgasArrays => run_pgas_arrays(ctx, cfg, st),
         _ => run_packed(ctx, cfg, st, world),
     };
     let zones = (edge * edge * edge * ctx.ranks()) as f64;
@@ -448,7 +452,7 @@ fn run_packed(
                     })
                     .collect()
             }
-            Transport::PgasArrays => unreachable!("runs in pgas::run_pgas_arrays"),
+            Transport::PgasArrays => unreachable!("runs in run_pgas_arrays"),
         };
         for (&dir, data) in dirs.iter().zip(&arrived) {
             let [u, v, w] = cur.each_mut().map(Vec::as_mut_slice);
@@ -474,106 +478,56 @@ fn run_packed(
     (seconds, diagnostics)
 }
 
-/// The pack-free variant: state in multidimensional global arrays.
-mod pgas {
-    use super::*;
-    use rupcxx_ndarray::{pt, LocalGrid, NdArray, Point, RectDomain};
-
-    /// Periodic pull of the 6 face ghost planes of `arr` from the
-    /// neighbours' interiors (translating wrapped neighbours into this
-    /// rank's ghost coordinate frame).
-    fn exchange_faces(
-        ctx: &Ctx,
-        arr: &NdArray<f64, 3>,
-        dirs: &[NdArray<f64, 3>],
-        interior: RectDomain<3>,
-        my_c: (i64, i64, i64),
-        q: usize,
-        edge: usize,
-    ) {
-        let (qi, ei) = (q as i64, edge as i64);
-        for dim in 0..3usize {
-            for side in [-1i8, 1] {
-                let mut nc = [my_c.0, my_c.1, my_c.2];
-                nc[dim] += side as i64;
-                let mut shift = Point::<3>::zero();
-                if nc[dim] < 0 || nc[dim] >= qi {
-                    // Periodic wrap: the neighbour's block sits a full
-                    // domain length away in this rank's coordinates.
-                    shift[dim] = side as i64 * qi * ei;
-                }
-                let nb = rank_of((nc[0], nc[1], nc[2]), q);
-                let src = dirs[nb].translate(shift);
-                arr.copy_ghost_from(ctx, &src, interior, dim, side, 1);
-            }
-        }
+/// The pack-free variant, a periodic `DistArray` program. Returns the
+/// timed seconds and the diagnostics.
+fn run_pgas_arrays(ctx: &Ctx, cfg: &LuleshConfig, mut st: State) -> (f64, (f64, f64)) {
+    // Rank r's block of the `(q·edge)³` domain is the one
+    // `coords_of(r, q)` names, one ghost layer around it.
+    let global = RectDomain::new(Point::zero(), Point::splat((cfg.q * cfg.edge) as i64));
+    let array = || DistArray::<f64, 3>::periodic(ctx, global, [cfg.q; 3], 1);
+    // p+q (single buffer) and double-buffered u, v, w (`vel[step % 2]`
+    // read, `vel[1 - step % 2]` written).
+    let pq = array();
+    let vel: [[DistArray<f64, 3>; 3]; 2] =
+        std::array::from_fn(|_| std::array::from_fn(|_| array()));
+    for a in vel.iter().flatten().chain([&pq]) {
+        a.local().fill(ctx, 0.0);
     }
 
-    pub(super) fn run_pgas_arrays(
-        ctx: &Ctx,
-        cfg: &LuleshConfig,
-        mut st: State,
-    ) -> (f64, (f64, f64)) {
-        let (q, edge) = (cfg.q, cfg.edge);
-        let my_c = coords_of(ctx.rank(), q);
-        let ei = edge as i64;
-        let lo = pt![my_c.0 * ei, my_c.1 * ei, my_c.2 * ei];
-        let interior = RectDomain::new(lo, lo + Point::splat(ei));
-        let halo = RectDomain::new(lo - Point::ones(), lo + Point::splat(ei + 1));
-
-        // Global arrays: p+q (single buffer) and double-buffered u, v, w
-        // (`vel[step % 2]` read, `vel[1 - step % 2]` written).
-        let pq_arr = NdArray::<f64, 3>::new(ctx, halo);
-        let vel: [[NdArray<f64, 3>; 3]; 2] =
-            std::array::from_fn(|_| std::array::from_fn(|_| NdArray::new(ctx, halo)));
-        for a in vel.iter().flatten().chain([&pq_arr]) {
-            a.fill(ctx, 0.0);
-        }
-        let pq_dirs: Vec<NdArray<f64, 3>> = ctx.allgatherv(&[pq_arr]);
-        let vel_dirs = vel.map(|b| b.map(|a| ctx.allgatherv(&[a])));
-
-        // Privatized blocks (`LocalGrid::view`): every array has `halo`'s
-        // layout, which is `State`'s, so the kernel indexes them as it
-        // indexes the zonal fields.
-        let pq_g = LocalGrid::<f64, 3>::new(ctx, &pq_arr);
-        assert_eq!(pq_g.strides(), (st.s * st.s, st.s), "halo layout");
-        let view = |a: &NdArray<f64, 3>| LocalGrid::<f64, 3>::new(ctx, a).view();
-        let view_mut = |a: &NdArray<f64, 3>| LocalGrid::<f64, 3>::new(ctx, a).view_mut();
-        let seconds = time_steps(ctx, cfg.steps, &mut |step, dt| {
-            let (cur, nxt) = (step % 2, 1 - step % 2);
-            // Publish interior p+q into the global array — the *only*
-            // data movement besides the array copies; no pack/unpack. The
-            // allreduce that closed the last step is what keeps a peer's
-            // face pull of `pq` out of this write, the barrier below what
-            // keeps the next pull out of it: until then the block is ours.
-            st.publish_pq(pq_g.view_mut());
-            ctx.barrier();
-            // Face ghost exchange, one-sided, domain-intersecting.
-            exchange_faces(ctx, &pq_arr, &pq_dirs, interior, my_c, q, edge);
-            for (a, dirs) in vel[cur].iter().zip(&vel_dirs[cur]) {
-                exchange_faces(ctx, a, dirs, interior, my_c, q, edge);
-            }
-            // Peers only read `pq` and the `cur` velocities until the
-            // allreduce that ends the step, and touch the `nxt` ones not
-            // at all.
-            zone_step(
-                &mut st,
-                pq_g.view(),
-                vel[cur].each_ref().map(view),
-                vel[nxt].each_ref().map(view_mut),
-                dt,
-                DX,
-            )
-        });
-        let diagnostics = st.diagnostics(ctx, vel[cfg.steps % 2].each_ref().map(view));
-
+    // Privatized blocks (`LocalGrid::view`) in `State`'s layout: the
+    // kernel indexes them as it indexes the zonal fields.
+    let pq_g = LocalGrid::<f64, 3>::new(ctx, &pq.local());
+    assert_eq!(pq_g.strides(), (st.s * st.s, st.s), "halo layout");
+    let view = |a: &DistArray<f64, 3>| LocalGrid::<f64, 3>::new(ctx, &a.local()).view();
+    let view_mut = |a: &DistArray<f64, 3>| LocalGrid::<f64, 3>::new(ctx, &a.local()).view_mut();
+    let seconds = time_steps(ctx, cfg.steps, &mut |step, dt| {
+        let (cur, nxt) = (step % 2, 1 - step % 2);
+        // Publish interior p+q, no pack/unpack. The allreduce that closed
+        // the last step keeps a peer's face pull of `pq` out of this
+        // write, the barrier below keeps the next pull out of it.
+        st.publish_pq(pq_g.view_mut());
         ctx.barrier();
-        pq_arr.destroy(ctx);
-        for a in vel.into_iter().flatten() {
-            a.destroy(ctx);
+        // Face ghost exchange, one-sided, planned at construction.
+        for a in [&pq].into_iter().chain(&vel[cur]) {
+            a.exchange_ghosts(ctx);
         }
-        (seconds, diagnostics)
+        // Peers only read `pq` and the `cur` velocities until the
+        // allreduce that ends the step, and never touch the `nxt` ones.
+        zone_step(
+            &mut st,
+            pq_g.view(),
+            vel[cur].each_ref().map(view),
+            vel[nxt].each_ref().map(view_mut),
+            dt,
+            DX,
+        )
+    });
+    let diagnostics = st.diagnostics(ctx, vel[cfg.steps % 2].each_ref().map(view));
+
+    for a in vel.into_iter().flatten().chain([pq]) {
+        a.destroy(ctx);
     }
+    (seconds, diagnostics)
 }
 
 #[cfg(test)]

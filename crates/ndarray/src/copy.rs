@@ -8,86 +8,135 @@
 //!
 //! [`NdArray::copy_from`] reproduces that: the initiating rank gathers the
 //! intersection from the source owner's segment (one-sided gets), then
-//! scatters into the destination owner's segment (one-sided puts). When
-//! the rows of the intersection are uniformly spaced in an array's
-//! storage, the transfer on that side collapses to a *single* strided
-//! (vector) RMA operation — the iovec capability of RDMA NICs that makes
-//! ghost-zone copies one network operation per side.
+//! scatters into the destination owner's segment (one-sided puts). A
+//! [`CopyPlan`] resolves each side once into runs of evenly spaced blocks,
+//! one strided (vector) RMA operation per run — the iovec capability of
+//! RDMA NICs. A ghost face of an `e`-edge 3-D block is one run a side when
+//! normal to dimension 0 or 1, `e` runs when normal to dimension 2.
 
 use crate::array::NdArray;
 use crate::domain::RectDomain;
-use crate::point::Point;
-use rupcxx_net::Pod;
+use rupcxx_net::{GlobalAddr, Pod};
 use rupcxx_runtime::Ctx;
 use std::cell::RefCell;
 
-/// Description of how an intersection lays out in one array's storage.
-/// Offset tables for the non-uniform cases live in the caller's
-/// [`Scratch`], not in the enum, so classifying a layout never allocates.
-enum RowLayout {
-    /// Rows are contiguous and uniformly spaced: (first byte offset,
-    /// byte stride between rows). One strided RMA op moves everything.
-    Uniform { first: usize, row_stride: usize },
-    /// Everything else: one `len`-byte span per offset in
-    /// `Scratch::offs` — a row each when rows are contiguous, an element
-    /// each when not even a row is (a physically strided view).
-    Spans { len: usize },
+/// `count` blocks of `block` bytes, `stride` bytes apart, from byte `off`
+/// of an array's storage: one strided RMA operation.
+struct Run {
+    off: usize,
+    stride: usize,
+    block: usize,
+    count: usize,
 }
 
-/// Reusable buffers for [`NdArray::copy_from`]. SPMD ranks are distinct
-/// threads, so a thread-local arena is private to its rank; steady-state
-/// ghost exchanges reuse the same capacity every iteration instead of
-/// paying an allocation per call.
-#[derive(Default)]
-struct Scratch {
-    pack: Vec<u8>,
-    offs: Vec<usize>,
+/// A copy resolved into runs: gather `src`'s runs into the pack in
+/// order, then scatter the pack through `dst`'s. Both sides cover the
+/// same `bytes`, in the intersection's lexicographic order.
+pub(crate) struct CopyPlan {
+    src: GlobalAddr,
+    dst: GlobalAddr,
+    bytes: usize,
+    gather: Vec<Run>,
+    scatter: Vec<Run>,
 }
 
 thread_local! {
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+    /// The pack between gather and scatter. SPMD ranks are distinct
+    /// threads, so it is private to its rank, and steady-state ghost
+    /// exchanges reuse its capacity instead of allocating per call.
+    static PACK: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
-fn layout<T: Pod, const N: usize>(
-    arr: &NdArray<T, N>,
-    inter: &RectDomain<N>,
-    rows: &[(Point<N>, usize)],
-    offs: &mut Vec<usize>,
-) -> RowLayout {
+/// `arr`'s storage under `inter` as runs, in the intersection's
+/// lexicographic order. Innermost dimensions contiguous in storage widen
+/// the block (to a row, a plane…; to one element in a physically strided
+/// view), the next one is the run, lengthened by outer dimensions that
+/// continue its stride, and each point of the dimensions left starts a run.
+fn runs<T: Pod, const N: usize>(arr: &NdArray<T, N>, inter: &RectDomain<N>) -> Vec<Run> {
     let elem = std::mem::size_of::<T>();
-    offs.clear();
-    // A row is contiguous iff stepping the last dim by the domain stride
-    // advances storage by exactly one element.
-    let contiguous = arr.phys[N - 1] * inter.stride()[N - 1] / arr.map_stride[N - 1] == 1
-        && inter.stride()[N - 1] == arr.map_stride[N - 1];
-    if !contiguous {
-        offs.reserve(inter.size());
-        inter.for_each(|p| offs.push(arr.phys_index(p) as usize * elem));
-        return RowLayout::Spans { len: elem };
+    // The dimensions that move, outermost first: (extent, byte step).
+    let mut dims = [(0, 0); N];
+    let mut len = 0;
+    for d in (0..N).filter(|&d| inter.extent(d) > 1) {
+        let step = arr.phys[d] * inter.stride()[d] / arr.map_stride[d];
+        dims[len] = (inter.extent(d), step as usize * elem);
+        len += 1;
     }
-    // A single contiguous row is trivially uniform: bail out before
-    // building any offset table at all.
-    if let [(head, _)] = rows {
-        return RowLayout::Uniform {
-            first: arr.phys_index(*head) as usize * elem,
-            row_stride: 0,
-        };
+    let mut block = elem;
+    while len > 0 && dims[len - 1].1 == block {
+        len -= 1;
+        block *= dims[len].0;
     }
-    offs.extend(
-        rows.iter()
-            .map(|&(head, _)| arr.phys_index(head) as usize * elem),
-    );
-    if offs.len() > 1 {
-        let d = offs[1].wrapping_sub(offs[0]);
-        if offs.windows(2).all(|w| w[1].wrapping_sub(w[0]) == d) && offs[1] > offs[0] {
-            return RowLayout::Uniform {
-                first: offs[0],
-                row_stride: d,
-            };
+    let (mut count, mut stride) = (1, block);
+    if len > 0 {
+        len -= 1;
+        (count, stride) = dims[len];
+        while len > 0 && dims[len - 1].1 == stride * count {
+            len -= 1;
+            count *= dims[len].0;
         }
     }
-    RowLayout::Spans {
-        len: rows[0].1 * elem,
+    // Run `k` starts at point `k` (lexicographic) of the dimensions left.
+    let (outer, first) = (&dims[..len], arr.phys_index(inter.lo()) as usize * elem);
+    let runs = outer.iter().map(|&(n, _)| n).product();
+    let run = |mut k: usize| {
+        let mut off = first;
+        for &(n, step) in outer.iter().rev() {
+            off += k % n * step;
+            k /= n;
+        }
+        Run {
+            off,
+            stride,
+            block,
+            count,
+        }
+    };
+    (0..runs).map(run).collect()
+}
+
+impl CopyPlan {
+    /// Plan `dst.copy_from(src)`: `None` when the domains do not meet.
+    pub(crate) fn new<T: Pod, const N: usize>(
+        dst: &NdArray<T, N>,
+        src: &NdArray<T, N>,
+    ) -> Option<Self> {
+        let inter = dst.domain().intersect(&src.domain());
+        if inter.is_empty() {
+            return None;
+        }
+        Some(CopyPlan {
+            src: src.base,
+            dst: dst.base,
+            bytes: inter.size() * std::mem::size_of::<T>(),
+            gather: runs(src, &inter),
+            scatter: runs(dst, &inter),
+        })
+    }
+
+    /// Move the data: one strided get per gather run into the rank's
+    /// pack, then one strided put per scatter run. One-sided.
+    pub(crate) fn run(&self, ctx: &Ctx) {
+        let me = ctx.rank();
+        let fabric = ctx.fabric();
+        PACK.with(|cell| {
+            let pack = &mut *cell.borrow_mut();
+            if pack.len() < self.bytes {
+                pack.resize(self.bytes, 0);
+            }
+            let mut at = 0;
+            for r in &self.gather {
+                let buf = &mut pack[at..][..r.block * r.count];
+                fabric.get_strided(me, self.src.add(r.off), r.stride, buf, r.block, r.count);
+                at += buf.len();
+            }
+            at = 0;
+            for r in &self.scatter {
+                let buf = &pack[at..][..r.block * r.count];
+                fabric.put_strided(me, self.dst.add(r.off), r.stride, buf, r.block, r.count);
+                at += buf.len();
+            }
+        });
     }
 }
 
@@ -99,61 +148,9 @@ impl<T: Pod, const N: usize> NdArray<T, N> {
     /// One-sided: only the *calling* rank's CPU does work; the owners of
     /// `src` and `self` are not involved unless they are the caller.
     pub fn copy_from(&self, ctx: &Ctx, src: &NdArray<T, N>) {
-        let inter = self.domain().intersect(&src.domain());
-        if inter.is_empty() {
-            return;
+        if let Some(plan) = CopyPlan::new(self, src) {
+            plan.run(ctx);
         }
-        let elem = std::mem::size_of::<T>();
-        let total_bytes = inter.size() * elem;
-        let rows = inter.rows();
-        let row_bytes = rows.first().map_or(0, |&(_, len)| len * elem);
-        let me = ctx.rank();
-        let fabric = ctx.fabric();
-        SCRATCH.with(|cell| {
-            let s = &mut *cell.borrow_mut();
-            s.pack.clear();
-            s.pack.resize(total_bytes, 0);
-            let pack = &mut s.pack;
-            let offs = &mut s.offs;
-
-            // Gather phase (pack at source).
-            match layout(src, &inter, &rows, offs) {
-                RowLayout::Uniform { first, row_stride } => {
-                    fabric.get_strided(
-                        me,
-                        src.base.add(first),
-                        row_stride.max(row_bytes),
-                        pack,
-                        row_bytes,
-                        rows.len(),
-                    );
-                }
-                RowLayout::Spans { len } => {
-                    for (i, off) in offs.iter().enumerate() {
-                        fabric.get(me, src.base.add(*off), &mut pack[i * len..][..len]);
-                    }
-                }
-            }
-
-            // Scatter phase (unpack at destination).
-            match layout(self, &inter, &rows, offs) {
-                RowLayout::Uniform { first, row_stride } => {
-                    fabric.put_strided(
-                        me,
-                        self.base.add(first),
-                        row_stride.max(row_bytes),
-                        pack,
-                        row_bytes,
-                        rows.len(),
-                    );
-                }
-                RowLayout::Spans { len } => {
-                    for (i, off) in offs.iter().enumerate() {
-                        fabric.put(me, self.base.add(*off), &pack[i * len..][..len]);
-                    }
-                }
-            }
-        });
     }
 
     /// Ghost-zone helper: copy the slab of `self` lying `side` of `dim`
@@ -293,6 +290,33 @@ mod tests {
     }
 
     #[test]
+    fn copy_counts_one_strided_get_per_row_of_a_k_face() {
+        spmd(cfg(2), |ctx| {
+            // Blocks with a ghost shell, side by side along dim 2: a face
+            // normal to the last dimension is one element per (i, j),
+            // `e` runs of `e` words (one per i), not `e²` one-word ops.
+            let (me, e) = (ctx.rank() as i64, 4i64);
+            let interior = rd!([0, 0, e * me]..[e, e, e * me + e]);
+            let grid = NdArray::<f64, 3>::new(ctx, interior.shrink(-1));
+            grid.fill_with(ctx, |p| (p[0] * 100 + p[1] * 10 + p[2]) as f64);
+            let dirs: Vec<NdArray<f64, 3>> = ctx.allgatherv(&[grid]);
+            ctx.barrier();
+            if me == 0 {
+                let before = ctx.fabric().endpoint(0).stats.snapshot();
+                grid.copy_ghost_from(ctx, &dirs[1], interior, 2, 1, 1);
+                let counts = ctx.fabric().endpoint(0).stats.snapshot().since(&before);
+                assert_eq!(counts.gets, e as u64, "one strided get per row of the face");
+                assert_eq!(counts.get_bytes, (e * e * 8) as u64);
+                interior.exterior_face(2, 1, 1).for_each(|p| {
+                    assert_eq!(grid.get(ctx, p), (p[0] * 100 + p[1] * 10 + p[2]) as f64);
+                });
+            }
+            ctx.barrier();
+            grid.destroy(ctx);
+        });
+    }
+
+    #[test]
     fn single_row_copy_is_one_vector_op_per_side() {
         spmd(cfg(2), |ctx| {
             // A 1-D contiguous intersection is a single row: the
@@ -343,6 +367,29 @@ mod tests {
             a.destroy(ctx);
             big.destroy(ctx);
             small.destroy(ctx);
+        });
+    }
+
+    #[test]
+    fn strided_view_copy_is_one_run_per_side() {
+        spmd(cfg(1), |ctx| {
+            // `copy_into_strided_view`'s copy: the stride-2 destination is
+            // contiguous on its lattice, the stride-2 view of a unit-stride
+            // source is one run of elements two apart.
+            let a = NdArray::<i64, 1>::new(ctx, rd!([0] .. [8]; [2]));
+            let b = NdArray::<i64, 1>::new(ctx, rd!([0]..[8]));
+            b.fill_with(ctx, |p| p[0] + 1);
+            let b_view = NdArray::<i64, 1> {
+                domain: rd!([0] .. [8]; [2]),
+                ..b
+            };
+            let before = ctx.fabric().endpoint(0).stats.snapshot();
+            a.copy_from(ctx, &b_view);
+            let counts = ctx.fabric().endpoint(0).stats.snapshot().since(&before);
+            assert_eq!(counts.local_ops, 2, "one gather run, one scatter run");
+            assert_eq!(a.to_vec(ctx), [1, 3, 5, 7]);
+            a.destroy(ctx);
+            b.destroy(ctx);
         });
     }
 

@@ -8,11 +8,16 @@
 //! A [`DistArray<T, N>`] block-partitions a global rectangular domain over
 //! an N-dimensional process grid. Each rank owns one block (stored as an
 //! [`NdArray`] with an optional ghost shell); a replicated directory of
-//! descriptors makes any element reachable one-sided from any rank, and
-//! [`DistArray::exchange_ghosts`] performs the full nearest-neighbour
-//! halo exchange with the library's strided one-sided copies.
+//! descriptors makes any element reachable one-sided from any rank.
+//!
+//! The halo exchange is planned once: the constructor resolves each ghost
+//! face, clipped to the neighbour's interior, into a [`CopyPlan`] that
+//! [`DistArray::exchange_ghosts`] replays. An array is periodic or not for
+//! its whole life. The replay is fabric strided gets and puts like any
+//! copy, so the race checker sees every exchange.
 
 use crate::array::NdArray;
+use crate::copy::CopyPlan;
 use crate::domain::RectDomain;
 use crate::point::Point;
 use rupcxx_net::{Pod, Rank};
@@ -29,6 +34,8 @@ pub struct DistArray<T: Pod, const N: usize> {
     parts: Vec<NdArray<T, N>>,
     /// This rank's interior (ghost-free) domain.
     interior: RectDomain<N>,
+    /// The ghost-face copies [`DistArray::exchange_ghosts`] replays.
+    faces: Vec<CopyPlan>,
 }
 
 /// Partition `extent` points over `parts` blocks: block `i` covers
@@ -60,6 +67,31 @@ impl<T: Pod, const N: usize> DistArray<T, N> {
     /// count), with `ghost ≥ 0` ghost layers around each block. All ranks
     /// must pass identical arguments.
     pub fn new(ctx: &Ctx, global: RectDomain<N>, pgrid: [usize; N], ghost: i64) -> Self {
+        Self::build(ctx, global, pgrid, ghost, false)
+    }
+
+    /// [`DistArray::new`] over a global domain that wraps around in every
+    /// dimension: [`DistArray::exchange_ghosts`] fills a ghost slab past
+    /// the domain's edge from the block at the other edge.
+    ///
+    /// ```
+    /// use rupcxx_ndarray::{pt, rd, DistArray};
+    /// rupcxx_runtime::spmd(rupcxx_runtime::RuntimeConfig::new(2), |ctx| {
+    ///     let a = DistArray::<i64, 1>::periodic(ctx, rd!([0]..[8]), [2], 1);
+    ///     a.fill_interior_with(ctx, |p| p[0]);
+    ///     ctx.barrier();
+    ///     a.exchange_ghosts(ctx);
+    ///     ctx.barrier();
+    ///     // Rank 0 owns [0, 4): its low ghost holds global point 7.
+    ///     assert!(ctx.rank() != 0 || a.local().get(ctx, pt![-1]) == 7);
+    ///     a.destroy(ctx);
+    /// });
+    /// ```
+    pub fn periodic(ctx: &Ctx, global: RectDomain<N>, pgrid: [usize; N], ghost: i64) -> Self {
+        Self::build(ctx, global, pgrid, ghost, true)
+    }
+
+    fn build(ctx: &Ctx, global: RectDomain<N>, pgrid: [usize; N], ghost: i64, wrap: bool) -> Self {
         assert_eq!(
             pgrid.iter().product::<usize>(),
             ctx.ranks(),
@@ -88,14 +120,44 @@ impl<T: Pod, const N: usize> DistArray<T, N> {
         let halo = RectDomain::new(lo - Point::splat(ghost), hi + Point::splat(ghost));
         let mine = NdArray::<T, N>::new(ctx, halo);
         let parts: Vec<NdArray<T, N>> = ctx.allgatherv(&[mine]);
-        DistArray {
+        let mut array = DistArray {
             global,
             pgrid,
             ghost,
             rank: ctx.rank(),
             parts,
             interior,
+            faces: Vec::new(),
+        };
+        array.faces = array.plan_faces(my_coords, wrap);
+        array
+    }
+
+    /// One plan per ghost face with a neighbour across it. Across the
+    /// global domain's edge, if `wrap`, the neighbour is the block at the
+    /// other edge, translated a whole extent to lie next to this one.
+    fn plan_faces(&self, my_coords: [usize; N], wrap: bool) -> Vec<CopyPlan> {
+        let mine = self.local();
+        let mut faces = Vec::new();
+        for d in 0..N {
+            for side in [-1i8, 1] {
+                let (slots, next) = (self.pgrid[d] as i64, my_coords[d] as i64 + side as i64);
+                let mut shift = Point::zero();
+                if !(0..slots).contains(&next) {
+                    if !wrap {
+                        continue; // physical boundary
+                    }
+                    shift[d] = side as i64 * (self.global.hi()[d] - self.global.lo()[d]);
+                }
+                let mut nc = my_coords;
+                nc[d] = next.rem_euclid(slots) as usize;
+                let src = self.parts[self.rank_of_coords(nc)].translate(shift);
+                let ghost = self.interior.exterior_face(d, side, self.ghost);
+                let clipped = ghost.intersect(&src.domain().shrink(self.ghost));
+                faces.extend(CopyPlan::new(&mine.restrict(clipped), &src));
+            }
         }
+        faces
     }
 
     /// Process-grid coordinates of `rank` (dim 0 fastest).
@@ -163,29 +225,14 @@ impl<T: Pod, const N: usize> DistArray<T, N> {
         self.interior.for_each(|p| mine.set(ctx, p, f(p)));
     }
 
-    /// Pull every ghost slab of this rank's block from the neighbouring
-    /// blocks, one-sided (the halo exchange). Non-periodic: ghost slabs
-    /// outside the global domain are left untouched. Requires `ghost > 0`.
-    /// Call collectively with a barrier before computing (the usual
-    /// exchange-then-compute discipline).
+    /// Pull every ghost face of this rank's block from its neighbours,
+    /// one-sided, by replaying the constructor's plans (the halo exchange;
+    /// faces only). Requires `ghost > 0`. Call collectively with a barrier
+    /// before computing (the usual exchange-then-compute discipline).
     pub fn exchange_ghosts(&self, ctx: &Ctx) {
         assert!(self.ghost > 0, "array created without ghost layers");
-        let mine = self.local();
-        let my_coords = Self::coords_of(self.rank, &self.pgrid);
-        for d in 0..N {
-            for side in [-1i8, 1] {
-                let mut nc = my_coords;
-                let next = nc[d] as i64 + side as i64;
-                if next < 0 || next >= self.pgrid[d] as i64 {
-                    continue; // physical boundary
-                }
-                nc[d] = next as usize;
-                let src = &self.parts[self.rank_of_coords(nc)];
-                // Clip to the neighbour's interior: a face pass fills no edge or corner.
-                let ghost = self.interior.exterior_face(d, side, self.ghost);
-                let clipped = ghost.intersect(&src.domain().shrink(self.ghost));
-                mine.restrict(clipped).copy_from(ctx, src);
-            }
+        for face in &self.faces {
+            face.run(ctx);
         }
     }
 
@@ -415,6 +462,67 @@ mod tests {
                 assert!((got - want).abs() < 1e-12, "{got} vs {want}");
             }
         }
+    }
+
+    /// A distinct value per global point.
+    fn code<const N: usize>(p: Point<N>) -> i64 {
+        p.coords().iter().fold(0, |acc, &x| acc * 100 + x)
+    }
+
+    /// Build a periodic array, fill every interior with [`code`], exchange,
+    /// and check that every face ghost of every block holds the value of
+    /// its point wrapped into the global domain.
+    fn periodic_faces_wrap<const N: usize>(
+        ranks: usize,
+        global: RectDomain<N>,
+        pgrid: [usize; N],
+        ghost: i64,
+    ) {
+        spmd(cfg(ranks), move |ctx| {
+            let a = DistArray::<i64, N>::periodic(ctx, global, pgrid, ghost);
+            a.local().fill(ctx, -1);
+            a.fill_interior_with(ctx, code);
+            ctx.barrier();
+            a.exchange_ghosts(ctx);
+            ctx.barrier();
+            let (lo, hi) = (global.lo(), global.hi());
+            for d in 0..N {
+                for side in [-1i8, 1] {
+                    a.interior().exterior_face(d, side, ghost).for_each(|p| {
+                        let mut q = p;
+                        q[d] = lo[d] + (p[d] - lo[d]).rem_euclid(hi[d] - lo[d]);
+                        assert_eq!(
+                            a.local().get(ctx, p),
+                            code(q),
+                            "ghost {p} dim {d} side {side}"
+                        );
+                    });
+                }
+            }
+            a.destroy(ctx);
+        });
+    }
+
+    #[test]
+    fn periodic_single_rank_wraps_to_itself_3d() {
+        periodic_faces_wrap(1, rd!([0, 0, 0]..[4, 5, 6]), [1, 1, 1], 1);
+    }
+
+    #[test]
+    fn periodic_eight_ranks_3d() {
+        periodic_faces_wrap(8, rd!([0, 0, 0]..[8, 8, 8]), [2, 2, 2], 1);
+    }
+
+    #[test]
+    fn periodic_uneven_three_ranks_1d() {
+        // Blocks of 3/3/4, two ghost layers.
+        periodic_faces_wrap(3, rd!([0]..[10]), [3], 2);
+    }
+
+    #[test]
+    fn periodic_uneven_three_ranks_2d() {
+        // Blocks of 3/4/4 along dim 0; dim 1 wraps each block to itself.
+        periodic_faces_wrap(3, rd!([-2, 0]..[9, 4]), [3, 1], 1);
     }
 
     #[test]

@@ -26,11 +26,24 @@ use rupcxx_runtime::{spmd_procs, Ctx, HandlerRegistry, ProcOutcome, RuntimeConfi
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
+/// The workloads `run_workload` knows, in usage order.
+const MODES: [&str; 9] = [
+    "gups",
+    "gups-agg",
+    "sort",
+    "stencil",
+    "lulesh",
+    "lulesh-arrays",
+    "copy",
+    "teams",
+    "spin",
+];
+
 fn usage() -> ! {
     eprintln!(
-        "usage: conduit_app <gups|gups-agg|sort|stencil|lulesh|lulesh-arrays|copy|teams|spin> \
-         <ranks> [k=v...]\n(MiniLulesh's two-sided transport runs on threads only: its eager \
-         sends are closure tasks)"
+        "usage: conduit_app <{}> <ranks> [k=v...]\n(MiniLulesh's two-sided transport runs on \
+         threads only: its eager sends are closure tasks)",
+        MODES.join("|")
     );
     std::process::exit(2);
 }
@@ -238,10 +251,7 @@ fn run_workload(ctx: &Ctx, mode: &str, kv: &HashMap<String, String>) -> u64 {
             }
             0
         }
-        other => {
-            eprintln!("unknown mode {other:?}");
-            usage();
-        }
+        other => unreachable!("mode {other:?} passed the check in main"),
     }
 }
 
@@ -251,6 +261,10 @@ fn main() {
         usage();
     }
     let mode = args[0].clone();
+    if !MODES.contains(&mode.as_str()) {
+        eprintln!("unknown mode {mode:?}");
+        usage();
+    }
     let ranks: usize = args[1].parse().unwrap_or_else(|_| usage());
     let kv = parse_kv(&args[2..]);
     let mut config = RuntimeConfig::new(ranks).segment_mib(get(&kv, "segment_mib", 4));

@@ -147,6 +147,22 @@ fn smoke_shm_gups_2proc() {
 }
 
 #[test]
+fn smoke_bogus_mode_is_reported_once_before_launch() {
+    // A mode `conduit_app` does not know is refused by `main`, before any
+    // rank starts: one "unknown mode" line and exit code 2, not one per
+    // rank.
+    let mut cmd = Command::new(APP);
+    cmd.args(["bogus", "2"])
+        .env_remove("RUPCXX_CONDUIT")
+        .env_remove("RUPCXX_PROC_RANK");
+    let run = run_with_timeout(&mut cmd, Duration::from_secs(60));
+    assert_eq!(run.status.code(), Some(2), "{}", run.stderr);
+    let reports = run.stderr.matches("unknown mode").count();
+    assert_eq!(reports, 1, "--- stderr\n{}", run.stderr);
+    assert!(run.stdout.is_empty(), "no rank ran:\n{}", run.stdout);
+}
+
+#[test]
 fn smoke_uds_gups_2proc() {
     let dir = scratch("uds-smoke");
     std::fs::create_dir_all(&dir).unwrap();

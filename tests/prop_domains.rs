@@ -2,7 +2,8 @@
 //! (proptest): the invariants the multidimensional array library and the
 //! block-cyclic layout rely on.
 
-use rupcxx_ndarray::{Point, RectDomain};
+use rupcxx_ndarray::{NdArray, Point, RectDomain};
+use rupcxx_runtime::{spmd, RuntimeConfig};
 use rupcxx_util::prop as proptest;
 use rupcxx_util::prop::prelude::*;
 
@@ -16,6 +17,76 @@ fn small_domain() -> impl Strategy<Value = RectDomain<2>> {
             )
         },
     )
+}
+
+/// A distinct value per point.
+fn code<const N: usize>(p: Point<N>) -> i64 {
+    p.coords().iter().fold(1, |acc, &x| acc * 100 + x + 50)
+}
+
+/// `dst.copy_from(src)` against its pointwise model, in `N` dimensions:
+/// two boxes (`lo`, `extent` per side, in lattice steps) on a uniform
+/// lattice of `stride`, the source translated by `shift` steps, and each
+/// side viewed through a rotation of its dimensions by `turn[side]` (a
+/// rotated view's last dimension is strided in storage). The copy must
+/// leave the destination's whole storage equal to a twin's that got
+/// `set(p, src.get(p))` at every point of the intersection.
+fn copy_matches_pointwise<const N: usize>(
+    lo: [[i64; 3]; 2],
+    extent: [[i64; 3]; 2],
+    shift: [i64; 3],
+    stride: i64,
+    turn: [usize; 2],
+) -> usize {
+    let dom = |k: usize| {
+        let lo = Point::<N>::new(std::array::from_fn(|d| lo[k][d] * stride));
+        let hi = Point::new(std::array::from_fn(|d| lo[d] + extent[k][d] * stride));
+        RectDomain::strided(lo, hi, Point::splat(stride))
+    };
+    let rot = |k: usize| -> [usize; N] { std::array::from_fn(|d| (d + turn[k]) % N) };
+    let shift = Point::<N>::new(std::array::from_fn(|d| shift[d] * stride));
+    spmd(RuntimeConfig::new(1).segment_mib(1), |ctx| {
+        let dst = NdArray::<i64, N>::new(ctx, dom(0));
+        let twin = NdArray::<i64, N>::new(ctx, dom(0));
+        let src = NdArray::<i64, N>::new(ctx, dom(1));
+        dst.fill_with(ctx, |p| -code(p));
+        twin.fill_with(ctx, |p| -code(p));
+        src.fill_with(ctx, code);
+        let src_view = src.translate(shift).permute(rot(1));
+        let (dst_view, twin_view) = (dst.permute(rot(0)), twin.permute(rot(0)));
+        dst_view.copy_from(ctx, &src_view);
+        let inter = twin_view.domain().intersect(&src_view.domain());
+        inter.for_each(|p| twin_view.set(ctx, p, src_view.get(ctx, p)));
+        assert_eq!(dst.to_vec(ctx), twin.to_vec(ctx), "{inter}");
+        for a in [dst, twin, src] {
+            a.destroy(ctx);
+        }
+        inter.size()
+    })[0]
+}
+
+#[test]
+fn copy_of_empty_and_single_point_intersections() {
+    for stride in [1, 2] {
+        // Disjoint boxes, then boxes meeting in one point, in 1–3-D.
+        let (lo, extent) = ([[0; 3], [0; 3]], [[3; 3], [3; 3]]);
+        assert_eq!(
+            copy_matches_pointwise::<1>(lo, extent, [3, 0, 0], stride, [0, 0]),
+            0
+        );
+        assert_eq!(
+            copy_matches_pointwise::<2>(lo, extent, [2, 2, 0], stride, [1, 0]),
+            1
+        );
+        assert_eq!(
+            copy_matches_pointwise::<3>(lo, extent, [0, 3, 0], stride, [0, 2]),
+            0
+        );
+        assert_eq!(
+            copy_matches_pointwise::<3>(lo, extent, [-2, 2, 2], stride, [1, 2]),
+            1
+        );
+    }
 }
 
 proptest! {
@@ -150,5 +221,37 @@ proptest! {
     fn permute_inverse_restores(d in small_domain()) {
         // For 2-D, [1,0] is its own inverse.
         prop_assert_eq!(d.permute([1, 0]).permute([1, 0]), d);
+    }
+
+    #[test]
+    fn copy_from_matches_pointwise_model_1d(
+        lo in (proptest::array::uniform3(-3i64..3), proptest::array::uniform3(-3i64..3)),
+        extent in (proptest::array::uniform3(1i64..7), proptest::array::uniform3(1i64..7)),
+        shift in proptest::array::uniform3(-5i64..5),
+        stride in 1i64..3,
+    ) {
+        copy_matches_pointwise::<1>([lo.0, lo.1], [extent.0, extent.1], shift, stride, [0, 0]);
+    }
+
+    #[test]
+    fn copy_from_matches_pointwise_model_2d(
+        lo in (proptest::array::uniform3(-3i64..3), proptest::array::uniform3(-3i64..3)),
+        extent in (proptest::array::uniform3(1i64..6), proptest::array::uniform3(1i64..6)),
+        shift in proptest::array::uniform3(-4i64..4),
+        stride in 1i64..3,
+        turn in (0usize..2, 0usize..2),
+    ) {
+        copy_matches_pointwise::<2>([lo.0, lo.1], [extent.0, extent.1], shift, stride, [turn.0, turn.1]);
+    }
+
+    #[test]
+    fn copy_from_matches_pointwise_model_3d(
+        lo in (proptest::array::uniform3(-2i64..2), proptest::array::uniform3(-2i64..2)),
+        extent in (proptest::array::uniform3(1i64..6), proptest::array::uniform3(1i64..6)),
+        shift in proptest::array::uniform3(-2i64..3),
+        stride in 1i64..3,
+        turn in (0usize..3, 0usize..3),
+    ) {
+        copy_matches_pointwise::<3>([lo.0, lo.1], [extent.0, extent.1], shift, stride, [turn.0, turn.1]);
     }
 }
