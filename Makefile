@@ -106,7 +106,8 @@ ab:
 # aggregation window (a wait for the *other* side to apply a batch), the
 # counters' routing (a thread that stores plainly into a block it does
 # not own loses updates when preempted), the timing-sensitive checking
-# tools and the chaos and conduit suites N
+# tools, the launcher (a rank's panic races its peers into their waits)
+# and the chaos and conduit suites N
 # times each, pinned to one core — the schedule where a handoff that
 # spins for the other side goes wrong first — print failures per suite,
 # and fail if any suite failed even once: the stated rate is 0 of N.
@@ -120,6 +121,7 @@ FLAKE_SUITES = \
 	"-p rupcxx-runtime finish" \
 	"-p rupcxx-runtime team" \
 	"-p rupcxx-runtime collectives" \
+	"-p rupcxx-runtime spmd" \
 	"-p rupcxx-runtime --test agg_window" \
 	"-p rupcxx-runtime --test finish_ack" \
 	"-p rupcxx rpc" \

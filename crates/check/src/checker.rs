@@ -5,6 +5,9 @@
 //! the way it holds the fault plan). All hooks are cheap mutex-guarded
 //! updates; the runtime only calls them when the checker is installed, so
 //! the unchecked path never pays more than one untaken branch.
+//! A deadlock conviction is [`Checker::maybe_scan`]'s return value: the
+//! runtime fails the job with it (`rupcxx_net::JobFailure::Deadlock`, as
+//! a dead link is `Unreachable` and a rank's panic `Panicked`).
 
 use crate::clock::{Stamp, VClock};
 use crate::findings::{render_report, Finding, FindingKind};
@@ -124,8 +127,6 @@ pub struct Checker {
     scan: Mutex<ScanState>,
     findings: Mutex<Vec<Finding>>,
     reported: Mutex<HashSet<(FindingKind, String)>>,
-    aborted: AtomicBool,
-    abort_msg: Mutex<Option<String>>,
 }
 
 impl Checker {
@@ -147,8 +148,6 @@ impl Checker {
             scan: Mutex::new(ScanState::default()),
             findings: Mutex::new(Vec::new()),
             reported: Mutex::new(HashSet::new()),
-            aborted: AtomicBool::new(false),
-            abort_msg: Mutex::new(None),
         }
     }
 
@@ -491,18 +490,6 @@ impl Checker {
         self.wait_epoch.fetch_add(1, Ordering::SeqCst);
     }
 
-    /// True once the deadlock pass declared the job wedged; blocking
-    /// waits turn this into a panic (like `Fabric::has_failed`).
-    #[inline]
-    pub fn is_aborted(&self) -> bool {
-        self.aborted.load(Ordering::Acquire)
-    }
-
-    /// The abort report, for the panic message.
-    pub fn abort_message(&self) -> Option<String> {
-        self.abort_msg.lock().clone()
-    }
-
     /// `rank`'s blocked wait is about to evaluate its condition again.
     /// The deadlock scan convicts a rank only once it has completed a
     /// look since the first stuck sighting and still waits.
@@ -516,15 +503,16 @@ impl Checker {
     /// is queued or in flight. A deadlock is reported only when two scans
     /// observe the identical stuck wait table with no register/clear in
     /// between and every waiting rank has re-evaluated its condition
-    /// after the first — transient states never confirm.
-    pub fn maybe_scan(&self, quiet: bool) {
-        if !self.cfg.deadlock || self.is_aborted() {
-            return;
+    /// after the first — transient states never confirm. A conviction
+    /// returns its `rupcxx-check: …` report line.
+    pub fn maybe_scan(&self, quiet: bool) -> Option<String> {
+        if !self.cfg.deadlock {
+            return None;
         }
         let mut scan = self.scan.lock();
         if !quiet {
             scan.first_stuck = None;
-            return;
+            return None;
         }
         let epoch = self.wait_epoch.load(Ordering::SeqCst);
         let mut waiting: Vec<(usize, WaitInfo)> = Vec::new();
@@ -537,32 +525,30 @@ impl Checker {
                 None => {
                     // Somebody is computing: not stuck.
                     scan.first_stuck = None;
-                    return;
+                    return None;
                 }
             }
         }
         if waiting.is_empty() || self.wait_epoch.load(Ordering::SeqCst) != epoch {
             scan.first_stuck = None;
-            return;
+            return None;
         }
         let ticks = |r: usize| self.poll_ticks[r].load(Ordering::Relaxed);
         match &scan.first_stuck {
             // A tick is bumped *before* the look it announces, so one
             // look begun and finished after the sighting shows as +2.
             Some((e, seen)) if *e == epoch => {
-                if waiting.iter().all(|&(r, _)| ticks(r) >= seen[r] + 2) {
-                    self.confirm_deadlock(&waiting);
-                }
+                let convicted = waiting.iter().all(|&(r, _)| ticks(r) >= seen[r] + 2);
+                return convicted.then(|| self.confirm_deadlock(&waiting));
             }
             _ => scan.first_stuck = Some((epoch, (0..self.ranks).map(ticks).collect())),
         }
+        None
     }
 
-    /// Two scans agreed: classify the stuck state and abort the job.
-    fn confirm_deadlock(&self, waiting: &[(usize, WaitInfo)]) {
-        if self.aborted.swap(true, Ordering::AcqRel) {
-            return;
-        }
+    /// Two scans agreed: classify the stuck state and return the report
+    /// line (a second conviction adds no finding: `report` dedups).
+    fn confirm_deadlock(&self, waiting: &[(usize, WaitInfo)]) -> String {
         let before = self.findings.lock().len();
         self.classify_stuck(waiting);
         let findings = self.findings.lock();
@@ -571,7 +557,7 @@ impl Checker {
             .or_else(|| findings.last())
             .map(|f| f.to_string())
             .unwrap_or_else(|| "deadlock detected".to_string());
-        *self.abort_msg.lock() = Some(format!("rupcxx-check: {msg}"));
+        format!("rupcxx-check: {msg}")
     }
 
     fn classify_stuck(&self, waiting: &[(usize, WaitInfo)]) {
@@ -785,17 +771,16 @@ mod tests {
         ck.wait_begin(0, EVENT);
         ck.wait_begin(1, WaitInfo::Future);
         let look = |rank| (0..2).for_each(|_| ck.wait_polled(rank));
-        ck.maybe_scan(true); // first sighting
+        assert_eq!(ck.maybe_scan(true), None); // first sighting
         look(0);
         // The identical table again, but rank 1 has not run since: it may
         // be satisfiable already and merely descheduled.
-        ck.maybe_scan(true);
-        ck.maybe_scan(true);
-        assert!(!ck.is_aborted(), "{:?}", ck.findings());
+        assert_eq!(ck.maybe_scan(true), None);
+        assert_eq!(ck.maybe_scan(true), None, "{:?}", ck.findings());
         // Rank 1 looked again and still waits: now it is a deadlock.
         look(1);
-        ck.maybe_scan(true);
-        assert!(ck.is_aborted());
+        let report = ck.maybe_scan(true).expect("a conviction");
+        assert!(report.starts_with("rupcxx-check: "), "{report}");
         let found = ck.findings();
         assert_eq!(found.len(), 2, "{found:?}");
         assert!(found
@@ -831,8 +816,7 @@ mod tests {
         // The wait ended and another began: a new table, a new sighting.
         ck.wait_end(0, EVENT);
         ck.wait_begin(0, EVENT);
-        ck.maybe_scan(true);
-        assert!(!ck.is_aborted());
+        assert_eq!(ck.maybe_scan(true), None);
     }
 
     #[test]

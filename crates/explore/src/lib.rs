@@ -114,8 +114,10 @@ pub struct RunOutcome {
     pub record: Vec<DeliveryRecord>,
     /// Scheduler pump accounting.
     pub counts: SchedCounts,
-    /// Per-rank program results; `None` when the job aborted (the
-    /// deadlock checker panics the stuck rank).
+    /// Per-rank program results; `None` when the job failed — with a
+    /// `rupcxx_net::JobFailure`: the deadlock checker's conviction, a
+    /// rank's panic, or (not under a schedule) a dead link — and every
+    /// rank stopped with a panic.
     pub results: Option<Vec<u64>>,
 }
 

@@ -225,22 +225,6 @@ impl<const N: usize> RectDomain<N> {
             p
         })
     }
-
-    /// Rows of the domain: iterate all dims except the last, yielding the
-    /// row's starting point and its length along the last dimension.
-    /// The unit of the one-sided array copy.
-    pub fn rows(&self) -> Vec<(Point<N>, usize)> {
-        if self.is_empty() {
-            return Vec::new();
-        }
-        let row_len = self.extent(N - 1);
-        let mut heads = Vec::with_capacity(self.size() / row_len.max(1));
-        // Iterate the domain collapsed to its first N-1 dims.
-        let mut head_dom = *self;
-        head_dom.hi[N - 1] = head_dom.lo[N - 1] + 1;
-        head_dom.for_each(|p| heads.push((p, row_len)));
-        heads
-    }
 }
 
 impl<const N: usize> std::fmt::Display for RectDomain<N> {
@@ -274,7 +258,6 @@ mod tests {
         let mut count = 0;
         d.for_each(|_| count += 1);
         assert_eq!(count, 0);
-        assert!(d.rows().is_empty());
     }
 
     #[test]
@@ -342,16 +325,6 @@ mod tests {
         let via_points: Vec<_> = d.points().collect();
         assert_eq!(via_foreach, via_points);
         assert_eq!(via_points.len(), d.size());
-    }
-
-    #[test]
-    fn rows_cover_domain() {
-        let d = rd!([0, 0, 0]..[2, 3, 4]);
-        let rows = d.rows();
-        assert_eq!(rows.len(), 6);
-        assert!(rows.iter().all(|&(_, len)| len == 4));
-        let total: usize = rows.iter().map(|&(_, l)| l).sum();
-        assert_eq!(total, d.size());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::cache::{CacheConfig, CacheState};
 use crate::conduit::RemoteConfig;
 use crate::faults::FaultPlan;
 use crate::inbox::Inbox;
-use crate::reliable::{PeerUnreachable, Reliable};
+use crate::reliable::{JobFailure, Reliable};
 use crate::remote::RemoteFabric;
 use crate::rma::{Access, RmaOp, RmwOp};
 use crate::schedule::{SchedState, ScheduleConfig};
@@ -24,11 +24,10 @@ use crate::stats::{CommCounts, CommStats, Counter};
 use crate::task::TaskFn;
 use crate::Rank;
 use rupcxx_check::{AccessKind, CheckConfig, Checker, Stamp};
-use rupcxx_trace::{EventKind, ProfConfig, ProfSpan, RankTrace, TraceConfig};
+use rupcxx_trace::{flight, EventKind, ProfConfig, ProfSpan, RankTrace, TraceConfig};
 use rupcxx_util::sync::CachePadded;
 use rupcxx_util::Bytes;
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 thread_local! {
@@ -418,11 +417,8 @@ pub(crate) enum Delivery {
 pub struct Fabric {
     pub(crate) endpoints: Box<[Endpoint]>,
     pub(crate) delivery: Delivery,
-    /// The first peer declared unreachable (checked by blocking waits
-    /// via [`Fabric::has_failed`]).
-    pub(crate) failed: OnceLock<PeerUnreachable>,
-    /// Set once the flight recorder has dumped (one postmortem per job).
-    pub(crate) flight_dumped: AtomicBool,
+    /// Why the job failed, first cause only ([`Fabric::failure`]).
+    pub(crate) failed: OnceLock<JobFailure>,
     /// The job's shared race/deadlock checker; None disables every hook.
     pub(crate) check: Option<Arc<Checker>>,
     /// Conduit transport to out-of-process peers; None = in-process.
@@ -507,7 +503,6 @@ impl Fabric {
             endpoints,
             delivery,
             failed: OnceLock::new(),
-            flight_dumped: AtomicBool::new(false),
             check,
             remote,
             seg_bytes: config.segment_bytes,
@@ -1060,19 +1055,17 @@ impl Fabric {
     }
 
     /// Dump the flight recorder: the causal tail of every hosted rank's
-    /// event stream, to stderr and the test-visible capture buffer. One
-    /// dump per job (first failure wins); no-op when no ring records.
-    pub fn dump_flight(&self, reason: &str) {
-        let mut recording = self
-            .hosted_ranks()
-            .map(|r| &self.endpoints[r].trace)
+    /// event stream, to stderr and the test-visible capture buffer. Only
+    /// a job's first [`Fabric::fail`] calls it; no-op when no ring records.
+    pub(crate) fn dump_flight(&self, reason: &str) {
+        let traces = self.hosted_ranks().map(|r| &self.endpoints[r].trace);
+        let per_rank: Vec<_> = traces
             .filter(|t| t.ring().is_some())
-            .peekable();
-        if recording.peek().is_none() || self.flight_dumped.swap(true, Ordering::SeqCst) {
-            return;
+            .map(RankTrace::stream)
+            .collect();
+        if !per_rank.is_empty() {
+            flight::record_dump(flight::format_flight(reason, &per_rank));
         }
-        let per_rank: Vec<_> = recording.map(RankTrace::stream).collect();
-        rupcxx_trace::flight::record_dump(rupcxx_trace::flight::format_flight(reason, &per_rank));
     }
 
     /// Aggregate traffic snapshot over all endpoints.
@@ -1095,6 +1088,7 @@ impl std::fmt::Debug for Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn fabric(ranks: usize) -> Arc<Fabric> {
         Fabric::new(FabricConfig {
@@ -1274,7 +1268,7 @@ mod tests {
     #[test]
     fn am_task_payload_executes() {
         let f = fabric(2);
-        let flag = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let flag = Arc::new(AtomicBool::new(false));
         let flag2 = flag.clone();
         f.send_am(
             0,

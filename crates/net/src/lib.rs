@@ -50,7 +50,7 @@ pub use inbox::Inbox;
 // benchmark-only PR renames it there.
 pub use inbox::Inbox as ShardedInbox;
 pub use pod::Pod;
-pub use reliable::PeerUnreachable;
+pub use reliable::{JobFailure, PeerUnreachable};
 pub use rma::RmaOp;
 pub use rupcxx_check::{CheckConfig, Checker};
 pub use rupcxx_trace::ProfConfig;

@@ -34,6 +34,10 @@
 //! `fetch_add` would change the result, and a real NIC's RDMA engine
 //! retries lost packets below the atomicity layer for exactly that
 //! reason.
+//!
+//! A dead peer is one of the three [`JobFailure`]s, beside a deadlock
+//! conviction and a rank's panic: [`Fabric::fail`] keeps a job's first,
+//! and every blocking wait of the job panics with it.
 
 use crate::fabric::{AmMessage, Fabric};
 use crate::faults::{decide, Fate, FaultPlan};
@@ -50,8 +54,8 @@ use rupcxx_util::sync::Mutex;
 const RMA_SEQ_TAG: u64 = 1 << 63;
 
 /// A peer was declared dead: one frame exhausted its transmission-attempt
-/// budget. Reported by [`Fabric::failure`] and surfaced by the runtime's
-/// blocking waits instead of spinning forever.
+/// budget, or a conduit link closed or carried bytes this rank refused.
+/// Reported as [`JobFailure::Unreachable`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PeerUnreachable {
     /// Sending rank of the abandoned frame.
@@ -78,6 +82,28 @@ impl std::fmt::Display for PeerUnreachable {
 }
 
 impl std::error::Error for PeerUnreachable {}
+
+/// Why a job failed: one per job ([`Fabric::fail`] keeps the first), and
+/// every blocking wait panics with it ([`Fabric::failure`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum JobFailure {
+    /// A peer was declared dead.
+    Unreachable(PeerUnreachable),
+    /// The deadlock checker's `rupcxx-check: …` report line.
+    Deadlock(String),
+    /// A rank's program panicked.
+    Panicked(Rank),
+}
+
+impl std::fmt::Display for JobFailure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            JobFailure::Unreachable(e) => e.fmt(f),
+            JobFailure::Deadlock(report) => f.write_str(report),
+            JobFailure::Panicked(rank) => write!(f, "rank {rank} panicked"),
+        }
+    }
+}
 
 /// A delivered frame being held back by a reorder/delay fate.
 struct LimboFrame {
@@ -322,29 +348,32 @@ impl Fabric {
         work
     }
 
-    /// Cheap check used by blocking waits: has any link failed?
+    /// Why the job failed, if it has: what every blocking wait checks.
     #[inline]
-    pub fn has_failed(&self) -> bool {
-        self.failed.get().is_some()
+    pub fn failure(&self) -> Option<&JobFailure> {
+        self.failed.get()
     }
 
-    /// The first [`PeerUnreachable`] failure, if any link died.
-    pub fn failure(&self) -> Option<PeerUnreachable> {
-        self.failed.get().copied()
+    /// Record that the job failed. The first failure wins, and only it
+    /// dumps the flight recorder; a later one changes nothing.
+    #[cold]
+    pub fn fail(&self, why: JobFailure) {
+        let reason = why.to_string();
+        if self.failed.set(why).is_ok() {
+            self.dump_flight(&reason);
+        }
     }
 
     pub(crate) fn mark_unreachable(&self, e: PeerUnreachable) {
-        // The first failure wins; a later one is still recorded below.
-        let _ = self.failed.set(e);
-        // Postmortem: record the death on the initiator's stream and
-        // dump every rank's flight-recorder tail (once per job).
+        // Record the death on the initiator's stream first, so the
+        // flight-recorder dump shows it.
         self.endpoints[e.src].trace.instant(
             EventKind::Unreachable,
             e.dst as i32,
             e.attempts as u64,
             0,
         );
-        self.dump_flight(&e.to_string());
+        self.fail(JobFailure::Unreachable(e));
     }
 
     /// Fault gate for one-sided RMA (`initiator != target`): draw a fate
@@ -353,8 +382,8 @@ impl Fabric {
     ///
     /// # Panics
     /// Panics with the [`PeerUnreachable`] message once `max_attempts`
-    /// transmissions of the same op have been dropped (after recording
-    /// the failure for [`Fabric::failure`]).
+    /// transmissions of the same op have been dropped (after failing the
+    /// job with it).
     #[cold]
     pub(crate) fn rma_gate_slow(&self, rel: &Reliable, initiator: Rank, target: Rank) {
         let plan = &rel.plan;
@@ -518,16 +547,51 @@ mod tests {
         // Drive the receiver until the attempt budget is exhausted.
         for _ in 0..100 {
             f.pump_incoming(1);
-            if f.has_failed() {
+            if f.failure().is_some() {
                 break;
             }
         }
-        let e = f.failure().expect("dead link must be reported");
+        let Some(JobFailure::Unreachable(e)) = f.failure() else {
+            panic!("dead link must be reported, not {:?}", f.failure());
+        };
         assert_eq!((e.src, e.dst), (0, 1));
         assert_eq!(e.attempts, 4);
         assert!(e.to_string().contains("unreachable"));
         assert!(f.links_quiescent(1), "abandoned frame leaves no residue");
         assert_eq!(f.endpoint(0).stats.snapshot().wire_drops, 4);
+    }
+
+    #[test]
+    fn the_first_failure_is_kept_and_dumped_once() {
+        let f = Fabric::new(FabricConfig {
+            ranks: 2,
+            segment_bytes: 4096,
+            trace: rupcxx_trace::TraceConfig::events(),
+            ..FabricConfig::default()
+        });
+        let first = JobFailure::Deadlock("rupcxx-check: planted verdict".to_string());
+        f.fail(first.clone());
+        f.fail(JobFailure::Panicked(1));
+        let dead = PeerUnreachable {
+            src: 1,
+            dst: 0,
+            seq: 0,
+            attempts: 77,
+        };
+        f.mark_unreachable(dead);
+        assert_eq!(f.failure(), Some(&first));
+        let ours = [
+            first,
+            JobFailure::Panicked(1),
+            JobFailure::Unreachable(dead),
+        ]
+        .map(|why| format!("flight recorder: {why} ==="));
+        let dumps = rupcxx_trace::flight::take_dumps();
+        let dumped: Vec<_> = ours
+            .iter()
+            .map(|header| dumps.iter().filter(|d| d.contains(header)).count())
+            .collect();
+        assert_eq!(dumped, [1, 0, 0]);
     }
 
     #[test]
@@ -549,7 +613,7 @@ mod tests {
             send_handler(&f, 1, 0, id);
         }
         assert_eq!(pump_to_quiescence(&f, 0), (0..10).collect::<Vec<_>>());
-        assert!(!f.has_failed());
+        assert!(f.failure().is_none());
     }
 
     #[test]
@@ -595,7 +659,7 @@ mod tests {
         assert_eq!(f.get_u64(0, GlobalAddr::new(0, 0)), 7);
         send_handler(&f, 0, 0, 1);
         assert!(f.endpoint(0).try_recv().is_some());
-        assert!(!f.has_failed());
+        assert!(f.failure().is_none());
         assert_eq!(f.total_counts().wire_drops, 0);
     }
 

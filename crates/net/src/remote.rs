@@ -23,10 +23,11 @@
 //! A [`ConduitEvent::Closed`] for a peer that has not completed its FIN
 //! handshake is a genuine failure domain, and so is a frame that does
 //! not decode or does not fit this rank's segment (the bytes come from
-//! another process and are not trusted): both are classified through
-//! the same `mark_unreachable` funnel the reliable layer uses, so a
-//! killed or corrupted peer surfaces as a [`PeerUnreachable`] panic with
-//! a flight-recorder dump instead of a hang or an abort of this rank.
+//! another process and are not trusted): both fail the job with the
+//! [`JobFailure::Unreachable`](crate::JobFailure::Unreachable) a dead
+//! reliable link gives, so a killed or corrupted peer surfaces as a
+//! [`PeerUnreachable`] panic with a flight-recorder dump instead of a
+//! hang or an abort of this rank.
 
 use crate::aggregate::validate_batch;
 use crate::conduit::wire::{self, WireError, WireFrame};
@@ -245,8 +246,9 @@ impl Fabric {
     }
 
     /// Classify the link to `peer` as failed — it closed mid-job, or
-    /// delivered bytes this rank will not act on — through the reliable
-    /// layer's funnel: blocked waits panic with the report.
+    /// delivered bytes this rank will not act on — as the reliable layer
+    /// classifies a dead link: the job fails, and blocked waits panic
+    /// with the report.
     fn link_failed(&self, r: &RemoteFabric, peer: Rank, why: &dyn std::fmt::Display) {
         let me = r.me;
         eprintln!("rupcxx: rank {me}: conduit link to rank {peer} failed: {why}");
@@ -366,7 +368,7 @@ impl Fabric {
             let done = (0..self.ranks()).filter(|&p| p != me).all(|p| {
                 r.fin_recvd[p].load(Ordering::Acquire) && r.fin_acked[p].load(Ordering::Acquire)
             });
-            if done || self.has_failed() {
+            if done || self.failure().is_some() {
                 break;
             }
             if Instant::now() > deadline {

@@ -3,7 +3,7 @@
 use crate::alloc::OutOfSegmentMemory;
 use crate::shared::Shared;
 use rupcxx_check::WaitInfo;
-use rupcxx_net::{AmMessage, AmPayload, Counter, Fabric, GlobalAddr, Rank, TaskFn};
+use rupcxx_net::{AmMessage, AmPayload, Counter, Fabric, GlobalAddr, JobFailure, Rank, TaskFn};
 use rupcxx_trace::{EventKind, RankTrace, WaitConstruct};
 use rupcxx_util::Bytes;
 use std::any::Any;
@@ -319,17 +319,15 @@ impl Ctx {
     /// freedom, as in GASNet polling mode).
     ///
     /// Every blocking construct — barriers, events, futures, `finish` —
-    /// waits through this loop, so this is also where a fabric failure
-    /// surfaces: if fault injection declares a peer unreachable, the wait
-    /// panics with the `PeerUnreachable` report instead of spinning on a
-    /// condition that can never become true.
+    /// waits through this loop, so this is also where a rank learns that
+    /// the job failed, instead of spinning on a condition that can never
+    /// become true. Deeply idle waits run the deadlock checker's
+    /// wait-for scan, and a conviction fails the job.
     ///
     /// # Panics
-    /// Panics when the fabric has recorded a delivery failure (fault
-    /// injection only; see `rupcxx_net::PeerUnreachable`).
-    /// It is also where the deadlock checker acts: deeply idle waits
-    /// trigger its wait-for scan, and a confirmed deadlock panics the
-    /// blocked rank with the finding (mirroring `PeerUnreachable`).
+    /// Panics with the job's [`JobFailure`] once there is one: a peer
+    /// declared unreachable (`Unreachable`), the deadlock checker's
+    /// conviction (`Deadlock`) or a rank that panicked (`Panicked`).
     pub fn wait_until(&self, cond: impl FnMut() -> bool) {
         self.wait_loop(true, cond);
     }
@@ -348,23 +346,10 @@ impl Ctx {
         let mut idle_polls = 0u32;
         let mut yields = 0u32;
         loop {
-            if self.shared.fabric.has_failed() {
-                // Dump the flight recorder before dying (a no-op if
-                // `mark_unreachable` already dumped, or nothing records).
-                self.shared.fabric.dump_flight("peer unreachable");
-                match self.shared.fabric.failure() {
-                    Some(e) => panic!("{e}"),
-                    None => panic!("fabric failed: peer unreachable"),
-                }
+            if let Some(why) = self.shared.fabric.failure() {
+                panic!("{why}");
             }
             if let Some(ck) = self.shared.fabric.checker() {
-                if ck.is_aborted() {
-                    let m = ck
-                        .abort_message()
-                        .unwrap_or_else(|| "rupcxx-check: deadlock detected".to_string());
-                    self.shared.fabric.dump_flight(&m);
-                    panic!("{m}");
-                }
                 // The deadlock scan convicts only ranks that have looked
                 // at their condition again since it first saw them wait.
                 ck.wait_polled(self.rank);
@@ -393,9 +378,10 @@ impl Ctx {
             // told whether nothing is queued, in flight or being run
             // anywhere — a scan while traffic exists confirms nothing.
             if yields.is_multiple_of(SCAN_YIELDS) {
-                if let Some(ck) = self.shared.fabric.checker() {
-                    if ck.deadlock_on() {
-                        ck.maybe_scan((0..self.ranks()).all(|r| self.quiet(r)));
+                if let Some(ck) = self.shared.fabric.checker().filter(|ck| ck.deadlock_on()) {
+                    let quiet = (0..self.ranks()).all(|r| self.quiet(r));
+                    if let Some(report) = ck.maybe_scan(quiet) {
+                        self.shared.fabric.fail(JobFailure::Deadlock(report));
                     }
                 }
             }

@@ -9,7 +9,7 @@
 use crate::config::RuntimeConfig;
 use crate::ctx::Ctx;
 use crate::shared::{HandlerRegistry, Shared};
-use rupcxx_net::Fabric;
+use rupcxx_net::{Fabric, JobFailure};
 use rupcxx_trace::{critpath, RankStream, SummaryRow, TraceMode, WaitState};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -96,24 +96,26 @@ where
                     // This thread is the rank's counting thread: its
                     // counter bumps are plain stores until it exits.
                     let _counting = ctx.fabric().endpoint(rank).stats.claim();
-                    let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)));
-                    // Threads of one process share the completion count:
-                    // a rank must publish completion even on panic, or
-                    // the survivors would drain forever. A panicking
-                    // process rank skips the drain instead: its peers see
-                    // the dead link as the conduit's Closed event, not a
-                    // FIN.
-                    if result.is_ok() || !ctx.fabric().is_remote() {
-                        ctx.mark_complete();
-                        ctx.drain_until_all_complete();
-                    }
-                    result.unwrap_or_else(|payload| resume_unwind(payload))
+                    // A panicking rank fails the job and skips the drain:
+                    // its peers stop at their next wait (over a conduit,
+                    // at the dead link's Closed event, not a FIN).
+                    let result = catch_unwind(AssertUnwindSafe(|| body(&ctx)))
+                        .inspect_err(|_| ctx.fabric().fail(JobFailure::Panicked(rank)))
+                        .unwrap_or_else(|payload| resume_unwind(payload));
+                    ctx.mark_complete();
+                    ctx.drain_until_all_complete();
+                    result
                 })
                 .expect("failed to spawn rank thread")
         };
         let handles: Vec<_> = hosted.clone().map(spawn_rank).collect();
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        let mut joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
         progress_stop.store(true, Ordering::Release);
+        // Its peers stopped with a secondary "rank N panicked": re-raise
+        // the culprit's own panic first (no results return either way).
+        if let Some(&JobFailure::Panicked(rank)) = shared.fabric.failure() {
+            joined.swap(0, rank - hosted.start);
+        }
         joined
             .into_iter()
             .map(|r| r.unwrap_or_else(|payload| resume_unwind(payload)))
@@ -242,6 +244,7 @@ fn export_check(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RtFuture;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -316,6 +319,103 @@ mod tests {
                 panic!("deliberate rank failure");
             }
         });
+    }
+
+    /// Run `job` on a thread of its own and return the message of the
+    /// panic it ends in. A rank that panics must stop its peers, not leave
+    /// them waiting for it: a job still running after 30 s fails the test
+    /// instead of hanging the suite.
+    fn panic_in_time(job: impl FnOnce() + Send + 'static) -> String {
+        let (done, ended) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let panic = catch_unwind(AssertUnwindSafe(job)).err();
+            let _ = done.send(panic.map(|p| match p.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(p) => p.downcast_ref::<&str>().map_or("", |s| s).to_string(),
+            }));
+        });
+        ended
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the job is still running: a panicking rank left its peers waiting")
+            .expect("the job returned instead of failing")
+    }
+
+    /// Spin until `flag` is set, driving no progress.
+    fn spin_until(flag: &AtomicBool) {
+        while !flag.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+    }
+
+    /// Rank 1 panics once rank 0 has reached its barrier.
+    fn rank_1_panics_beside_a_barrier(config: RuntimeConfig) -> String {
+        panic_in_time(move || {
+            let waiting = AtomicBool::new(false);
+            spmd(config, |ctx| {
+                if ctx.rank() == 1 {
+                    spin_until(&waiting);
+                    panic!("rank 1 gave up");
+                }
+                waiting.store(true, Ordering::Release);
+                ctx.barrier();
+            });
+        })
+    }
+
+    #[test]
+    fn a_panicking_rank_stops_a_peer_in_a_barrier() {
+        assert_eq!(rank_1_panics_beside_a_barrier(cfg(2)), "rank 1 gave up");
+    }
+
+    #[test]
+    fn a_panicking_rank_stops_a_peer_with_a_progress_thread() {
+        let config = cfg(2).with_progress_thread();
+        assert_eq!(rank_1_panics_beside_a_barrier(config), "rank 1 gave up");
+    }
+
+    #[test]
+    fn a_panicking_rank_stops_a_peer_waiting_on_its_reply() {
+        // Rank 0 waits for a value only rank 2 can send; ranks 1 and 3
+        // wait in a barrier. The peers' secondary "rank 2 panicked" is not
+        // what the caller sees.
+        let msg = panic_in_time(|| {
+            let asked = AtomicBool::new(false);
+            spmd(cfg(4), |ctx| match ctx.rank() {
+                0 => {
+                    let (future, setter) = RtFuture::pending();
+                    ctx.send_task_with_ctx(2, move |c2| c2.send_task(0, move || setter.set(2)));
+                    asked.store(true, Ordering::Release);
+                    future.get(ctx);
+                }
+                2 => {
+                    spin_until(&asked);
+                    panic!("rank {} gave up", ctx.rank());
+                }
+                _ => ctx.barrier(),
+            });
+        });
+        assert_eq!(msg, "rank 2 gave up");
+    }
+
+    #[test]
+    fn a_failed_job_dumps_the_flight_recorder_once() {
+        // Four ranks notice rank 2's panic; one of them dumps.
+        let config = cfg(4).with_trace(rupcxx_trace::TraceConfig::events());
+        let msg = panic_in_time(|| {
+            spmd(config, |ctx| {
+                if ctx.rank() == 2 {
+                    panic!("rank 2 gave up");
+                }
+                ctx.barrier();
+            });
+        });
+        assert_eq!(msg, "rank 2 gave up");
+        let dumps = rupcxx_trace::flight::take_dumps();
+        let headers = (0..4).map(|r| format!("flight recorder: rank {r} panicked ==="));
+        let dumped: Vec<_> = headers
+            .map(|h| dumps.iter().filter(|d| d.contains(&h)).count())
+            .collect();
+        assert_eq!(dumped, [0, 0, 1, 0]);
     }
 
     #[test]

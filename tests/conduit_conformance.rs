@@ -373,8 +373,8 @@ fn garbage_frames_yield_peer_unreachable_not_an_abort() {
     // mesh and writing frames by hand.
     use rupcxx_net::conduit::wire::{self, WireFrame};
     use rupcxx_net::{
-        Conduit, ConduitEvent, ConduitSel, Fabric, FabricConfig, GlobalAddr, RemoteConfig, RmaOp,
-        SocketConduit,
+        Conduit, ConduitEvent, ConduitSel, Fabric, FabricConfig, GlobalAddr, JobFailure,
+        RemoteConfig, RmaOp, SocketConduit,
     };
 
     const SEG: usize = 4096;
@@ -458,8 +458,10 @@ fn garbage_frames_yield_peer_unreachable_not_an_abort() {
         assert!(fabric.failure().is_none());
         // The garbage: refused, the link classified, nothing applied.
         peer.send(0, &garbage);
-        pump_until(&|| fabric.has_failed());
-        let failure = fabric.failure().expect("a classified failure");
+        pump_until(&|| fabric.failure().is_some());
+        let Some(JobFailure::Unreachable(failure)) = fabric.failure() else {
+            panic!("{what}: a classified failure, not {:?}", fabric.failure());
+        };
         assert_eq!((failure.src, failure.dst), (0, 1), "{what}");
         assert!(failure.to_string().contains("unreachable"), "{failure}");
         assert_eq!(segment.load_u64(64), u64::from_le_bytes([0xAB; 8]));
@@ -480,7 +482,7 @@ fn hostile_handler_frames_yield_peer_unreachable_not_an_abort() {
     use rupcxx_net::conduit::wire::{self, WireFrame};
     use rupcxx_net::{
         AggConfig, AmPayload, Conduit, ConduitEvent, ConduitSel, Fabric, FabricConfig, GlobalAddr,
-        RemoteConfig, SocketConduit,
+        JobFailure, RemoteConfig, SocketConduit,
     };
     use rupcxx_runtime::shared::Shared;
     use rupcxx_runtime::Ctx;
@@ -586,7 +588,7 @@ fn hostile_handler_frames_yield_peer_unreachable_not_an_abort() {
         // The hostile frame: refused, the link classified, nothing applied.
         let refuse = || {
             peer.send(0, &hostile);
-            advance_until(&|| fabric.has_failed());
+            advance_until(&|| fabric.failure().is_some());
         };
         if what == UNSPAWNED {
             // The scope's wait is where the failed link surfaces.
@@ -598,7 +600,9 @@ fn hostile_handler_frames_yield_peer_unreachable_not_an_abort() {
         } else {
             refuse();
         }
-        let failure = fabric.failure().expect("a classified failure");
+        let Some(JobFailure::Unreachable(failure)) = fabric.failure() else {
+            panic!("{what}: a classified failure, not {:?}", fabric.failure());
+        };
         assert_eq!((failure.src, failure.dst), (0, 1), "{what}");
         assert!(failure.to_string().contains("unreachable"), "{failure}");
         let segment = &fabric.endpoint(0).segment;

@@ -92,7 +92,7 @@ fn drain_rank(f: &Fabric, me: usize) -> Option<Vec<u16>> {
                 AmPayload::Task(_) => unreachable!("no tasks in this schedule"),
             }
         }
-        if f.has_failed() {
+        if f.failure().is_some() {
             return None;
         }
         if f.links_quiescent(me) && f.endpoint(me).pending() == 0 {

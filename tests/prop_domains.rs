@@ -193,17 +193,6 @@ proptest! {
     }
 
     #[test]
-    fn rows_cover_domain_exactly(d in small_domain()) {
-        let rows = d.rows();
-        let total: usize = rows.iter().map(|&(_, len)| len).sum();
-        prop_assert_eq!(total, d.size());
-        // Each row head is in the domain (when non-empty).
-        for (head, _) in rows {
-            prop_assert!(d.contains(head));
-        }
-    }
-
-    #[test]
     fn point_algebra_group_laws(
         a in proptest::array::uniform3(-100i64..100),
         b in proptest::array::uniform3(-100i64..100),

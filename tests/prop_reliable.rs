@@ -6,7 +6,7 @@
 //! the failing schedule is shrunk with `shrink_vec` to a 1-minimal
 //! counterexample before reporting.
 
-use rupcxx_net::{AmPayload, Fabric, FabricConfig, FaultPlan, LinkRule};
+use rupcxx_net::{AmPayload, Fabric, FabricConfig, FaultPlan, JobFailure, LinkRule};
 use rupcxx_util::prop as proptest;
 use rupcxx_util::prop::prelude::*;
 use rupcxx_util::Bytes;
@@ -38,7 +38,7 @@ fn drain_rank(f: &Fabric, me: usize) -> Option<Vec<u16>> {
                 got.push(id);
             }
         }
-        if f.has_failed() {
+        if f.failure().is_some() {
             return None;
         }
         if f.links_quiescent(me) && f.endpoint(me).pending() == 0 {
@@ -143,7 +143,9 @@ proptest! {
             f.send_am(0, 1, AmPayload::Handler { id, args: Bytes::new() });
         }
         prop_assert!(drain_rank(&f, 1).is_none(), "dead link cannot quiesce cleanly");
-        let e = f.failure().expect("failure must carry a report");
+        let Some(JobFailure::Unreachable(e)) = f.failure() else {
+            panic!("failure must carry a report, not {:?}", f.failure());
+        };
         prop_assert_eq!((e.src, e.dst), (0, 1));
         prop_assert!(e.to_string().contains("unreachable"));
     }
