@@ -69,7 +69,8 @@ explore-smoke:
 
 # The transport-conduit gate: a 2-process GUPS run over the shm and uds
 # conduits (real OS processes talking through mmap'd rings / Unix
-# sockets) must match the in-process loopback checksum bit-for-bit
+# sockets) and a 2-process stencil over uds must match the in-process
+# loopback checksum bit-for-bit
 # (`smoke_` subset of conduit_conformance; README "Conduits"). Release
 # mode keeps the whole thing under ~5 s.
 conduit-smoke:

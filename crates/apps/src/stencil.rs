@@ -20,8 +20,9 @@
 //!   of the source and destination blocks once ([`LocalGrid::view`]), each
 //!   `(i, j)` cuts seven length-`n` windows out of them, and the `k` loop
 //!   is slice arithmetic the compiler vectorizes. The views rest on the
-//!   privatization contract: between the fence barrier and the swap
-//!   barrier no peer touches either block.
+//!   privatization contract: while a rank computes, peers may only *read*
+//!   `cur`'s faces (read/read), and `nxt` is the rank's alone until the
+//!   step barrier.
 
 use rupcxx::prelude::*;
 use rupcxx_ndarray::{pt, DistArray, LocalGrid, Point, RectDomain};
@@ -94,18 +95,26 @@ pub fn run(ctx: &Ctx, cfg: &StencilConfig) -> StencilResult {
     ctx.barrier();
     let t = Timer::start();
     let (mut cur, mut nxt) = (&a, &b);
+    // One barrier a step: exchange → fence → compute → swap → barrier.
+    // A rank pulls only its neighbours' `cur` interiors, and writes only
+    // its own `nxt` and, through its own pulls, its own `cur` ghosts:
+    // nobody writes `cur` during the step. A peer pulls `cur` in step t
+    // only after passing barrier t−1, which no rank reaches before its
+    // step t−1 compute that wrote `cur` is done. The owner writes that
+    // buffer again, as `nxt`, only in step t+1, after barrier t, which no
+    // peer passes before its step-t pulls are done. So the step barrier
+    // orders both hazards, and the fence needs no barrier behind it.
     for _ in 0..cfg.iters {
         // Ghost exchange: pull each face from the neighbour's interior.
         cur.exchange_ghosts(ctx);
         async_copy_fence(ctx);
-        ctx.barrier();
         // Local computation.
         let (src, dst) = (cur.local(), nxt.local());
         match cfg.variant {
             Variant::Optimized => {
-                // Peers pull `cur`'s faces only between the swap barrier
-                // and the fence barrier, so both blocks are this rank's
-                // alone until the swap barrier: privatize them.
+                // Peers only read `cur`'s interior faces during the step,
+                // and nobody touches `nxt` before the step barrier:
+                // privatize both.
                 let (src, dst) = (LocalGrid::new(ctx, &src), LocalGrid::new(ctx, &dst));
                 let (a, b, (si, sj)) = (src.view(), dst.view_mut(), src.strides());
                 let n = e as usize;

@@ -12,9 +12,11 @@
 //! `shared_array<ndarray<int,3>> dir(THREADS)` (§III-E) works verbatim as
 //! `SharedArray::<NdArray<f64, 3>>::new(ctx, ranks, 1)`.
 
+use crate::copy::with_pack;
 use crate::domain::RectDomain;
 use crate::point::Point;
 use rupcxx::GlobalPtr;
+use rupcxx_net::pod::{bytes_of, bytes_of_mut};
 use rupcxx_net::{GlobalAddr, Pod, Rank};
 use rupcxx_runtime::Ctx;
 use std::marker::PhantomData;
@@ -162,18 +164,28 @@ impl<T: Pod, const N: usize> NdArray<T, N> {
 
     /// Fill the entire view with `value` (local or one-sided).
     pub fn fill(&self, ctx: &Ctx, value: T) {
-        self.domain.for_each(|p| self.set(ctx, p, value));
+        self.fill_with(ctx, |_| value);
     }
 
-    /// Initialize each element from `f(p)`.
+    /// Initialize each element from `f(p)`: the values are packed in
+    /// lexicographic point order, then written with one strided put per
+    /// run of the view (local or one-sided). `f` sees the view as it was
+    /// before the call.
     pub fn fill_with(&self, ctx: &Ctx, mut f: impl FnMut(Point<N>) -> T) {
-        self.domain.for_each(|p| self.set(ctx, p, f(p)));
+        with_pack(|pack| {
+            pack.clear();
+            pack.reserve(self.domain.size() * std::mem::size_of::<T>());
+            self.domain
+                .for_each(|p| pack.extend_from_slice(bytes_of(&[f(p)])));
+            self.put_packed(ctx, pack);
+        });
     }
 
-    /// Read the view out in lexicographic point order.
+    /// Read the view out in lexicographic point order: one strided get
+    /// per run of the view.
     pub fn to_vec(&self, ctx: &Ctx) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.domain.size());
-        self.domain.for_each(|p| out.push(self.get(ctx, p)));
+        let mut out = vec![T::zeroed(); self.domain.size()];
+        self.get_packed(ctx, bytes_of_mut(&mut out));
         out
     }
 
@@ -377,6 +389,165 @@ mod tests {
             if ctx.rank() == 1 {
                 desc.destroy(ctx);
             }
+        });
+    }
+
+    /// A distinct value per point.
+    fn code(p: Point<3>) -> i64 {
+        p[0] * 10_000 + p[1] * 100 + p[2]
+    }
+
+    /// Write `-1` everywhere in `a` and `twin` point by point, then fill
+    /// `view(a)` with `fill_with(code)` and `view(twin)` with per-point
+    /// `set`s: both arrays must then hold the same values everywhere.
+    fn fill_with_matches_per_point_set(
+        ctx: &Ctx,
+        a: NdArray<i64, 3>,
+        twin: NdArray<i64, 3>,
+        view: impl Fn(NdArray<i64, 3>) -> NdArray<i64, 3>,
+    ) {
+        let all = a.domain();
+        all.for_each(|p| a.set(ctx, p, -1));
+        all.for_each(|p| twin.set(ctx, p, -1));
+        let v = view(twin);
+        view(a).fill_with(ctx, code);
+        v.domain().for_each(|q| v.set(ctx, q, code(q)));
+        all.for_each(|p| assert_eq!(a.get(ctx, p), twin.get(ctx, p), "{p}"));
+    }
+
+    #[test]
+    fn fill_with_writes_exactly_a_restricted_view() {
+        spmd(cfg(1), |ctx| {
+            let dom = rd!([0, 0, 0]..[5, 6, 7]);
+            let (a, twin) = (NdArray::new(ctx, dom), NdArray::new(ctx, dom));
+            fill_with_matches_per_point_set(ctx, a, twin, |x| {
+                x.restrict(rd!([1, 2, 1]..[4, 5, 6]))
+            });
+            // A one-point-thick slab, a single row and a single point.
+            for slab in [
+                rd!([2, 0, 0]..[3, 6, 7]),
+                rd!([0, 0, 3]..[5, 6, 4]),
+                rd!([1, 1, 0]..[2, 2, 7]),
+                rd!([4, 5, 6]..[5, 6, 7]),
+            ] {
+                fill_with_matches_per_point_set(ctx, a, twin, |x| x.restrict(slab));
+            }
+            a.destroy(ctx);
+            twin.destroy(ctx);
+        });
+    }
+
+    #[test]
+    fn fill_with_writes_exactly_a_permuted_view() {
+        spmd(cfg(1), |ctx| {
+            // Dimension 2 of the view is dimension 0 of the storage: its
+            // innermost points lie a plane apart.
+            let dom = rd!([0, 0, 0]..[4, 5, 6]);
+            let (a, twin) = (NdArray::new(ctx, dom), NdArray::new(ctx, dom));
+            fill_with_matches_per_point_set(ctx, a, twin, |x| {
+                x.permute([1, 2, 0]).restrict(rd!([1, 1, 1]..[4, 5, 3]))
+            });
+            a.destroy(ctx);
+            twin.destroy(ctx);
+        });
+    }
+
+    #[test]
+    fn fill_with_writes_exactly_a_remote_view() {
+        spmd(cfg(2), |ctx| {
+            // Each rank fills its neighbour's arrays: every put is remote.
+            let dom = rd!([0, 0, 0]..[4, 4, 4]);
+            let mine = [NdArray::<i64, 3>::new(ctx, dom), NdArray::new(ctx, dom)];
+            let dirs: Vec<[NdArray<i64, 3>; 2]> = ctx.allgatherv(&[mine]);
+            ctx.barrier();
+            let [a, twin] = dirs[1 - ctx.rank()];
+            fill_with_matches_per_point_set(ctx, a, twin, |x| {
+                x.restrict(rd!([1, 0, 1]..[3, 4, 3]))
+            });
+            ctx.barrier();
+            for x in mine {
+                x.destroy(ctx);
+            }
+        });
+    }
+
+    #[test]
+    fn fill_with_puts_one_strided_op_per_run() {
+        spmd(cfg(2), |ctx| {
+            // The 16³ interior of an 18³ block: rows of 16 words, 16 to a
+            // run, one run per plane.
+            let block = NdArray::<f64, 3>::new(ctx, rd!([-1, -1, -1]..[17, 17, 17]));
+            let dirs: Vec<NdArray<f64, 3>> = ctx.allgatherv(&[block]);
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                let remote = dirs[1].restrict(rd!([0, 0, 0]..[16, 16, 16]));
+                let before = ctx.fabric().endpoint(0).stats.snapshot();
+                remote.fill_with(ctx, |p| code(p) as f64);
+                let counts = ctx.fabric().endpoint(0).stats.snapshot().since(&before);
+                assert_eq!(counts.puts, 16, "one strided put per run");
+                assert_eq!(counts.put_bytes, 16 * 16 * 16 * 8);
+                let before = ctx.fabric().endpoint(0).stats.snapshot();
+                let back = remote.to_vec(ctx);
+                let counts = ctx.fabric().endpoint(0).stats.snapshot().since(&before);
+                assert_eq!(counts.gets, 16, "one strided get per run");
+                let mut want = Vec::new();
+                remote.domain().for_each(|p| want.push(code(p) as f64));
+                assert_eq!(back, want);
+            }
+            ctx.barrier();
+            block.destroy(ctx);
+        });
+    }
+
+    #[test]
+    fn fill_with_whose_closure_copies() {
+        spmd(cfg(1), |ctx| {
+            // The closure runs a copy, which packs too, before each value
+            // it returns: the fill still writes the per-point values, and
+            // no pack is borrowed twice.
+            let a = NdArray::<i64, 3>::new(ctx, rd!([0, 0, 0]..[3, 4, 5]));
+            let src = NdArray::<i64, 2>::new(ctx, rd!([0, 0]..[6, 6]));
+            let dst = NdArray::<i64, 2>::new(ctx, rd!([0, 0]..[6, 6]));
+            src.fill_with(ctx, |p| p[0] * 6 + p[1]);
+            a.fill(ctx, -1);
+            let inner = rd!([1, 0, 1]..[3, 4, 4]);
+            a.restrict(inner).fill_with(ctx, |p| {
+                dst.fill(ctx, 0);
+                dst.copy_from(ctx, &src);
+                code(p)
+            });
+            a.domain().for_each(|p| {
+                let want = if inner.contains(p) { code(p) } else { -1 };
+                assert_eq!(a.get(ctx, p), want, "{p}");
+            });
+            assert_eq!(dst.to_vec(ctx), src.to_vec(ctx));
+            for x in [src, dst] {
+                x.destroy(ctx);
+            }
+            a.destroy(ctx);
+        });
+    }
+
+    #[test]
+    fn to_vec_of_a_strided_view() {
+        spmd(cfg(1), |ctx| {
+            // A permuted view (storage-strided innermost dimension) and a
+            // stride-2 view of a unit-stride array.
+            let a = NdArray::<i64, 3>::new(ctx, rd!([0, 0, 0]..[4, 5, 6]));
+            a.fill_with(ctx, code);
+            let views = [
+                a.permute([2, 0, 1]).restrict(rd!([1, 0, 2]..[5, 3, 5])),
+                NdArray {
+                    domain: rd!([0, 1, 0] .. [4, 5, 6]; [2, 1, 3]),
+                    ..a
+                },
+            ];
+            for v in views {
+                let mut want = Vec::new();
+                v.domain().for_each(|q| want.push(v.get(ctx, q)));
+                assert_eq!(v.to_vec(ctx), want, "{v:?}");
+            }
+            a.destroy(ctx);
         });
     }
 

@@ -13,15 +13,20 @@
 //! one strided (vector) RMA operation per run — the iovec capability of
 //! RDMA NICs. A ghost face of an `e`-edge 3-D block is one run a side when
 //! normal to dimension 0 or 1, `e` runs when normal to dimension 2.
+//!
+//! Whole-view writes and reads are the two halves of a copy:
+//! [`NdArray::fill_with`] packs its values and scatters the pack, and
+//! [`NdArray::to_vec`] gathers the view, one strided op per run either way.
 
 use crate::array::NdArray;
 use crate::domain::RectDomain;
 use rupcxx_net::{GlobalAddr, Pod};
 use rupcxx_runtime::Ctx;
-use std::cell::RefCell;
+use std::cell::Cell;
 
 /// `count` blocks of `block` bytes, `stride` bytes apart, from byte `off`
 /// of an array's storage: one strided RMA operation.
+#[derive(Clone, Copy)]
 struct Run {
     off: usize,
     stride: usize,
@@ -43,8 +48,39 @@ pub(crate) struct CopyPlan {
 thread_local! {
     /// The pack between gather and scatter. SPMD ranks are distinct
     /// threads, so it is private to its rank, and steady-state ghost
-    /// exchanges reuse its capacity instead of allocating per call.
-    static PACK: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    /// exchanges and fills reuse its capacity instead of allocating per
+    /// call.
+    static PACK: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
+/// Run `body` on the rank's pack, taken out of its cell for the call and
+/// put back after: a fill whose closure copies finds the cell empty
+/// instead of borrowed.
+pub(crate) fn with_pack<R>(body: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+    let mut pack = PACK.take();
+    let out = body(&mut pack);
+    PACK.set(pack);
+    out
+}
+
+/// One strided get per run at `base` into `pack`, in order.
+fn gather(ctx: &Ctx, base: GlobalAddr, runs: impl IntoIterator<Item = Run>, pack: &mut [u8]) {
+    let (me, fabric, mut at) = (ctx.rank(), ctx.fabric(), 0);
+    for r in runs {
+        let buf = &mut pack[at..][..r.block * r.count];
+        fabric.get_strided(me, base.add(r.off), r.stride, buf, r.block, r.count);
+        at += buf.len();
+    }
+}
+
+/// One strided put per run at `base` from `pack`, in order.
+fn scatter(ctx: &Ctx, base: GlobalAddr, runs: impl IntoIterator<Item = Run>, pack: &[u8]) {
+    let (me, fabric, mut at) = (ctx.rank(), ctx.fabric(), 0);
+    for r in runs {
+        let buf = &pack[at..][..r.block * r.count];
+        fabric.put_strided(me, base.add(r.off), r.stride, buf, r.block, r.count);
+        at += buf.len();
+    }
 }
 
 /// `arr`'s storage under `inter` as runs, in the intersection's
@@ -52,7 +88,10 @@ thread_local! {
 /// the block (to a row, a plane…; to one element in a physically strided
 /// view), the next one is the run, lengthened by outer dimensions that
 /// continue its stride, and each point of the dimensions left starts a run.
-fn runs<T: Pod, const N: usize>(arr: &NdArray<T, N>, inter: &RectDomain<N>) -> Vec<Run> {
+fn runs<T: Pod, const N: usize>(
+    arr: &NdArray<T, N>,
+    inter: &RectDomain<N>,
+) -> impl Iterator<Item = Run> {
     let elem = std::mem::size_of::<T>();
     // The dimensions that move, outermost first: (extent, byte step).
     let mut dims = [(0, 0); N];
@@ -77,11 +116,11 @@ fn runs<T: Pod, const N: usize>(arr: &NdArray<T, N>, inter: &RectDomain<N>) -> V
         }
     }
     // Run `k` starts at point `k` (lexicographic) of the dimensions left.
-    let (outer, first) = (&dims[..len], arr.phys_index(inter.lo()) as usize * elem);
-    let runs = outer.iter().map(|&(n, _)| n).product();
-    let run = |mut k: usize| {
+    let first = arr.phys_index(inter.lo()) as usize * elem;
+    let runs = dims[..len].iter().map(|&(n, _)| n).product();
+    (0..runs).map(move |mut k: usize| {
         let mut off = first;
-        for &(n, step) in outer.iter().rev() {
+        for &(n, step) in dims[..len].iter().rev() {
             off += k % n * step;
             k /= n;
         }
@@ -91,8 +130,7 @@ fn runs<T: Pod, const N: usize>(arr: &NdArray<T, N>, inter: &RectDomain<N>) -> V
             block,
             count,
         }
-    };
-    (0..runs).map(run).collect()
+    })
 }
 
 impl CopyPlan {
@@ -109,38 +147,41 @@ impl CopyPlan {
             src: src.base,
             dst: dst.base,
             bytes: inter.size() * std::mem::size_of::<T>(),
-            gather: runs(src, &inter),
-            scatter: runs(dst, &inter),
+            gather: runs(src, &inter).collect(),
+            scatter: runs(dst, &inter).collect(),
         })
     }
 
     /// Move the data: one strided get per gather run into the rank's
     /// pack, then one strided put per scatter run. One-sided.
     pub(crate) fn run(&self, ctx: &Ctx) {
-        let me = ctx.rank();
-        let fabric = ctx.fabric();
-        PACK.with(|cell| {
-            let pack = &mut *cell.borrow_mut();
+        with_pack(|pack| {
             if pack.len() < self.bytes {
                 pack.resize(self.bytes, 0);
             }
-            let mut at = 0;
-            for r in &self.gather {
-                let buf = &mut pack[at..][..r.block * r.count];
-                fabric.get_strided(me, self.src.add(r.off), r.stride, buf, r.block, r.count);
-                at += buf.len();
-            }
-            at = 0;
-            for r in &self.scatter {
-                let buf = &pack[at..][..r.block * r.count];
-                fabric.put_strided(me, self.dst.add(r.off), r.stride, buf, r.block, r.count);
-                at += buf.len();
-            }
+            gather(ctx, self.src, self.gather.iter().copied(), pack);
+            scatter(ctx, self.dst, self.scatter.iter().copied(), pack);
         });
     }
 }
 
 impl<T: Pod, const N: usize> NdArray<T, N> {
+    /// Write `pack`, the view's points in lexicographic order, into the
+    /// view: the scatter half of a copy.
+    pub(crate) fn put_packed(&self, ctx: &Ctx, pack: &[u8]) {
+        if !self.domain.is_empty() {
+            scatter(ctx, self.base, runs(self, &self.domain), pack);
+        }
+    }
+
+    /// Read the view's points into `pack` in lexicographic order: the
+    /// gather half of a copy.
+    pub(crate) fn get_packed(&self, ctx: &Ctx, pack: &mut [u8]) {
+        if !self.domain.is_empty() {
+            gather(ctx, self.base, runs(self, &self.domain), pack);
+        }
+    }
+
     /// Copy from `src` into `self` over the intersection of their domains
     /// — the paper's `A.copy(B)` / ghost exchange
     /// `A.constrict(ghost_domain).copy(B)`.

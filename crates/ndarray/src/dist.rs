@@ -220,15 +220,21 @@ impl<T: Pod, const N: usize> DistArray<T, N> {
 
     /// Initialize this rank's interior from `f` (collective-style use:
     /// every rank initializes its own block).
-    pub fn fill_interior_with(&self, ctx: &Ctx, mut f: impl FnMut(Point<N>) -> T) {
-        let mine = self.local();
-        self.interior.for_each(|p| mine.set(ctx, p, f(p)));
+    pub fn fill_interior_with(&self, ctx: &Ctx, f: impl FnMut(Point<N>) -> T) {
+        self.local().restrict(self.interior).fill_with(ctx, f);
     }
 
     /// Pull every ghost face of this rank's block from its neighbours,
     /// one-sided, by replaying the constructor's plans (the halo exchange;
-    /// faces only). Requires `ghost > 0`. Call collectively with a barrier
-    /// before computing (the usual exchange-then-compute discipline).
+    /// faces only). Requires `ghost > 0`.
+    ///
+    /// The pull reads only the neighbours' interiors and writes only this
+    /// rank's ghosts. So a double-buffered exchange-then-compute loop
+    /// needs one barrier a step, after the compute and the swap: while a
+    /// rank computes, peers only read its source block's interior, and
+    /// nobody writes that block before all have passed the barrier. A
+    /// barrier must still order the writes that fill an interior before
+    /// the first pull of it.
     pub fn exchange_ghosts(&self, ctx: &Ctx) {
         assert!(self.ghost > 0, "array created without ghost layers");
         for face in &self.faces {

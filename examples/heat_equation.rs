@@ -39,10 +39,13 @@ fn main() {
             }
 
             let (mut cur, mut nxt) = (&a, &b);
+            // One barrier a step, after the swap: peers only read `cur`'s
+            // interior while a rank computes, and nobody touches `nxt`
+            // before the barrier (see `DistArray::exchange_ghosts`).
+            ctx.barrier();
             for _ in 0..steps {
                 // Pull 6 ghost faces one-sided from the neighbours.
                 cur.exchange_ghosts(ctx);
-                ctx.barrier();
                 // Explicit Euler diffusion step on the interior (skipping
                 // the fixed hot plate).
                 let (src, dst) = (cur.local(), nxt.local());

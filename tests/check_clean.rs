@@ -84,6 +84,30 @@ fn stencil_is_clean() {
     assert_clean(&sink, "stencil");
 }
 
+/// The one-barrier step with its compute in view: `Generic` reads and
+/// writes every point through the fabric, so the checker sees the
+/// neighbours' face pulls race (or not) with the compute, which
+/// `Optimized` privatizes.
+#[test]
+fn stencil_generic_is_clean() {
+    let sink = new_sink();
+    let reference = stencil::serial_reference((8, 8, 4), 6, 0.1);
+    let out = spmd(checked(4, &sink), |ctx| {
+        stencil::run(
+            ctx,
+            &stencil::StencilConfig {
+                local_edge: 4,
+                grid: (2, 2, 1),
+                iters: 6,
+                variant: stencil::Variant::Generic,
+                c: 0.1,
+            },
+        )
+    });
+    assert!((out[0].checksum - reference).abs() < 1e-9 * reference.abs().max(1.0));
+    assert_clean(&sink, "stencil generic");
+}
+
 #[test]
 fn lulesh_is_clean() {
     // All three transports: two-sided sends, one-sided puts into landing

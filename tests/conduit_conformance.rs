@@ -175,6 +175,22 @@ fn smoke_uds_gups_2proc() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn smoke_uds_stencil_2proc() {
+    // A face pull is served wherever the peer process next enters the
+    // runtime (its fence or its step barrier), not in a barrier both
+    // ranks sit in.
+    let dir = scratch("uds-stencil-smoke");
+    std::fs::create_dir_all(&dir).unwrap();
+    assert_same_as_loopback(
+        "stencil",
+        2,
+        &["edge=8", "iters=3", "grid=2x1x1"],
+        &format!("uds:{dir}"),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---- Full conformance ----
 
 #[test]
