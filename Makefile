@@ -156,8 +156,10 @@ flake:
 # out to run it and drops it in place if it never runs), over
 # `Segment::new`'s (its words come from one zeroed allocation), over the
 # privatized block views (`LocalGrid::view{,_mut}`, the stencil's
-# Jacobi loop and MiniLulesh's zone kernel on them) and over the suites
-# that send, run, park and drop tasks: `make asan`. `-Zsanitizer` needs
+# Jacobi loop and MiniLulesh's zone kernel on them), over the AM inbox's
+# ring (its slots are `MaybeUninit`, written and read in place, and a
+# dropped inbox drops what is left in them) and over the suites that
+# send, run, park and drop tasks: `make asan`. `-Zsanitizer` needs
 # nightly, so this is not a `make ci` gate (that one runs on stable) but a
 # CI job of its own. The nightly is pinned to the build it was verified
 # with (a box that has that build under another name runs
@@ -166,6 +168,7 @@ flake:
 ASAN_SUITES = \
 	"-p rupcxx-net task" \
 	"-p rupcxx-net segment" \
+	"-p rupcxx-net inbox" \
 	"-p rupcxx-ndarray local" \
 	"-p rupcxx-apps stencil" \
 	"-p rupcxx-apps lulesh" \

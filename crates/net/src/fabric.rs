@@ -251,7 +251,9 @@ pub struct Endpoint {
     /// Software read cache for *remote* gets initiated by this rank;
     /// allocated only when the fabric has a [`CacheConfig`].
     pub(crate) cache: Option<CacheState>,
-    // -- 3. written by peers -- (the inbox is `CachePadded` inside)
+    // -- 3. written by peers -- (the inbox is `CachePadded` inside: its
+    // consumer's, producers' and overflow's blocks; the ring of message
+    // slots it hands messages over in is an allocation of its own)
     pub(crate) inbox: Inbox<AmMessage>,
 }
 
@@ -296,9 +298,10 @@ impl Endpoint {
     ///
     /// This is a racy sample: a concurrent sender or the progress engine
     /// can change the queue between this call and the next. Its error is
-    /// one-sided, though ([`Inbox::len`]): while the progress
-    /// engine moves a batch from the arrivals to its run queue a
-    /// message may be counted twice, never zero times — `pending() == 0`
+    /// one-sided, though ([`Inbox::len`]): a ring slot a sender has
+    /// claimed counts before its message is written, and while the
+    /// progress engine takes the overflow over a message may be counted
+    /// twice; a pushed message is never counted zero times — `pending() == 0`
     /// is what `agg_fence`, the teardown drain and the deadlock checker's
     /// `quiet` take as "nothing is waiting here". Tests that need a
     /// consistent observation should use [`Endpoint::drain`].
@@ -306,9 +309,10 @@ impl Endpoint {
         self.inbox.len()
     }
 
-    /// [`Endpoint::pending`] by queue, `(arrivals, run queue)`: still
-    /// where senders pushed them, and taken over by the progress engine
-    /// but not yet run. For a test's failure message.
+    /// [`Endpoint::pending`] by stage, `(queued, taken over)`: still in
+    /// the inbox's ring or overflow where senders pushed them, and taken
+    /// over from the overflow by the progress engine but not yet run. For
+    /// a test's failure message.
     pub fn pending_lanes(&self) -> (usize, usize) {
         self.inbox.lane_lens()
     }

@@ -160,7 +160,7 @@ fn late_receiver(rt: RuntimeConfig, fills: bool) {
                     assert!(
                         began.elapsed() < Duration::from_secs(20),
                         "the sender never filled its window: {} slabs out, inboxes hold \
-                         (arrivals, run queue) {:?} and {:?}; rank 0: {}; rank 1: {}",
+                         (queued, taken over) {:?} and {:?}; rank 0: {}; rank 1: {}",
                         ctx.fabric().agg_slabs_out(0),
                         ctx.fabric().endpoint(0).pending_lanes(),
                         ctx.fabric().endpoint(1).pending_lanes(),
