@@ -114,7 +114,8 @@ ab:
 # and fail if any suite failed even once: the stated rate is 0 of N.
 # `make flake [N=20]`. Test binaries are built once, before the loop
 # (the conduit suite in release, as `conduit-smoke` runs it). Not part
-# of `make ci`: N=20 takes about seven minutes.
+# of `make ci`: N=20 takes about seven minutes. CI runs it weekly, as
+# the workflow's `flake` job.
 N ?= 20
 FLAKE_SUITES = \
 	"-p rupcxx-net inbox" \

@@ -8,13 +8,18 @@
 //! A deadlock conviction is [`Checker::maybe_scan`]'s return value: the
 //! runtime fails the job with it (`rupcxx_net::JobFailure::Deadlock`, as
 //! a dead link is `Unreachable` and a rank's panic `Panicked`).
+//!
+//! Findings go to one store, the job's [`FindingSink`]: sorted by
+//! `(kind, key)`, one finding per key. [`Checker::findings`], the report
+//! file and every test read that list, so what the checker says does not
+//! depend on which rank thread reached a hook first.
 
 use crate::clock::{Stamp, VClock};
-use crate::findings::{render_report, Finding, FindingKind};
+use crate::findings::{render_report, Finding, FindingKind, FindingSink};
 use crate::shadow::{AccessKind, AccessRecord, Shadow};
 use crate::CheckConfig;
 use rupcxx_util::sync::{CachePadded, Mutex};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// A lock's identity: the (rank, offset) of its word in the global
@@ -125,14 +130,16 @@ pub struct Checker {
     barrier_entries: Box<[AtomicU64]>,
     completed: Box<[AtomicBool]>,
     scan: Mutex<ScanState>,
-    findings: Mutex<Vec<Finding>>,
-    reported: Mutex<HashSet<(FindingKind, String)>>,
+    /// The configured sink, or a list of the checker's own.
+    findings: FindingSink,
 }
 
 impl Checker {
-    /// Build a checker for a job of `ranks` ranks.
-    pub fn new(ranks: usize, cfg: CheckConfig) -> Self {
+    /// Build a checker for a job of `ranks` ranks. Its findings go to
+    /// `cfg.sink`, or to a fresh list when the config brings none.
+    pub fn new(ranks: usize, mut cfg: CheckConfig) -> Self {
         Checker {
+            findings: cfg.sink.take().unwrap_or_else(crate::new_sink),
             cfg,
             ranks,
             clocks: (0..ranks).map(|_| Mutex::new(VClock::new(ranks))).collect(),
@@ -146,20 +153,12 @@ impl Checker {
             barrier_entries: (0..ranks).map(|_| AtomicU64::new(0)).collect(),
             completed: (0..ranks).map(|_| AtomicBool::new(false)).collect(),
             scan: Mutex::new(ScanState::default()),
-            findings: Mutex::new(Vec::new()),
-            reported: Mutex::new(HashSet::new()),
         }
     }
 
     /// Number of ranks.
     pub fn ranks(&self) -> usize {
         self.ranks
-    }
-
-    /// True when the happens-before race pass is on.
-    #[inline]
-    pub fn race_on(&self) -> bool {
-        self.cfg.race
     }
 
     /// True when the deadlock/misuse pass is on.
@@ -547,20 +546,18 @@ impl Checker {
     }
 
     /// Two scans agreed: classify the stuck state and return the report
-    /// line (a second conviction adds no finding: `report` dedups).
+    /// line, naming the first finding the classification stored (or found
+    /// already stored: a second conviction adds none, `report` dedups).
     fn confirm_deadlock(&self, waiting: &[(usize, WaitInfo)]) -> String {
-        let before = self.findings.lock().len();
-        self.classify_stuck(waiting);
-        let findings = self.findings.lock();
-        let msg = findings
-            .get(before)
-            .or_else(|| findings.last())
-            .map(|f| f.to_string())
-            .unwrap_or_else(|| "deadlock detected".to_string());
+        let msg = self
+            .classify_stuck(waiting)
+            .map_or_else(|| "deadlock detected".to_string(), |f| f.to_string());
         format!("rupcxx-check: {msg}")
     }
 
-    fn classify_stuck(&self, waiting: &[(usize, WaitInfo)]) {
+    /// Report what the stuck ranks of `waiting` are stuck on; returns the
+    /// first finding reported, in rank order.
+    fn classify_stuck(&self, waiting: &[(usize, WaitInfo)]) -> Option<Finding> {
         let owners: HashMap<LockKey, Option<usize>> = self
             .locks
             .lock()
@@ -575,11 +572,12 @@ impl Checker {
             })
             .collect();
         let mut specific = false;
+        let mut named = Vec::new();
         for &(rank, info) in waiting {
             match info {
                 WaitInfo::Lock { lock } => {
                     specific = true;
-                    self.classify_lock_wait(rank, lock, &owners, &waits_on_lock);
+                    named.extend(self.classify_lock_wait(rank, lock, &owners, &waits_on_lock));
                 }
                 WaitInfo::Event { .. } | WaitInfo::Future => {
                     specific = true;
@@ -588,14 +586,14 @@ impl Checker {
                     } else {
                         "a future that never resolves"
                     };
-                    self.report(
+                    named.push(self.report(
                         FindingKind::EventNeverSignaled,
                         format!("ev:{rank}"),
                         format!(
                             "rank {rank} blocked waiting on {what}: every \
                              other rank has completed or is equally blocked"
                         ),
-                    );
+                    ));
                 }
                 WaitInfo::Barrier { domain: 0, .. } => {
                     let entries = |r: usize| self.barrier_entries[r].load(Ordering::SeqCst);
@@ -604,7 +602,7 @@ impl Checker {
                         .find(|&c| self.completed[c].load(Ordering::SeqCst) && entries(c) < nth);
                     if let Some(c) = short {
                         specific = true;
-                        self.report(
+                        named.push(self.report(
                             FindingKind::BarrierMismatch,
                             format!("bar:{rank}:{nth}"),
                             format!(
@@ -613,7 +611,7 @@ impl Checker {
                                  completed after only {} barrier(s)",
                                 entries(c)
                             ),
-                        );
+                        ));
                     }
                 }
                 // No pattern of their own (team barrier, collective, fence,
@@ -627,15 +625,16 @@ impl Checker {
                 .iter()
                 .map(|(r, w)| format!("rank {r}: {w}"))
                 .collect();
-            self.report(
+            named.push(self.report(
                 FindingKind::Deadlock,
                 "generic".to_string(),
                 format!(
                     "global deadlock: no rank can make progress ({})",
                     table.join("; ")
                 ),
-            );
+            ));
         }
+        named.into_iter().next()
     }
 
     fn classify_lock_wait(
@@ -644,15 +643,12 @@ impl Checker {
         lock: LockKey,
         owners: &HashMap<LockKey, Option<usize>>,
         waits_on_lock: &HashMap<usize, LockKey>,
-    ) {
-        let owner = owners.get(&lock).copied().flatten();
-        let Some(owner) = owner else {
-            // Lock is free yet the rank is "stuck" acquiring it — a
-            // transient the epoch check should have filtered; stay quiet.
-            return;
-        };
+    ) -> Option<Finding> {
+        // A free lock the rank is "stuck" acquiring is a transient the
+        // epoch check should have filtered: stay quiet.
+        let owner = owners.get(&lock).copied().flatten()?;
         if owner == rank {
-            self.report(
+            return Some(self.report(
                 FindingKind::LockCycle,
                 format!("self:{rank}:{}:{}", lock.0, lock.1),
                 format!(
@@ -660,8 +656,7 @@ impl Checker {
                      ({}, 0x{:x}) it already holds",
                     lock.0, lock.1
                 ),
-            );
-            return;
+            ));
         }
         // Follow waiter -> held-lock -> owner edges looking for a cycle
         // back to `rank`.
@@ -680,19 +675,18 @@ impl Checker {
                 // One canonical report per cycle: keyed on the smallest
                 // participating rank so each cycle is reported once.
                 let min_rank = chain.iter().map(|(r, _)| *r).min().unwrap_or(rank);
-                self.report(
+                return Some(self.report(
                     FindingKind::LockCycle,
                     format!("cycle:{min_rank}"),
                     format!("lock cycle: {}", path.join("; ")),
-                );
-                return;
+                ));
             }
             if chain.iter().any(|(r, _)| *r == next_owner) {
-                return; // a cycle not through `rank`; its members report it
+                return None; // a cycle not through `rank`; its members report it
             }
             cur = next_owner;
         }
-        self.report(
+        Some(self.report(
             FindingKind::Deadlock,
             format!("lockstuck:{rank}"),
             format!(
@@ -700,24 +694,28 @@ impl Checker {
                  rank {owner}, which cannot make progress",
                 lock.0, lock.1
             ),
-        );
+        ))
     }
 
     // ---- findings -------------------------------------------------------
 
-    fn report(&self, kind: FindingKind, dedup_key: String, message: String) {
-        if !self.reported.lock().insert((kind, dedup_key)) {
-            return;
-        }
-        let finding = Finding { kind, message };
-        eprintln!("(rupcxx-check) {finding}");
-        if let Some(sink) = &self.cfg.sink {
-            sink.lock().push(finding.clone());
-        }
-        self.findings.lock().push(finding);
+    /// Store a finding under `(kind, key)` unless one is there already;
+    /// returns the finding stored under that key.
+    fn report(&self, kind: FindingKind, key: String, message: String) -> Finding {
+        let mut list = self.findings.lock();
+        let i = match list.binary_search_by(|f| (f.kind, &f.key).cmp(&(kind, &key))) {
+            Ok(i) => i,
+            Err(i) => {
+                let finding = Finding { kind, message, key };
+                eprintln!("(rupcxx-check) {finding}");
+                list.insert(i, finding);
+                i
+            }
+        };
+        list[i].clone()
     }
 
-    /// Snapshot all findings recorded so far.
+    /// Snapshot all findings recorded so far, sorted by `(kind, key)`.
     pub fn findings(&self) -> Vec<Finding> {
         self.findings.lock().clone()
     }
@@ -786,6 +784,62 @@ mod tests {
         assert!(found
             .iter()
             .all(|f| f.kind == FindingKind::EventNeverSignaled));
+    }
+
+    /// Two ranks enter a barrier holding a lock each, from two threads:
+    /// the findings read the same whichever thread reports first.
+    #[test]
+    fn findings_do_not_depend_on_which_thread_reports_first() {
+        let run = |first: usize| {
+            let ck = Checker::new(2, CheckConfig::all());
+            ck.lock_acquired(0, (0, 0x10));
+            ck.lock_acquired(1, (1, 0x20));
+            for rank in [first, 1 - first] {
+                let ck = &ck;
+                std::thread::scope(|s| {
+                    s.spawn(move || ck.wait_begin(rank, WaitInfo::Barrier { domain: 0, seq: 0 }));
+                });
+            }
+            ck.findings()
+                .iter()
+                .map(|f| f.to_string())
+                .collect::<Vec<_>>()
+        };
+        let (ab, ba) = (run(0), run(1));
+        assert_eq!(ab.len(), 2, "{ab:?}");
+        assert_eq!(ab, ba);
+    }
+
+    /// A conviction names the finding its own classification stored, also
+    /// when another finding was stored after it.
+    #[test]
+    fn a_conviction_names_the_finding_its_classification_stored() {
+        let ck = Checker::new(2, CheckConfig::deadlock());
+        let convict = || {
+            ck.maybe_scan(true);
+            (0..2).for_each(|rank| (0..2).for_each(|_| ck.wait_polled(rank)));
+            ck.maybe_scan(true).expect("a conviction")
+        };
+        let named = |report: &str| {
+            let found = ck.findings();
+            let hit = found
+                .iter()
+                .find(|f| report == format!("rupcxx-check: {f}"));
+            hit.unwrap_or_else(|| panic!("{report} names no finding in {found:?}"))
+                .clone()
+        };
+        ck.wait_begin(0, EVENT);
+        ck.wait_begin(1, WaitInfo::Future);
+        let first = named(&convict());
+        assert_eq!(first.key, "ev:0", "{first:?}");
+        // A later finding, then the same stuck table convicted again: the
+        // report still names rank 0's finding, not the newest one.
+        ck.lock_acquired(0, (0, 0x10));
+        let barrier = WaitInfo::Barrier { domain: 0, seq: 0 };
+        ck.wait_begin(0, barrier);
+        ck.wait_end(0, barrier);
+        assert_eq!(ck.findings().len(), 3);
+        assert_eq!(named(&convict()).key, "ev:0");
     }
 
     #[test]

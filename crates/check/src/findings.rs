@@ -1,4 +1,9 @@
 //! Checker findings and the end-of-job report.
+//!
+//! A job's findings live in one list, its [`FindingSink`]. The list is
+//! sorted by `(kind, key)` and holds at most one finding per key, so it
+//! reads the same whichever rank thread reported first: two replays of
+//! one schedule compare equal.
 
 use rupcxx_util::sync::Mutex;
 use std::sync::Arc;
@@ -52,6 +57,9 @@ pub struct Finding {
     pub kind: FindingKind,
     /// Deterministic description (no timestamps, no pointers).
     pub message: String,
+    /// The dedup key: one finding per `(kind, key)`, and the sink's sort
+    /// order after the kind. Not part of the printed finding.
+    pub key: String,
 }
 
 impl std::fmt::Display for Finding {
@@ -60,9 +68,10 @@ impl std::fmt::Display for Finding {
     }
 }
 
-/// Where findings are delivered as they are recorded; tests install one
-/// through `CheckConfig::with_sink` to assert on the outcome even when
-/// the job aborts (deadlock findings surface as panics).
+/// A job's one findings list, sorted by `(kind, key)` and unique per key.
+/// Tests install their own through `CheckConfig::with_sink` to assert on
+/// the outcome even when the job aborts (a deadlock conviction fails the
+/// job); otherwise the checker makes its own.
 pub type FindingSink = Arc<Mutex<Vec<Finding>>>;
 
 /// The schedule-independent verdict of a run: the distinct finding kinds

@@ -41,8 +41,8 @@ pub struct CheckConfig {
     pub deadlock: bool,
     /// Optional path the end-of-job report is written to.
     pub report_path: Option<String>,
-    /// Optional live sink findings are pushed to as they are recorded
-    /// (used by tests to observe findings across an aborting job).
+    /// Optional list for the checker to keep its findings in (tests pass
+    /// one to observe findings across an aborting job).
     pub sink: Option<FindingSink>,
 }
 
@@ -83,13 +83,7 @@ impl CheckConfig {
         }
     }
 
-    /// Attach a report path.
-    pub fn with_report_path(mut self, path: impl Into<String>) -> Self {
-        self.report_path = Some(path.into());
-        self
-    }
-
-    /// Attach a live finding sink.
+    /// Keep the findings in `sink`.
     pub fn with_sink(mut self, sink: FindingSink) -> Self {
         self.sink = Some(sink);
         self
@@ -176,7 +170,7 @@ pub fn build(ranks: usize, cfg: &CheckConfig) -> Arc<Checker> {
     Arc::new(Checker::new(ranks, cfg.clone()))
 }
 
-/// Convenience: a fresh empty sink for tests.
+/// A fresh empty findings list.
 pub fn new_sink() -> FindingSink {
     Arc::new(Mutex::new(Vec::new()))
 }

@@ -122,7 +122,7 @@ impl<T: Pod> SharedArray<T> {
     /// `rank`'s local portion contiguously (local slots `0..owned`): each
     /// owned block packs `block` consecutive slots, and only the array's
     /// final block can be partial.
-    pub fn owned_len(&self, rank: Rank) -> usize {
+    fn owned_len(&self, rank: Rank) -> usize {
         let nblocks = self.size.div_ceil(self.block.max(1));
         (rank..nblocks)
             .step_by(self.ranks)

@@ -107,7 +107,8 @@ impl ExploreConfig {
 pub struct RunOutcome {
     /// Distinct finding kinds, sorted — the schedule-independent verdict.
     pub verdict: Vec<FindingKind>,
-    /// Every finding, in the order recorded.
+    /// Every finding, once each, sorted by `(kind, key)` (the checker's
+    /// one findings list): replays of one schedule compare equal.
     pub findings: Vec<Finding>,
     /// Every delivery the scheduler performed, in order. Replaying
     /// [`RunOutcome::picks`] reproduces this run.

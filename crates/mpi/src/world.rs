@@ -217,12 +217,6 @@ impl<'a> Comm<'a> {
         self.isend(dst, tag, pod::bytes_of(data))
     }
 
-    /// Typed blocking receive of a Pod slice.
-    pub fn recv_slice<T: Pod>(&self, src: Rank, tag: u64) -> (Rank, Vec<T>) {
-        let (s, bytes) = self.recv(src, tag);
-        (s, pod::unpack_slice(&bytes))
-    }
-
     /// Barrier (delegates to the runtime's dissemination barrier, as MPI
     /// and PGAS barriers share implementations in practice — paper §III-F).
     pub fn barrier(&self) {
@@ -350,7 +344,7 @@ mod tests {
                 let r = comm.isend_slice(1, 3, &data);
                 comm.wait_send(&r);
             } else {
-                let (_, data) = comm.recv_slice::<f64>(0, 3);
+                let data: Vec<f64> = pod::unpack_slice(&comm.recv(0, 3).1);
                 assert_eq!(data.len(), 100);
                 assert_eq!(data[99], 49.5);
             }

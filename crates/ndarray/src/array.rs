@@ -110,7 +110,7 @@ impl<T: Pod, const N: usize> NdArray<T, N> {
 
     /// Global pointer to the element at `p` (bounds-checked against the
     /// view domain).
-    pub fn addr_of(&self, p: Point<N>) -> GlobalPtr<T> {
+    fn addr_of(&self, p: Point<N>) -> GlobalPtr<T> {
         assert!(
             self.domain.contains(p),
             "NdArray index {p} outside domain {}",

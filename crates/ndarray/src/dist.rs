@@ -181,11 +181,6 @@ impl<T: Pod, const N: usize> DistArray<T, N> {
         r
     }
 
-    /// The global index domain.
-    pub fn global_domain(&self) -> RectDomain<N> {
-        self.global
-    }
-
     /// This rank's ghost-free block.
     pub fn interior(&self) -> RectDomain<N> {
         self.interior
@@ -198,7 +193,7 @@ impl<T: Pod, const N: usize> DistArray<T, N> {
     }
 
     /// The rank owning global point `p`.
-    pub fn owner_of(&self, p: Point<N>) -> Rank {
+    fn owner_of(&self, p: Point<N>) -> Rank {
         assert!(self.global.contains(p), "point {p} outside {}", self.global);
         let mut coords = [0usize; N];
         for d in 0..N {
@@ -242,14 +237,6 @@ impl<T: Pod, const N: usize> DistArray<T, N> {
         }
     }
 
-    /// Read the whole global array (lexicographic order) — for tests and
-    /// small outputs; O(global size) one-sided reads.
-    pub fn to_global_vec(&self, ctx: &Ctx) -> Vec<T> {
-        let mut out = Vec::with_capacity(self.global.size());
-        self.global.for_each(|p| out.push(self.get(ctx, p)));
-        out
-    }
-
     /// Collectively destroy the array (every rank frees its block).
     pub fn destroy(self, ctx: &Ctx) {
         ctx.barrier();
@@ -276,6 +263,14 @@ mod tests {
     use super::*;
     use crate::{pt, rd};
     use rupcxx_runtime::{spmd, RuntimeConfig};
+
+    /// Read the whole global array in lexicographic order, one element
+    /// at a time.
+    fn global_vec<T: Pod, const N: usize>(a: &DistArray<T, N>, ctx: &Ctx) -> Vec<T> {
+        let mut out = Vec::with_capacity(a.global.size());
+        a.global.for_each(|p| out.push(a.get(ctx, p)));
+        out
+    }
 
     fn cfg(n: usize) -> RuntimeConfig {
         RuntimeConfig::new(n).segment_mib(2)
@@ -310,7 +305,7 @@ mod tests {
             a.fill_interior_with(ctx, |p| p[0] * 100 + p[1]);
             ctx.barrier();
             // Every rank reads every element.
-            a.global_domain().for_each(|p| {
+            a.global.for_each(|p| {
                 assert_eq!(a.get(ctx, p), p[0] * 100 + p[1], "{p}");
             });
             ctx.barrier();
@@ -356,7 +351,7 @@ mod tests {
             for d in 0..3usize {
                 for side in [-1i8, 1] {
                     let ghost = interior.exterior_face(d, side, 1);
-                    let clipped = ghost.intersect(&a.global_domain());
+                    let clipped = ghost.intersect(&a.global);
                     clipped.for_each(|p| {
                         assert_eq!(
                             mine.get(ctx, p),
@@ -402,7 +397,7 @@ mod tests {
             assert!(sizes.iter().all(|&s| s >= 3));
             a.fill_interior_with(ctx, |p| p[0] as u64 + 1);
             ctx.barrier();
-            let all = a.to_global_vec(ctx);
+            let all = global_vec(&a, ctx);
             assert_eq!(all, (1..=10).collect::<Vec<u64>>());
             ctx.barrier();
             a.destroy(ctx);
@@ -456,7 +451,7 @@ mod tests {
                 dst.set(ctx, p, v);
             });
             ctx.barrier();
-            let result = b.to_global_vec(ctx);
+            let result = global_vec(&b, ctx);
             ctx.barrier();
             a.destroy(ctx);
             b.destroy(ctx);

@@ -69,18 +69,6 @@ impl<const N: usize> Point<N> {
         Point { coords: c }
     }
 
-    /// True when every coordinate of `self` is < the corresponding
-    /// coordinate of `other`.
-    pub fn all_lt(self, other: Self) -> bool {
-        (0..N).all(|d| self.coords[d] < other.coords[d])
-    }
-
-    /// True when every coordinate of `self` is ≤ the corresponding
-    /// coordinate of `other`.
-    pub fn all_le(self, other: Self) -> bool {
-        (0..N).all(|d| self.coords[d] <= other.coords[d])
-    }
-
     /// Replace coordinate `dim` with `v`.
     pub fn with(mut self, dim: usize, v: i64) -> Self {
         self.coords[dim] = v;
@@ -213,9 +201,6 @@ mod tests {
         let b = pt![2, 3];
         assert_eq!(a.min(b), pt![1, 3]);
         assert_eq!(a.max(b), pt![2, 5]);
-        assert!(!a.all_lt(b));
-        assert!(pt![1, 2].all_lt(pt![2, 3]));
-        assert!(pt![1, 3].all_le(pt![1, 3]));
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! writes the geometry, and publishes the magic word *last* (release).
 //! Everyone else polls for the magic, then all ranks set their ready
 //! flag and wait for the full roster — rank count and ids are exchanged
-//! purely through the segment header.
+//! purely through the segment header. Once the roster is full the
+//! creator unlinks the file (every rank has mapped it, and a mapping
+//! outlives its name), so the next job on the same path starts afresh.
 //!
 //! The crate links no FFI bindings, so `mmap`/`munmap` are invoked as
 //! raw Linux syscalls (x86-64). A dead peer cannot be *detected* here
@@ -352,6 +354,12 @@ impl ShmConduit {
             }
             break;
         }
+        // Every rank mapped the file before it set its flag. Only the
+        // creator unlinks: a slow peer of this job must not remove the
+        // file the next job on this path has already created.
+        if created {
+            let _ = std::fs::remove_file(path);
+        }
 
         let map = Arc::new(map);
         let inbound = Arc::new(Inbound::default());
@@ -503,7 +511,6 @@ mod tests {
         for c in &mesh {
             c.shutdown();
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -543,7 +550,29 @@ mod tests {
         for c in &mesh {
             c.shutdown();
         }
+    }
+
+    #[test]
+    fn a_second_mesh_attaches_on_the_same_path() {
+        let path = tmp_path("again");
         let _ = std::fs::remove_file(&path);
+        for _ in 0..2 {
+            let mesh = mesh(&path, 2);
+            mesh[0].send(1, b"hi");
+            let deadline = Instant::now() + Duration::from_secs(10);
+            loop {
+                if let Some(ConduitEvent::Frame(0, f)) = mesh[1].try_recv() {
+                    assert_eq!(f, b"hi");
+                    break;
+                }
+                assert!(Instant::now() < deadline, "frame lost");
+                std::thread::yield_now();
+            }
+            for c in &mesh {
+                c.shutdown();
+            }
+        }
+        assert!(!std::path::Path::new(&path).exists(), "segment file left");
     }
 
     #[test]

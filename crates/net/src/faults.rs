@@ -43,7 +43,7 @@ pub struct LinkRule {
 
 impl LinkRule {
     /// True when every probability is zero (the link is fault-free).
-    pub fn is_clean(&self) -> bool {
+    fn is_clean(&self) -> bool {
         self.drop_ppm == 0 && self.dup_ppm == 0 && self.reorder_ppm == 0 && self.delay_ppm == 0
     }
 }

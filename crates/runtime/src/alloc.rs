@@ -59,11 +59,6 @@ impl SegAllocator {
         self.live.values().sum()
     }
 
-    /// Number of live allocations.
-    pub fn live_blocks(&self) -> usize {
-        self.live.len()
-    }
-
     /// Allocate `size` bytes (rounded up to 8-byte granularity).
     /// Zero-size requests consume one granule so each allocation has a
     /// distinct offset.
@@ -130,7 +125,7 @@ mod tests {
         assert_eq!(x % 8, 0);
         assert_eq!(y % 8, 0);
         assert_ne!(x, y);
-        assert_eq!(a.live_blocks(), 2);
+        assert_eq!(a.live.len(), 2);
         assert_eq!(a.in_use(), 8 + 16);
     }
 

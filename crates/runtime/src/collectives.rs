@@ -234,11 +234,6 @@ impl Ctx {
         self.world().broadcast(self, root, value)
     }
 
-    /// Broadcast a byte payload from `root` (binomial tree).
-    pub fn broadcast_bytes(&self, root: Rank, value: Vec<u8>) -> Vec<u8> {
-        self.world().broadcast_bytes(self, root, value)
-    }
-
     /// Binomial-tree reduction of a Pod value to `root`. Returns
     /// `Some(result)` at the root and `None` elsewhere. `op` must be
     /// associative and commutative.

@@ -57,8 +57,8 @@ pub struct RuntimeConfig {
     /// Transport conduit for multi-process jobs (see `rupcxx-net`'s
     /// `conduit` module and `spmd_procs`). [`RuntimeConfig::new`] seeds
     /// this from `RUPCXX_CONDUIT`
-    /// (`loopback|shm:PATH|tcp:HOST:BASE_PORT|uds:DIR`); override with
-    /// [`RuntimeConfig::with_conduit`]. None (or `loopback`) = ranks are
+    /// (`loopback|shm:PATH|tcp:HOST:BASE_PORT|uds:DIR`); a caller may
+    /// overwrite the field. None (or `loopback`) = ranks are
     /// threads of this process, exactly the pre-conduit runtime.
     pub conduit: Option<ConduitSel>,
 }
@@ -146,13 +146,6 @@ impl RuntimeConfig {
     /// `RUPCXX_SCHEDULE`).
     pub fn with_schedule(mut self, schedule: ScheduleConfig) -> Self {
         self.schedule = Some(schedule);
-        self
-    }
-
-    /// Select the transport conduit for `spmd_procs` (overriding
-    /// `RUPCXX_CONDUIT`).
-    pub fn with_conduit(mut self, conduit: ConduitSel) -> Self {
-        self.conduit = Some(conduit);
         self
     }
 

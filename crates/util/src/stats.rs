@@ -44,36 +44,6 @@ impl Summary {
     }
 }
 
-/// Geometric mean of strictly positive samples; `None` if empty or any
-/// sample is non-positive.
-pub fn geomean(samples: &[f64]) -> Option<f64> {
-    if samples.is_empty() || samples.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    let log_sum: f64 = samples.iter().map(|x| x.ln()).sum();
-    Some((log_sum / samples.len() as f64).exp())
-}
-
-/// Linear least-squares fit `y = a + b*x`; returns `(a, b)`.
-/// Returns `None` with fewer than two points or a degenerate x-range.
-pub fn linfit(xs: &[f64], ys: &[f64]) -> Option<(f64, f64)> {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return None;
-    }
-    let n = xs.len() as f64;
-    let sx: f64 = xs.iter().sum();
-    let sy: f64 = ys.iter().sum();
-    let sxx: f64 = xs.iter().map(|x| x * x).sum();
-    let sxy: f64 = xs.iter().zip(ys).map(|(x, y)| x * y).sum();
-    let denom = n * sxx - sx * sx;
-    if denom.abs() < 1e-12 {
-        return None;
-    }
-    let b = (n * sxy - sx * sy) / denom;
-    let a = (sy - b * sx) / n;
-    Some((a, b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,28 +70,5 @@ mod tests {
         assert_eq!(s.max, 7.5);
         assert_eq!(s.median, 7.5);
         assert_eq!(s.stddev, 0.0);
-    }
-
-    #[test]
-    fn geomean_basic() {
-        let g = geomean(&[1.0, 100.0]).unwrap();
-        assert!((g - 10.0).abs() < 1e-9);
-        assert!(geomean(&[]).is_none());
-        assert!(geomean(&[1.0, 0.0]).is_none());
-    }
-
-    #[test]
-    fn linfit_recovers_line() {
-        let xs = [0.0, 1.0, 2.0, 3.0];
-        let ys = [1.0, 3.0, 5.0, 7.0];
-        let (a, b) = linfit(&xs, &ys).unwrap();
-        assert!((a - 1.0).abs() < 1e-9);
-        assert!((b - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn linfit_degenerate_is_none() {
-        assert!(linfit(&[1.0, 1.0], &[2.0, 3.0]).is_none());
-        assert!(linfit(&[1.0], &[2.0]).is_none());
     }
 }

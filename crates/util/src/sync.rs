@@ -10,8 +10,7 @@
 //! buffers.
 
 use std::sync::Mutex as StdMutex;
-use std::sync::RwLock as StdRwLock;
-use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::MutexGuard;
 
 /// A mutex whose `lock()` returns the guard directly (parking_lot-style).
 #[derive(Debug, Default)]
@@ -51,33 +50,6 @@ impl<T: ?Sized> Mutex<T> {
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// A reader-writer lock with guard-returning `read()`/`write()`.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: StdRwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Wrap `value` in a reader-writer lock.
-    pub fn new(value: T) -> Self {
-        RwLock {
-            inner: StdRwLock::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read guard.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquire an exclusive write guard.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -310,17 +282,5 @@ mod tests {
         let gap = std::ptr::from_ref(&slots[1]) as usize - std::ptr::from_ref(&slots[0]) as usize;
         assert_eq!(gap, 128, "array neighbours sit a block apart");
         assert_eq!(*slots[0] + *slots[1], 3);
-    }
-
-    #[test]
-    fn rwlock_readers_and_writer() {
-        let l = RwLock::new(vec![1, 2]);
-        {
-            let r1 = l.read();
-            let r2 = l.read();
-            assert_eq!(*r1, *r2);
-        }
-        l.write().push(3);
-        assert_eq!(l.read().len(), 3);
     }
 }

@@ -23,11 +23,6 @@ impl ThreadPool {
         }
     }
 
-    /// Number of workers used per parallel region.
-    pub fn nthreads(&self) -> usize {
-        self.nthreads
-    }
-
     /// Execute `body(i)` for every `i in 0..n`, distributing iterations
     /// dynamically over the pool's workers. Blocks until all iterations are
     /// complete. `body` runs concurrently from several threads.
@@ -58,23 +53,6 @@ impl ThreadPool {
                 scope.spawn(worker);
             }
             worker();
-        });
-    }
-
-    /// Execute `body(i)` for every `i in 0..n`, in chunks of `chunk`
-    /// iterations per grab (reduces counter contention for tiny bodies).
-    pub fn parallel_for_chunked<F>(&self, n: usize, chunk: usize, body: F)
-    where
-        F: Fn(usize) + Sync,
-    {
-        let chunk = chunk.max(1);
-        let nchunks = n.div_ceil(chunk);
-        self.parallel_for(nchunks, |c| {
-            let lo = c * chunk;
-            let hi = (lo + chunk).min(n);
-            for i in lo..hi {
-                body(i);
-            }
         });
     }
 }
@@ -124,17 +102,6 @@ mod tests {
             ran.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ran.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn chunked_covers_all() {
-        let pool = ThreadPool::new(2);
-        let n = 103;
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        pool.parallel_for_chunked(n, 10, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
