@@ -159,7 +159,9 @@ flake:
 # privatized block views (`LocalGrid::view{,_mut}`, the stencil's
 # Jacobi loop and MiniLulesh's zone kernel on them), over the AM inbox's
 # ring (its slots are `MaybeUninit`, written and read in place, and a
-# dropped inbox drops what is left in them) and over the suites that
+# dropped inbox drops what is left in them), over `Bytes` (its `u32`
+# window carries every handler payload and aggregation slab, and a pooled
+# slab goes back to its pool from whichever thread drops it last) and over the suites that
 # send, run, park and drop tasks: `make asan`. `-Zsanitizer` needs
 # nightly, so this is not a `make ci` gate (that one runs on stable) but a
 # CI job of its own. The nightly is pinned to the build it was verified
@@ -170,6 +172,7 @@ ASAN_SUITES = \
 	"-p rupcxx-net task" \
 	"-p rupcxx-net segment" \
 	"-p rupcxx-net inbox" \
+	"-p rupcxx-util bytesbuf" \
 	"-p rupcxx-ndarray local" \
 	"-p rupcxx-apps stencil" \
 	"-p rupcxx-apps lulesh" \

@@ -335,7 +335,7 @@ pub fn run(ctx: &Ctx, cfg: &RayConfig) -> RayResult {
 
 /// Run the distributed render collectively with an explicit scheduling
 /// policy.
-pub fn run_scheduled(ctx: &Ctx, cfg: &RayConfig, schedule: Schedule) -> RayResult {
+fn run_scheduled(ctx: &Ctx, cfg: &RayConfig, schedule: Schedule) -> RayResult {
     let scene = Scene::benchmark(cfg.nspheres, cfg.seed);
     let tiles_x = cfg.width.div_ceil(cfg.tile);
     let tiles_y = cfg.height.div_ceil(cfg.tile);

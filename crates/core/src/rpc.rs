@@ -20,6 +20,12 @@ use rupcxx_runtime::{Ctx, Event, RtFuture};
 /// The task runs when `place` next drives progress (its `advance()`, any
 /// blocking wait, or the post-SPMD drain). The reply resolving the future
 /// is itself an active message processed by the *caller's* progress engine.
+///
+/// A user closure with up to 8 bytes of captures — a word-sized
+/// argument — rides inline in its message (`rupcxx_net::TaskFn`), beside
+/// the origin rank and the future's setter; a larger one costs one box.
+/// The reply carries the setter and the value inline for a value of up to
+/// 16 bytes. The future itself is the round trip's one other allocation.
 pub fn async_on<T: Send + 'static>(
     ctx: &Ctx,
     place: Rank,

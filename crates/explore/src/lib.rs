@@ -83,12 +83,6 @@ impl ExploreConfig {
         }
     }
 
-    /// Set the exhaustive-phase reorder bound.
-    pub fn reorder_bound(mut self, bound: usize) -> Self {
-        self.reorder_bound = bound;
-        self
-    }
-
     /// Cap the number of executed schedules.
     pub fn max_schedules(mut self, cap: usize) -> Self {
         self.max_schedules = cap;

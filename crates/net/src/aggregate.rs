@@ -561,7 +561,7 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fabric::{AmMessage, FabricConfig};
+    use crate::fabric::FabricConfig;
     use std::sync::Arc;
 
     /// Word-update frames (17 bytes) that fill a slab.
@@ -580,19 +580,14 @@ mod tests {
     /// through `Fabric::apply_batch`, return handler ids in arrival order.
     fn dispatch_all(f: &Fabric, me: Rank) -> Vec<u16> {
         let mut ids = Vec::new();
-        for AmMessage {
-            src,
-            payload,
-            clock,
-            ..
-        } in f.endpoint(me).drain()
-        {
-            match payload {
-                AmPayload::Handler { id, .. } => ids.push(id),
+        for msg in f.endpoint(me).drain() {
+            let (src, clock) = (msg.src, msg.clock());
+            match &msg.payload {
+                AmPayload::Handler { id, .. } => ids.push(*id),
                 AmPayload::Batch { frames, count } => {
-                    let seen = BatchReader::new(&frames).count();
-                    assert_eq!(seen, count as usize, "batch count must match its frames");
-                    f.apply_batch(me, src, clock.as_ref(), &frames, |id, _| ids.push(id));
+                    let seen = BatchReader::new(frames).count();
+                    assert_eq!(seen, *count as usize, "batch count must match its frames");
+                    f.apply_batch(me, src, clock, frames, |id, _| ids.push(id));
                 }
                 AmPayload::Task(_) => panic!("unexpected task payload"),
             }
@@ -816,7 +811,7 @@ mod tests {
                 let t = addr.offset() / 8;
                 assert_eq!(a, last[t] + 1, "thread {t}'s frames out of order");
                 last[t] = a;
-                assert!(f.apply_frame(1, msg.src, msg.clock.as_ref(), &frame));
+                assert!(f.apply_frame(1, msg.src, msg.clock(), &frame));
             }
         }
         // Every update exactly once.
@@ -859,7 +854,7 @@ mod tests {
             let seg = &f.endpoint(1).segment;
             let words = || [0, 8, 16].map(|offset| seg.load_u64(offset));
             let mut seen = Vec::new();
-            f.apply_batch(1, msg.src, msg.clock.as_ref(), frames, |id, args| {
+            f.apply_batch(1, msg.src, msg.clock(), frames, |id, args| {
                 seen.push((id, args.to_vec(), words()));
             });
             assert_eq!(

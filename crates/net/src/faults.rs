@@ -127,15 +127,8 @@ impl FaultPlan {
         self
     }
 
-    /// Set the limbo-hold bound for reordered/delayed frames.
-    pub fn max_hold_ticks(mut self, n: u32) -> Self {
-        assert!(n > 0, "max_hold_ticks must be at least 1");
-        self.max_hold_ticks = n;
-        self
-    }
-
     /// The rule in effect for `src -> dst`.
-    pub fn rule(&self, src: Rank, dst: Rank) -> &LinkRule {
+    fn rule(&self, src: Rank, dst: Rank) -> &LinkRule {
         self.overrides
             .iter()
             .find(|(l, _)| *l == (src, dst))
@@ -374,7 +367,8 @@ mod tests {
 
     #[test]
     fn hold_ticks_bounded() {
-        let plan = FaultPlan::new(5).delay(1.0).max_hold_ticks(8);
+        let mut plan = FaultPlan::new(5).delay(1.0);
+        plan.max_hold_ticks = 8;
         for s in 0..500 {
             match decide(&plan, 0, 1, s, 0) {
                 Fate::Deliver { hold_ticks, .. } => {

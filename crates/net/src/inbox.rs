@@ -9,12 +9,19 @@
 //! the producers of the next lap with one more store (Vyukov's bounded
 //! MPMC queue). Neither side takes a lock or touches a shared length.
 //!
-//! **Why a slot is 128 bytes.** A slot is its sequence word and one
-//! message side by side (an `AmMessage` is 96 bytes), aligned to the
-//! 128-byte blocks [`CachePadded`] uses (x86-64 prefetches lines in
-//! adjacent pairs): the producer writing slot `i + 1` takes no line away
-//! from the consumer reading slot `i`, and one line transfer brings the
-//! word and the message together.
+//! **One line per message.** A slot is its sequence word and one
+//! message side by side — 8 + 56 bytes for an `AmMessage`, whose checker
+//! and profiler annotations ride behind one pointer (`AmHeader`) — so the
+//! word and the whole message fill the slot's first 64-byte line and one
+//! line transfer hands both over. The slot is aligned to the 128-byte
+//! blocks [`CachePadded`] uses (x86-64 prefetches lines in adjacent
+//! pairs), its second line padding: the producer writing slot `i + 1`
+//! takes no line away from the consumer reading slot `i`. A message past
+//! 56 bytes would spill onto that second line, and a handoff would move
+//! both (the asserts below and beside `AmMessage` refuse to build it).
+//! A 64-byte slot, two to a prefetched pair, ran the `tasks` workload at
+//! 0.93× and `runtime.barrier_ns` at 1.23× (EXPERIMENTS.md "One line per
+//! message"), so the slot keeps its block.
 //!
 //! **Who writes which block.** Producers write their block (`tail`) and
 //! the slots they fill; the consuming rank writes its own block (`head`,
@@ -87,8 +94,8 @@ fn lap(pos: usize) -> usize {
     pos & !(SLOTS - 1)
 }
 
-/// A ring slot: the sequence word and the message it guards, one
-/// 128-byte block (see the module docs).
+/// A ring slot: the sequence word and the message it guards in the first
+/// line of one 128-byte block (see the module docs).
 ///
 /// The word starts at 0, so a fresh ring is a zeroed allocation whose
 /// pages become resident as the ring is first cycled through.
@@ -97,6 +104,13 @@ struct Slot<T> {
     seq: AtomicUsize,
     value: UnsafeCell<MaybeUninit<T>>,
 }
+
+// The word and an `AmMessage` share the slot's first line.
+const _: () = assert!(
+    std::mem::offset_of!(Slot<crate::fabric::AmMessage>, value)
+        + std::mem::size_of::<crate::fabric::AmMessage>()
+        <= 64
+);
 
 /// A locked deque with its length mirrored outside the lock: the shape of
 /// the overflow lane and of the consumer's taken-over batch alike (which
@@ -451,7 +465,10 @@ mod tests {
         assert_eq!(size_of::<CachePadded<Producers<AmMessage>>>(), 128);
         assert_eq!(align_of::<CachePadded<Lane<AmMessage>>>(), 128);
         assert_eq!(size_of::<CachePadded<Lane<AmMessage>>>(), 128);
-        // One block per slot: the sequence word and the message together.
+        // One block per slot: the sequence word and the message together,
+        // in its first line.
+        assert_eq!(std::mem::offset_of!(Slot<AmMessage>, value), 8);
+        assert_eq!(size_of::<AmMessage>(), 56);
         assert_eq!(align_of::<Slot<AmMessage>>(), 128);
         assert_eq!(size_of::<Slot<AmMessage>>(), 128);
         assert_eq!(size_of::<Slot<u64>>(), 128);

@@ -42,7 +42,7 @@ pub use cache::{CacheConfig, CacheState};
 pub use conduit::{
     Conduit, ConduitEvent, ConduitSel, LoopbackConduit, RemoteConfig, ShmConduit, SocketConduit,
 };
-pub use fabric::{AmMessage, AmPayload, Endpoint, Fabric, FabricConfig, GlobalAddr};
+pub use fabric::{AmHeader, AmMessage, AmPayload, Endpoint, Fabric, FabricConfig, GlobalAddr};
 pub use faults::{Fate, FaultPlan, LinkRule};
 pub use inbox::Inbox;
 // The pinned ledger (`crates/bench/src/bin/ledger/micro.rs`) imports the

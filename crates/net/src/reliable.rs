@@ -339,7 +339,7 @@ impl Fabric {
                     EventKind::Retransmit,
                     me as i32,
                     f.attempt as u64,
-                    f.msg.prof.map_or(0, |s| s.id),
+                    f.msg.prof().map_or(0, |s| s.id),
                 );
                 self.offer(&mut link, &rel.plan, me, f.seq, f.msg, f.attempt);
                 work += 1;

@@ -202,7 +202,7 @@ impl Fabric {
     /// Remote AM tail (all of `send_am`'s prologue — aggregation
     /// pre-flush, counters, trace, clock/span attach — already ran).
     pub(crate) fn remote_send_am(&self, r: &RemoteFabric, dst: Rank, msg: AmMessage) {
-        let (clock, prof) = (msg.clock.as_ref(), msg.prof.as_ref());
+        let (clock, prof) = (msg.clock(), msg.prof());
         match &msg.payload {
             AmPayload::Handler { id, args } => {
                 r.send_encoded(dst, |b| wire::encode_am_handler(b, clock, prof, *id, args))
@@ -286,13 +286,7 @@ impl Fabric {
         }
         let seg_bytes = self.endpoints[me].segment.len();
         let deliver = |clock, prof, payload| {
-            let msg = AmMessage {
-                src,
-                payload,
-                clock,
-                prof,
-            };
-            self.deliver_arrival(src, me, msg)
+            self.deliver_arrival(src, me, AmMessage::new(src, payload, clock, prof))
         };
         match wire::decode(frame)? {
             WireFrame::AmHandler {

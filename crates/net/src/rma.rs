@@ -734,7 +734,7 @@ mod tests {
                 };
                 let decoded: Vec<Frame<'_>> = BatchReader::new(frames).collect();
                 assert_eq!(decoded, [Frame::Rma(*op)], "{}: batch codec", row.name);
-                f.apply_batch(1, msg.src, msg.clock.as_ref(), frames, |id, _| {
+                f.apply_batch(1, msg.src, msg.clock(), frames, |id, _| {
                     panic!("{}: handler frame {id}", row.name)
                 });
                 (true, 0)

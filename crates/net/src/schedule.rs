@@ -414,7 +414,7 @@ impl Fabric {
                     src,
                     dst,
                     seq,
-                    clock: msg.clock.clone(),
+                    clock: msg.clock().cloned(),
                 });
                 log.counts.delivered += 1;
                 if scheduled {

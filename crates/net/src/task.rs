@@ -11,23 +11,30 @@
 //! So there is one representation and one constructor, and a task
 //! allocates only when its captures outgrow the message.
 //!
-//! **Why 32 bytes.** It is the room `AmPayload` already has: its
-//! `Handler` and `Batch` variants make it 48 bytes, one word of which
-//! tells the variants apart, so a 40-byte task (table pointer + 32 bytes)
-//! costs no inbox slot anything (`AmPayload` stays 48 bytes, `AmMessage`
-//! 96; `layout_costs_no_payload_byte` pins all three). A fifth word would
-//! grow every message for the sake of captures that no closure of the
-//! task path has: a `finish` spawn is 16 bytes (`origin`, `token`), an
-//! `async_on` task 24 (`origin`, the future's setter, a `u64` argument),
-//! its reply 16. What is larger — an MPI eager send, 56 bytes — is
-//! boxed, exactly as every task was before.
+//! **Why 24 bytes.** A task is a table pointer and [`INLINE`] bytes: 32
+//! bytes, the size of the handler arguments' [`Bytes`](rupcxx_util::Bytes)
+//! beside it in `AmPayload`, so the payload is 40 bytes (one word tells
+//! the variants apart) and an `AmMessage` 56 — an inbox slot's sequence
+//! word and the whole message share one 64-byte line
+//! (`layout_costs_no_payload_byte` pins all three). Three words hold every
+//! closure of the task path: a `finish` spawn is 16 bytes (`origin`,
+//! `token`) plus up to 8 of the user's captures; an `async_on` task 24
+//! (`origin`, the future's setter, and up to 8 bytes of captures — a
+//! `u64` argument); its reply 16 (the setter and a `u64` value); a
+//! `spawn_with_result` task 24 and its reply 24 (the setter, the scope's
+//! origin and token in one word, and up to 8 bytes of captures or a `u64`
+//! value).
+//! What is larger — an MPI eager send, a closure that captures more than
+//! a word of its own beside those — is boxed. A fourth word would put
+//! every message on a second line for captures the task path does not
+//! have.
 
 use std::any::Any;
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 
 /// Bytes of captures a task carries in its message.
-const INLINE: usize = 32;
+const INLINE: usize = 24;
 
 /// Where a task's closure (or the box holding it) is stored.
 #[repr(C, align(8))]
@@ -45,7 +52,7 @@ struct Table {
 /// execution context — the runtime's per-rank `Ctx`, which this crate
 /// cannot name — so a task that needs the target rank's context borrows it
 /// for the call instead of carrying (and reference-counting) shared state
-/// of its own. Captures of up to 32 bytes ride in the task itself; see the
+/// of its own. Captures of up to 24 bytes ride in the task itself; see the
 /// module docs.
 ///
 /// A task that is never run — lost on a dead link, parked by the
@@ -67,7 +74,7 @@ pub struct TaskFn {
 unsafe impl Send for TaskFn {}
 
 impl TaskFn {
-    /// Package `f` as a task: in the message when its captures fit in 32
+    /// Package `f` as a task: in the message when its captures fit in 24
     /// bytes aligned to at most 8, else in a box whose pointer does.
     #[inline]
     pub fn new<F: FnOnce(&dyn Any) + Send + 'static>(f: F) -> Self {
@@ -200,9 +207,9 @@ mod tests {
 
     #[test]
     fn layout_costs_no_payload_byte() {
-        assert_eq!(size_of::<TaskFn>(), 40);
-        assert_eq!(size_of::<AmPayload>(), 48);
-        assert_eq!(size_of::<AmMessage>(), 96);
+        assert_eq!(size_of::<TaskFn>(), 32);
+        assert_eq!(size_of::<AmPayload>(), 40);
+        assert_eq!(size_of::<AmMessage>(), 56);
     }
 
     #[test]
@@ -268,7 +275,7 @@ mod tests {
     }
 
     #[test]
-    fn an_over_aligned_or_33_byte_closure_is_boxed_and_runs() {
+    fn an_over_aligned_or_25_byte_closure_is_boxed_and_runs() {
         static SUM: AtomicUsize = AtomicUsize::new(0);
         #[repr(align(16))]
         struct Aligned(u64);
@@ -285,25 +292,25 @@ mod tests {
         assert_eq!(bytes, 16);
         task.run(&());
 
-        let fives = [5u8; 33];
+        let fives = [5u8; 25];
         let closure = move |_: &dyn Any| {
             SUM.fetch_add(fives.iter().map(|&b| b as usize).sum(), Ordering::SeqCst);
         };
-        assert_eq!(size_of_val(&closure), 33);
+        assert_eq!(size_of_val(&closure), 25);
         let (task, bytes) = counted(closure);
-        assert_eq!(bytes, 33);
+        assert_eq!(bytes, 25);
         task.run(&());
 
-        // 32 bytes aligned to 8: the largest closure that rides inline.
-        let words = [1u64, 2, 3, 4];
+        // 24 bytes aligned to 8: the largest closure that rides inline.
+        let words = [1u64, 2, 3];
         let closure = move |_: &dyn Any| {
             SUM.fetch_add(words.iter().sum::<u64>() as usize, Ordering::SeqCst);
         };
-        assert_eq!(size_of_val(&closure), 32);
+        assert_eq!(size_of_val(&closure), 24);
         let (task, bytes) = counted(closure);
         assert_eq!(bytes, 0);
         task.run(&());
-        assert_eq!(SUM.load(Ordering::SeqCst), 3 + 165 + 10);
+        assert_eq!(SUM.load(Ordering::SeqCst), 3 + 125 + 6);
     }
 
     #[test]

@@ -235,27 +235,27 @@ impl Ctx {
     /// Run one incoming active message.
     #[inline]
     fn execute(&self, msg: AmMessage) {
-        let AmMessage {
-            src,
-            payload,
-            clock,
-            prof,
-        } = msg;
-        // The checker's AM happens-before edge: everything this rank does
-        // from here on is ordered after the sender's send-time snapshot.
-        // Barriers, collectives, finish acknowledgements and async
-        // completions are all AMs, so this one join covers them all.
-        if let (Some(ck), Some(stamp)) = (self.shared.fabric.checker(), &clock) {
-            ck.join(self.rank, stamp);
-        }
-        // The causal join: this delivery is tied to the span's injection
-        // on the sending rank (a batch joins once per batch — the batch
-        // is the wire-level causal unit).
-        if let Some(span) = prof {
-            let origin = span.origin() as i32;
-            self.trace()
-                .instant(EventKind::AmRecv, origin, span.inject_ns, span.id);
-        }
+        let AmMessage { src, payload, hdr } = msg;
+        // A header rides only a message of a checked or profiled job.
+        let clock = hdr.and_then(|hdr| {
+            // The checker's AM happens-before edge: everything this rank
+            // does from here on is ordered after the sender's send-time
+            // snapshot. Barriers, collectives, finish acknowledgements and
+            // async completions are all AMs, so this one join covers them
+            // all.
+            if let (Some(ck), Some(stamp)) = (self.shared.fabric.checker(), &hdr.clock) {
+                ck.join(self.rank, stamp);
+            }
+            // The causal join: this delivery is tied to the span's
+            // injection on the sending rank (a batch joins once per batch
+            // — the batch is the wire-level causal unit).
+            if let Some(span) = hdr.prof {
+                let origin = span.origin() as i32;
+                self.trace()
+                    .instant(EventKind::AmRecv, origin, span.inject_ns, span.id);
+            }
+            hdr.clock
+        });
         let nested = SERVING.with(|s| s.replace(true));
         match payload {
             // `self` is the target rank's context: the task borrows it

@@ -79,6 +79,36 @@ struct Owed {
     n: u64,
 }
 
+/// A scope's origin rank and token in one word, the rank in the top 16
+/// bits as a profiler span id packs it: what a
+/// [`FinishScope::spawn_with_result`] task carries beside its setter, so
+/// the task and up to a word of the user's captures ride inline in the
+/// message (`rupcxx_net::TaskFn`'s 24 bytes), and so does the reply.
+#[derive(Clone, Copy)]
+struct ScopeId(u64);
+
+impl ScopeId {
+    const TOKEN_BITS: u32 = 48;
+
+    /// # Panics
+    /// Panics past 2^16 ranks or 2^48 scopes opened by one rank.
+    fn new(origin: Rank, token: u64) -> Self {
+        assert!(
+            origin >> (64 - Self::TOKEN_BITS) == 0 && token >> Self::TOKEN_BITS == 0,
+            "finish scope {token} of rank {origin} does not fit a scope id"
+        );
+        ScopeId((origin as u64) << Self::TOKEN_BITS | token)
+    }
+
+    fn origin(self) -> Rank {
+        (self.0 >> Self::TOKEN_BITS) as Rank
+    }
+
+    fn token(self) -> u64 {
+        self.0 & ((1 << Self::TOKEN_BITS) - 1)
+    }
+}
+
 /// One rank's `finish` bookkeeping, both halves (see the module docs).
 #[derive(Default)]
 pub(crate) struct FinishState {
@@ -236,14 +266,19 @@ impl<'a> FinishScope<'a> {
         task: impl FnOnce(&Ctx) -> T + Send + 'static,
     ) {
         self.outstanding.fetch_add(1, Ordering::AcqRel);
-        let (origin, token) = (self.ctx.rank(), self.token);
+        let scope = ScopeId::new(self.ctx.rank(), self.token);
         self.ctx.send_task_with_ctx(place, move |target_ctx| {
-            let (value, ran_on) = (task(target_ctx), target_ctx.rank());
+            let value = task(target_ctx);
             // The reply carries the value, so it stays one per task and
-            // completes its task as it runs on the origin.
-            target_ctx.send_task_with_ctx(origin, move |origin_ctx| {
+            // completes its task as it runs on the origin. It is the
+            // setter, the value and the scope — inline in its message for
+            // a value of up to a word — and no sender: a closure task
+            // never leaves its process, so a refused completion panics
+            // whoever sent it, and the origin names itself as for a task
+            // it ran.
+            target_ctx.send_task_with_ctx(scope.origin(), move |origin_ctx| {
                 setter.set(value);
-                origin_ctx.finish_complete(ran_on, token, 1);
+                origin_ctx.finish_complete(origin_ctx.rank(), scope.token(), 1);
             });
         });
     }
@@ -525,6 +560,16 @@ mod tests {
                 }
             },
         );
+    }
+
+    #[test]
+    fn a_scope_id_keeps_its_rank_and_token() {
+        for (origin, token) in [(0, 0), (3, 41), ((1 << 16) - 1, (1 << 48) - 1)] {
+            let scope = ScopeId::new(origin, token);
+            assert_eq!((scope.origin(), scope.token()), (origin, token));
+        }
+        assert!(std::panic::catch_unwind(|| ScopeId::new(1 << 16, 0)).is_err());
+        assert!(std::panic::catch_unwind(|| ScopeId::new(0, 1 << 48)).is_err());
     }
 
     #[test]

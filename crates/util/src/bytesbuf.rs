@@ -144,11 +144,26 @@ enum Repr {
 
 /// An immutable, reference-counted byte buffer with a cheap subslice
 /// window (`off..off+len` into the backing storage).
+///
+/// The window is two `u32`s, so a `Bytes` is 32 bytes — what lets an
+/// active message's payload fit in 40 — and a buffer holds at most
+/// `u32::MAX` bytes, the most a wire frame's `u32` length prefix can
+/// carry anyway. Building a larger one panics.
 #[derive(Clone, Debug)]
 pub struct Bytes {
     repr: Repr,
-    off: usize,
-    len: usize,
+    off: u32,
+    len: u32,
+}
+
+/// `len` as a window length.
+///
+/// # Panics
+/// Panics when `len` exceeds `u32::MAX`.
+#[inline]
+fn window(len: usize) -> u32 {
+    u32::try_from(len)
+        .unwrap_or_else(|_| panic!("a Bytes buffer holds at most 4 GiB, not {len} bytes"))
 }
 
 impl Bytes {
@@ -163,12 +178,19 @@ impl Bytes {
     }
 
     /// Wrap a static slice without allocating.
+    ///
+    /// # Panics
+    /// Panics when `data` is longer than `u32::MAX` bytes.
     #[must_use]
     pub const fn from_static(data: &'static [u8]) -> Self {
+        assert!(
+            data.len() <= u32::MAX as usize,
+            "a Bytes buffer holds at most 4 GiB"
+        );
         Bytes {
             repr: Repr::Static(data),
             off: 0,
-            len: data.len(),
+            len: data.len() as u32,
         }
     }
 
@@ -176,7 +198,7 @@ impl Bytes {
     #[must_use]
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes {
-            len: data.len(),
+            len: window(data.len()),
             repr: Repr::Shared(Arc::from(data)),
             off: 0,
         }
@@ -188,7 +210,7 @@ impl Bytes {
     #[must_use]
     pub fn pooled(data: Vec<u8>, pool: &Arc<SlabPool>) -> Self {
         Bytes {
-            len: data.len(),
+            len: window(data.len()),
             repr: Repr::Pooled(Arc::new(PooledBuf {
                 data,
                 pool: Arc::downgrade(pool),
@@ -201,7 +223,7 @@ impl Bytes {
     #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// True when the buffer is empty.
@@ -220,7 +242,8 @@ impl Bytes {
             Repr::Shared(a) => a,
             Repr::Pooled(p) => &p.data,
         };
-        &backing[self.off..self.off + self.len]
+        let off = self.off as usize;
+        &backing[off..off + self.len()]
     }
 
     /// Re-window this buffer around `sub`, which must be a subslice of
@@ -232,13 +255,14 @@ impl Bytes {
         let base = self.as_slice().as_ptr() as usize;
         let sp = sub.as_ptr() as usize;
         assert!(
-            sp >= base && sp + sub.len() <= base + self.len,
+            sp >= base && sp + sub.len() <= base + self.len(),
             "slice_ref argument is not a subslice of this buffer"
         );
+        // Both fit a `u32`: the window lies inside this one's.
         Bytes {
             repr: self.repr.clone(),
-            off: self.off + (sp - base),
-            len: sub.len(),
+            off: self.off + (sp - base) as u32,
+            len: sub.len() as u32,
         }
     }
 }
@@ -267,7 +291,7 @@ impl AsRef<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         Bytes {
-            len: v.len(),
+            len: window(v.len()),
             repr: Repr::Shared(Arc::from(v.into_boxed_slice())),
             off: 0,
         }
@@ -300,6 +324,14 @@ mod tests {
         assert_eq!(&c[..], &[4, 5]);
         let v = Bytes::from(vec![6]);
         assert_eq!(v.as_ref(), &[6]);
+    }
+
+    #[test]
+    fn a_buffer_is_four_words_and_its_window_at_most_4_gib() {
+        assert_eq!(std::mem::size_of::<Bytes>(), 32);
+        assert_eq!(window(u32::MAX as usize), u32::MAX);
+        let too_long = std::panic::catch_unwind(|| window(u32::MAX as usize + 1));
+        assert!(too_long.is_err());
     }
 
     #[test]

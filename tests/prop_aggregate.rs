@@ -83,11 +83,11 @@ fn drain_rank(f: &Fabric, me: usize) -> Option<Vec<u16>> {
     for _ in 0..100_000 {
         f.pump_incoming(me);
         for m in f.endpoint(me).drain() {
-            let (src, clock) = (m.src, m.clock);
-            match m.payload {
-                AmPayload::Handler { id, .. } => got.push(id),
+            let (src, clock) = (m.src, m.clock());
+            match &m.payload {
+                AmPayload::Handler { id, .. } => got.push(*id),
                 AmPayload::Batch { frames, .. } => {
-                    f.apply_batch(me, src, clock.as_ref(), &frames, |id, _| got.push(id));
+                    f.apply_batch(me, src, clock, frames, |id, _| got.push(id));
                 }
                 AmPayload::Task(_) => unreachable!("no tasks in this schedule"),
             }
